@@ -260,7 +260,7 @@ func BenchmarkThreadPool(b *testing.B) {
 	}
 	b.Run("conv/serial", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			ops.Conv2DNCHWc(bi, bw, attrs, 8, 8, 8, true, ops.Epilogue{}, threadpool.Serial)
+			ops.Conv2DNCHWc(bi, bw, attrs, 8, 8, 8, true, ops.Epilogue{}, ops.Serial)
 		}
 	})
 	b.Run("conv/pool", func(b *testing.B) {
@@ -268,30 +268,35 @@ func BenchmarkThreadPool(b *testing.B) {
 		defer p.Close()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			ops.Conv2DNCHWc(bi, bw, attrs, 8, 8, 8, true, ops.Epilogue{}, p.ParallelFor)
+			ops.Conv2DNCHWc(bi, bw, attrs, 8, 8, 8, true, ops.Epilogue{}, p.ParallelRange)
 		}
 	})
 	b.Run("conv/omp", func(b *testing.B) {
 		o := threadpool.NewOMPPool(threads)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			ops.Conv2DNCHWc(bi, bw, attrs, 8, 8, 8, true, ops.Epilogue{}, o.ParallelFor)
+			ops.Conv2DNCHWc(bi, bw, attrs, 8, 8, 8, true, ops.Epilogue{}, o.ParallelRange)
 		}
 	})
 	var sink [64]int64
+	bump := func(lo, hi int) {
+		for j := lo; j < hi; j++ {
+			sink[j]++
+		}
+	}
 	b.Run("tiny-regions/pool", func(b *testing.B) {
 		p := threadpool.NewPool(threads)
 		defer p.Close()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			p.ParallelFor(64, func(j int) { sink[j]++ })
+			p.ParallelRange(64, bump)
 		}
 	})
 	b.Run("tiny-regions/omp", func(b *testing.B) {
 		o := threadpool.NewOMPPool(threads)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			o.ParallelFor(64, func(j int) { sink[j]++ })
+			o.ParallelRange(64, bump)
 		}
 	})
 }

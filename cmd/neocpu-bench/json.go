@@ -274,8 +274,8 @@ func scalingThreadCounts() []int {
 
 // scalingSeries measures intra-op thread scaling of whole-model session
 // execution: the same model recompiled at each thread count (so the
-// schedule search re-picks block sizes and parallel grain for that width)
-// and timed on the host. Entries are named scaling/<model>/threads-<n> and
+// schedule search re-picks block sizes for that width) and timed on the
+// host. Entries are named scaling/<model>/threads-<n> and
 // carry the speedup over the single-thread entry of the same series — the
 // figure examples/scaling prints and CI's scaling smoke checks.
 func scalingSeries(name string, build func(uint64) *graph.Graph) ([]benchfmt.Entry, error) {

@@ -5,7 +5,7 @@
 //    the OpenMP-style fork/join runtime at growing thread counts.
 // 2. Whole-model scaling: the scaling/<model> series recorded by
 //    `neocpu-bench -json` (same model recompiled at each thread count, so
-//    block sizes and parallel grain are re-searched per width), replayed
+//    block sizes are re-searched per width), replayed
 //    from BENCH_<target>.json via -bench.
 // 3. Serving scaling: a compiled engine behind the HTTP inference server,
 //    hammered by concurrent clients — pooled sessions plus the dynamic
@@ -59,17 +59,17 @@ func main() {
 	}
 
 	const reps = 20
-	serial := run(threadpool.Serial, reps)
+	serial := run(ops.Serial, reps)
 	fmt.Printf("conv 128x28x28 -> 128, 3x3 (231 MFLOPs), serial: %v\n\n", serial.Round(time.Microsecond))
 	fmt.Printf("%-8s %16s %16s %12s\n", "threads", "thread pool", "omp-style", "pool speedup")
 
 	maxThreads := runtime.GOMAXPROCS(0)
 	for n := 1; n <= maxThreads; n *= 2 {
 		pool := threadpool.NewPool(n)
-		tPool := run(pool.ParallelFor, reps)
+		tPool := run(pool.ParallelRange, reps)
 		pool.Close()
 		omp := threadpool.NewOMPPool(n)
-		tOMP := run(omp.ParallelFor, reps)
+		tOMP := run(omp.ParallelRange, reps)
 		fmt.Printf("%-8d %16v %16v %11.2fx\n",
 			n, tPool.Round(time.Microsecond), tOMP.Round(time.Microsecond),
 			float64(serial)/float64(tPool))
@@ -82,15 +82,19 @@ func main() {
 		var sink [64]int64
 		start := time.Now()
 		for r := 0; r < 1000; r++ {
-			pf(64, func(i int) { sink[i]++ })
+			pf(64, func(lo, hi int) {
+				for i := lo; i < hi; i++ {
+					sink[i]++
+				}
+			})
 		}
 		return time.Since(start)
 	}
 	pool := threadpool.NewPool(maxThreads)
 	defer pool.Close()
 	omp := threadpool.NewOMPPool(maxThreads)
-	fmt.Printf("  thread pool: %v\n", tiny(pool.ParallelFor).Round(time.Microsecond))
-	fmt.Printf("  omp-style:   %v\n", tiny(omp.ParallelFor).Round(time.Microsecond))
+	fmt.Printf("  thread pool: %v\n", tiny(pool.ParallelRange).Round(time.Microsecond))
+	fmt.Printf("  omp-style:   %v\n", tiny(omp.ParallelRange).Round(time.Microsecond))
 
 	modelScaling(*benchPath)
 	servingDemo()
@@ -112,7 +116,7 @@ type benchDoc struct {
 // modelScaling replays the whole-model scaling series out of a BENCH json
 // file: unlike the kernel table above (one convolution, fixed schedule), each
 // entry there was compiled fresh at its thread count, so the searched block
-// sizes and parallel grain differ along the thread axis.
+// sizes differ along the thread axis.
 func modelScaling(path string) {
 	fmt.Println("\nwhole-model scaling (scaling/<model> series from neocpu-bench -json):")
 	if path == "" {

@@ -129,7 +129,8 @@ type TargetSig struct {
 
 // SchedEntry is one convolution's serialized optimization scheme, mirroring
 // the plan-file entries of internal/core (the bundle embeds the plan so a
-// loaded model never re-runs the global search).
+// loaded model never re-runs the global search). Kept field-identical with
+// core.PlanEntry — the two convert by direct struct conversion.
 type SchedEntry struct {
 	Conv      string `json:"conv"`
 	Layout    string `json:"layout"` // "nchw", "nhwc" or "nchwc"
@@ -138,10 +139,6 @@ type SchedEntry struct {
 	RegN      int    `json:"reg_n,omitempty"`
 	UnrollKer bool   `json:"unroll_ker,omitempty"`
 	Algorithm string `json:"algorithm,omitempty"`
-	// Grain is the kernel's parallel chunk size; absent (pre-grain bundles)
-	// means 1. Kept field-identical with core.PlanEntry — the two convert by
-	// direct struct conversion.
-	Grain int `json:"grain,omitempty"`
 }
 
 // LayoutRef is a serializable tensor layout.

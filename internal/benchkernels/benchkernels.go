@@ -32,7 +32,7 @@ func DirectBlocked(blk int) func() {
 	pad := tensor.New(bi.Layout, ops.PaddedShapeNCHWc(bi.Shape, attrs)...)
 	dst := tensor.New(tensor.NCHWc(blk), 1, attrs.OutC/blk, 28, 28, blk)
 	return func() {
-		ops.Conv2DNCHWcInto(dst, pad, bi, bw, attrs, blk, blk, 8, true, 1, ops.Epilogue{}, nil)
+		ops.Conv2DNCHWcInto(dst, pad, bi, bw, attrs, blk, blk, 8, true, ops.Epilogue{}, nil)
 	}
 }
 
@@ -46,6 +46,6 @@ func WinogradBlocked(blk int) func() {
 	scratch := tensor.New(tensor.Flat(), ops.WinogradScratchShape(bi.Shape, attrs)...)
 	dst := tensor.New(tensor.NCHWc(blk), 1, attrs.OutC/blk, 28, 28, blk)
 	return func() {
-		ops.Conv2DWinogradNCHWcInto(dst, scratch, bi, u, attrs, blk, blk, 1, ops.Epilogue{}, nil)
+		ops.Conv2DWinogradNCHWcInto(dst, scratch, bi, u, attrs, blk, blk, ops.Epilogue{}, nil)
 	}
 }

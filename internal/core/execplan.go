@@ -17,7 +17,7 @@ import (
 // shared, size-classed arena slots; and where execution was strictly
 // sequential, the plan partitions the program into dependency levels and
 // assigns each level a threading policy — intra-op (nodes sequential, each
-// kernel spreading its chunked grain loop across the pool), inter-op (one
+// kernel splitting its outermost loop across the pool), inter-op (one
 // pool lane per independent node, kernels serial), or hybrid (one goroutine
 // per node, each handed the pool-backed ParallelFor; the first to reach a
 // parallel region claims the pool and its siblings degrade to inline serial

@@ -7,8 +7,8 @@ import (
 
 	"repro/internal/machine"
 	"repro/internal/models"
+	"repro/internal/ops"
 	"repro/internal/tensor"
-	"repro/internal/threadpool"
 )
 
 // referenceRun executes the module's program strictly sequentially with
@@ -18,7 +18,7 @@ import (
 func referenceRun(m *Module, input *tensor.Tensor) ([]*tensor.Tensor, error) {
 	vals := make([]*tensor.Tensor, len(m.program))
 	for i, n := range m.program {
-		out, err := m.exec(n, vals, input, threadpool.Serial, nil)
+		out, err := m.exec(n, vals, input, ops.Serial, nil)
 		if err != nil {
 			return nil, err
 		}

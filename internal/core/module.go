@@ -79,11 +79,11 @@ func (m *Module) PredictOnly() bool { return m.noPrepack }
 func (m *Module) parallelFor() ops.ParallelFor {
 	switch {
 	case m.pool != nil:
-		return m.pool.ParallelFor
+		return m.pool.ParallelRange
 	case m.omp != nil:
-		return m.omp.ParallelFor
+		return m.omp.ParallelRange
 	default:
-		return threadpool.Serial
+		return ops.Serial
 	}
 }
 
@@ -222,21 +222,21 @@ func (m *Module) exec(n *graph.Node, vals []*tensor.Tensor, input *tensor.Tensor
 				qin := quant.Quantize(arg(0))
 				if depthwise {
 					return quant.Conv2DInt8DepthwiseNCHWcInto(buf.outT(), qin, m.qpacked[n], n.Conv,
-						n.Sched.OCBlock, n.Sched.RegN, n.Sched.Grain, epi, pf), nil
+						n.Sched.OCBlock, n.Sched.RegN, epi, pf), nil
 				}
 				return quant.Conv2DInt8NCHWcInto(buf.outT(), qin, m.qpacked[n], n.Conv,
-					n.Sched.ICBlock, n.Sched.OCBlock, n.Sched.RegN, n.Sched.Grain, epi, pf), nil
+					n.Sched.ICBlock, n.Sched.OCBlock, n.Sched.RegN, epi, pf), nil
 			}
 			if n.Sched.Algorithm == machine.AlgoWinograd {
 				return ops.Conv2DWinogradNCHWcInto(buf.outT(), buf.winoT(), arg(0), m.packed[n], n.Conv,
-					n.Sched.ICBlock, n.Sched.OCBlock, n.Sched.Grain, epi, pf), nil
+					n.Sched.ICBlock, n.Sched.OCBlock, epi, pf), nil
 			}
 			if depthwise {
 				return ops.Conv2DDepthwiseNCHWcInto(buf.outT(), buf.padT(), arg(0), m.packed[n], n.Conv,
-					n.Sched.OCBlock, n.Sched.RegN, n.Sched.UnrollKer, n.Sched.Grain, epi, pf), nil
+					n.Sched.OCBlock, n.Sched.RegN, n.Sched.UnrollKer, epi, pf), nil
 			}
 			return ops.Conv2DNCHWcInto(buf.outT(), buf.padT(), arg(0), m.packed[n], n.Conv,
-				n.Sched.ICBlock, n.Sched.OCBlock, n.Sched.RegN, n.Sched.UnrollKer, n.Sched.Grain, epi, pf), nil
+				n.Sched.ICBlock, n.Sched.OCBlock, n.Sched.RegN, n.Sched.UnrollKer, epi, pf), nil
 		case tensor.LayoutNHWC:
 			return ops.Conv2DNHWCInto(buf.outT(), arg(0), n.Weight, n.Conv, epi, pf), nil
 		default:

@@ -37,10 +37,6 @@ type PlanEntry struct {
 	// Algorithm selects the convolution algorithm: "winograd" or "direct".
 	// Absent (plans saved before the field existed) means direct.
 	Algorithm string `json:"algorithm,omitempty"`
-	// Grain is the parallel chunk size of the kernel's outermost loop. Absent
-	// (plans saved before the field existed) means 1: one unit per work item,
-	// the pre-grain kernels' behavior.
-	Grain int `json:"grain,omitempty"`
 }
 
 // PlanFile is the serialized compilation plan.
@@ -65,9 +61,6 @@ func (m *Module) planEntries() []PlanEntry {
 			e.UnrollKer = n.Sched.UnrollKer
 			if n.Sched.Algorithm == machine.AlgoWinograd {
 				e.Algorithm = machine.AlgoWinograd.String()
-			}
-			if n.Sched.Grain > 1 {
-				e.Grain = n.Sched.Grain
 			}
 		case tensor.LayoutNHWC:
 			e.Layout = "nhwc"
@@ -138,9 +131,6 @@ func (pf *PlanFile) Apply(g *graph.Graph) (graph.LayoutPlan, error) {
 		default:
 			return nil, fmt.Errorf("%w: entry %q has unknown algorithm %q", ErrInvalidPlan, e.Conv, e.Algorithm)
 		}
-		if e.Grain < 0 {
-			return nil, fmt.Errorf("%w: entry %q has negative grain %d", ErrInvalidPlan, e.Conv, e.Grain)
-		}
 		var s machine.ConvSchedule
 		switch e.Layout {
 		case "nchwc":
@@ -148,7 +138,7 @@ func (pf *PlanFile) Apply(g *graph.Graph) (graph.LayoutPlan, error) {
 				Layout:  tensor.NCHWc(e.ICBlock),
 				ICBlock: e.ICBlock, OCBlock: e.OCBlock,
 				RegN: e.RegN, UnrollKer: e.UnrollKer,
-				Algorithm: algo, Grain: e.Grain,
+				Algorithm: algo,
 			}
 			wl := graph.ConvWorkload(n)
 			if err := wl.ValidateBlocks(s); err != nil {

@@ -9,6 +9,7 @@ import (
 	"repro/internal/machine"
 	"repro/internal/models"
 	"repro/internal/tensor"
+	"repro/internal/threadpool"
 )
 
 // TestKernelFamiliesBitIdenticalAcrossPolicies is the cross-product property
@@ -17,11 +18,11 @@ import (
 // coverage) executed under a serial lane, a forced-intra pool, and pools
 // sized to trigger inter-op and hybrid levels, the session output must be
 // bit-identical to the strictly sequential fresh-buffer reference — and must
-// stay bit-identical when every convolution's parallel grain is forced
-// through 0 (serial-equivalent), odd chunk sizes, and chunks larger than any
-// unit count. Chunked dispatch and policy choice may only move work between
-// threads, never change a bit. CI runs this package under -race, so the
-// sweep doubles as the data-race check on every dispatch path.
+// stay bit-identical when the same compiled plan is re-dispatched over pools
+// of width 1, 2, 3 and 5, whose per-thread ranges split every kernel's unit
+// count raggedly. Range partitioning and policy choice may only move work
+// between threads, never change a bit. CI runs this package under -race, so
+// the sweep doubles as the data-race check on every dispatch path.
 func TestKernelFamiliesBitIdenticalAcrossPolicies(t *testing.T) {
 	execConfigs := []struct {
 		name    string
@@ -80,18 +81,16 @@ func TestKernelFamiliesBitIdenticalAcrossPolicies(t *testing.T) {
 						}
 					}
 				}
-				check("searched grains")
-				// Force the grain through the chunked dispatch's edge cases:
-				// 0 (absent-field convention, one unit per item), an odd size
-				// that leaves a ragged tail chunk, and a size larger than any
-				// kernel's unit count (one chunk swallows the whole loop).
-				for _, grain := range []int{0, 3, 1 << 20} {
-					for _, n := range m.program {
-						if n.Op == graph.OpConv2D {
-							n.Sched.Grain = grain
-						}
+				check("planned width")
+				// Keep the compiled plan (levels, policies) and swap the pool
+				// under it: one thread takes every range whole, and odd
+				// widths leave uneven ranges.
+				for _, width := range []int{1, 2, 3, 5} {
+					if m.pool != nil {
+						m.pool.Close()
 					}
-					check(fmt.Sprintf("forced grain %d", grain))
+					m.pool = threadpool.NewPool(width)
+					check(fmt.Sprintf("pool width %d", width))
 				}
 			})
 		}

@@ -6,34 +6,46 @@ import (
 	"os"
 	"testing"
 
-	"repro/internal/graph"
 	"repro/internal/machine"
 	"repro/internal/models"
 	"repro/internal/tensor"
 )
 
-// The pregrain_tiny-resnet.* fixtures under testdata/ were saved by the
-// compiler BEFORE the schedule grain field existed (see gen_pregrain.go for
-// provenance). These tests pin backward compatibility: old artifacts must
-// keep loading, their absent grain must decode to the serial-equivalent
-// value (0, one parallel unit per work item — exactly the pre-grain
-// dispatch), and modules built from them must execute and agree bit for bit
-// with each other.
+// The <generation>_tiny-resnet.* fixtures under testdata/ were saved by older
+// compilers (see gen_pregrain.go for provenance): "pregrain" BEFORE the
+// schedule grain field existed, "grain" by the last build that searched a
+// parallel grain and wrote it into every plan and bundle entry. These tests
+// pin backward compatibility: artifacts of both generations must keep
+// loading — the grain key is ignored on read — and modules built from them
+// must execute bit-identically to the sequential reference and to each other.
+var fixtureGenerations = []struct {
+	name     string
+	hasGrain bool
+}{
+	{"pregrain", false},
+	{"grain", true},
+}
 
-func TestPreGrainPlanCompat(t *testing.T) {
-	f, err := os.Open("testdata/pregrain_tiny-resnet.plan.json")
+// loadFixture reads one fixture file and checks it really is of its
+// generation, so a regenerated fixture cannot silently stop covering the
+// grain-bearing format.
+func loadFixture(t *testing.T, gen string, hasGrain bool, ext string) []byte {
+	t.Helper()
+	raw, err := os.ReadFile("testdata/" + gen + "_tiny-resnet." + ext)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer f.Close()
-	pf, err := LoadPlan(f)
-	if err != nil {
-		t.Fatalf("pre-grain plan must keep loading: %v", err)
+	if got := bytes.Contains(raw, []byte(`"grain"`)); got != hasGrain {
+		t.Fatalf("%s fixture .%s: carries a grain key = %v, want %v", gen, ext, got, hasGrain)
 	}
-	for _, e := range pf.Entries {
-		if e.Grain != 0 {
-			t.Fatalf("entry %q: absent grain must decode to 0 (serial-equivalent), got %d", e.Conv, e.Grain)
-		}
+	return raw
+}
+
+func compileFixturePlan(t *testing.T, raw []byte) *Module {
+	t.Helper()
+	pf, err := LoadPlan(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatalf("older plan must keep loading: %v", err)
 	}
 	g, err := models.BuildAny("tiny-resnet", 1)
 	if err != nil {
@@ -41,81 +53,71 @@ func TestPreGrainPlanCompat(t *testing.T) {
 	}
 	m, err := CompileWithPlan(g, skylake(), pf, Options{Threads: 2, Backend: machine.BackendPool})
 	if err != nil {
-		t.Fatalf("pre-grain plan must keep compiling: %v", err)
+		t.Fatalf("older plan must keep compiling: %v", err)
 	}
-	defer m.Close()
-	for _, n := range m.program {
-		if n.Op == graph.OpConv2D && n.Sched.Grain != 0 {
-			t.Fatalf("%v: plan application invented grain %d for a pre-grain entry", n, n.Sched.Grain)
-		}
-	}
-	in := tensor.New(tensor.NCHW(), 1, 3, 32, 32)
-	in.FillRandom(21, 1)
-	s, err := m.NewSession()
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := s.Run(context.Background(), in)
-	if err != nil {
-		t.Fatalf("pre-grain planned module must execute: %v", err)
-	}
-	want, err := referenceRun(m, in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := tensor.MaxAbsDiff(want[0], got[0]); d != 0 {
-		t.Fatalf("pre-grain plan execution diverges from reference by %g", d)
+	return m
+}
+
+func TestOlderPlanCompat(t *testing.T) {
+	for _, gen := range fixtureGenerations {
+		t.Run(gen.name, func(t *testing.T) {
+			m := compileFixturePlan(t, loadFixture(t, gen.name, gen.hasGrain, "plan.json"))
+			defer m.Close()
+			in := tensor.New(tensor.NCHW(), 1, 3, 32, 32)
+			in.FillRandom(21, 1)
+			s, err := m.NewSession()
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := s.Run(context.Background(), in)
+			if err != nil {
+				t.Fatalf("module planned from an older file must execute: %v", err)
+			}
+			want, err := referenceRun(m, in)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if d := tensor.MaxAbsDiff(want[0], got[0]); d != 0 {
+				t.Fatalf("older plan execution diverges from reference by %g", d)
+			}
+		})
 	}
 }
 
-func TestPreGrainBundleCompat(t *testing.T) {
-	raw, err := os.ReadFile("testdata/pregrain_tiny-resnet.bundle")
-	if err != nil {
-		t.Fatal(err)
-	}
-	bm, err := LoadBundle(bytes.NewReader(raw), models.ResolveGraph, Options{Threads: 2, Backend: machine.BackendPool})
-	if err != nil {
-		t.Fatalf("pre-grain bundle must keep loading: %v", err)
-	}
-	defer bm.Close()
-	for _, n := range bm.program {
-		if n.Op == graph.OpConv2D && n.Sched.Grain != 0 {
-			t.Fatalf("%v: bundle load invented grain %d for a pre-grain artifact", n, n.Sched.Grain)
-		}
-	}
+func TestOlderBundleCompat(t *testing.T) {
+	for _, gen := range fixtureGenerations {
+		t.Run(gen.name, func(t *testing.T) {
+			raw := loadFixture(t, gen.name, gen.hasGrain, "bundle")
+			bm, err := LoadBundle(bytes.NewReader(raw), models.ResolveGraph, Options{Threads: 2, Backend: machine.BackendPool})
+			if err != nil {
+				t.Fatalf("older bundle must keep loading: %v", err)
+			}
+			defer bm.Close()
+			// The plan fixture carries the same schedules the bundle does, so
+			// the two load paths must produce bit-identical modules.
+			pm := compileFixturePlan(t, loadFixture(t, gen.name, gen.hasGrain, "plan.json"))
+			defer pm.Close()
 
-	// The plan fixture carries the same schedules the bundle does, so the
-	// two load paths must produce bit-identical modules.
-	f, err := os.Open("testdata/pregrain_tiny-resnet.plan.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	pf, err := LoadPlan(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g, err := models.BuildAny("tiny-resnet", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pm, err := CompileWithPlan(g, skylake(), pf, Options{Threads: 2, Backend: machine.BackendPool})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pm.Close()
-
-	in := tensor.New(tensor.NCHW(), 1, 3, 32, 32)
-	in.FillRandom(22, 1)
-	fromBundle, err := bm.Run(in)
-	if err != nil {
-		t.Fatalf("pre-grain bundle module must execute: %v", err)
-	}
-	fromPlan, err := pm.Run(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := tensor.MaxAbsDiff(fromPlan[0], fromBundle[0]); d != 0 {
-		t.Fatalf("bundle- and plan-loaded pre-grain modules diverge by %g", d)
+			in := tensor.New(tensor.NCHW(), 1, 3, 32, 32)
+			in.FillRandom(22, 1)
+			fromBundle, err := bm.Run(in)
+			if err != nil {
+				t.Fatalf("older bundle module must execute: %v", err)
+			}
+			want, err := referenceRun(bm, in)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if d := tensor.MaxAbsDiff(want[0], fromBundle[0]); d != 0 {
+				t.Fatalf("older bundle execution diverges from reference by %g", d)
+			}
+			fromPlan, err := pm.Run(in)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if d := tensor.MaxAbsDiff(fromPlan[0], fromBundle[0]); d != 0 {
+				t.Fatalf("bundle- and plan-loaded older modules diverge by %g", d)
+			}
+		})
 	}
 }

@@ -10,7 +10,6 @@ import (
 	"repro/internal/faults"
 	"repro/internal/ops"
 	"repro/internal/tensor"
-	"repro/internal/threadpool"
 )
 
 // Session is a reusable execution context over a compiled Module. It
@@ -41,7 +40,7 @@ import (
 // every session's parallel regions — chunked kernel loops on intra-op
 // levels, node dispatch on inter-op levels, racing nodes on hybrid levels.
 // The pool runs one region at a time, but a submitter that finds the pool
-// busy is never blocked: threadpool.Pool's re-entrant ParallelFor degrades
+// busy is never blocked: threadpool.Pool's re-entrant ParallelRange degrades
 // it to an inline serial loop on its own goroutine. A wide pool therefore
 // minimizes single-request latency while concurrent sessions still make
 // serial progress; throughput-oriented servers should still compile with
@@ -232,8 +231,10 @@ func (s *Session) run(ctx context.Context, input *tensor.Tensor, pf ops.Parallel
 // level alias-free).
 func (s *Session) runInterLevel(level []int, input *tensor.Tensor, pf ops.ParallelFor) error {
 	errs := s.errs[:len(level)]
-	pf(len(level), func(k int) {
-		errs[k] = s.execStep(level[k], input, threadpool.Serial)
+	pf(len(level), func(lo, hi int) {
+		for k := lo; k < hi; k++ {
+			errs[k] = s.execStep(level[k], input, ops.Serial)
+		}
 	})
 	var first error
 	for k, err := range errs {
@@ -249,7 +250,7 @@ func (s *Session) runInterLevel(level []int, input *tensor.Tensor, pf ops.Parall
 // goroutine, every node handed the pool-backed ParallelFor. The first node
 // to reach a parallel region wins the pool and spreads its kernel across
 // the workers; concurrent siblings fall back to inline serial loops inside
-// threadpool.Pool's re-entrant ParallelFor, so the level's nodes genuinely
+// threadpool.Pool's re-entrant ParallelRange, so the level's nodes genuinely
 // overlap without a second pool. Node 0 runs on the calling goroutine. A
 // panic on a node goroutine is captured per lane and re-raised here, on the
 // run goroutine, so safeRun's recoverExec still converts it into a typed

@@ -1,21 +1,29 @@
 //go:build ignore
 
-// gen_pregrain.go produced the pre-grain compatibility fixtures checked in
-// next to it: a plan file and an artifact bundle saved by the compiler
-// BEFORE the schedule grain field existed. The fixtures are frozen — they
-// exist so plan/bundle loading keeps accepting artifacts from older builds
-// (absent grain must mean serial-equivalent grain 1) — and this generator is
-// kept only as provenance; re-running it against a current build would
-// produce post-grain artifacts and defeat the fixtures' purpose.
+// gen_pregrain.go produced the two generations of compatibility fixtures
+// checked in next to it, each a plan file plus an artifact bundle of
+// tiny-resnet saved by an older compiler:
 //
-// Usage (from the repo root, at the pre-grain revision):
+//   - pregrain_tiny-resnet.*: saved BEFORE the schedule grain field existed
+//     (`gen_pregrain.go pregrain 1` at the pre-grain revision).
+//   - grain_tiny-resnet.*: saved by the last build that searched a parallel
+//     grain (`gen_pregrain.go grain 4` at commit 4e3ac29, PR 11); searched at
+//     4 threads, five of its six entries carry "grain": 4.
 //
-//	go run internal/core/testdata/gen_pregrain.go
+// The fixtures are frozen — they exist so plan/bundle loading keeps accepting
+// artifacts from older builds (the grain key is ignored on read) — and this
+// generator is kept only as provenance; re-running it against a current build
+// would produce current-format artifacts and defeat the fixtures' purpose.
+//
+// Usage (from the repo root, at the revision named above):
+//
+//	go run internal/core/testdata/gen_pregrain.go <prefix> <threads>
 package main
 
 import (
 	"fmt"
 	"os"
+	"strconv"
 
 	"repro/internal/core"
 	"repro/internal/machine"
@@ -23,17 +31,28 @@ import (
 )
 
 func main() {
+	prefix := os.Args[1]
+	threads, err := strconv.Atoi(os.Args[2])
+	if err != nil {
+		panic(err)
+	}
 	g, err := models.BuildAny("tiny-resnet", 1)
 	if err != nil {
 		panic(err)
 	}
+	backend := machine.BackendPool
+	if threads == 1 {
+		backend = machine.BackendSerial
+	}
 	m, err := core.Compile(g, machine.IntelSkylakeC5(), core.Options{
-		Level: core.OptGlobalSearch, Threads: 1, Backend: machine.BackendSerial,
+		Level: core.OptGlobalSearch, Threads: threads, Backend: backend,
 	})
 	if err != nil {
 		panic(err)
 	}
-	plan, err := os.Create("internal/core/testdata/pregrain_tiny-resnet.plan.json")
+	defer m.Close()
+	base := "internal/core/testdata/" + prefix + "_tiny-resnet"
+	plan, err := os.Create(base + ".plan.json")
 	if err != nil {
 		panic(err)
 	}
@@ -41,7 +60,7 @@ func main() {
 	if err := m.SavePlan(plan); err != nil {
 		panic(err)
 	}
-	bundle, err := os.Create("internal/core/testdata/pregrain_tiny-resnet.bundle")
+	bundle, err := os.Create(base + ".bundle")
 	if err != nil {
 		panic(err)
 	}
@@ -49,5 +68,5 @@ func main() {
 	if err := m.SaveBundle(bundle); err != nil {
 		panic(err)
 	}
-	fmt.Println("wrote pregrain fixtures")
+	fmt.Println("wrote", base+".{plan.json,bundle}")
 }

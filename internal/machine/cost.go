@@ -146,27 +146,16 @@ type ConvSchedule struct {
 	RegN      int           // reg_n: register-blocking width along out_width
 	UnrollKer bool          // unroll_ker: unroll the kernel-entry loop
 	Algorithm ConvAlgorithm // convolution algorithm (direct or winograd)
-	// Grain is the parallel chunk size: how many outermost work units (output
-	// rows for the direct template, tile rows for winograd) one thread-pool
-	// work item covers. 0 and 1 both mean one unit per item — the historical
-	// behavior, and what absent fields in serialized plans decode to. Larger
-	// grains amortize dispatch overhead at the price of static-partitioning
-	// imbalance; the searcher picks the grain jointly with the block sizes.
-	Grain int
 }
 
 func (s ConvSchedule) String() string {
 	if s.Layout.Kind != tensor.LayoutNCHWc {
 		return fmt.Sprintf("{%v}", s.Layout)
 	}
-	grain := ""
-	if s.Grain > 1 {
-		grain = fmt.Sprintf(" grain=%d", s.Grain)
-	}
 	if s.Algorithm == AlgoWinograd {
-		return fmt.Sprintf("{winograd ic_bn=%d oc_bn=%d%s}", s.ICBlock, s.OCBlock, grain)
+		return fmt.Sprintf("{winograd ic_bn=%d oc_bn=%d}", s.ICBlock, s.OCBlock)
 	}
-	return fmt.Sprintf("{ic_bn=%d oc_bn=%d reg_n=%d unroll=%v%s}", s.ICBlock, s.OCBlock, s.RegN, s.UnrollKer, grain)
+	return fmt.Sprintf("{ic_bn=%d oc_bn=%d reg_n=%d unroll=%v}", s.ICBlock, s.OCBlock, s.RegN, s.UnrollKer)
 }
 
 // Cost-model tuning constants. These are calibrated once against the paper's
@@ -226,14 +215,6 @@ const (
 	// to dense: per-group weight slabs fragment the streaming pattern and
 	// shrink the reduction the register tile amortizes over.
 	groupedFragFactor = 0.92
-
-	// itemDispatchSeconds prices one thread-pool work item: the dispatch
-	// closure call, unit-index decode and accumulator-tile setup. Grouping
-	// `grain` units into a single item divides this cost by the grain, which
-	// is the benefit the searched grain buys with partitioning imbalance. The
-	// value is small enough that grain-1 predictions stay within the
-	// calibration tolerances of the per-model cost tests.
-	itemDispatchSeconds = 12e-9
 )
 
 // RegionOverhead returns the fork-join cost in seconds of launching one
@@ -256,11 +237,11 @@ func RegionOverhead(backend ThreadBackend, threads int) float64 {
 	}
 }
 
-// parallelUnits returns the number of independent work items a convolution
+// parallelUnits returns the number of independent work units a convolution
 // exposes to the thread pool: the outermost OFMAP chunks of Algorithm 1 for
 // the direct template, or the 2-row tile bands of the Winograd kernel (which
 // amortizes each data transform across every output channel, so its parallel
-// grain is per tile row rather than per output block).
+// unit is a tile row rather than an output block).
 func parallelUnits(wl ConvWorkload, s ConvSchedule) int {
 	if s.Algorithm == AlgoWinograd && s.Layout.Kind == tensor.LayoutNCHWc {
 		units := (wl.OutH() + 1) / 2
@@ -282,35 +263,19 @@ func parallelUnits(wl ConvWorkload, s ConvSchedule) int {
 }
 
 // ParallelEfficiency returns the fraction of linear speedup achievable when
-// distributing `units` equal work items over `threads` threads: the load
-// imbalance of static partitioning plus a per-thread coherence/bandwidth
-// friction term. Equivalent to GrainedParallelEfficiency at grain 1.
+// distributing `units` equal work units over `threads` threads: the load
+// imbalance of static partitioning (the busiest thread's contiguous range
+// holds ceil(units/threads) units) plus a per-thread coherence/bandwidth
+// friction term.
 func (t *Target) ParallelEfficiency(units, threads int) float64 {
-	return t.GrainedParallelEfficiency(units, 1, threads)
-}
-
-// GrainedParallelEfficiency is ParallelEfficiency for chunked dispatch: the
-// units are grouped `grain` to a work item before the pool's static
-// partitioning, so the busiest thread processes ceil(chunks/threads) chunks of
-// grain units each. Large grains coarsen the partition and raise imbalance —
-// the cost the searched grain trades against per-item dispatch overhead. At
-// grain 1 this reduces exactly to the historical per-unit model.
-func (t *Target) GrainedParallelEfficiency(units, grain, threads int) float64 {
 	if threads <= 1 {
 		return 1
 	}
 	if threads > t.Cores {
 		threads = t.Cores
 	}
-	if grain < 1 {
-		grain = 1
-	}
-	if grain > units {
-		grain = units
-	}
-	chunks := (units + grain - 1) / grain
-	perThread := (chunks + threads - 1) / threads
-	imbalance := float64(units) / float64(perThread*threads*grain)
+	perThread := (units + threads - 1) / threads
+	imbalance := float64(units) / float64(perThread*threads)
 	friction := 1 / (1 + 0.009*float64(threads-1))
 	return imbalance * friction
 }
@@ -576,8 +541,8 @@ func (t *Target) ConvTime(wl ConvWorkload, s ConvSchedule, threads int, backend 
 	}
 
 	units := parallelUnits(wl, s)
-	pe := t.GrainedParallelEfficiency(units, s.Grain, threads)
-	par := compute/(float64(threads)*pe) + dispatchSeconds(units, s.Grain, threads)
+	pe := t.ParallelEfficiency(units, threads)
+	par := compute / (float64(threads) * pe)
 
 	// Memory floor: a convolution can never run faster than streaming its
 	// operands once.
@@ -586,23 +551,6 @@ func (t *Target) ConvTime(wl ConvWorkload, s ConvSchedule, threads int, backend 
 		par = floor
 	}
 	return par + RegionOverhead(backend, threads)
-}
-
-// dispatchSeconds prices the per-work-item overhead of a chunked parallel
-// region: chunks items at itemDispatchSeconds each, spread across the threads
-// that execute them.
-func dispatchSeconds(units, grain, threads int) float64 {
-	if units < 1 {
-		return 0
-	}
-	if grain < 1 {
-		grain = 1
-	}
-	if threads < 1 {
-		threads = 1
-	}
-	chunks := (units + grain - 1) / grain
-	return float64(chunks) * itemDispatchSeconds / float64(threads)
 }
 
 // TransformTime predicts the seconds to execute a layout transformation over
@@ -696,8 +644,8 @@ func (t *Target) Int8ConvTime(wl ConvWorkload, s ConvSchedule, threads int, back
 	}
 	compute := wl.FLOPs() / (t.PeakCoreGFLOPS() * 1e9 * eff)
 	units := parallelUnits(wl, s)
-	pe := t.GrainedParallelEfficiency(units, s.Grain, threads)
-	par := compute/(float64(threads)*pe) + dispatchSeconds(units, s.Grain, threads)
+	pe := t.ParallelEfficiency(units, threads)
+	par := compute / (float64(threads) * pe)
 	floor := (wl.Bytes() / 4) / (t.MemBWGBs * 1e9 * bwEfficiency)
 	if par < floor {
 		par = floor

@@ -11,7 +11,7 @@
 // properties Section 3.1 of the paper optimizes (register blocking that hides
 // FMA latency, channel blocking that fits the cache, full vector lanes) and
 // penalizes the ones it avoids (strided access in plain NCHW, register
-// spills, too-fine parallel grains).
+// spills, too few parallel units to balance the threads).
 package machine
 
 import "fmt"

@@ -55,13 +55,15 @@ func BatchNormInferenceInto(dst, in *tensor.Tensor, p BatchNormParams, pf Parall
 		if pf == nil {
 			pf = Serial
 		}
-		pf(n*c, func(unit int) {
-			ch := unit % c
-			s, sh := scale[ch], shift[ch]
-			src := in.Data[unit*h*w : (unit+1)*h*w]
-			dst := out.Data[unit*h*w : (unit+1)*h*w]
-			for i, v := range src {
-				dst[i] = v*s + sh
+		pf(n*c, func(lo, hi int) {
+			for unit := lo; unit < hi; unit++ {
+				ch := unit % c
+				s, sh := scale[ch], shift[ch]
+				src := in.Data[unit*h*w : (unit+1)*h*w]
+				dst := out.Data[unit*h*w : (unit+1)*h*w]
+				for i, v := range src {
+					dst[i] = v*s + sh
+				}
 			}
 		})
 		return out
@@ -74,14 +76,16 @@ func BatchNormInferenceInto(dst, in *tensor.Tensor, p BatchNormParams, pf Parall
 		if pf == nil {
 			pf = Serial
 		}
-		pf(n*co, func(unit int) {
-			ch := unit % co
-			src := in.Data[unit*h*w*x:]
-			dst := out.Data[unit*h*w*x:]
-			for pix := 0; pix < h*w; pix++ {
-				for ci := 0; ci < x; ci++ {
-					v := src[pix*x+ci]
-					dst[pix*x+ci] = v*scale[ch*x+ci] + shift[ch*x+ci]
+		pf(n*co, func(lo, hi int) {
+			for unit := lo; unit < hi; unit++ {
+				ch := unit % co
+				src := in.Data[unit*h*w*x:]
+				dst := out.Data[unit*h*w*x:]
+				for pix := 0; pix < h*w; pix++ {
+					for ci := 0; ci < x; ci++ {
+						v := src[pix*x+ci]
+						dst[pix*x+ci] = v*scale[ch*x+ci] + shift[ch*x+ci]
+					}
 				}
 			}
 		})

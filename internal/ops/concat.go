@@ -59,13 +59,15 @@ func concatNCHW(dst *tensor.Tensor, ins []*tensor.Tensor, pf ParallelFor) *tenso
 	if pf == nil {
 		pf = Serial
 	}
-	pf(n, func(b int) {
-		off := b * totalC * h * w
-		for _, t := range ins {
-			c := t.Shape[1]
-			src := t.Data[b*c*h*w : (b+1)*c*h*w]
-			copy(out.Data[off:off+len(src)], src)
-			off += len(src)
+	pf(n, func(lo, hi int) {
+		for b := lo; b < hi; b++ {
+			off := b * totalC * h * w
+			for _, t := range ins {
+				c := t.Shape[1]
+				src := t.Data[b*c*h*w : (b+1)*c*h*w]
+				copy(out.Data[off:off+len(src)], src)
+				off += len(src)
+			}
 		}
 	})
 	return out
@@ -85,13 +87,15 @@ func concatNCHWc(dst *tensor.Tensor, ins []*tensor.Tensor, pf ParallelFor) *tens
 	if pf == nil {
 		pf = Serial
 	}
-	pf(n, func(b int) {
-		off := b * totalCo * h * w * x
-		for _, t := range ins {
-			co := t.Shape[1]
-			src := t.Data[b*co*h*w*x : (b+1)*co*h*w*x]
-			copy(out.Data[off:off+len(src)], src)
-			off += len(src)
+	pf(n, func(lo, hi int) {
+		for b := lo; b < hi; b++ {
+			off := b * totalCo * h * w * x
+			for _, t := range ins {
+				co := t.Shape[1]
+				src := t.Data[b*co*h*w*x : (b+1)*co*h*w*x]
+				copy(out.Data[off:off+len(src)], src)
+				off += len(src)
+			}
 		}
 	})
 	return out

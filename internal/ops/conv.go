@@ -39,44 +39,47 @@ func Conv2DNCHWInto(dst *tensor.Tensor, in, weight *tensor.Tensor, attrs Conv2DA
 		pf = Serial
 	}
 
-	pf(n*oc, func(unit int) {
-		b := unit / oc
-		k := unit % oc
-		// The group's input-channel window: dense convolution reduces over
-		// every channel (one group), grouped convolution over its slice.
-		icBase := (k / ocPerG) * icPerG
-		var bias float32
-		if epi.Bias != nil {
-			bias = epi.Bias[k]
-		}
-		for y := 0; y < oh; y++ {
-			for x := 0; x < ow; x++ {
-				acc := bias
-				for ci := 0; ci < icPerG; ci++ {
-					for r := 0; r < kh; r++ {
-						iy := y*attrs.StrideH + r - attrs.PadH
-						if iy < 0 || iy >= h {
-							continue
-						}
-						inRow := in.Data[((b*c+icBase+ci)*h+iy)*w:]
-						wRow := weight.Data[((k*icPerG+ci)*kh+r)*kw:]
-						for s := 0; s < kw; s++ {
-							ix := x*attrs.StrideW + s - attrs.PadW
-							if ix < 0 || ix >= w {
+	pf(n*oc, func(lo, hi int) {
+		for unit := lo; unit < hi; unit++ {
+			b := unit / oc
+			k := unit % oc
+			// The group's input-channel window: dense convolution reduces
+			// over every channel (one group), grouped convolution over its
+			// slice.
+			icBase := (k / ocPerG) * icPerG
+			var bias float32
+			if epi.Bias != nil {
+				bias = epi.Bias[k]
+			}
+			for y := 0; y < oh; y++ {
+				for x := 0; x < ow; x++ {
+					acc := bias
+					for ci := 0; ci < icPerG; ci++ {
+						for r := 0; r < kh; r++ {
+							iy := y*attrs.StrideH + r - attrs.PadH
+							if iy < 0 || iy >= h {
 								continue
 							}
-							acc += inRow[ix] * wRow[s]
+							inRow := in.Data[((b*c+icBase+ci)*h+iy)*w:]
+							wRow := weight.Data[((k*icPerG+ci)*kh+r)*kw:]
+							for s := 0; s < kw; s++ {
+								ix := x*attrs.StrideW + s - attrs.PadW
+								if ix < 0 || ix >= w {
+									continue
+								}
+								acc += inRow[ix] * wRow[s]
+							}
 						}
 					}
+					idx := ((b*oc+k)*oh+y)*ow + x
+					if epi.Residual != nil {
+						acc += epi.Residual.Data[idx]
+					}
+					if epi.ReLU {
+						acc = relu32(acc)
+					}
+					out.Data[idx] = acc
 				}
-				idx := ((b*oc+k)*oh+y)*ow + x
-				if epi.Residual != nil {
-					acc += epi.Residual.Data[idx]
-				}
-				if epi.ReLU {
-					acc = relu32(acc)
-				}
-				out.Data[idx] = acc
 			}
 		}
 	})
@@ -112,44 +115,46 @@ func Conv2DNHWCInto(dst *tensor.Tensor, in, weight *tensor.Tensor, attrs Conv2DA
 		pf = Serial
 	}
 
-	pf(n*oh, func(unit int) {
-		b := unit / oh
-		y := unit % oh
-		for x := 0; x < ow; x++ {
-			outPix := out.Data[((b*oh+y)*ow+x)*oc:]
-			for k := 0; k < oc; k++ {
-				icBase := (k / ocPerG) * icPerG
-				var acc float32
-				if epi.Bias != nil {
-					acc = epi.Bias[k]
-				}
-				for r := 0; r < kh; r++ {
-					iy := y*attrs.StrideH + r - attrs.PadH
-					if iy < 0 || iy >= h {
-						continue
+	pf(n*oh, func(lo, hi int) {
+		for unit := lo; unit < hi; unit++ {
+			b := unit / oh
+			y := unit % oh
+			for x := 0; x < ow; x++ {
+				outPix := out.Data[((b*oh+y)*ow+x)*oc:]
+				for k := 0; k < oc; k++ {
+					icBase := (k / ocPerG) * icPerG
+					var acc float32
+					if epi.Bias != nil {
+						acc = epi.Bias[k]
 					}
-					for s := 0; s < kw; s++ {
-						ix := x*attrs.StrideW + s - attrs.PadW
-						if ix < 0 || ix >= w {
+					for r := 0; r < kh; r++ {
+						iy := y*attrs.StrideH + r - attrs.PadH
+						if iy < 0 || iy >= h {
 							continue
 						}
-						inPix := in.Data[((b*h+iy)*w+ix)*c+icBase:]
-						wRow := weight.Data[((k*icPerG)*kh+r)*kw+s:]
-						// Weight stride between consecutive in-channels at a
-						// fixed (r,s) is kh*kw.
-						for ci := 0; ci < icPerG; ci++ {
-							acc += inPix[ci] * wRow[ci*kh*kw]
+						for s := 0; s < kw; s++ {
+							ix := x*attrs.StrideW + s - attrs.PadW
+							if ix < 0 || ix >= w {
+								continue
+							}
+							inPix := in.Data[((b*h+iy)*w+ix)*c+icBase:]
+							wRow := weight.Data[((k*icPerG)*kh+r)*kw+s:]
+							// Weight stride between consecutive in-channels at a
+							// fixed (r,s) is kh*kw.
+							for ci := 0; ci < icPerG; ci++ {
+								acc += inPix[ci] * wRow[ci*kh*kw]
+							}
 						}
 					}
+					idx := ((b*oh+y)*ow+x)*oc + k
+					if epi.Residual != nil {
+						acc += epi.Residual.Data[idx]
+					}
+					if epi.ReLU {
+						acc = relu32(acc)
+					}
+					outPix[k] = acc
 				}
-				idx := ((b*oh+y)*ow+x)*oc + k
-				if epi.Residual != nil {
-					acc += epi.Residual.Data[idx]
-				}
-				if epi.ReLU {
-					acc = relu32(acc)
-				}
-				outPix[k] = acc
 			}
 		}
 	})
@@ -198,7 +203,7 @@ func padNCHWc(in *tensor.Tensor, padH, padW int, scratch *tensor.Tensor) *tensor
 // The input must be NCHW[icb]c and the weight OIHW[icb]i[ocb]o with icb =
 // sched ic_bn and ocb = sched oc_bn.
 func Conv2DNCHWc(in, weight *tensor.Tensor, attrs Conv2DAttrs, icb, ocb, regN int, unrollKer bool, epi Epilogue, pf ParallelFor) *tensor.Tensor {
-	return Conv2DNCHWcInto(nil, nil, in, weight, attrs, icb, ocb, regN, unrollKer, 1, epi, pf)
+	return Conv2DNCHWcInto(nil, nil, in, weight, attrs, icb, ocb, regN, unrollKer, epi, pf)
 }
 
 // PaddedShapeNCHWc returns the buffer shape Conv2DNCHWcInto needs for its
@@ -214,11 +219,8 @@ func PaddedShapeNCHWc(inShape []int, attrs Conv2DAttrs) []int {
 // Conv2DNCHWcInto is Conv2DNCHWc writing into caller-provided buffers: dst
 // receives the output and padScratch (sized per PaddedShapeNCHWc, zero-filled
 // at allocation) holds the explicitly padded input. Either may be nil, in
-// which case it is allocated. grain is the schedule's parallel chunk size —
-// how many (batch, oc.outer, oh) rows one parallel work item covers (<=1
-// means one row per item, the historical split); any grain computes
-// bit-identical output.
-func Conv2DNCHWcInto(dst, padScratch *tensor.Tensor, in, weight *tensor.Tensor, attrs Conv2DAttrs, icb, ocb, regN int, unrollKer bool, grain int, epi Epilogue, pf ParallelFor) *tensor.Tensor {
+// which case it is allocated.
+func Conv2DNCHWcInto(dst, padScratch *tensor.Tensor, in, weight *tensor.Tensor, attrs Conv2DAttrs, icb, ocb, regN int, unrollKer bool, epi Epilogue, pf ParallelFor) *tensor.Tensor {
 	if in.Layout.Kind != tensor.LayoutNCHWc || in.Layout.BlockC != icb {
 		panic(fmt.Sprintf("ops: Conv2DNCHWc expects NCHW%dc input, got %v", icb, in.Layout))
 	}
@@ -265,16 +267,15 @@ func Conv2DNCHWcInto(dst, padScratch *tensor.Tensor, in, weight *tensor.Tensor, 
 	}
 
 	// One parallel unit per (batch, oc.outer, oh) row — the disjoint OFMAP
-	// chunks of Algorithm 1 line 8 — grouped `grain` rows to a work item so
-	// the accumulator-tile setup amortizes across the chunk.
-	units := n * ocOuter * oh
-	pf(Chunks(units, grain), func(ck int) {
-		lo, hi := ChunkBounds(ck, units, grain)
+	// chunks of Algorithm 1 line 8 — each thread taking one contiguous run
+	// of rows.
+	pf(n*ocOuter*oh, func(lo, hi int) {
 		// Accumulator tile: reg_n positions × oc_bn sub-channels. In the
 		// AVX-512 realization each row is one ZMM register; the fixed-size
-		// backing array keeps the tile on the goroutine stack so the hot
-		// loop performs no per-row heap allocation.
-		var accArr [1024]float32
+		// backing array keeps the tile on the goroutine stack, set up once
+		// per thread, so the hot loop performs no per-row heap allocation
+		// (a schedule outside the searched space allocates once per range).
+		var accArr [MaxAccTile]float32
 		var acc []float32
 		if regN*ocb <= len(accArr) {
 			acc = accArr[:regN*ocb]
@@ -302,8 +303,7 @@ func Conv2DNCHWcInto(dst, padScratch *tensor.Tensor, in, weight *tensor.Tensor, 
 
 // runConvRow computes one (batch, oc.outer, oh) output row of the blocked
 // direct template — the body of Algorithm 1's parallel loop, factored out so
-// the chunked dispatcher above can reuse one accumulator tile across a whole
-// chunk of rows.
+// the range body above reuses one accumulator tile across all of its rows.
 func runConvRow(padded, weight, out *tensor.Tensor, acc []float32, attrs Conv2DAttrs, epi Epilogue,
 	b, co, y, icOuter, icOuterPerG, ocOuter, icb, ocb, regN int, unrollKer bool,
 	kh, kw, oh, ow, ph, pw, wBase, icBase int) {

@@ -1,6 +1,7 @@
 package ops
 
 import (
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -148,19 +149,53 @@ func TestConvParallelMatchesSerial(t *testing.T) {
 	blockedIn := tensor.ToNCHWc(in, 8)
 	blockedWt := tensor.PackWeights(wt, 8, 16)
 	serial := Conv2DNCHWc(blockedIn, blockedWt, attrs, 8, 16, 4, false, Epilogue{}, Serial)
-	// A crude concurrent ParallelFor with goroutines.
-	goPar := func(n int, body func(i int)) {
-		done := make(chan struct{})
-		for i := 0; i < n; i++ {
-			go func(i int) { body(i); done <- struct{}{} }(i)
-		}
-		for i := 0; i < n; i++ {
-			<-done
-		}
-	}
-	par := Conv2DNCHWc(blockedIn, blockedWt, attrs, 8, 16, 4, false, Epilogue{}, goPar)
+	par := Conv2DNCHWc(blockedIn, blockedWt, attrs, 8, 16, 4, false, Epilogue{}, goPar(5))
 	if tensor.MaxAbsDiff(serial, par) != 0 {
 		t.Fatal("parallel conv must be bit-identical to serial")
+	}
+}
+
+// goPar is a crude concurrent ParallelFor: [0, n) split into up to `parts`
+// ragged contiguous ranges, one goroutine each.
+func goPar(parts int) ParallelFor {
+	return func(n int, body func(lo, hi int)) {
+		p := min(parts, n)
+		var wg sync.WaitGroup
+		for t := 0; t < p; t++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				body(t*n/p, (t+1)*n/p)
+			}()
+		}
+		wg.Wait()
+	}
+}
+
+// TestDirectConvNoPerRowAllocation pins the accumulator tile to the stack
+// for the widest searched schedule (reg_n=32 × oc_bn=64): with destination
+// and padding scratch provided, a 40-row convolution allocates exactly what a
+// narrow-tile schedule does (the dispatch closure and the destination shape
+// checks), nothing per row.
+func TestDirectConvNoPerRowAllocation(t *testing.T) {
+	in, wt := convCase(14, 8, 40, 40, 64, 3, 3)
+	attrs := Conv2DAttrs{OutC: 64, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}
+	blockedIn := tensor.ToNCHWc(in, 8)
+	pad := tensor.New(tensor.NCHWc(8), PaddedShapeNCHWc(blockedIn.Shape, attrs)...)
+	run := func(ocb, regN int) (float64, *tensor.Tensor) {
+		blockedWt := tensor.PackWeights(wt, 8, ocb)
+		dst := tensor.New(tensor.NCHWc(ocb), 1, 64/ocb, 40, 40, ocb)
+		return testing.AllocsPerRun(5, func() {
+			Conv2DNCHWcInto(dst, pad, blockedIn, blockedWt, attrs, 8, ocb, regN, true, Epilogue{}, Serial)
+		}), dst
+	}
+	narrow, _ := run(8, 4)
+	wide, out := run(64, 32)
+	if wide != narrow {
+		t.Fatalf("32x64 direct schedule allocates %.0f objects per convolution, the 4x8 schedule %.0f: the wide tile left the stack", wide, narrow)
+	}
+	if d := tensor.MaxAbsDiff(Conv2DNCHW(in, wt, attrs, Epilogue{}, nil), tensor.FromNCHWc(out)); d > 1e-3 {
+		t.Fatalf("32x64 schedule diverges from the reference by %g", d)
 	}
 }
 

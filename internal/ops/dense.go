@@ -31,17 +31,9 @@ func DenseInto(dst, in, weight *tensor.Tensor, bias []float32, reluAfter bool, p
 	if pf == nil {
 		pf = Serial
 	}
-	// One dot product per unit is far too fine for the dispatch overhead, so
-	// group enough rows per work item that each chunk covers at least ~4096
-	// multiply-adds. Dense layers are not schedule-searched — this fixed grain
-	// only amortizes dispatch, it does not change results.
-	grain := 1
-	if inF > 0 {
-		grain = (4096 + inF - 1) / inF
-	}
-	units := n * outF
-	pf(Chunks(units, grain), func(ck int) {
-		lo, hi := ChunkBounds(ck, units, grain)
+	// One dot product per (batch, output feature) unit, each thread taking
+	// one contiguous run of them.
+	pf(n*outF, func(lo, hi int) {
 		for unit := lo; unit < hi; unit++ {
 			b := unit / outF
 			o := unit % outF

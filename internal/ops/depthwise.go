@@ -25,16 +25,14 @@ import (
 // input with OIHW[1]i[bn]o weights, register-blocking reg_n output positions
 // exactly like the dense direct template.
 func Conv2DDepthwiseNCHWc(in, weight *tensor.Tensor, attrs Conv2DAttrs, bn, regN int, unrollKer bool, epi Epilogue, pf ParallelFor) *tensor.Tensor {
-	return Conv2DDepthwiseNCHWcInto(nil, nil, in, weight, attrs, bn, regN, unrollKer, 1, epi, pf)
+	return Conv2DDepthwiseNCHWcInto(nil, nil, in, weight, attrs, bn, regN, unrollKer, epi, pf)
 }
 
 // Conv2DDepthwiseNCHWcInto is Conv2DDepthwiseNCHWc writing into
 // caller-provided buffers: dst receives the output and padScratch (sized per
 // PaddedShapeNCHWc, zero-filled at allocation) holds the explicitly padded
-// input. Either may be nil, in which case it is allocated. grain is the
-// schedule's parallel chunk size over (batch, channel-block, out-row) units
-// (<=1 means one row per work item); every grain is bit-identical.
-func Conv2DDepthwiseNCHWcInto(dst, padScratch *tensor.Tensor, in, weight *tensor.Tensor, attrs Conv2DAttrs, bn, regN int, unrollKer bool, grain int, epi Epilogue, pf ParallelFor) *tensor.Tensor {
+// input. Either may be nil, in which case it is allocated.
+func Conv2DDepthwiseNCHWcInto(dst, padScratch *tensor.Tensor, in, weight *tensor.Tensor, attrs Conv2DAttrs, bn, regN int, unrollKer bool, epi Epilogue, pf ParallelFor) *tensor.Tensor {
 	if in.Layout.Kind != tensor.LayoutNCHWc || in.Layout.BlockC != bn {
 		panic(fmt.Sprintf("ops: Conv2DDepthwiseNCHWc expects NCHW%dc input, got %v", bn, in.Layout))
 	}
@@ -69,10 +67,10 @@ func Conv2DDepthwiseNCHWcInto(dst, padScratch *tensor.Tensor, in, weight *tensor
 			pw, ow, need, attrs.StrideW, kw))
 	}
 
-	units := n * cOuter * oh
-	pf(Chunks(units, grain), func(ck int) {
-		lo, hi := ChunkBounds(ck, units, grain)
-		var accArr [1024]float32
+	// One parallel unit per (batch, channel-block, out-row) band; the
+	// accumulator tile lives on the stack, set up once per thread range.
+	pf(n*cOuter*oh, func(lo, hi int) {
+		var accArr [MaxAccTile]float32
 		var acc []float32
 		if regN*bn <= len(accArr) {
 			acc = accArr[:regN*bn]
@@ -94,8 +92,8 @@ func Conv2DDepthwiseNCHWcInto(dst, padScratch *tensor.Tensor, in, weight *tensor
 }
 
 // dwConvRow computes one (batch, channel-block, out-row) band of the blocked
-// depthwise kernel. Factored out of the parallel dispatch so a chunked work
-// item reuses one accumulator tile across its rows.
+// depthwise kernel. Factored out of the parallel dispatch so a range body
+// reuses one accumulator tile across its rows.
 func dwConvRow(padded, weight, out *tensor.Tensor, acc []float32, attrs Conv2DAttrs, epi Epilogue,
 	b, co, y, cOuter, bn, regN int, unrollKer bool, kh, kw, oh, ow, pw, wBase, rowBase int) {
 	for owo := 0; owo < ow; owo += regN {

@@ -160,7 +160,7 @@ func TestConv2DDepthwiseNCHWcResidual(t *testing.T) {
 	dst := tensor.New(tensor.NCHWc(bn), 1, c/bn, h, h, bn)
 	pad := tensor.New(tensor.NCHWc(bn), PaddedShapeNCHWc(blockedIn.Shape, attrs)...)
 	for pass := 0; pass < 2; pass++ { // second pass reuses the pad scratch
-		out := Conv2DDepthwiseNCHWcInto(dst, pad, blockedIn, packed, attrs, bn, 4, true, 1,
+		out := Conv2DDepthwiseNCHWcInto(dst, pad, blockedIn, packed, attrs, bn, 4, true,
 			Epilogue{Residual: blockedRes, ReLU: true}, Serial)
 		if d := tensor.MaxAbsDiff(want, tensor.FromNCHWc(out)); d > 1e-5 {
 			t.Fatalf("pass %d: depthwise residual diverges by %g", pass, d)

@@ -17,7 +17,10 @@ func ReLU(in *tensor.Tensor, pf ParallelFor) *tensor.Tensor {
 // allocates).
 func ReLUInto(dst, in *tensor.Tensor, pf ParallelFor) *tensor.Tensor {
 	out := tensor.EnsureDst(dst, in.Layout, in.Shape...)
-	applyChunked(len(in.Data), pf, func(lo, hi int) {
+	if pf == nil {
+		pf = Serial
+	}
+	pf(len(in.Data), func(lo, hi int) {
 		src, dst := in.Data[lo:hi], out.Data[lo:hi]
 		for i, v := range src {
 			dst[i] = relu32(v)
@@ -43,7 +46,10 @@ func AddInto(dst, a, b *tensor.Tensor, pf ParallelFor) *tensor.Tensor {
 		panic(fmt.Sprintf("ops: Add shape mismatch %v vs %v", a.Shape, b.Shape))
 	}
 	out := tensor.EnsureDst(dst, a.Layout, a.Shape...)
-	applyChunked(len(a.Data), pf, func(lo, hi int) {
+	if pf == nil {
+		pf = Serial
+	}
+	pf(len(a.Data), func(lo, hi int) {
 		x, y, dst := a.Data[lo:hi], b.Data[lo:hi], out.Data[lo:hi]
 		for i := range x {
 			dst[i] = x[i] + y[i]
@@ -92,7 +98,10 @@ func SoftmaxInto(dst, in *tensor.Tensor) *tensor.Tensor {
 // Sigmoid applies 1/(1+exp(-x)) element-wise.
 func Sigmoid(in *tensor.Tensor, pf ParallelFor) *tensor.Tensor {
 	out := tensor.New(in.Layout, in.Shape...)
-	applyChunked(len(in.Data), pf, func(lo, hi int) {
+	if pf == nil {
+		pf = Serial
+	}
+	pf(len(in.Data), func(lo, hi int) {
 		src, dst := in.Data[lo:hi], out.Data[lo:hi]
 		for i, v := range src {
 			dst[i] = float32(1 / (1 + math.Exp(-float64(v))))
@@ -126,25 +135,4 @@ func FlattenInto(dst, in *tensor.Tensor) *tensor.Tensor {
 	default:
 		panic(fmt.Sprintf("ops: Flatten is layout-dependent and requires NCHW, got %v", in.Layout))
 	}
-}
-
-// applyChunked splits [0,n) into cache-friendly chunks and runs them through
-// the ParallelFor.
-func applyChunked(n int, pf ParallelFor, body func(lo, hi int)) {
-	if pf == nil {
-		pf = Serial
-	}
-	const chunk = 1 << 14
-	chunks := (n + chunk - 1) / chunk
-	if chunks == 0 {
-		return
-	}
-	pf(chunks, func(i int) {
-		lo := i * chunk
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		body(lo, hi)
-	})
 }

@@ -15,50 +15,29 @@ import (
 	"repro/internal/tensor"
 )
 
-// ParallelFor runs body(i) for i in [0, n), possibly concurrently. The
-// implementations live in internal/threadpool; Serial is the default.
-type ParallelFor func(n int, body func(i int))
+// ParallelFor runs body over [0, n), possibly concurrently: each
+// participating thread receives exactly one contiguous [lo, hi) range in a
+// single body call, the ranges are disjoint and cover [0, n), and an inline,
+// nested or serial execution is the single call body(0, n). Kernels set up
+// their per-thread scratch (accumulator tiles) once at the top of the range
+// body and iterate their units in ascending order; every unit writes disjoint
+// output, so results are bit-identical under every ParallelFor and every
+// thread count. The implementations live in internal/threadpool; Serial is
+// the default.
+type ParallelFor func(n int, body func(lo, hi int))
 
-// Serial is the trivial ParallelFor.
-func Serial(n int, body func(i int)) {
-	for i := 0; i < n; i++ {
-		body(i)
+// Serial is the trivial ParallelFor: the whole range on the calling
+// goroutine.
+func Serial(n int, body func(lo, hi int)) {
+	if n > 0 {
+		body(0, n)
 	}
 }
 
-// Chunks and ChunkBounds implement the kernels' searched parallel grain: a
-// parallel region over `units` work units is dispatched as Chunks(units,
-// grain) contiguous items of at most `grain` units each, and each item
-// iterates its ChunkBounds range on one goroutine. Grain values below 1
-// normalize to 1, which reproduces the historical one-unit-per-item split
-// exactly. Larger grains amortize per-item dispatch (closure call,
-// accumulator-tile setup) against static-partitioning imbalance — the
-// trade-off the cost model searches. Unit iteration order inside a chunk is
-// ascending and every unit writes disjoint output, so results are
-// bit-identical for every grain under every ParallelFor. Both helpers are
-// allocation-free leaf calls: a kernel's parallel region still allocates only
-// its single dispatch closure, independent of the grain.
-
-// Chunks returns the number of grain-sized work items covering units.
-func Chunks(units, grain int) int {
-	if grain < 1 {
-		grain = 1
-	}
-	return (units + grain - 1) / grain
-}
-
-// ChunkBounds returns work item ck's [lo, hi) unit range under the grain.
-func ChunkBounds(ck, units, grain int) (int, int) {
-	if grain < 1 {
-		grain = 1
-	}
-	lo := ck * grain
-	hi := lo + grain
-	if hi > units {
-		hi = units
-	}
-	return lo, hi
-}
+// MaxAccTile is the element count of the kernels' stack-resident accumulator
+// tile: the widest reg_n (32) times the widest channel block (64) the
+// schedule search emits, so no searched schedule heap-allocates its tile.
+const MaxAccTile = 32 * 64
 
 // Conv2DAttrs carries the geometry attributes of a convolution node.
 type Conv2DAttrs struct {

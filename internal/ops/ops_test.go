@@ -407,15 +407,26 @@ func TestIoU(t *testing.T) {
 	}
 }
 
-func TestApplyChunkedCoversAll(t *testing.T) {
-	n := (1 << 14) + 37 // exercise the tail chunk
+// TestSerialIsOneWholeRangeCall pins the serial end of the ParallelFor
+// contract: body(0, n) exactly once, and no call for an empty range.
+func TestSerialIsOneWholeRangeCall(t *testing.T) {
+	var calls [][2]int
+	Serial(7, func(lo, hi int) { calls = append(calls, [2]int{lo, hi}) })
+	Serial(0, func(lo, hi int) { calls = append(calls, [2]int{lo, hi}) })
+	if len(calls) != 1 || calls[0] != [2]int{0, 7} {
+		t.Fatalf("Serial calls = %v, want one [0 7]", calls)
+	}
+}
+
+func TestElementwiseRaggedSplitCoversAll(t *testing.T) {
+	n := (1 << 14) + 37 // does not divide evenly by the split
 	in := tensor.New(tensor.Flat(), 1, n)
 	for i := range in.Data {
 		in.Data[i] = -1
 	}
-	out := ReLU(in, nil)
+	out := Add(ReLU(in, goPar(3)), in, goPar(5))
 	for i, v := range out.Data {
-		if v != 0 {
+		if v != -1 {
 			t.Fatalf("element %d not processed: %v", i, v)
 		}
 	}

@@ -60,13 +60,15 @@ func poolNCHW(dst, in *tensor.Tensor, attrs PoolAttrs, pf ParallelFor) *tensor.T
 	if pf == nil {
 		pf = Serial
 	}
-	pf(n*c, func(unit int) {
-		b, ch := unit/c, unit%c
-		src := in.Data[(b*c+ch)*h*w:]
-		dst := out.Data[(b*c+ch)*oh*ow:]
-		for y := 0; y < oh; y++ {
-			for x := 0; x < ow; x++ {
-				dst[y*ow+x] = poolWindow(src, h, w, 1, 0, y, x, attrs)
+	pf(n*c, func(lo, hi int) {
+		for unit := lo; unit < hi; unit++ {
+			b, ch := unit/c, unit%c
+			src := in.Data[(b*c+ch)*h*w:]
+			dst := out.Data[(b*c+ch)*oh*ow:]
+			for y := 0; y < oh; y++ {
+				for x := 0; x < ow; x++ {
+					dst[y*ow+x] = poolWindow(src, h, w, 1, 0, y, x, attrs)
+				}
 			}
 		}
 	})
@@ -80,14 +82,16 @@ func poolNCHWc(dst, in *tensor.Tensor, attrs PoolAttrs, pf ParallelFor) *tensor.
 	if pf == nil {
 		pf = Serial
 	}
-	pf(n*co, func(unit int) {
-		b, ch := unit/co, unit%co
-		src := in.Data[(b*co+ch)*h*w*x:]
-		dst := out.Data[(b*co+ch)*oh*ow*x:]
-		for y := 0; y < oh; y++ {
-			for xx := 0; xx < ow; xx++ {
-				for ci := 0; ci < x; ci++ {
-					dst[(y*ow+xx)*x+ci] = poolWindow(src, h, w, x, ci, y, xx, attrs)
+	pf(n*co, func(lo, hi int) {
+		for unit := lo; unit < hi; unit++ {
+			b, ch := unit/co, unit%co
+			src := in.Data[(b*co+ch)*h*w*x:]
+			dst := out.Data[(b*co+ch)*oh*ow*x:]
+			for y := 0; y < oh; y++ {
+				for xx := 0; xx < ow; xx++ {
+					for ci := 0; ci < x; ci++ {
+						dst[(y*ow+xx)*x+ci] = poolWindow(src, h, w, x, ci, y, xx, attrs)
+					}
 				}
 			}
 		}
@@ -152,13 +156,15 @@ func GlobalAvgPoolInto(dst, in *tensor.Tensor, pf ParallelFor) *tensor.Tensor {
 		if pf == nil {
 			pf = Serial
 		}
-		pf(n*c, func(unit int) {
-			src := in.Data[unit*h*w : (unit+1)*h*w]
-			var sum float64
-			for _, v := range src {
-				sum += float64(v)
+		pf(n*c, func(lo, hi int) {
+			for unit := lo; unit < hi; unit++ {
+				src := in.Data[unit*h*w : (unit+1)*h*w]
+				var sum float64
+				for _, v := range src {
+					sum += float64(v)
+				}
+				out.Data[unit] = float32(sum / float64(h*w))
 			}
-			out.Data[unit] = float32(sum / float64(h*w))
 		})
 		return out
 	case tensor.LayoutNCHWc:
@@ -168,22 +174,25 @@ func GlobalAvgPoolInto(dst, in *tensor.Tensor, pf ParallelFor) *tensor.Tensor {
 		if pf == nil {
 			pf = Serial
 		}
-		pf(n*co, func(unit int) {
-			b, ch := unit/co, unit%co
-			src := in.Data[(b*co+ch)*h*w*x:]
+		pf(n*co, func(lo, hi int) {
 			// Stack-allocated accumulators for every realistic block size.
 			var sumsArr [64]float64
 			sums := sumsArr[:]
 			if x > len(sumsArr) {
 				sums = make([]float64, x)
 			}
-			for p := 0; p < h*w; p++ {
-				for ci := 0; ci < x; ci++ {
-					sums[ci] += float64(src[p*x+ci])
+			for unit := lo; unit < hi; unit++ {
+				b, ch := unit/co, unit%co
+				src := in.Data[(b*co+ch)*h*w*x:]
+				clear(sums[:x])
+				for p := 0; p < h*w; p++ {
+					for ci := 0; ci < x; ci++ {
+						sums[ci] += float64(src[p*x+ci])
+					}
 				}
-			}
-			for ci := 0; ci < x; ci++ {
-				out.Data[b*c+ch*x+ci] = float32(sums[ci] / float64(h*w))
+				for ci := 0; ci < x; ci++ {
+					out.Data[b*c+ch*x+ci] = float32(sums[ci] / float64(h*w))
+				}
 			}
 		})
 		return out

@@ -108,7 +108,7 @@ func WinogradScratchShape(inShape []int, attrs Conv2DAttrs) []int {
 // graph-level transform elimination applies unchanged. Weights must be
 // pre-transformed by WinogradWeightTransformNCHWc.
 func Conv2DWinogradNCHWc(in, transformed *tensor.Tensor, attrs Conv2DAttrs, icb, ocb int, epi Epilogue, pf ParallelFor) *tensor.Tensor {
-	return Conv2DWinogradNCHWcInto(nil, nil, in, transformed, attrs, icb, ocb, 1, epi, pf)
+	return Conv2DWinogradNCHWcInto(nil, nil, in, transformed, attrs, icb, ocb, epi, pf)
 }
 
 // Conv2DWinogradNCHWcInto is Conv2DWinogradNCHWc writing into caller-provided
@@ -116,10 +116,7 @@ func Conv2DWinogradNCHWc(in, transformed *tensor.Tensor, attrs Conv2DAttrs, icb,
 // WinogradScratchShape) holds the per-row V tiles. Either may be nil, in
 // which case it is allocated. Padding is applied implicitly by the data
 // transform's border handling — no explicit padding scratch is needed.
-// grain is the schedule's parallel chunk size over (batch, tile-row) units
-// (<=1 means one tile row per work item); any grain computes bit-identical
-// output, and each unit keeps its own V-scratch row regardless of chunking.
-func Conv2DWinogradNCHWcInto(dst, scratch *tensor.Tensor, in, transformed *tensor.Tensor, attrs Conv2DAttrs, icb, ocb, grain int, epi Epilogue, pf ParallelFor) *tensor.Tensor {
+func Conv2DWinogradNCHWcInto(dst, scratch *tensor.Tensor, in, transformed *tensor.Tensor, attrs Conv2DAttrs, icb, ocb int, epi Epilogue, pf ParallelFor) *tensor.Tensor {
 	if in.Layout.Kind != tensor.LayoutNCHWc || in.Layout.BlockC != icb {
 		panic(fmt.Sprintf("ops: Conv2DWinogradNCHWc expects NCHW%dc input, got %v", icb, in.Layout))
 	}
@@ -149,13 +146,10 @@ func Conv2DWinogradNCHWcInto(dst, scratch *tensor.Tensor, in, transformed *tenso
 	uStride := icOuter * icb * ocb // one (component, oc-block) slab
 
 	// One parallel unit per (batch, tile row) — the data transform of each
-	// tile is computed once and amortized across every output block — grouped
-	// `grain` rows to a work item. Each unit still owns its private V-scratch
-	// row (indexed by unit id, not chunk id), so chunking never aliases the
-	// transform scratch.
-	units := n * tilesH
-	pf(Chunks(units, grain), func(ck int) {
-		lo, hi := ChunkBounds(ck, units, grain)
+	// tile is computed once and amortized across every output block. Each
+	// unit owns its private V-scratch row (indexed by unit id), so the
+	// partition never aliases the transform scratch.
+	pf(n*tilesH, func(lo, hi int) {
 		// Component accumulators for one output block. The fixed-size backing
 		// array keeps the tile on the goroutine stack (no per-row allocation)
 		// for every oc_bn the schedule space emits.
@@ -180,7 +174,7 @@ func Conv2DWinogradNCHWcInto(dst, scratch *tensor.Tensor, in, transformed *tenso
 // winogradTileRow computes one (batch, tile-row) band of the blocked Winograd
 // kernel: data transform into the row's V scratch, transform-domain products,
 // inverse transform and epilogue store. Factored out of the parallel dispatch
-// so a chunked work item reuses one M-accumulator tile across its rows.
+// so a range body reuses one M-accumulator tile across its rows.
 func winogradTileRow(in, transformed, out *tensor.Tensor, v, m []float32, attrs Conv2DAttrs, epi Epilogue,
 	b, th, tilesW, icOuter, icb, ocOuter, ocb, c, h, w, oh, ow, uStride int) {
 	for tw := 0; tw < tilesW; tw++ {
@@ -349,108 +343,111 @@ func Conv2DWinograd(in, transformed *tensor.Tensor, attrs Conv2DAttrs, epi Epilo
 	tilesW := (ow + 1) / 2
 	ocIn := oc * c
 
-	pf(n*tilesH, func(unit int) {
-		b := unit / tilesH
-		th := unit % tilesH
-		// Per-row scratch: V tiles for all channels, M accumulators.
+	pf(n*tilesH, func(lo, hi int) {
+		// Per-thread scratch, fully rewritten by every tile: V tiles for all
+		// channels, M accumulators.
 		v := make([]float32, 16*c)
 		m := make([]float32, 16*oc)
-		for tw := 0; tw < tilesW; tw++ {
-			oy := th * 2
-			ox := tw * 2
-			// Input tile origin (top-left of the 4x4 patch).
-			iy0 := oy - attrs.PadH
-			ix0 := ox - attrs.PadW
+		for unit := lo; unit < hi; unit++ {
+			b := unit / tilesH
+			th := unit % tilesH
+			for tw := 0; tw < tilesW; tw++ {
+				oy := th * 2
+				ox := tw * 2
+				// Input tile origin (top-left of the 4x4 patch).
+				iy0 := oy - attrs.PadH
+				ix0 := ox - attrs.PadW
 
-			// V = Bᵀ d B per input channel.
-			for ch := 0; ch < c; ch++ {
-				var d [4][4]float32
-				base := (b*c + ch) * h * w
-				for r := 0; r < 4; r++ {
-					iy := iy0 + r
-					if iy < 0 || iy >= h {
-						continue
-					}
-					row := in.Data[base+iy*w:]
-					for cc := 0; cc < 4; cc++ {
-						ix := ix0 + cc
-						if ix >= 0 && ix < w {
-							d[r][cc] = row[ix]
+				// V = Bᵀ d B per input channel.
+				for ch := 0; ch < c; ch++ {
+					var d [4][4]float32
+					base := (b*c + ch) * h * w
+					for r := 0; r < 4; r++ {
+						iy := iy0 + r
+						if iy < 0 || iy >= h {
+							continue
+						}
+						row := in.Data[base+iy*w:]
+						for cc := 0; cc < 4; cc++ {
+							ix := ix0 + cc
+							if ix >= 0 && ix < w {
+								d[r][cc] = row[ix]
+							}
 						}
 					}
-				}
-				// t = Bᵀ d, with Bᵀ = [1 0 -1 0; 0 1 1 0; 0 -1 1 0; 0 1 0 -1].
-				var t [4][4]float32
-				for cc := 0; cc < 4; cc++ {
-					t[0][cc] = d[0][cc] - d[2][cc]
-					t[1][cc] = d[1][cc] + d[2][cc]
-					t[2][cc] = d[2][cc] - d[1][cc]
-					t[3][cc] = d[1][cc] - d[3][cc]
-				}
-				// V = t B.
-				for r := 0; r < 4; r++ {
-					v[(r*4+0)*c+ch] = t[r][0] - t[r][2]
-					v[(r*4+1)*c+ch] = t[r][1] + t[r][2]
-					v[(r*4+2)*c+ch] = t[r][2] - t[r][1]
-					v[(r*4+3)*c+ch] = t[r][1] - t[r][3]
-				}
-			}
-
-			// M[xi][k] = Σ_ch U[xi][k][ch] * V[xi][ch]: the element-wise
-			// product in the transform domain, reduced over input channels.
-			for xi := 0; xi < 16; xi++ {
-				uBase := xi * ocIn
-				vSeg := v[xi*c : xi*c+c]
-				mSeg := m[xi*oc : xi*oc+oc]
-				for k := 0; k < oc; k++ {
-					uSeg := transformed.Data[uBase+k*c : uBase+k*c+c]
-					var acc float32
-					for ch := range vSeg {
-						acc += uSeg[ch] * vSeg[ch]
-					}
-					mSeg[k] = acc
-				}
-			}
-
-			// Y = Aᵀ M A per output channel, with Aᵀ = [1 1 1 0; 0 1 -1 -1].
-			for k := 0; k < oc; k++ {
-				var mm [4][4]float32
-				for r := 0; r < 4; r++ {
+					// t = Bᵀ d, with Bᵀ = [1 0 -1 0; 0 1 1 0; 0 -1 1 0; 0 1 0 -1].
+					var t [4][4]float32
 					for cc := 0; cc < 4; cc++ {
-						mm[r][cc] = m[(r*4+cc)*oc+k]
+						t[0][cc] = d[0][cc] - d[2][cc]
+						t[1][cc] = d[1][cc] + d[2][cc]
+						t[2][cc] = d[2][cc] - d[1][cc]
+						t[3][cc] = d[1][cc] - d[3][cc]
+					}
+					// V = t B.
+					for r := 0; r < 4; r++ {
+						v[(r*4+0)*c+ch] = t[r][0] - t[r][2]
+						v[(r*4+1)*c+ch] = t[r][1] + t[r][2]
+						v[(r*4+2)*c+ch] = t[r][2] - t[r][1]
+						v[(r*4+3)*c+ch] = t[r][1] - t[r][3]
 					}
 				}
-				var t0, t1 [4]float32
-				for cc := 0; cc < 4; cc++ {
-					t0[cc] = mm[0][cc] + mm[1][cc] + mm[2][cc]
-					t1[cc] = mm[1][cc] - mm[2][cc] - mm[3][cc]
-				}
-				y00 := t0[0] + t0[1] + t0[2]
-				y01 := t0[1] - t0[2] - t0[3]
-				y10 := t1[0] + t1[1] + t1[2]
-				y11 := t1[1] - t1[2] - t1[3]
 
-				store := func(dy, dx int, val float32) {
-					yy, xx := oy+dy, ox+dx
-					if yy >= oh || xx >= ow {
-						return
+				// M[xi][k] = Σ_ch U[xi][k][ch] * V[xi][ch]: the element-wise
+				// product in the transform domain, reduced over input channels.
+				for xi := 0; xi < 16; xi++ {
+					uBase := xi * ocIn
+					vSeg := v[xi*c : xi*c+c]
+					mSeg := m[xi*oc : xi*oc+oc]
+					for k := 0; k < oc; k++ {
+						uSeg := transformed.Data[uBase+k*c : uBase+k*c+c]
+						var acc float32
+						for ch := range vSeg {
+							acc += uSeg[ch] * vSeg[ch]
+						}
+						mSeg[k] = acc
 					}
-					idx := ((b*oc+k)*oh+yy)*ow + xx
-					if epi.Bias != nil {
-						val += epi.Bias[k]
-					}
-					if epi.Residual != nil {
-						val += epi.Residual.Data[idx]
-					}
-					if epi.ReLU {
-						val = relu32(val)
-					}
-					out.Data[idx] = val
 				}
-				store(0, 0, y00)
-				store(0, 1, y01)
-				store(1, 0, y10)
-				store(1, 1, y11)
+
+				// Y = Aᵀ M A per output channel, with Aᵀ = [1 1 1 0; 0 1 -1 -1].
+				for k := 0; k < oc; k++ {
+					var mm [4][4]float32
+					for r := 0; r < 4; r++ {
+						for cc := 0; cc < 4; cc++ {
+							mm[r][cc] = m[(r*4+cc)*oc+k]
+						}
+					}
+					var t0, t1 [4]float32
+					for cc := 0; cc < 4; cc++ {
+						t0[cc] = mm[0][cc] + mm[1][cc] + mm[2][cc]
+						t1[cc] = mm[1][cc] - mm[2][cc] - mm[3][cc]
+					}
+					y00 := t0[0] + t0[1] + t0[2]
+					y01 := t0[1] - t0[2] - t0[3]
+					y10 := t1[0] + t1[1] + t1[2]
+					y11 := t1[1] - t1[2] - t1[3]
+
+					store := func(dy, dx int, val float32) {
+						yy, xx := oy+dy, ox+dx
+						if yy >= oh || xx >= ow {
+							return
+						}
+						idx := ((b*oc+k)*oh+yy)*ow + xx
+						if epi.Bias != nil {
+							val += epi.Bias[k]
+						}
+						if epi.Residual != nil {
+							val += epi.Residual.Data[idx]
+						}
+						if epi.ReLU {
+							val = relu32(val)
+						}
+						out.Data[idx] = val
+					}
+					store(0, 0, y00)
+					store(0, 1, y01)
+					store(1, 0, y10)
+					store(1, 1, y11)
+				}
 			}
 		}
 	})

@@ -60,16 +60,7 @@ func TestWinogradParallelMatchesSerial(t *testing.T) {
 	attrs := Conv2DAttrs{OutC: 8, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}
 	u := WinogradWeightTransform(wt)
 	serial := Conv2DWinograd(in, u, attrs, Epilogue{}, Serial)
-	goPar := func(n int, body func(i int)) {
-		done := make(chan struct{})
-		for i := 0; i < n; i++ {
-			go func(i int) { body(i); done <- struct{}{} }(i)
-		}
-		for i := 0; i < n; i++ {
-			<-done
-		}
-	}
-	par := Conv2DWinograd(in, u, attrs, Epilogue{}, goPar)
+	par := Conv2DWinograd(in, u, attrs, Epilogue{}, goPar(4))
 	if tensor.MaxAbsDiff(serial, par) != 0 {
 		t.Fatal("parallel winograd must be bit-identical to serial")
 	}
@@ -97,7 +88,7 @@ func runWinogradBlocked(in, wt *tensor.Tensor, attrs Conv2DAttrs, icb, ocb int, 
 	if epi.Residual != nil {
 		blockedEpi.Residual = tensor.ToNCHWc(epi.Residual, ocb)
 	}
-	out := Conv2DWinogradNCHWcInto(nil, scratch, blockedIn, u, attrs, icb, ocb, 1, blockedEpi, Serial)
+	out := Conv2DWinogradNCHWcInto(nil, scratch, blockedIn, u, attrs, icb, ocb, blockedEpi, Serial)
 	return tensor.FromNCHWc(out)
 }
 
@@ -140,7 +131,7 @@ func TestWinogradNCHWcScratchReuse(t *testing.T) {
 	// Reusing the same destination and scratch across runs must stay
 	// bit-identical: nothing in the kernel may depend on buffer contents.
 	for i := 0; i < 2; i++ {
-		got := Conv2DWinogradNCHWcInto(dst, scratch, blockedIn, u, attrs, 8, 8, 1, Epilogue{}, nil)
+		got := Conv2DWinogradNCHWcInto(dst, scratch, blockedIn, u, attrs, 8, 8, Epilogue{}, nil)
 		if got != dst {
 			t.Fatal("Into variant must write the provided destination")
 		}

@@ -13,17 +13,14 @@ import (
 // accumulation, and float32 output with the fused epilogue — the scalar
 // stand-in for a vpmaddwd-per-lane depthwise kernel.
 func Conv2DInt8DepthwiseNCHWc(in *QTensor, weight *QTensor, attrs ops.Conv2DAttrs, bn, regN int, epi ops.Epilogue, pf ops.ParallelFor) *tensor.Tensor {
-	return Conv2DInt8DepthwiseNCHWcInto(nil, in, weight, attrs, bn, regN, 1, epi, pf)
+	return Conv2DInt8DepthwiseNCHWcInto(nil, in, weight, attrs, bn, regN, epi, pf)
 }
 
 // Conv2DInt8DepthwiseNCHWcInto is Conv2DInt8DepthwiseNCHWc writing the
 // rescaled float32 output into a caller-provided destination (nil dst
 // allocates). The quantized padding buffer is produced per call, as with the
 // dense int8 template: dynamic activation quantization is per-inference work.
-// grain is the schedule's parallel chunk size over (batch, channel-block,
-// out-row) units (<=1 means one row per work item); chunking amortizes the
-// accumulator allocation, and every grain is bit-identical.
-func Conv2DInt8DepthwiseNCHWcInto(dst *tensor.Tensor, in *QTensor, weight *QTensor, attrs ops.Conv2DAttrs, bn, regN, grain int, epi ops.Epilogue, pf ops.ParallelFor) *tensor.Tensor {
+func Conv2DInt8DepthwiseNCHWcInto(dst *tensor.Tensor, in *QTensor, weight *QTensor, attrs ops.Conv2DAttrs, bn, regN int, epi ops.Epilogue, pf ops.ParallelFor) *tensor.Tensor {
 	if in.Layout.Kind != tensor.LayoutNCHWc || in.Layout.BlockC != bn {
 		panic(fmt.Sprintf("quant: expected NCHW%dc input, got %v", bn, in.Layout))
 	}
@@ -57,10 +54,16 @@ func Conv2DInt8DepthwiseNCHWcInto(dst *tensor.Tensor, in *QTensor, weight *QTens
 		rescale[k] = in.Scale * sw
 	}
 
-	units := n * cOuter * oh
-	pf(ops.Chunks(units, grain), func(ck int) {
-		lo, hi := ops.ChunkBounds(ck, units, grain)
-		acc := make([]int32, regN*bn)
+	// Stack-resident accumulator tile, set up once per thread range, as in
+	// the dense int8 template.
+	pf(n*cOuter*oh, func(lo, hi int) {
+		var accArr [ops.MaxAccTile]int32
+		var acc []int32
+		if regN*bn <= len(accArr) {
+			acc = accArr[:regN*bn]
+		} else {
+			acc = make([]int32, regN*bn)
+		}
 		for unit := lo; unit < hi; unit++ {
 			y := unit % oh
 			rest := unit / oh
@@ -77,7 +80,7 @@ func Conv2DInt8DepthwiseNCHWcInto(dst *tensor.Tensor, in *QTensor, weight *QTens
 
 // int8DWRow computes one (batch, channel-block, out-row) band of the
 // quantized depthwise kernel. Factored out of the parallel dispatch so a
-// chunked work item reuses one int32 accumulator tile across its rows.
+// range body reuses one int32 accumulator tile across its rows.
 func int8DWRow(padded *QTensor, weight *QTensor, out *tensor.Tensor, acc []int32, rescale []float32,
 	attrs ops.Conv2DAttrs, epi ops.Epilogue,
 	b, co, y, cOuter, bn, regN, kh, kw, oh, ow, pw, wBase, rowBase int) {

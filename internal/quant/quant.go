@@ -207,17 +207,14 @@ func PackWeightsOIHWio(q *QTensor, x, y int) *QTensor {
 // tiles (the scalar stand-in for VNNI/vpdpbusd or NEON sdot chains), with
 // the output rescaled back to float32 and the same fused epilogue options.
 func Conv2DInt8NCHWc(in *QTensor, weight *QTensor, attrs ops.Conv2DAttrs, icb, ocb, regN int, epi ops.Epilogue, pf ops.ParallelFor) *tensor.Tensor {
-	return Conv2DInt8NCHWcInto(nil, in, weight, attrs, icb, ocb, regN, 1, epi, pf)
+	return Conv2DInt8NCHWcInto(nil, in, weight, attrs, icb, ocb, regN, epi, pf)
 }
 
 // Conv2DInt8NCHWcInto is Conv2DInt8NCHWc writing the rescaled float32 output
 // into a caller-provided destination (nil dst allocates). The quantized
 // input/padding buffers are still produced per call: dynamic activation
-// quantization is inherently per-inference work. grain is the schedule's
-// parallel chunk size over (batch, oc-block, out-row) units (<=1 means one
-// row per work item); chunking also amortizes the int32 accumulator-tile
-// allocation across a chunk's rows, and every grain is bit-identical.
-func Conv2DInt8NCHWcInto(dst *tensor.Tensor, in *QTensor, weight *QTensor, attrs ops.Conv2DAttrs, icb, ocb, regN, grain int, epi ops.Epilogue, pf ops.ParallelFor) *tensor.Tensor {
+// quantization is inherently per-inference work.
+func Conv2DInt8NCHWcInto(dst *tensor.Tensor, in *QTensor, weight *QTensor, attrs ops.Conv2DAttrs, icb, ocb, regN int, epi ops.Epilogue, pf ops.ParallelFor) *tensor.Tensor {
 	if in.Layout.Kind != tensor.LayoutNCHWc || in.Layout.BlockC != icb {
 		panic(fmt.Sprintf("quant: expected NCHW%dc input, got %v", icb, in.Layout))
 	}
@@ -259,10 +256,17 @@ func Conv2DInt8NCHWcInto(dst *tensor.Tensor, in *QTensor, weight *QTensor, attrs
 		rescale[k] = in.Scale * sw
 	}
 
-	units := n * ocOuter * oh
-	pf(ops.Chunks(units, grain), func(ck int) {
-		lo, hi := ops.ChunkBounds(ck, units, grain)
-		acc := make([]int32, regN*ocb)
+	// One parallel unit per (batch, oc-block, out-row) band. The int32
+	// accumulator tile lives on the stack, set up once per thread range, so
+	// the hot loop performs no per-row heap allocation.
+	pf(n*ocOuter*oh, func(lo, hi int) {
+		var accArr [ops.MaxAccTile]int32
+		var acc []int32
+		if regN*ocb <= len(accArr) {
+			acc = accArr[:regN*ocb]
+		} else {
+			acc = make([]int32, regN*ocb)
+		}
 		for unit := lo; unit < hi; unit++ {
 			y := unit % oh
 			rest := unit / oh
@@ -278,8 +282,8 @@ func Conv2DInt8NCHWcInto(dst *tensor.Tensor, in *QTensor, weight *QTensor, attrs
 }
 
 // int8ConvRow computes one (batch, oc-block, out-row) band of the quantized
-// template. Factored out of the parallel dispatch so a chunked work item
-// reuses one int32 accumulator tile across its rows.
+// template. Factored out of the parallel dispatch so a range body reuses one
+// int32 accumulator tile across its rows.
 func int8ConvRow(padded *QTensor, weight *QTensor, out *tensor.Tensor, acc []int32, rescale []float32,
 	attrs ops.Conv2DAttrs, epi ops.Epilogue,
 	b, co, y, icOuter, icOuterPerG, ocOuter, icb, ocb, regN, kh, kw, oh, ow, pw, wBase, icBase int) {

@@ -2,6 +2,7 @@ package quant
 
 import (
 	"math"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -144,18 +145,56 @@ func TestInt8ConvParallelMatchesSerial(t *testing.T) {
 	qin := PackActivationNCHWc(Quantize(in), 4)
 	qwt := PackWeightsOIHWio(QuantizeWeightsPerChannel(wt), 4, 8)
 	serial := Conv2DInt8NCHWc(qin, qwt, attrs, 4, 8, 4, ops.Epilogue{}, ops.Serial)
-	goPar := func(n int, body func(i int)) {
-		done := make(chan struct{})
-		for i := 0; i < n; i++ {
-			go func(i int) { body(i); done <- struct{}{} }(i)
+	// A crude concurrent ParallelFor: three ragged ranges, one goroutine each.
+	goPar := func(n int, body func(lo, hi int)) {
+		var wg sync.WaitGroup
+		for t := 0; t < 3; t++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				body(t*n/3, (t+1)*n/3)
+			}()
 		}
-		for i := 0; i < n; i++ {
-			<-done
-		}
+		wg.Wait()
 	}
 	par := Conv2DInt8NCHWc(qin, qwt, attrs, 4, 8, 4, ops.Epilogue{}, goPar)
 	if tensor.MaxAbsDiff(serial, par) != 0 {
 		t.Fatal("parallel int8 conv must match serial bit-for-bit")
+	}
+}
+
+// TestInt8ConvNoPerRowAllocation pins the int32 accumulator tile to the
+// stack: both int8 kernels allocate the same number of objects per call
+// (quantized padding, rescale table, dispatch closure) whether they compute 6
+// output rows or 24.
+func TestInt8ConvNoPerRowAllocation(t *testing.T) {
+	allocs := func(h int, depthwise bool) float64 {
+		attrs := ops.Conv2DAttrs{OutC: 8, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}
+		wt := tensor.New(tensor.OIHW(), 8, 8, 3, 3)
+		if depthwise {
+			attrs.Groups = 8
+			wt = tensor.New(tensor.OIHW(), 8, 1, 3, 3)
+		}
+		wt.FillRandom(17, 0.5)
+		in := tensor.New(tensor.NCHW(), 1, 8, h, h)
+		in.FillRandom(18, 1)
+		qin := PackActivationNCHWc(Quantize(in), 8)
+		dst := tensor.New(tensor.NCHWc(8), 1, 1, h, h, 8)
+		if depthwise {
+			qwt := PackWeightsOIHWio(QuantizeWeightsPerChannel(wt), 1, 8)
+			return testing.AllocsPerRun(5, func() {
+				Conv2DInt8DepthwiseNCHWcInto(dst, qin, qwt, attrs, 8, 4, ops.Epilogue{}, nil)
+			})
+		}
+		qwt := PackWeightsOIHWio(QuantizeWeightsPerChannel(wt), 8, 8)
+		return testing.AllocsPerRun(5, func() {
+			Conv2DInt8NCHWcInto(dst, qin, qwt, attrs, 8, 8, 4, ops.Epilogue{}, nil)
+		})
+	}
+	for _, depthwise := range []bool{false, true} {
+		if few, many := allocs(6, depthwise), allocs(24, depthwise); few != many {
+			t.Fatalf("depthwise=%v: %.0f allocations for 6 rows, %.0f for 24: the kernel allocates per row", depthwise, few, many)
+		}
 	}
 }
 

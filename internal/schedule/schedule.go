@@ -30,27 +30,6 @@ type Result struct {
 // regNCandidates is the paper's reg_n candidate list (Section 3.3.1 step 2).
 var regNCandidates = []int{32, 16, 8, 4, 2}
 
-// grainCandidates is the parallel-grain candidate list: how many outermost
-// work units one thread-pool item covers. 1 is the historical per-unit split;
-// the larger grains let the cost model trade dispatch overhead against
-// static-partitioning imbalance. The set is kept small because it multiplies
-// the whole candidate space.
-var grainCandidates = []int{1, 4, 16}
-
-// withGrains expands each candidate schedule into one variant per parallel
-// grain, making the grain a searched dimension of the scheme alongside the
-// block sizes.
-func withGrains(cands []machine.ConvSchedule) []machine.ConvSchedule {
-	out := make([]machine.ConvSchedule, 0, len(cands)*len(grainCandidates))
-	for _, s := range cands {
-		for _, g := range grainCandidates {
-			s.Grain = g
-			out = append(out, s)
-		}
-	}
-	return out
-}
-
 // divisors returns all positive divisors of n in descending order (the
 // paper's step 1: "we include all factors of the number of channels").
 func divisors(n int) []int {
@@ -114,7 +93,7 @@ func Candidates(wl machine.ConvWorkload, t *machine.Target) []machine.ConvSchedu
 				}
 			}
 		}
-		return withGrains(out)
+		return out
 	}
 	winograd := wl.WinogradViable()
 	var out []machine.ConvSchedule
@@ -145,7 +124,7 @@ func Candidates(wl machine.ConvWorkload, t *machine.Target) []machine.ConvSchedu
 			}
 		}
 	}
-	return withGrains(out)
+	return out
 }
 
 // Evaluator scores one schedule for one workload, returning seconds.
@@ -300,7 +279,6 @@ type resultJSON struct {
 	UnrollKer bool    `json:"unroll_ker"`
 	LayoutX   int     `json:"layout_block"`
 	Algorithm string  `json:"algorithm,omitempty"` // "winograd"; absent means direct
-	Grain     int     `json:"grain,omitempty"`     // parallel chunk size; absent means 1
 	Time      float64 `json:"time"`
 }
 
@@ -316,7 +294,7 @@ func (db *DB) Save(w io.Writer) error {
 			js[i] = resultJSON{
 				ICBlock: r.Sched.ICBlock, OCBlock: r.Sched.OCBlock,
 				RegN: r.Sched.RegN, UnrollKer: r.Sched.UnrollKer,
-				LayoutX: r.Sched.Layout.BlockC, Grain: r.Sched.Grain, Time: r.Time,
+				LayoutX: r.Sched.Layout.BlockC, Time: r.Time,
 			}
 			if r.Sched.Algorithm == machine.AlgoWinograd {
 				js[i].Algorithm = machine.AlgoWinograd.String()
@@ -350,7 +328,7 @@ func (db *DB) Load(r io.Reader) error {
 					Layout:  tensor.NCHWc(j.LayoutX),
 					ICBlock: j.ICBlock, OCBlock: j.OCBlock,
 					RegN: j.RegN, UnrollKer: j.UnrollKer,
-					Algorithm: algo, Grain: j.Grain,
+					Algorithm: algo,
 				},
 				Time: j.Time,
 			}

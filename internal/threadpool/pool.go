@@ -11,7 +11,9 @@
 //     launched for every parallel region and joined through a central
 //     barrier, paying thread launch and suppression costs per region.
 //
-// Both satisfy the ops.ParallelFor contract via their ParallelFor methods.
+// Both satisfy the ops.ParallelFor contract via their ParallelRange methods:
+// a region over [0, n) hands each participating thread exactly one contiguous
+// [lo, hi) range in a single body call.
 package threadpool
 
 import (
@@ -21,10 +23,25 @@ import (
 	"sync/atomic"
 )
 
-// task is one statically-partitioned slice of a parallel region.
+// task is one thread's contiguous slice of a parallel region.
 type task struct {
-	body       func(i int)
-	start, end int
+	body   func(lo, hi int)
+	lo, hi int
+}
+
+// split returns piece t of [0, n) divided evenly into parts contiguous
+// pieces (the paper: "we evenly divided the outermost loop of the operation
+// into N pieces to assign to N threads"). With parts <= n every piece is
+// non-empty and sizes differ by at most one.
+func split(n, parts, t int) (lo, hi int) {
+	return t * n / parts, (t + 1) * n / parts
+}
+
+// rethrow re-raises a region's first recorded panic on the submitter.
+func rethrow(pv *panicBox) {
+	if pv != nil {
+		panic(fmt.Sprintf("threadpool: panic in parallel region: %v", pv.v))
+	}
 }
 
 // worker is one long-lived pool worker with its own SPSC task queue. The pad
@@ -49,9 +66,9 @@ type Pool struct {
 	// re-raised on the submitting goroutine.
 	panicVal atomic.Pointer[panicBox]
 	closed   atomic.Bool
-	// mu serializes ParallelFor submissions. Acquisition is TryLock-based:
-	// a ParallelFor that finds a region already active — a nested call from
-	// inside a worker's chunk, or a concurrent session sharing the pool —
+	// mu serializes ParallelRange submissions. Acquisition is TryLock-based:
+	// a ParallelRange that finds a region already active — a nested call from
+	// inside a worker's range, or a concurrent session sharing the pool —
 	// runs its whole loop inline on the calling goroutine instead of
 	// queueing. Nested submissions therefore can never deadlock (a worker
 	// blocking on the region it is part of), and concurrent submitters
@@ -93,74 +110,51 @@ func (p *Pool) exec(t task) {
 			p.panicVal.CompareAndSwap(nil, &panicBox{r})
 		}
 	}()
-	for i := t.start; i < t.end; i++ {
-		t.body(i)
-	}
+	t.body(t.lo, t.hi)
 }
 
 type panicBox struct{ v any }
 
-// ParallelFor runs body(i) for every i in [0, n), statically partitioned
-// into Threads() contiguous chunks (the paper: "we evenly divided the
-// outermost loop of the operation into N pieces to assign to N threads").
-// It returns when every index has been processed. A panic in any chunk is
-// re-raised on the caller after the region completes.
+// ParallelRange runs body over [0, n), statically partitioned into at most
+// Threads() contiguous ranges: each participating thread receives exactly
+// one body(lo, hi) call, so per-thread setup (accumulator tiles, scratch)
+// happens once per region rather than once per index. It returns when the
+// whole range has been processed. A panic in any range is re-raised on the
+// caller after the region completes.
 //
-// ParallelFor is re-entrant: a call made while another region is active on
-// the same pool — from inside a worker's own chunk (nested parallelism), or
-// from a different goroutine sharing the pool — executes its loop inline on
+// ParallelRange is re-entrant: a call made while another region is active on
+// the same pool — from inside a worker's own range (nested parallelism), or
+// from a different goroutine sharing the pool — executes body(0, n) inline on
 // the calling goroutine. One region at a time owns the workers; everyone
 // else makes serial progress instead of blocking, so nesting can never
 // deadlock and hybrid executors can let concurrent submitters race for the
 // pool safely.
-func (p *Pool) ParallelFor(n int, body func(i int)) {
+func (p *Pool) ParallelRange(n int, body func(lo, hi int)) {
 	if n <= 0 {
 		return
 	}
 	if p.closed.Load() {
-		panic("threadpool: ParallelFor on closed Pool")
+		panic("threadpool: ParallelRange on closed Pool")
 	}
-	threads := p.Threads()
-	if threads == 1 || n == 1 {
-		for i := 0; i < n; i++ {
-			body(i)
-		}
-		return
-	}
-	if !p.mu.TryLock() {
-		// A region is already in flight. Blocking here would deadlock when
-		// the caller IS one of that region's goroutines (a kernel invoking
-		// nested ParallelFor from a worker chunk), so run inline instead.
-		for i := 0; i < n; i++ {
-			body(i)
-		}
+	parts := min(n, p.Threads())
+	// A region already in flight must not be waited for: blocking would
+	// deadlock when the caller IS one of that region's goroutines (a kernel
+	// invoking a nested region from a worker range), so run inline instead.
+	if parts == 1 || !p.mu.TryLock() {
+		body(0, n)
 		return
 	}
 	defer p.mu.Unlock()
 
-	chunk := (n + threads - 1) / threads
-	// Hand each worker its contiguous range through its SPSC queue.
-	active := int64(0)
-	for w := 0; w < len(p.workers); w++ {
-		start := (w + 1) * chunk
-		if start >= n {
-			break
-		}
-		end := start + chunk
-		if end > n {
-			end = n
-		}
-		active++
-		p.pending.Add(1)
-		p.workers[w].tasks <- task{body: body, start: start, end: end}
+	// Hand each worker its range through its SPSC queue; the caller executes
+	// piece 0 itself.
+	p.pending.Add(int64(parts - 1))
+	for t := 1; t < parts; t++ {
+		lo, hi := split(n, parts, t)
+		p.workers[t-1].tasks <- task{body: body, lo: lo, hi: hi}
 	}
-
-	// The caller executes chunk 0 itself.
-	first := chunk
-	if first > n {
-		first = n
-	}
-	p.exec(task{body: body, start: 0, end: first})
+	lo, hi := split(n, parts, 0)
+	p.exec(task{body: body, lo: lo, hi: hi})
 
 	// Spin join: workers signal completion by decrementing the atomic
 	// counter; no locks or condition variables on the fast path.
@@ -170,10 +164,17 @@ func (p *Pool) ParallelFor(n int, body func(i int)) {
 		}
 		runtime.Gosched()
 	}
+	rethrow(p.panicVal.Swap(nil))
+}
 
-	if pv := p.panicVal.Swap(nil); pv != nil {
-		panic(fmt.Sprintf("threadpool: panic in parallel region: %v", pv.v))
-	}
+// ParallelFor is the per-index form of ParallelRange, kept only for the
+// frozen benchmark harness; kernels and executors use ParallelRange.
+func (p *Pool) ParallelFor(n int, body func(i int)) {
+	p.ParallelRange(n, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			body(i)
+		}
+	})
 }
 
 // Close shuts down the workers. The pool must not be used afterwards.
@@ -215,58 +216,39 @@ func NewOMPPool(n int) *OMPPool {
 // Threads returns the team width.
 func (o *OMPPool) Threads() int { return o.threads }
 
-// ParallelFor runs body over [0, n) with a freshly launched team, paying the
-// fork/join overhead that the custom pool avoids. Like Pool.ParallelFor, a
-// panic in any team member is re-raised on the caller after the region
-// completes — a kernel panic must reach the submitting goroutine's recovery
-// boundary, never kill the process from an anonymous worker.
-func (o *OMPPool) ParallelFor(n int, body func(i int)) {
+// ParallelRange runs body over [0, n) with a freshly launched team, one
+// contiguous range per member, paying the fork/join overhead that the custom
+// pool avoids. Like Pool.ParallelRange, a panic in any team member is
+// re-raised on the caller after the region completes — a kernel panic must
+// reach the submitting goroutine's recovery boundary, never kill the process
+// from an anonymous worker.
+func (o *OMPPool) ParallelRange(n int, body func(lo, hi int)) {
 	if n <= 0 {
 		return
 	}
 	if o.closed.Load() {
-		panic("threadpool: ParallelFor on closed OMPPool")
+		panic("threadpool: ParallelRange on closed OMPPool")
 	}
-	if o.threads == 1 || n == 1 {
-		for i := 0; i < n; i++ {
-			body(i)
-		}
+	parts := min(n, o.threads)
+	if parts == 1 {
+		body(0, n)
 		return
 	}
-	chunk := (n + o.threads - 1) / o.threads
 	var wg sync.WaitGroup
 	var panicked atomic.Pointer[panicBox]
-	for t := 0; t < o.threads; t++ {
-		start := t * chunk
-		if start >= n {
-			break
-		}
-		end := start + chunk
-		if end > n {
-			end = n
-		}
+	for t := 0; t < parts; t++ {
+		lo, hi := split(n, parts, t)
 		wg.Add(1)
-		go func(start, end int) {
+		go func() {
 			defer wg.Done()
 			defer func() {
 				if r := recover(); r != nil {
 					panicked.CompareAndSwap(nil, &panicBox{r})
 				}
 			}()
-			for i := start; i < end; i++ {
-				body(i)
-			}
-		}(start, end)
+			body(lo, hi)
+		}()
 	}
 	wg.Wait()
-	if pv := panicked.Swap(nil); pv != nil {
-		panic(fmt.Sprintf("threadpool: panic in parallel region: %v", pv.v))
-	}
-}
-
-// Serial runs body on the calling goroutine; it is the 1-thread backend.
-func Serial(n int, body func(i int)) {
-	for i := 0; i < n; i++ {
-		body(i)
-	}
+	rethrow(panicked.Swap(nil))
 }

@@ -2,44 +2,74 @@ package threadpool
 
 import (
 	"runtime"
+	"sort"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
 )
 
-func TestPoolCoversAllIndicesExactlyOnce(t *testing.T) {
-	p := NewPool(4)
-	defer p.Close()
-	for _, n := range []int{0, 1, 2, 3, 4, 5, 7, 64, 1000, 1001} {
-		counts := make([]atomic.Int32, n)
-		p.ParallelFor(n, func(i int) { counts[i].Add(1) })
-		for i := range counts {
-			if got := counts[i].Load(); got != 1 {
-				t.Fatalf("n=%d: index %d executed %d times", n, i, got)
-			}
-		}
-	}
+// runtimeUnderTest is the surface both threading runtimes share.
+type runtimeUnderTest interface {
+	ParallelRange(n int, body func(lo, hi int))
+	Threads() int
+	Close()
 }
 
-func TestOMPPoolCoversAllIndicesExactlyOnce(t *testing.T) {
-	o := NewOMPPool(4)
-	for _, n := range []int{0, 1, 3, 4, 5, 100, 101} {
-		counts := make([]atomic.Int32, n)
-		o.ParallelFor(n, func(i int) { counts[i].Add(1) })
-		for i := range counts {
-			if got := counts[i].Load(); got != 1 {
-				t.Fatalf("n=%d: index %d executed %d times", n, i, got)
-			}
-		}
-	}
+var runtimes = []struct {
+	name string
+	make func(threads int) runtimeUnderTest
+}{
+	{"pool", func(t int) runtimeUnderTest { return NewPool(t) }},
+	{"omp", func(t int) runtimeUnderTest { return NewOMPPool(t) }},
 }
 
-func TestSerialCoversAll(t *testing.T) {
-	var sum int
-	Serial(10, func(i int) { sum += i })
-	if sum != 45 {
-		t.Fatalf("sum = %d, want 45", sum)
+type span struct{ lo, hi int }
+
+// collect runs one region and returns the ranges its body calls received,
+// sorted by lower bound.
+func collect(r runtimeUnderTest, n int) []span {
+	var mu sync.Mutex
+	var got []span
+	r.ParallelRange(n, func(lo, hi int) {
+		mu.Lock()
+		got = append(got, span{lo, hi})
+		mu.Unlock()
+	})
+	sort.Slice(got, func(i, j int) bool { return got[i].lo < got[j].lo })
+	return got
+}
+
+// TestRangeContract pins the one dispatch contract for both runtimes: the
+// body calls of a region receive non-empty, ascending, non-overlapping ranges
+// that cover [0, n) exactly, at most one per thread (so n < threads uses n
+// threads), evenly sized.
+func TestRangeContract(t *testing.T) {
+	for _, rt := range runtimes {
+		for _, threads := range []int{1, 2, 3, 4, 5, 8} {
+			r := rt.make(threads)
+			for _, n := range []int{0, 1, 2, 3, 4, 5, 7, 64, 1000, 1001} {
+				got := collect(r, n)
+				if want := min(n, threads); len(got) != want {
+					t.Fatalf("%s threads=%d n=%d: %d body calls, want %d: %v", rt.name, threads, n, len(got), want, got)
+				}
+				next := 0
+				for _, s := range got {
+					if s.lo != next || s.hi <= s.lo {
+						t.Fatalf("%s threads=%d n=%d: ranges %v do not tile [0,%d) in ascending order", rt.name, threads, n, got, n)
+					}
+					if size, floor := s.hi-s.lo, n/len(got); size != floor && size != floor+1 {
+						t.Fatalf("%s threads=%d n=%d: range %v is not an even share (%d or %d)", rt.name, threads, n, s, floor, floor+1)
+					}
+					next = s.hi
+				}
+				if next != n {
+					t.Fatalf("%s threads=%d n=%d: ranges %v stop at %d", rt.name, threads, n, got, next)
+				}
+			}
+			r.Close()
+		}
 	}
 }
 
@@ -49,10 +79,8 @@ func TestPoolSingleThread(t *testing.T) {
 	if p.Threads() != 1 {
 		t.Fatalf("Threads = %d, want 1", p.Threads())
 	}
-	var sum int
-	p.ParallelFor(100, func(i int) { sum += i }) // must run inline: no race
-	if sum != 4950 {
-		t.Fatalf("sum = %d", sum)
+	if got := collect(p, 100); len(got) != 1 || got[0] != (span{0, 100}) {
+		t.Fatalf("1-thread pool must run body(0, n) inline once, got %v", got)
 	}
 }
 
@@ -74,7 +102,7 @@ func TestPoolReusableAcrossRegions(t *testing.T) {
 	defer p.Close()
 	var total atomic.Int64
 	for region := 0; region < 200; region++ {
-		p.ParallelFor(17, func(i int) { total.Add(1) })
+		p.ParallelRange(17, func(lo, hi int) { total.Add(int64(hi - lo)) })
 	}
 	if total.Load() != 200*17 {
 		t.Fatalf("total = %d, want %d", total.Load(), 200*17)
@@ -82,114 +110,96 @@ func TestPoolReusableAcrossRegions(t *testing.T) {
 }
 
 // TestPoolNestedSubmissionRunsInline is the regression test for the nested
-// -submission hazard: a ParallelFor issued from inside a worker's body (a
-// kernel's chunk loop under an inter-op or hybrid level, or any re-entrant
-// caller) must degrade to an inline serial loop instead of deadlocking on
-// the pool's own join. Every index of every nesting level still runs
-// exactly once.
+// -submission hazard: a region submitted from inside another region's body
+// (a kernel under an inter-op or hybrid level, or any re-entrant caller)
+// must degrade to the single inline call body(0, n) instead of deadlocking
+// on the pool's own join, at any nesting depth.
 func TestPoolNestedSubmissionRunsInline(t *testing.T) {
 	p := NewPool(4)
 	defer p.Close()
-	outer, inner := 8, 16
-	counts := make([]atomic.Int32, outer*inner)
-	p.ParallelFor(outer, func(i int) {
-		p.ParallelFor(inner, func(j int) {
-			counts[i*inner+j].Add(1)
-		})
-	})
-	for k := range counts {
-		if got := counts[k].Load(); got != 1 {
-			t.Fatalf("nested index %d executed %d times", k, got)
+	const outer, inner = 8, 16
+	var innerCalls, badInner, depth3 atomic.Int64
+	p.ParallelRange(outer, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			p.ParallelRange(inner, func(lo, hi int) {
+				innerCalls.Add(1)
+				if lo != 0 || hi != inner {
+					badInner.Add(1)
+				}
+				p.ParallelRange(3, func(lo, hi int) { depth3.Add(int64(hi - lo)) })
+			})
 		}
-	}
-	// Three levels deep, for good measure — the TryLock fallback must hold
-	// at any depth.
-	var total atomic.Int64
-	p.ParallelFor(3, func(int) {
-		p.ParallelFor(3, func(int) {
-			p.ParallelFor(3, func(int) { total.Add(1) })
-		})
 	})
-	if total.Load() != 27 {
-		t.Fatalf("triple nesting ran %d bodies, want 27", total.Load())
+	if innerCalls.Load() != outer || badInner.Load() != 0 {
+		t.Fatalf("nested regions made %d body calls (%d not [0,%d)), want %d inline whole-range calls",
+			innerCalls.Load(), badInner.Load(), inner, outer)
+	}
+	if depth3.Load() != outer*3 {
+		t.Fatalf("triple nesting covered %d units, want %d", depth3.Load(), outer*3)
 	}
 }
 
-// TestPoolConcurrentSubmitters: two goroutines racing to submit regions must
-// both make progress (the loser runs inline) and both cover every index.
+// TestPoolConcurrentSubmitters: goroutines racing to submit regions must all
+// make progress — one owns the workers, a loser runs body(0, n) inline — and
+// every region covers its whole range.
 func TestPoolConcurrentSubmitters(t *testing.T) {
 	p := NewPool(4)
 	defer p.Close()
 	const submitters, n, rounds = 4, 64, 50
 	var total atomic.Int64
-	done := make(chan struct{})
+	var wg sync.WaitGroup
 	for s := 0; s < submitters; s++ {
+		wg.Add(1)
 		go func() {
-			defer func() { done <- struct{}{} }()
+			defer wg.Done()
 			for r := 0; r < rounds; r++ {
-				p.ParallelFor(n, func(int) { total.Add(1) })
+				calls, covered := 0, 0
+				var mu sync.Mutex
+				p.ParallelRange(n, func(lo, hi int) {
+					mu.Lock()
+					calls++
+					covered += hi - lo
+					mu.Unlock()
+				})
+				if covered != n || (calls != 1 && calls != p.Threads()) {
+					t.Errorf("region covered %d of %d units in %d calls (want 1 inline or %d parallel)", covered, n, calls, p.Threads())
+				}
+				total.Add(int64(covered))
 			}
 		}()
 	}
-	for s := 0; s < submitters; s++ {
-		<-done
-	}
+	wg.Wait()
 	if total.Load() != submitters*n*rounds {
-		t.Fatalf("concurrent submitters ran %d bodies, want %d", total.Load(), submitters*n*rounds)
+		t.Fatalf("concurrent submitters covered %d units, want %d", total.Load(), submitters*n*rounds)
 	}
 }
 
-func TestPoolPanicPropagation(t *testing.T) {
-	p := NewPool(4)
-	defer p.Close()
-	func() {
-		defer func() {
-			r := recover()
-			if r == nil {
-				t.Fatal("expected panic to propagate")
-			}
-			if !strings.Contains(r.(string), "boom") {
-				t.Fatalf("panic message lost: %v", r)
-			}
+// TestPanicPropagation: a panic in any thread's range is re-raised on the
+// submitting goroutine once the region has joined, and the runtime stays
+// usable afterwards.
+func TestPanicPropagation(t *testing.T) {
+	for _, rt := range runtimes {
+		r := rt.make(4)
+		func() {
+			defer func() {
+				rec := recover()
+				if rec == nil {
+					t.Fatalf("%s: expected panic to propagate to the submitter", rt.name)
+				}
+				if !strings.Contains(rec.(string), "boom") {
+					t.Fatalf("%s: panic message lost: %v", rt.name, rec)
+				}
+			}()
+			r.ParallelRange(100, func(lo, hi int) {
+				if lo <= 57 && 57 < hi {
+					panic("boom")
+				}
+			})
 		}()
-		p.ParallelFor(100, func(i int) {
-			if i == 57 {
-				panic("boom")
-			}
-		})
-	}()
-	// Pool must remain usable after a panic.
-	var n atomic.Int64
-	p.ParallelFor(50, func(i int) { n.Add(1) })
-	if n.Load() != 50 {
-		t.Fatalf("pool broken after panic: %d", n.Load())
-	}
-}
-
-func TestOMPPoolPanicPropagation(t *testing.T) {
-	p := NewOMPPool(4)
-	defer p.Close()
-	func() {
-		defer func() {
-			r := recover()
-			if r == nil {
-				t.Fatal("expected panic to propagate to the submitter")
-			}
-			if !strings.Contains(r.(string), "boom") {
-				t.Fatalf("panic message lost: %v", r)
-			}
-		}()
-		p.ParallelFor(100, func(i int) {
-			if i == 57 {
-				panic("boom")
-			}
-		})
-	}()
-	// The runtime must remain usable after a panic.
-	var n atomic.Int64
-	p.ParallelFor(50, func(i int) { n.Add(1) })
-	if n.Load() != 50 {
-		t.Fatalf("OMP pool broken after panic: %d", n.Load())
+		if got := collect(r, 50); len(got) != 4 {
+			t.Fatalf("%s broken after panic: %v", rt.name, got)
+		}
+		r.Close()
 	}
 }
 
@@ -200,42 +210,11 @@ func TestPoolCloseIdempotent(t *testing.T) {
 	func() {
 		defer func() {
 			if recover() == nil {
-				t.Fatal("ParallelFor after Close must panic")
+				t.Fatal("ParallelRange after Close must panic")
 			}
 		}()
-		p.ParallelFor(4, func(int) {})
+		p.ParallelRange(4, func(lo, hi int) {})
 	}()
-}
-
-func TestPoolStaticPartitionIsContiguous(t *testing.T) {
-	// Record which goroutine ran each index; each runner's set must be one
-	// contiguous range (static partitioning, not work stealing).
-	p := NewPool(4)
-	defer p.Close()
-	if p.Threads() < 2 {
-		t.Skip("needs >= 2 threads")
-	}
-	n := 100
-	owner := make([]int64, n)
-	var tag atomic.Int64
-	tls := make(map[int64]bool)
-	_ = tls
-	p.ParallelFor(n, func(i int) {
-		// Identify the executing goroutine by a per-chunk tag: indexes run
-		// in order within a chunk, so detect chunk starts by tagging.
-		owner[i] = tag.Add(1)
-	})
-	// Weak but deterministic invariant: every index executed (owner tag set).
-	seen := map[int64]bool{}
-	for i := range owner {
-		if owner[i] == 0 {
-			t.Fatalf("index %d never ran", i)
-		}
-		if seen[owner[i]] {
-			t.Fatalf("tag %d reused", owner[i])
-		}
-		seen[owner[i]] = true
-	}
 }
 
 func TestQuickPoolMatchesSerialSum(t *testing.T) {
@@ -244,7 +223,13 @@ func TestQuickPoolMatchesSerialSum(t *testing.T) {
 	f := func(nRaw uint16) bool {
 		n := int(nRaw % 4096)
 		var parallel atomic.Int64
-		p.ParallelFor(n, func(i int) { parallel.Add(int64(i * i)) })
+		p.ParallelRange(n, func(lo, hi int) {
+			var part int64
+			for i := lo; i < hi; i++ {
+				part += int64(i * i)
+			}
+			parallel.Add(part)
+		})
 		var serial int64
 		for i := 0; i < n; i++ {
 			serial += int64(i * i)
@@ -266,16 +251,36 @@ func TestOMPPoolThreads(t *testing.T) {
 }
 
 func TestPoolConcurrentMutation(t *testing.T) {
-	// Workers write disjoint slices: results must match serial execution
+	// Threads write disjoint slices: results must match serial execution
 	// bit-for-bit.
 	p := NewPool(runtime.GOMAXPROCS(0))
 	defer p.Close()
 	n := 1 << 16
 	got := make([]float64, n)
-	p.ParallelFor(n, func(i int) { got[i] = float64(i) * 1.5 })
+	p.ParallelRange(n, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			got[i] = float64(i) * 1.5
+		}
+	})
 	for i := range got {
 		if got[i] != float64(i)*1.5 {
 			t.Fatalf("got[%d] = %v", i, got[i])
+		}
+	}
+}
+
+// TestPoolPerIndexAdapter covers the per-index ParallelFor the benchmark
+// harness still calls: every index exactly once.
+func TestPoolPerIndexAdapter(t *testing.T) {
+	p := NewPool(4)
+	defer p.Close()
+	for _, n := range []int{0, 1, 5, 1001} {
+		counts := make([]atomic.Int32, n)
+		p.ParallelFor(n, func(i int) { counts[i].Add(1) })
+		for i := range counts {
+			if got := counts[i].Load(); got != 1 {
+				t.Fatalf("n=%d: index %d executed %d times", n, i, got)
+			}
 		}
 	}
 }
