@@ -193,6 +193,33 @@ func BenchmarkConvUnroll(b *testing.B) {
 	}
 }
 
+// BenchmarkConv1x1 measures the direct template on the MobileNet-V1 1x1
+// layers that dominate its operator time, single-threaded at the schedule
+// the search plans for them (ic_bn = oc_bn = 64, reg_n = 8): stride-1,
+// unpadded, so they run as a GEMM over the flattened H·W plane on the rank-k
+// microkernel.
+func BenchmarkConv1x1(b *testing.B) {
+	for _, g := range []struct{ c, hw int }{{512, 14}, {1024, 7}, {128, 56}} {
+		b.Run(itoa(g.c)+"to"+itoa(g.c)+"@"+itoa(g.hw), func(b *testing.B) {
+			in := tensor.New(tensor.NCHW(), 1, g.c, g.hw, g.hw)
+			in.FillRandom(1, 1)
+			wt := tensor.New(tensor.OIHW(), g.c, g.c, 1, 1)
+			wt.FillRandom(2, 0.5)
+			attrs := ops.Conv2DAttrs{OutC: g.c, KH: 1, KW: 1, StrideH: 1, StrideW: 1}
+			bi := tensor.ToNCHWc(in, 64)
+			bw := tensor.PackWeights(wt, 64, 64)
+			dst := tensor.New(tensor.NCHWc(64), 1, g.c/64, g.hw, g.hw, 64)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				ops.Conv2DNCHWcInto(dst, nil, bi, bw, attrs, 64, 64, 8, true, ops.Epilogue{}, ops.Serial)
+			}
+			flops := 2 * float64(g.c) * float64(g.c) * float64(g.hw*g.hw)
+			b.ReportMetric(flops*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
+		})
+	}
+}
+
 // BenchmarkFusion compares fused conv+bias+relu+residual epilogues against
 // separate operator execution (Section 2.2's arithmetic-intensity argument).
 func BenchmarkFusion(b *testing.B) {

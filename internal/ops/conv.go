@@ -194,14 +194,16 @@ func padNCHWc(in *tensor.Tensor, padH, padW int, scratch *tensor.Tensor) *tensor
 //	  for ow.outer:
 //	    init acc[reg_n][oc_bn]
 //	    for ic.outer:
-//	      for each kernel entry (kh,kw):         (optionally unrolled)
+//	      for each kernel entry (kh,kw):         (rankK; 3x3 optionally unrolled)
 //	        for ic.inner:
 //	          load weight vector  (oc_bn floats)
-//	          fmadd into acc[i] for i < reg_n
+//	          multiply-add into acc[i] for i < reg_n
 //	    store acc (+ fused epilogue)
 //
-// The input must be NCHW[icb]c and the weight OIHW[icb]i[ocb]o with icb =
-// sched ic_bn and ocb = sched oc_bn.
+// A 1x1, stride-1, unpadded convolution runs the same template over the
+// flattened H·W plane, so ow.outer tiles the whole plane. The input must be
+// NCHW[icb]c and the weight OIHW[icb]i[ocb]o with icb = sched ic_bn and ocb =
+// sched oc_bn.
 func Conv2DNCHWc(in, weight *tensor.Tensor, attrs Conv2DAttrs, icb, ocb, regN int, unrollKer bool, epi Epilogue, pf ParallelFor) *tensor.Tensor {
 	return Conv2DNCHWcInto(nil, nil, in, weight, attrs, icb, ocb, regN, unrollKer, epi, pf)
 }
@@ -266,14 +268,25 @@ func Conv2DNCHWcInto(dst, padScratch *tensor.Tensor, in, weight *tensor.Tensor, 
 			pw, ow, need, attrs.StrideW, kw))
 	}
 
-	// One parallel unit per (batch, oc.outer, oh) row — the disjoint OFMAP
-	// chunks of Algorithm 1 line 8 — each thread taking one contiguous run
-	// of rows.
-	pf(n*ocOuter*oh, func(lo, hi int) {
+	// The geometry the tile loop walks: `rows` output rows of `cols` pixels,
+	// read from input rows of pitch inPitch. A 1x1, stride-1, unpadded
+	// convolution is a GEMM over the flattened H·W plane — output pixel p
+	// reads input pixel p — so it walks the plane as one row and the reg_n
+	// tile runs across image rows instead of clamping at the end of each.
+	rows, cols, inRows, inPitch := oh, ow, ph, pw
+	if kh == 1 && kw == 1 && attrs.StrideH == 1 && attrs.StrideW == 1 && attrs.PadH == 0 && attrs.PadW == 0 {
+		rows, cols, inRows, inPitch = 1, oh*ow, 1, ph*pw
+	}
+	tiles := (cols + regN - 1) / regN
+
+	// One parallel unit per (batch, oc.outer, row, reg_n tile) — the disjoint
+	// OFMAP chunks of Algorithm 1 line 8 — each thread taking one contiguous
+	// run of units.
+	pf(n*ocOuter*rows*tiles, func(lo, hi int) {
 		// Accumulator tile: reg_n positions × oc_bn sub-channels. In the
 		// AVX-512 realization each row is one ZMM register; the fixed-size
 		// backing array keeps the tile on the goroutine stack, set up once
-		// per thread, so the hot loop performs no per-row heap allocation
+		// per thread, so the hot loop performs no per-tile heap allocation
 		// (a schedule outside the searched space allocates once per range).
 		var accArr [MaxAccTile]float32
 		var acc []float32
@@ -283,117 +296,65 @@ func Conv2DNCHWcInto(dst, padScratch *tensor.Tensor, in, weight *tensor.Tensor, 
 			acc = make([]float32, regN*ocb)
 		}
 		for unit := lo; unit < hi; unit++ {
-			y := unit % oh
-			rest := unit / oh
+			x0 := unit % tiles * regN
+			rest := unit / tiles
+			y := rest % rows
+			rest /= rows
 			co := rest % ocOuter
 			b := rest / ocOuter
+			tile := min(regN, cols-x0)
+			a := acc[:tile*ocb]
+			clear(a)
 
-			wBase := co * icOuterPerG * kh * kw * icb * ocb
+			wCO := co * icOuterPerG * kh * kw * icb * ocb
 			// First input channel block of this output block's group.
 			icBase := (co / ocOuterPerG) * icOuterPerG
-
-			runConvRow(padded, weight, out, acc, attrs, epi,
-				b, co, y, icOuter, icOuterPerG, ocOuter,
-				icb, ocb, regN, unrollKer, kh, kw, oh, ow, ph, pw,
-				wBase, icBase)
+			for ci := 0; ci < icOuterPerG; ci++ {
+				inBase := ((b*icOuter+icBase+ci)*inRows + y*attrs.StrideH) * inPitch * icb
+				wCI := wCO + ci*kh*kw*icb*ocb
+				if unrollKer && kh == 3 && kw == 3 {
+					conv3x3Tile(padded.Data, weight.Data, a, inBase, wCI, inPitch, icb, ocb, tile, x0, attrs.StrideW)
+					continue
+				}
+				for r := 0; r < kh; r++ {
+					for s := 0; s < kw; s++ {
+						rankK(a, padded.Data[inBase+(r*inPitch+x0*attrs.StrideW+s)*icb:], weight.Data[wCI+(r*kw+s)*icb*ocb:],
+							tile, icb, attrs.StrideW*icb, ocb)
+					}
+				}
+			}
+			storeTile(out.Data, a, epi, (((b*ocOuter+co)*rows+y)*cols+x0)*ocb, co, ocb)
 		}
 	})
 	return out
 }
 
-// runConvRow computes one (batch, oc.outer, oh) output row of the blocked
-// direct template — the body of Algorithm 1's parallel loop, factored out so
-// the range body above reuses one accumulator tile across all of its rows.
-func runConvRow(padded, weight, out *tensor.Tensor, acc []float32, attrs Conv2DAttrs, epi Epilogue,
-	b, co, y, icOuter, icOuterPerG, ocOuter, icb, ocb, regN int, unrollKer bool,
-	kh, kw, oh, ow, ph, pw, wBase, icBase int) {
-	for owo := 0; owo < ow; owo += regN {
-		tile := regN
-		if ow-owo < tile {
-			tile = ow - owo
-		}
-		for i := range acc[:tile*ocb] {
-			acc[i] = 0
-		}
-
-		for ci := 0; ci < icOuterPerG; ci++ {
-			inBase := ((b*icOuter+icBase+ci)*ph + y*attrs.StrideH) * pw * icb
-			wCI := wBase + ci*kh*kw*icb*ocb
-			if unrollKer && kh == 3 && kw == 3 {
-				conv3x3Tile(padded.Data, weight.Data, acc, inBase, wCI, pw, icb, ocb, tile, owo, attrs.StrideW)
-			} else if unrollKer && kh == 1 && kw == 1 {
-				conv1x1Tile(padded.Data, weight.Data, acc, inBase, wCI, pw, icb, ocb, tile, owo, attrs.StrideW)
-			} else {
-				for r := 0; r < kh; r++ {
-					rowOff := inBase + r*pw*icb
-					for s := 0; s < kw; s++ {
-						wRS := wCI + (r*kw+s)*icb*ocb
-						for ii := 0; ii < icb; ii++ {
-							wVec := weight.Data[wRS+ii*ocb : wRS+ii*ocb+ocb]
-							for i := 0; i < tile; i++ {
-								iv := padded.Data[rowOff+((owo+i)*attrs.StrideW+s)*icb+ii]
-								axpy(acc[i*ocb:i*ocb+ocb], wVec, iv, ocb)
-							}
-						}
-					}
-				}
+// storeTile applies the fused epilogue — bias, residual, ReLU, in that order
+// (Algorithm 1 lines 21-23) — to a finished accumulator tile and stores it at
+// out[off:]. The residual shares the output's layout and is read at the same
+// offset; co selects the output block's bias.
+func storeTile(out, acc []float32, epi Epilogue, off, co, ocb int) {
+	for i := 0; i < len(acc); i += ocb {
+		a := acc[i : i+ocb]
+		if epi.Bias != nil {
+			bvec := epi.Bias[co*ocb : co*ocb+ocb]
+			for oi := range a {
+				a[oi] += bvec[oi]
 			}
 		}
-
-		// Epilogue + store (Algorithm 1 lines 21-23, with fusion).
-		outBase := (((b*ocOuter+co)*oh+y)*ow + owo) * ocb
-		for i := 0; i < tile; i++ {
-			dst := out.Data[outBase+i*ocb : outBase+(i+1)*ocb]
-			a := acc[i*ocb : (i+1)*ocb]
-			if epi.Bias != nil {
-				bvec := epi.Bias[co*ocb : co*ocb+ocb]
-				for oi := range a {
-					a[oi] += bvec[oi]
-				}
+		if epi.Residual != nil {
+			res := epi.Residual.Data[off+i : off+i+ocb]
+			for oi := range a {
+				a[oi] += res[oi]
 			}
-			if epi.Residual != nil {
-				res := epi.Residual.Data[outBase+i*ocb : outBase+(i+1)*ocb]
-				for oi := range a {
-					a[oi] += res[oi]
-				}
+		}
+		if epi.ReLU {
+			for oi := range a {
+				a[oi] = relu32(a[oi])
 			}
-			if epi.ReLU {
-				for oi := range a {
-					a[oi] = relu32(a[oi])
-				}
-			}
-			copy(dst, a)
 		}
 	}
-}
-
-// axpy computes a[:ocb] += x * w[:ocb], the direct template's innermost FMA.
-// The vector-width block sizes real schedules pick (the oc_bn values that
-// fill 4/8/16 fp32 lanes) are specialized with fixed-size array pointers:
-// the conversion performs one length check, after which the constant-bound
-// loop compiles without per-element bounds checks.
-func axpy(a, w []float32, x float32, ocb int) {
-	switch ocb {
-	case 4:
-		ap, wp := (*[4]float32)(a), (*[4]float32)(w)
-		for oi := 0; oi < 4; oi++ {
-			ap[oi] += x * wp[oi]
-		}
-	case 8:
-		ap, wp := (*[8]float32)(a), (*[8]float32)(w)
-		for oi := 0; oi < 8; oi++ {
-			ap[oi] += x * wp[oi]
-		}
-	case 16:
-		ap, wp := (*[16]float32)(a), (*[16]float32)(w)
-		for oi := 0; oi < 16; oi++ {
-			ap[oi] += x * wp[oi]
-		}
-	default:
-		for oi := range w {
-			a[oi] += x * w[oi]
-		}
-	}
+	copy(out[off:off+len(acc)], acc)
 }
 
 // conv3x3Tile is the unroll_ker=true specialization for 3x3 kernels: the
@@ -424,30 +385,6 @@ func conv3x3Tile(in, wt, acc []float32, inBase, wCI, pw, icb, ocb, tile, owo, st
 					for oi := range a {
 						a[oi] += iv0*w0[oi] + iv1*w1[oi] + iv2*w2[oi]
 					}
-				}
-			}
-		}
-	}
-}
-
-// conv1x1Tile is the unroll_ker=true specialization for 1x1 kernels.
-func conv1x1Tile(in, wt, acc []float32, inBase, wCI, pw, icb, ocb, tile, owo, strideW int) {
-	_ = pw
-	switch ocb {
-	case 4:
-		conv1x1Tile4(in, wt, acc, inBase, wCI, icb, tile, owo, strideW)
-	case 8:
-		conv1x1Tile8(in, wt, acc, inBase, wCI, icb, tile, owo, strideW)
-	case 16:
-		conv1x1Tile16(in, wt, acc, inBase, wCI, icb, tile, owo, strideW)
-	default:
-		for ii := 0; ii < icb; ii++ {
-			wv := wt[wCI+ii*ocb : wCI+ii*ocb+ocb]
-			for i := 0; i < tile; i++ {
-				iv := in[inBase+(owo+i)*strideW*icb+ii]
-				a := acc[i*ocb : i*ocb+ocb]
-				for oi := range a {
-					a[oi] += iv * wv[oi]
 				}
 			}
 		}
@@ -517,48 +454,6 @@ func conv3x3Tile16(in, wt, acc []float32, inBase, wCI, pw, icb, tile, owo, strid
 				for oi := 0; oi < ocb; oi++ {
 					a[oi] += iv0*w0[oi] + iv1*w1[oi] + iv2*w2[oi]
 				}
-			}
-		}
-	}
-}
-
-func conv1x1Tile4(in, wt, acc []float32, inBase, wCI, icb, tile, owo, strideW int) {
-	const ocb = 4
-	for ii := 0; ii < icb; ii++ {
-		wv := (*[ocb]float32)(wt[wCI+ii*ocb:])
-		for i := 0; i < tile; i++ {
-			iv := in[inBase+(owo+i)*strideW*icb+ii]
-			a := (*[ocb]float32)(acc[i*ocb:])
-			for oi := 0; oi < ocb; oi++ {
-				a[oi] += iv * wv[oi]
-			}
-		}
-	}
-}
-
-func conv1x1Tile8(in, wt, acc []float32, inBase, wCI, icb, tile, owo, strideW int) {
-	const ocb = 8
-	for ii := 0; ii < icb; ii++ {
-		wv := (*[ocb]float32)(wt[wCI+ii*ocb:])
-		for i := 0; i < tile; i++ {
-			iv := in[inBase+(owo+i)*strideW*icb+ii]
-			a := (*[ocb]float32)(acc[i*ocb:])
-			for oi := 0; oi < ocb; oi++ {
-				a[oi] += iv * wv[oi]
-			}
-		}
-	}
-}
-
-func conv1x1Tile16(in, wt, acc []float32, inBase, wCI, icb, tile, owo, strideW int) {
-	const ocb = 16
-	for ii := 0; ii < icb; ii++ {
-		wv := (*[ocb]float32)(wt[wCI+ii*ocb:])
-		for i := 0; i < tile; i++ {
-			iv := in[inBase+(owo+i)*strideW*icb+ii]
-			a := (*[ocb]float32)(acc[i*ocb:])
-			for oi := 0; oi < ocb; oi++ {
-				a[oi] += iv * wv[oi]
 			}
 		}
 	}

@@ -76,6 +76,9 @@ func TestConvNCHWcMatchesReference(t *testing.T) {
 		{"1x1-unroll", 32, 7, 7, 64, 1, 1, 1, 1, 0, 0, 16, 16, 2, true},
 		{"1x1-ocb4-unroll", 32, 7, 7, 64, 1, 1, 1, 1, 0, 0, 16, 4, 2, true},
 		{"1x1-ocb8-unroll", 32, 7, 7, 64, 1, 1, 1, 1, 0, 0, 16, 8, 2, true},
+		{"1x1-plane-tiles-cross-rows", 16, 7, 9, 80, 1, 1, 1, 1, 0, 0, 8, 40, 8, false},
+		{"1x1-stride2-rows", 48, 9, 9, 48, 1, 1, 2, 2, 0, 0, 16, 24, 4, true},
+		{"1x1-pad1-rows", 8, 6, 6, 16, 1, 1, 1, 1, 1, 1, 8, 16, 8, false},
 		{"stride2", 16, 15, 15, 16, 3, 3, 2, 2, 1, 1, 4, 8, 8, false},
 		{"stride2-unroll", 16, 15, 15, 16, 3, 3, 2, 2, 1, 1, 4, 8, 8, true},
 		{"5x5", 8, 12, 12, 16, 5, 5, 1, 1, 2, 2, 8, 8, 4, false},

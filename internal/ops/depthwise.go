@@ -147,7 +147,7 @@ func dwConvRow(padded, weight, out *tensor.Tensor, acc []float32, attrs Conv2DAt
 }
 
 // dwmac computes a[:bn] += x[:bn] * w[:bn] lane-wise — the depthwise
-// counterpart of axpy. The vector-width block sizes are specialized with
+// counterpart of rankK. The vector-width block sizes are specialized with
 // fixed-size array pointers so the constant-bound loop compiles without
 // per-element bounds checks.
 func dwmac(a, x, w []float32, bn int) {

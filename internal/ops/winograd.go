@@ -229,7 +229,7 @@ func winogradTileRow(in, transformed, out *tensor.Tensor, v, m []float32, attrs 
 			}
 			for xi := 0; xi < 16; xi++ {
 				uRow := transformed.Data[(xi*ocOuter+co)*uStride : (xi*ocOuter+co+1)*uStride]
-				winogradAccum(m[xi*ocb:xi*ocb+ocb], uRow, v[xi*c:xi*c+c], ocb)
+				rankK(m[xi*ocb:xi*ocb+ocb], v[xi*c:xi*c+c], uRow, 1, c, c, ocb)
 			}
 
 			// Y = Aᵀ M A per output sub-channel, Aᵀ = [1 1 1 0; 0 1 -1 -1].
@@ -272,46 +272,6 @@ func winogradTileRow(in, transformed, out *tensor.Tensor, v, m []float32, attrs 
 				store(0, 1, y01)
 				store(1, 0, y10)
 				store(1, 1, y11)
-			}
-		}
-	}
-}
-
-// winogradAccum computes m[:ocb] += v[ch] * u[ch*ocb:(ch+1)*ocb] over every
-// input channel: the transform-domain fmadd reduction. The vector-width block
-// sizes the schedules actually pick are specialized with fixed-size array
-// pointers so the hot loop carries no bounds checks.
-func winogradAccum(m, u, v []float32, ocb int) {
-	switch ocb {
-	case 4:
-		a := (*[4]float32)(m)
-		for ch, vv := range v {
-			w := (*[4]float32)(u[ch*4:])
-			for k := 0; k < 4; k++ {
-				a[k] += vv * w[k]
-			}
-		}
-	case 8:
-		a := (*[8]float32)(m)
-		for ch, vv := range v {
-			w := (*[8]float32)(u[ch*8:])
-			for k := 0; k < 8; k++ {
-				a[k] += vv * w[k]
-			}
-		}
-	case 16:
-		a := (*[16]float32)(m)
-		for ch, vv := range v {
-			w := (*[16]float32)(u[ch*16:])
-			for k := 0; k < 16; k++ {
-				a[k] += vv * w[k]
-			}
-		}
-	default:
-		for ch, vv := range v {
-			w := u[ch*ocb : ch*ocb+ocb]
-			for k := range w {
-				m[k] += vv * w[k]
 			}
 		}
 	}

@@ -141,9 +141,10 @@ func CostModelEvaluator(t *machine.Target) Evaluator {
 
 // MeasuredEvaluator times the real Go kernel. Each evaluation runs `trials`
 // times and keeps the minimum, mirroring the paper's repeated-measurement
-// averaging to cancel OS interference. It is used by the autotune example
-// and by the validation tests; exhaustive measured search over full models
-// is as slow in Go as the paper's 6-hour Skylake search was in TVM.
+// averaging to cancel OS interference. Only its unit test calls it today
+// (examples/autotune and every compile use CostModelEvaluator); exhaustive
+// measured search over full models is as slow in Go as the paper's 6-hour
+// Skylake search was in TVM.
 func MeasuredEvaluator(trials int) Evaluator {
 	if trials < 1 {
 		trials = 1

@@ -3,9 +3,10 @@
 //
 //   - Pool is NeoCPU's customized thread pool: long-lived workers, static
 //     partitioning of the outermost loop into per-worker contiguous ranges,
-//     single-producer/single-consumer task handoff to each worker, an
-//     atomics-based spin join, and cache-line padding on the shared
-//     coordination state to avoid false sharing.
+//     single-producer/single-consumer task handoff to each worker, workers
+//     that spin briefly for their next task before parking, an atomics-based
+//     spin join, and cache-line padding on the shared coordination state to
+//     avoid false sharing.
 //
 //   - OMPPool models an OpenMP parallel-for: a fresh team of workers is
 //     launched for every parallel region and joined through a central
@@ -21,6 +22,7 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
+	"time"
 )
 
 // task is one thread's contiguous slice of a parallel region.
@@ -97,10 +99,44 @@ func NewPool(n int) *Pool {
 // Threads returns the region width (including the calling goroutine).
 func (p *Pool) Threads() int { return len(p.workers) + 1 }
 
+// idleSpin is how long a worker polls its queue for the next task before it
+// parks on it. A parked worker is woken through the Go scheduler and the OS —
+// a futex wake, and on a virtual machine the wake-up of an idle vCPU — whose
+// latency is tens of microseconds and swings with the host's load. The
+// regions of one inference follow each other far more closely than this, so a
+// busy pool never parks between them, and an idle pool stops polling soon
+// after its last region.
+const idleSpin = 100 * time.Microsecond
+
 func (p *Pool) run(w *worker) {
-	for t := range w.tasks {
+	for {
+		t, ok := w.next()
+		if !ok {
+			return
+		}
 		p.exec(t)
 		p.pending.Add(-1)
+	}
+}
+
+// next returns the worker's next task, polling for up to idleSpin — yielding
+// the thread every few polls so that other goroutines are not held up — and
+// then blocking. ok is false once the pool is closed.
+func (w *worker) next() (t task, ok bool) {
+	deadline := time.Now().Add(idleSpin)
+	for polls := 1; ; polls++ {
+		select {
+		case t, ok = <-w.tasks:
+			return t, ok
+		default:
+		}
+		if polls%64 == 0 {
+			if time.Now().After(deadline) {
+				t, ok = <-w.tasks
+				return t, ok
+			}
+			runtime.Gosched()
+		}
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 // runtimeUnderTest is the surface both threading runtimes share.
@@ -215,6 +216,21 @@ func TestPoolCloseIdempotent(t *testing.T) {
 		}()
 		p.ParallelRange(4, func(lo, hi int) {})
 	}()
+}
+
+// TestPoolCloseStopsSpinningWorkers closes a pool right after a region, while
+// its workers are still polling for the next task: every worker must exit.
+func TestPoolCloseStopsSpinningWorkers(t *testing.T) {
+	before := runtime.NumGoroutine()
+	p := NewPool(4)
+	p.ParallelRange(4, func(lo, hi int) {})
+	p.Close()
+	for i := 0; runtime.NumGoroutine() > before; i++ {
+		if i == 1000 {
+			t.Fatalf("%d goroutines after Close, %d before NewPool", runtime.NumGoroutine(), before)
+		}
+		time.Sleep(time.Millisecond)
+	}
 }
 
 func TestQuickPoolMatchesSerialSum(t *testing.T) {
