@@ -174,21 +174,51 @@ func BenchmarkConvRegN(b *testing.B) {
 	}
 }
 
-// BenchmarkConvUnroll measures the unroll_ker specializations.
-func BenchmarkConvUnroll(b *testing.B) {
-	in, wt, attrs := benchConvTensors()
-	bi := tensor.ToNCHWc(in, 8)
-	bw := tensor.PackWeights(wt, 8, 8)
-	for _, unroll := range []bool{false, true} {
-		unroll := unroll
-		name := "generic"
-		if unroll {
-			name = "unrolled-3x3"
+// BenchmarkConv3x3 measures the ResNet-18 3x3 layers single-threaded at the
+// schedules the search plans for them: the stride-2 direct layer (64→128 @56,
+// ic_bn=32, oc_bn=16, reg_n=16) and the four Winograd geometries at their
+// searched blocks. GFLOP/s counts direct-convolution FLOPs for both, so the
+// two algorithms' rates compare as time.
+func BenchmarkConv3x3(b *testing.B) {
+	gflops := func(b *testing.B, c, oc, ohw int) {
+		flops := 2 * float64(c) * float64(oc) * 9 * float64(ohw*ohw)
+		b.ReportMetric(flops*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
+	}
+	b.Run("direct-s2/64to128@56", func(b *testing.B) {
+		const c, oc, hw, icb, ocb, regN = 64, 128, 56, 32, 16, 16
+		in := tensor.New(tensor.NCHW(), 1, c, hw, hw)
+		in.FillRandom(1, 1)
+		wt := tensor.New(tensor.OIHW(), oc, c, 3, 3)
+		wt.FillRandom(2, 0.5)
+		attrs := ops.Conv2DAttrs{OutC: oc, KH: 3, KW: 3, StrideH: 2, StrideW: 2, PadH: 1, PadW: 1}
+		bi := tensor.ToNCHWc(in, icb)
+		bw := tensor.PackWeights(wt, icb, ocb)
+		pad := tensor.New(tensor.NCHWc(icb), ops.PaddedShapeNCHWc(bi.Shape, attrs)...)
+		dst := tensor.New(tensor.NCHWc(ocb), 1, oc/ocb, hw/2, hw/2, ocb)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			ops.Conv2DNCHWcInto(dst, pad, bi, bw, attrs, icb, ocb, regN, true, ops.Epilogue{}, ops.Serial)
 		}
-		b.Run(name, func(b *testing.B) {
+		gflops(b, c, oc, hw/2)
+	})
+	for _, g := range []struct{ c, hw, icb, ocb int }{{64, 56, 64, 32}, {128, 28, 16, 32}, {256, 14, 32, 32}, {512, 7, 16, 16}} {
+		b.Run("winograd/"+itoa(g.c)+"@"+itoa(g.hw), func(b *testing.B) {
+			in := tensor.New(tensor.NCHW(), 1, g.c, g.hw, g.hw)
+			in.FillRandom(1, 1)
+			wt := tensor.New(tensor.OIHW(), g.c, g.c, 3, 3)
+			wt.FillRandom(2, 0.5)
+			attrs := ops.Conv2DAttrs{OutC: g.c, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}
+			bi := tensor.ToNCHWc(in, g.icb)
+			u := ops.WinogradWeightTransformNCHWc(wt, g.icb, g.ocb)
+			scratch := tensor.New(tensor.Flat(), ops.WinogradScratchShape(bi.Shape, attrs)...)
+			dst := tensor.New(tensor.NCHWc(g.ocb), 1, g.c/g.ocb, g.hw, g.hw, g.ocb)
+			b.ReportAllocs()
+			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				ops.Conv2DNCHWc(bi, bw, attrs, 8, 8, 8, unroll, ops.Epilogue{}, nil)
+				ops.Conv2DWinogradNCHWcInto(dst, scratch, bi, u, attrs, g.icb, g.ocb, ops.Epilogue{}, ops.Serial)
 			}
+			gflops(b, g.c, g.c, g.hw)
 		})
 	}
 }

@@ -194,8 +194,8 @@ func padNCHWc(in *tensor.Tensor, padH, padW int, scratch *tensor.Tensor) *tensor
 //	  for ow.outer:
 //	    init acc[reg_n][oc_bn]
 //	    for ic.outer:
-//	      for each kernel entry (kh,kw):         (rankK; 3x3 optionally unrolled)
-//	        for ic.inner:
+//	      for each kernel row kh:                (one rankK, k = kw·ic_bn)
+//	        for each (kw, ic.inner):
 //	          load weight vector  (oc_bn floats)
 //	          multiply-add into acc[i] for i < reg_n
 //	    store acc (+ fused epilogue)
@@ -203,7 +203,8 @@ func padNCHWc(in *tensor.Tensor, padH, padW int, scratch *tensor.Tensor) *tensor
 // A 1x1, stride-1, unpadded convolution runs the same template over the
 // flattened H·W plane, so ow.outer tiles the whole plane. The input must be
 // NCHW[icb]c and the weight OIHW[icb]i[ocb]o with icb = sched ic_bn and ocb =
-// sched oc_bn.
+// sched oc_bn. unrollKer is accepted for the schedule tuple's sake and
+// selects nothing: every kernel shape runs the same rank-k path.
 func Conv2DNCHWc(in, weight *tensor.Tensor, attrs Conv2DAttrs, icb, ocb, regN int, unrollKer bool, epi Epilogue, pf ParallelFor) *tensor.Tensor {
 	return Conv2DNCHWcInto(nil, nil, in, weight, attrs, icb, ocb, regN, unrollKer, epi, pf)
 }
@@ -310,17 +311,14 @@ func Conv2DNCHWcInto(dst, padScratch *tensor.Tensor, in, weight *tensor.Tensor, 
 			// First input channel block of this output block's group.
 			icBase := (co / ocOuterPerG) * icOuterPerG
 			for ci := 0; ci < icOuterPerG; ci++ {
-				inBase := ((b*icOuter+icBase+ci)*inRows + y*attrs.StrideH) * inPitch * icb
+				inBase := ((b*icOuter+icBase+ci)*inRows+y*attrs.StrideH)*inPitch + x0*attrs.StrideW
 				wCI := wCO + ci*kh*kw*icb*ocb
-				if unrollKer && kh == 3 && kw == 3 {
-					conv3x3Tile(padded.Data, weight.Data, a, inBase, wCI, inPitch, icb, ocb, tile, x0, attrs.StrideW)
-					continue
-				}
+				// One kernel row is one reduction of k = kw·ic_bn: its kw taps
+				// × ic_bn channels are contiguous in NCHW[x]c, and so is the
+				// matching weight row in OIHW[x]i[y]o, in (s, ii) order.
 				for r := 0; r < kh; r++ {
-					for s := 0; s < kw; s++ {
-						rankK(a, padded.Data[inBase+(r*inPitch+x0*attrs.StrideW+s)*icb:], weight.Data[wCI+(r*kw+s)*icb*ocb:],
-							tile, icb, attrs.StrideW*icb, ocb)
-					}
+					rankK(a, padded.Data[(inBase+r*inPitch)*icb:], weight.Data[wCI+r*kw*icb*ocb:],
+						tile, kw*icb, attrs.StrideW*icb, ocb)
 				}
 			}
 			storeTile(out.Data, a, epi, (((b*ocOuter+co)*rows+y)*cols+x0)*ocb, co, ocb)
@@ -355,106 +353,4 @@ func storeTile(out, acc []float32, epi Epilogue, off, co, ocb int) {
 		}
 	}
 	copy(out[off:off+len(acc)], acc)
-}
-
-// conv3x3Tile is the unroll_ker=true specialization for 3x3 kernels: the
-// (kh,kw) loop is fully unrolled so the bounds are compile-time constants,
-// and the vector-width oc_bn values dispatch to bounds-check-free bodies.
-func conv3x3Tile(in, wt, acc []float32, inBase, wCI, pw, icb, ocb, tile, owo, strideW int) {
-	switch ocb {
-	case 4:
-		conv3x3Tile4(in, wt, acc, inBase, wCI, pw, icb, tile, owo, strideW)
-	case 8:
-		conv3x3Tile8(in, wt, acc, inBase, wCI, pw, icb, tile, owo, strideW)
-	case 16:
-		conv3x3Tile16(in, wt, acc, inBase, wCI, pw, icb, tile, owo, strideW)
-	default:
-		for r := 0; r < 3; r++ {
-			rowOff := inBase + r*pw*icb
-			wR := wCI + r*3*icb*ocb
-			for ii := 0; ii < icb; ii++ {
-				w0 := wt[wR+ii*ocb : wR+ii*ocb+ocb]
-				w1 := wt[wR+(icb+ii)*ocb : wR+(icb+ii)*ocb+ocb]
-				w2 := wt[wR+(2*icb+ii)*ocb : wR+(2*icb+ii)*ocb+ocb]
-				for i := 0; i < tile; i++ {
-					base := rowOff + (owo+i)*strideW*icb + ii
-					iv0 := in[base]
-					iv1 := in[base+icb]
-					iv2 := in[base+2*icb]
-					a := acc[i*ocb : i*ocb+ocb]
-					for oi := range a {
-						a[oi] += iv0*w0[oi] + iv1*w1[oi] + iv2*w2[oi]
-					}
-				}
-			}
-		}
-	}
-}
-
-// The oc_bn-specialized tile bodies. Each is the generic loop with ocb fixed
-// at a compile-time constant and every slice re-expressed as a fixed-size
-// array pointer, which eliminates the bounds check on each of the three
-// multiply-accumulates in the hottest loop in the repository.
-
-func conv3x3Tile4(in, wt, acc []float32, inBase, wCI, pw, icb, tile, owo, strideW int) {
-	const ocb = 4
-	for r := 0; r < 3; r++ {
-		rowOff := inBase + r*pw*icb
-		wR := wCI + r*3*icb*ocb
-		for ii := 0; ii < icb; ii++ {
-			w0 := (*[ocb]float32)(wt[wR+ii*ocb:])
-			w1 := (*[ocb]float32)(wt[wR+(icb+ii)*ocb:])
-			w2 := (*[ocb]float32)(wt[wR+(2*icb+ii)*ocb:])
-			for i := 0; i < tile; i++ {
-				base := rowOff + (owo+i)*strideW*icb + ii
-				iv0, iv1, iv2 := in[base], in[base+icb], in[base+2*icb]
-				a := (*[ocb]float32)(acc[i*ocb:])
-				for oi := 0; oi < ocb; oi++ {
-					a[oi] += iv0*w0[oi] + iv1*w1[oi] + iv2*w2[oi]
-				}
-			}
-		}
-	}
-}
-
-func conv3x3Tile8(in, wt, acc []float32, inBase, wCI, pw, icb, tile, owo, strideW int) {
-	const ocb = 8
-	for r := 0; r < 3; r++ {
-		rowOff := inBase + r*pw*icb
-		wR := wCI + r*3*icb*ocb
-		for ii := 0; ii < icb; ii++ {
-			w0 := (*[ocb]float32)(wt[wR+ii*ocb:])
-			w1 := (*[ocb]float32)(wt[wR+(icb+ii)*ocb:])
-			w2 := (*[ocb]float32)(wt[wR+(2*icb+ii)*ocb:])
-			for i := 0; i < tile; i++ {
-				base := rowOff + (owo+i)*strideW*icb + ii
-				iv0, iv1, iv2 := in[base], in[base+icb], in[base+2*icb]
-				a := (*[ocb]float32)(acc[i*ocb:])
-				for oi := 0; oi < ocb; oi++ {
-					a[oi] += iv0*w0[oi] + iv1*w1[oi] + iv2*w2[oi]
-				}
-			}
-		}
-	}
-}
-
-func conv3x3Tile16(in, wt, acc []float32, inBase, wCI, pw, icb, tile, owo, strideW int) {
-	const ocb = 16
-	for r := 0; r < 3; r++ {
-		rowOff := inBase + r*pw*icb
-		wR := wCI + r*3*icb*ocb
-		for ii := 0; ii < icb; ii++ {
-			w0 := (*[ocb]float32)(wt[wR+ii*ocb:])
-			w1 := (*[ocb]float32)(wt[wR+(icb+ii)*ocb:])
-			w2 := (*[ocb]float32)(wt[wR+(2*icb+ii)*ocb:])
-			for i := 0; i < tile; i++ {
-				base := rowOff + (owo+i)*strideW*icb + ii
-				iv0, iv1, iv2 := in[base], in[base+icb], in[base+2*icb]
-				a := (*[ocb]float32)(acc[i*ocb:])
-				for oi := 0; oi < ocb; oi++ {
-					a[oi] += iv0*w0[oi] + iv1*w1[oi] + iv2*w2[oi]
-				}
-			}
-		}
-	}
 }

@@ -83,7 +83,11 @@ func TestConvNCHWcMatchesReference(t *testing.T) {
 		{"stride2-unroll", 16, 15, 15, 16, 3, 3, 2, 2, 1, 1, 4, 8, 8, true},
 		{"5x5", 8, 12, 12, 16, 5, 5, 1, 1, 2, 2, 8, 8, 4, false},
 		{"5x5-unroll-generic", 8, 12, 12, 16, 5, 5, 1, 1, 2, 2, 8, 8, 4, true},
+		{"3x3-stride2-regn8", 64, 15, 15, 32, 3, 3, 2, 2, 1, 1, 32, 16, 8, true},
+		{"3x3-stride2-regn16", 64, 15, 15, 32, 3, 3, 2, 2, 1, 1, 32, 16, 16, true},
 		{"7x7-stride2", 4, 23, 23, 16, 7, 7, 2, 2, 3, 3, 4, 16, 4, false},
+		{"7x7-stride2-icb1", 3, 23, 23, 32, 7, 7, 2, 2, 3, 3, 1, 32, 16, false},
+		{"7x7-stride2-icb3", 3, 23, 23, 32, 7, 7, 2, 2, 3, 3, 3, 32, 8, false},
 		{"tail-regn", 16, 10, 10, 16, 3, 3, 1, 1, 1, 1, 16, 16, 4, true},
 		{"regn-bigger-than-ow", 16, 5, 5, 16, 3, 3, 1, 1, 1, 1, 16, 16, 32, false},
 		{"block1", 6, 9, 9, 10, 3, 3, 1, 1, 1, 1, 1, 1, 4, false},
@@ -155,6 +159,42 @@ func TestConvParallelMatchesSerial(t *testing.T) {
 	par := Conv2DNCHWc(blockedIn, blockedWt, attrs, 8, 16, 4, false, Epilogue{}, goPar(5))
 	if tensor.MaxAbsDiff(serial, par) != 0 {
 		t.Fatal("parallel conv must be bit-identical to serial")
+	}
+}
+
+// TestConvUnrollKerSelectsNothing pins that the dense template has one
+// path: unroll_ker true and false give bit-identical output for the same
+// schedule, for the 3x3 shapes the flag used to specialise and for others.
+func TestConvUnrollKerSelectsNothing(t *testing.T) {
+	cases := []struct {
+		name                   string
+		c, h, oc, k, s, p      int
+		icb, ocb, regN, groups int
+	}{
+		{"3x3-ocb16", 32, 14, 32, 3, 1, 1, 8, 16, 8, 1},
+		{"3x3-stride2-ocb4", 16, 15, 16, 3, 2, 1, 8, 4, 4, 1},
+		{"3x3-ocb12", 12, 11, 24, 3, 1, 1, 6, 12, 4, 1},
+		{"3x3-grouped", 16, 9, 32, 3, 1, 1, 4, 8, 8, 2},
+		{"7x7-stride2", 3, 23, 32, 7, 2, 3, 1, 32, 16, 1},
+		{"1x1", 32, 7, 64, 1, 1, 0, 16, 16, 2, 1},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			in, _ := convCase(15, tc.c, tc.h, tc.h, 0, 0, 0)
+			wt := tensor.New(tensor.OIHW(), tc.oc, tc.c/tc.groups, tc.k, tc.k)
+			wt.FillRandom(16, 0.5)
+			attrs := Conv2DAttrs{OutC: tc.oc, KH: tc.k, KW: tc.k, StrideH: tc.s, StrideW: tc.s, PadH: tc.p, PadW: tc.p, Groups: tc.groups}
+			bi := tensor.ToNCHWc(in, tc.icb)
+			bw := tensor.PackWeights(wt, tc.icb, tc.ocb)
+			plain := Conv2DNCHWc(bi, bw, attrs, tc.icb, tc.ocb, tc.regN, false, Epilogue{}, goPar(3))
+			unrolled := Conv2DNCHWc(bi, bw, attrs, tc.icb, tc.ocb, tc.regN, true, Epilogue{}, goPar(3))
+			if tensor.MaxAbsDiff(plain, unrolled) != 0 {
+				t.Fatalf("unroll_ker changes the output by %g", tensor.MaxAbsDiff(plain, unrolled))
+			}
+			if d := tensor.MaxAbsDiff(Conv2DNCHW(in, wt, attrs, Epilogue{}, nil), tensor.FromNCHWc(plain)); d > 1e-4 {
+				t.Fatalf("diverges from the reference by %g", d)
+			}
+		})
 	}
 }
 

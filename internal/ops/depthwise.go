@@ -177,7 +177,7 @@ func dwmac(a, x, w []float32, bn int) {
 // dw3x3Tile is the unroll_ker=true specialization for the 3x3 depthwise
 // kernel (every MobileNet depthwise layer): the kernel-entry loop is fully
 // unrolled and the vector-width block sizes dispatch to bounds-check-free
-// bodies, mirroring conv3x3Tile in the dense template.
+// bodies.
 func dw3x3Tile(in, wt, acc []float32, rowBase, wBase, pw, bn, tile, owo, strideW int) {
 	switch bn {
 	case 4:

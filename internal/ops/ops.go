@@ -1,6 +1,6 @@
 // Package ops implements the CNN operators NeoCPU-Go executes: the direct
 // convolution template of the paper's Algorithm 1 (blocked NCHW[x]c layout,
-// register blocking along out_width, optional kernel-loop unrolling, fused
+// register blocking along out_width on one rank-k microkernel, fused
 // epilogues), reference convolutions in NCHW/NHWC for correctness checking
 // and for the library baselines, and the memory-bound operators that surround
 // convolutions in CNN models (pooling, batch norm, activations, element-wise

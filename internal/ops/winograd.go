@@ -93,8 +93,9 @@ func WinogradWeightTransformNCHWc(weight *tensor.Tensor, icb, ocb int) *tensor.T
 // WinogradScratchShape returns the buffer shape Conv2DWinogradNCHWcInto needs
 // for its per-tile-row transform scratch (the V tiles of every input channel),
 // given the blocked input's physical NCHW[x]c shape. One row per parallel
-// unit, so concurrent units never share a slice; Sessions use it to size
-// arenas once and keep steady-state execution allocation-free.
+// unit, and a range's tile blocks use only the rows of its own units, so
+// concurrent ranges never share a slice; Sessions use it to size arenas once
+// and keep steady-state execution allocation-free.
 func WinogradScratchShape(inShape []int, attrs Conv2DAttrs) []int {
 	n, icOuter, h, w, icb := inShape[0], inShape[1], inShape[2], inShape[3], inShape[4]
 	oh, _ := attrs.OutSize(h, w)
@@ -113,7 +114,7 @@ func Conv2DWinogradNCHWc(in, transformed *tensor.Tensor, attrs Conv2DAttrs, icb,
 
 // Conv2DWinogradNCHWcInto is Conv2DWinogradNCHWc writing into caller-provided
 // buffers: dst receives the blocked output and scratch (sized per
-// WinogradScratchShape) holds the per-row V tiles. Either may be nil, in
+// WinogradScratchShape) holds the V tiles of a tile block. Either may be nil, in
 // which case it is allocated. Padding is applied implicitly by the data
 // transform's border handling — no explicit padding scratch is needed.
 func Conv2DWinogradNCHWcInto(dst, scratch *tensor.Tensor, in, transformed *tensor.Tensor, attrs Conv2DAttrs, icb, ocb int, epi Epilogue, pf ParallelFor) *tensor.Tensor {
@@ -145,135 +146,152 @@ func Conv2DWinogradNCHWcInto(dst, scratch *tensor.Tensor, in, transformed *tenso
 	vscr := tensor.EnsureDst(scratch, tensor.Flat(), n*tilesH, 16*c)
 	uStride := icOuter * icb * ocb // one (component, oc-block) slab
 
-	// One parallel unit per (batch, tile row) — the data transform of each
-	// tile is computed once and amortized across every output block. Each
-	// unit owns its private V-scratch row (indexed by unit id), so the
-	// partition never aliases the transform scratch.
+	// One parallel unit per (batch, tile row); a range owns the V-scratch rows
+	// of its units. It walks its tiles in row-major order, across tile-row and
+	// batch boundaries, in blocks of up to winogradBlock tiles: the block's
+	// data transforms fill V, then one rankK per (component, output block)
+	// multiplies every tile of the block by the same U slab, so each weight
+	// vector is loaded once per block rather than once per tile. A block of tb
+	// tiles needs 16·tb·C floats of V, which the range's tb ≤ hi-lo rows hold.
 	pf(n*tilesH, func(lo, hi int) {
-		// Component accumulators for one output block. The fixed-size backing
-		// array keeps the tile on the goroutine stack (no per-row allocation)
-		// for every oc_bn the schedule space emits.
-		var mArr [1024]float32
+		tb := min(winogradBlock, hi-lo)
+		v := vscr.Data[lo*16*c : (lo+tb)*16*c]
+		// Component accumulators of one output block for the whole tile
+		// block, on the goroutine stack for every oc_bn the schedule space
+		// emits.
+		var mArr [16 * winogradBlock * 64]float32
 		var m []float32
-		if 16*ocb <= len(mArr) {
-			m = mArr[:16*ocb]
+		if 16*tb*ocb <= len(mArr) {
+			m = mArr[:16*tb*ocb]
 		} else {
-			m = make([]float32, 16*ocb)
+			m = make([]float32, 16*tb*ocb)
 		}
-		for unit := lo; unit < hi; unit++ {
-			b := unit / tilesH
-			th := unit % tilesH
-			v := vscr.Data[unit*16*c : (unit+1)*16*c]
-			winogradTileRow(in, transformed, out, v, m, attrs, epi,
-				b, th, tilesW, icOuter, icb, ocOuter, ocb, c, h, w, oh, ow, uStride)
+		for t0, tEnd := lo*tilesW, hi*tilesW; t0 < tEnd; t0 += tb {
+			nb := min(tb, tEnd-t0)
+			for j := 0; j < nb; j++ {
+				b, oy, ox := winogradTileOrigin(t0+j, tilesH, tilesW)
+				winogradInputTile(in, v, attrs, b, oy, ox, j, nb, icOuter, icb, c, h, w)
+			}
+			mb := m[:16*nb*ocb]
+			for co := 0; co < ocOuter; co++ {
+				// M[xi][j][:] = Σ_ch U[xi][co][ch][:] * V[xi][j][ch]: the
+				// transform-domain product of the block's nb tiles, reduced
+				// over all input channels with the ocb sub-channels vectorized
+				// like the direct template.
+				clear(mb)
+				for xi := 0; xi < 16; xi++ {
+					rankK(mb[xi*nb*ocb:], v[xi*nb*c:], transformed.Data[(xi*ocOuter+co)*uStride:], nb, c, c, ocb)
+				}
+				for j := 0; j < nb; j++ {
+					b, oy, ox := winogradTileOrigin(t0+j, tilesH, tilesW)
+					winogradOutputTile(out, mb, epi, b, co, oy, ox, j, nb, ocOuter, ocb, oh, ow)
+				}
+			}
 		}
 	})
 	return out
 }
 
-// winogradTileRow computes one (batch, tile-row) band of the blocked Winograd
-// kernel: data transform into the row's V scratch, transform-domain products,
-// inverse transform and epilogue store. Factored out of the parallel dispatch
-// so a range body reuses one M-accumulator tile across its rows.
-func winogradTileRow(in, transformed, out *tensor.Tensor, v, m []float32, attrs Conv2DAttrs, epi Epilogue,
-	b, th, tilesW, icOuter, icb, ocOuter, ocb, c, h, w, oh, ow, uStride int) {
-	for tw := 0; tw < tilesW; tw++ {
-		oy := th * 2
-		ox := tw * 2
-		iy0 := oy - attrs.PadH
-		ix0 := ox - attrs.PadW
+// winogradBlock is the number of 2x2 output tiles whose transform-domain
+// products share one pass over the transformed weights: the rank-k
+// microkernel's row block.
+const winogradBlock = 4
 
-		// V = Bᵀ d B per input channel, read from the blocked layout.
-		for coi := 0; coi < icOuter; coi++ {
-			rowBase := (b*icOuter + coi) * h
-			for ii := 0; ii < icb; ii++ {
-				ch := coi*icb + ii
-				var d [4][4]float32
-				for r := 0; r < 4; r++ {
-					iy := iy0 + r
-					if iy < 0 || iy >= h {
-						continue
-					}
-					row := in.Data[(rowBase+iy)*w*icb:]
-					for cc := 0; cc < 4; cc++ {
-						ix := ix0 + cc
-						if ix >= 0 && ix < w {
-							d[r][cc] = row[ix*icb+ii]
-						}
-					}
+// winogradTileOrigin returns the batch index and the top-left output pixel
+// of tile t, counted row-major over (batch, tile row, tile column).
+func winogradTileOrigin(t, tilesH, tilesW int) (b, oy, ox int) {
+	row := t / tilesW
+	return row / tilesH, row % tilesH * 2, t % tilesW * 2
+}
+
+// winogradInputTile computes V = Bᵀ d B for every input channel of the tile
+// at output pixel (oy, ox) of image b, read from the blocked layout, into
+// slot j of a block of nb tiles: v[(xi·nb + j)·c + ch].
+func winogradInputTile(in *tensor.Tensor, v []float32, attrs Conv2DAttrs, b, oy, ox, j, nb, icOuter, icb, c, h, w int) {
+	iy0 := oy - attrs.PadH
+	ix0 := ox - attrs.PadW
+	for coi := 0; coi < icOuter; coi++ {
+		rowBase := (b*icOuter + coi) * h
+		for ii := 0; ii < icb; ii++ {
+			ch := coi*icb + ii
+			var d [4][4]float32
+			for r := 0; r < 4; r++ {
+				iy := iy0 + r
+				if iy < 0 || iy >= h {
+					continue
 				}
-				// t = Bᵀ d, with Bᵀ = [1 0 -1 0; 0 1 1 0; 0 -1 1 0; 0 1 0 -1].
-				var t [4][4]float32
+				row := in.Data[(rowBase+iy)*w*icb:]
 				for cc := 0; cc < 4; cc++ {
-					t[0][cc] = d[0][cc] - d[2][cc]
-					t[1][cc] = d[1][cc] + d[2][cc]
-					t[2][cc] = d[2][cc] - d[1][cc]
-					t[3][cc] = d[1][cc] - d[3][cc]
+					ix := ix0 + cc
+					if ix >= 0 && ix < w {
+						d[r][cc] = row[ix*icb+ii]
+					}
 				}
-				// V = t B.
-				for r := 0; r < 4; r++ {
-					v[(r*4+0)*c+ch] = t[r][0] - t[r][2]
-					v[(r*4+1)*c+ch] = t[r][1] + t[r][2]
-					v[(r*4+2)*c+ch] = t[r][2] - t[r][1]
-					v[(r*4+3)*c+ch] = t[r][1] - t[r][3]
-				}
+			}
+			// t = Bᵀ d, with Bᵀ = [1 0 -1 0; 0 1 1 0; 0 -1 1 0; 0 1 0 -1].
+			var t [4][4]float32
+			for cc := 0; cc < 4; cc++ {
+				t[0][cc] = d[0][cc] - d[2][cc]
+				t[1][cc] = d[1][cc] + d[2][cc]
+				t[2][cc] = d[2][cc] - d[1][cc]
+				t[3][cc] = d[1][cc] - d[3][cc]
+			}
+			// V = t B.
+			for r := 0; r < 4; r++ {
+				v[((r*4+0)*nb+j)*c+ch] = t[r][0] - t[r][2]
+				v[((r*4+1)*nb+j)*c+ch] = t[r][1] + t[r][2]
+				v[((r*4+2)*nb+j)*c+ch] = t[r][2] - t[r][1]
+				v[((r*4+3)*nb+j)*c+ch] = t[r][1] - t[r][3]
 			}
 		}
+	}
+}
 
-		for co := 0; co < ocOuter; co++ {
-			// M[xi][:] = Σ_ch U[xi][co][ch][:] * V[xi][ch]: the transform-
-			// domain product, reduced over all input channels with the
-			// ocb sub-channels vectorized like the direct template.
-			for i := range m {
-				m[i] = 0
-			}
-			for xi := 0; xi < 16; xi++ {
-				uRow := transformed.Data[(xi*ocOuter+co)*uStride : (xi*ocOuter+co+1)*uStride]
-				rankK(m[xi*ocb:xi*ocb+ocb], v[xi*c:xi*c+c], uRow, 1, c, c, ocb)
-			}
-
-			// Y = Aᵀ M A per output sub-channel, Aᵀ = [1 1 1 0; 0 1 -1 -1].
-			outBase := (b*ocOuter + co) * oh
-			for oi := 0; oi < ocb; oi++ {
-				var mm [4][4]float32
-				for r := 0; r < 4; r++ {
-					for cc := 0; cc < 4; cc++ {
-						mm[r][cc] = m[(r*4+cc)*ocb+oi]
-					}
-				}
-				var t0, t1 [4]float32
-				for cc := 0; cc < 4; cc++ {
-					t0[cc] = mm[0][cc] + mm[1][cc] + mm[2][cc]
-					t1[cc] = mm[1][cc] - mm[2][cc] - mm[3][cc]
-				}
-				y00 := t0[0] + t0[1] + t0[2]
-				y01 := t0[1] - t0[2] - t0[3]
-				y10 := t1[0] + t1[1] + t1[2]
-				y11 := t1[1] - t1[2] - t1[3]
-
-				store := func(dy, dx int, val float32) {
-					yy, xx := oy+dy, ox+dx
-					if yy >= oh || xx >= ow {
-						return
-					}
-					idx := ((outBase+yy)*ow+xx)*ocb + oi
-					if epi.Bias != nil {
-						val += epi.Bias[co*ocb+oi]
-					}
-					if epi.Residual != nil {
-						val += epi.Residual.Data[idx]
-					}
-					if epi.ReLU {
-						val = relu32(val)
-					}
-					out.Data[idx] = val
-				}
-				store(0, 0, y00)
-				store(0, 1, y01)
-				store(1, 0, y10)
-				store(1, 1, y11)
+// winogradOutputTile computes Y = Aᵀ M A for slot j of a block of nb tiles
+// of output block co — m[(xi·nb + j)·ocb + oi] — and stores the outputs of
+// the 2x2 tile at (oy, ox) of image b that fall inside the image, through
+// the fused epilogue.
+func winogradOutputTile(out *tensor.Tensor, m []float32, epi Epilogue, b, co, oy, ox, j, nb, ocOuter, ocb, oh, ow int) {
+	outBase := (b*ocOuter + co) * oh
+	for oi := 0; oi < ocb; oi++ {
+		var mm [4][4]float32
+		for r := 0; r < 4; r++ {
+			for cc := 0; cc < 4; cc++ {
+				mm[r][cc] = m[((r*4+cc)*nb+j)*ocb+oi]
 			}
 		}
+		// Aᵀ = [1 1 1 0; 0 1 -1 -1].
+		var t0, t1 [4]float32
+		for cc := 0; cc < 4; cc++ {
+			t0[cc] = mm[0][cc] + mm[1][cc] + mm[2][cc]
+			t1[cc] = mm[1][cc] - mm[2][cc] - mm[3][cc]
+		}
+		y00 := t0[0] + t0[1] + t0[2]
+		y01 := t0[1] - t0[2] - t0[3]
+		y10 := t1[0] + t1[1] + t1[2]
+		y11 := t1[1] - t1[2] - t1[3]
+
+		store := func(dy, dx int, val float32) {
+			yy, xx := oy+dy, ox+dx
+			if yy >= oh || xx >= ow {
+				return
+			}
+			idx := ((outBase+yy)*ow+xx)*ocb + oi
+			if epi.Bias != nil {
+				val += epi.Bias[co*ocb+oi]
+			}
+			if epi.Residual != nil {
+				val += epi.Residual.Data[idx]
+			}
+			if epi.ReLU {
+				val = relu32(val)
+			}
+			out.Data[idx] = val
+		}
+		store(0, 0, y00)
+		store(0, 1, y01)
+		store(1, 0, y10)
+		store(1, 1, y11)
 	}
 }
 

@@ -1,6 +1,7 @@
 package ops
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -105,7 +106,7 @@ func TestWinogradNCHWcMatchesReference(t *testing.T) {
 		{"pad0", 8, 10, 10, 8, 0, 4, 8},
 		{"block1", 3, 6, 6, 5, 1, 1, 1},
 		{"mixed-blocks", 6, 9, 11, 12, 1, 3, 4},
-		{"generic-ocb", 10, 8, 8, 10, 1, 5, 10}, // non-4/8/16 oc_bn: generic accum path
+		{"generic-ocb", 10, 8, 8, 10, 1, 5, 10}, // oc_bn not a multiple of 8: rankK's Go body on every CPU
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -138,6 +139,85 @@ func TestWinogradNCHWcScratchReuse(t *testing.T) {
 		if tensor.MaxAbsDiff(want, got) != 0 {
 			t.Fatalf("run %d: scratch reuse changed the result", i)
 		}
+	}
+}
+
+// TestWinogradNCHWcTileBlocks pins the tile-blocked product: a range walks
+// its tiles in blocks that cross tile-row and batch boundaries, and a range
+// shorter than a block gets a shorter block. The output must stay within the
+// reference tolerance and bit-identical across pool widths — the partition
+// decides block boundaries, and each element still reduces over the input
+// channels in one fixed order.
+func TestWinogradNCHWcTileBlocks(t *testing.T) {
+	cases := []struct {
+		name          string
+		c, h, w, ocnt int
+		pad, icb, ocb int
+	}{
+		{"7x7-out", 16, 7, 7, 32, 1, 8, 16},
+		{"9x11-out", 16, 9, 11, 32, 1, 16, 32},
+		{"9x11-out-ocb4", 8, 9, 11, 8, 1, 4, 4},
+		{"6x6-out-pad0", 8, 8, 8, 16, 0, 8, 8},
+	}
+	for _, tc := range cases {
+		for _, n := range []int{1, 3} {
+			t.Run(fmt.Sprintf("%s/n%d", tc.name, n), func(t *testing.T) {
+				in := tensor.New(tensor.NCHW(), n, tc.c, tc.h, tc.w)
+				in.FillRandom(86, 1)
+				wt := tensor.New(tensor.OIHW(), tc.ocnt, tc.c, 3, 3)
+				wt.FillRandom(87, 0.5)
+				attrs := Conv2DAttrs{OutC: tc.ocnt, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: tc.pad, PadW: tc.pad}
+				oh, ow := attrs.OutSize(tc.h, tc.w)
+				bias := make([]float32, tc.ocnt)
+				for i := range bias {
+					bias[i] = float32(i)*0.05 - 0.3
+				}
+				res := tensor.New(tensor.NCHW(), n, tc.ocnt, oh, ow)
+				res.FillRandom(88, 1)
+				ref := Conv2DNCHW(in, wt, attrs, Epilogue{Bias: bias, Residual: res, ReLU: true}, nil)
+
+				blockedIn := tensor.ToNCHWc(in, tc.icb)
+				u := WinogradWeightTransformNCHWc(wt, tc.icb, tc.ocb)
+				epi := Epilogue{Bias: bias, Residual: tensor.ToNCHWc(res, tc.ocb), ReLU: true}
+				var first *tensor.Tensor
+				for _, p := range []int{1, 2, 3, 5} {
+					got := Conv2DWinogradNCHWc(blockedIn, u, attrs, tc.icb, tc.ocb, epi, goPar(p))
+					if first == nil {
+						first = got
+						if d := tensor.MaxAbsDiff(ref, tensor.FromNCHWc(got)); d > 1e-3 {
+							t.Fatalf("diverges from the reference by %g", d)
+						}
+					} else if tensor.MaxAbsDiff(first, got) != 0 {
+						t.Fatalf("pool width %d is not bit-identical to width 1", p)
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestWinogradNCHWcNoPerTileAllocation pins the transform-domain tile to the
+// stack at the widest searched oc_bn: with destination and scratch provided,
+// a convolution allocates only its fixed dispatch cost (the range closure and
+// the destination shape checks), the same at oc_bn 64 — where the 16×4×64
+// accumulator block exactly fills the stack array — as at oc_bn 8, and the
+// same for a 4× larger image.
+func TestWinogradNCHWcNoPerTileAllocation(t *testing.T) {
+	allocs := func(hw, ocb int) float64 {
+		in, wt := convCase(89, 16, hw, hw, 64, 3, 3)
+		attrs := Conv2DAttrs{OutC: 64, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}
+		blockedIn := tensor.ToNCHWc(in, 16)
+		u := WinogradWeightTransformNCHWc(wt, 16, ocb)
+		scratch := tensor.New(tensor.Flat(), WinogradScratchShape(blockedIn.Shape, attrs)...)
+		dst := tensor.New(tensor.NCHWc(ocb), 1, 64/ocb, hw, hw, ocb)
+		return testing.AllocsPerRun(5, func() {
+			Conv2DWinogradNCHWcInto(dst, scratch, blockedIn, u, attrs, 16, ocb, Epilogue{}, Serial)
+		})
+	}
+	narrow, wide, big := allocs(10, 8), allocs(10, 64), allocs(40, 64)
+	if wide != narrow || big != wide {
+		t.Fatalf("allocations per convolution: oc_bn 8 %.0f, oc_bn 64 %.0f, oc_bn 64 on a 4x larger image %.0f: the accumulator block left the stack",
+			narrow, wide, big)
 	}
 }
 
