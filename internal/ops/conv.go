@@ -327,30 +327,23 @@ func Conv2DNCHWcInto(dst, padScratch *tensor.Tensor, in, weight *tensor.Tensor, 
 	return out
 }
 
-// storeTile applies the fused epilogue — bias, residual, ReLU, in that order
-// (Algorithm 1 lines 21-23) — to a finished accumulator tile and stores it at
-// out[off:]. The residual shares the output's layout and is read at the same
-// offset; co selects the output block's bias.
+// storeTile stores a finished accumulator tile of the direct or depthwise
+// template at out[off:] through the fused epilogue. The residual shares the
+// output's layout and is read at the same offset; co selects the output
+// block's bias. An empty epilogue is a plain copy, which is faster than any
+// flag-tested loop.
 func storeTile(out, acc []float32, epi Epilogue, off, co, ocb int) {
-	for i := 0; i < len(acc); i += ocb {
-		a := acc[i : i+ocb]
-		if epi.Bias != nil {
-			bvec := epi.Bias[co*ocb : co*ocb+ocb]
-			for oi := range a {
-				a[oi] += bvec[oi]
-			}
-		}
-		if epi.Residual != nil {
-			res := epi.Residual.Data[off+i : off+i+ocb]
-			for oi := range a {
-				a[oi] += res[oi]
-			}
-		}
-		if epi.ReLU {
-			for oi := range a {
-				a[oi] = relu32(a[oi])
-			}
-		}
+	dst := out[off : off+len(acc)]
+	if epi.Bias == nil && epi.Residual == nil && !epi.ReLU {
+		copy(dst, acc)
+		return
 	}
-	copy(out[off:off+len(acc)], acc)
+	var bias, res []float32
+	if epi.Bias != nil {
+		bias = epi.Bias[co*ocb : co*ocb+ocb]
+	}
+	if epi.Residual != nil {
+		res = epi.Residual.Data[off : off+len(acc)]
+	}
+	epilogue(dst, acc, bias, res, len(acc)/ocb, ocb, epi.ReLU)
 }

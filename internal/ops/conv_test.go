@@ -162,9 +162,10 @@ func TestConvParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestConvUnrollKerSelectsNothing pins that the dense template has one
-// path: unroll_ker true and false give bit-identical output for the same
-// schedule, for the 3x3 shapes the flag used to specialise and for others.
+// TestConvUnrollKerSelectsNothing pins that the direct and depthwise
+// templates have one path each: unroll_ker true and false give bit-identical
+// output for the same schedule, for the 3x3 shapes the flag used to
+// specialise and for others.
 func TestConvUnrollKerSelectsNothing(t *testing.T) {
 	cases := []struct {
 		name                   string
@@ -177,6 +178,9 @@ func TestConvUnrollKerSelectsNothing(t *testing.T) {
 		{"3x3-grouped", 16, 9, 32, 3, 1, 1, 4, 8, 8, 2},
 		{"7x7-stride2", 3, 23, 32, 7, 2, 3, 1, 32, 16, 1},
 		{"1x1", 32, 7, 64, 1, 1, 0, 16, 16, 2, 1},
+		{"depthwise-3x3-bn32", 64, 13, 64, 3, 2, 1, 32, 32, 16, 64},
+		{"depthwise-3x3-bn8", 16, 9, 16, 3, 1, 1, 8, 8, 4, 16},
+		{"depthwise-5x5-bn4", 8, 9, 8, 5, 1, 2, 4, 4, 4, 8},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -185,9 +189,13 @@ func TestConvUnrollKerSelectsNothing(t *testing.T) {
 			wt.FillRandom(16, 0.5)
 			attrs := Conv2DAttrs{OutC: tc.oc, KH: tc.k, KW: tc.k, StrideH: tc.s, StrideW: tc.s, PadH: tc.p, PadW: tc.p, Groups: tc.groups}
 			bi := tensor.ToNCHWc(in, tc.icb)
-			bw := tensor.PackWeights(wt, tc.icb, tc.ocb)
-			plain := Conv2DNCHWc(bi, bw, attrs, tc.icb, tc.ocb, tc.regN, false, Epilogue{}, goPar(3))
-			unrolled := Conv2DNCHWc(bi, bw, attrs, tc.icb, tc.ocb, tc.regN, true, Epilogue{}, goPar(3))
+			conv := func(unroll bool) *tensor.Tensor {
+				if attrs.Depthwise(tc.c) {
+					return Conv2DDepthwiseNCHWc(bi, tensor.PackWeights(wt, 1, tc.ocb), attrs, tc.ocb, tc.regN, unroll, Epilogue{}, goPar(3))
+				}
+				return Conv2DNCHWc(bi, tensor.PackWeights(wt, tc.icb, tc.ocb), attrs, tc.icb, tc.ocb, tc.regN, unroll, Epilogue{}, goPar(3))
+			}
+			plain, unrolled := conv(false), conv(true)
 			if tensor.MaxAbsDiff(plain, unrolled) != 0 {
 				t.Fatalf("unroll_ker changes the output by %g", tensor.MaxAbsDiff(plain, unrolled))
 			}
@@ -219,7 +227,8 @@ func goPar(parts int) ParallelFor {
 // for the widest searched schedule (reg_n=32 × oc_bn=64): with destination
 // and padding scratch provided, a 40-row convolution allocates exactly what a
 // narrow-tile schedule does (the dispatch closure and the destination shape
-// checks), nothing per row.
+// checks), nothing per row. The depthwise template at its searched blocks
+// allocates the same for 40 rows as for 10.
 func TestDirectConvNoPerRowAllocation(t *testing.T) {
 	in, wt := convCase(14, 8, 40, 40, 64, 3, 3)
 	attrs := Conv2DAttrs{OutC: 64, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}
@@ -239,6 +248,24 @@ func TestDirectConvNoPerRowAllocation(t *testing.T) {
 	}
 	if d := tensor.MaxAbsDiff(Conv2DNCHW(in, wt, attrs, Epilogue{}, nil), tensor.FromNCHWc(out)); d > 1e-3 {
 		t.Fatalf("32x64 schedule diverges from the reference by %g", d)
+	}
+
+	const c, bn, regN = 128, 64, 16
+	dwAttrs := Conv2DAttrs{OutC: c, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1, Groups: c}
+	dwWt := tensor.New(tensor.OIHW(), c, 1, 3, 3)
+	dwWt.FillRandom(15, 0.5)
+	packed := tensor.PackWeights(dwWt, 1, bn)
+	dwRun := func(h int) float64 {
+		dwIn := tensor.New(tensor.NCHWc(bn), 1, c/bn, h, 14, bn)
+		dwPad := tensor.New(tensor.NCHWc(bn), PaddedShapeNCHWc(dwIn.Shape, dwAttrs)...)
+		dst := tensor.New(tensor.NCHWc(bn), 1, c/bn, h, 14, bn)
+		epi := Epilogue{Bias: make([]float32, c), ReLU: true}
+		return testing.AllocsPerRun(5, func() {
+			Conv2DDepthwiseNCHWcInto(dst, dwPad, dwIn, packed, dwAttrs, bn, regN, true, epi, Serial)
+		})
+	}
+	if short, tall := dwRun(10), dwRun(40); tall != short {
+		t.Fatalf("depthwise convolution allocates %.0f objects over 40 rows, %.0f over 10: it allocates per row", tall, short)
 	}
 }
 

@@ -103,9 +103,11 @@ func TestConv2DNCHWcGrouped(t *testing.T) {
 	}
 }
 
-// TestConv2DDepthwiseNCHWc checks the depthwise template — every block size
-// including the bounds-check-free 4/8/16 microkernels, both unroll paths,
-// every reg_n shape, strides and epilogues — against the NCHW reference.
+// TestConv2DDepthwiseNCHWc checks the depthwise template — every block size,
+// including the 32- and 64-lane blocks the search plans for MobileNet, both
+// unroll_ker values, every reg_n shape with full and partial last tiles,
+// strides and the full bias + residual + ReLU epilogue — against the NCHW
+// reference.
 func TestConv2DDepthwiseNCHWc(t *testing.T) {
 	for _, tc := range []struct {
 		c, h, k, stride, pad int
@@ -114,7 +116,9 @@ func TestConv2DDepthwiseNCHWc(t *testing.T) {
 		{16, 12, 3, 2, 1},
 		{32, 9, 3, 1, 1},
 		{8, 7, 5, 1, 2},
-		{48, 8, 3, 1, 1}, // c=48 exercises bn=16 and generic bn via divisors
+		{48, 8, 3, 1, 1},  // c=48 exercises bn=16 and generic bn via divisors
+		{64, 13, 3, 2, 1}, // searched blocks, stride 2, 7 output columns
+		{128, 9, 3, 1, 1}, // searched blocks, 9 output columns
 	} {
 		attrs := Conv2DAttrs{OutC: tc.c, KH: tc.k, KW: tc.k, StrideH: tc.stride, StrideW: tc.stride, PadH: tc.pad, PadW: tc.pad, Groups: tc.c}
 		in, wt := groupedCase(uint64(tc.c), tc.c, tc.h, tc.h, tc.c, tc.k, tc.k, tc.c)
@@ -122,18 +126,21 @@ func TestConv2DDepthwiseNCHWc(t *testing.T) {
 		for i := range bias {
 			bias[i] = float32(i%5) * 0.1
 		}
-		want := Conv2DNCHW(in, wt, attrs, Epilogue{Bias: bias, ReLU: true}, nil)
-		for _, bn := range []int{4, 8, 16, 3} {
+		oh, ow := attrs.OutSize(tc.h, tc.h)
+		res := tensor.New(tensor.NCHW(), 1, tc.c, oh, ow)
+		res.FillRandom(uint64(tc.c)+2, 1)
+		want := Conv2DNCHW(in, wt, attrs, Epilogue{Bias: bias, Residual: res, ReLU: true}, nil)
+		for _, bn := range []int{4, 8, 16, 3, 32, 64} {
 			if tc.c%bn != 0 {
 				continue
 			}
+			blockedIn := tensor.ToNCHWc(in, bn)
+			packed := tensor.PackWeights(wt, 1, bn)
+			epi := Epilogue{Bias: bias, Residual: tensor.ToNCHWc(res, bn), ReLU: true}
 			for _, regN := range []int{1, 4, 16} {
 				for _, unroll := range []bool{true, false} {
 					name := fmt.Sprintf("c=%d k=%d s=%d bn=%d regN=%d unroll=%v", tc.c, tc.k, tc.stride, bn, regN, unroll)
-					blockedIn := tensor.ToNCHWc(in, bn)
-					packed := tensor.PackWeights(wt, 1, bn)
-					out := Conv2DDepthwiseNCHWc(blockedIn, packed, attrs, bn, regN, unroll,
-						Epilogue{Bias: bias, ReLU: true}, Serial)
+					out := Conv2DDepthwiseNCHWc(blockedIn, packed, attrs, bn, regN, unroll, epi, Serial)
 					if d := tensor.MaxAbsDiff(want, tensor.FromNCHWc(out)); d > 1e-5 {
 						t.Fatalf("%s: depthwise diverges by %g", name, d)
 					}

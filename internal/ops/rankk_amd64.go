@@ -33,6 +33,21 @@ func detectAVX2() bool {
 //go:noescape
 func rankKAVX2(acc, in, wt *float32, rows, k, inStride, ocb int)
 
+// laneMACAVX2 is laneMAC's AVX2 body for bn%8 == 0, rows >= 1 and taps >= 1:
+// per row, 32-lane blocks of tap sums in four YMM registers, then an 8-lane
+// tail, each sum added to acc once after its last tap. VMULPS and VADDPS
+// only, bit-identical to laneMACGo; no bounds checking.
+//
+//go:noescape
+func laneMACAVX2(acc, x, w *float32, rows, taps, xStride, bn int)
+
+// epilogueAVX2 is epilogue's AVX2 body for ocb%8 == 0 and rows >= 1, 32
+// lanes at a time with an 8-lane tail; a nil bias or res skips that
+// addition. No bounds checking.
+//
+//go:noescape
+func epilogueAVX2(dst, acc, bias, res *float32, rows, ocb int, relu bool)
+
 func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 
 func xgetbv() (eax, edx uint32)

@@ -230,6 +230,220 @@ done:
 	VZEROUPPER
 	RET
 
+// func laneMACAVX2(acc, x, w *float32, rows, taps, xStride, bn int)
+//
+// acc[i*bn+v] += Σ_s x[i*xStride+s*bn+v] · w[s*bn+v]: per element the tap
+// sum starts at the first rounded product (VMULPS), adds the others in
+// ascending s (VMULPS, VADDPS), and is added to acc once. Requires bn%8 == 0,
+// rows >= 1, taps >= 1.
+//
+// Registers: AX acc and BX x at the current row, R10 w, R11 rows left, R9
+// taps, R8 xStride in bytes, DX bn in bytes (the tap pitch of x and w and the
+// row pitch of acc), R13 lane offset in bytes, SI x and DI w at the current
+// tap, CX the tap count (and scratch), R12 acc at the current lanes. Y0-Y3
+// hold tap sums, Y4-Y7 products and acc. BP, R14, R15 and Y15 are not
+// touched.
+TEXT ·laneMACAVX2(SB), NOSPLIT, $0-56
+	MOVQ acc+0(FP), AX
+	MOVQ x+8(FP), BX
+	MOVQ w+16(FP), R10
+	MOVQ rows+24(FP), R11
+	MOVQ taps+32(FP), R9
+	MOVQ xStride+40(FP), R8
+	SHLQ $2, R8
+	MOVQ bn+48(FP), DX
+	SHLQ $2, DX
+
+lmRow:
+	XORQ R13, R13
+
+lmCols32:
+	LEAQ 128(R13), CX
+	CMPQ CX, DX
+	JGT  lmCols8
+	LEAQ (BX)(R13*1), SI
+	LEAQ (R10)(R13*1), DI
+	VMOVUPS (SI), Y0
+	VMOVUPS 32(SI), Y1
+	VMOVUPS 64(SI), Y2
+	VMOVUPS 96(SI), Y3
+	VMULPS  (DI), Y0, Y0
+	VMULPS  32(DI), Y1, Y1
+	VMULPS  64(DI), Y2, Y2
+	VMULPS  96(DI), Y3, Y3
+	MOVQ    R9, CX
+	DECQ    CX
+	JZ      lmStore32
+
+lmTaps32:
+	ADDQ    DX, SI
+	ADDQ    DX, DI
+	VMOVUPS (SI), Y4
+	VMOVUPS 32(SI), Y5
+	VMOVUPS 64(SI), Y6
+	VMOVUPS 96(SI), Y7
+	VMULPS  (DI), Y4, Y4
+	VMULPS  32(DI), Y5, Y5
+	VMULPS  64(DI), Y6, Y6
+	VMULPS  96(DI), Y7, Y7
+	VADDPS  Y4, Y0, Y0
+	VADDPS  Y5, Y1, Y1
+	VADDPS  Y6, Y2, Y2
+	VADDPS  Y7, Y3, Y3
+	DECQ    CX
+	JNZ     lmTaps32
+
+lmStore32:
+	LEAQ    (AX)(R13*1), R12
+	VMOVUPS (R12), Y4
+	VMOVUPS 32(R12), Y5
+	VMOVUPS 64(R12), Y6
+	VMOVUPS 96(R12), Y7
+	VADDPS  Y0, Y4, Y4
+	VADDPS  Y1, Y5, Y5
+	VADDPS  Y2, Y6, Y6
+	VADDPS  Y3, Y7, Y7
+	VMOVUPS Y4, (R12)
+	VMOVUPS Y5, 32(R12)
+	VMOVUPS Y6, 64(R12)
+	VMOVUPS Y7, 96(R12)
+	ADDQ    $128, R13
+	JMP     lmCols32
+
+lmCols8:
+	CMPQ    R13, DX
+	JGE     lmNext
+	LEAQ    (BX)(R13*1), SI
+	LEAQ    (R10)(R13*1), DI
+	VMOVUPS (SI), Y0
+	VMULPS  (DI), Y0, Y0
+	MOVQ    R9, CX
+	DECQ    CX
+	JZ      lmStore8
+
+lmTaps8:
+	ADDQ    DX, SI
+	ADDQ    DX, DI
+	VMOVUPS (SI), Y4
+	VMULPS  (DI), Y4, Y4
+	VADDPS  Y4, Y0, Y0
+	DECQ    CX
+	JNZ     lmTaps8
+
+lmStore8:
+	LEAQ    (AX)(R13*1), R12
+	VMOVUPS (R12), Y4
+	VADDPS  Y0, Y4, Y4
+	VMOVUPS Y4, (R12)
+	ADDQ    $32, R13
+	JMP     lmCols8
+
+lmNext:
+	ADDQ DX, AX
+	ADDQ R8, BX
+	DECQ R11
+	JNZ  lmRow
+	VZEROUPPER
+	RET
+
+// func epilogueAVX2(dst, acc, bias, res *float32, rows, ocb int, relu bool)
+//
+// dst[r*ocb+o] = relu((acc[r*ocb+o] + bias[o]) + res[r*ocb+o]), a nil bias or
+// res skipping its VADDPS and relu false skipping the clamp. The clamp is
+// VMAXPS with the zero vector as first source: it returns the second source,
+// the value, when that is NaN or a zero of either sign, as relu32 does.
+// Requires ocb%8 == 0, rows >= 1.
+//
+// Registers: DI dst, SI acc, R8 bias, R9 res, R10 relu, R11 rows left, DX ocb
+// in bytes, AX offset of the current row in bytes, CX lane offset in bytes
+// (the bias offset), R12 AX+CX (and scratch). Y0-Y3 hold values, Y7 zero. BP,
+// R14, R15 and Y15 are not touched.
+TEXT ·epilogueAVX2(SB), NOSPLIT, $0-49
+	MOVQ    dst+0(FP), DI
+	MOVQ    acc+8(FP), SI
+	MOVQ    bias+16(FP), R8
+	MOVQ    res+24(FP), R9
+	MOVQ    rows+32(FP), R11
+	MOVQ    ocb+40(FP), DX
+	SHLQ    $2, DX
+	MOVBQZX relu+48(FP), R10
+	VXORPS  Y7, Y7, Y7
+	XORQ    AX, AX
+
+epRow:
+	XORQ CX, CX
+
+epCols32:
+	LEAQ    128(CX), R12
+	CMPQ    R12, DX
+	JGT     epCols8
+	LEAQ    (AX)(CX*1), R12
+	VMOVUPS (SI)(R12*1), Y0
+	VMOVUPS 32(SI)(R12*1), Y1
+	VMOVUPS 64(SI)(R12*1), Y2
+	VMOVUPS 96(SI)(R12*1), Y3
+	TESTQ   R8, R8
+	JZ      epRes32
+	VADDPS  (R8)(CX*1), Y0, Y0
+	VADDPS  32(R8)(CX*1), Y1, Y1
+	VADDPS  64(R8)(CX*1), Y2, Y2
+	VADDPS  96(R8)(CX*1), Y3, Y3
+
+epRes32:
+	TESTQ  R9, R9
+	JZ     epReLU32
+	VADDPS (R9)(R12*1), Y0, Y0
+	VADDPS 32(R9)(R12*1), Y1, Y1
+	VADDPS 64(R9)(R12*1), Y2, Y2
+	VADDPS 96(R9)(R12*1), Y3, Y3
+
+epReLU32:
+	TESTQ  R10, R10
+	JZ     epStore32
+	VMAXPS Y0, Y7, Y0
+	VMAXPS Y1, Y7, Y1
+	VMAXPS Y2, Y7, Y2
+	VMAXPS Y3, Y7, Y3
+
+epStore32:
+	VMOVUPS Y0, (DI)(R12*1)
+	VMOVUPS Y1, 32(DI)(R12*1)
+	VMOVUPS Y2, 64(DI)(R12*1)
+	VMOVUPS Y3, 96(DI)(R12*1)
+	ADDQ    $128, CX
+	JMP     epCols32
+
+epCols8:
+	CMPQ    CX, DX
+	JGE     epNext
+	LEAQ    (AX)(CX*1), R12
+	VMOVUPS (SI)(R12*1), Y0
+	TESTQ   R8, R8
+	JZ      epRes8
+	VADDPS  (R8)(CX*1), Y0, Y0
+
+epRes8:
+	TESTQ  R9, R9
+	JZ     epReLU8
+	VADDPS (R9)(R12*1), Y0, Y0
+
+epReLU8:
+	TESTQ  R10, R10
+	JZ     epStore8
+	VMAXPS Y0, Y7, Y0
+
+epStore8:
+	VMOVUPS Y0, (DI)(R12*1)
+	ADDQ    $32, CX
+	JMP     epCols8
+
+epNext:
+	ADDQ DX, AX
+	DECQ R11
+	JNZ  epRow
+	VZEROUPPER
+	RET
+
 // func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 TEXT ·cpuid(SB), NOSPLIT, $0-24
 	MOVL eaxArg+0(FP), AX

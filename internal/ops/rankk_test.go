@@ -2,6 +2,7 @@ package ops
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -73,6 +74,152 @@ func TestRankKRejectsShortSlices(t *testing.T) {
 			{"negative-stride", func() { rankK(acc, in, wt, rows, k, -1, ocb) }},
 		} {
 			t.Run(fmt.Sprintf("ocb%d/%s", ocb, c.name), func(t *testing.T) { mustPanic(t, c.call) })
+		}
+	}
+}
+
+// TestLaneMACAsmMatchesGoBody is laneMAC's differential test: the assembly
+// body must equal the Go body on every element across row counts up to a
+// full reg_n tile plus one, every bn the assembly accepts up to 72 (24, 40,
+// 56 and 72 run a 32-lane block and an 8-lane tail), the kernel widths the
+// depthwise template passes as taps, and the stride-1 and stride-2 pitches.
+func TestLaneMACAsmMatchesGoBody(t *testing.T) {
+	if !hasAVX2 {
+		t.Skip("assembly body not in use: the CPU lacks AVX2 (or OS YMM support), or the build is not amd64 or has the purego tag")
+	}
+	rng := rand.New(rand.NewSource(2))
+	fill := func(n int) []float32 {
+		s := make([]float32, n)
+		for i := range s {
+			s[i] = rng.Float32()*2 - 1
+		}
+		return s
+	}
+	for bn := 8; bn <= 72; bn += 8 {
+		for _, taps := range []int{1, 3, 5, 7} {
+			for _, strideW := range []int{1, 2} {
+				xStride := strideW * bn
+				for rows := 1; rows <= 17; rows++ {
+					x := fill((rows-1)*xStride + taps*bn)
+					w := fill(taps * bn)
+					acc0 := fill(rows * bn)
+					want := append([]float32(nil), acc0...)
+					laneMACGo(want, x, w, rows, taps, xStride, bn)
+					got := append([]float32(nil), acc0...)
+					laneMAC(got, x, w, rows, taps, xStride, bn)
+					for i := range want {
+						if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+							t.Fatalf("bn=%d taps=%d xStride=%d rows=%d: acc[%d] = %v, Go body %v",
+								bn, taps, xStride, rows, i, got[i], want[i])
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestEpilogueAsmMatchesGoBody is the epilogue's differential test: for all
+// eight bias/residual/ReLU combinations the assembly body must store the Go
+// body's bits, on inputs seeded with NaN, ±0, ±Inf and subnormals. A -0 or
+// NaN accumulator under ReLU pins the VMAXPS operand order: with the zero
+// vector as the second source the clamp would store +0 for both.
+func TestEpilogueAsmMatchesGoBody(t *testing.T) {
+	if !hasAVX2 {
+		t.Skip("assembly body not in use: the CPU lacks AVX2 (or OS YMM support), or the build is not amd64 or has the purego tag")
+	}
+	// One NaN bit pattern — x86's default NaN, which Inf + -Inf also
+	// produces — so the result's payload cannot depend on which addend the
+	// Go compiler puts first.
+	nan := math.Float32frombits(0xffc00000)
+	specials := []float32{nan, 0, float32(math.Copysign(0, -1)), float32(math.Inf(1)), float32(math.Inf(-1)),
+		math.Float32frombits(1), -math.Float32frombits(0x007fffff), math.SmallestNonzeroFloat32}
+	rng := rand.New(rand.NewSource(3))
+	fill := func(n int) []float32 {
+		s := make([]float32, n)
+		for i := range s {
+			if rng.Intn(3) == 0 {
+				s[i] = specials[rng.Intn(len(specials))]
+			} else {
+				s[i] = rng.Float32()*2 - 1
+			}
+		}
+		return s
+	}
+	for mask := 0; mask < 8; mask++ {
+		withBias, withRes, relu := mask&1 != 0, mask&2 != 0, mask&4 != 0
+		for ocb := 8; ocb <= 72; ocb += 8 {
+			for rows := 1; rows <= 5; rows++ {
+				acc := fill(rows * ocb)
+				var bias, res []float32
+				if withBias {
+					bias = fill(ocb)
+				}
+				if withRes {
+					res = fill(rows * ocb)
+				}
+				want := make([]float32, rows*ocb)
+				epilogueGo(want, acc, bias, res, rows, ocb, relu)
+				got := make([]float32, rows*ocb)
+				epilogue(got, acc, bias, res, rows, ocb, relu)
+				for i := range want {
+					if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+						t.Fatalf("bias=%v res=%v relu=%v ocb=%d rows=%d: dst[%d] = %#x, Go body %#x (acc %v)",
+							withBias, withRes, relu, ocb, rows, i, math.Float32bits(got[i]), math.Float32bits(want[i]), acc[i])
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestLaneMACAndEpilogueRejectShortSlices pins the safety check in front of
+// the other two assembly bodies: a call whose last index into any slice is
+// out of range panics before any body has written its output, for a block
+// size the assembly would take and one it would not.
+func TestLaneMACAndEpilogueRejectShortSlices(t *testing.T) {
+	const rows, taps = 5, 3
+	for _, bn := range []int{16, 12} {
+		xStride := 2 * bn
+		acc := make([]float32, rows*bn)
+		x := make([]float32, (rows-1)*xStride+taps*bn)
+		w := make([]float32, taps*bn)
+		dst := make([]float32, rows*bn)
+		bias := make([]float32, bn)
+		for i := range x {
+			x[i] = 1
+		}
+		for i := range w {
+			w[i] = 1
+		}
+		// Exact lengths are fine.
+		laneMAC(acc, x, w, rows, taps, xStride, bn)
+		epilogue(dst, acc, bias, acc, rows, bn, true)
+		for _, c := range []struct {
+			name string
+			out  []float32
+			call func()
+		}{
+			{"laneMAC/acc", acc, func() { laneMAC(acc[:len(acc)-1], x, w, rows, taps, xStride, bn) }},
+			{"laneMAC/x", acc, func() { laneMAC(acc, x[:len(x)-1], w, rows, taps, xStride, bn) }},
+			{"laneMAC/w", acc, func() { laneMAC(acc, x, w[:len(w)-1], rows, taps, xStride, bn) }},
+			{"laneMAC/negative-stride", acc, func() { laneMAC(acc, x, w, rows, taps, -1, bn) }},
+			{"epilogue/dst", dst, func() { epilogue(dst[:len(dst)-1], acc, bias, nil, rows, bn, true) }},
+			{"epilogue/acc", dst, func() { epilogue(dst, acc[:len(acc)-1], nil, nil, rows, bn, true) }},
+			{"epilogue/bias", dst, func() { epilogue(dst, acc, bias[:bn-1], nil, rows, bn, true) }},
+			{"epilogue/res", dst, func() { epilogue(dst, acc, nil, acc[:len(acc)-1], rows, bn, false) }},
+		} {
+			t.Run(fmt.Sprintf("bn%d/%s", bn, c.name), func(t *testing.T) {
+				for i := range c.out {
+					c.out[i] = -7
+				}
+				mustPanic(t, c.call)
+				for i, v := range c.out {
+					if v != -7 {
+						t.Fatalf("output[%d] = %v: a body ran before the check", i, v)
+					}
+				}
+			})
 		}
 	}
 }
