@@ -1,8 +1,8 @@
 // Package repro's benchmark harness regenerates every table and figure of
 // the paper (via the machine-model simulators — the paper's EC2 targets are
 // modeled, not the host) and additionally measures the real Go kernels for
-// the ablations DESIGN.md calls out (layout, register blocking, unrolling,
-// fusion, thread pools, transform cost, search cost).
+// the ablations DESIGN.md calls out (layout, register blocking, fusion,
+// thread pools, transform cost, search cost).
 //
 // Run everything:
 //
@@ -152,7 +152,7 @@ func BenchmarkConvLayout(b *testing.B) {
 			bw := tensor.PackWeights(wt, blk, blk)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				ops.Conv2DNCHWc(bi, bw, attrs, blk, blk, 8, true, ops.Epilogue{}, nil)
+				ops.Conv2DNCHWc(bi, bw, attrs, blk, blk, 8, ops.Epilogue{}, nil)
 			}
 		})
 	}
@@ -166,9 +166,9 @@ func BenchmarkConvRegN(b *testing.B) {
 	bw := tensor.PackWeights(wt, 8, 8)
 	for _, regN := range []int{2, 4, 8, 16, 32} {
 		regN := regN
-		b.Run(map[bool]string{true: "reg_n="}[true]+itoa(regN), func(b *testing.B) {
+		b.Run("reg_n="+itoa(regN), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				ops.Conv2DNCHWc(bi, bw, attrs, 8, 8, regN, false, ops.Epilogue{}, nil)
+				ops.Conv2DNCHWc(bi, bw, attrs, 8, 8, regN, ops.Epilogue{}, nil)
 			}
 		})
 	}
@@ -198,7 +198,7 @@ func BenchmarkConv3x3(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			ops.Conv2DNCHWcInto(dst, pad, bi, bw, attrs, icb, ocb, regN, true, ops.Epilogue{}, ops.Serial)
+			ops.Conv2DNCHWcInto(dst, pad, bi, bw, attrs, icb, ocb, regN, ops.Epilogue{}, ops.Serial)
 		}
 		gflops(b, c, oc, hw/2)
 	})
@@ -242,7 +242,7 @@ func BenchmarkConv1x1(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				ops.Conv2DNCHWcInto(dst, nil, bi, bw, attrs, 64, 64, 8, true, ops.Epilogue{}, ops.Serial)
+				ops.Conv2DNCHWcInto(dst, nil, bi, bw, attrs, 64, 64, 8, ops.Epilogue{}, ops.Serial)
 			}
 			flops := 2 * float64(g.c) * float64(g.c) * float64(g.hw*g.hw)
 			b.ReportMetric(flops*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
@@ -281,7 +281,7 @@ func BenchmarkConvDepthwise(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				ops.Conv2DDepthwiseNCHWcInto(dst, pad, bi, bw, attrs, g.bn, g.regN, true, epi, ops.Serial)
+				ops.Conv2DDepthwiseNCHWcInto(dst, pad, bi, bw, attrs, g.bn, g.regN, epi, ops.Serial)
 			}
 			flops := 2 * float64(g.c) * 9 * float64(ohw*ohw)
 			b.ReportMetric(flops*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
@@ -301,12 +301,12 @@ func BenchmarkFusion(b *testing.B) {
 	b.Run("fused", func(b *testing.B) {
 		epi := ops.Epilogue{Bias: bias, Residual: res, ReLU: true}
 		for i := 0; i < b.N; i++ {
-			ops.Conv2DNCHWc(bi, bw, attrs, 8, 8, 8, true, epi, nil)
+			ops.Conv2DNCHWc(bi, bw, attrs, 8, 8, 8, epi, nil)
 		}
 	})
 	b.Run("unfused", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			out := ops.Conv2DNCHWc(bi, bw, attrs, 8, 8, 8, true, ops.Epilogue{Bias: bias}, nil)
+			out := ops.Conv2DNCHWc(bi, bw, attrs, 8, 8, 8, ops.Epilogue{Bias: bias}, nil)
 			out = ops.Add(out, res, nil)
 			ops.ReLU(out, nil)
 		}
@@ -356,7 +356,7 @@ func BenchmarkThreadPool(b *testing.B) {
 	}
 	b.Run("conv/serial", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			ops.Conv2DNCHWc(bi, bw, attrs, 8, 8, 8, true, ops.Epilogue{}, ops.Serial)
+			ops.Conv2DNCHWc(bi, bw, attrs, 8, 8, 8, ops.Epilogue{}, ops.Serial)
 		}
 	})
 	b.Run("conv/pool", func(b *testing.B) {
@@ -364,14 +364,14 @@ func BenchmarkThreadPool(b *testing.B) {
 		defer p.Close()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			ops.Conv2DNCHWc(bi, bw, attrs, 8, 8, 8, true, ops.Epilogue{}, p.ParallelRange)
+			ops.Conv2DNCHWc(bi, bw, attrs, 8, 8, 8, ops.Epilogue{}, p.ParallelRange)
 		}
 	})
 	b.Run("conv/omp", func(b *testing.B) {
 		o := threadpool.NewOMPPool(threads)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			ops.Conv2DNCHWc(bi, bw, attrs, 8, 8, 8, true, ops.Epilogue{}, o.ParallelRange)
+			ops.Conv2DNCHWc(bi, bw, attrs, 8, 8, 8, ops.Epilogue{}, o.ParallelRange)
 		}
 	})
 	var sink [64]int64
@@ -444,7 +444,7 @@ func BenchmarkConvInt8(b *testing.B) {
 		bw := tensor.PackWeights(wt, 8, 8)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			ops.Conv2DNCHWc(bi, bw, attrs, 8, 8, 8, true, ops.Epilogue{}, nil)
+			ops.Conv2DNCHWc(bi, bw, attrs, 8, 8, 8, ops.Epilogue{}, nil)
 		}
 	})
 	b.Run("int8", func(b *testing.B) {

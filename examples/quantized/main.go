@@ -31,7 +31,7 @@ func main() {
 	bi := tensor.ToNCHWc(in, blk)
 	bw := tensor.PackWeights(wt, blk, blk)
 	start := time.Now()
-	f32 := ops.Conv2DNCHWc(bi, bw, attrs, blk, blk, 8, true, ops.Epilogue{}, nil)
+	f32 := ops.Conv2DNCHWc(bi, bw, attrs, blk, blk, 8, ops.Epilogue{}, nil)
 	f32Time := time.Since(start)
 
 	// INT8 path: quantize, pack into the same blocked layouts, convolve with
@@ -62,7 +62,7 @@ func main() {
 		s := machine.ConvSchedule{
 			Layout:  tensor.NCHWc(t.VectorLanes),
 			ICBlock: t.VectorLanes, OCBlock: t.VectorLanes,
-			RegN: 8, UnrollKer: true,
+			RegN: 8,
 		}
 		f := t.ConvTime(wl, s, t.Cores, machine.BackendPool, 1)
 		q := t.Int8ConvTime(wl, s, t.Cores, machine.BackendPool, 1)

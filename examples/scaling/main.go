@@ -53,7 +53,7 @@ func main() {
 	run := func(pf ops.ParallelFor, reps int) time.Duration {
 		start := time.Now()
 		for i := 0; i < reps; i++ {
-			ops.Conv2DNCHWc(blockedIn, blockedWt, attrs, icb, ocb, regN, true, ops.Epilogue{}, pf)
+			ops.Conv2DNCHWc(blockedIn, blockedWt, attrs, icb, ocb, regN, ops.Epilogue{}, pf)
 		}
 		return time.Since(start) / time.Duration(reps)
 	}

@@ -137,7 +137,6 @@ type SchedEntry struct {
 	ICBlock   int    `json:"ic_bn,omitempty"`
 	OCBlock   int    `json:"oc_bn,omitempty"`
 	RegN      int    `json:"reg_n,omitempty"`
-	UnrollKer bool   `json:"unroll_ker,omitempty"`
 	Algorithm string `json:"algorithm,omitempty"`
 }
 

@@ -32,7 +32,7 @@ func DirectBlocked(blk int) func() {
 	pad := tensor.New(bi.Layout, ops.PaddedShapeNCHWc(bi.Shape, attrs)...)
 	dst := tensor.New(tensor.NCHWc(blk), 1, attrs.OutC/blk, 28, 28, blk)
 	return func() {
-		ops.Conv2DNCHWcInto(dst, pad, bi, bw, attrs, blk, blk, 8, true, ops.Epilogue{}, nil)
+		ops.Conv2DNCHWcInto(dst, pad, bi, bw, attrs, blk, blk, 8, ops.Epilogue{}, nil)
 	}
 }
 

@@ -157,10 +157,10 @@ func Compile(g *graph.Graph, t *machine.Target, opts Options) (*Module, error) {
 	case OptNone:
 		plan = graph.NCHWPlan(g)
 	case OptLayout:
-		plan = graph.UniformPlan(g, block, defaultRegN, true)
+		plan = graph.UniformPlan(g, block, defaultRegN)
 		eliminate = false
 	case OptTransformElim:
-		plan = graph.UniformPlan(g, block, defaultRegN, true)
+		plan = graph.UniformPlan(g, block, defaultRegN)
 	case OptGlobalSearch:
 		sOpts := opts.Search
 		if opts.DisableWinograd || opts.Int8 {

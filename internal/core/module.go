@@ -233,10 +233,10 @@ func (m *Module) exec(n *graph.Node, vals []*tensor.Tensor, input *tensor.Tensor
 			}
 			if depthwise {
 				return ops.Conv2DDepthwiseNCHWcInto(buf.outT(), buf.padT(), arg(0), m.packed[n], n.Conv,
-					n.Sched.OCBlock, n.Sched.RegN, n.Sched.UnrollKer, epi, pf), nil
+					n.Sched.OCBlock, n.Sched.RegN, epi, pf), nil
 			}
 			return ops.Conv2DNCHWcInto(buf.outT(), buf.padT(), arg(0), m.packed[n], n.Conv,
-				n.Sched.ICBlock, n.Sched.OCBlock, n.Sched.RegN, n.Sched.UnrollKer, epi, pf), nil
+				n.Sched.ICBlock, n.Sched.OCBlock, n.Sched.RegN, epi, pf), nil
 		case tensor.LayoutNHWC:
 			return ops.Conv2DNHWCInto(buf.outT(), arg(0), n.Weight, n.Conv, epi, pf), nil
 		default:

@@ -28,12 +28,11 @@ var ErrInvalidPlan = errors.New("core: invalid plan")
 // identified by their builder-assigned layer name, which is deterministic
 // for a given model builder.
 type PlanEntry struct {
-	Conv      string `json:"conv"`
-	Layout    string `json:"layout"` // "nchw", "nhwc" or "nchwc"
-	ICBlock   int    `json:"ic_bn,omitempty"`
-	OCBlock   int    `json:"oc_bn,omitempty"`
-	RegN      int    `json:"reg_n,omitempty"`
-	UnrollKer bool   `json:"unroll_ker,omitempty"`
+	Conv    string `json:"conv"`
+	Layout  string `json:"layout"` // "nchw", "nhwc" or "nchwc"
+	ICBlock int    `json:"ic_bn,omitempty"`
+	OCBlock int    `json:"oc_bn,omitempty"`
+	RegN    int    `json:"reg_n,omitempty"`
 	// Algorithm selects the convolution algorithm: "winograd" or "direct".
 	// Absent (plans saved before the field existed) means direct.
 	Algorithm string `json:"algorithm,omitempty"`
@@ -58,7 +57,6 @@ func (m *Module) planEntries() []PlanEntry {
 			e.ICBlock = n.Sched.ICBlock
 			e.OCBlock = n.Sched.OCBlock
 			e.RegN = n.Sched.RegN
-			e.UnrollKer = n.Sched.UnrollKer
 			if n.Sched.Algorithm == machine.AlgoWinograd {
 				e.Algorithm = machine.AlgoWinograd.String()
 			}
@@ -137,8 +135,7 @@ func (pf *PlanFile) Apply(g *graph.Graph) (graph.LayoutPlan, error) {
 			s = machine.ConvSchedule{
 				Layout:  tensor.NCHWc(e.ICBlock),
 				ICBlock: e.ICBlock, OCBlock: e.OCBlock,
-				RegN: e.RegN, UnrollKer: e.UnrollKer,
-				Algorithm: algo,
+				RegN: e.RegN, Algorithm: algo,
 			}
 			wl := graph.ConvWorkload(n)
 			if err := wl.ValidateBlocks(s); err != nil {

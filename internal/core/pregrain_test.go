@@ -14,10 +14,12 @@ import (
 // The <generation>_tiny-resnet.* fixtures under testdata/ were saved by older
 // compilers (see gen_pregrain.go for provenance): "pregrain" BEFORE the
 // schedule grain field existed, "grain" by the last build that searched a
-// parallel grain and wrote it into every plan and bundle entry. These tests
-// pin backward compatibility: artifacts of both generations must keep
-// loading — the grain key is ignored on read — and modules built from them
-// must execute bit-identically to the sequential reference and to each other.
+// parallel grain and wrote it into every plan and bundle entry. Both
+// generations also carry the unroll_ker key of the builds that searched
+// kernel unrolling. These tests pin backward compatibility: artifacts of both
+// generations must keep loading — the grain and unroll_ker keys are ignored
+// on read — and modules built from them must execute bit-identically to the
+// sequential reference and to each other.
 var fixtureGenerations = []struct {
 	name     string
 	hasGrain bool
@@ -27,8 +29,8 @@ var fixtureGenerations = []struct {
 }
 
 // loadFixture reads one fixture file and checks it really is of its
-// generation, so a regenerated fixture cannot silently stop covering the
-// grain-bearing format.
+// generation and carries the unroll_ker key, so a regenerated fixture cannot
+// silently stop covering the grain- or unroll_ker-bearing format.
 func loadFixture(t *testing.T, gen string, hasGrain bool, ext string) []byte {
 	t.Helper()
 	raw, err := os.ReadFile("testdata/" + gen + "_tiny-resnet." + ext)
@@ -37,6 +39,9 @@ func loadFixture(t *testing.T, gen string, hasGrain bool, ext string) []byte {
 	}
 	if got := bytes.Contains(raw, []byte(`"grain"`)); got != hasGrain {
 		t.Fatalf("%s fixture .%s: carries a grain key = %v, want %v", gen, ext, got, hasGrain)
+	}
+	if !bytes.Contains(raw, []byte(`"unroll_ker"`)) {
+		t.Fatalf("%s fixture .%s: carries no unroll_ker key", gen, ext)
 	}
 	return raw
 }

@@ -61,7 +61,7 @@ func TestDepthwiseLayoutFlow(t *testing.T) {
 	if err := Optimize(g); err != nil {
 		t.Fatal(err)
 	}
-	plan := UniformPlan(g, 16, 4, true)
+	plan := UniformPlan(g, 16, 4)
 	for n, s := range plan {
 		wl := ConvWorkload(n)
 		if wl.Depthwise() && s.ICBlock != s.OCBlock {
@@ -96,7 +96,7 @@ func TestDepthwiseWinogradRejected(t *testing.T) {
 	if err := Optimize(g); err != nil {
 		t.Fatal(err)
 	}
-	plan := UniformPlan(g, 16, 4, true)
+	plan := UniformPlan(g, 16, 4)
 	for n := range plan {
 		if ConvWorkload(n).Depthwise() {
 			s := plan[n]

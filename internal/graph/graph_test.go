@@ -375,7 +375,7 @@ func TestUniformPlanClampsToDivisors(t *testing.T) {
 	x = b.GlobalAvgPool(x)
 	x = b.Flatten(x)
 	g := b.Finish(b.Dense(x, 2))
-	plan := UniformPlan(g, 16, 8, true)
+	plan := UniformPlan(g, 16, 8)
 	conv := g.Convs()[0]
 	s := plan[conv]
 	if s.ICBlock != 3 {
@@ -396,11 +396,11 @@ func TestAlterOpLayoutEliminationReducesTransforms(t *testing.T) {
 	}
 
 	gElim := mk()
-	if err := AlterOpLayout(gElim, UniformPlan(gElim, 8, 4, true), true); err != nil {
+	if err := AlterOpLayout(gElim, UniformPlan(gElim, 8, 4), true); err != nil {
 		t.Fatal(err)
 	}
 	gLib := mk()
-	if err := AlterOpLayout(gLib, UniformPlan(gLib, 8, 4, true), false); err != nil {
+	if err := AlterOpLayout(gLib, UniformPlan(gLib, 8, 4), false); err != nil {
 		t.Fatal(err)
 	}
 
@@ -450,7 +450,7 @@ func TestAlterOpLayoutMismatchedBlocksInsertTransform(t *testing.T) {
 		x = b.Flatten(x)
 		return b.Finish(b.Dense(x, 2))
 	}()
-	if err := AlterOpLayout(g2, UniformPlan(g2, 8, 4, true), true); err != nil {
+	if err := AlterOpLayout(g2, UniformPlan(g2, 8, 4), true); err != nil {
 		t.Fatal(err)
 	}
 	if got := g2.CountTransforms(); got != 1 {
@@ -463,7 +463,7 @@ func TestAlterOpLayoutResidualLayout(t *testing.T) {
 	if err := Optimize(g); err != nil {
 		t.Fatal(err)
 	}
-	if err := AlterOpLayout(g, UniformPlan(g, 8, 4, true), true); err != nil {
+	if err := AlterOpLayout(g, UniformPlan(g, 8, 4), true); err != nil {
 		t.Fatal(err)
 	}
 	for _, n := range g.Topo() {

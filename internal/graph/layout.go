@@ -41,7 +41,7 @@ func NHWCPlan(g *Graph) LayoutPlan {
 // convolutions clamp to per-group divisors so blocks never straddle a group;
 // depthwise convolutions share one block for input and output (lane v of a
 // channel block maps straight to lane v).
-func UniformPlan(g *Graph, x, regN int, unroll bool) LayoutPlan {
+func UniformPlan(g *Graph, x, regN int) LayoutPlan {
 	p := LayoutPlan{}
 	for _, n := range g.Convs() {
 		wl := ConvWorkload(n)
@@ -56,7 +56,7 @@ func UniformPlan(g *Graph, x, regN int, unroll bool) LayoutPlan {
 		p[n] = machine.ConvSchedule{
 			Layout:  tensor.NCHWc(icb),
 			ICBlock: icb, OCBlock: ocb,
-			RegN: regN, UnrollKer: unroll,
+			RegN: regN,
 		}
 	}
 	return p

@@ -134,17 +134,18 @@ func (w ConvWorkload) WinogradViable() bool {
 	return WinogradSupported(w.KH, w.KW, w.StrideH, w.StrideW) && w.GroupCount() == 1
 }
 
-// ConvSchedule is the optimization-scheme tuple of Section 3.3:
-// (ic_bn, oc_bn, reg_n, unroll_ker), plus the data layout the convolution
-// executes in and the convolution algorithm (direct or winograd). For
-// NCHW/NHWC layouts the blocking fields are ignored; for winograd schedules
-// reg_n and unroll_ker are ignored (the kernel's tiling is fixed at 2x2).
+// ConvSchedule is the optimization-scheme tuple of Section 3.3,
+// (ic_bn, oc_bn, reg_n), plus the data layout the convolution executes in
+// and the convolution algorithm (direct or winograd). The paper's fourth
+// knob, whether to unroll the kernel loop, is absent: each template has one
+// kernel path with a fixed register tile. For NCHW/NHWC layouts the blocking
+// fields are ignored; for winograd schedules reg_n is ignored (the kernel's
+// tiling is fixed at 2x2).
 type ConvSchedule struct {
 	Layout    tensor.Layout // activation layout (NCHW, NHWC or NCHWc)
 	ICBlock   int           // ic_bn: input-channel split factor x
 	OCBlock   int           // oc_bn: output-channel split factor y
 	RegN      int           // reg_n: register-blocking width along out_width
-	UnrollKer bool          // unroll_ker: unroll the kernel-entry loop
 	Algorithm ConvAlgorithm // convolution algorithm (direct or winograd)
 }
 
@@ -155,7 +156,7 @@ func (s ConvSchedule) String() string {
 	if s.Algorithm == AlgoWinograd {
 		return fmt.Sprintf("{winograd ic_bn=%d oc_bn=%d}", s.ICBlock, s.OCBlock)
 	}
-	return fmt.Sprintf("{ic_bn=%d oc_bn=%d reg_n=%d unroll=%v}", s.ICBlock, s.OCBlock, s.RegN, s.UnrollKer)
+	return fmt.Sprintf("{ic_bn=%d oc_bn=%d reg_n=%d}", s.ICBlock, s.OCBlock, s.RegN)
 }
 
 // Cost-model tuning constants. These are calibrated once against the paper's
@@ -288,8 +289,7 @@ func (t *Target) ParallelEfficiency(units, threads int) float64 {
 //   - FMA latency hiding: reg_n accumulators must cover latency*throughput;
 //   - no register spills: reg_n+2 registers must fit the register file;
 //   - cache residence: the inner working set should fit L1 (or at least L2);
-//   - tail waste: out_width should divide evenly by reg_n;
-//   - unroll_ker helps small kernels and hurts very large unrolled bodies.
+//   - tail waste: out_width should divide evenly by reg_n.
 func (t *Target) ConvEfficiency(wl ConvWorkload, s ConvSchedule) float64 {
 	switch s.Layout.Kind {
 	case tensor.LayoutNCHW:
@@ -370,28 +370,17 @@ func (t *Target) ConvEfficiency(wl ConvWorkload, s ConvSchedule) float64 {
 		chanF = 0.82
 	}
 
-	// unroll_ker reduces branch penalties for small kernel loops but bloats
-	// the instruction stream for large ones (Section 3.3.1).
-	unrollF := 1.0
-	if s.UnrollKer {
-		if wl.KH*wl.KW <= 9 {
-			unrollF = 1.05
-		} else {
-			unrollF = 0.95
-		}
-	}
-
 	groupF := 1.0
 	if wl.GroupCount() > 1 {
 		groupF = groupedFragFactor
 	}
 
-	return peakFractionDirect * laneUtil * latHide * pressure * tail * cacheF * chanF * unrollF * groupF
+	return peakFractionDirect * laneUtil * latHide * pressure * tail * cacheF * chanF * groupF
 }
 
 // depthwiseEfficiency is the blocked-schedule quality model for the depthwise
-// template: the schedule knobs are the shared channel block (ic_bn == oc_bn),
-// reg_n and unroll_ker, but there is no input-channel reduction — each
+// template: the schedule knobs are the shared channel block (ic_bn == oc_bn)
+// and reg_n, but there is no input-channel reduction — each
 // lane-wise FMA loads its own input vector, so the ceiling sits at
 // peakFractionDepthwise and the cache term covers only the tiny per-channel
 // kernel slab plus the register tile.
@@ -436,12 +425,7 @@ func (t *Target) depthwiseEfficiency(wl ConvWorkload, s ConvSchedule) float64 {
 		cacheF = 0.86
 	}
 
-	unrollF := 1.0
-	if s.UnrollKer && wl.KH*wl.KW <= 9 {
-		unrollF = 1.05
-	}
-
-	return peakFractionDepthwise * laneUtil * latHide * pressure * tail * cacheF * unrollF
+	return peakFractionDepthwise * laneUtil * latHide * pressure * tail * cacheF
 }
 
 // winogradEfficiency is the blocked-schedule quality model for the Winograd

@@ -58,7 +58,7 @@ func TestDepthwiseConvTime(t *testing.T) {
 	dense := ConvWorkload{InC: 128, InH: 28, InW: 28, OutC: 128, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}
 	dw := dense
 	dw.Groups = 128
-	s := ConvSchedule{Layout: tensor.NCHWc(16), ICBlock: 16, OCBlock: 16, RegN: 16, UnrollKer: true}
+	s := ConvSchedule{Layout: tensor.NCHWc(16), ICBlock: 16, OCBlock: 16, RegN: 16}
 
 	td := tgt.ConvTime(dense, s, 1, BackendSerial, 1)
 	tw := tgt.ConvTime(dw, s, 1, BackendSerial, 1)

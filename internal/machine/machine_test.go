@@ -76,7 +76,7 @@ func goodSchedule(t *Target) ConvSchedule {
 	return ConvSchedule{
 		Layout:  tensor.NCHWc(t.VectorLanes),
 		ICBlock: t.VectorLanes, OCBlock: t.VectorLanes,
-		RegN: t.FMALatency * t.FMAPerCycle, UnrollKer: true,
+		RegN: t.FMALatency * t.FMAPerCycle,
 	}
 }
 
@@ -102,7 +102,7 @@ func TestBlockedBeatsNCHW(t *testing.T) {
 func winogradSchedule(t *Target) ConvSchedule {
 	s := goodSchedule(t)
 	s.Algorithm = AlgoWinograd
-	s.RegN, s.UnrollKer = 1, false
+	s.RegN = 1
 	return s
 }
 
@@ -178,7 +178,7 @@ func TestWinogradTransformOverheadGrowsWithChannels(t *testing.T) {
 	tgt := IntelSkylakeC5()
 	small := ConvWorkload{InC: 8, InH: 28, InW: 28, OutC: 8, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}
 	sSmall := ConvSchedule{Layout: tensor.NCHWc(8), ICBlock: 8, OCBlock: 8, RegN: 1, Algorithm: AlgoWinograd}
-	dSmall := ConvSchedule{Layout: tensor.NCHWc(8), ICBlock: 8, OCBlock: 8, RegN: 8, UnrollKer: true}
+	dSmall := ConvSchedule{Layout: tensor.NCHWc(8), ICBlock: 8, OCBlock: 8, RegN: 8}
 	gainSmall := tgt.ConvTime(small, dSmall, 1, BackendSerial, 1) / tgt.ConvTime(small, sSmall, 1, BackendSerial, 1)
 	gainBig := tgt.ConvTime(resnetConv, goodSchedule(tgt), 1, BackendSerial, 1) /
 		tgt.ConvTime(resnetConv, winogradSchedule(tgt), 1, BackendSerial, 1)
@@ -244,14 +244,13 @@ func TestEfficiencyPenalizesPartialLanes(t *testing.T) {
 }
 
 func TestEfficiencyBounded(t *testing.T) {
-	f := func(icRaw, ocRaw, regRaw uint8, unroll bool) bool {
+	f := func(icRaw, ocRaw, regRaw uint8) bool {
 		blocks := []int{1, 2, 4, 8, 16, 32, 64}
 		s := ConvSchedule{
-			Layout:    tensor.NCHWc(blocks[int(icRaw)%len(blocks)]),
-			ICBlock:   blocks[int(icRaw)%len(blocks)],
-			OCBlock:   blocks[int(ocRaw)%len(blocks)],
-			RegN:      []int{2, 4, 8, 16, 32}[int(regRaw)%5],
-			UnrollKer: unroll,
+			Layout:  tensor.NCHWc(blocks[int(icRaw)%len(blocks)]),
+			ICBlock: blocks[int(icRaw)%len(blocks)],
+			OCBlock: blocks[int(ocRaw)%len(blocks)],
+			RegN:    []int{2, 4, 8, 16, 32}[int(regRaw)%5],
 		}
 		for _, tgt := range AllTargets() {
 			e := tgt.ConvEfficiency(resnetConv, s)

@@ -203,10 +203,9 @@ func padNCHWc(in *tensor.Tensor, padH, padW int, scratch *tensor.Tensor) *tensor
 // A 1x1, stride-1, unpadded convolution runs the same template over the
 // flattened H·W plane, so ow.outer tiles the whole plane. The input must be
 // NCHW[icb]c and the weight OIHW[icb]i[ocb]o with icb = sched ic_bn and ocb =
-// sched oc_bn. unrollKer is accepted for the schedule tuple's sake and
-// selects nothing: every kernel shape runs the same rank-k path.
-func Conv2DNCHWc(in, weight *tensor.Tensor, attrs Conv2DAttrs, icb, ocb, regN int, unrollKer bool, epi Epilogue, pf ParallelFor) *tensor.Tensor {
-	return Conv2DNCHWcInto(nil, nil, in, weight, attrs, icb, ocb, regN, unrollKer, epi, pf)
+// sched oc_bn. Every kernel shape runs the same rank-k path.
+func Conv2DNCHWc(in, weight *tensor.Tensor, attrs Conv2DAttrs, icb, ocb, regN int, epi Epilogue, pf ParallelFor) *tensor.Tensor {
+	return Conv2DNCHWcInto(nil, nil, in, weight, attrs, icb, ocb, regN, epi, pf)
 }
 
 // PaddedShapeNCHWc returns the buffer shape Conv2DNCHWcInto needs for its
@@ -223,7 +222,7 @@ func PaddedShapeNCHWc(inShape []int, attrs Conv2DAttrs) []int {
 // receives the output and padScratch (sized per PaddedShapeNCHWc, zero-filled
 // at allocation) holds the explicitly padded input. Either may be nil, in
 // which case it is allocated.
-func Conv2DNCHWcInto(dst, padScratch *tensor.Tensor, in, weight *tensor.Tensor, attrs Conv2DAttrs, icb, ocb, regN int, unrollKer bool, epi Epilogue, pf ParallelFor) *tensor.Tensor {
+func Conv2DNCHWcInto(dst, padScratch *tensor.Tensor, in, weight *tensor.Tensor, attrs Conv2DAttrs, icb, ocb, regN int, epi Epilogue, pf ParallelFor) *tensor.Tensor {
 	if in.Layout.Kind != tensor.LayoutNCHWc || in.Layout.BlockC != icb {
 		panic(fmt.Sprintf("ops: Conv2DNCHWc expects NCHW%dc input, got %v", icb, in.Layout))
 	}

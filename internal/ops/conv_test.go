@@ -18,7 +18,7 @@ func convCase(seed uint64, c, h, w, oc, kh, kw int) (*tensor.Tensor, *tensor.Ten
 	return in, wt
 }
 
-func runBlocked(in, wt *tensor.Tensor, attrs Conv2DAttrs, icb, ocb, regN int, unroll bool, epi Epilogue) *tensor.Tensor {
+func runBlocked(in, wt *tensor.Tensor, attrs Conv2DAttrs, icb, ocb, regN int, epi Epilogue, pf ParallelFor) *tensor.Tensor {
 	blockedIn := tensor.ToNCHWc(in, icb)
 	blockedWt := tensor.PackWeights(wt, icb, ocb)
 	var blockedEpi Epilogue
@@ -27,7 +27,7 @@ func runBlocked(in, wt *tensor.Tensor, attrs Conv2DAttrs, icb, ocb, regN int, un
 	if epi.Residual != nil {
 		blockedEpi.Residual = tensor.ToNCHWc(epi.Residual, ocb)
 	}
-	out := Conv2DNCHWc(blockedIn, blockedWt, attrs, icb, ocb, regN, unroll, blockedEpi, Serial)
+	out := Conv2DNCHWc(blockedIn, blockedWt, attrs, icb, ocb, regN, blockedEpi, pf)
 	return tensor.FromNCHWc(out)
 }
 
@@ -59,48 +59,56 @@ func TestConv2DNCHWIdentityKernel(t *testing.T) {
 	}
 }
 
+// TestConvNCHWcMatchesReference checks the direct template, serially and
+// over ragged parallel ranges, against the NCHW reference. The -unroll rows
+// once ran the unroll_ker=true body; the template now has one body, so they
+// repeat their plain twins under the names they have always had.
 func TestConvNCHWcMatchesReference(t *testing.T) {
 	cases := []struct {
 		name                string
 		c, h, w, oc, kh, kw int
 		sh, sw, ph, pw      int
 		icb, ocb, regN      int
-		unroll              bool
+		groups              int
 	}{
-		{"3x3-pad1", 16, 14, 14, 32, 3, 3, 1, 1, 1, 1, 8, 16, 4, false},
-		{"3x3-pad1-unroll", 16, 14, 14, 32, 3, 3, 1, 1, 1, 1, 8, 16, 4, true},
-		{"3x3-ocb4-unroll", 16, 14, 14, 32, 3, 3, 1, 1, 1, 1, 8, 4, 4, true},
-		{"3x3-ocb8-unroll", 16, 14, 14, 32, 3, 3, 1, 1, 1, 1, 8, 8, 4, true},
-		{"3x3-generic-ocb", 12, 11, 11, 24, 3, 3, 1, 1, 1, 1, 6, 12, 4, true},
-		{"1x1", 32, 7, 7, 64, 1, 1, 1, 1, 0, 0, 16, 16, 2, false},
-		{"1x1-unroll", 32, 7, 7, 64, 1, 1, 1, 1, 0, 0, 16, 16, 2, true},
-		{"1x1-ocb4-unroll", 32, 7, 7, 64, 1, 1, 1, 1, 0, 0, 16, 4, 2, true},
-		{"1x1-ocb8-unroll", 32, 7, 7, 64, 1, 1, 1, 1, 0, 0, 16, 8, 2, true},
-		{"1x1-plane-tiles-cross-rows", 16, 7, 9, 80, 1, 1, 1, 1, 0, 0, 8, 40, 8, false},
-		{"1x1-stride2-rows", 48, 9, 9, 48, 1, 1, 2, 2, 0, 0, 16, 24, 4, true},
-		{"1x1-pad1-rows", 8, 6, 6, 16, 1, 1, 1, 1, 1, 1, 8, 16, 8, false},
-		{"stride2", 16, 15, 15, 16, 3, 3, 2, 2, 1, 1, 4, 8, 8, false},
-		{"stride2-unroll", 16, 15, 15, 16, 3, 3, 2, 2, 1, 1, 4, 8, 8, true},
-		{"5x5", 8, 12, 12, 16, 5, 5, 1, 1, 2, 2, 8, 8, 4, false},
-		{"5x5-unroll-generic", 8, 12, 12, 16, 5, 5, 1, 1, 2, 2, 8, 8, 4, true},
-		{"3x3-stride2-regn8", 64, 15, 15, 32, 3, 3, 2, 2, 1, 1, 32, 16, 8, true},
-		{"3x3-stride2-regn16", 64, 15, 15, 32, 3, 3, 2, 2, 1, 1, 32, 16, 16, true},
-		{"7x7-stride2", 4, 23, 23, 16, 7, 7, 2, 2, 3, 3, 4, 16, 4, false},
-		{"7x7-stride2-icb1", 3, 23, 23, 32, 7, 7, 2, 2, 3, 3, 1, 32, 16, false},
-		{"7x7-stride2-icb3", 3, 23, 23, 32, 7, 7, 2, 2, 3, 3, 3, 32, 8, false},
-		{"tail-regn", 16, 10, 10, 16, 3, 3, 1, 1, 1, 1, 16, 16, 4, true},
-		{"regn-bigger-than-ow", 16, 5, 5, 16, 3, 3, 1, 1, 1, 1, 16, 16, 32, false},
-		{"block1", 6, 9, 9, 10, 3, 3, 1, 1, 1, 1, 1, 1, 4, false},
-		{"asym-stride", 8, 16, 12, 8, 3, 3, 2, 1, 1, 1, 8, 8, 2, false},
+		{"3x3-pad1", 16, 14, 14, 32, 3, 3, 1, 1, 1, 1, 8, 16, 4, 1},
+		{"3x3-pad1-unroll", 16, 14, 14, 32, 3, 3, 1, 1, 1, 1, 8, 16, 4, 1},
+		{"3x3-ocb4", 16, 14, 14, 32, 3, 3, 1, 1, 1, 1, 8, 4, 4, 1},
+		{"3x3-ocb8", 16, 14, 14, 32, 3, 3, 1, 1, 1, 1, 8, 8, 4, 1},
+		{"3x3-generic-ocb", 12, 11, 11, 24, 3, 3, 1, 1, 1, 1, 6, 12, 4, 1},
+		{"3x3-grouped", 16, 9, 9, 32, 3, 3, 1, 1, 1, 1, 4, 8, 8, 2},
+		{"1x1", 32, 7, 7, 64, 1, 1, 1, 1, 0, 0, 16, 16, 2, 1},
+		{"1x1-unroll", 32, 7, 7, 64, 1, 1, 1, 1, 0, 0, 16, 16, 2, 1},
+		{"1x1-ocb4", 32, 7, 7, 64, 1, 1, 1, 1, 0, 0, 16, 4, 2, 1},
+		{"1x1-ocb8", 32, 7, 7, 64, 1, 1, 1, 1, 0, 0, 16, 8, 2, 1},
+		{"1x1-plane-tiles-cross-rows", 16, 7, 9, 80, 1, 1, 1, 1, 0, 0, 8, 40, 8, 1},
+		{"1x1-stride2-rows", 48, 9, 9, 48, 1, 1, 2, 2, 0, 0, 16, 24, 4, 1},
+		{"1x1-pad1-rows", 8, 6, 6, 16, 1, 1, 1, 1, 1, 1, 8, 16, 8, 1},
+		{"stride2", 16, 15, 15, 16, 3, 3, 2, 2, 1, 1, 4, 8, 8, 1},
+		{"stride2-unroll", 16, 15, 15, 16, 3, 3, 2, 2, 1, 1, 4, 8, 8, 1},
+		{"5x5", 8, 12, 12, 16, 5, 5, 1, 1, 2, 2, 8, 8, 4, 1},
+		{"5x5-unroll-generic", 8, 12, 12, 16, 5, 5, 1, 1, 2, 2, 8, 8, 4, 1},
+		{"3x3-stride2-regn8", 64, 15, 15, 32, 3, 3, 2, 2, 1, 1, 32, 16, 8, 1},
+		{"3x3-stride2-regn16", 64, 15, 15, 32, 3, 3, 2, 2, 1, 1, 32, 16, 16, 1},
+		{"7x7-stride2", 4, 23, 23, 16, 7, 7, 2, 2, 3, 3, 4, 16, 4, 1},
+		{"7x7-stride2-icb1", 3, 23, 23, 32, 7, 7, 2, 2, 3, 3, 1, 32, 16, 1},
+		{"7x7-stride2-icb3", 3, 23, 23, 32, 7, 7, 2, 2, 3, 3, 3, 32, 8, 1},
+		{"tail-regn", 16, 10, 10, 16, 3, 3, 1, 1, 1, 1, 16, 16, 4, 1},
+		{"regn-bigger-than-ow", 16, 5, 5, 16, 3, 3, 1, 1, 1, 1, 16, 16, 32, 1},
+		{"block1", 6, 9, 9, 10, 3, 3, 1, 1, 1, 1, 1, 1, 4, 1},
+		{"asym-stride", 8, 16, 12, 8, 3, 3, 2, 1, 1, 1, 8, 8, 2, 1},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			in, wt := convCase(99, tc.c, tc.h, tc.w, tc.oc, tc.kh, tc.kw)
-			attrs := Conv2DAttrs{OutC: tc.oc, KH: tc.kh, KW: tc.kw, StrideH: tc.sh, StrideW: tc.sw, PadH: tc.ph, PadW: tc.pw}
+			in, wt := groupedCase(99, tc.c, tc.h, tc.w, tc.oc, tc.kh, tc.kw, tc.groups)
+			attrs := Conv2DAttrs{OutC: tc.oc, KH: tc.kh, KW: tc.kw, StrideH: tc.sh, StrideW: tc.sw, PadH: tc.ph, PadW: tc.pw, Groups: tc.groups}
 			ref := Conv2DNCHW(in, wt, attrs, Epilogue{}, nil)
-			got := runBlocked(in, wt, attrs, tc.icb, tc.ocb, tc.regN, tc.unroll, Epilogue{})
-			if !tensor.AllClose(ref, got, 1e-4) {
-				t.Fatalf("blocked conv diverges from reference: max diff %g", tensor.MaxAbsDiff(ref, got))
+			for i, pf := range []ParallelFor{Serial, goPar(3)} {
+				got := runBlocked(in, wt, attrs, tc.icb, tc.ocb, tc.regN, Epilogue{}, pf)
+				if !tensor.AllClose(ref, got, 1e-4) {
+					t.Fatalf("blocked conv under %s diverges from reference: max diff %g",
+						[]string{"Serial", "goPar(3)"}[i], tensor.MaxAbsDiff(ref, got))
+				}
 			}
 		})
 	}
@@ -144,7 +152,7 @@ func TestConvEpilogueFusion(t *testing.T) {
 	if !tensor.AllClose(want, fusedRef, 1e-5) {
 		t.Fatalf("reference epilogue fusion wrong: %g", tensor.MaxAbsDiff(want, fusedRef))
 	}
-	fusedBlocked := runBlocked(in, wt, attrs, 8, 8, 4, true, epi)
+	fusedBlocked := runBlocked(in, wt, attrs, 8, 8, 4, epi, Serial)
 	if !tensor.AllClose(want, fusedBlocked, 1e-4) {
 		t.Fatalf("blocked epilogue fusion wrong: %g", tensor.MaxAbsDiff(want, fusedBlocked))
 	}
@@ -155,17 +163,18 @@ func TestConvParallelMatchesSerial(t *testing.T) {
 	attrs := Conv2DAttrs{OutC: 32, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}
 	blockedIn := tensor.ToNCHWc(in, 8)
 	blockedWt := tensor.PackWeights(wt, 8, 16)
-	serial := Conv2DNCHWc(blockedIn, blockedWt, attrs, 8, 16, 4, false, Epilogue{}, Serial)
-	par := Conv2DNCHWc(blockedIn, blockedWt, attrs, 8, 16, 4, false, Epilogue{}, goPar(5))
+	serial := Conv2DNCHWc(blockedIn, blockedWt, attrs, 8, 16, 4, Epilogue{}, Serial)
+	par := Conv2DNCHWc(blockedIn, blockedWt, attrs, 8, 16, 4, Epilogue{}, goPar(5))
 	if tensor.MaxAbsDiff(serial, par) != 0 {
 		t.Fatal("parallel conv must be bit-identical to serial")
 	}
 }
 
-// TestConvUnrollKerSelectsNothing pins that the direct and depthwise
-// templates have one path each: unroll_ker true and false give bit-identical
-// output for the same schedule, for the 3x3 shapes the flag used to
-// specialise and for others.
+// TestConvUnrollKerSelectsNothing covers the shapes the deleted unroll_ker
+// flag used to specialise: 3x3 at several oc_bn, grouped, 7x7 stride 2, 1x1
+// and depthwise at three block sizes. Each template has one body, so the
+// output must not depend on how the work is split (Serial and goPar(3) are
+// bit-identical) and must match the NCHW reference.
 func TestConvUnrollKerSelectsNothing(t *testing.T) {
 	cases := []struct {
 		name                   string
@@ -189,17 +198,17 @@ func TestConvUnrollKerSelectsNothing(t *testing.T) {
 			wt.FillRandom(16, 0.5)
 			attrs := Conv2DAttrs{OutC: tc.oc, KH: tc.k, KW: tc.k, StrideH: tc.s, StrideW: tc.s, PadH: tc.p, PadW: tc.p, Groups: tc.groups}
 			bi := tensor.ToNCHWc(in, tc.icb)
-			conv := func(unroll bool) *tensor.Tensor {
+			conv := func(pf ParallelFor) *tensor.Tensor {
 				if attrs.Depthwise(tc.c) {
-					return Conv2DDepthwiseNCHWc(bi, tensor.PackWeights(wt, 1, tc.ocb), attrs, tc.ocb, tc.regN, unroll, Epilogue{}, goPar(3))
+					return Conv2DDepthwiseNCHWc(bi, tensor.PackWeights(wt, 1, tc.ocb), attrs, tc.ocb, tc.regN, Epilogue{}, pf)
 				}
-				return Conv2DNCHWc(bi, tensor.PackWeights(wt, tc.icb, tc.ocb), attrs, tc.icb, tc.ocb, tc.regN, unroll, Epilogue{}, goPar(3))
+				return Conv2DNCHWc(bi, tensor.PackWeights(wt, tc.icb, tc.ocb), attrs, tc.icb, tc.ocb, tc.regN, Epilogue{}, pf)
 			}
-			plain, unrolled := conv(false), conv(true)
-			if tensor.MaxAbsDiff(plain, unrolled) != 0 {
-				t.Fatalf("unroll_ker changes the output by %g", tensor.MaxAbsDiff(plain, unrolled))
+			serial, par := conv(Serial), conv(goPar(3))
+			if tensor.MaxAbsDiff(serial, par) != 0 {
+				t.Fatalf("goPar(3) changes the output by %g", tensor.MaxAbsDiff(serial, par))
 			}
-			if d := tensor.MaxAbsDiff(Conv2DNCHW(in, wt, attrs, Epilogue{}, nil), tensor.FromNCHWc(plain)); d > 1e-4 {
+			if d := tensor.MaxAbsDiff(Conv2DNCHW(in, wt, attrs, Epilogue{}, nil), tensor.FromNCHWc(serial)); d > 1e-4 {
 				t.Fatalf("diverges from the reference by %g", d)
 			}
 		})
@@ -238,7 +247,7 @@ func TestDirectConvNoPerRowAllocation(t *testing.T) {
 		blockedWt := tensor.PackWeights(wt, 8, ocb)
 		dst := tensor.New(tensor.NCHWc(ocb), 1, 64/ocb, 40, 40, ocb)
 		return testing.AllocsPerRun(5, func() {
-			Conv2DNCHWcInto(dst, pad, blockedIn, blockedWt, attrs, 8, ocb, regN, true, Epilogue{}, Serial)
+			Conv2DNCHWcInto(dst, pad, blockedIn, blockedWt, attrs, 8, ocb, regN, Epilogue{}, Serial)
 		}), dst
 	}
 	narrow, _ := run(8, 4)
@@ -261,7 +270,7 @@ func TestDirectConvNoPerRowAllocation(t *testing.T) {
 		dst := tensor.New(tensor.NCHWc(bn), 1, c/bn, h, 14, bn)
 		epi := Epilogue{Bias: make([]float32, c), ReLU: true}
 		return testing.AllocsPerRun(5, func() {
-			Conv2DDepthwiseNCHWcInto(dst, dwPad, dwIn, packed, dwAttrs, bn, regN, true, epi, Serial)
+			Conv2DDepthwiseNCHWcInto(dst, dwPad, dwIn, packed, dwAttrs, bn, regN, epi, Serial)
 		})
 	}
 	if short, tall := dwRun(10), dwRun(40); tall != short {
@@ -281,11 +290,10 @@ func TestQuickBlockedConvEquivalence(t *testing.T) {
 		}
 		g := geoms[int(geomRaw)%len(geoms)]
 		regN := []int{2, 4, 8}[int(schedRaw)%3]
-		unroll := schedRaw%2 == 0
 		in, wt := convCase(seed, c, g.h, g.w, oc, g.kh, g.kw)
 		attrs := Conv2DAttrs{OutC: oc, KH: g.kh, KW: g.kw, StrideH: g.s, StrideW: g.s, PadH: g.p, PadW: g.p}
 		ref := Conv2DNCHW(in, wt, attrs, Epilogue{}, nil)
-		got := runBlocked(in, wt, attrs, icb, ocb, regN, unroll, Epilogue{})
+		got := runBlocked(in, wt, attrs, icb, ocb, regN, Epilogue{}, Serial)
 		return tensor.AllClose(ref, got, 1e-4)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
@@ -298,14 +306,14 @@ func TestConvNCHWcRejectsBadLayouts(t *testing.T) {
 	attrs := Conv2DAttrs{OutC: 8, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}
 	blockedWt := tensor.PackWeights(wt, 4, 4)
 	mustPanic(t, func() {
-		Conv2DNCHWc(in, blockedWt, attrs, 4, 4, 4, false, Epilogue{}, nil) // input not blocked
+		Conv2DNCHWc(in, blockedWt, attrs, 4, 4, 4, Epilogue{}, nil) // input not blocked
 	})
 	blockedIn := tensor.ToNCHWc(in, 4)
 	mustPanic(t, func() {
-		Conv2DNCHWc(blockedIn, wt, attrs, 4, 4, 4, false, Epilogue{}, nil) // weight not packed
+		Conv2DNCHWc(blockedIn, wt, attrs, 4, 4, 4, Epilogue{}, nil) // weight not packed
 	})
 	mustPanic(t, func() {
-		Conv2DNCHWc(blockedIn, blockedWt, attrs, 4, 4, 0, false, Epilogue{}, nil) // bad reg_n
+		Conv2DNCHWc(blockedIn, blockedWt, attrs, 4, 4, 0, Epilogue{}, nil) // bad reg_n
 	})
 }
 
@@ -318,7 +326,7 @@ func TestConvNCHWcRejectsUncoverableGeometry(t *testing.T) {
 	wt := tensor.New(tensor.OIHWio(4, 4), 1, 1, 3, 3, 4, 4)
 	attrs := Conv2DAttrs{OutC: 4, KH: 3, KW: 3, StrideH: 3, StrideW: 3}
 	mustPanic(t, func() {
-		Conv2DNCHWc(in, wt, attrs, 4, 4, 2, false, Epilogue{}, nil)
+		Conv2DNCHWc(in, wt, attrs, 4, 4, 2, Epilogue{}, nil)
 	})
 }
 
@@ -356,7 +364,7 @@ func TestConvBatchedMatchesPerImage(t *testing.T) {
 	// Blocked kernel on the same batch.
 	bi := tensor.ToNCHWc(in, 4)
 	bw := tensor.PackWeights(wt, 4, 8)
-	blocked := tensor.FromNCHWc(Conv2DNCHWc(bi, bw, attrs, 4, 8, 4, true, Epilogue{}, nil))
+	blocked := tensor.FromNCHWc(Conv2DNCHWc(bi, bw, attrs, 4, 8, 4, Epilogue{}, nil))
 	if !tensor.AllClose(batched, blocked, 1e-4) {
 		t.Fatalf("batched blocked conv diverges: %g", tensor.MaxAbsDiff(batched, blocked))
 	}
@@ -378,7 +386,7 @@ func TestConvAsymmetricPadding(t *testing.T) {
 	if ref.Shape[2] != 10 || ref.Shape[3] != 10 {
 		t.Fatalf("1x7 conv output shape %v", ref.Shape)
 	}
-	got := runBlocked(in, wt, attrs, 4, 4, 4, false, Epilogue{})
+	got := runBlocked(in, wt, attrs, 4, 4, 4, Epilogue{}, Serial)
 	if !tensor.AllClose(ref, got, 1e-4) {
 		t.Fatalf("1x7 blocked conv diverges: %g", tensor.MaxAbsDiff(ref, got))
 	}

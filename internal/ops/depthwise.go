@@ -23,18 +23,17 @@ import (
 
 // Conv2DDepthwiseNCHWc computes a depthwise convolution over an NCHW[bn]c
 // input with OIHW[1]i[bn]o weights, register-blocking reg_n output positions
-// exactly like the dense direct template. unrollKer is accepted for the
-// schedule tuple's sake and selects nothing: every kernel shape runs one
-// laneMAC per kernel row.
-func Conv2DDepthwiseNCHWc(in, weight *tensor.Tensor, attrs Conv2DAttrs, bn, regN int, unrollKer bool, epi Epilogue, pf ParallelFor) *tensor.Tensor {
-	return Conv2DDepthwiseNCHWcInto(nil, nil, in, weight, attrs, bn, regN, unrollKer, epi, pf)
+// exactly like the dense direct template. Every kernel shape runs one laneMAC
+// per kernel row.
+func Conv2DDepthwiseNCHWc(in, weight *tensor.Tensor, attrs Conv2DAttrs, bn, regN int, epi Epilogue, pf ParallelFor) *tensor.Tensor {
+	return Conv2DDepthwiseNCHWcInto(nil, nil, in, weight, attrs, bn, regN, epi, pf)
 }
 
 // Conv2DDepthwiseNCHWcInto is Conv2DDepthwiseNCHWc writing into
 // caller-provided buffers: dst receives the output and padScratch (sized per
 // PaddedShapeNCHWc, zero-filled at allocation) holds the explicitly padded
 // input. Either may be nil, in which case it is allocated.
-func Conv2DDepthwiseNCHWcInto(dst, padScratch *tensor.Tensor, in, weight *tensor.Tensor, attrs Conv2DAttrs, bn, regN int, unrollKer bool, epi Epilogue, pf ParallelFor) *tensor.Tensor {
+func Conv2DDepthwiseNCHWcInto(dst, padScratch *tensor.Tensor, in, weight *tensor.Tensor, attrs Conv2DAttrs, bn, regN int, epi Epilogue, pf ParallelFor) *tensor.Tensor {
 	if in.Layout.Kind != tensor.LayoutNCHWc || in.Layout.BlockC != bn {
 		panic(fmt.Sprintf("ops: Conv2DDepthwiseNCHWc expects NCHW%dc input, got %v", bn, in.Layout))
 	}

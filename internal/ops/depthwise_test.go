@@ -90,13 +90,11 @@ func TestConv2DNCHWcGrouped(t *testing.T) {
 		want := Conv2DNCHW(in, wt, attrs, Epilogue{}, nil)
 		for _, icb := range []int{1, 2, 4} { // divisors of c/groups = 4
 			for _, ocb := range []int{2, 4, 8} { // divisors of oc/groups = 8
-				for _, unroll := range []bool{true, false} {
-					blockedIn := tensor.ToNCHWc(in, icb)
-					blockedWt := tensor.PackWeights(wt, icb, ocb)
-					out := Conv2DNCHWc(blockedIn, blockedWt, attrs, icb, ocb, 4, unroll, Epilogue{}, Serial)
-					if d := tensor.MaxAbsDiff(want, tensor.FromNCHWc(out)); d > 1e-5 {
-						t.Fatalf("k=%d icb=%d ocb=%d unroll=%v: blocked grouped diverges by %g", k.kh, icb, ocb, unroll, d)
-					}
+				blockedIn := tensor.ToNCHWc(in, icb)
+				blockedWt := tensor.PackWeights(wt, icb, ocb)
+				out := Conv2DNCHWc(blockedIn, blockedWt, attrs, icb, ocb, 4, Epilogue{}, Serial)
+				if d := tensor.MaxAbsDiff(want, tensor.FromNCHWc(out)); d > 1e-5 {
+					t.Fatalf("k=%d icb=%d ocb=%d: blocked grouped diverges by %g", k.kh, icb, ocb, d)
 				}
 			}
 		}
@@ -104,18 +102,20 @@ func TestConv2DNCHWcGrouped(t *testing.T) {
 }
 
 // TestConv2DDepthwiseNCHWc checks the depthwise template — every block size,
-// including the 32- and 64-lane blocks the search plans for MobileNet, both
-// unroll_ker values, every reg_n shape with full and partial last tiles,
-// strides and the full bias + residual + ReLU epilogue — against the NCHW
-// reference.
+// including the 32- and 64-lane blocks the search plans for MobileNet, every
+// reg_n shape with full and partial last tiles, strides and the full bias +
+// residual + ReLU epilogue, serially and over ragged parallel ranges —
+// against the NCHW reference.
 func TestConv2DDepthwiseNCHWc(t *testing.T) {
 	for _, tc := range []struct {
 		c, h, k, stride, pad int
 	}{
 		{16, 12, 3, 1, 1},
 		{16, 12, 3, 2, 1},
+		{16, 9, 3, 1, 1},
 		{32, 9, 3, 1, 1},
 		{8, 7, 5, 1, 2},
+		{8, 9, 5, 1, 2},
 		{48, 8, 3, 1, 1},  // c=48 exercises bn=16 and generic bn via divisors
 		{64, 13, 3, 2, 1}, // searched blocks, stride 2, 7 output columns
 		{128, 9, 3, 1, 1}, // searched blocks, 9 output columns
@@ -138,9 +138,9 @@ func TestConv2DDepthwiseNCHWc(t *testing.T) {
 			packed := tensor.PackWeights(wt, 1, bn)
 			epi := Epilogue{Bias: bias, Residual: tensor.ToNCHWc(res, bn), ReLU: true}
 			for _, regN := range []int{1, 4, 16} {
-				for _, unroll := range []bool{true, false} {
-					name := fmt.Sprintf("c=%d k=%d s=%d bn=%d regN=%d unroll=%v", tc.c, tc.k, tc.stride, bn, regN, unroll)
-					out := Conv2DDepthwiseNCHWc(blockedIn, packed, attrs, bn, regN, unroll, epi, Serial)
+				for i, pf := range []ParallelFor{Serial, goPar(3)} {
+					name := fmt.Sprintf("c=%d k=%d s=%d bn=%d regN=%d %s", tc.c, tc.k, tc.stride, bn, regN, []string{"Serial", "goPar(3)"}[i])
+					out := Conv2DDepthwiseNCHWc(blockedIn, packed, attrs, bn, regN, epi, pf)
 					if d := tensor.MaxAbsDiff(want, tensor.FromNCHWc(out)); d > 1e-5 {
 						t.Fatalf("%s: depthwise diverges by %g", name, d)
 					}
@@ -167,7 +167,7 @@ func TestConv2DDepthwiseNCHWcResidual(t *testing.T) {
 	dst := tensor.New(tensor.NCHWc(bn), 1, c/bn, h, h, bn)
 	pad := tensor.New(tensor.NCHWc(bn), PaddedShapeNCHWc(blockedIn.Shape, attrs)...)
 	for pass := 0; pass < 2; pass++ { // second pass reuses the pad scratch
-		out := Conv2DDepthwiseNCHWcInto(dst, pad, blockedIn, packed, attrs, bn, 4, true,
+		out := Conv2DDepthwiseNCHWcInto(dst, pad, blockedIn, packed, attrs, bn, 4,
 			Epilogue{Residual: blockedRes, ReLU: true}, Serial)
 		if d := tensor.MaxAbsDiff(want, tensor.FromNCHWc(out)); d > 1e-5 {
 			t.Fatalf("pass %d: depthwise residual diverges by %g", pass, d)

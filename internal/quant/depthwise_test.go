@@ -24,7 +24,7 @@ func TestInt8DepthwiseMatchesFloat(t *testing.T) {
 
 	for _, bn := range []int{4, 8, 16} {
 		blockedIn := tensor.ToNCHWc(in, bn)
-		want := ops.Conv2DDepthwiseNCHWc(blockedIn, tensor.PackWeights(wt, 1, bn), attrs, bn, 4, true,
+		want := ops.Conv2DDepthwiseNCHWc(blockedIn, tensor.PackWeights(wt, 1, bn), attrs, bn, 4,
 			ops.Epilogue{Bias: bias, ReLU: true}, nil)
 
 		qin := Quantize(blockedIn)
@@ -52,7 +52,7 @@ func TestInt8GroupedMatchesFloat(t *testing.T) {
 
 	const icb, ocb = 4, 8 // divisors of c/groups and oc/groups
 	blockedIn := tensor.ToNCHWc(in, icb)
-	want := ops.Conv2DNCHWc(blockedIn, tensor.PackWeights(wt, icb, ocb), attrs, icb, ocb, 4, true, ops.Epilogue{}, nil)
+	want := ops.Conv2DNCHWc(blockedIn, tensor.PackWeights(wt, icb, ocb), attrs, icb, ocb, 4, ops.Epilogue{}, nil)
 
 	qin := Quantize(blockedIn)
 	qw := PackWeightsOIHWio(QuantizeWeightsPerChannel(wt), icb, ocb)

@@ -21,8 +21,8 @@ import (
 // Candidates are enumerated on the real workload and executed on a shrunken
 // one: spatial dims above 9 become 9, so output widths of 9, 7 and 5 stay
 // non-multiples of every reg_n, and each side keeps at most two channel
-// blocks. The block sizes, reg_n, unroll_ker and the kernel geometry select
-// the code path; the count of ic.outer/oc.outer iterations does not. -short
+// blocks. The block sizes, reg_n and the kernel geometry select the code
+// path; the count of ic.outer/oc.outer iterations does not. -short
 // runs a deterministic sample of each workload's candidates.
 func TestEveryCandidateRunsOnACheckedKernel(t *testing.T) {
 	tgt := machine.IntelSkylakeC5()
@@ -117,12 +117,12 @@ func auditCandidate(t *testing.T, where string, wl machine.ConvWorkload, s machi
 	case wl.Depthwise():
 		packed := tensor.PackWeights(wt, 1, s.OCBlock)
 		run = func(pf ops.ParallelFor) *tensor.Tensor {
-			return ops.Conv2DDepthwiseNCHWc(blockedIn, packed, attrs, s.OCBlock, s.RegN, s.UnrollKer, epi, pf)
+			return ops.Conv2DDepthwiseNCHWc(blockedIn, packed, attrs, s.OCBlock, s.RegN, epi, pf)
 		}
 	default:
 		packed := tensor.PackWeights(wt, s.ICBlock, s.OCBlock)
 		run = func(pf ops.ParallelFor) *tensor.Tensor {
-			return ops.Conv2DNCHWc(blockedIn, packed, attrs, s.ICBlock, s.OCBlock, s.RegN, s.UnrollKer, epi, pf)
+			return ops.Conv2DNCHWc(blockedIn, packed, attrs, s.ICBlock, s.OCBlock, s.RegN, epi, pf)
 		}
 	}
 	var first *tensor.Tensor

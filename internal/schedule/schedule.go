@@ -1,9 +1,9 @@
 // Package schedule implements the local optimization-scheme search of
 // Section 3.3.1: enumerating candidate convolution schedules
-// (ic_bn, oc_bn, reg_n, unroll_ker), evaluating them (against the machine
-// cost model or by live measurement of the Go kernels), and memoizing the
-// results in a per-target database keyed by convolution workload so repeated
-// workloads across models are never searched twice.
+// (ic_bn, oc_bn, reg_n), evaluating them (against the machine cost model or
+// by live measurement of the Go kernels), and memoizing the results in a
+// per-target database keyed by convolution workload so repeated workloads
+// across models are never searched twice.
 package schedule
 
 import (
@@ -56,7 +56,7 @@ func divisors(n int) []int {
 //     duplicates of it and only waste search time.
 //   - for 3x3 stride-1 workloads, each block pair additionally gets one
 //     Winograd candidate (the algorithm is a searched dimension of the
-//     scheme; the Winograd kernel has no reg_n/unroll knobs).
+//     scheme; the Winograd kernel has no reg_n knob).
 //
 // Grouped convolutions restrict the block domains so channel blocks never
 // straddle a group: ic_bn ranges over divisors of in_channels/groups and
@@ -84,13 +84,11 @@ func Candidates(wl machine.ConvWorkload, t *machine.Target) []machine.ConvSchedu
 				continue
 			}
 			for _, rn := range regNs {
-				for _, unroll := range []bool{true, false} {
-					out = append(out, machine.ConvSchedule{
-						Layout:  tensor.NCHWc(bn),
-						ICBlock: bn, OCBlock: bn,
-						RegN: rn, UnrollKer: unroll,
-					})
-				}
+				out = append(out, machine.ConvSchedule{
+					Layout:  tensor.NCHWc(bn),
+					ICBlock: bn, OCBlock: bn,
+					RegN: rn,
+				})
 			}
 		}
 		return out
@@ -106,13 +104,11 @@ func Candidates(wl machine.ConvWorkload, t *machine.Target) []machine.ConvSchedu
 				continue
 			}
 			for _, rn := range regNs {
-				for _, unroll := range []bool{true, false} {
-					out = append(out, machine.ConvSchedule{
-						Layout:  tensor.NCHWc(ic),
-						ICBlock: ic, OCBlock: oc,
-						RegN: rn, UnrollKer: unroll,
-					})
-				}
+				out = append(out, machine.ConvSchedule{
+					Layout:  tensor.NCHWc(ic),
+					ICBlock: ic, OCBlock: oc,
+					RegN: rn,
+				})
 			}
 			if winograd {
 				out = append(out, machine.ConvSchedule{
@@ -170,12 +166,12 @@ func MeasuredEvaluator(trials int) Evaluator {
 		case wl.Depthwise():
 			packed := tensor.PackWeights(wt, 1, s.OCBlock)
 			run = func() {
-				ops.Conv2DDepthwiseNCHWc(blockedIn, packed, attrs, s.OCBlock, s.RegN, s.UnrollKer, ops.Epilogue{}, nil)
+				ops.Conv2DDepthwiseNCHWc(blockedIn, packed, attrs, s.OCBlock, s.RegN, ops.Epilogue{}, nil)
 			}
 		default:
 			blockedWt := tensor.PackWeights(wt, s.ICBlock, s.OCBlock)
 			run = func() {
-				ops.Conv2DNCHWc(blockedIn, blockedWt, attrs, s.ICBlock, s.OCBlock, s.RegN, s.UnrollKer, ops.Epilogue{}, nil)
+				ops.Conv2DNCHWc(blockedIn, blockedWt, attrs, s.ICBlock, s.OCBlock, s.RegN, ops.Epilogue{}, nil)
 			}
 		}
 		best := 0.0
@@ -277,7 +273,6 @@ type resultJSON struct {
 	ICBlock   int     `json:"ic_bn"`
 	OCBlock   int     `json:"oc_bn"`
 	RegN      int     `json:"reg_n"`
-	UnrollKer bool    `json:"unroll_ker"`
 	LayoutX   int     `json:"layout_block"`
 	Algorithm string  `json:"algorithm,omitempty"` // "winograd"; absent means direct
 	Time      float64 `json:"time"`
@@ -294,8 +289,7 @@ func (db *DB) Save(w io.Writer) error {
 		for i, r := range rs {
 			js[i] = resultJSON{
 				ICBlock: r.Sched.ICBlock, OCBlock: r.Sched.OCBlock,
-				RegN: r.Sched.RegN, UnrollKer: r.Sched.UnrollKer,
-				LayoutX: r.Sched.Layout.BlockC, Time: r.Time,
+				RegN: r.Sched.RegN, LayoutX: r.Sched.Layout.BlockC, Time: r.Time,
 			}
 			if r.Sched.Algorithm == machine.AlgoWinograd {
 				js[i].Algorithm = machine.AlgoWinograd.String()
@@ -328,8 +322,7 @@ func (db *DB) Load(r io.Reader) error {
 				Sched: machine.ConvSchedule{
 					Layout:  tensor.NCHWc(j.LayoutX),
 					ICBlock: j.ICBlock, OCBlock: j.OCBlock,
-					RegN: j.RegN, UnrollKer: j.UnrollKer,
-					Algorithm: algo,
+					RegN: j.RegN, Algorithm: algo,
 				},
 				Time: j.Time,
 			}

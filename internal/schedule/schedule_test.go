@@ -35,10 +35,10 @@ func TestCandidatesCoverSpace(t *testing.T) {
 	// 32 has 6 divisors, 64 has 7; all <= 64. reg_n ∈ {32,16,8,4,2} is
 	// trimmed by the 14-wide output to {8,4,2} plus the narrowest clamped
 	// value (16, one full-width tile); 32 duplicates 16's clamp and is
-	// dropped. Each of the 42 block pairs yields 4*2 direct schedules plus
-	// 1 winograd candidate (the workload is 3x3 stride-1): 42*(8+1) = 378.
-	if len(cands) != 378 {
-		t.Fatalf("candidate count = %d, want 378", len(cands))
+	// dropped. Each of the 42 block pairs yields 4 direct schedules plus
+	// 1 winograd candidate (the workload is 3x3 stride-1): 42*(4+1) = 210.
+	if len(cands) != 210 {
+		t.Fatalf("candidate count = %d, want 210", len(cands))
 	}
 	seen := map[string]bool{}
 	winograd := 0
@@ -212,15 +212,17 @@ func TestDBSaveLoadRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Databases written by the builds that searched a parallel grain carry a
-	// "grain" key per entry; it is ignored on read.
+	// "grain" key per entry, and those written by the builds that searched
+	// kernel unrolling an "unroll_ker" key; both are ignored on read.
 	saved := buf.String()
 	withGrain := strings.ReplaceAll(saved, `"time":`, `"grain": 4, "time":`)
-	if withGrain == saved {
-		t.Fatal("test setup: no entry to add a grain key to")
+	withUnroll := strings.ReplaceAll(saved, `"time":`, `"unroll_ker": true, "time":`)
+	if withGrain == saved || withUnroll == saved {
+		t.Fatal("test setup: no entry to add a key to")
 	}
 	r1, _ := db.Lookup(tgt, testWL)
 	db2 := NewDB()
-	for name, doc := range map[string]string{"current": saved, "grain-bearing": withGrain} {
+	for name, doc := range map[string]string{"current": saved, "grain-bearing": withGrain, "unroll_ker-bearing": withUnroll} {
 		if err := db2.Load(strings.NewReader(doc)); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -244,7 +246,7 @@ func TestMeasuredEvaluatorRuns(t *testing.T) {
 	// return a positive time.
 	wl := machine.ConvWorkload{InC: 8, InH: 8, InW: 8, OutC: 8, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}
 	eval := MeasuredEvaluator(2)
-	s := machine.ConvSchedule{ICBlock: 4, OCBlock: 4, RegN: 4, UnrollKer: true}
+	s := machine.ConvSchedule{ICBlock: 4, OCBlock: 4, RegN: 4}
 	got := eval(wl, s)
 	if got <= 0 {
 		t.Fatalf("measured time = %v", got)
