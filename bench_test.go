@@ -289,6 +289,22 @@ func BenchmarkConvDepthwise(b *testing.B) {
 	}
 }
 
+// BenchmarkPool measures ResNet-18's stem max-pool as the search plans it —
+// 3x3 window, stride 2, pad 1 over the stem convolution's 64×112×112 output
+// in NCHW32c — single-threaded into a preallocated destination.
+func BenchmarkPool(b *testing.B) {
+	in := tensor.New(tensor.NCHW(), 1, 64, 112, 112)
+	in.FillRandom(1, 1)
+	bi := tensor.ToNCHWc(in, 32)
+	attrs := ops.PoolAttrs{Kind: ops.MaxPool, KH: 3, KW: 3, StrideH: 2, StrideW: 2, PadH: 1, PadW: 1}
+	dst := tensor.New(tensor.NCHWc(32), 1, 2, 56, 56, 32)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ops.Pool2DInto(dst, bi, attrs, ops.Serial)
+	}
+}
+
 // BenchmarkFusion compares fused conv+bias+relu+residual epilogues against
 // separate operator execution (Section 2.2's arithmetic-intensity argument).
 func BenchmarkFusion(b *testing.B) {

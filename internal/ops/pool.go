@@ -67,7 +67,7 @@ func poolNCHW(dst, in *tensor.Tensor, attrs PoolAttrs, pf ParallelFor) *tensor.T
 			dst := out.Data[(b*c+ch)*oh*ow:]
 			for y := 0; y < oh; y++ {
 				for x := 0; x < ow; x++ {
-					dst[y*ow+x] = poolWindow(src, h, w, 1, 0, y, x, attrs)
+					dst[y*ow+x] = poolWindow(src, h, w, y, x, attrs)
 				}
 			}
 		}
@@ -84,25 +84,71 @@ func poolNCHWc(dst, in *tensor.Tensor, attrs PoolAttrs, pf ParallelFor) *tensor.
 	}
 	pf(n*co, func(lo, hi int) {
 		for unit := lo; unit < hi; unit++ {
-			b, ch := unit/co, unit%co
-			src := in.Data[(b*co+ch)*h*w*x:]
-			dst := out.Data[(b*co+ch)*oh*ow*x:]
-			for y := 0; y < oh; y++ {
-				for xx := 0; xx < ow; xx++ {
-					for ci := 0; ci < x; ci++ {
-						dst[(y*ow+xx)*x+ci] = poolWindow(src, h, w, x, ci, y, xx, attrs)
-					}
-				}
+			src := in.Data[unit*h*w*x : (unit+1)*h*w*x]
+			dst := out.Data[unit*oh*ow*x : (unit+1)*oh*ow*x]
+			for p := 0; p < oh*ow; p++ {
+				poolBlockWindow(dst[p*x:(p+1)*x], src, h, w, p/ow, p%ow, attrs)
 			}
 		}
 	})
 	return out
 }
 
-// poolWindow reduces one pooling window. stride is the element stride between
-// consecutive (h,w) positions (1 for NCHW, block size for NCHWc) and off the
-// sub-channel offset.
-func poolWindow(src []float32, h, w, stride, off, oy, ox int, attrs PoolAttrs) float32 {
+// poolBlockWindow reduces one pooling window for every lane of a channel
+// block at once: d receives the len(d) lanes of output pixel (oy, ox) and
+// src is the block's h×w plane of len(d)-lane pixels. It visits the window's
+// in-image positions in poolWindow's (r, s) order, so every lane gets
+// poolWindow's bits: max pooling starts from -Inf and folds each position in
+// with laneMax, average pooling sums from +0 and divides once, and a window
+// with no position inside the image writes 0.
+func poolBlockWindow(d, src []float32, h, w, oy, ox int, attrs PoolAttrs) {
+	bn := len(d)
+	isMax := attrs.Kind == MaxPool
+	start := float32(0)
+	if isMax {
+		start = float32(math.Inf(-1))
+	}
+	for i := range d {
+		d[i] = start
+	}
+	count := 0
+	for r := 0; r < attrs.KH; r++ {
+		iy := oy*attrs.StrideH + r - attrs.PadH
+		if iy < 0 || iy >= h {
+			continue
+		}
+		for s := 0; s < attrs.KW; s++ {
+			ix := ox*attrs.StrideW + s - attrs.PadW
+			if ix < 0 || ix >= w {
+				continue
+			}
+			v := src[(iy*w+ix)*bn:][:bn]
+			if isMax {
+				laneMax(d, v, bn)
+			} else {
+				for i, x := range v {
+					d[i] += x
+				}
+			}
+			count++
+		}
+	}
+	if count == 0 {
+		clear(d)
+		return
+	}
+	if !isMax {
+		if attrs.CountIncludePad {
+			count = attrs.KH * attrs.KW
+		}
+		for i := range d {
+			d[i] /= float32(count)
+		}
+	}
+}
+
+// poolWindow reduces one pooling window of an h×w plane.
+func poolWindow(src []float32, h, w, oy, ox int, attrs PoolAttrs) float32 {
 	best := float32(math.Inf(-1))
 	var sum float32
 	count := 0
@@ -116,7 +162,7 @@ func poolWindow(src []float32, h, w, stride, off, oy, ox int, attrs PoolAttrs) f
 			if ix < 0 || ix >= w {
 				continue
 			}
-			v := src[(iy*w+ix)*stride+off]
+			v := src[iy*w+ix]
 			if v > best {
 				best = v
 			}

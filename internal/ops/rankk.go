@@ -159,3 +159,147 @@ func epilogueGo(dst, acc, bias, res []float32, rows, ocb int, relu bool) {
 		}
 	}
 }
+
+// winogradIn is the Winograd F(2x2, 3x3) input transform V = Bᵀ d B, lane-wise
+// over a channel block: the 4x4 patch d arrives as 4 rows of 4·bn contiguous
+// lanes (patch element (r, cc) of lane l at d[r*dStride+cc*bn+l]) and
+// component xi = r*4+cc of V is written to v[xi*vStride+l], for l < bn. With
+// Bᵀ = [1 0 -1 0; 0 1 1 0; 0 -1 1 0; 0 1 0 -1], per lane
+//
+//	t[0][cc] = d[0][cc] - d[2][cc]    V[r*4+0] = t[r][0] - t[r][2]
+//	t[1][cc] = d[1][cc] + d[2][cc]    V[r*4+1] = t[r][1] + t[r][2]
+//	t[2][cc] = d[2][cc] - d[1][cc]    V[r*4+2] = t[r][2] - t[r][1]
+//	t[3][cc] = d[1][cc] - d[3][cc]    V[r*4+3] = t[r][1] - t[r][3]
+//
+// Numeric contract: each V component is those two rounded adds or
+// subtracts, operands in the order written, so every body is bit-identical
+// to winogradInGo, the specification. The dispatch is rankK's: bn values
+// that are a multiple of 8 run the AVX2 body where hasAVX2 holds, everything
+// else runs winogradInGo.
+//
+// The call panics, before any body runs, unless the last v and d element the
+// transform touches is in range.
+func winogradIn(v, d []float32, dStride, vStride, bn int) {
+	if bn <= 0 {
+		return
+	}
+	if dStride < 0 || vStride < 0 {
+		panic(fmt.Sprintf("ops: winogradIn with negative stride (dStride %d, vStride %d)", dStride, vStride))
+	}
+	_ = v[15*vStride+bn-1]
+	_ = d[3*dStride+4*bn-1]
+	if hasAVX2 && bn%8 == 0 {
+		winogradInAVX2(&v[0], &d[0], dStride, vStride, bn)
+		return
+	}
+	winogradInGo(v, d, dStride, vStride, bn)
+}
+
+// winogradInGo is the portable body and the specification of winogradIn.
+func winogradInGo(v, d []float32, dStride, vStride, bn int) {
+	d0, d1, d2, d3 := d[:4*bn], d[dStride:][:4*bn], d[2*dStride:][:4*bn], d[3*dStride:][:4*bn]
+	for l := 0; l < bn; l++ {
+		var t [4][4]float32
+		for cc := 0; cc < 4; cc++ {
+			x0, x1, x2, x3 := d0[cc*bn+l], d1[cc*bn+l], d2[cc*bn+l], d3[cc*bn+l]
+			t[0][cc] = x0 - x2
+			t[1][cc] = x1 + x2
+			t[2][cc] = x2 - x1
+			t[3][cc] = x1 - x3
+		}
+		for r := 0; r < 4; r++ {
+			v[(r*4+0)*vStride+l] = t[r][0] - t[r][2]
+			v[(r*4+1)*vStride+l] = t[r][1] + t[r][2]
+			v[(r*4+2)*vStride+l] = t[r][2] - t[r][1]
+			v[(r*4+3)*vStride+l] = t[r][1] - t[r][3]
+		}
+	}
+}
+
+// winogradOut is the Winograd F(2x2, 3x3) output transform Y = Aᵀ M A,
+// lane-wise over a channel block: component xi = r*4+cc of M is read from
+// m[xi*mStride+l] and output pixel (dy, dx) of the 2x2 tile is written to
+// y[(dy*2+dx)*bn+l], for l < bn — two rows of 2·bn lanes, each in the
+// NCHW[x]c order of one output row. With Aᵀ = [1 1 1 0; 0 1 -1 -1], per lane
+//
+//	t0[cc] = M[cc] + M[4+cc] + M[8+cc]       y00 = t0[0] + t0[1] + t0[2]
+//	t1[cc] = M[4+cc] - M[8+cc] - M[12+cc]    y01 = t0[1] - t0[2] - t0[3]
+//	                                         y10 = t1[0] + t1[1] + t1[2]
+//	                                         y11 = t1[1] - t1[2] - t1[3]
+//
+// each evaluated left to right. Numeric contract: winogradIn's — every add
+// and subtract rounded, operands in the order written — so every body is
+// bit-identical to winogradOutGo; the dispatch is rankK's.
+//
+// The call panics, before any body runs, unless the last y and m element the
+// transform touches is in range.
+func winogradOut(y, m []float32, mStride, bn int) {
+	if bn <= 0 {
+		return
+	}
+	if mStride < 0 {
+		panic(fmt.Sprintf("ops: winogradOut with negative mStride %d", mStride))
+	}
+	_ = y[4*bn-1]
+	_ = m[15*mStride+bn-1]
+	if hasAVX2 && bn%8 == 0 {
+		winogradOutAVX2(&y[0], &m[0], mStride, bn)
+		return
+	}
+	winogradOutGo(y, m, mStride, bn)
+}
+
+// winogradOutGo is the portable body and the specification of winogradOut.
+func winogradOutGo(y, m []float32, mStride, bn int) {
+	y = y[:4*bn]
+	for l := 0; l < bn; l++ {
+		var t0, t1 [4]float32
+		for cc := 0; cc < 4; cc++ {
+			m0, m1, m2, m3 := m[cc*mStride+l], m[(4+cc)*mStride+l], m[(8+cc)*mStride+l], m[(12+cc)*mStride+l]
+			t0[cc] = m0 + m1 + m2
+			t1[cc] = m1 - m2 - m3
+		}
+		y[l] = t0[0] + t0[1] + t0[2]
+		y[bn+l] = t0[1] - t0[2] - t0[3]
+		y[2*bn+l] = t1[0] + t1[1] + t1[2]
+		y[3*bn+l] = t1[1] - t1[2] - t1[3]
+	}
+}
+
+// laneMax is the microkernel under NCHW[x]c max pooling: one window position
+// folded lane-wise into the running maxima,
+//
+//	d[i] = v[i] > d[i] ? v[i] : d[i]   for i < bn,
+//
+// so a NaN in v never replaces d[i], a NaN already in d[i] is never replaced,
+// and of +0 and -0 the one already in d stays — poolWindow's `v > best`,
+// element by element.
+//
+// Numeric contract: the AVX2 body (bn%8 == 0, rankK's dispatch) is VMAXPS
+// with v as the first source and d as the second, which returns the second
+// source when either is NaN or both are zeros of either sign; so every body
+// is bit-identical to laneMaxGo, the specification.
+//
+// The call panics, before any body runs, unless d and v hold bn elements.
+func laneMax(d, v []float32, bn int) {
+	if bn <= 0 {
+		return
+	}
+	_ = d[bn-1]
+	_ = v[bn-1]
+	if hasAVX2 && bn%8 == 0 {
+		laneMaxAVX2(&d[0], &v[0], bn)
+		return
+	}
+	laneMaxGo(d, v, bn)
+}
+
+// laneMaxGo is the portable body and the specification of laneMax.
+func laneMaxGo(d, v []float32, bn int) {
+	d = d[:bn]
+	for i, x := range v[:bn] {
+		if x > d[i] {
+			d[i] = x
+		}
+	}
+}

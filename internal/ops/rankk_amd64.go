@@ -48,6 +48,27 @@ func laneMACAVX2(acc, x, w *float32, rows, taps, xStride, bn int)
 //go:noescape
 func epilogueAVX2(dst, acc, bias, res *float32, rows, ocb int, relu bool)
 
+// winogradInAVX2 is winogradIn's AVX2 body for bn%8 == 0: 8 lanes at a time,
+// rows 1 and 2 of the patch held in YMM registers while the four rows of t
+// are formed and turned into V. VADDPS and VSUBPS only, bit-identical to
+// winogradInGo; no bounds checking.
+//
+//go:noescape
+func winogradInAVX2(v, d *float32, dStride, vStride, bn int)
+
+// winogradOutAVX2 is winogradOut's AVX2 body for bn%8 == 0: 8 lanes at a
+// time, the two rows of t in YMM registers. VADDPS and VSUBPS only,
+// bit-identical to winogradOutGo; no bounds checking.
+//
+//go:noescape
+func winogradOutAVX2(y, m *float32, mStride, bn int)
+
+// laneMaxAVX2 is laneMax's AVX2 body for bn%8 == 0, 32 lanes at a time with
+// an 8-lane tail. No bounds checking.
+//
+//go:noescape
+func laneMaxAVX2(d, v *float32, bn int)
+
 func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 
 func xgetbv() (eax, edx uint32)

@@ -444,6 +444,240 @@ epNext:
 	VZEROUPPER
 	RET
 
+// func winogradInAVX2(v, d *float32, dStride, vStride, bn int)
+//
+// V = Bᵀ d B per lane: t[0] = d0 - d2, t[1] = d1 + d2, t[2] = d2 - d1,
+// t[3] = d1 - d3 (row-wise over the patch columns), then per t row
+// V[r*4+0..3] = t0 - t2, t1 + t2, t2 - t1, t1 - t3. Each VADDPS/VSUBPS takes
+// the left operand as its first source. Requires bn%8 == 0, bn >= 8.
+//
+// Registers: SI d and DI v at the current lanes, R8 dStride in bytes, R10
+// vStride in bytes, R11 3*vStride in bytes, DX bn in bytes (the column pitch
+// of d), R9 3*bn in bytes, CX lane bytes left, AX/BX/R13 patch row and V row
+// pointers. Y0-Y3 hold patch row 1, Y4-Y7 row 2, Y8-Y11 a row of t, Y12-Y13
+// one V component. BP, R14, R15 and Y15 are not touched.
+TEXT ·winogradInAVX2(SB), NOSPLIT, $0-40
+	MOVQ v+0(FP), DI
+	MOVQ d+8(FP), SI
+	MOVQ dStride+16(FP), R8
+	SHLQ $2, R8
+	MOVQ vStride+24(FP), R10
+	SHLQ $2, R10
+	LEAQ (R10)(R10*2), R11
+	MOVQ bn+32(FP), DX
+	SHLQ $2, DX
+	LEAQ (DX)(DX*2), R9
+	MOVQ DX, CX
+
+wiLanes:
+	LEAQ    (SI)(R8*1), AX
+	LEAQ    (AX)(R8*1), BX
+	LEAQ    (BX)(R8*1), R13
+	VMOVUPS (AX), Y0
+	VMOVUPS (AX)(DX*1), Y1
+	VMOVUPS (AX)(DX*2), Y2
+	VMOVUPS (AX)(R9*1), Y3
+	VMOVUPS (BX), Y4
+	VMOVUPS (BX)(DX*1), Y5
+	VMOVUPS (BX)(DX*2), Y6
+	VMOVUPS (BX)(R9*1), Y7
+
+	// t row 0 = d0 - d2 → V0..V3 at DI.
+	VMOVUPS (SI), Y8
+	VMOVUPS (SI)(DX*1), Y9
+	VMOVUPS (SI)(DX*2), Y10
+	VMOVUPS (SI)(R9*1), Y11
+	VSUBPS  Y4, Y8, Y8
+	VSUBPS  Y5, Y9, Y9
+	VSUBPS  Y6, Y10, Y10
+	VSUBPS  Y7, Y11, Y11
+	VSUBPS  Y10, Y8, Y12
+	VMOVUPS Y12, (DI)
+	VADDPS  Y10, Y9, Y13
+	VMOVUPS Y13, (DI)(R10*1)
+	VSUBPS  Y9, Y10, Y12
+	VMOVUPS Y12, (DI)(R10*2)
+	VSUBPS  Y11, Y9, Y13
+	VMOVUPS Y13, (DI)(R11*1)
+
+	// t row 1 = d1 + d2 → V4..V7.
+	LEAQ    (DI)(R10*4), AX
+	VADDPS  Y4, Y0, Y8
+	VADDPS  Y5, Y1, Y9
+	VADDPS  Y6, Y2, Y10
+	VADDPS  Y7, Y3, Y11
+	VSUBPS  Y10, Y8, Y12
+	VMOVUPS Y12, (AX)
+	VADDPS  Y10, Y9, Y13
+	VMOVUPS Y13, (AX)(R10*1)
+	VSUBPS  Y9, Y10, Y12
+	VMOVUPS Y12, (AX)(R10*2)
+	VSUBPS  Y11, Y9, Y13
+	VMOVUPS Y13, (AX)(R11*1)
+
+	// t row 2 = d2 - d1 → V8..V11.
+	LEAQ    (AX)(R10*4), BX
+	VSUBPS  Y0, Y4, Y8
+	VSUBPS  Y1, Y5, Y9
+	VSUBPS  Y2, Y6, Y10
+	VSUBPS  Y3, Y7, Y11
+	VSUBPS  Y10, Y8, Y12
+	VMOVUPS Y12, (BX)
+	VADDPS  Y10, Y9, Y13
+	VMOVUPS Y13, (BX)(R10*1)
+	VSUBPS  Y9, Y10, Y12
+	VMOVUPS Y12, (BX)(R10*2)
+	VSUBPS  Y11, Y9, Y13
+	VMOVUPS Y13, (BX)(R11*1)
+
+	// t row 3 = d1 - d3 → V12..V15.
+	LEAQ    (BX)(R10*4), AX
+	VSUBPS  (R13), Y0, Y8
+	VSUBPS  (R13)(DX*1), Y1, Y9
+	VSUBPS  (R13)(DX*2), Y2, Y10
+	VSUBPS  (R13)(R9*1), Y3, Y11
+	VSUBPS  Y10, Y8, Y12
+	VMOVUPS Y12, (AX)
+	VADDPS  Y10, Y9, Y13
+	VMOVUPS Y13, (AX)(R10*1)
+	VSUBPS  Y9, Y10, Y12
+	VMOVUPS Y12, (AX)(R10*2)
+	VSUBPS  Y11, Y9, Y13
+	VMOVUPS Y13, (AX)(R11*1)
+
+	ADDQ $32, SI
+	ADDQ $32, DI
+	SUBQ $32, CX
+	JNZ  wiLanes
+	VZEROUPPER
+	RET
+
+// func winogradOutAVX2(y, m *float32, mStride, bn int)
+//
+// Y = Aᵀ M A per lane: t0[cc] = (M[cc] + M[4+cc]) + M[8+cc],
+// t1[cc] = (M[4+cc] - M[8+cc]) - M[12+cc], then y00 = (t0[0] + t0[1]) + t0[2],
+// y01 = (t0[1] - t0[2]) - t0[3], y10 and y11 likewise from t1. Each
+// VADDPS/VSUBPS takes the left operand as its first source. Requires
+// bn%8 == 0, bn >= 8.
+//
+// Registers: SI m and DI y at the current lanes, R8 mStride in bytes, R9
+// 4*mStride in bytes, R10 12*mStride in bytes, DX bn in bytes, BX 3*bn in
+// bytes, CX lane bytes left, AX M column cc. Y0-Y3 hold t0, Y4-Y7 t1, Y8-Y11
+// operands and outputs. BP, R14, R15 and Y15 are not touched.
+TEXT ·winogradOutAVX2(SB), NOSPLIT, $0-32
+	MOVQ y+0(FP), DI
+	MOVQ m+8(FP), SI
+	MOVQ mStride+16(FP), R8
+	SHLQ $2, R8
+	MOVQ R8, R9
+	SHLQ $2, R9
+	LEAQ (R9)(R9*2), R10
+	MOVQ bn+24(FP), DX
+	SHLQ $2, DX
+	LEAQ (DX)(DX*2), BX
+	MOVQ DX, CX
+
+woLanes:
+	MOVQ    SI, AX
+	VMOVUPS (AX), Y0
+	VMOVUPS (AX)(R9*1), Y8
+	VMOVUPS (AX)(R9*2), Y9
+	VADDPS  Y8, Y0, Y0
+	VADDPS  Y9, Y0, Y0
+	VSUBPS  Y9, Y8, Y4
+	VSUBPS  (AX)(R10*1), Y4, Y4
+	ADDQ    R8, AX
+	VMOVUPS (AX), Y1
+	VMOVUPS (AX)(R9*1), Y8
+	VMOVUPS (AX)(R9*2), Y9
+	VADDPS  Y8, Y1, Y1
+	VADDPS  Y9, Y1, Y1
+	VSUBPS  Y9, Y8, Y5
+	VSUBPS  (AX)(R10*1), Y5, Y5
+	ADDQ    R8, AX
+	VMOVUPS (AX), Y2
+	VMOVUPS (AX)(R9*1), Y8
+	VMOVUPS (AX)(R9*2), Y9
+	VADDPS  Y8, Y2, Y2
+	VADDPS  Y9, Y2, Y2
+	VSUBPS  Y9, Y8, Y6
+	VSUBPS  (AX)(R10*1), Y6, Y6
+	ADDQ    R8, AX
+	VMOVUPS (AX), Y3
+	VMOVUPS (AX)(R9*1), Y8
+	VMOVUPS (AX)(R9*2), Y9
+	VADDPS  Y8, Y3, Y3
+	VADDPS  Y9, Y3, Y3
+	VSUBPS  Y9, Y8, Y7
+	VSUBPS  (AX)(R10*1), Y7, Y7
+
+	VADDPS  Y1, Y0, Y10
+	VADDPS  Y2, Y10, Y10
+	VMOVUPS Y10, (DI)
+	VSUBPS  Y2, Y1, Y11
+	VSUBPS  Y3, Y11, Y11
+	VMOVUPS Y11, (DI)(DX*1)
+	VADDPS  Y5, Y4, Y10
+	VADDPS  Y6, Y10, Y10
+	VMOVUPS Y10, (DI)(DX*2)
+	VSUBPS  Y6, Y5, Y11
+	VSUBPS  Y7, Y11, Y11
+	VMOVUPS Y11, (DI)(BX*1)
+
+	ADDQ $32, SI
+	ADDQ $32, DI
+	SUBQ $32, CX
+	JNZ  woLanes
+	VZEROUPPER
+	RET
+
+// func laneMaxAVX2(d, v *float32, bn int)
+//
+// d[i] = VMAXPS(first source v[i], second source d[i]): the second source is
+// returned when either is NaN or both are zeros, so d keeps its value unless
+// v[i] > d[i]. Requires bn%8 == 0, bn >= 8.
+//
+// Registers: DI d, SI v, CX bn in bytes, AX lane offset in bytes, DX scratch.
+// Y0-Y3 hold values. BP, R14, R15 and Y15 are not touched.
+TEXT ·laneMaxAVX2(SB), NOSPLIT, $0-24
+	MOVQ d+0(FP), DI
+	MOVQ v+8(FP), SI
+	MOVQ bn+16(FP), CX
+	SHLQ $2, CX
+	XORQ AX, AX
+
+lxCols32:
+	LEAQ    128(AX), DX
+	CMPQ    DX, CX
+	JGT     lxCols8
+	VMOVUPS (SI)(AX*1), Y0
+	VMOVUPS 32(SI)(AX*1), Y1
+	VMOVUPS 64(SI)(AX*1), Y2
+	VMOVUPS 96(SI)(AX*1), Y3
+	VMAXPS  (DI)(AX*1), Y0, Y0
+	VMAXPS  32(DI)(AX*1), Y1, Y1
+	VMAXPS  64(DI)(AX*1), Y2, Y2
+	VMAXPS  96(DI)(AX*1), Y3, Y3
+	VMOVUPS Y0, (DI)(AX*1)
+	VMOVUPS Y1, 32(DI)(AX*1)
+	VMOVUPS Y2, 64(DI)(AX*1)
+	VMOVUPS Y3, 96(DI)(AX*1)
+	ADDQ    $128, AX
+	JMP     lxCols32
+
+lxCols8:
+	CMPQ    AX, CX
+	JGE     lxDone
+	VMOVUPS (SI)(AX*1), Y0
+	VMAXPS  (DI)(AX*1), Y0, Y0
+	VMOVUPS Y0, (DI)(AX*1)
+	ADDQ    $32, AX
+	JMP     lxCols8
+
+lxDone:
+	VZEROUPPER
+	RET
+
 // func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 TEXT ·cpuid(SB), NOSPLIT, $0-24
 	MOVL eaxArg+0(FP), AX

@@ -2,8 +2,8 @@
 
 package ops
 
-// hasAVX2 is false where the assembly bodies are not built: rankK, laneMAC
-// and epilogue always run their Go bodies.
+// hasAVX2 is false where the assembly bodies are not built: every microkernel
+// in rankk.go always runs its Go body.
 const hasAVX2 = false
 
 func rankKAVX2(acc, in, wt *float32, rows, k, inStride, ocb int) {
@@ -16,4 +16,16 @@ func laneMACAVX2(acc, x, w *float32, rows, taps, xStride, bn int) {
 
 func epilogueAVX2(dst, acc, bias, res *float32, rows, ocb int, relu bool) {
 	panic("ops: epilogueAVX2 is not built for this architecture or with the purego tag")
+}
+
+func winogradInAVX2(v, d *float32, dStride, vStride, bn int) {
+	panic("ops: winogradInAVX2 is not built for this architecture or with the purego tag")
+}
+
+func winogradOutAVX2(y, m *float32, mStride, bn int) {
+	panic("ops: winogradOutAVX2 is not built for this architecture or with the purego tag")
+}
+
+func laneMaxAVX2(d, v *float32, bn int) {
+	panic("ops: laneMaxAVX2 is not built for this architecture or with the purego tag")
 }

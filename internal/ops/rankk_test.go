@@ -223,3 +223,182 @@ func TestLaneMACAndEpilogueRejectShortSlices(t *testing.T) {
 		}
 	}
 }
+
+// transformFill returns n floats in which every lane's values (the elements
+// i with lane(i) equal) are finite — random, ±0 and subnormals — except for
+// one of two kinds of lane: one NaN with a payload no other lane uses, or a
+// few ±Inf. A lane never holds two NaNs of different payloads (an Inf - Inf
+// makes x86's default NaN, so a NaN lane holds no Inf): then a sum of two NaN
+// operands always carries one payload, and the result's bits cannot depend
+// on which addend the Go compiler puts first.
+func transformFill(rng *rand.Rand, n int, lane func(i int) int) []float32 {
+	finite := []float32{0, float32(math.Copysign(0, -1)), math.Float32frombits(1), -math.Float32frombits(0x007fffff),
+		math.SmallestNonzeroFloat32}
+	s := make([]float32, n)
+	for i := range s {
+		if rng.Intn(4) == 0 {
+			s[i] = finite[rng.Intn(len(finite))]
+		} else {
+			s[i] = rng.Float32()*2 - 1
+		}
+	}
+	byLane := map[int][]int{}
+	for i := range s {
+		byLane[lane(i)] = append(byLane[lane(i)], i)
+	}
+	payload := uint32(1)
+	for l := 0; l < len(byLane); l++ {
+		idx := byLane[l]
+		switch rng.Intn(3) {
+		case 0:
+			// Quiet and signalling NaNs of either sign, distinct payloads.
+			bits := 0x7f800000 | payload<<3 | uint32(rng.Intn(2))<<22 | uint32(rng.Intn(2))<<31
+			s[idx[rng.Intn(len(idx))]] = math.Float32frombits(bits)
+			payload++
+		case 1:
+			for k := 0; k < 3; k++ {
+				s[idx[rng.Intn(len(idx))]] = float32(math.Inf(1 - 2*rng.Intn(2)))
+			}
+		}
+	}
+	return s
+}
+
+// TestWinogradTransformsAsmMatchGoBody is the differential test of the two
+// Winograd transforms: the assembly bodies must store the Go bodies' bits on
+// every element — including NaN payloads, ±0, ±Inf and subnormals — at the
+// block sizes the schedule space emits, at packed and padded strides, and
+// leave every element between the strided outputs untouched.
+func TestWinogradTransformsAsmMatchGoBody(t *testing.T) {
+	if !hasAVX2 {
+		t.Skip("assembly body not in use: the CPU lacks AVX2 (or OS YMM support), or the build is not amd64 or has the purego tag")
+	}
+	rng := rand.New(rand.NewSource(4))
+	same := func(t *testing.T, what string, got, want []float32) {
+		t.Helper()
+		for i := range want {
+			if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+				t.Fatalf("%s[%d] = %#x, Go body %#x", what, i, math.Float32bits(got[i]), math.Float32bits(want[i]))
+			}
+		}
+	}
+	for _, bn := range []int{8, 16, 24, 32, 64} {
+		for _, pitch := range []int{0, 8, 3 * bn} {
+			for trial := 0; trial < 20; trial++ {
+				name := fmt.Sprintf("bn%d/pitch+%d/%d", bn, pitch, trial)
+				// winogradIn: patch rows dStride apart, V components vStride apart.
+				dStride, vStride := 4*bn+pitch, bn+pitch
+				d := transformFill(rng, 3*dStride+4*bn, func(i int) int {
+					if i%dStride >= 4*bn {
+						return bn // the gap between rows: its own "lane"
+					}
+					return i % dStride % bn
+				})
+				want := make([]float32, 15*vStride+bn)
+				for i := range want {
+					want[i] = -7
+				}
+				got := append([]float32(nil), want...)
+				winogradInGo(want, d, dStride, vStride, bn)
+				winogradIn(got, d, dStride, vStride, bn)
+				same(t, name+" winogradIn v", got, want)
+
+				// winogradOut: M components mStride apart.
+				mStride := bn + pitch
+				m := transformFill(rng, 15*mStride+bn, func(i int) int { return min(i%mStride, bn) })
+				wantY := make([]float32, 4*bn)
+				gotY := make([]float32, 4*bn)
+				winogradOutGo(wantY, m, mStride, bn)
+				winogradOut(gotY, m, mStride, bn)
+				same(t, name+" winogradOut y", gotY, wantY)
+			}
+		}
+	}
+}
+
+// TestLaneMaxAsmMatchesGoBody is laneMax's differential test. Every ordered
+// pair of special values meets in some lane — NaNs of distinct payloads
+// (quiet and signalling, both signs), ±0, ±Inf, subnormals — so the VMAXPS
+// operand order is pinned: with d as the first source, a NaN in v would
+// replace d, and -0 would replace +0.
+func TestLaneMaxAsmMatchesGoBody(t *testing.T) {
+	if !hasAVX2 {
+		t.Skip("assembly body not in use: the CPU lacks AVX2 (or OS YMM support), or the build is not amd64 or has the purego tag")
+	}
+	specials := []float32{
+		math.Float32frombits(0x7fc00001), math.Float32frombits(0xffc00002), math.Float32frombits(0x7f800003),
+		0, float32(math.Copysign(0, -1)), float32(math.Inf(1)), float32(math.Inf(-1)),
+		math.Float32frombits(1), -math.Float32frombits(0x007fffff), 1.5, -2.25,
+	}
+	var pairs [][2]float32
+	for _, a := range specials {
+		for _, b := range specials {
+			pairs = append(pairs, [2]float32{a, b})
+		}
+	}
+	for _, bn := range []int{8, 16, 24, 32, 64} {
+		for off := 0; off < len(pairs); off += bn {
+			d := make([]float32, bn)
+			v := make([]float32, bn)
+			for i := range d {
+				p := pairs[(off+i)%len(pairs)]
+				d[i], v[i] = p[0], p[1]
+			}
+			want := append([]float32(nil), d...)
+			laneMaxGo(want, v, bn)
+			got := append([]float32(nil), d...)
+			laneMax(got, v, bn)
+			for i := range want {
+				if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+					t.Fatalf("bn=%d: max(d=%#x, v=%#x) = %#x, Go body %#x", bn,
+						math.Float32bits(d[i]), math.Float32bits(v[i]), math.Float32bits(got[i]), math.Float32bits(want[i]))
+				}
+			}
+		}
+	}
+}
+
+// TestWinogradTransformsAndLaneMaxRejectShortSlices pins the safety check in
+// front of the three newer assembly bodies, as
+// TestLaneMACAndEpilogueRejectShortSlices does for the older two.
+func TestWinogradTransformsAndLaneMaxRejectShortSlices(t *testing.T) {
+	for _, bn := range []int{16, 12} {
+		dStride, vStride := 5*bn, 2*bn
+		d := make([]float32, 3*dStride+4*bn)
+		v := make([]float32, 15*vStride+bn)
+		m := make([]float32, 15*vStride+bn)
+		y := make([]float32, 4*bn)
+		mx := make([]float32, bn)
+		// Exact lengths are fine.
+		winogradIn(v, d, dStride, vStride, bn)
+		winogradOut(y, m, vStride, bn)
+		laneMax(mx, d, bn)
+		for _, c := range []struct {
+			name string
+			out  []float32
+			call func()
+		}{
+			{"winogradIn/v", v, func() { winogradIn(v[:len(v)-1], d, dStride, vStride, bn) }},
+			{"winogradIn/d", v, func() { winogradIn(v, d[:len(d)-1], dStride, vStride, bn) }},
+			{"winogradIn/negative-dStride", v, func() { winogradIn(v, d, -1, vStride, bn) }},
+			{"winogradIn/negative-vStride", v, func() { winogradIn(v, d, dStride, -1, bn) }},
+			{"winogradOut/y", y, func() { winogradOut(y[:len(y)-1], m, vStride, bn) }},
+			{"winogradOut/m", y, func() { winogradOut(y, m[:len(m)-1], vStride, bn) }},
+			{"winogradOut/negative-stride", y, func() { winogradOut(y, m, -1, bn) }},
+			{"laneMax/d", mx, func() { laneMax(mx[:bn-1], d, bn) }},
+			{"laneMax/v", mx, func() { laneMax(mx, d[:bn-1], bn) }},
+		} {
+			t.Run(fmt.Sprintf("bn%d/%s", bn, c.name), func(t *testing.T) {
+				for i := range c.out {
+					c.out[i] = -7
+				}
+				mustPanic(t, c.call)
+				for i, x := range c.out {
+					if x != -7 {
+						t.Fatalf("output[%d] = %v: a body ran before the check", i, x)
+					}
+				}
+			})
+		}
+	}
+}

@@ -156,21 +156,21 @@ func Conv2DWinogradNCHWcInto(dst, scratch *tensor.Tensor, in, transformed *tenso
 	pf(n*tilesH, func(lo, hi int) {
 		tb := min(winogradBlock, hi-lo)
 		v := vscr.Data[lo*16*c : (lo+tb)*16*c]
-		// Component accumulators of one output block for the whole tile
-		// block, on the goroutine stack for every oc_bn the schedule space
-		// emits.
+		// On the goroutine stack for every block size the schedule space
+		// emits: the component accumulators of one output block for the
+		// whole tile block, the zero-padded patch of one border tile's input
+		// block, and one inverse-transformed output tile.
 		var mArr [16 * winogradBlock * 64]float32
-		var m []float32
-		if 16*tb*ocb <= len(mArr) {
-			m = mArr[:16*tb*ocb]
-		} else {
-			m = make([]float32, 16*tb*ocb)
-		}
+		var patchArr [16 * 64]float32
+		var yArr [4 * 64]float32
+		m := stackOrHeap(mArr[:], 16*tb*ocb)
+		patch := stackOrHeap(patchArr[:], 16*icb)
+		y := stackOrHeap(yArr[:], 4*ocb)
 		for t0, tEnd := lo*tilesW, hi*tilesW; t0 < tEnd; t0 += tb {
 			nb := min(tb, tEnd-t0)
 			for j := 0; j < nb; j++ {
 				b, oy, ox := winogradTileOrigin(t0+j, tilesH, tilesW)
-				winogradInputTile(in, v, attrs, b, oy, ox, j, nb, icOuter, icb, c, h, w)
+				winogradInputTile(in, v[j*c:], patch, attrs, b, oy, ox, nb*c, icOuter, icb, h, w)
 			}
 			mb := m[:16*nb*ocb]
 			for co := 0; co < ocOuter; co++ {
@@ -184,12 +184,22 @@ func Conv2DWinogradNCHWcInto(dst, scratch *tensor.Tensor, in, transformed *tenso
 				}
 				for j := 0; j < nb; j++ {
 					b, oy, ox := winogradTileOrigin(t0+j, tilesH, tilesW)
-					winogradOutputTile(out, mb, epi, b, co, oy, ox, j, nb, ocOuter, ocb, oh, ow)
+					winogradOut(y, mb[j*ocb:], nb*ocb, ocb)
+					winogradStoreTile(out, y, epi, b, co, oy, ox, ocOuter, ocb, oh, ow)
 				}
 			}
 		}
 	})
 	return out
+}
+
+// stackOrHeap returns buf[:n], or a heap slice when n exceeds the stack
+// array behind buf (a block size beyond the schedule space).
+func stackOrHeap(buf []float32, n int) []float32 {
+	if n <= len(buf) {
+		return buf[:n]
+	}
+	return make([]float32, n)
 }
 
 // winogradBlock is the number of 2x2 output tiles whose transform-domain
@@ -205,93 +215,41 @@ func winogradTileOrigin(t, tilesH, tilesW int) (b, oy, ox int) {
 }
 
 // winogradInputTile computes V = Bᵀ d B for every input channel of the tile
-// at output pixel (oy, ox) of image b, read from the blocked layout, into
-// slot j of a block of nb tiles: v[(xi·nb + j)·c + ch].
-func winogradInputTile(in *tensor.Tensor, v []float32, attrs Conv2DAttrs, b, oy, ox, j, nb, icOuter, icb, c, h, w int) {
+// at output pixel (oy, ox) of image b, read from the blocked layout, one
+// input block per winogradIn call: channel ch of component xi goes to
+// v[xi·vStride + ch]. An interior tile's patch is read in place; a border
+// tile's valid rows and columns are first copied into the zeroed patch
+// buffer (16·icb floats), whose zeros are the padding.
+func winogradInputTile(in *tensor.Tensor, v, patch []float32, attrs Conv2DAttrs, b, oy, ox, vStride, icOuter, icb, h, w int) {
 	iy0 := oy - attrs.PadH
 	ix0 := ox - attrs.PadW
-	for coi := 0; coi < icOuter; coi++ {
-		rowBase := (b*icOuter + coi) * h
-		for ii := 0; ii < icb; ii++ {
-			ch := coi*icb + ii
-			var d [4][4]float32
-			for r := 0; r < 4; r++ {
-				iy := iy0 + r
-				if iy < 0 || iy >= h {
-					continue
-				}
-				row := in.Data[(rowBase+iy)*w*icb:]
-				for cc := 0; cc < 4; cc++ {
-					ix := ix0 + cc
-					if ix >= 0 && ix < w {
-						d[r][cc] = row[ix*icb+ii]
-					}
-				}
-			}
-			// t = Bᵀ d, with Bᵀ = [1 0 -1 0; 0 1 1 0; 0 -1 1 0; 0 1 0 -1].
-			var t [4][4]float32
-			for cc := 0; cc < 4; cc++ {
-				t[0][cc] = d[0][cc] - d[2][cc]
-				t[1][cc] = d[1][cc] + d[2][cc]
-				t[2][cc] = d[2][cc] - d[1][cc]
-				t[3][cc] = d[1][cc] - d[3][cc]
-			}
-			// V = t B.
-			for r := 0; r < 4; r++ {
-				v[((r*4+0)*nb+j)*c+ch] = t[r][0] - t[r][2]
-				v[((r*4+1)*nb+j)*c+ch] = t[r][1] + t[r][2]
-				v[((r*4+2)*nb+j)*c+ch] = t[r][2] - t[r][1]
-				v[((r*4+3)*nb+j)*c+ch] = t[r][1] - t[r][3]
-			}
+	if iy0 >= 0 && ix0 >= 0 && iy0+4 <= h && ix0+4 <= w {
+		for coi := 0; coi < icOuter; coi++ {
+			winogradIn(v[coi*icb:], in.Data[(((b*icOuter+coi)*h+iy0)*w+ix0)*icb:], w*icb, vStride, icb)
 		}
+		return
+	}
+	r0, r1 := max(0, -iy0), min(4, h-iy0)
+	c0, c1 := max(0, -ix0), min(4, w-ix0)
+	// Every input block has the same valid region, so one clear serves them
+	// all: each block overwrites exactly the cells the previous one wrote.
+	clear(patch)
+	for coi := 0; coi < icOuter; coi++ {
+		for r := r0; r < r1 && c0 < c1; r++ {
+			copy(patch[(r*4+c0)*icb:(r*4+c1)*icb], in.Data[(((b*icOuter+coi)*h+iy0+r)*w+ix0+c0)*icb:])
+		}
+		winogradIn(v[coi*icb:], patch, 4*icb, vStride, icb)
 	}
 }
 
-// winogradOutputTile computes Y = Aᵀ M A for slot j of a block of nb tiles
-// of output block co — m[(xi·nb + j)·ocb + oi] — and stores the outputs of
-// the 2x2 tile at (oy, ox) of image b that fall inside the image, through
+// winogradStoreTile stores the inverse-transformed 2x2 tile y (winogradOut's
+// layout) of output block co at output pixel (oy, ox) of image b: the
+// columns inside the image, one tile row inside the image at a time, through
 // the fused epilogue.
-func winogradOutputTile(out *tensor.Tensor, m []float32, epi Epilogue, b, co, oy, ox, j, nb, ocOuter, ocb, oh, ow int) {
-	outBase := (b*ocOuter + co) * oh
-	for oi := 0; oi < ocb; oi++ {
-		var mm [4][4]float32
-		for r := 0; r < 4; r++ {
-			for cc := 0; cc < 4; cc++ {
-				mm[r][cc] = m[((r*4+cc)*nb+j)*ocb+oi]
-			}
-		}
-		// Aᵀ = [1 1 1 0; 0 1 -1 -1].
-		var t0, t1 [4]float32
-		for cc := 0; cc < 4; cc++ {
-			t0[cc] = mm[0][cc] + mm[1][cc] + mm[2][cc]
-			t1[cc] = mm[1][cc] - mm[2][cc] - mm[3][cc]
-		}
-		y00 := t0[0] + t0[1] + t0[2]
-		y01 := t0[1] - t0[2] - t0[3]
-		y10 := t1[0] + t1[1] + t1[2]
-		y11 := t1[1] - t1[2] - t1[3]
-
-		store := func(dy, dx int, val float32) {
-			yy, xx := oy+dy, ox+dx
-			if yy >= oh || xx >= ow {
-				return
-			}
-			idx := ((outBase+yy)*ow+xx)*ocb + oi
-			if epi.Bias != nil {
-				val += epi.Bias[co*ocb+oi]
-			}
-			if epi.Residual != nil {
-				val += epi.Residual.Data[idx]
-			}
-			if epi.ReLU {
-				val = relu32(val)
-			}
-			out.Data[idx] = val
-		}
-		store(0, 0, y00)
-		store(0, 1, y01)
-		store(1, 0, y10)
-		store(1, 1, y11)
+func winogradStoreTile(out *tensor.Tensor, y []float32, epi Epilogue, b, co, oy, ox, ocOuter, ocb, oh, ow int) {
+	cols := min(2, ow-ox) * ocb
+	for dy := 0; dy < 2 && oy+dy < oh; dy++ {
+		storeTile(out.Data, y[dy*2*ocb:][:cols], epi, (((b*ocOuter+co)*oh+oy+dy)*ow+ox)*ocb, co, ocb)
 	}
 }
 

@@ -147,7 +147,12 @@ func TestWinogradNCHWcScratchReuse(t *testing.T) {
 // shorter than a block gets a shorter block. The output must stay within the
 // reference tolerance and bit-identical across pool widths — the partition
 // decides block boundaries, and each element still reduces over the input
-// channels in one fixed order.
+// channels in one fixed order. The rows also cover the lane-wise transforms:
+// the block pairs resnet-18's plan uses; odd output sizes, whose last tile
+// column and row store one pixel through the epilogue; pad 0 (interior tiles
+// only at the top-left), pad 2 (tiles with two patch rows and columns in the
+// padding) and pad 3 on a 1×1 input (tiles whose whole patch is padding);
+// and icb 3 / ocb 5, where every microkernel runs its Go body.
 func TestWinogradNCHWcTileBlocks(t *testing.T) {
 	cases := []struct {
 		name          string
@@ -158,6 +163,12 @@ func TestWinogradNCHWcTileBlocks(t *testing.T) {
 		{"9x11-out", 16, 9, 11, 32, 1, 16, 32},
 		{"9x11-out-ocb4", 8, 9, 11, 8, 1, 4, 4},
 		{"6x6-out-pad0", 8, 8, 8, 16, 0, 8, 8},
+		{"ic32-oc64-8x8-out", 64, 8, 8, 64, 1, 32, 64},
+		{"ic64-oc32-7x5-out", 64, 7, 5, 64, 1, 64, 32},
+		{"ic16-oc32-5x7-out-pad0", 32, 7, 9, 32, 0, 16, 32},
+		{"ic16-oc16-7x8-out-pad2", 32, 5, 6, 32, 2, 16, 16},
+		{"ic16-oc16-5x5-out-pad3", 16, 1, 1, 16, 3, 16, 16},
+		{"icb3-ocb5-7x9-out", 6, 7, 9, 10, 1, 3, 5},
 	}
 	for _, tc := range cases {
 		for _, n := range []int{1, 3} {
@@ -196,27 +207,28 @@ func TestWinogradNCHWcTileBlocks(t *testing.T) {
 	}
 }
 
-// TestWinogradNCHWcNoPerTileAllocation pins the transform-domain tile to the
-// stack at the widest searched oc_bn: with destination and scratch provided,
-// a convolution allocates only its fixed dispatch cost (the range closure and
-// the destination shape checks), the same at oc_bn 64 — where the 16×4×64
-// accumulator block exactly fills the stack array — as at oc_bn 8, and the
-// same for a 4× larger image.
+// TestWinogradNCHWcNoPerTileAllocation pins the per-range buffers to the
+// stack at the widest searched blocks: with destination and scratch
+// provided, a convolution allocates only its fixed dispatch cost (the range
+// closure and the destination shape checks), the same at ic_bn = oc_bn = 64
+// — where the 16×4×64 accumulator block, the 16×64 border patch and the 4×64
+// output tile exactly fill their stack arrays — as at 8, and the same for a
+// 4× larger image.
 func TestWinogradNCHWcNoPerTileAllocation(t *testing.T) {
-	allocs := func(hw, ocb int) float64 {
-		in, wt := convCase(89, 16, hw, hw, 64, 3, 3)
+	allocs := func(hw, bn int) float64 {
+		in, wt := convCase(89, 64, hw, hw, 64, 3, 3)
 		attrs := Conv2DAttrs{OutC: 64, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}
-		blockedIn := tensor.ToNCHWc(in, 16)
-		u := WinogradWeightTransformNCHWc(wt, 16, ocb)
+		blockedIn := tensor.ToNCHWc(in, bn)
+		u := WinogradWeightTransformNCHWc(wt, bn, bn)
 		scratch := tensor.New(tensor.Flat(), WinogradScratchShape(blockedIn.Shape, attrs)...)
-		dst := tensor.New(tensor.NCHWc(ocb), 1, 64/ocb, hw, hw, ocb)
+		dst := tensor.New(tensor.NCHWc(bn), 1, 64/bn, hw, hw, bn)
 		return testing.AllocsPerRun(5, func() {
-			Conv2DWinogradNCHWcInto(dst, scratch, blockedIn, u, attrs, 16, ocb, Epilogue{}, Serial)
+			Conv2DWinogradNCHWcInto(dst, scratch, blockedIn, u, attrs, bn, bn, Epilogue{}, Serial)
 		})
 	}
 	narrow, wide, big := allocs(10, 8), allocs(10, 64), allocs(40, 64)
 	if wide != narrow || big != wide {
-		t.Fatalf("allocations per convolution: oc_bn 8 %.0f, oc_bn 64 %.0f, oc_bn 64 on a 4x larger image %.0f: the accumulator block left the stack",
+		t.Fatalf("allocations per convolution: ic_bn = oc_bn = 8 %.0f, 64 %.0f, 64 on a 4x larger image %.0f: a per-range buffer left the stack",
 			narrow, wide, big)
 	}
 }
