@@ -11,12 +11,17 @@ import "fmt"
 // the register tile of the paper's Algorithm 1 (Figure 1): per reduction step
 // one broadcast input value per row times one ocb-wide weight vector.
 //
-// Numeric contract: every element is accumulated in ascending kk order with
-// a separately rounded multiply and add (no fused multiply-add), so every body
-// is bit-identical to rankKGo, which is the specification. On amd64 CPUs with
-// AVX2 enabled by the OS (checked once at start-up with CPUID and XGETBV),
-// ocb values that are a multiple of 8 run the assembly body; every other CPU,
-// ocb and the purego build tag run rankKGo.
+// Numeric contract: every element accumulates in ascending kk order. On
+// amd64 CPUs with AVX2 and FMA enabled by the OS (hasFMA, checked once at
+// start-up with CPUID and XGETBV), ocb values that are a multiple of 8 run
+// the assembly body, whose every step is one fused multiply-add,
+// acc = fma(in, wt, acc) rounded once. Every other CPU, ocb and the purego
+// build tag run rankKGo, which rounds each product before adding it. The two
+// bodies are not bit-identical: per element they differ by at most
+// 2·γ(k+1)·(|acc| + Σ_kk |in·wt|), with γ(n) = n·u/(1 − n·u) and u = 2⁻²⁴,
+// the sum of the two bodies' forward error bounds. One process always runs
+// the same body for the same ocb, so results stay bit-identical across
+// threads, pool widths and repeated runs.
 //
 // The call panics, before any body runs, unless the last acc, in and wt
 // element the update touches is in range.
@@ -32,17 +37,17 @@ func rankK(acc, in, wt []float32, rows, k, inStride, ocb int) {
 	_ = acc[rows*ocb-1]
 	_ = in[(rows-1)*inStride+k-1]
 	_ = wt[k*ocb-1]
-	if hasAVX2 && ocb%8 == 0 {
+	if hasFMA && ocb%8 == 0 {
 		rankKAVX2(&acc[0], &in[0], &wt[0], rows, k, inStride, ocb)
 		return
 	}
 	rankKGo(acc, in, wt, rows, k, inStride, ocb)
 }
 
-// rankKGo is the portable body and the specification of rankK. The explicit
-// float32 conversion of each product forbids fusing it with the add (Go spec,
-// "Floating-point operators"), so the result is the same on every
-// architecture and GOAMD64 level.
+// rankKGo is rankK's portable body. The explicit float32 conversion of each
+// product forbids fusing it with the add (Go spec, "Floating-point
+// operators"), so its result is the same on every architecture and GOAMD64
+// level; it differs from the fused assembly body within rankK's bound.
 func rankKGo(acc, in, wt []float32, rows, k, inStride, ocb int) {
 	for r := 0; r < rows; r++ {
 		a := acc[r*ocb : r*ocb+ocb]
@@ -66,8 +71,8 @@ func rankKGo(acc, in, wt []float32, rows, k, inStride, ocb int) {
 // Numeric contract: each element's tap sum is formed first, in ascending s
 // with every product rounded and no fused multiply-add, and is then added to
 // acc once, so every body is bit-identical to laneMACGo, the specification.
-// The dispatch is rankK's: bn values that are a multiple of 8 run the AVX2
-// body where hasAVX2 holds, everything else runs laneMACGo.
+// bn values that are a multiple of 8 run the AVX2 body where hasAVX2 holds,
+// everything else runs laneMACGo.
 //
 // The call panics, before any body runs, unless the last acc, x and w element
 // the update touches is in range.
@@ -112,7 +117,7 @@ func laneMACGo(acc, x, w []float32, rows, taps, xStride, bn int) {
 // where a nil bias or res skips its addition and relu false skips the clamp.
 //
 // Numeric contract: the clamp is relu32, which passes NaN and -0 through
-// unchanged; the AVX2 body (ocb%8 == 0, the same dispatch as rankK) clamps
+// unchanged; the AVX2 body (ocb%8 == 0, laneMAC's dispatch) clamps
 // with VMAXPS taking the zero vector as its first source, which returns the
 // second source — the value — for a NaN or a pair of zeros, so every body is
 // bit-identical to epilogueGo, the specification.
@@ -173,7 +178,7 @@ func epilogueGo(dst, acc, bias, res []float32, rows, ocb int, relu bool) {
 //
 // Numeric contract: each V component is those two rounded adds or
 // subtracts, operands in the order written, so every body is bit-identical
-// to winogradInGo, the specification. The dispatch is rankK's: bn values
+// to winogradInGo, the specification. The dispatch is laneMAC's: bn values
 // that are a multiple of 8 run the AVX2 body where hasAVX2 holds, everything
 // else runs winogradInGo.
 //
@@ -229,7 +234,7 @@ func winogradInGo(v, d []float32, dStride, vStride, bn int) {
 //
 // each evaluated left to right. Numeric contract: winogradIn's — every add
 // and subtract rounded, operands in the order written — so every body is
-// bit-identical to winogradOutGo; the dispatch is rankK's.
+// bit-identical to winogradOutGo; the dispatch is laneMAC's.
 //
 // The call panics, before any body runs, unless the last y and m element the
 // transform touches is in range.
@@ -275,7 +280,7 @@ func winogradOutGo(y, m []float32, mStride, bn int) {
 // and of +0 and -0 the one already in d stays — poolWindow's `v > best`,
 // element by element.
 //
-// Numeric contract: the AVX2 body (bn%8 == 0, rankK's dispatch) is VMAXPS
+// Numeric contract: the AVX2 body (bn%8 == 0, laneMAC's dispatch) is VMAXPS
 // with v as the first source and d as the second, which returns the second
 // source when either is NaN or both are zeros of either sign; so every body
 // is bit-identical to laneMaxGo, the specification.
@@ -302,4 +307,22 @@ func laneMaxGo(d, v []float32, bn int) {
 			d[i] = x
 		}
 	}
+}
+
+// The CPUID and XCR0 bits detect reads.
+const (
+	cpuidFMA     = 1 << 12 // leaf 1, ECX
+	cpuidOSXSAVE = 1 << 27 // leaf 1, ECX: XGETBV is usable
+	cpuidAVX     = 1 << 28 // leaf 1, ECX
+	cpuidAVX2    = 1 << 5  // leaf 7, EBX
+	xcr0YMM      = 6       // the OS saves the XMM and YMM state
+)
+
+// detect decides the dispatch flags from CPUID leaf 1's ECX, leaf 7's EBX and
+// XCR0: avx2 needs AVX, AVX2, OSXSAVE and the OS saving the YMM state; fma
+// needs avx2 and the FMA extension. It is pure, so the gate is tested on
+// every build.
+func detect(ecx1, ebx7, xcr0 uint32) (avx2, fma bool) {
+	avx2 = ecx1&cpuidOSXSAVE != 0 && ecx1&cpuidAVX != 0 && xcr0&xcr0YMM == xcr0YMM && ebx7&cpuidAVX2 != 0
+	return avx2, avx2 && ecx1&cpuidFMA != 0
 }

@@ -3,31 +3,30 @@
 package ops
 
 // hasAVX2 reports whether the CPU implements AVX2 and the OS saves the YMM
-// register state across context switches. It is computed once at start-up.
-var hasAVX2 = detectAVX2()
+// register state across context switches, the gate of every assembly body
+// but rankK's; hasFMA, rankK's gate, that it also implements FMA. Both are
+// computed once at start-up.
+var hasAVX2, hasFMA = detect(cpuFeatures())
 
-func detectAVX2() bool {
+// cpuFeatures reads the words detect decides from: CPUID leaf 1's ECX, leaf
+// 7's EBX (0 on a CPU without leaf 7) and XCR0 (0 unless OSXSAVE is set,
+// without which XGETBV faults).
+func cpuFeatures() (ecx1, ebx7, xcr0 uint32) {
 	maxLeaf, _, _, _ := cpuid(0, 0)
-	if maxLeaf < 7 {
-		return false
+	_, _, ecx1, _ = cpuid(1, 0)
+	if maxLeaf >= 7 {
+		_, ebx7, _, _ = cpuid(7, 0)
 	}
-	const osxsave, avx = 1 << 27, 1 << 28
-	if _, _, ecx, _ := cpuid(1, 0); ecx&osxsave == 0 || ecx&avx == 0 {
-		return false
+	if ecx1&cpuidOSXSAVE != 0 {
+		xcr0, _ = xgetbv()
 	}
-	// XCR0 bits 1 and 2: the OS has enabled the XMM and YMM state.
-	if xcr0, _ := xgetbv(); xcr0&6 != 6 {
-		return false
-	}
-	const avx2 = 1 << 5
-	_, ebx, _, _ := cpuid(7, 0)
-	return ebx&avx2 != 0
+	return ecx1, ebx7, xcr0
 }
 
-// rankKAVX2 is rankK's AVX2 body for ocb%8 == 0, rows >= 1 and k >= 1: 4 rows
-// × 16 lanes of accumulators in YMM registers, then an 8-lane column tail,
-// then the remaining rows one at a time. It multiplies with VMULPS and adds
-// with VADDPS (never VFMADD), bit-identical to rankKGo. It does no bounds
+// rankKAVX2 is rankK's AVX2+FMA body for ocb%8 == 0, rows >= 1 and k >= 1:
+// 4 rows × 16 lanes of accumulators in YMM registers, then an 8-lane column
+// tail; a 2-row block with the same column paths, then a last row. Each step
+// is one VFMADD231PS, fma(in, wt, acc) rounded once. It does no bounds
 // checking: rankK checks the slices first.
 //
 //go:noescape
@@ -68,6 +67,14 @@ func winogradOutAVX2(y, m *float32, mStride, bn int)
 //
 //go:noescape
 func laneMaxAVX2(d, v *float32, bn int)
+
+// peakMulAddAVX2 and peakFMAAVX2 are BenchmarkPeak's probes of the
+// single-core arithmetic ceiling: n iterations of 12 independent YMM
+// multiply-add chains, 192 FLOPs each, as VMULPS+VADDPS pairs and as
+// VFMADD231PS.
+func peakMulAddAVX2(n int)
+
+func peakFMAAVX2(n int)
 
 func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 

@@ -4,16 +4,16 @@
 
 // func rankKAVX2(acc, in, wt *float32, rows, k, inStride, ocb int)
 //
-// acc[r*ocb+o] += Σ_kk in[r*inStride+kk] · wt[kk*ocb+o], each product rounded
-// (VMULPS) before it is added (VADDPS), in ascending kk order per element.
-// Requires ocb%8 == 0, rows >= 1, k >= 1.
+// acc[r*ocb+o] += Σ_kk in[r*inStride+kk] · wt[kk*ocb+o], each step one
+// VFMADD231PS — fma(in, wt, acc), rounded once — in ascending kk order per
+// element. Requires ocb%8 == 0, rows >= 1, k >= 1.
 //
 // Registers: AX acc at the current row block, BX in at the current row block,
 // R10 wt, R11 rows left, R8 inStride in bytes, R9 3*inStride in bytes, DX ocb
 // in bytes (the row pitch of acc and of wt), R13 column offset in bytes, R12
 // acc at the current column block, SI in and DI wt at the current kk, CX the
-// kk count (and scratch). Y0-Y7 accumulate; Y8-Y12 hold weights, the
-// broadcast input and products. BP, R14, R15 and Y15 are not touched.
+// kk count (and scratch). Y0-Y7 accumulate; Y8-Y10 hold weights and the
+// broadcast input. BP, R14, R15 and Y15 are not touched.
 TEXT ·rankKAVX2(SB), NOSPLIT, $0-56
 	MOVQ acc+0(FP), AX
 	MOVQ in+8(FP), BX
@@ -27,7 +27,7 @@ TEXT ·rankKAVX2(SB), NOSPLIT, $0-56
 
 rows4:
 	CMPQ R11, $4
-	JLT  row1
+	JLT  rows2
 	XORQ R13, R13
 
 rows4cols16:
@@ -52,25 +52,17 @@ loop4x16:
 	VMOVUPS      (DI), Y8
 	VMOVUPS      32(DI), Y9
 	VBROADCASTSS (SI), Y10
-	VMULPS       Y8, Y10, Y11
-	VADDPS       Y11, Y0, Y0
-	VMULPS       Y9, Y10, Y12
-	VADDPS       Y12, Y1, Y1
+	VFMADD231PS  Y8, Y10, Y0
+	VFMADD231PS  Y9, Y10, Y1
 	VBROADCASTSS (SI)(R8*1), Y10
-	VMULPS       Y8, Y10, Y11
-	VADDPS       Y11, Y2, Y2
-	VMULPS       Y9, Y10, Y12
-	VADDPS       Y12, Y3, Y3
+	VFMADD231PS  Y8, Y10, Y2
+	VFMADD231PS  Y9, Y10, Y3
 	VBROADCASTSS (SI)(R8*2), Y10
-	VMULPS       Y8, Y10, Y11
-	VADDPS       Y11, Y4, Y4
-	VMULPS       Y9, Y10, Y12
-	VADDPS       Y12, Y5, Y5
+	VFMADD231PS  Y8, Y10, Y4
+	VFMADD231PS  Y9, Y10, Y5
 	VBROADCASTSS (SI)(R9*1), Y10
-	VMULPS       Y8, Y10, Y11
-	VADDPS       Y11, Y6, Y6
-	VMULPS       Y9, Y10, Y12
-	VADDPS       Y12, Y7, Y7
+	VFMADD231PS  Y8, Y10, Y6
+	VFMADD231PS  Y9, Y10, Y7
 	ADDQ         $4, SI
 	ADDQ         DX, DI
 	DECQ         CX
@@ -104,17 +96,13 @@ rows4cols8:
 loop4x8:
 	VMOVUPS      (DI), Y8
 	VBROADCASTSS (SI), Y10
-	VMULPS       Y8, Y10, Y11
-	VADDPS       Y11, Y0, Y0
+	VFMADD231PS  Y8, Y10, Y0
 	VBROADCASTSS (SI)(R8*1), Y10
-	VMULPS       Y8, Y10, Y12
-	VADDPS       Y12, Y2, Y2
+	VFMADD231PS  Y8, Y10, Y2
 	VBROADCASTSS (SI)(R8*2), Y10
-	VMULPS       Y8, Y10, Y11
-	VADDPS       Y11, Y4, Y4
+	VFMADD231PS  Y8, Y10, Y4
 	VBROADCASTSS (SI)(R9*1), Y10
-	VMULPS       Y8, Y10, Y12
-	VADDPS       Y12, Y6, Y6
+	VFMADD231PS  Y8, Y10, Y6
 	ADDQ         $4, SI
 	ADDQ         DX, DI
 	DECQ         CX
@@ -134,6 +122,79 @@ rows4next:
 	SUBQ $4, R11
 	JMP  rows4
 
+	// At most 3 rows are left: two of them run as one block, so each
+	// weight load feeds two rows and a 16-lane pass keeps four chains.
+rows2:
+	CMPQ R11, $2
+	JLT  row1
+	XORQ R13, R13
+
+rows2cols16:
+	LEAQ 64(R13), CX
+	CMPQ CX, DX
+	JGT  rows2cols8
+	LEAQ (AX)(R13*1), R12
+	VMOVUPS (R12), Y0
+	VMOVUPS 32(R12), Y1
+	VMOVUPS (R12)(DX*1), Y2
+	VMOVUPS 32(R12)(DX*1), Y3
+	MOVQ BX, SI
+	LEAQ (R10)(R13*1), DI
+	MOVQ k+32(FP), CX
+
+loop2x16:
+	VMOVUPS      (DI), Y8
+	VMOVUPS      32(DI), Y9
+	VBROADCASTSS (SI), Y10
+	VFMADD231PS  Y8, Y10, Y0
+	VFMADD231PS  Y9, Y10, Y1
+	VBROADCASTSS (SI)(R8*1), Y10
+	VFMADD231PS  Y8, Y10, Y2
+	VFMADD231PS  Y9, Y10, Y3
+	ADDQ         $4, SI
+	ADDQ         DX, DI
+	DECQ         CX
+	JNZ          loop2x16
+
+	VMOVUPS Y0, (R12)
+	VMOVUPS Y1, 32(R12)
+	VMOVUPS Y2, (R12)(DX*1)
+	VMOVUPS Y3, 32(R12)(DX*1)
+	ADDQ    $64, R13
+	JMP     rows2cols16
+
+rows2cols8:
+	CMPQ R13, DX
+	JGE  rows2next
+	LEAQ (AX)(R13*1), R12
+	VMOVUPS (R12), Y0
+	VMOVUPS (R12)(DX*1), Y2
+	MOVQ BX, SI
+	LEAQ (R10)(R13*1), DI
+	MOVQ k+32(FP), CX
+
+loop2x8:
+	VMOVUPS      (DI), Y8
+	VBROADCASTSS (SI), Y10
+	VFMADD231PS  Y8, Y10, Y0
+	VBROADCASTSS (SI)(R8*1), Y10
+	VFMADD231PS  Y8, Y10, Y2
+	ADDQ         $4, SI
+	ADDQ         DX, DI
+	DECQ         CX
+	JNZ          loop2x8
+
+	VMOVUPS Y0, (R12)
+	VMOVUPS Y2, (R12)(DX*1)
+	ADDQ    $32, R13
+	JMP     rows2cols8
+
+rows2next:
+	LEAQ (AX)(DX*2), AX
+	LEAQ (BX)(R8*2), BX
+	SUBQ $2, R11
+
+	// The last row, if one is left.
 row1:
 	TESTQ R11, R11
 	JZ    done
@@ -154,14 +215,10 @@ row1cols32:
 
 loop1x32:
 	VBROADCASTSS (SI), Y10
-	VMULPS       (DI), Y10, Y8
-	VADDPS       Y8, Y0, Y0
-	VMULPS       32(DI), Y10, Y9
-	VADDPS       Y9, Y1, Y1
-	VMULPS       64(DI), Y10, Y11
-	VADDPS       Y11, Y2, Y2
-	VMULPS       96(DI), Y10, Y12
-	VADDPS       Y12, Y3, Y3
+	VFMADD231PS  (DI), Y10, Y0
+	VFMADD231PS  32(DI), Y10, Y1
+	VFMADD231PS  64(DI), Y10, Y2
+	VFMADD231PS  96(DI), Y10, Y3
 	ADDQ         $4, SI
 	ADDQ         DX, DI
 	DECQ         CX
@@ -187,10 +244,8 @@ row1cols16:
 
 loop1x16:
 	VBROADCASTSS (SI), Y10
-	VMULPS       (DI), Y10, Y8
-	VADDPS       Y8, Y0, Y0
-	VMULPS       32(DI), Y10, Y9
-	VADDPS       Y9, Y1, Y1
+	VFMADD231PS  (DI), Y10, Y0
+	VFMADD231PS  32(DI), Y10, Y1
 	ADDQ         $4, SI
 	ADDQ         DX, DI
 	DECQ         CX
@@ -202,7 +257,7 @@ loop1x16:
 
 row1cols8:
 	CMPQ R13, DX
-	JGE  row1next
+	JGE  done
 	LEAQ (AX)(R13*1), R12
 	VMOVUPS (R12), Y0
 	MOVQ BX, SI
@@ -211,20 +266,13 @@ row1cols8:
 
 loop1x8:
 	VBROADCASTSS (SI), Y10
-	VMULPS       (DI), Y10, Y8
-	VADDPS       Y8, Y0, Y0
+	VFMADD231PS  (DI), Y10, Y0
 	ADDQ         $4, SI
 	ADDQ         DX, DI
 	DECQ         CX
 	JNZ          loop1x8
 
 	VMOVUPS Y0, (R12)
-
-row1next:
-	ADDQ DX, AX
-	ADDQ R8, BX
-	DECQ R11
-	JNZ  row1
 
 done:
 	VZEROUPPER
@@ -675,6 +723,100 @@ lxCols8:
 	JMP     lxCols8
 
 lxDone:
+	VZEROUPPER
+	RET
+
+// func peakMulAddAVX2(n int)
+//
+// BenchmarkPeak's non-fused probe: n iterations of 12 independent YMM chains
+// acc += x·y, each step a VMULPS into Y14 and a VADDPS into the chain, 192
+// FLOPs per iteration. Every operand is zero, which the floating-point units
+// time like any normal value. Requires n >= 1. Registers: CX the iteration
+// count, Y0-Y11 the chains, Y12-Y13 the operands, Y14 the product. BP, R14,
+// R15 and Y15 are not touched.
+TEXT ·peakMulAddAVX2(SB), NOSPLIT, $0-8
+	MOVQ n+0(FP), CX
+	VXORPS Y0, Y0, Y0
+	VXORPS Y1, Y1, Y1
+	VXORPS Y2, Y2, Y2
+	VXORPS Y3, Y3, Y3
+	VXORPS Y4, Y4, Y4
+	VXORPS Y5, Y5, Y5
+	VXORPS Y6, Y6, Y6
+	VXORPS Y7, Y7, Y7
+	VXORPS Y8, Y8, Y8
+	VXORPS Y9, Y9, Y9
+	VXORPS Y10, Y10, Y10
+	VXORPS Y11, Y11, Y11
+	VXORPS Y12, Y12, Y12
+	VXORPS Y13, Y13, Y13
+
+pmLoop:
+	VMULPS      Y12, Y13, Y14
+	VADDPS      Y14, Y0, Y0
+	VMULPS      Y12, Y13, Y14
+	VADDPS      Y14, Y1, Y1
+	VMULPS      Y12, Y13, Y14
+	VADDPS      Y14, Y2, Y2
+	VMULPS      Y12, Y13, Y14
+	VADDPS      Y14, Y3, Y3
+	VMULPS      Y12, Y13, Y14
+	VADDPS      Y14, Y4, Y4
+	VMULPS      Y12, Y13, Y14
+	VADDPS      Y14, Y5, Y5
+	VMULPS      Y12, Y13, Y14
+	VADDPS      Y14, Y6, Y6
+	VMULPS      Y12, Y13, Y14
+	VADDPS      Y14, Y7, Y7
+	VMULPS      Y12, Y13, Y14
+	VADDPS      Y14, Y8, Y8
+	VMULPS      Y12, Y13, Y14
+	VADDPS      Y14, Y9, Y9
+	VMULPS      Y12, Y13, Y14
+	VADDPS      Y14, Y10, Y10
+	VMULPS      Y12, Y13, Y14
+	VADDPS      Y14, Y11, Y11
+	DECQ        CX
+	JNZ         pmLoop
+	VZEROUPPER
+	RET
+
+// func peakFMAAVX2(n int)
+//
+// BenchmarkPeak's fused probe: peakMulAddAVX2's 12 chains with each step one
+// VFMADD231PS, 192 FLOPs per iteration. Requires n >= 1.
+TEXT ·peakFMAAVX2(SB), NOSPLIT, $0-8
+	MOVQ n+0(FP), CX
+	VXORPS Y0, Y0, Y0
+	VXORPS Y1, Y1, Y1
+	VXORPS Y2, Y2, Y2
+	VXORPS Y3, Y3, Y3
+	VXORPS Y4, Y4, Y4
+	VXORPS Y5, Y5, Y5
+	VXORPS Y6, Y6, Y6
+	VXORPS Y7, Y7, Y7
+	VXORPS Y8, Y8, Y8
+	VXORPS Y9, Y9, Y9
+	VXORPS Y10, Y10, Y10
+	VXORPS Y11, Y11, Y11
+	VXORPS Y12, Y12, Y12
+	VXORPS Y13, Y13, Y13
+
+pfLoop:
+	VFMADD231PS Y12, Y13, Y0
+	VFMADD231PS Y12, Y13, Y1
+	VFMADD231PS Y12, Y13, Y2
+	VFMADD231PS Y12, Y13, Y3
+	VFMADD231PS Y12, Y13, Y4
+	VFMADD231PS Y12, Y13, Y5
+	VFMADD231PS Y12, Y13, Y6
+	VFMADD231PS Y12, Y13, Y7
+	VFMADD231PS Y12, Y13, Y8
+	VFMADD231PS Y12, Y13, Y9
+	VFMADD231PS Y12, Y13, Y10
+	VFMADD231PS Y12, Y13, Y11
+	DECQ        CX
+	JNZ         pfLoop
 	VZEROUPPER
 	RET
 

@@ -2,9 +2,9 @@
 
 package ops
 
-// hasAVX2 is false where the assembly bodies are not built: every microkernel
-// in rankk.go always runs its Go body.
-const hasAVX2 = false
+// hasAVX2 and hasFMA are false where the assembly bodies are not built: every
+// microkernel in rankk.go always runs its Go body.
+const hasAVX2, hasFMA = false, false
 
 func rankKAVX2(acc, in, wt *float32, rows, k, inStride, ocb int) {
 	panic("ops: rankKAVX2 is not built for this architecture or with the purego tag")
@@ -28,4 +28,12 @@ func winogradOutAVX2(y, m *float32, mStride, bn int) {
 
 func laneMaxAVX2(d, v *float32, bn int) {
 	panic("ops: laneMaxAVX2 is not built for this architecture or with the purego tag")
+}
+
+func peakMulAddAVX2(n int) {
+	panic("ops: peakMulAddAVX2 is not built for this architecture or with the purego tag")
+}
+
+func peakFMAAVX2(n int) {
+	panic("ops: peakFMAAVX2 is not built for this architecture or with the purego tag")
 }

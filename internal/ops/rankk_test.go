@@ -3,18 +3,146 @@ package ops
 import (
 	"fmt"
 	"math"
+	"math/big"
 	"math/rand"
 	"testing"
 )
 
-// TestRankKAsmMatchesGoBody is the differential test of the numeric
-// contract: the assembly body must equal the Go body (the specification) on
-// every element — not within a tolerance — across row tails, every oc_bn the
-// assembly accepts up to 64, short and long reductions, and the stride-1 and
-// stride-2 input pitches the direct template passes.
+// fma32 is the test oracle for a float32 fused multiply-add: x·y + z rounded
+// once, to nearest even. The float64 product of two float32s is exact (24+24
+// bits) and the float64 sum rounds once; converting that sum to float32
+// rounds a second time, which errs only when the float64 sum lands exactly on
+// a float32 midpoint that the exact sum is not on. TwoSum gives the exact
+// error e of the float64 add, and in that case the sum is moved one float64
+// ulp towards e before the conversion. x, y and z must be finite.
+func fma32(x, y, z float32) float32 {
+	p, c := float64(x)*float64(y), float64(z)
+	s := p + c
+	bv := s - p
+	e := (p - (s - bv)) + (c - bv)
+	if e != 0 && isFloat32Midpoint(s) {
+		s = math.Nextafter(s, math.Copysign(math.Inf(1), e))
+	}
+	return float32(s)
+}
+
+// isFloat32Midpoint reports whether the finite s lies exactly halfway between
+// two adjacent float32 values, 2¹²⁸ counting as the one above the largest.
+func isFloat32Midpoint(s float64) bool {
+	if s == 0 {
+		return false
+	}
+	// |s| is in [2^(exp-1), 2^exp): half a float32 ulp there is 2^(exp-25),
+	// or 2^-150 among the float32 subnormals.
+	_, exp := math.Frexp(s)
+	m := s / math.Ldexp(1, max(exp-25, -150))
+	return m == math.Trunc(m) && math.Mod(m, 2) != 0
+}
+
+// fmaBig is fma32's reference: the exact x·y + z in math/big, rounded once to
+// the nearest float32 (ties to even).
+func fmaBig(x, y, z float32) float32 {
+	const prec = 2000 // far more than the 554 bits the exponents can span
+	f := func(v float32) *big.Float { return new(big.Float).SetPrec(prec).SetFloat64(float64(v)) }
+	r := new(big.Float).SetPrec(prec).Mul(f(x), f(y))
+	r.Add(r, f(z))
+	v, _ := r.Float32()
+	return v
+}
+
+// TestFMA32MatchesBigFloat pins the oracle TestRankKAsmMatchesGoBody holds
+// the assembly to: fma32 must equal the exactly computed, once-rounded
+// x·y + z bit for bit on random inputs across the float32 range, near
+// cancellations, subnormal results, and inputs crafted so the float64 sum
+// lands on a float32 midpoint. The naive float32(math.FMA(x, y, z)) must
+// fail on some of the crafted inputs, or they test nothing.
+func TestFMA32MatchesBigFloat(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	n := 100000
+	if testing.Short() {
+		n = 10000
+	}
+	// pow2 returns ±2^e·(1 + f) as a float32; the caller keeps it exact.
+	pow2 := func(e int, f float64) float32 { return float32(math.Ldexp(1+f, e)) * float32(1-2*rng.Intn(2)) }
+	finite := func() float32 {
+		for {
+			if v := math.Float32frombits(rng.Uint32()); !math.IsNaN(float64(v)) && !math.IsInf(float64(v), 0) {
+				return v
+			}
+		}
+	}
+	check := func(x, y, z float32) {
+		t.Helper()
+		if got, want := fma32(x, y, z), fmaBig(x, y, z); math.Float32bits(got) != math.Float32bits(want) {
+			t.Fatalf("fma32(%g, %g, %g) = %g (%#x), exact %g (%#x)", x, y, z, got, math.Float32bits(got), want, math.Float32bits(want))
+		}
+	}
+	for i := 0; i < n; i++ {
+		switch i % 4 {
+		case 0: // anywhere in the float32 range, overflow and zeros included
+			check(finite(), finite(), finite())
+		case 1: // moderate magnitudes
+			check(pow2(rng.Intn(40)-20, rng.Float64()), pow2(rng.Intn(40)-20, rng.Float64()), pow2(rng.Intn(40)-20, rng.Float64()))
+		case 2: // z cancels most of x·y
+			x, y := pow2(rng.Intn(60)-30, rng.Float64()), pow2(rng.Intn(60)-30, rng.Float64())
+			z := -x * y
+			if rng.Intn(2) == 0 {
+				z = math.Nextafter32(z, float32(math.Inf(1-2*rng.Intn(2))))
+			}
+			check(x, y, z)
+		case 3: // subnormal and underflowing results
+			x, y := pow2(-rng.Intn(30)-60, rng.Float64()), pow2(-rng.Intn(30)-60, rng.Float64())
+			check(x, y, math.Float32frombits(rng.Uint32()&0x807fffff))
+		}
+	}
+	// x·y = ±h·(1 - t²·2^-2j) for h half an ulp of z: the float64 sum rounds
+	// onto the midpoint z ± h while the exact sum lies just inside it.
+	naiveWrong := 0
+	for i := 0; i < n/2; i++ {
+		z := pow2(rng.Intn(200)-100, float64(rng.Intn(1<<23))/(1<<23))
+		if i%8 == 0 {
+			z = math.Float32frombits(rng.Uint32() & 0x807fffff) // subnormal
+		}
+		_, exp := math.Frexp(float64(z))
+		he := max(exp-25, -150) // h = 2^he
+		j := 16 + rng.Intn(8)
+		f := float64(1+rng.Intn(1<<(j-16))) / float64(int(1)<<j)
+		x := pow2(he/2, f)
+		y := pow2(he-he/2, -f)
+		check(x, y, z)
+		if float32(math.FMA(float64(x), float64(y), float64(z))) != fmaBig(x, y, z) {
+			naiveWrong++
+		}
+	}
+	if naiveWrong == 0 {
+		t.Fatal("no crafted input defeats the naive float32(math.FMA(...)): the midpoint cases are not reached")
+	}
+}
+
+// rankKFused is the fused specification of rankK's assembly body: rankKGo
+// with each step one fma32.
+func rankKFused(acc, in, wt []float32, rows, k, inStride, ocb int) {
+	for r := 0; r < rows; r++ {
+		a := acc[r*ocb : r*ocb+ocb]
+		for kk, iv := range in[r*inStride : r*inStride+k] {
+			w := wt[kk*ocb:][:len(a)]
+			for oi := range a {
+				a[oi] = fma32(iv, w[oi], a[oi])
+			}
+		}
+	}
+}
+
+// TestRankKAsmMatchesGoBody is the differential test of rankK's numeric
+// contract: the assembly body must equal rankKFused, the once-rounded fused
+// specification, on every element — not within a tolerance — across row
+// tails (the 4-row, 2-row and 1-row blocks), every oc_bn the assembly accepts
+// up to 64, short and long reductions, and the stride-1 and stride-2 input
+// pitches the direct template passes. rankKGo, the non-fused portable body,
+// must stay within 2·γ(k+1)·(|acc| + Σ|in·wt|) of it per element.
 func TestRankKAsmMatchesGoBody(t *testing.T) {
-	if !hasAVX2 {
-		t.Skip("assembly body not in use: the CPU lacks AVX2 (or OS YMM support), or the build is not amd64 or has the purego tag")
+	if !hasFMA {
+		t.Skip("assembly body not in use: the CPU lacks AVX2 or FMA (or OS YMM support), or the build is not amd64 or has the purego tag")
 	}
 	rng := rand.New(rand.NewSource(1))
 	fill := func(n int) []float32 {
@@ -24,6 +152,8 @@ func TestRankKAsmMatchesGoBody(t *testing.T) {
 		}
 		return s
 	}
+	const u = 1.0 / (1 << 24)
+	gamma := func(n int) float64 { return float64(n) * u / (1 - float64(n)*u) }
 	ks := []int{1, 3, 16, 64, 512}
 	if testing.Short() {
 		ks = []int{1, 3, 64}
@@ -37,18 +167,81 @@ func TestRankKAsmMatchesGoBody(t *testing.T) {
 					wt := fill(k * ocb)
 					acc0 := fill(rows * ocb)
 					want := append([]float32(nil), acc0...)
-					rankKGo(want, in, wt, rows, k, inStride, ocb)
+					rankKFused(want, in, wt, rows, k, inStride, ocb)
 					got := append([]float32(nil), acc0...)
 					rankK(got, in, wt, rows, k, inStride, ocb)
+					goBody := append([]float32(nil), acc0...)
+					rankKGo(goBody, in, wt, rows, k, inStride, ocb)
 					for i := range want {
-						if got[i] != want[i] {
-							t.Fatalf("ocb=%d k=%d inStride=%d rows=%d: acc[%d] = %v, Go body %v",
+						if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+							t.Fatalf("ocb=%d k=%d inStride=%d rows=%d: acc[%d] = %v, fused specification %v",
 								ocb, k, inStride, rows, i, got[i], want[i])
+						}
+						r, o := i/ocb, i%ocb
+						mag := math.Abs(float64(acc0[i]))
+						for kk := 0; kk < k; kk++ {
+							mag += math.Abs(float64(in[r*inStride+kk]) * float64(wt[kk*ocb+o]))
+						}
+						if d, bound := math.Abs(float64(goBody[i])-float64(got[i])), 2*gamma(k+1)*mag; d > bound {
+							t.Fatalf("ocb=%d k=%d inStride=%d rows=%d: acc[%d] Go body %v is %g from the assembly's %v, bound %g",
+								ocb, k, inStride, rows, i, goBody[i], d, got[i], bound)
 						}
 					}
 				}
 			}
 		}
+	}
+}
+
+// TestDetectRequiresAVX2AndFMA pins the dispatch gates: every assembly body
+// needs AVX, AVX2, OSXSAVE and XCR0's XMM and YMM bits; rankK's also needs
+// FMA, and FMA alone enables nothing.
+func TestDetectRequiresAVX2AndFMA(t *testing.T) {
+	const ecx = cpuidOSXSAVE | cpuidAVX | cpuidFMA
+	for _, c := range []struct {
+		name             string
+		ecx1, ebx7, xcr0 uint32
+		avx2, fma        bool
+	}{
+		{"avx2+fma", ecx, cpuidAVX2, xcr0YMM, true, true},
+		{"avx2+fma, zmm state too", ecx, cpuidAVX2, 0xe7, true, true},
+		{"avx2 without fma", ecx &^ cpuidFMA, cpuidAVX2, xcr0YMM, true, false},
+		{"fma without avx2", ecx, 0, xcr0YMM, false, false},
+		{"no avx", ecx &^ cpuidAVX, cpuidAVX2, xcr0YMM, false, false},
+		{"no osxsave", ecx &^ cpuidOSXSAVE, cpuidAVX2, xcr0YMM, false, false},
+		{"os saves xmm only", ecx, cpuidAVX2, 2, false, false},
+		{"os saves ymm only", ecx, cpuidAVX2, 4, false, false},
+		{"nothing", 0, 0, 0, false, false},
+	} {
+		if avx2, fma := detect(c.ecx1, c.ebx7, c.xcr0); avx2 != c.avx2 || fma != c.fma {
+			t.Errorf("%s: detect = (avx2 %v, fma %v), want (%v, %v)", c.name, avx2, fma, c.avx2, c.fma)
+		}
+	}
+}
+
+// BenchmarkPeak measures the single-core arithmetic ceiling that the kernel
+// benchmarks' GFLOP/s are read against: 12 independent YMM multiply-add
+// chains as VMULPS+VADDPS pairs (laneMAC's instructions) and as VFMADD231PS
+// (rankK's).
+func BenchmarkPeak(b *testing.B) {
+	const iters = 1 << 16 // of 192 FLOPs each
+	for _, c := range []struct {
+		name string
+		ok   bool
+		run  func(n int)
+	}{
+		{"ymm-mul+add", hasAVX2, peakMulAddAVX2},
+		{"ymm-fma", hasFMA, peakFMAAVX2},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			if !c.ok {
+				b.Skip("probe not built or not supported by this CPU")
+			}
+			for i := 0; i < b.N; i++ {
+				c.run(iters)
+			}
+			b.ReportMetric(192*iters*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
+		})
 	}
 }
 
