@@ -20,7 +20,6 @@ import (
 	"testing"
 
 	"repro/internal/baselines"
-	"repro/internal/benchkernels"
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/machine"
@@ -123,10 +122,14 @@ func BenchmarkFigure4c(b *testing.B) { benchFigure4(b, report.Figure4Specs()[2])
 // ---------------------------------------------------------------------------
 
 // benchConvTensors is the shared mid-network ResNet convolution workload
-// (64x28x28 -> 64, 3x3), defined once in internal/benchkernels so the JSON
-// benchmark emitter measures the same geometry.
+// (64x28x28 -> 64, 3x3 stride 1 pad 1): deterministic random NCHW input,
+// OIHW weight, and the convolution attributes.
 func benchConvTensors() (*tensor.Tensor, *tensor.Tensor, ops.Conv2DAttrs) {
-	return benchkernels.ConvCase()
+	in := tensor.New(tensor.NCHW(), 1, 64, 28, 28)
+	in.FillRandom(1, 1)
+	wt := tensor.New(tensor.OIHW(), 64, 64, 3, 3)
+	wt.FillRandom(2, 0.5)
+	return in, wt, ops.Conv2DAttrs{OutC: 64, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}
 }
 
 // BenchmarkConvLayout compares the direct convolution in each data layout —
@@ -422,25 +425,36 @@ func BenchmarkThreadPool(b *testing.B) {
 func BenchmarkConvAlgorithm(b *testing.B) {
 	for _, blk := range []int{8, 16} {
 		blk := blk
+		// Both blocked variants preallocate every buffer (packed or
+		// transformed weight, padding or transform scratch, destination) so
+		// the timed loop measures only the kernel.
 		b.Run("direct-NCHW"+itoa(blk)+"c", func(b *testing.B) {
-			iter := benchkernels.DirectBlocked(blk)
+			in, wt, attrs := benchConvTensors()
+			bi := tensor.ToNCHWc(in, blk)
+			bw := tensor.PackWeights(wt, blk, blk)
+			pad := tensor.New(bi.Layout, ops.PaddedShapeNCHWc(bi.Shape, attrs)...)
+			dst := tensor.New(tensor.NCHWc(blk), 1, attrs.OutC/blk, 28, 28, blk)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				iter()
+				ops.Conv2DNCHWcInto(dst, pad, bi, bw, attrs, blk, blk, 8, ops.Epilogue{}, nil)
 			}
 		})
 		b.Run("winograd-NCHW"+itoa(blk)+"c", func(b *testing.B) {
-			iter := benchkernels.WinogradBlocked(blk)
+			in, wt, attrs := benchConvTensors()
+			bi := tensor.ToNCHWc(in, blk)
+			u := ops.WinogradWeightTransformNCHWc(wt, blk, blk)
+			scratch := tensor.New(tensor.Flat(), ops.WinogradScratchShape(bi.Shape, attrs)...)
+			dst := tensor.New(tensor.NCHWc(blk), 1, attrs.OutC/blk, 28, 28, blk)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				iter()
+				ops.Conv2DWinogradNCHWcInto(dst, scratch, bi, u, attrs, blk, blk, ops.Epilogue{}, nil)
 			}
 		})
 	}
 	b.Run("winograd-f2x3-NCHW", func(b *testing.B) {
-		in, wt, attrs := benchkernels.ConvCase()
+		in, wt, attrs := benchConvTensors()
 		u := ops.WinogradWeightTransform(wt)
 		b.ReportAllocs()
 		b.ResetTimer()
@@ -683,6 +697,51 @@ func BenchmarkSessionRunWinograd(b *testing.B) {
 		if _, err := s.Run(ctx, in); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkSessionRunScaling measures intra-op thread scaling of
+// whole-model session execution: tiny-resnet recompiled at each thread count
+// (so the schedule search re-picks block sizes for that width; the serial
+// backend at 1) and timed on the host, one threads-<n> sub-benchmark per
+// count. The thread axis is the powers of two up to the host's CPU count,
+// plus the CPU count itself when it is not one. CI's scaling job reads the
+// ns/op of this series.
+func BenchmarkSessionRunScaling(b *testing.B) {
+	counts := []int{1}
+	for th := 2; th <= runtime.NumCPU(); th *= 2 {
+		counts = append(counts, th)
+	}
+	if last := counts[len(counts)-1]; last != runtime.NumCPU() {
+		counts = append(counts, runtime.NumCPU())
+	}
+	for _, th := range counts {
+		th := th
+		b.Run("threads-"+itoa(th), func(b *testing.B) {
+			opts := core.Options{Level: core.OptGlobalSearch, Threads: th, Backend: machine.BackendPool}
+			if th == 1 {
+				opts.Backend = machine.BackendSerial
+			}
+			m, err := core.Compile(models.TinyResNet(1), machine.IntelSkylakeC5(), opts)
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer m.Close()
+			s, err := m.NewSession()
+			if err != nil {
+				b.Fatal(err)
+			}
+			in := tensor.New(tensor.NCHW(), 1, 3, 32, 32)
+			in.FillRandom(3, 1)
+			ctx := context.Background()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := s.Run(ctx, in); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

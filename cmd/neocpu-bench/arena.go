@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"sort"
+	"strings"
 
 	"repro/internal/core"
 	"repro/internal/graph"
@@ -76,7 +77,10 @@ func writeArenaBaseline(path string) error {
 	return f.Close()
 }
 
-func checkArenaBaseline(path string) error {
+// checkArenaBaseline compares the measured planned arena bytes got against
+// the baseline file at path. The error names every model that regressed or
+// has no baseline entry.
+func checkArenaBaseline(path string, got map[string]int) error {
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		return fmt.Errorf("neocpu-bench: arena guard: %w", err)
@@ -84,10 +88,6 @@ func checkArenaBaseline(path string) error {
 	var baseline map[string]int
 	if err := json.Unmarshal(raw, &baseline); err != nil {
 		return fmt.Errorf("neocpu-bench: arena guard: parsing %s: %w", path, err)
-	}
-	got, err := measureArenaBytes()
-	if err != nil {
-		return err
 	}
 	names := make([]string, 0, len(got))
 	for name := range got {
@@ -110,10 +110,7 @@ func checkArenaBaseline(path string) error {
 		fmt.Printf("arena-guard %-16s planned=%8d baseline=%8d limit=%8d %s\n", name, got[name], base, limit, status)
 	}
 	if len(failures) > 0 {
-		for _, f := range failures {
-			fmt.Fprintln(os.Stderr, "neocpu-bench: arena guard:", f)
-		}
-		return fmt.Errorf("neocpu-bench: arena guard: %d model(s) regressed", len(failures))
+		return fmt.Errorf("neocpu-bench: arena guard: %d model(s) regressed:\n  %s", len(failures), strings.Join(failures, "\n  "))
 	}
 	return nil
 }

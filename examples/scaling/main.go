@@ -1,30 +1,27 @@
-// Scaling demo, three layers of it:
+// Scaling demo, two layers of it:
 //
-// 1. Kernel scaling (Section 3.1.2 / Figure 4 with real wall-clock): the
-//    same blocked convolution is executed with the custom thread pool and
-//    the OpenMP-style fork/join runtime at growing thread counts.
-// 2. Whole-model scaling: the scaling/<model> series recorded by
-//    `neocpu-bench -json` (same model recompiled at each thread count, so
-//    block sizes are re-searched per width), replayed
-//    from BENCH_<target>.json via -bench.
-// 3. Serving scaling: a compiled engine behind the HTTP inference server,
-//    hammered by concurrent clients — pooled sessions plus the dynamic
-//    micro-batcher turn per-request dispatch into coalesced RunBatch calls.
+//  1. Kernel scaling (Section 3.1.2 / Figure 4 with real wall-clock): the
+//     same blocked convolution is executed with the custom thread pool and
+//     the OpenMP-style fork/join runtime at growing thread counts.
+//  2. Serving scaling: a compiled engine behind the HTTP inference server,
+//     hammered by concurrent clients — pooled sessions plus the dynamic
+//     micro-batcher turn per-request dispatch into coalesced RunBatch calls.
 //
-//	go run ./cmd/neocpu-bench -json /tmp/bench
-//	go run ./examples/scaling -bench /tmp/bench/BENCH_intel-skylake.json
+// Whole-model scaling (tiny-resnet recompiled at each thread count, so
+// block sizes are re-searched per width) is BenchmarkSessionRunScaling in
+// the root package:
+//
+//	go run ./examples/scaling
+//	go test -run '^$' -bench BenchmarkSessionRunScaling .
 package main
 
 import (
 	"bytes"
 	"encoding/json"
-	"flag"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"os"
 	"runtime"
-	"strings"
 	"sync"
 	"time"
 
@@ -36,10 +33,6 @@ import (
 )
 
 func main() {
-	benchPath := flag.String("bench", "",
-		"path to a BENCH_<target>.json written by `neocpu-bench -json`; its scaling/<model> series is printed as the whole-model scaling table")
-	flag.Parse()
-
 	// A mid-network ResNet convolution, blocked NCHW8c.
 	const icb, ocb, regN = 8, 8, 8
 	in := tensor.New(tensor.NCHW(), 1, 128, 28, 28)
@@ -96,55 +89,7 @@ func main() {
 	fmt.Printf("  thread pool: %v\n", tiny(pool.ParallelRange).Round(time.Microsecond))
 	fmt.Printf("  omp-style:   %v\n", tiny(omp.ParallelRange).Round(time.Microsecond))
 
-	modelScaling(*benchPath)
 	servingDemo()
-}
-
-// benchDoc mirrors the slice of BENCH_<target>.json this demo consumes: the
-// measured scaling/<model>/threads-<n> entries neocpu-bench records (see
-// cmd/neocpu-bench/json.go for the full schema).
-type benchDoc struct {
-	Target   string `json:"target"`
-	Measured []struct {
-		Name    string  `json:"name"`
-		NsPerOp float64 `json:"ns_per_op"`
-		Threads int     `json:"threads"`
-		Speedup float64 `json:"speedup"`
-	} `json:"measured"`
-}
-
-// modelScaling replays the whole-model scaling series out of a BENCH json
-// file: unlike the kernel table above (one convolution, fixed schedule), each
-// entry there was compiled fresh at its thread count, so the searched block
-// sizes differ along the thread axis.
-func modelScaling(path string) {
-	fmt.Println("\nwhole-model scaling (scaling/<model> series from neocpu-bench -json):")
-	if path == "" {
-		fmt.Println("  no -bench file given; record one with: go run ./cmd/neocpu-bench -json <dir>")
-		return
-	}
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		panic(err)
-	}
-	var doc benchDoc
-	if err := json.Unmarshal(raw, &doc); err != nil {
-		panic(fmt.Sprintf("%s: %v", path, err))
-	}
-	rows := 0
-	for _, e := range doc.Measured {
-		if !strings.HasPrefix(e.Name, "scaling/") {
-			continue
-		}
-		if rows == 0 {
-			fmt.Printf("  %-34s %8s %14s %9s\n", "series", "threads", "ns/op", "speedup")
-		}
-		fmt.Printf("  %-34s %8d %14.0f %8.2fx\n", e.Name, e.Threads, e.NsPerOp, e.Speedup)
-		rows++
-	}
-	if rows == 0 {
-		fmt.Printf("  %s holds no scaling/ entries; regenerate it with a current neocpu-bench\n", path)
-	}
 }
 
 // servingDemo scales the other axis: many concurrent requests against one

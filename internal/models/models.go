@@ -47,7 +47,7 @@ func register(s *Spec) {
 
 // Names returns the model names in the paper's table order. The paper
 // tables iterate exactly this list; extensions beyond the published suite
-// appear in ExtendedNames instead.
+// (mobilenet-v1) are registered but not listed here.
 func Names() []string {
 	return []string{
 		"resnet-18", "resnet-34", "resnet-50", "resnet-101", "resnet-152",
@@ -55,13 +55,6 @@ func Names() []string {
 		"densenet-121", "densenet-161", "densenet-169", "densenet-201",
 		"inception-v3", "ssd-resnet-50",
 	}
-}
-
-// ExtendedNames returns every registered full-size model: the paper's 15 in
-// table order followed by the post-paper extensions (MobileNet-V1). The
-// benchmark trajectory files iterate this list.
-func ExtendedNames() []string {
-	return append(Names(), "mobilenet-v1")
 }
 
 // Get returns the spec for a model name.

@@ -484,6 +484,7 @@ func TestChaosDrainRefusesNewAdmitsInflight(t *testing.T) {
 
 	// Slow batches so a request is reliably in flight when Drain lands.
 	faults.Inject(faults.SiteBatcherDispatch, faults.Delay(50*time.Millisecond))
+	dispatched := faults.Count(faults.SiteBatcherDispatch)
 
 	inflight := make(chan struct{ status int }, 1)
 	go func() {
@@ -493,7 +494,14 @@ func TestChaosDrainRefusesNewAdmitsInflight(t *testing.T) {
 		}
 		inflight <- struct{ status int }{status}
 	}()
-	time.Sleep(10 * time.Millisecond) // let it pass admission
+	// Drain only once the request has passed admission and sits in its
+	// batch: a fixed sleep loses that race on a slow or -race build.
+	for deadline := time.Now().Add(10 * time.Second); faults.Count(faults.SiteBatcherDispatch) == dispatched; {
+		if time.Now().After(deadline) {
+			t.Fatal("request never reached batch dispatch")
+		}
+		time.Sleep(time.Millisecond)
+	}
 	reg.Drain()
 
 	// New request after Drain: refused.

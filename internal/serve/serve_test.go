@@ -367,8 +367,14 @@ func TestBackpressure(t *testing.T) {
 	if rejected == 0 {
 		t.Fatalf("no request was rejected: %d-deep queue absorbed a %d-request burst", 1, burst)
 	}
-	if st := srv.Stats(); st.Batch.Rejected == 0 {
-		t.Fatal("stats did not count rejections")
+	// The server's accounting matches what the clients saw, exactly: every
+	// 200 was carried through a batch, every 429 counted as a rejection.
+	st := srv.Stats()
+	if st.Batch.Items != uint64(ok) {
+		t.Fatalf("batcher carried %d items, clients saw %d OK", st.Batch.Items, ok)
+	}
+	if st.Batch.Rejected != uint64(rejected) {
+		t.Fatalf("stats counted %d rejections, clients saw %d 429s", st.Batch.Rejected, rejected)
 	}
 	t.Logf("burst=%d ok=%d rejected=%d", burst, ok, rejected)
 }
