@@ -180,8 +180,12 @@ func BenchmarkConvRegN(b *testing.B) {
 // BenchmarkConv3x3 measures the ResNet-18 3x3 layers single-threaded at the
 // schedules the search plans for them: the stride-2 direct layer (64→128 @56,
 // ic_bn=32, oc_bn=16, reg_n=16) and the four Winograd geometries at their
-// searched blocks. GFLOP/s counts direct-convolution FLOPs for both, so the
-// two algorithms' rates compare as time.
+// searched blocks. The two geometries that take the weight-stationary walk,
+// 256@14 and 512@7, also run on a 2-wide thread pool (the -2t rows): the
+// tile-stationary walk splits threads over tile rows, so its per-thread work
+// at one thread is not that of the two-thread inference. GFLOP/s counts
+// direct-convolution FLOPs for both algorithms, so their rates compare as
+// time.
 func BenchmarkConv3x3(b *testing.B) {
 	gflops := func(b *testing.B, c, oc, ohw int) {
 		flops := 2 * float64(c) * float64(oc) * 9 * float64(ohw*ohw)
@@ -205,8 +209,16 @@ func BenchmarkConv3x3(b *testing.B) {
 		}
 		gflops(b, c, oc, hw/2)
 	})
-	for _, g := range []struct{ c, hw, icb, ocb int }{{64, 56, 64, 32}, {128, 28, 16, 32}, {256, 14, 32, 32}, {512, 7, 16, 16}} {
-		b.Run("winograd/"+itoa(g.c)+"@"+itoa(g.hw), func(b *testing.B) {
+	pool := threadpool.NewPool(2)
+	defer pool.Close()
+	for _, g := range []struct {
+		c, hw, icb, ocb, threads int
+	}{{64, 56, 64, 32, 1}, {128, 28, 16, 32, 1}, {256, 14, 32, 32, 1}, {512, 7, 16, 16, 1}, {256, 14, 32, 32, 2}, {512, 7, 16, 16, 2}} {
+		name, pf := "winograd/"+itoa(g.c)+"@"+itoa(g.hw), ops.ParallelFor(ops.Serial)
+		if g.threads == 2 {
+			name, pf = name+"-2t", pool.ParallelRange
+		}
+		b.Run(name, func(b *testing.B) {
 			in := tensor.New(tensor.NCHW(), 1, g.c, g.hw, g.hw)
 			in.FillRandom(1, 1)
 			wt := tensor.New(tensor.OIHW(), g.c, g.c, 3, 3)
@@ -219,7 +231,7 @@ func BenchmarkConv3x3(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				ops.Conv2DWinogradNCHWcInto(dst, scratch, bi, u, attrs, g.icb, g.ocb, ops.Epilogue{}, ops.Serial)
+				ops.Conv2DWinogradNCHWcInto(dst, scratch, bi, u, attrs, g.icb, g.ocb, ops.Epilogue{}, pf)
 			}
 			gflops(b, g.c, g.c, g.hw)
 		})

@@ -189,7 +189,7 @@ func stepBuffers(n *graph.Node, int8 bool) planStep {
 			physIn := physicalDims(in.OutShape, in.OutLayout)
 			if n.Sched.Algorithm == machine.AlgoWinograd {
 				// Winograd pads implicitly in its data transform; its scratch
-				// is the per-tile-row V buffer instead.
+				// is the transform-domain buffer of its walk instead.
 				st.wino = mk(tensor.Flat(), ops.WinogradScratchShape(physIn, n.Conv))
 			} else if pad := ops.PaddedShapeNCHWc(physIn, n.Conv); pad != nil {
 				st.pad = mk(in.OutLayout, pad)

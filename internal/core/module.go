@@ -161,8 +161,8 @@ type nodeBuffers struct {
 	out *tensor.Tensor
 	// pad is the blocked direct convolution's explicit-padding scratch.
 	pad *tensor.Tensor
-	// wino is the blocked winograd convolution's transform scratch (the
-	// per-tile-row V tiles, sized by ops.WinogradScratchShape).
+	// wino is the blocked winograd convolution's transform scratch, sized
+	// by ops.WinogradScratchShape for the walk the layer's size picks.
 	wino *tensor.Tensor
 	// scratch is the two-hop layout transform's NCHW intermediate.
 	scratch *tensor.Tensor

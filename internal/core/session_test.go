@@ -241,6 +241,88 @@ func TestWinogradSessionArenaReuse(t *testing.T) {
 	}
 }
 
+// TestWeightStationaryWinogradSession covers the Winograd walk the tiny
+// models never reach: a 3x3 convolution with more output channels than 2x2
+// output tiles (64 channels at 8x8, 16 tiles) takes the weight-stationary
+// walk, whose planned scratch holds V and M for every tile. A session must
+// compute Module.Run's bits, stay within the other sessions' allocation limit
+// and allocate no scratch while it runs.
+func TestWeightStationaryWinogradSession(t *testing.T) {
+	const c, hw, tiles = 64, 8, 16
+	b := graph.NewBuilder("winograd-weight-stationary", 7)
+	x := b.Input(c, hw, hw)
+	y := b.ConvBNReLU(x, c, 3, 1, 1)
+	y = b.ReLU(b.Add(b.BatchNorm(b.Conv(y, c, 3, 1, 1)), x))
+	g := b.Finish(b.Dense(b.Flatten(b.GlobalAvgPool(y)), 10))
+	pf := &PlanFile{}
+	for _, n := range g.Convs() {
+		pf.Entries = append(pf.Entries, PlanEntry{
+			Conv: n.Name, Layout: "nchwc", ICBlock: 16, OCBlock: 16, RegN: 8, Algorithm: machine.AlgoWinograd.String(),
+		})
+	}
+	m, err := CompileWithPlan(g, skylake(), pf, Options{Threads: 2, Backend: machine.BackendPool})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(m.Close)
+	// V and M of every tile: 16 components × 16 tiles × (64 in + 64 out).
+	const winoElems = 16 * tiles * (c + c)
+	wino := 0
+	for i, n := range m.program {
+		if n.Op == graph.OpConv2D {
+			if got := m.plan.steps[i].wino.elems; got != winoElems {
+				t.Fatalf("%v: planned winograd scratch of %d floats, want the weight-stationary walk's %d", n, got, winoElems)
+			}
+			wino++
+		}
+	}
+	if wino != 2 {
+		t.Fatalf("%d winograd convolutions in the program, want 2", wino)
+	}
+
+	in := tensor.New(tensor.NCHW(), 1, c, hw, hw)
+	in.FillRandom(17, 1)
+	want, err := m.Run(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := m.NewSession()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	for i := 0; i < 2; i++ {
+		got, err := s.Run(ctx, in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tensor.MaxAbsDiff(want[0], got[0]) != 0 {
+			t.Fatalf("run %d: session output diverges from Module.Run", i)
+		}
+	}
+	sessAllocs := testing.AllocsPerRun(10, func() {
+		if _, err := s.Run(ctx, in); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if limit := float64(2 * len(m.program)); sessAllocs > limit {
+		t.Fatalf("session allocs/op = %v, want <= %v (program has %d nodes)", sessAllocs, limit, len(m.program))
+	}
+	const reps = 10
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < reps; i++ {
+		if _, err := s.Run(ctx, in); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if perRun := (after.TotalAlloc - before.TotalAlloc) / reps; perRun >= 4*winoElems {
+		t.Fatalf("session allocates %d B per run, at least one winograd scratch (%d B): the scratch is not the arena's", perRun, 4*winoElems)
+	}
+}
+
 func TestSessionContextCancellation(t *testing.T) {
 	m := sessionModule(t, 1, machine.BackendSerial)
 	in := tensor.New(tensor.NCHW(), 1, 3, 32, 32)

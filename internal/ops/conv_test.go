@@ -235,9 +235,9 @@ func goPar(parts int) ParallelFor {
 // TestDirectConvNoPerRowAllocation pins the accumulator tile to the stack
 // for the widest searched schedule (reg_n=32 × oc_bn=64): with destination
 // and padding scratch provided, a 40-row convolution allocates exactly what a
-// narrow-tile schedule does (the dispatch closure and the destination shape
-// checks), nothing per row. The depthwise template at its searched blocks
-// allocates the same for 40 rows as for 10.
+// narrow-tile schedule does (the dispatch closure), nothing per row. The
+// depthwise template at its searched blocks allocates the same for 40 rows as
+// for 10.
 func TestDirectConvNoPerRowAllocation(t *testing.T) {
 	in, wt := convCase(14, 8, 40, 40, 64, 3, 3)
 	attrs := Conv2DAttrs{OutC: 64, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}

@@ -136,9 +136,8 @@ func TestPoolNCHWcParallelMatchesSerial(t *testing.T) {
 }
 
 // TestPool2DIntoNoPerWindowAllocation: with a destination provided, blocked
-// pooling allocates only its fixed dispatch cost (the range closure and the
-// destination shape check) — the same for a 4× larger image and for the
-// widest block as for the narrowest.
+// pooling allocates only its fixed dispatch cost (the range closure) — the
+// same for a 4× larger image and for the widest block as for the narrowest.
 func TestPool2DIntoNoPerWindowAllocation(t *testing.T) {
 	allocs := func(hw, bn int, kind PoolKind) float64 {
 		in := tensor.New(tensor.NCHW(), 1, 64, hw, hw)

@@ -91,16 +91,43 @@ func WinogradWeightTransformNCHWc(weight *tensor.Tensor, icb, ocb int) *tensor.T
 }
 
 // WinogradScratchShape returns the buffer shape Conv2DWinogradNCHWcInto needs
-// for its per-tile-row transform scratch (the V tiles of every input channel),
-// given the blocked input's physical NCHW[x]c shape. One row per parallel
-// unit, and a range's tile blocks use only the rows of its own units, so
-// concurrent ranges never share a slice; Sessions use it to size arenas once
-// and keep steady-state execution allocation-free.
+// for its transform scratch, given the blocked input's physical NCHW[x]c
+// shape; Sessions use it to size arenas once and keep steady-state execution
+// allocation-free. The shape is that of the walk the layer's size picks
+// (winogradWeightStationary). The tile-stationary walk holds V for one tile
+// row per parallel unit, n·⌈oh/2⌉ rows of 16·C floats, and a range's tile
+// blocks use only the rows of its own units. The weight-stationary walk holds
+// V for every tile followed by M for every tile and output channel,
+// 16·tiles·(C + OutC) floats, and a range writes only the M of its own output
+// blocks. Either way concurrent ranges never write a shared slice.
 func WinogradScratchShape(inShape []int, attrs Conv2DAttrs) []int {
-	n, icOuter, h, w, icb := inShape[0], inShape[1], inShape[2], inShape[3], inShape[4]
-	oh, _ := attrs.OutSize(h, w)
-	tilesH := (oh + 1) / 2
-	return []int{n * tilesH, 16 * icOuter * icb}
+	return winogradScratchShape(inShape, attrs, winogradWeightStationary(inShape, attrs))
+}
+
+// winogradWeightStationary is the walk rule: a layer takes the
+// weight-stationary walk when its transformed weight U (16·OutC·C floats)
+// outweighs the transformed input V of all its tiles (16·tiles·C floats),
+// that is when OutC > tiles.
+func winogradWeightStationary(inShape []int, attrs Conv2DAttrs) bool {
+	n, tilesH, tilesW := winogradTileGrid(inShape, attrs)
+	return attrs.OutC > n*tilesH*tilesW
+}
+
+// winogradScratchShape is WinogradScratchShape for the walk the caller names.
+func winogradScratchShape(inShape []int, attrs Conv2DAttrs, weightStationary bool) []int {
+	n, tilesH, tilesW := winogradTileGrid(inShape, attrs)
+	c := inShape[1] * inShape[4]
+	if weightStationary {
+		return []int{16 * n * tilesH * tilesW * (c + attrs.OutC)}
+	}
+	return []int{n * tilesH, 16 * c}
+}
+
+// winogradTileGrid returns the batch size and the number of 2x2 output tile
+// rows and columns per image for a blocked input of physical shape inShape.
+func winogradTileGrid(inShape []int, attrs Conv2DAttrs) (n, tilesH, tilesW int) {
+	oh, ow := attrs.OutSize(inShape[2], inShape[3])
+	return inShape[0], (oh + 1) / 2, (ow + 1) / 2
 }
 
 // Conv2DWinogradNCHWc is the Winograd F(2x2, 3x3) convolution in the blocked
@@ -114,9 +141,15 @@ func Conv2DWinogradNCHWc(in, transformed *tensor.Tensor, attrs Conv2DAttrs, icb,
 
 // Conv2DWinogradNCHWcInto is Conv2DWinogradNCHWc writing into caller-provided
 // buffers: dst receives the blocked output and scratch (sized per
-// WinogradScratchShape) holds the V tiles of a tile block. Either may be nil, in
-// which case it is allocated. Padding is applied implicitly by the data
+// WinogradScratchShape) holds the transform-domain tiles. Either may be nil,
+// in which case it is allocated. Padding is applied implicitly by the data
 // transform's border handling — no explicit padding scratch is needed.
+//
+// The layer's size picks one of two walks over the transform-domain product
+// (winogradWeightStationary): the tile-stationary walk when V outweighs U,
+// the weight-stationary walk otherwise. Both reduce every output element over
+// the input channels in ascending order on the same rankK body, so the choice
+// never changes the result's bits.
 func Conv2DWinogradNCHWcInto(dst, scratch *tensor.Tensor, in, transformed *tensor.Tensor, attrs Conv2DAttrs, icb, ocb int, epi Epilogue, pf ParallelFor) *tensor.Tensor {
 	if in.Layout.Kind != tensor.LayoutNCHWc || in.Layout.BlockC != icb {
 		panic(fmt.Sprintf("ops: Conv2DWinogradNCHWc expects NCHW%dc input, got %v", icb, in.Layout))
@@ -125,7 +158,6 @@ func Conv2DWinogradNCHWcInto(dst, scratch *tensor.Tensor, in, transformed *tenso
 		panic("ops: Conv2DWinogradNCHWc supports 3x3 stride-1 convolutions only")
 	}
 	n, icOuter, h, w := in.Shape[0], in.Shape[1], in.Shape[2], in.Shape[3]
-	c := icOuter * icb
 	ocOuter := transformed.Shape[1]
 	if transformed.Shape[0] != 16 || transformed.Shape[2] != icOuter ||
 		transformed.Shape[3] != icb || transformed.Shape[4] != ocb {
@@ -140,22 +172,34 @@ func Conv2DWinogradNCHWcInto(dst, scratch *tensor.Tensor, in, transformed *tenso
 	if pf == nil {
 		pf = Serial
 	}
+	ws := winogradWeightStationary(in.Shape, attrs)
+	scr := tensor.EnsureDst(scratch, tensor.Flat(), winogradScratchShape(in.Shape, attrs, ws)...)
+	if ws {
+		winogradWeightWalk(out, scr.Data, in, transformed, attrs, icb, ocb, epi, pf)
+	} else {
+		winogradTileWalk(out, scr.Data, in, transformed, attrs, icb, ocb, epi, pf)
+	}
+	return out
+}
 
-	tilesH := (oh + 1) / 2
-	tilesW := (ow + 1) / 2
-	vscr := tensor.EnsureDst(scratch, tensor.Flat(), n*tilesH, 16*c)
-	uStride := icOuter * icb * ocb // one (component, oc-block) slab
+// winogradTileWalk is the tile-stationary walk, for layers whose V outweighs
+// U. One parallel unit per (batch, tile row); a range owns the scratch rows
+// of its units. It walks its tiles in row-major order, across tile-row and
+// batch boundaries, in blocks of up to winogradBlock tiles: the block's data
+// transforms fill V, then one rankK per (component, output block) multiplies
+// every tile of the block by the same U slab, so each weight vector is loaded
+// once per block rather than once per tile. A block of tb tiles needs
+// 16·tb·C floats of V, which the range's tb ≤ hi-lo rows hold.
+func winogradTileWalk(out *tensor.Tensor, scratch []float32, in, transformed *tensor.Tensor, attrs Conv2DAttrs, icb, ocb int, epi Epilogue, pf ParallelFor) {
+	n, icOuter, h, w := in.Shape[0], in.Shape[1], in.Shape[2], in.Shape[3]
+	c := icOuter * icb
+	ocOuter, oh, ow := out.Shape[1], out.Shape[2], out.Shape[3]
+	tilesH, tilesW := (oh+1)/2, (ow+1)/2
+	uStride := c * ocb // one (component, oc-block) slab
 
-	// One parallel unit per (batch, tile row); a range owns the V-scratch rows
-	// of its units. It walks its tiles in row-major order, across tile-row and
-	// batch boundaries, in blocks of up to winogradBlock tiles: the block's
-	// data transforms fill V, then one rankK per (component, output block)
-	// multiplies every tile of the block by the same U slab, so each weight
-	// vector is loaded once per block rather than once per tile. A block of tb
-	// tiles needs 16·tb·C floats of V, which the range's tb ≤ hi-lo rows hold.
 	pf(n*tilesH, func(lo, hi int) {
 		tb := min(winogradBlock, hi-lo)
-		v := vscr.Data[lo*16*c : (lo+tb)*16*c]
+		v := scratch[lo*16*c : (lo+tb)*16*c]
 		// On the goroutine stack for every block size the schedule space
 		// emits: the component accumulators of one output block for the
 		// whole tile block, the zero-padded patch of one border tile's input
@@ -190,7 +234,49 @@ func Conv2DWinogradNCHWcInto(dst, scratch *tensor.Tensor, in, transformed *tenso
 			}
 		}
 	})
-	return out
+}
+
+// winogradWeightWalk is the weight-stationary walk, for layers whose U
+// outweighs V: Lavin and Gray's batched form, M[xi] = V[xi]·U[xi] over all
+// tiles at once. A first parallel pass over tiles fills V for every tile; a
+// second, over output blocks, runs one rankK per component with every tile as
+// a row, so each U slab is read once per convolution and stays in L1 across
+// rankK's row blocks, then inverse-transforms and stores the block's tiles.
+// scratch holds V, [16][tiles][C], then M, [ocOuter][16][tiles][ocb]: each
+// output block owns its M.
+func winogradWeightWalk(out *tensor.Tensor, scratch []float32, in, transformed *tensor.Tensor, attrs Conv2DAttrs, icb, ocb int, epi Epilogue, pf ParallelFor) {
+	n, icOuter, h, w := in.Shape[0], in.Shape[1], in.Shape[2], in.Shape[3]
+	c := icOuter * icb
+	ocOuter, oh, ow := out.Shape[1], out.Shape[2], out.Shape[3]
+	tilesH, tilesW := (oh+1)/2, (ow+1)/2
+	tiles := n * tilesH * tilesW
+	uStride := c * ocb
+	v, m := scratch[:16*tiles*c], scratch[16*tiles*c:]
+
+	pf(tiles, func(lo, hi int) {
+		var patchArr [16 * 64]float32
+		patch := stackOrHeap(patchArr[:], 16*icb)
+		for t := lo; t < hi; t++ {
+			b, oy, ox := winogradTileOrigin(t, tilesH, tilesW)
+			winogradInputTile(in, v[t*c:], patch, attrs, b, oy, ox, tiles*c, icOuter, icb, h, w)
+		}
+	})
+	pf(ocOuter, func(lo, hi int) {
+		var yArr [4 * 64]float32
+		y := stackOrHeap(yArr[:], 4*ocb)
+		for co := lo; co < hi; co++ {
+			mc := m[co*16*tiles*ocb : (co+1)*16*tiles*ocb]
+			clear(mc)
+			for xi := 0; xi < 16; xi++ {
+				rankK(mc[xi*tiles*ocb:], v[xi*tiles*c:], transformed.Data[(xi*ocOuter+co)*uStride:], tiles, c, c, ocb)
+			}
+			for t := 0; t < tiles; t++ {
+				b, oy, ox := winogradTileOrigin(t, tilesH, tilesW)
+				winogradOut(y, mc[t*ocb:], tiles*ocb, ocb)
+				winogradStoreTile(out, y, epi, b, co, oy, ox, ocOuter, ocb, oh, ow)
+			}
+		}
+	})
 }
 
 // stackOrHeap returns buf[:n], or a heap slice when n exceeds the stack

@@ -2,6 +2,7 @@ package ops
 
 import (
 	"fmt"
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -147,7 +148,9 @@ func TestWinogradNCHWcScratchReuse(t *testing.T) {
 // shorter than a block gets a shorter block. The output must stay within the
 // reference tolerance and bit-identical across pool widths — the partition
 // decides block boundaries, and each element still reduces over the input
-// channels in one fixed order. The rows also cover the lane-wise transforms:
+// channels in one fixed order. At batch 1 most rows have more output
+// channels than tiles and take the weight-stationary walk; at batch 3 most
+// take the tile-stationary one. The rows also cover the lane-wise transforms:
 // the block pairs resnet-18's plan uses; odd output sizes, whose last tile
 // column and row store one pixel through the epilogue; pad 0 (interior tiles
 // only at the top-left), pad 2 (tiles with two patch rows and columns in the
@@ -208,17 +211,23 @@ func TestWinogradNCHWcTileBlocks(t *testing.T) {
 }
 
 // TestWinogradNCHWcNoPerTileAllocation pins the per-range buffers to the
-// stack at the widest searched blocks: with destination and scratch
-// provided, a convolution allocates only its fixed dispatch cost (the range
-// closure and the destination shape checks), the same at ic_bn = oc_bn = 64
-// — where the 16×4×64 accumulator block, the 16×64 border patch and the 4×64
-// output tile exactly fill their stack arrays — as at 8, and the same for a
-// 4× larger image.
+// stack at the widest searched blocks, walk by walk: with destination and
+// scratch provided, a convolution allocates only its fixed dispatch cost (the
+// range closures and the scratch shape). For each walk that cost is the same
+// at ic_bn = oc_bn = 64 — where the tile-stationary walk's 16×4×64
+// accumulator block, and both walks' 16×64 border patch and 4×64 output tile,
+// exactly fill their stack arrays — as at 8, and the same for a larger image
+// that the walk rule keeps on that walk. The two walks' costs differ (the
+// weight-stationary walk opens two parallel regions, the tile-stationary walk
+// one), so they are not compared with each other.
 func TestWinogradNCHWcNoPerTileAllocation(t *testing.T) {
-	allocs := func(hw, bn int) float64 {
+	allocs := func(hw, bn int, weightStationary bool) float64 {
 		in, wt := convCase(89, 64, hw, hw, 64, 3, 3)
 		attrs := Conv2DAttrs{OutC: 64, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}
 		blockedIn := tensor.ToNCHWc(in, bn)
+		if got := winogradWeightStationary(blockedIn.Shape, attrs); got != weightStationary {
+			t.Fatalf("%dx%d image with 64 output channels: weight-stationary %v, want %v", hw, hw, got, weightStationary)
+		}
 		u := WinogradWeightTransformNCHWc(wt, bn, bn)
 		scratch := tensor.New(tensor.Flat(), WinogradScratchShape(blockedIn.Shape, attrs)...)
 		dst := tensor.New(tensor.NCHWc(bn), 1, 64/bn, hw, hw, bn)
@@ -226,10 +235,95 @@ func TestWinogradNCHWcNoPerTileAllocation(t *testing.T) {
 			Conv2DWinogradNCHWcInto(dst, scratch, blockedIn, u, attrs, bn, bn, Epilogue{}, Serial)
 		})
 	}
-	narrow, wide, big := allocs(10, 8), allocs(10, 64), allocs(40, 64)
-	if wide != narrow || big != wide {
-		t.Fatalf("allocations per convolution: ic_bn = oc_bn = 8 %.0f, 64 %.0f, 64 on a 4x larger image %.0f: a per-range buffer left the stack",
-			narrow, wide, big)
+	for _, walk := range []struct {
+		name             string
+		small, large     int
+		weightStationary bool
+	}{
+		{"tile-stationary", 16, 40, false}, // 64 and 400 tiles
+		{"weight-stationary", 6, 14, true}, // 9 and 49 tiles
+	} {
+		narrow, wide, big := allocs(walk.small, 8, walk.weightStationary), allocs(walk.small, 64, walk.weightStationary), allocs(walk.large, 64, walk.weightStationary)
+		if wide != narrow || big != wide {
+			t.Fatalf("%s allocations per convolution: ic_bn = oc_bn = 8 %.0f, 64 %.0f, 64 on a %dx%d image %.0f: a per-range buffer left the stack",
+				walk.name, narrow, wide, walk.large, walk.large, big)
+		}
+	}
+}
+
+// TestWinogradWalksAgree runs both walks on the same convolutions, on both
+// sides of the walk rule, and requires bit-identical outputs at every pool
+// width: each output element reduces over the input channels in ascending
+// order on the same rankK body whichever walk computes it. The cases cover
+// OutC == tiles (the last tile-stationary size) and OutC == tiles+1 (the
+// first weight-stationary one), odd output sizes (partial tiles), batch 2
+// (weight-stationary rows that cross images), the bias + residual + ReLU
+// epilogue, and oc_bn 8, 16, 64 and 12 (rankK's Go body on every CPU). The
+// scratch starts as NaN and the outputs are compared bit by bit, so a walk
+// that reads scratch it did not write fails.
+func TestWinogradWalksAgree(t *testing.T) {
+	cases := []struct {
+		name             string
+		n, c, h, w, ocnt int
+		pad, icb, ocb    int
+		weightStationary bool // the rule's choice
+	}{
+		{"oc-eq-tiles", 1, 16, 8, 8, 16, 1, 8, 8, false},                // 16 tiles
+		{"oc-eq-tiles+1-5x9-out", 1, 16, 5, 9, 16, 1, 16, 16, true},     // 15 tiles
+		{"batch2-5x5-out-ocb64", 2, 32, 5, 5, 64, 1, 32, 64, true},      // 18 tiles
+		{"batch2-5x5-out-pad0", 2, 24, 7, 7, 48, 0, 8, 16, true},        // 18 tiles
+		{"batch2-9x9-out", 2, 16, 9, 9, 32, 1, 8, 8, false},             // 50 tiles
+		{"ocb12-7x5-out", 1, 12, 7, 5, 24, 1, 4, 12, true},              // 12 tiles
+		{"ocb12-7x5-out-oc-eq-tiles", 1, 12, 7, 5, 12, 1, 4, 12, false}, // 12 tiles
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			in := tensor.New(tensor.NCHW(), tc.n, tc.c, tc.h, tc.w)
+			in.FillRandom(90, 1)
+			wt := tensor.New(tensor.OIHW(), tc.ocnt, tc.c, 3, 3)
+			wt.FillRandom(91, 0.5)
+			attrs := Conv2DAttrs{OutC: tc.ocnt, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: tc.pad, PadW: tc.pad}
+			oh, ow := attrs.OutSize(tc.h, tc.w)
+			bias := make([]float32, tc.ocnt)
+			for i := range bias {
+				bias[i] = float32(i)*0.05 - 0.3
+			}
+			res := tensor.New(tensor.NCHW(), tc.n, tc.ocnt, oh, ow)
+			res.FillRandom(92, 1)
+			ref := Conv2DNCHW(in, wt, attrs, Epilogue{Bias: bias, Residual: res, ReLU: true}, nil)
+
+			blockedIn := tensor.ToNCHWc(in, tc.icb)
+			if got := winogradWeightStationary(blockedIn.Shape, attrs); got != tc.weightStationary {
+				t.Fatalf("walk rule: weight-stationary %v, want %v", got, tc.weightStationary)
+			}
+			u := WinogradWeightTransformNCHWc(wt, tc.icb, tc.ocb)
+			epi := Epilogue{Bias: bias, Residual: tensor.ToNCHWc(res, tc.ocb), ReLU: true}
+			want := Conv2DWinogradNCHWc(blockedIn, u, attrs, tc.icb, tc.ocb, epi, nil)
+			if d := tensor.MaxAbsDiff(ref, tensor.FromNCHWc(want)); d > 1e-3 {
+				t.Fatalf("diverges from the reference by %g", d)
+			}
+			for _, ws := range []bool{false, true} {
+				walk := winogradTileWalk
+				if ws {
+					walk = winogradWeightWalk
+				}
+				for p := 1; p <= 4; p++ {
+					shape := winogradScratchShape(blockedIn.Shape, attrs, ws)
+					scratch := tensor.New(tensor.Flat(), shape...)
+					for i := range scratch.Data {
+						scratch.Data[i] = float32(math.NaN())
+					}
+					got := tensor.New(tensor.NCHWc(tc.ocb), tc.n, tc.ocnt/tc.ocb, oh, ow, tc.ocb)
+					walk(got, scratch.Data, blockedIn, u, attrs, tc.icb, tc.ocb, epi, goPar(p))
+					for i, v := range got.Data {
+						if math.Float32bits(v) != math.Float32bits(want.Data[i]) {
+							t.Fatalf("weight-stationary %v at pool width %d: out[%d] = %#x, the rule's walk %#x",
+								ws, p, i, math.Float32bits(v), math.Float32bits(want.Data[i]))
+						}
+					}
+				}
+			}
+		})
 	}
 }
 

@@ -11,7 +11,9 @@ import "fmt"
 // layout against what the kernel produces) or allocates a fresh tensor. Every
 // destination-buffer ("Into") kernel variant funnels through it so execution
 // sessions can reuse arena buffers across inferences, and a mis-sized buffer
-// panics instead of silently computing over wrong geometry.
+// panics instead of silently computing over wrong geometry. shape does not
+// escape (New and the panic message copy it), so a caller's variadic
+// arguments stay on its stack and a provided dst costs no allocation.
 func EnsureDst(dst *Tensor, layout Layout, shape ...int) *Tensor {
 	if dst == nil {
 		return New(layout, shape...)
@@ -21,7 +23,7 @@ func EnsureDst(dst *Tensor, layout Layout, shape ...int) *Tensor {
 		ok = dst.Shape[i] == shape[i]
 	}
 	if !ok {
-		panic(fmt.Sprintf("tensor: destination shape %v, kernel produces %v", dst.Shape, shape))
+		panic(fmt.Sprintf("tensor: destination shape %v, kernel produces %v", dst.Shape, append([]int(nil), shape...)))
 	}
 	if !dst.Layout.Equal(layout) {
 		panic(fmt.Sprintf("tensor: destination layout %v, kernel produces %v", dst.Layout, layout))
