@@ -630,53 +630,6 @@ func BenchmarkSessionRun(b *testing.B) {
 	b.ReportMetric(float64(st.NaiveArenaBytes), "naive-arena-B")
 }
 
-// BenchmarkSessionRunInterOp measures the level-synchronous inter-op
-// executor on a branch-and-concat model at 4 threads: the seq variant pins
-// every level sequential (kernels get the whole pool), the interop variant
-// dispatches the towers of each level across the pool. On a multi-core host
-// the interop variant should win on this branchy graph; on a single core the
-// two should tie (the dispatch adds only a pool submission per level).
-func BenchmarkSessionRunInterOp(b *testing.B) {
-	for _, cfg := range []struct {
-		name           string
-		disableInterOp bool
-	}{
-		{"seq", true},
-		{"interop", false},
-	} {
-		cfg := cfg
-		b.Run(cfg.name, func(b *testing.B) {
-			m, err := core.Compile(models.TinyInception(1), machine.IntelSkylakeC5(),
-				core.Options{Level: core.OptTransformElim, Threads: 4, Backend: machine.BackendPool,
-					DisableInterOp: cfg.disableInterOp})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer m.Close()
-			st := m.PlanStats()
-			if !cfg.disableInterOp && st.InterOpLevels == 0 {
-				b.Fatal("plan scheduled no inter-op levels; benchmark would not measure the inter-op path")
-			}
-			s, err := m.NewSession()
-			if err != nil {
-				b.Fatal(err)
-			}
-			in := tensor.New(tensor.NCHW(), 1, 3, 32, 32)
-			in.FillRandom(1, 1)
-			ctx := context.Background()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := s.Run(ctx, in); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(st.ArenaBytes), "arena-B")
-			b.ReportMetric(float64(st.InterOpLevels), "interop-levels")
-		})
-	}
-}
-
 // BenchmarkSessionRunWinograd is BenchmarkSessionRun on a winograd-planned
 // module: the global search schedules TinyResNet's 3x3 stride-1 convolutions
 // with the Winograd algorithm, and the session arena (which sizes the

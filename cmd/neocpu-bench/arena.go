@@ -37,8 +37,7 @@ var arenaGuardModels = []struct {
 }
 
 // arenaGuardCompile pins the guard configuration: the full search pipeline
-// with a 4-wide pool, so the plan carries inter-op levels and their stricter
-// (level-granular) lifetime constraints.
+// with a 4-wide pool over the planner's level-granular slot lifetimes.
 func arenaGuardCompile(mk func(uint64) *graph.Graph) (*core.Module, error) {
 	return core.Compile(mk(1), machine.IntelSkylakeC5(), core.Options{
 		Level: core.OptGlobalSearch, Threads: 4, Backend: machine.BackendPool,

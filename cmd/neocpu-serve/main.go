@@ -148,9 +148,9 @@ func main() {
 	}
 
 	ps := engine.PlanStats()
-	fmt.Printf("plan: %d values in %d slots, %d KiB arena/session (%.1fx vs unplanned), %d levels (%d inter-op)\n",
+	fmt.Printf("plan: %d values in %d slots, %d KiB arena/session (%.1fx vs unplanned), %d levels\n",
 		ps.Values, ps.Slots, ps.ArenaBytes/1024,
-		float64(ps.NaiveArenaBytes)/float64(ps.ArenaBytes), ps.Levels, ps.InterOpLevels)
+		float64(ps.NaiveArenaBytes)/float64(ps.ArenaBytes), ps.Levels)
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	fmt.Printf("serving %s on %s (pool=%s max-batch=%d max-latency=%v)\n",

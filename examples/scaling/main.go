@@ -109,9 +109,9 @@ func servingDemo() {
 	// The compile-time execution plan is what makes pooled sessions cheap:
 	// liveness analysis packs every intermediate into a few shared slots.
 	ps := engine.PlanStats()
-	fmt.Printf("  plan: %d values in %d shared slots, %s arena (vs %s unplanned, %.1fx), %d levels (%d inter-op, %d hybrid)\n",
+	fmt.Printf("  plan: %d values in %d shared slots, %s arena (vs %s unplanned, %.1fx), %d levels\n",
 		ps.Values, ps.Slots, byteSize(ps.ArenaBytes), byteSize(ps.NaiveArenaBytes),
-		float64(ps.NaiveArenaBytes)/float64(ps.ArenaBytes), ps.Levels, ps.InterOpLevels, ps.HybridLevels)
+		float64(ps.NaiveArenaBytes)/float64(ps.ArenaBytes), ps.Levels)
 	srv, err := neocpu.NewServer(engine, "tiny-resnet",
 		neocpu.WithPoolSize(runtime.GOMAXPROCS(0)),
 		neocpu.WithMaxBatch(8),

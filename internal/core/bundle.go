@@ -157,8 +157,8 @@ func (m *Module) SaveBundle(w io.Writer) error {
 // the bundle; all runtime parameters are installed from the bundle payload.
 //
 // The honored fields of opts are the runtime choices a bundle does not pin:
-// Threads, Backend, DisableInterOp and SharedPool. Everything the schedules
-// depend on (level, int8, pipeline ablations) comes from the bundle.
+// Threads, Backend and SharedPool. Everything the schedules depend on
+// (level, int8, pipeline ablations) comes from the bundle.
 //
 // Malformed bundle content fails with artifact.ErrInvalidArtifact; a target
 // whose vector signature disagrees with the bundle fails with
@@ -235,14 +235,13 @@ func LoadBundle(r io.Reader, resolve GraphResolver, opts Options) (*Module, erro
 	}
 
 	lopts := Options{
-		Level:          level,
-		Threads:        opts.Threads,
-		Backend:        opts.Backend,
-		Int8:           h.Int8,
-		DisableFusion:  h.NoFusion,
-		DisableBNFold:  h.NoBNFold,
-		DisableInterOp: opts.DisableInterOp,
-		SharedPool:     opts.SharedPool,
+		Level:         level,
+		Threads:       opts.Threads,
+		Backend:       opts.Backend,
+		Int8:          h.Int8,
+		DisableFusion: h.NoFusion,
+		DisableBNFold: h.NoBNFold,
+		SharedPool:    opts.SharedPool,
 	}
 	m := newModule(g, t, level, nil, lopts)
 	if err := m.installParams(b); err != nil {

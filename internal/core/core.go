@@ -96,13 +96,6 @@ type Options struct {
 	// rounding than direct summation; callers needing bit-compatible direct
 	// results can opt out here.
 	DisableWinograd bool
-	// DisableInterOp pins every dependency level of the execution plan to
-	// sequential (intra-op only) node execution. By default the compile-time
-	// policy dispatches levels of balanced independent branches (Inception
-	// towers, SSD heads) across the thread pool; results are bit-identical
-	// either way — the plan keeps concurrent levels alias-free — so this is
-	// a performance knob, not a numerics one.
-	DisableInterOp bool
 	// SharedPool, when non-nil and the backend is the custom thread pool,
 	// makes the module execute on the caller's pool instead of constructing
 	// its own. Multi-model serving uses this so N loaded models contend for
@@ -264,9 +257,9 @@ func (m *Module) finishRuntime(opts Options) {
 	if opts.NoPrepack {
 		return
 	}
-	// Compile the execution plan: liveness-packed arena slots and the
-	// level-synchronous inter-op schedule.
-	m.plan = buildExecPlan(m.Graph, m.program, m.Int8, m.threads, m.backend, opts.DisableInterOp)
+	// Compile the execution plan: liveness-packed arena slots over the
+	// program's dependency levels.
+	m.plan = buildExecPlan(m.Graph, m.program, m.Int8)
 	// Construct the threading runtime now rather than lazily on first Run:
 	// concurrent Sessions share one module, and a lazy first-use init would
 	// race.

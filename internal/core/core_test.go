@@ -220,7 +220,7 @@ func TestSSDCompilesAndPredicts(t *testing.T) {
 
 func TestTinySSDRunsEndToEnd(t *testing.T) {
 	// A miniature SSD exercises the head executor for real (and, with a
-	// 2-thread pool, the inter-op dispatch of its independent head convs).
+	// 2-thread pool, its independent head convs on pooled kernels).
 	g := models.TinySSD(21)
 	m, err := Compile(g, skylake(), Options{Level: OptTransformElim, Threads: 2})
 	if err != nil {

@@ -80,7 +80,7 @@ func randomMobileGraph(seed uint64) *graph.Graph {
 
 // TestDepthwisePlannedExecutionMatchesReference is the depthwise/grouped
 // property test: for random MobileNet-shaped graphs under fp32 and int8,
-// serial and inter-op execution, the planned arena-reusing session must be
+// serial and pooled execution, the planned arena-reusing session must be
 // bit-identical to the sequential fresh-buffer reference (the same invariant
 // the dense property test pins), and the plan must stay alias-free.
 func TestDepthwisePlannedExecutionMatchesReference(t *testing.T) {
@@ -125,8 +125,8 @@ func TestDepthwisePlannedExecutionMatchesReference(t *testing.T) {
 					t.Fatalf("%s pass %d: %v", name, pass, err)
 				}
 				for oi := range expect {
-					if d := tensor.MaxAbsDiff(expect[oi], got[oi]); d != 0 {
-						t.Fatalf("%s pass %d: output %d diverges from sequential reference by %g", name, pass, oi, d)
+					if msg := bitDiff(expect[oi], got[oi]); msg != "" {
+						t.Fatalf("%s pass %d: output %d diverges from sequential reference: %s", name, pass, oi, msg)
 					}
 				}
 			}

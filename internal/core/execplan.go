@@ -14,15 +14,10 @@ import (
 // previous Session arena allocated one buffer per graph node, the planner
 // runs liveness analysis over the topological order and greedily assigns
 // node outputs, padding scratch and winograd scratch to a small set of
-// shared, size-classed arena slots; and where execution was strictly
-// sequential, the plan partitions the program into dependency levels and
-// assigns each level a threading policy — intra-op (nodes sequential, each
-// kernel splitting its outermost loop across the pool), inter-op (one
-// pool lane per independent node, kernels serial), or hybrid (one goroutine
-// per node, each handed the pool-backed ParallelFor; the first to reach a
-// parallel region claims the pool and its siblings degrade to inline serial
-// loops) — so branchy graphs like Inception, DenseNet and SSD spend the
-// thread budget where the compile-time cost signal says it pays.
+// shared, size-classed arena slots. The plan also groups the program into
+// dependency levels; slot lifetimes are level-granular, so the executor walks
+// the levels in order, one node at a time, each kernel splitting its
+// outermost loop across the whole pool (the paper's one parallel axis).
 
 // PlanStats summarizes a compiled execution plan. It is the metadata the
 // serving layer sizes pools from and the benchmarks report.
@@ -36,15 +31,13 @@ type PlanStats struct {
 	// behavior), so NaiveArenaBytes/ArenaBytes is the planner's saving.
 	ArenaBytes      int `json:"arena_bytes"`
 	NaiveArenaBytes int `json:"naive_arena_bytes"`
-	// Levels counts the dependency levels of the level-synchronous schedule;
-	// InterOpLevels how many of them dispatch nodes across the pool with
-	// serial kernels; HybridLevels how many run concurrent nodes that each
-	// keep the pool-backed ParallelFor; MaxWidth the widest level (the
-	// graph's branching factor).
-	Levels        int `json:"levels"`
+	// Levels counts the dependency levels the executor walks in order.
+	Levels int `json:"levels"`
+	// InterOpLevels and HybridLevels are always zero: every level runs
+	// intra-op. They remain only because the benchmark harness still reads
+	// them; the next benchmark change removes them.
 	InterOpLevels int `json:"inter_op_levels"`
 	HybridLevels  int `json:"hybrid_levels"`
-	MaxWidth      int `json:"max_width"`
 }
 
 // planBuf is one planned buffer: an arena slot plus the concrete tensor
@@ -93,47 +86,15 @@ type planSlot struct {
 	padKey string
 }
 
-// levelPolicy is the compile-time choice of how the executor spends the
-// thread budget on one dependency level.
-type levelPolicy uint8
-
-const (
-	// policyIntra runs the level's nodes sequentially, each kernel spreading
-	// its own chunked parallel loop across the whole pool. The only policy
-	// for single-node levels, serial lanes, and DisableInterOp modules.
-	policyIntra levelPolicy = iota
-	// policyInter dispatches the level's nodes across the pool, one lane per
-	// node with serial kernels — chosen when the level holds enough
-	// comparably-weighted nodes to occupy every thread by itself.
-	policyInter
-	// policyHybrid runs each node on its own goroutine, every node handed
-	// the pool-backed ParallelFor: the first to reach a parallel region
-	// claims the pool (its kernels go wide), while concurrent siblings
-	// degrade to inline serial loops (threadpool.Pool's re-entrant
-	// ParallelFor). Chosen for levels with a few working nodes — too narrow
-	// to fill the pool inter-op, too branchy to make the siblings wait.
-	policyHybrid
-)
-
 // execPlan is the compiled execution plan: per-node buffer assignments over
-// shared slots plus the level-synchronous threading schedule.
+// shared slots plus the dependency levels the executor walks in order.
 type execPlan struct {
 	steps []planStep
 	slots []planSlot
-	// levels holds program indices grouped by dependency depth; policy[k]
-	// is the threading policy the executor applies to level k.
+	// levels holds program indices grouped by dependency depth.
 	levels [][]int
-	policy []levelPolicy
 	stats  PlanStats
 }
-
-// interOpBalanceCut is the compile-time balance knob: a level is dispatched
-// pure inter-op (serial kernels) only when no single node holds more than
-// this fraction of the level's work. A dominated level keeps the pool with
-// the dominant kernel instead — hybrid, so stragglers still overlap on their
-// own goroutines — since serial-kernel lanes would idle most threads for the
-// tail of the level.
-const interOpBalanceCut = 0.75
 
 // physicalDims converts a logical output shape plus its assigned physical
 // layout into concrete buffer dimensions.
@@ -145,22 +106,6 @@ func physicalDims(shape graph.Shape, l tensor.Layout) []int {
 	default:
 		// Flat (and any rank-2) outputs store exactly their logical dims.
 		return shape.Dims
-	}
-}
-
-// nodeCost estimates one node's work for the inter-op policy: convolution
-// and dense FLOPs for compute-bound nodes, output volume (memory traffic)
-// for the rest.
-func nodeCost(n *graph.Node) float64 {
-	switch n.Op {
-	case graph.OpInput, graph.OpDropout:
-		return 0
-	case graph.OpConv2D:
-		return graph.ConvWorkload(n).FLOPs()
-	case graph.OpDense:
-		return 2 * float64(n.Weight.Shape[0]) * float64(n.Weight.Shape[1])
-	default:
-		return float64(n.OutShape.Volume())
 	}
 }
 
@@ -271,24 +216,20 @@ func (p *slotPool) release(id int) {
 }
 
 // buildExecPlan compiles the execution plan for a finalized module: liveness
-// intervals at level granularity (so one plan is correct under both the
-// sequential and the inter-op executor), greedy shared-slot assignment, and
-// the per-level inter- vs intra-op policy.
-func buildExecPlan(g *graph.Graph, program []*graph.Node, int8 bool, threads int, backend machine.ThreadBackend, disableInterOp bool) *execPlan {
+// intervals at level granularity and greedy shared-slot assignment.
+func buildExecPlan(g *graph.Graph, program []*graph.Node, int8 bool) *execPlan {
 	lv := graph.AnalyzeLiveness(g, program)
 	levels := lv.Levels()
 
 	p := &execPlan{
 		steps:  make([]planStep, len(program)),
 		levels: levels,
-		policy: make([]levelPolicy, len(levels)),
 	}
 
 	// Value lifetimes at level granularity: a value defined at level d and
-	// last read at level L is considered live for every level in [d, L]. This
-	// is the invariant that keeps the plan valid when a level's nodes run
-	// concurrently: nothing that a level reads or writes is recycled until
-	// the whole level has completed.
+	// last read at level L is considered live for every level in [d, L], so
+	// nothing that a level reads or writes is recycled until the whole level
+	// has completed. The executor must therefore walk the levels in order.
 	lastUseLevel := make([]int, len(program))
 	for i := range program {
 		lastUseLevel[i] = lv.Depth[lv.LastUse[i]]
@@ -344,7 +285,6 @@ func buildExecPlan(g *graph.Graph, program []*graph.Node, int8 bool, threads int
 		for _, id := range releaseAt[li] {
 			pool.release(id)
 		}
-		p.policy[li] = levelPolicyFor(program, level, threads, backend, disableInterOp)
 	}
 
 	p.slots = pool.slots
@@ -354,51 +294,7 @@ func buildExecPlan(g *graph.Graph, program []*graph.Node, int8 bool, threads int
 	}
 	p.stats.NaiveArenaBytes = 4 * naive
 	p.stats.Levels = len(levels)
-	for li, level := range levels {
-		switch p.policy[li] {
-		case policyInter:
-			p.stats.InterOpLevels++
-		case policyHybrid:
-			p.stats.HybridLevels++
-		}
-		if len(level) > p.stats.MaxWidth {
-			p.stats.MaxWidth = len(level)
-		}
-	}
 	return p
-}
-
-// levelPolicyFor is the compile-time policy choosing how a level spends the
-// thread budget, from the level's FLOPs-balance signal: pure inter-op (one
-// node per pool lane, kernels serial) when the level holds enough
-// comparably-weighted working nodes to occupy every thread by itself;
-// hybrid (concurrent nodes racing for the pool) when it has at least two
-// working nodes but is too narrow or too imbalanced for serial-kernel
-// lanes; intra-op (nodes sequential, kernels parallel) otherwise.
-func levelPolicyFor(program []*graph.Node, level []int, threads int, backend machine.ThreadBackend, disable bool) levelPolicy {
-	if disable || threads < 2 || backend == machine.BackendSerial {
-		return policyIntra
-	}
-	working := 0
-	var total, max float64
-	for _, i := range level {
-		c := nodeCost(program[i])
-		if c <= 0 {
-			continue
-		}
-		working++
-		total += c
-		if c > max {
-			max = c
-		}
-	}
-	if working < 2 {
-		return policyIntra
-	}
-	if working >= threads && max <= interOpBalanceCut*total {
-		return policyInter
-	}
-	return policyHybrid
 }
 
 // validate checks the plan's structural invariants against an independently

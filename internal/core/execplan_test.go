@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
 	"testing"
 
 	"repro/internal/machine"
@@ -13,7 +14,7 @@ import (
 
 // referenceRun executes the module's program strictly sequentially with
 // freshly allocated buffers for every node — no arena, no slot sharing, no
-// inter-op. It is the executable specification the planned executor must
+// thread pool. It is the executable specification the planned executor must
 // match bit for bit.
 func referenceRun(m *Module, input *tensor.Tensor) ([]*tensor.Tensor, error) {
 	vals := make([]*tensor.Tensor, len(m.program))
@@ -31,9 +32,25 @@ func referenceRun(m *Module, input *tensor.Tensor) ([]*tensor.Tensor, error) {
 	return outs, nil
 }
 
+// bitDiff describes the first element where got's bits differ from want's,
+// or returns "" when the two tensors are bit-identical. Unlike
+// tensor.MaxAbsDiff it does not skip NaN.
+func bitDiff(want, got *tensor.Tensor) string {
+	if len(want.Data) != len(got.Data) {
+		return fmt.Sprintf("%d elements, want %d", len(got.Data), len(want.Data))
+	}
+	for i, w := range want.Data {
+		if math.Float32bits(got.Data[i]) != math.Float32bits(w) {
+			return fmt.Sprintf("[%d] = %#x, want %#x", i, math.Float32bits(got.Data[i]), math.Float32bits(w))
+		}
+	}
+	return ""
+}
+
 // planConfigs are the compilation configurations the property tests sweep:
-// direct fp32, winograd-enabled global search, and int8 — each under both a
-// serial lane and a pool wide enough to activate inter-op dispatch.
+// direct fp32, winograd-enabled global search, and int8 — under a serial lane
+// and a 3-thread pool. The "-interop" rows are named for the level policy the
+// executor once applied at that width; they now run every level intra-op.
 var planConfigs = []struct {
 	name string
 	opts Options
@@ -46,7 +63,7 @@ var planConfigs = []struct {
 
 // TestPlannedExecutionMatchesReference is the end-to-end property: for random
 // branchy graphs under every configuration, (1) the plan never assigns two
-// simultaneously-live buffers to one slot, (2) planned (and inter-op) session
+// simultaneously-live buffers to one slot, (2) planned (and pooled) session
 // execution is bit-identical to the sequential fresh-buffer reference, (3)
 // arena reuse across runs leaks nothing between inferences, and (4) the
 // shared arena never exceeds the naive one-buffer-per-value footprint.
@@ -106,8 +123,8 @@ func TestPlannedExecutionMatchesReference(t *testing.T) {
 					t.Fatalf("%s pass %d: %v", name, pass, err)
 				}
 				for oi := range expect {
-					if d := tensor.MaxAbsDiff(expect[oi], got[oi]); d != 0 {
-						t.Fatalf("%s pass %d: output %d diverges from sequential reference by %g", name, pass, oi, d)
+					if msg := bitDiff(expect[oi], got[oi]); msg != "" {
+						t.Fatalf("%s pass %d: output %d diverges from sequential reference: %s", name, pass, oi, msg)
 					}
 				}
 			}
@@ -116,35 +133,35 @@ func TestPlannedExecutionMatchesReference(t *testing.T) {
 	}
 }
 
-// TestPlanInterOpActivates pins the policy: branchy models must plan
-// inter-op levels when compiled with a multi-thread pool, and must not when
-// inter-op is disabled or the module is a single serial lane.
+// TestPlanInterOpActivates pins that a branchy plan has levels wider than
+// one node yet plans no inter-op or hybrid level at any pool width: the
+// executor walks every level one node at a time, and a single serial lane
+// plans the same.
 func TestPlanInterOpActivates(t *testing.T) {
-	m, err := Compile(models.TinyInception(1), skylake(), Options{Level: OptTransformElim, Threads: 4, Backend: machine.BackendPool})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m.Close()
-	if st := m.PlanStats(); st.InterOpLevels == 0 || st.MaxWidth < 4 {
-		t.Fatalf("tiny-inception must plan inter-op levels over its towers, got %+v", st)
-	}
-
-	seq, err := Compile(models.TinyInception(1), skylake(), Options{Level: OptTransformElim, Threads: 4, Backend: machine.BackendPool, DisableInterOp: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer seq.Close()
-	if st := seq.PlanStats(); st.InterOpLevels != 0 {
-		t.Fatalf("DisableInterOp must pin every level sequential, got %+v", st)
-	}
-
-	serial, err := Compile(models.TinyInception(1), skylake(), Options{Level: OptTransformElim, Threads: 1, Backend: machine.BackendSerial})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer serial.Close()
-	if st := serial.PlanStats(); st.InterOpLevels != 0 {
-		t.Fatalf("a single serial lane must not plan inter-op, got %+v", st)
+	for _, cfg := range []struct {
+		threads int
+		backend machine.ThreadBackend
+	}{
+		{1, machine.BackendSerial},
+		{3, machine.BackendPool},
+		{4, machine.BackendPool},
+		{16, machine.BackendPool},
+	} {
+		m, err := Compile(models.TinyInception(1), skylake(), Options{Level: OptTransformElim, Threads: cfg.threads, Backend: cfg.backend})
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, widest := m.PlanStats(), 0
+		for _, level := range m.plan.levels {
+			widest = max(widest, len(level))
+		}
+		m.Close()
+		if widest < 4 {
+			t.Fatalf("%d threads: tiny-inception's towers must share a level, widest has %d nodes", cfg.threads, widest)
+		}
+		if st.InterOpLevels != 0 || st.HybridLevels != 0 {
+			t.Fatalf("%d threads: every level must run intra-op, got %+v", cfg.threads, st)
+		}
 	}
 }
 

@@ -45,9 +45,9 @@ type Module struct {
 	program []*graph.Node
 	// slot maps every program node to its index in per-run value tables.
 	slot map[*graph.Node]int
-	// plan is the compile-time execution plan (liveness-packed arena slots,
-	// level-synchronous inter-op schedule). Nil only for prediction-only
-	// modules, which cannot execute.
+	// plan is the compile-time execution plan (liveness-packed arena slots
+	// over dependency levels). Nil only for prediction-only modules, which
+	// cannot execute.
 	plan *execPlan
 	// packed holds the compile-time pre-transformed OIHW[x]i[y]o weights.
 	packed map[*graph.Node]*tensor.Tensor

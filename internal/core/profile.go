@@ -73,11 +73,9 @@ func (p *Profile) String() string {
 }
 
 // RunProfiled executes one inference like Run while timing every operator.
-// It returns the outputs and the profile. Per-operator timing requires
-// sequential node execution, so profiled runs walk the plan's levels in
-// order with intra-op kernels only (inter-op dispatch is disabled for the
-// measurement), and instrumentation adds one clock read per node — profiled
-// latency slightly exceeds Run latency.
+// It returns the outputs and the profile. Profiled runs walk the plan's
+// levels in order like Run, and instrumentation adds one clock read per
+// node — profiled latency slightly exceeds Run latency.
 func (m *Module) RunProfiled(input *tensor.Tensor) ([]*tensor.Tensor, *Profile, error) {
 	if err := m.checkInput(input); err != nil {
 		return nil, nil, err

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -36,14 +35,15 @@ import (
 //		}()
 //	}
 //
-// Threading note: with BackendPool (or BackendOMP), one shared pool serves
-// every session's parallel regions — chunked kernel loops on intra-op
-// levels, node dispatch on inter-op levels, racing nodes on hybrid levels.
-// The pool runs one region at a time, but a submitter that finds the pool
-// busy is never blocked: threadpool.Pool's re-entrant ParallelRange degrades
-// it to an inline serial loop on its own goroutine. A wide pool therefore
-// minimizes single-request latency while concurrent sessions still make
-// serial progress; throughput-oriented servers should still compile with
+// Threading note: a session runs its nodes one at a time, and each kernel
+// splits its outermost loop across the module's pool. With BackendPool (or
+// BackendOMP) that pool is shared by every session of the module (and, with
+// Options.SharedPool, by every module given the same pool). The pool runs
+// one region at a time, but a submitter that finds the pool busy is never
+// blocked: threadpool.Pool's re-entrant ParallelRange degrades it to an
+// inline serial loop on its own goroutine. A wide pool therefore minimizes
+// single-request latency while concurrent sessions still make serial
+// progress; throughput-oriented servers should still compile with
 // Threads=1/BackendSerial so N sessions genuinely occupy N cores with no
 // contention for the pool at all.
 type Session struct {
@@ -54,10 +54,6 @@ type Session struct {
 	vals     []*tensor.Tensor
 	bufs     []nodeBuffers
 	outs     []*tensor.Tensor
-	// errs and panics are the per-lane staging areas for inter-op and hybrid
-	// levels, sized to the widest level once so dispatch allocates nothing.
-	errs   []error
-	panics []any
 
 	// Work counters. The session itself is a single execution lane, but a
 	// serving pool reads these concurrently with runs (stats endpoints,
@@ -102,7 +98,7 @@ func (s *Session) ArenaBytes() int {
 }
 
 // PlanStats returns the compile-time execution-plan summary this session
-// materializes: slot packing, arena footprint, and the inter-op schedule.
+// materializes: slot packing, arena footprint and dependency levels.
 func (s *Session) PlanStats() PlanStats { return s.m.PlanStats() }
 
 // BatchError reports that a RunBatch stopped before executing every input.
@@ -135,8 +131,6 @@ func (m *Module) NewSession() (*Session, error) {
 		vals:     make([]*tensor.Tensor, len(m.program)),
 		bufs:     make([]nodeBuffers, len(m.program)),
 		outs:     make([]*tensor.Tensor, len(m.Graph.Outputs)),
-		errs:     make([]error, p.stats.MaxWidth),
-		panics:   make([]any, p.stats.MaxWidth),
 	}
 	for i, sl := range p.slots {
 		// Zero-filled by make: pad slots rely on their border staying zero
@@ -179,38 +173,12 @@ func (s *Session) execStep(i int, input *tensor.Tensor, pf ops.ParallelFor) erro
 	return nil
 }
 
-// run executes one inference through the level-synchronous plan under the
-// per-level policy the compiler chose: intra-op levels run their nodes
-// sequentially and hand the thread pool to the kernels' chunked loops;
-// inter-op levels dispatch their independent nodes across the pool with
-// serial kernels; hybrid levels run every node on its own goroutine with the
-// pool-backed ParallelFor, so the first node into a parallel region claims
-// the pool and its siblings degrade to inline serial loops. Ctx is checked
-// between levels (and between nodes of sequential levels), so cancellation
-// takes effect mid-inference.
+// run executes one inference: the plan's nodes in level order, one at a
+// time, each kernel handed pf and so the whole pool. Level order is required,
+// not program order: the planner's slot lifetimes are level-granular. Ctx is
+// polled before every node, so cancellation takes effect mid-inference.
 func (s *Session) run(ctx context.Context, input *tensor.Tensor, pf ops.ParallelFor) error {
-	m := s.m
-	p := m.plan
-	for li, level := range p.levels {
-		if p.policy[li] != policyIntra && len(level) > 1 {
-			// One cancellation poll per concurrent level: the level is the
-			// unit of dispatch, so a poll per node would buy no earlier exit.
-			if ctx != nil {
-				if err := ctx.Err(); err != nil {
-					return err
-				}
-			}
-			var err error
-			if p.policy[li] == policyInter {
-				err = s.runInterLevel(level, input, pf)
-			} else {
-				err = s.runHybridLevel(level, input, pf)
-			}
-			if err != nil {
-				return err
-			}
-			continue
-		}
+	for _, level := range s.m.plan.levels {
 		for _, i := range level {
 			if ctx != nil {
 				if err := ctx.Err(); err != nil {
@@ -223,72 +191,6 @@ func (s *Session) run(ctx context.Context, input *tensor.Tensor, pf ops.Parallel
 		}
 	}
 	return nil
-}
-
-// runInterLevel dispatches one inter-op level: one pool lane per independent
-// node, kernels serial. The pool's join is the level barrier; lanes write
-// disjoint vals entries and disjoint arena slots (the planner keeps a whole
-// level alias-free).
-func (s *Session) runInterLevel(level []int, input *tensor.Tensor, pf ops.ParallelFor) error {
-	errs := s.errs[:len(level)]
-	pf(len(level), func(lo, hi int) {
-		for k := lo; k < hi; k++ {
-			errs[k] = s.execStep(level[k], input, ops.Serial)
-		}
-	})
-	var first error
-	for k, err := range errs {
-		if err != nil && first == nil {
-			first = err
-		}
-		errs[k] = nil
-	}
-	return first
-}
-
-// runHybridLevel dispatches one hybrid level: every node on its own
-// goroutine, every node handed the pool-backed ParallelFor. The first node
-// to reach a parallel region wins the pool and spreads its kernel across
-// the workers; concurrent siblings fall back to inline serial loops inside
-// threadpool.Pool's re-entrant ParallelRange, so the level's nodes genuinely
-// overlap without a second pool. Node 0 runs on the calling goroutine. A
-// panic on a node goroutine is captured per lane and re-raised here, on the
-// run goroutine, so safeRun's recoverExec still converts it into a typed
-// *ExecPanicError and quarantines the session.
-func (s *Session) runHybridLevel(level []int, input *tensor.Tensor, pf ops.ParallelFor) error {
-	errs := s.errs[:len(level)]
-	panics := s.panics[:len(level)]
-	var wg sync.WaitGroup
-	lane := func(k int) {
-		defer wg.Done()
-		defer func() {
-			if r := recover(); r != nil {
-				panics[k] = r
-			}
-		}()
-		errs[k] = s.execStep(level[k], input, pf)
-	}
-	wg.Add(len(level))
-	for k := 1; k < len(level); k++ {
-		go lane(k)
-	}
-	lane(0)
-	wg.Wait()
-	var first error
-	var repanic any
-	for k := range level {
-		if panics[k] != nil && repanic == nil {
-			repanic = panics[k]
-		}
-		if errs[k] != nil && first == nil {
-			first = errs[k]
-		}
-		errs[k], panics[k] = nil, nil
-	}
-	if repanic != nil {
-		panic(repanic)
-	}
-	return first
 }
 
 // safeRun is the session-run boundary: a quarantined session refuses to
@@ -336,7 +238,7 @@ func (s *Session) Run(ctx context.Context, input *tensor.Tensor) ([]*tensor.Tens
 // deep copies (the arena is reused between batch items), so they remain
 // valid indefinitely.
 //
-// Ctx is checked between batch items as well as between graph levels. When a
+// Ctx is checked between batch items as well as between graph nodes. When a
 // batch stops early — cancellation, or one item failing — RunBatch returns
 // the results of the items that completed together with a *BatchError whose
 // Completed field counts them: results[:Completed] are valid, fully

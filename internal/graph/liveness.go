@@ -5,8 +5,8 @@ package graph
 // resolving through aliasing nodes, and pins the graph outputs so their
 // buffers are never recycled. The compile-time memory planner in
 // internal/core consumes these intervals to assign node outputs to a small
-// set of shared arena slots, and the level partition to schedule independent
-// branches concurrently (inter-op parallelism).
+// set of shared arena slots, with lifetimes rounded out to the level
+// partition.
 
 // ValueAlias returns the node whose value n forwards unchanged at execution
 // time, or nil if n produces its own value. Dropout is identity at inference;

@@ -50,8 +50,8 @@ func TinyDenseNet(seed uint64) *graph.Graph {
 
 // TinyInception is a 2-module branch-and-concat network on 3x32x32 input.
 // Each module's four towers (1x1, 1x1→3x3, 1x1→5x5, pool→1x1) are mutually
-// independent, making it the canonical workload for the execution plan's
-// inter-op level dispatch.
+// independent, making it the canonical branchy workload for the execution
+// plan's multi-node levels.
 func TinyInception(seed uint64) *graph.Graph {
 	b := graph.NewBuilder("tiny-inception", seed)
 	x := b.Input(3, 32, 32)

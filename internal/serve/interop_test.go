@@ -1,9 +1,8 @@
-// Inter-op serving tests: branchy models whose execution plans dispatch
-// independent branches across the module's thread pool, driven concurrently
-// through the serving layer's micro-batcher. Run under -race (CI does), this
-// exercises every layer of the concurrency stack at once — HTTP handlers,
-// batch coalescing, pooled sessions, level-synchronous inter-op dispatch and
-// the shared kernel thread pool.
+// Branchy-model serving tests: Inception, DenseNet and SSD plans with
+// multi-node dependency levels, driven concurrently through the serving
+// layer's micro-batcher. Run under -race (CI does), this exercises every
+// layer of the concurrency stack at once — HTTP handlers, batch coalescing,
+// pooled sessions racing for one module's kernel thread pool.
 package serve_test
 
 import (
@@ -11,6 +10,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"sync"
 	"testing"
@@ -23,9 +23,10 @@ import (
 	"repro/internal/tensor"
 )
 
-// TestServeInterOpModels hammers an inter-op-planned Inception, DenseNet and
-// SSD through the micro-batcher from many goroutines and checks every
-// response against a single-session reference run of the same input.
+// TestServeInterOpModels hammers Inception, DenseNet and SSD compiled onto a
+// 2-thread pool through the micro-batcher from many goroutines and checks
+// every response bit for bit against a single-session reference run of the
+// same input.
 func TestServeInterOpModels(t *testing.T) {
 	cases := []struct {
 		name string
@@ -47,9 +48,6 @@ func TestServeInterOpModels(t *testing.T) {
 				t.Fatal(err)
 			}
 			t.Cleanup(mod.Close)
-			if tc.name != "tiny-densenet" && mod.PlanStats().InterOpLevels == 0 {
-				t.Fatalf("%s must plan inter-op levels (stats %+v)", tc.name, mod.PlanStats())
-			}
 
 			_, ts := newServer(t, mod, serve.Config{PoolSize: 3, MaxBatch: 4})
 
@@ -119,8 +117,8 @@ func TestServeInterOpModels(t *testing.T) {
 								return
 							}
 							for k := range o.Data {
-								if o.Data[k] != want[which][j][k] {
-									errCh <- fmt.Errorf("output %d[%d] = %v, want %v (inter-op batched result diverged)", j, k, o.Data[k], want[which][j][k])
+								if math.Float32bits(o.Data[k]) != math.Float32bits(want[which][j][k]) {
+									errCh <- fmt.Errorf("output %d[%d] = %#x, want %#x (batched result diverged)", j, k, math.Float32bits(o.Data[k]), math.Float32bits(want[which][j][k]))
 									return
 								}
 							}

@@ -105,8 +105,8 @@ type RegistryConfig struct {
 	// source-provided and default configs.
 	Overrides map[string]Config
 	// LoadOptions are the runtime knobs passed to bundle loading: Threads,
-	// Backend, DisableInterOp and SharedPool. Pass a SharedPool so N loaded
-	// models contend for one set of worker goroutines.
+	// Backend and SharedPool. Pass a SharedPool so N loaded models contend
+	// for one set of worker goroutines.
 	LoadOptions core.Options
 }
 

@@ -163,8 +163,7 @@ type panicBox struct{ v any }
 // from a different goroutine sharing the pool — executes body(0, n) inline on
 // the calling goroutine. One region at a time owns the workers; everyone
 // else makes serial progress instead of blocking, so nesting can never
-// deadlock and hybrid executors can let concurrent submitters race for the
-// pool safely.
+// deadlock and sessions sharing one pool can race for it safely.
 func (p *Pool) ParallelRange(n int, body func(lo, hi int)) {
 	if n <= 0 {
 		return

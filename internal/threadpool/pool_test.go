@@ -112,8 +112,8 @@ func TestPoolReusableAcrossRegions(t *testing.T) {
 
 // TestPoolNestedSubmissionRunsInline is the regression test for the nested
 // -submission hazard: a region submitted from inside another region's body
-// (a kernel under an inter-op or hybrid level, or any re-entrant caller)
-// must degrade to the single inline call body(0, n) instead of deadlocking
+// (a kernel nested in a parallel loop, or any re-entrant caller) must
+// degrade to the single inline call body(0, n) instead of deadlocking
 // on the pool's own join, at any nesting depth.
 func TestPoolNestedSubmissionRunsInline(t *testing.T) {
 	p := NewPool(4)

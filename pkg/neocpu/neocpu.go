@@ -61,8 +61,9 @@ type Profile = core.Profile
 // PlanStats summarizes an engine's compile-time execution plan: how many
 // buffers the liveness-based memory planner packed into how many shared
 // arena slots (ArenaBytes vs the naive one-buffer-per-node
-// NaiveArenaBytes), and the level-synchronous schedule's shape (Levels,
-// InterOpLevels, MaxWidth).
+// NaiveArenaBytes), and how many dependency levels the executor walks in
+// order (Levels). InterOpLevels and HybridLevels are always zero and will be
+// removed.
 type PlanStats = core.PlanStats
 
 // SearchStats reports what the global optimization-scheme search did.
@@ -127,7 +128,6 @@ func compile(g *graph.Graph, cfg *config) (*Engine, error) {
 		Backend:         cfg.backend.machine(),
 		Int8:            cfg.int8,
 		DisableWinograd: cfg.noWinograd,
-		DisableInterOp:  cfg.noInterOp,
 		NoPrepack:       cfg.predictOnly,
 	}
 	if cfg.backend == BackendSerial {
@@ -295,10 +295,10 @@ func (e *Engine) SaveBundle(w io.Writer) error {
 // installed directly, so loading is fast and the loaded engine computes
 // bit-identical results to the engine that produced the bundle.
 //
-// Only runtime options apply (WithThreads, WithBackend, WithInterOp); the
-// model, optimization level, precision and target are recorded in the bundle
-// itself, so compile-time options (WithOptLevel, WithInt8, WithTarget,
-// WithSeed, WithSearch) have no effect. A bundle produced for a different
+// Only runtime options apply (WithThreads, WithBackend); the model,
+// optimization level, precision and target are recorded in the bundle itself,
+// so compile-time options (WithOptLevel, WithInt8, WithTarget, WithSeed,
+// WithSearch) have no effect. A bundle produced for a different
 // target signature fails with core.ErrBundleTarget; a corrupted or stale
 // bundle fails with artifact.ErrInvalidArtifact.
 func LoadBundle(r io.Reader, opts ...Option) (*Engine, error) {
@@ -307,9 +307,8 @@ func LoadBundle(r io.Reader, opts ...Option) (*Engine, error) {
 		return nil, cfg.err
 	}
 	copts := core.Options{
-		Threads:        cfg.threads,
-		Backend:        cfg.backend.machine(),
-		DisableInterOp: cfg.noInterOp,
+		Threads: cfg.threads,
+		Backend: cfg.backend.machine(),
 	}
 	if cfg.backend == BackendSerial {
 		// Same rule as compile(): explicit serial means one execution lane.
@@ -339,7 +338,7 @@ func (s *Session) Run(ctx context.Context, input *tensor.Tensor) ([]*tensor.Tens
 }
 
 // PlanStats returns the compile-time execution-plan summary this session
-// materializes: arena slot packing and the inter-op schedule.
+// materializes: arena slot packing and dependency levels.
 func (s *Session) PlanStats() PlanStats { return s.s.PlanStats() }
 
 // ArenaBytes reports the session's preallocated arena footprint — the

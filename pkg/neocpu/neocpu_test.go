@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"math"
 	"strings"
 	"testing"
 
@@ -273,15 +274,16 @@ func TestWithWinogradThroughFacade(t *testing.T) {
 	}
 }
 
-// TestInterOpAndPlanStatsThroughFacade: WithInterOp reaches the execution
-// plan, PlanStats surfaces it, and enabling inter-op does not change results.
+// TestInterOpAndPlanStatsThroughFacade: PlanStats surfaces the execution
+// plan of a branchy graph (levels, arena packing, no inter-op or hybrid
+// levels), a session reports the engine's plan, and pool-backed execution is
+// bit-identical to a serial lane.
 func TestInterOpAndPlanStatsThroughFacade(t *testing.T) {
 	branchy := func(seed uint64) *graph.Graph {
 		b := graph.NewBuilder("branchy", seed)
 		x := b.Input(3, 32, 32)
 		x = b.ConvBNReLU(x, 16, 3, 1, 1)
-		// Two balanced towers: the compile-time policy only picks inter-op
-		// for levels whose nodes carry comparable work.
+		// Two independent towers share one dependency level.
 		b1 := b.ConvBNReLU(x, 16, 3, 1, 1)
 		b3 := b.ConvBNReLU(x, 16, 3, 1, 1)
 		x = b.Concat(b1, b3)
@@ -290,54 +292,56 @@ func TestInterOpAndPlanStatsThroughFacade(t *testing.T) {
 		x = b.Dense(x, 10)
 		return b.Finish(b.Softmax(x))
 	}
+	// LevelTransformElim's uniform schedules do not depend on the thread
+	// count, so the pooled and the serial engine run the same kernels.
 	opts := []Option{WithOptLevel(LevelTransformElim), WithThreads(2)}
-	on, err := CompileGraph(branchy(3), opts...)
+	pooled, err := CompileGraph(branchy(3), opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer on.Close()
-	off, err := CompileGraph(branchy(3), append(opts, WithInterOp(false))...)
+	defer pooled.Close()
+	serial, err := CompileGraph(branchy(3), append(opts, WithBackend(BackendSerial))...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer off.Close()
+	defer serial.Close()
 
-	if st := on.PlanStats(); st.InterOpLevels == 0 || st.MaxWidth < 2 {
-		t.Fatalf("inter-op engine must plan concurrent levels, got %+v", st)
+	st := pooled.PlanStats()
+	if st.Levels == 0 || st.InterOpLevels != 0 || st.HybridLevels != 0 {
+		t.Fatalf("every level must run intra-op, got %+v", st)
 	}
-	if st := off.PlanStats(); st.InterOpLevels != 0 {
-		t.Fatalf("WithInterOp(false) must disable inter-op levels, got %+v", st)
-	}
-	if st := on.PlanStats(); st.ArenaBytes <= 0 || st.ArenaBytes > st.NaiveArenaBytes {
+	if st.ArenaBytes <= 0 || st.ArenaBytes > st.NaiveArenaBytes {
 		t.Fatalf("implausible plan stats %+v", st)
 	}
 
-	sOn, err := on.NewSession()
+	sPool, err := pooled.NewSession()
 	if err != nil {
 		t.Fatal(err)
 	}
-	sOff, err := off.NewSession()
+	sSerial, err := serial.NewSession()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sOn.PlanStats() != on.PlanStats() {
+	if sPool.PlanStats() != st {
 		t.Fatal("session and engine must report the same plan")
 	}
-	if sOn.ArenaBytes() != on.PlanStats().ArenaBytes {
+	if sPool.ArenaBytes() != st.ArenaBytes {
 		t.Fatal("session arena must match the planned footprint")
 	}
-	in := on.NewInput()
+	in := pooled.NewInput()
 	in.FillRandom(9, 1)
-	a, err := sOn.Run(context.Background(), in)
+	a, err := sPool.Run(context.Background(), in)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := sOff.Run(context.Background(), in)
+	b, err := sSerial.Run(context.Background(), in)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tensor.MaxAbsDiff(a[0], b[0]) != 0 {
-		t.Fatal("inter-op execution must be bit-identical to sequential")
+	for i := range b[0].Data {
+		if math.Float32bits(a[0].Data[i]) != math.Float32bits(b[0].Data[i]) {
+			t.Fatalf("pooled output[%d] = %#x, serial %#x", i, math.Float32bits(a[0].Data[i]), math.Float32bits(b[0].Data[i]))
+		}
 	}
 }
 

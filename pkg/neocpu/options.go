@@ -153,7 +153,6 @@ type config struct {
 	backend     Backend
 	int8        bool
 	noWinograd  bool
-	noInterOp   bool
 	search      *SearchOptions
 	predictOnly bool
 	seed        uint64
@@ -243,19 +242,6 @@ func WithInt8() Option {
 // Winograd kernel — so this option is a no-op when combined with WithInt8.
 func WithWinograd(enabled bool) Option {
 	return func(c *config) { c.noWinograd = !enabled }
-}
-
-// WithInterOp toggles inter-op parallelism in the compiled execution plan
-// (enabled by default). When on, dependency levels holding balanced
-// independent branches — Inception towers, DenseNet concat fan-ins, SSD
-// heads — dispatch one branch per thread-pool lane instead of handing the
-// whole pool to each kernel in turn; a compile-time policy picks the split
-// per level. Results are bit-identical either way: the plan's liveness-based
-// memory assignment keeps concurrently executing nodes alias-free, so this
-// is purely a performance knob. It is a no-op for engines compiled with
-// WithThreads(1) or BackendSerial, which have no pool to dispatch onto.
-func WithInterOp(enabled bool) Option {
-	return func(c *config) { c.noInterOp = !enabled }
 }
 
 // WithSearch overrides the global-search settings used at LevelGlobalSearch.
