@@ -1,10 +1,10 @@
-// Command neocpu-serve serves CNN inference over HTTP with pooled sessions
-// and dynamic micro-batching, speaking a kserve-v2-style JSON protocol. It
-// runs in one of two modes:
+// Command neocpu-serve serves CNN inference over HTTP with pooled sessions,
+// each request running at once on an idle session, speaking a
+// kserve-v2-style JSON protocol. It runs in one of two modes:
 //
 // Single-model: compile a named model in-process and serve it.
 //
-//	neocpu-serve -model resnet-18 -addr :8000 -pool 4 -max-batch 8
+//	neocpu-serve -model resnet-18 -addr :8000 -pool 4 -queue 32
 //
 // Repository: serve a directory of precompiled artifact bundles
 // (neocpu-compile -o). Nothing is searched or packed at boot — bundles
@@ -20,14 +20,14 @@
 //	GET  /v2/models/<model>          metadata
 //	GET  /v2/models/<model>/ready
 //	POST /v2/models/<model>/infer    {"inputs":[{"name":"input","shape":[1,3,H,W],"datatype":"FP32","data":[...]}]}
-//	GET  /v2/models/<model>/stats    per-model pool + batcher counters
+//	GET  /v2/models/<model>/stats    per-model pool + admission counters
 //	GET  /v2/stats                   counters (single: one model; repo: all)
 //	GET  /v2/repository/index        every model's lifecycle state
 //	POST /v2/repository/models/<model>/load
 //	POST /v2/repository/models/<model>/unload
 //
 // By default each pooled session runs serially (one core per in-flight
-// batch) so the pool scales throughput across cores; pass -threads N > 1 to
+// request) so the pool scales throughput across cores; pass -threads N > 1 to
 // instead parallelize each single inference over the shared kernel pool.
 //
 // Besides the registry models (the paper's 15 plus mobilenet-v1), the tiny-*
@@ -72,11 +72,9 @@ func main() {
 	levelName := flag.String("level", "global-search", "baseline-nchw|layout-opt|transform-elim|global-search")
 	threads := flag.Int("threads", 1, "kernel threads per inference (1 = serial sessions, pool scales across cores)")
 	poolSize := flag.Int("pool", 0, "max pooled sessions, one arena each (0 = auto from planned arena bytes)")
-	maxBatch := flag.Int("max-batch", 8, "max requests coalesced per dispatch")
-	maxLatency := flag.Duration("max-latency", 2*time.Millisecond, "longest wait for batch stragglers (0 = dispatch immediately)")
-	queueDepth := flag.Int("queue", 0, "admission queue depth (0 = 4x max-batch); beyond it requests get 429")
+	queueDepth := flag.Int("queue", 0, "how many requests may wait for a busy pool (0 = 32); beyond it requests get 429")
 	requestTimeout := flag.Duration("request-timeout", 30*time.Second, "default per-request deadline budget when the client sends no X-Request-Timeout; expiry answers 504 (0 = no server-side budget)")
-	drainTimeout := flag.Duration("drain-timeout", 5*time.Second, "how long shutdown/unload lets in-flight batches finish before cancelling them")
+	drainTimeout := flag.Duration("drain-timeout", 5*time.Second, "how long shutdown/unload lets in-flight requests finish before cancelling them")
 	int8Mode := flag.Bool("int8", false, "serve quantized INT8 inference")
 	seed := flag.Uint64("seed", 42, "synthetic-weight seed")
 	repoDir := flag.String("repo", "", "serve a model repository: directory of .neob bundles (neocpu-compile -o); ignores -model/-level/-int8/-seed")
@@ -91,8 +89,8 @@ func main() {
 	defer logClose()
 
 	if *repoDir != "" {
-		serveRepository(*repoDir, *addr, *arenaBudget, *threads, *poolSize, *maxBatch,
-			*maxLatency, *queueDepth, *requestTimeout, *drainTimeout, logW)
+		serveRepository(*repoDir, *addr, *arenaBudget, *threads, *poolSize,
+			*queueDepth, *requestTimeout, *drainTimeout, logW)
 		return
 	}
 
@@ -105,7 +103,7 @@ func main() {
 		neocpu.WithSeed(*seed),
 	}
 	if *threads <= 1 {
-		// Serial sessions: each in-flight batch occupies exactly one core,
+		// Serial sessions: each in-flight request occupies exactly one core,
 		// so PoolSize sessions genuinely scale to PoolSize cores.
 		copts = append(copts, neocpu.WithBackend(neocpu.BackendSerial))
 	} else {
@@ -130,8 +128,6 @@ func main() {
 	fmt.Printf("compiled in %v; input shape %v\n", time.Since(start).Round(time.Millisecond), engine.InputShape())
 
 	sopts := []neocpu.ServeOption{
-		neocpu.WithMaxBatch(*maxBatch),
-		neocpu.WithMaxLatency(*maxLatency),
 		neocpu.WithRequestTimeout(*requestTimeout),
 		neocpu.WithDrainTimeout(*drainTimeout),
 	}
@@ -153,8 +149,7 @@ func main() {
 		float64(ps.NaiveArenaBytes)/float64(ps.ArenaBytes), ps.Levels)
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	fmt.Printf("serving %s on %s (pool=%s max-batch=%d max-latency=%v)\n",
-		*model, *addr, poolLabel, *maxBatch, *maxLatency)
+	fmt.Printf("serving %s on %s (pool=%s)\n", *model, *addr, poolLabel)
 	if err := neocpu.Serve(ctx, *addr, engine, *model, sopts...); err != nil {
 		fatal(err)
 	}
@@ -164,19 +159,13 @@ func main() {
 // serveRepository boots the repository mode: every bundle in dir is loaded
 // at startup (budget permitting), and the repository endpoints load/unload
 // models live afterwards.
-func serveRepository(dir, addr string, arenaBudget, threads, poolSize, maxBatch int,
-	maxLatency time.Duration, queueDepth int, requestTimeout, drainTimeout time.Duration,
-	accessLog io.Writer) {
+func serveRepository(dir, addr string, arenaBudget, threads, poolSize, queueDepth int,
+	requestTimeout, drainTimeout time.Duration, accessLog io.Writer) {
 	defaults := serve.Config{
 		PoolSize:       poolSize,
-		MaxBatch:       maxBatch,
-		MaxLatency:     maxLatency,
 		RequestTimeout: requestTimeout,
 		DrainTimeout:   drainTimeout,
 		AccessLog:      accessLog,
-	}
-	if maxLatency == 0 {
-		defaults.MaxLatency = serve.NoLatency
 	}
 	if requestTimeout == 0 {
 		defaults.RequestTimeout = serve.NoTimeout

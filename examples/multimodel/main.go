@@ -66,7 +66,7 @@ func main() {
 	budget := arenas["tiny-cnn"] + arenas["tiny-resnet"] + arenas["tiny-vgg"] - 1
 	overrides := map[string]serve.Config{}
 	for _, name := range names {
-		overrides[name] = serve.Config{PoolSize: 1, MaxLatency: serve.NoLatency}
+		overrides[name] = serve.Config{PoolSize: 1}
 	}
 	reg, err := serve.NewRegistry(
 		&serve.DirSource{Dir: dir, Resolve: models.ResolveGraph},

@@ -4,8 +4,8 @@
 //     same blocked convolution is executed with the custom thread pool and
 //     the OpenMP-style fork/join runtime at growing thread counts.
 //  2. Serving scaling: a compiled engine behind the HTTP inference server,
-//     hammered by concurrent clients — pooled sessions plus the dynamic
-//     micro-batcher turn per-request dispatch into coalesced RunBatch calls.
+//     hammered by concurrent clients — each request runs on its own pooled
+//     session, and requests beyond the pool wait for the next free one.
 //
 // Whole-model scaling (tiny-resnet recompiled at each thread count, so
 // block sizes are re-searched per width) is BenchmarkSessionRunScaling in
@@ -93,11 +93,11 @@ func main() {
 }
 
 // servingDemo scales the other axis: many concurrent requests against one
-// engine. Serial sessions make each in-flight batch occupy one core, the
-// pool bounds concurrency, and the micro-batcher coalesces whatever piles
-// up while sessions are busy.
+// engine. Serial sessions make each in-flight request occupy one core, the
+// pool bounds concurrency, and requests that find every session busy wait
+// for the next free one.
 func servingDemo() {
-	fmt.Println("\nserving: 32 concurrent clients, pooled sessions + micro-batching:")
+	fmt.Println("\nserving: 32 concurrent clients on pooled sessions:")
 	engine, err := neocpu.CompileGraph(models.TinyResNet(42),
 		neocpu.WithOptLevel(neocpu.LevelTransformElim),
 		neocpu.WithBackend(neocpu.BackendSerial),
@@ -114,8 +114,6 @@ func servingDemo() {
 		float64(ps.NaiveArenaBytes)/float64(ps.ArenaBytes), ps.Levels)
 	srv, err := neocpu.NewServer(engine, "tiny-resnet",
 		neocpu.WithPoolSize(runtime.GOMAXPROCS(0)),
-		neocpu.WithMaxBatch(8),
-		neocpu.WithMaxLatency(2*time.Millisecond),
 		neocpu.WithQueueDepth(128),
 	)
 	if err != nil {
@@ -163,11 +161,8 @@ func servingDemo() {
 
 	st := srv.Stats()
 	fmt.Printf("  %d requests in %v (%.0f req/s)\n",
-		st.Batch.Items, elapsed.Round(time.Millisecond),
-		float64(st.Batch.Items)/elapsed.Seconds())
-	fmt.Printf("  batches: %d, mean size %.2f, max %d (coalesced by the %dms window)\n",
-		st.Batch.Batches, float64(st.Batch.Items)/float64(st.Batch.Batches),
-		st.Batch.MaxObserved, 2)
+		st.Pool.Items, elapsed.Round(time.Millisecond),
+		float64(st.Pool.Items)/elapsed.Seconds())
 	fmt.Printf("  pool: %d/%d sessions, %d waits, %s arena/session\n",
 		st.Pool.Size, st.Pool.MaxSize, st.Pool.Waits, byteSize(st.Pool.ArenaBytesPerSession))
 }

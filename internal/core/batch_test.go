@@ -12,8 +12,7 @@ import (
 // TestRunBatchMatchesSequentialRuns is the batching property test: for
 // randomly shaped graphs and for both convolution algorithms, in fp32 and
 // int8, RunBatch over N inputs must be bit-identical to N sequential
-// Session.Run calls. The serving micro-batcher leans on exactly this
-// property — coalescing requests must never change anyone's answer.
+// Session.Run calls: batching inputs must never change anyone's answer.
 func TestRunBatchMatchesSequentialRuns(t *testing.T) {
 	tgt := skylake()
 	type variant struct {

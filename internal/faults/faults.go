@@ -13,7 +13,7 @@
 //	faults.Inject(faults.SiteRegistryLoad, faults.Times(1, faults.Error(errTransient)))
 //
 // Hooks run on the goroutine that hit the site, so a Panic hook genuinely
-// panics the executor and a Delay hook genuinely stalls the batch.
+// panics the executor and a Delay hook genuinely stalls the request.
 package faults
 
 import (
@@ -30,9 +30,9 @@ const (
 	// SiteSessionRun fires at the top of every Session execution; the label
 	// is the module's graph name. A Panic hook here models a kernel panic.
 	SiteSessionRun = "core.session.run"
-	// SiteBatcherDispatch fires as the batcher hands a collected batch to a
-	// session; the label is the model name. A Delay hook here slows one
-	// model's batches without touching its kernels.
+	// SiteBatcherDispatch fires once a request holds its session, just
+	// before it runs; the label is the model name. A Delay hook here slows
+	// one model's runs without touching its kernels.
 	SiteBatcherDispatch = "serve.batcher.dispatch"
 	// SitePoolAcquire fires on every session-pool acquisition; the label is
 	// the model name.

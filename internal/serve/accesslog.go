@@ -17,9 +17,10 @@ import (
 //	{"time":"2026-01-02T15:04:05.999999999Z","model":"tiny-cnn","code":200,
 //	 "latency_ms":1.234,"batch_id":7,"deadline_ms":30000,"id":"req-1"}
 //
-// batch_id is 0 for requests that never reached a dispatched batch (4xx,
-// 429, admission-time 504); deadline_ms is the request's resolved budget (0
-// when budgets are disabled); id appears only when the client sent one.
+// batch_id is the request's execution ID: nonzero iff the request ran on a
+// session, 0 for requests that never did (4xx, 429, admission-time 504).
+// deadline_ms is the request's resolved budget (0 when budgets are
+// disabled); id appears only when the client sent one.
 type accessLogger struct {
 	mu  sync.Mutex
 	w   io.Writer
@@ -31,7 +32,7 @@ func newAccessLogger(w io.Writer) *accessLogger {
 	return &accessLogger{w: w, now: time.Now}
 }
 
-func (l *accessLogger) log(model string, code int, latency time.Duration, batchID uint64, deadline time.Duration, id string) {
+func (l *accessLogger) log(model string, code int, latency time.Duration, execID uint64, deadline time.Duration, id string) {
 	if l == nil {
 		return
 	}
@@ -47,7 +48,7 @@ func (l *accessLogger) log(model string, code int, latency time.Duration, batchI
 	b = append(b, `,"latency_ms":`...)
 	b = strconv.AppendFloat(b, float64(latency)/float64(time.Millisecond), 'f', 3, 64)
 	b = append(b, `,"batch_id":`...)
-	b = strconv.AppendUint(b, batchID, 10)
+	b = strconv.AppendUint(b, execID, 10)
 	b = append(b, `,"deadline_ms":`...)
 	b = strconv.AppendInt(b, deadline.Milliseconds(), 10)
 	if id != "" {

@@ -92,7 +92,7 @@ func TestAccessLogFieldContract(t *testing.T) {
 	buf := &syncBuffer{}
 	okBody := inferBody(t, testInput(5))
 	srv, _ := newServer(t, mod, serve.Config{
-		PoolSize: 1, MaxLatency: serve.NoLatency,
+		PoolSize:     1,
 		AccessLog:    buf,
 		MaxBodyBytes: int64(len(okBody)) + 4096,
 	})
@@ -116,7 +116,7 @@ func TestAccessLogFieldContract(t *testing.T) {
 		body      []byte
 		timeout   string // X-Request-Timeout header, "" = none
 		wantCode  int
-		wantBatch bool // batch_id must be nonzero (request reached a batch)
+		wantBatch bool // batch_id must be nonzero (the request ran)
 		wantID    string
 	}{
 		// The 200 goes first: it primes the latency EWMA that makes the
@@ -153,15 +153,15 @@ func TestAccessLogFieldContract(t *testing.T) {
 			t.Fatalf("%s: batch_id 0 for a served request", tc.name)
 		}
 		if !tc.wantBatch && al.BatchID != 0 {
-			t.Fatalf("%s: batch_id %d for a request that never reached a batch", tc.name, al.BatchID)
+			t.Fatalf("%s: batch_id %d for a request that never ran", tc.name, al.BatchID)
 		}
 		if al.ID != tc.wantID {
 			t.Fatalf("%s: logged id %q, want %q", tc.name, al.ID, tc.wantID)
 		}
 	}
 
-	// Distinct requests in the same batch window share a batch_id namespace:
-	// sequential MaxBatch-1 requests get distinct, increasing IDs.
+	// Every run gets its own execution ID: sequential requests get distinct,
+	// increasing IDs.
 	lines := buf.lines()
 	first, second := parseAccessLine(t, lines[0]), parseAccessLine(t, lines[1])
 	if second.BatchID <= first.BatchID {
@@ -176,12 +176,12 @@ func TestAccessLog429(t *testing.T) {
 	dir := t.TempDir()
 	writeBundles(t, dir, "tiny-cnn")
 	buf := &syncBuffer{}
-	// PoolSize 1 so only one delayed batch can be in flight: the dispatcher
-	// blocks acquiring a second session, the depth-1 queue fills behind it,
-	// and the rest of the burst must answer 429. (With the auto-sized pool
-	// every burst request gets its own session and nothing rejects.)
+	// PoolSize 1 so only one delayed run can be in flight: one request waits
+	// for its session, filling the depth-1 queue, and the rest of the burst
+	// must answer 429. (With the auto-sized pool every burst request gets its
+	// own session and nothing rejects.)
 	cfg := serve.RegistryConfig{Defaults: serve.Config{
-		PoolSize: 1, MaxBatch: 1, MaxLatency: serve.NoLatency, QueueDepth: 1,
+		PoolSize: 1, QueueDepth: 1,
 		BreakerThreshold: -1, DrainTimeout: time.Second,
 		AccessLog: buf,
 	}}

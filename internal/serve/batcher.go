@@ -16,16 +16,17 @@ import (
 
 // Typed serving errors.
 var (
-	// ErrQueueFull is returned by Batcher.Do when the bounded request queue
-	// is at capacity — the HTTP layer maps it to 429 (backpressure).
+	// ErrQueueFull is returned by Batcher.Do when every session is busy and
+	// QueueDepth requests already wait for one — the HTTP layer maps it to
+	// 429 (backpressure).
 	ErrQueueFull = errors.New("serve: request queue is full")
 	// ErrClosed is returned for requests that arrive during or after
 	// shutdown.
 	ErrClosed = errors.New("serve: server is closed")
 	// ErrDeadline is returned for requests whose deadline budget cannot be
 	// met: either the live queue is predicted to outlast the remaining
-	// budget at admission, or the deadline expired while the request was
-	// queued. The HTTP layer maps it to 504.
+	// budget at admission, or the deadline expired while the request waited
+	// for a session or ran. The HTTP layer maps it to 504.
 	ErrDeadline = errors.New("serve: request deadline exceeded")
 	// ErrModelDegraded is returned while a model's circuit breaker is open:
 	// repeated execution failures quarantined it, and only probe traffic is
@@ -34,315 +35,236 @@ var (
 	ErrModelDegraded = errors.New("serve: model is degraded")
 )
 
-// request is one in-flight inference waiting to be batched.
-type request struct {
-	ctx   context.Context
-	input *tensor.Tensor
-	resp  chan response
-	enq   time.Time // admission time, for the queue-wait histogram
-}
-
-type response struct {
-	outs []*tensor.Tensor
-	err  error
-	// batchID identifies the dispatched micro-batch that carried this
-	// request (access-log correlation); 0 when the request never reached a
-	// batch (rejected, shed, shutdown).
-	batchID uint64
-}
-
-// Batcher coalesces concurrent inference requests into micro-batches and
-// dispatches them through Session.RunBatch on pooled sessions.
+// Batcher admits one model's inference requests and runs each on a pooled
+// session, on the caller's goroutine. Batch-1 latency is the serving goal,
+// so a request that finds an idle session runs at once.
 //
-// One dispatcher goroutine owns the queue. For each batch it takes the first
-// queued request, acquires a session (blocking here — not per request — is
-// what creates the coalescing opportunity: while every session is busy,
-// requests pile up in the queue), then fills the batch from the queue up to
-// MaxBatch, waiting at most MaxLatency for stragglers, and hands the batch
-// to a runner goroutine. Admission is bounded by the queue depth: a full
-// queue rejects immediately with ErrQueueFull rather than queueing unbounded
-// work, and a request whose deadline the live queue cannot meet is refused
-// with ErrDeadline rather than admitted to time out.
-//
-// When a batch holds more than one item and the pool has spare capacity,
-// the runner shards it: the batch's inputs are split contiguously across
-// the acquired session plus as many TryAcquire'd extra sessions as the pool
-// will yield without blocking, each shard runs concurrently, and the
-// responses rejoin in input order — batch-level data parallelism, so a
-// large coalesced batch is not serialized through a single arena while
-// sibling sessions idle.
+// Do takes an idle session or grows the pool. When every session is busy it
+// waits in SessionPool.Acquire, FIFO behind the other waiters; at most
+// QueueDepth requests wait at once, and the next one is refused with
+// ErrQueueFull. A request whose deadline the live queue cannot meet is
+// refused with ErrDeadline rather than admitted to time out, and a waiter
+// whose deadline passes leaves through its own context.
 //
 // The batcher is also the panic-isolation boundary of the serving stack: a
-// batch (or shard) that fails with *core.ExecPanicError fails only its own
-// requests, and only the (possibly arena-corrupted) session that panicked
-// is discarded from the pool instead of recycled — a sharded batch's other
-// lanes deliver their results and return their sessions as usual.
+// run that fails with *core.ExecPanicError fails only its own request, and
+// the (possibly arena-corrupted) session that panicked is discarded from the
+// pool instead of recycled.
 type Batcher struct {
-	model      string // fault-site label and error context
-	pool       *SessionPool
-	maxBatch   int
-	maxLatency time.Duration
-	drain      time.Duration
-	queue      chan *request
+	model string // fault-site label and error context
+	pool  *SessionPool
+	drain time.Duration
 
+	// baseCtx is cancelled once Close stops waiting for the drain; every
+	// run's context is cancelled with it.
 	baseCtx context.Context
 	cancel  context.CancelFunc
-	wg      sync.WaitGroup
 
 	// draining stops admission while Close lets in-flight work finish;
-	// active counts dispatched-but-unfinished batches (the drain signal).
+	// active counts admitted requests not yet answered (the drain signal).
 	draining atomic.Bool
 	active   atomic.Int64
 
-	// ewmaNanos tracks observed batch execution latency (exponentially
-	// weighted), the basis for Retry-After and deadline admission.
+	// ewmaNanos tracks one request's observed execution latency
+	// (exponentially weighted), the basis for Retry-After and deadline
+	// admission.
 	ewmaNanos atomic.Int64
 
-	// onResult, when set, is called once per dispatched batch with the
+	// onResult, when set, is called once per executed request with its
 	// execution failure (nil for success or client-caused aborts) — the
 	// registry hangs the model's circuit breaker on it. Set before the
 	// batcher receives traffic.
 	onResult func(error)
 
-	// metrics, when set, receives batch/queue-wait/discard/panic
+	// metrics, when set, receives queue-wait/execution/discard/panic
 	// observations (nil-safe methods; set before traffic, like onResult).
 	metrics *metrics.Model
 
-	// nextBatch mints batch IDs (1-based; 0 means "no batch").
-	nextBatch atomic.Uint64
+	// nextExec mints execution IDs (1-based; 0 means "never ran").
+	nextExec atomic.Uint64
 
-	mu             sync.Mutex
-	batches        uint64
-	items          uint64
-	rejected       uint64
-	shed           uint64
-	panics         uint64
-	shardedBatches uint64
-	shards         uint64
-	maxObserved    int
+	mu       sync.Mutex
+	rejected uint64
+	shed     uint64
+	panics   uint64
 }
 
-// BatchStats is a snapshot of the batcher's coalescing behaviour.
+// BatchStats is a snapshot of the batcher's admission counters.
 type BatchStats struct {
-	// Batches counts dispatched micro-batches, Items the requests they
-	// carried; Items/Batches is the mean observed batch size and
-	// MaxObserved the largest single dispatch.
-	Batches     uint64 `json:"batches"`
-	Items       uint64 `json:"items"`
-	MaxObserved int    `json:"max_observed"`
 	// Rejected counts requests refused with ErrQueueFull.
 	Rejected uint64 `json:"rejected"`
 	// Shed counts requests refused or dropped for deadline reasons: budgets
-	// the live queue could not meet at admission, and already-expired
-	// requests evicted from the queue to make room under pressure.
+	// the live queue could not meet at admission, and waiters whose context
+	// ended (deadline or client gone) before a session freed up.
 	Shed uint64 `json:"shed"`
-	// Panics counts batches or shards that failed with a recovered execution
-	// panic (each also discarded its session from the pool).
+	// Panics counts runs that failed with a recovered execution panic (each
+	// also discarded its session from the pool).
 	Panics uint64 `json:"panics"`
-	// ShardedBatches counts dispatched batches that were split across more
-	// than one session; Shards the total lanes those splits used, so
-	// Shards/ShardedBatches is the mean fan-out.
-	ShardedBatches uint64 `json:"sharded_batches"`
-	Shards         uint64 `json:"shards"`
-	// EstimatedWaitNS is the current queue-depth × observed-batch-latency
+	// EstimatedWaitNS is the current waiters × observed-execution-latency
 	// wait prediction, the basis for Retry-After.
 	EstimatedWaitNS int64 `json:"estimated_wait_ns"`
 }
 
-// NewBatcher starts the dispatcher for one model. cfg must already have its
-// defaults resolved (Registry.Load does); MaxBatch and QueueDepth are
-// clamped to at least 1.
-func NewBatcher(model string, pool *SessionPool, cfg Config) *Batcher {
-	maxBatch := cfg.MaxBatch
-	if maxBatch < 1 {
-		maxBatch = 1
-	}
-	queueDepth := cfg.QueueDepth
-	if queueDepth < 1 {
-		queueDepth = 1
-	}
+// NewBatcher builds the admission front of one model over its session pool.
+// drain bounds how long Close lets admitted requests finish.
+func NewBatcher(model string, pool *SessionPool, drain time.Duration) *Batcher {
 	ctx, cancel := context.WithCancel(context.Background())
-	b := &Batcher{
-		model:      model,
-		pool:       pool,
-		maxBatch:   maxBatch,
-		maxLatency: cfg.MaxLatency,
-		drain:      cfg.DrainTimeout,
-		queue:      make(chan *request, queueDepth),
-		baseCtx:    ctx,
-		cancel:     cancel,
-	}
-	b.wg.Add(1)
-	go b.dispatch()
-	return b
+	return &Batcher{model: model, pool: pool, drain: drain, baseCtx: ctx, cancel: cancel}
 }
 
-// OnBatchDone installs the per-batch completion callback (nil error means
-// the batch executed; a non-nil error is an execution failure, client-caused
-// aborts excluded). It must be installed before the batcher receives
-// traffic.
+// OnBatchDone installs the per-request completion callback (nil error means
+// the request executed; a non-nil error is an execution failure,
+// client-caused aborts excluded). It must be installed before the batcher
+// receives traffic.
 func (b *Batcher) OnBatchDone(fn func(error)) { b.onResult = fn }
 
 // SetMetrics installs the model's metric set (nil runs unmetered). It must
 // be installed before the batcher receives traffic.
 func (b *Batcher) SetMetrics(m *metrics.Model) { b.metrics = m }
 
-// QueueDepth reports the number of requests currently sitting in the
-// admission queue (the queue-depth gauge).
-func (b *Batcher) QueueDepth() int { return len(b.queue) }
+// QueueDepth reports the number of requests currently waiting for a session
+// (the queue-depth gauge).
+func (b *Batcher) QueueDepth() int { return b.pool.Waiting() }
 
-// Do submits one input and blocks until its batch completes, the caller's
-// ctx is done, or the batcher shuts down. A ctx deadline is the request's
-// whole-lifetime budget: admission refuses it outright (ErrDeadline) when
-// the live queue is predicted to outlast it.
+// Do runs one input and blocks until it completes, the caller's ctx is done,
+// or the batcher shuts down. A ctx deadline is the request's whole-lifetime
+// budget: admission refuses it outright (ErrDeadline) when the live queue is
+// predicted to outlast it.
 func (b *Batcher) Do(ctx context.Context, in *tensor.Tensor) ([]*tensor.Tensor, error) {
 	outs, _, err := b.DoTraced(ctx, in)
 	return outs, err
 }
 
-// DoTraced is Do plus the ID of the micro-batch that carried the request (0
-// when it never reached one) — the access log's batch_id field.
+// DoTraced is Do plus the request's execution ID (0 when it never ran) — the
+// access log's batch_id field.
 func (b *Batcher) DoTraced(ctx context.Context, in *tensor.Tensor) ([]*tensor.Tensor, uint64, error) {
+	// Count the request before looking at draining: Close sets draining and
+	// then waits for active to reach zero, so either Close waits for this
+	// request or this request sees draining.
+	b.active.Add(1)
+	defer b.active.Add(-1)
 	if b.draining.Load() || b.baseCtx.Err() != nil {
 		return nil, 0, ErrClosed
 	}
 	if dl, ok := ctx.Deadline(); ok {
 		if wait := b.EstimatedWait(); wait > 0 && time.Until(dl) < wait {
-			b.count(func() { b.shed++ })
+			b.count(&b.shed)
 			return nil, 0, ErrDeadline
 		}
 	}
-	req := &request{ctx: ctx, input: in, resp: make(chan response, 1), enq: time.Now()}
-	select {
-	case b.queue <- req:
-	default:
-		if !b.shedExpiredFor(req) {
-			b.count(func() { b.rejected++ })
-			return nil, 0, ErrQueueFull
+	// The wait and the run also stop when Close gives up on draining.
+	runCtx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	defer context.AfterFunc(b.baseCtx, cancel)()
+
+	enq := time.Now()
+	sess, err := b.pool.Acquire(runCtx)
+	if err != nil {
+		switch {
+		case errors.Is(err, ErrQueueFull):
+			b.count(&b.rejected)
+		case b.baseCtx.Err() != nil:
+			err = ErrClosed
+		case ctx.Err() != nil:
+			b.count(&b.shed)
+			err = perRequestError(ctx, err)
 		}
+		return nil, 0, err
 	}
-	select {
-	case r := <-req.resp:
-		return r.outs, r.batchID, r.err
-	case <-ctx.Done():
-		// The batch may still run this input (it only aborts once every
-		// member is cancelled); the buffered resp channel lets the runner
-		// complete without us.
-		return nil, 0, ctx.Err()
-	case <-b.baseCtx.Done():
-		select {
-		case r := <-req.resp:
-			return r.outs, r.batchID, r.err
-		default:
-			return nil, 0, ErrClosed
+	start := time.Now()
+	b.metrics.ObserveQueueWait(start.Sub(enq))
+	id := b.nextExec.Add(1)
+
+	var outs []*tensor.Tensor
+	if err = faults.Fire(faults.SiteBatcherDispatch, b.model); err == nil {
+		outs, err = sess.Run(runCtx, in)
+	}
+	if err == nil {
+		// Run returns views into the session's arena: copy them out before
+		// the session serves anyone else.
+		outs = cloneAll(outs)
+	}
+	elapsed := time.Since(start)
+	b.metrics.ObserveExec(elapsed)
+
+	// Panic isolation: a panicked session's arena may hold partial writes —
+	// quarantine it out of the pool instead of recycling it.
+	var pe *core.ExecPanicError
+	if errors.As(err, &pe) || sess.Corrupted() {
+		b.pool.Discard(sess)
+		b.count(&b.panics)
+		b.metrics.IncDiscard()
+		b.metrics.IncPanic()
+	} else {
+		b.pool.Release(sess)
+	}
+	b.observeLatency(elapsed)
+	if b.onResult != nil {
+		b.onResult(execFailure(err))
+	}
+	if err != nil {
+		if b.baseCtx.Err() != nil && errors.Is(err, context.Canceled) {
+			// The cancellation came from shutdown, not from the client: a
+			// live caller should see "server closed", not a bare ctx error.
+			err = ErrClosed
 		}
+		return nil, id, perRequestError(ctx, err)
 	}
+	return outs, id, nil
 }
 
-// shedExpiredFor handles admission against a full queue under deadline
-// pressure: it pulls the oldest queued request, and if that request's
-// deadline (or client) has already expired, answers it ErrDeadline and
-// admits req into the freed slot. A still-live pulled request is re-enqueued
-// — its position moves to the tail, an ordering perturbation that only
-// occurs under overload — and req is rejected.
-func (b *Batcher) shedExpiredFor(req *request) bool {
-	select {
-	case oldest := <-b.queue:
-		if oldest.ctx.Err() != nil {
-			oldest.resp <- response{err: shedError(oldest.ctx)}
-			b.count(func() { b.shed++ })
-			select {
-			case b.queue <- req:
-				return true
-			default:
-				return false
-			}
-		}
-		// Still live: put it back. The dispatcher drains this queue, so the
-		// send completes; baseCtx guards shutdown.
-		select {
-		case b.queue <- oldest:
-		case <-b.baseCtx.Done():
-			oldest.resp <- response{err: ErrClosed}
-		}
-	default:
+func cloneAll(ts []*tensor.Tensor) []*tensor.Tensor {
+	out := make([]*tensor.Tensor, len(ts))
+	for i, t := range ts {
+		out[i] = t.Clone()
 	}
-	return false
+	return out
 }
 
-// shedError translates an expired queued request's ctx state into the error
-// its client sees: a deadline expiry is ErrDeadline (504), a client
-// disconnect stays a bare ctx error (408).
-func shedError(ctx context.Context) error {
-	if errors.Is(ctx.Err(), context.DeadlineExceeded) {
-		return ErrDeadline
-	}
-	return ctx.Err()
-}
-
-// Close stops admission, lets queued requests and in-flight batches drain
-// for up to the configured drain timeout, then cancels whatever remains and
-// fails still-queued requests with ErrClosed. Idempotent.
+// Close stops admission, lets admitted requests finish for up to the
+// configured drain timeout, then cancels the runs and waits still going,
+// which stop at their next node. Idempotent.
 func (b *Batcher) Close() {
 	b.draining.Store(true)
-	if b.drain > 0 {
-		deadline := time.Now().Add(b.drain)
-		for time.Now().Before(deadline) {
-			if len(b.queue) == 0 && b.active.Load() == 0 {
-				break
-			}
-			time.Sleep(time.Millisecond)
-		}
+	for deadline := time.Now().Add(b.drain); b.active.Load() > 0 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
 	}
 	b.cancel()
-	b.wg.Wait()
-	for {
-		select {
-		case req := <-b.queue:
-			req.resp <- response{err: ErrClosed}
-		default:
-			return
-		}
+	for b.active.Load() > 0 {
+		time.Sleep(time.Millisecond)
 	}
 }
 
-// Stats snapshots the coalescing counters.
+// Stats snapshots the admission counters.
 func (b *Batcher) Stats() BatchStats {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return BatchStats{
-		Batches:         b.batches,
-		Items:           b.items,
-		MaxObserved:     b.maxObserved,
 		Rejected:        b.rejected,
 		Shed:            b.shed,
 		Panics:          b.panics,
-		ShardedBatches:  b.shardedBatches,
-		Shards:          b.shards,
-		EstimatedWaitNS: int64(b.estimatedWaitLocked()),
+		EstimatedWaitNS: int64(b.EstimatedWait()),
 	}
 }
 
-// EstimatedWait predicts how long a newly admitted request would wait:
-// the number of batches ahead of it (live queue depth plus its own) times
-// the observed batch latency. Zero until a first batch has been measured.
+// EstimatedWait predicts how long a newly admitted request would take to
+// finish: the rounds of pool-wide execution ahead of it (live waiters per
+// session, plus its own run) times one request's observed execution
+// latency. Zero until a first request has been measured.
 func (b *Batcher) EstimatedWait() time.Duration {
-	return b.estimatedWait(len(b.queue))
+	return b.estimatedWait(b.pool.Waiting())
 }
 
-func (b *Batcher) estimatedWaitLocked() time.Duration { return b.estimatedWait(len(b.queue)) }
-
-func (b *Batcher) estimatedWait(depth int) time.Duration {
+func (b *Batcher) estimatedWait(waiters int) time.Duration {
 	ewma := time.Duration(b.ewmaNanos.Load())
 	if ewma <= 0 {
 		return 0
 	}
-	batchesAhead := depth/b.maxBatch + 1
-	return time.Duration(batchesAhead) * ewma
+	return time.Duration(waiters/b.pool.max+1) * ewma
 }
 
-// RetryAfterSeconds derives a Retry-After header value from the live queue
-// depth and the observed batch latency, floored at 1 second.
+// RetryAfterSeconds derives a Retry-After header value from the live
+// waiters and the observed execution latency, floored at 1 second.
 func (b *Batcher) RetryAfterSeconds() int {
 	secs := int(math.Ceil(b.EstimatedWait().Seconds()))
 	if secs < 1 {
@@ -351,233 +273,22 @@ func (b *Batcher) RetryAfterSeconds() int {
 	return secs
 }
 
-func (b *Batcher) count(fn func()) {
+func (b *Batcher) count(n *uint64) {
 	b.mu.Lock()
-	fn()
+	*n++
 	b.mu.Unlock()
 }
 
-func (b *Batcher) dispatch() {
-	defer b.wg.Done()
-	for {
-		var first *request
-		select {
-		case first = <-b.queue:
-		case <-b.baseCtx.Done():
-			return
-		}
-		// From here until runBatch finishes, the batch counts as active —
-		// the drain loop in Close must not conclude while a pulled request
-		// is in limbo between queue and runner.
-		b.active.Add(1)
-		sess, err := b.pool.Acquire(b.baseCtx)
-		if err != nil {
-			first.resp <- response{err: ErrClosed}
-			b.active.Add(-1)
-			continue
-		}
-		batch := b.collect(first)
-		b.wg.Add(1)
-		go b.runBatch(sess, batch)
-	}
-}
-
-// collect fills a batch around the first request: everything already queued
-// joins immediately; if the batch is still short of MaxBatch, the dispatcher
-// lingers up to MaxLatency for stragglers. MaxLatency 0 dispatches
-// immediately with whatever is queued.
-func (b *Batcher) collect(first *request) []*request {
-	batch := []*request{first}
-	for len(batch) < b.maxBatch {
-		select {
-		case r := <-b.queue:
-			batch = append(batch, r)
-			continue
-		default:
-		}
-		break
-	}
-	if len(batch) == b.maxBatch || b.maxLatency <= 0 {
-		return batch
-	}
-	timer := time.NewTimer(b.maxLatency)
-	defer timer.Stop()
-	for len(batch) < b.maxBatch {
-		select {
-		case r := <-b.queue:
-			batch = append(batch, r)
-		case <-timer.C:
-			return batch
-		case <-b.baseCtx.Done():
-			return batch
-		}
-	}
-	return batch
-}
-
-// shardResult carries one shard's slice of the batch through execution:
-// the [lo, hi) range of live requests it covered, the session that ran it,
-// and RunBatch's outcome.
-type shardResult struct {
-	lo, hi  int
-	sess    *core.Session
-	results [][]*tensor.Tensor
-	err     error
-}
-
-// runBatch executes one micro-batch and distributes per-request results.
-// Requests whose client vanished or whose deadline expired while queued are
-// answered and dropped before execution. A multi-item batch is sharded
-// across the acquired session plus any extra sessions TryAcquire yields
-// without blocking — each shard a contiguous slice of the batch on its own
-// goroutine — and the per-request responses rejoin in input order. A shard
-// that panics fails only its own requests: the quarantined session is
-// discarded from the pool (a replacement is created on demand), sibling
-// shards are unaffected, and the failure is reported to the OnBatchDone
-// callback for circuit breaking.
-func (b *Batcher) runBatch(sess *core.Session, reqs []*request) {
-	defer b.wg.Done()
-	defer b.active.Add(-1)
-	live := make([]*request, 0, len(reqs))
-	for _, r := range reqs {
-		if err := r.ctx.Err(); err != nil {
-			r.resp <- response{err: shedError(r.ctx)}
-			continue
-		}
-		live = append(live, r)
-	}
-	if len(live) == 0 {
-		b.pool.Release(sess)
-		return
-	}
-
-	// Shard acquisition: one lane per batch item at most, and never blocking
-	// — an exhausted pool just means a narrower (possibly single-lane) run.
-	sessions := []*core.Session{sess}
-	for len(sessions) < len(live) {
-		extra := b.pool.TryAcquire()
-		if extra == nil {
-			break
-		}
-		sessions = append(sessions, extra)
-	}
-
-	b.mu.Lock()
-	b.batches++
-	b.items += uint64(len(live))
-	if len(live) > b.maxObserved {
-		b.maxObserved = len(live)
-	}
-	if len(sessions) > 1 {
-		b.shardedBatches++
-		b.shards += uint64(len(sessions))
-	}
-	b.mu.Unlock()
-	batchID := b.nextBatch.Add(1)
-
-	ctx, stop := b.batchContext(live)
-	inputs := make([]*tensor.Tensor, len(live))
-	for i, r := range live {
-		inputs[i] = r.input
-	}
-
-	shards := make([]shardResult, len(sessions))
-	for k := range shards {
-		// Contiguous near-equal split: shard k covers [k*n/S, (k+1)*n/S).
-		shards[k].lo = k * len(live) / len(sessions)
-		shards[k].hi = (k + 1) * len(live) / len(sessions)
-		shards[k].sess = sessions[k]
-	}
-	start := time.Now()
-	for _, r := range live {
-		b.metrics.ObserveQueueWait(start.Sub(r.enq))
-	}
-	if ferr := faults.Fire(faults.SiteBatcherDispatch, b.model); ferr != nil {
-		for k := range shards {
-			shards[k].err = ferr
-		}
-	} else {
-		var wg sync.WaitGroup
-		for k := 1; k < len(shards); k++ {
-			wg.Add(1)
-			go func(sr *shardResult) {
-				defer wg.Done()
-				sr.results, sr.err = sr.sess.RunBatch(ctx, inputs[sr.lo:sr.hi])
-			}(&shards[k])
-		}
-		shards[0].results, shards[0].err = sess.RunBatch(ctx, inputs[shards[0].lo:shards[0].hi])
-		wg.Wait()
-	}
-	elapsed := time.Since(start)
-	stop()
-	b.metrics.ObserveBatch(len(live), len(sessions), elapsed)
-
-	// Panic isolation, per lane: a panicked session's arena may hold partial
-	// writes — quarantine it out of the pool instead of recycling it. The
-	// other lanes go back; RunBatch results are deep copies, so a session
-	// can serve the next batch before responses are delivered.
-	var firstFailure error
-	for k := range shards {
-		sr := &shards[k]
-		var pe *core.ExecPanicError
-		if errors.As(sr.err, &pe) || sr.sess.Corrupted() {
-			b.pool.Discard(sr.sess)
-			b.count(func() { b.panics++ })
-			b.metrics.IncDiscard()
-			b.metrics.IncPanic()
-		} else {
-			b.pool.Release(sr.sess)
-		}
-		if f := execFailure(sr.err); f != nil && firstFailure == nil {
-			firstFailure = f
-		}
-	}
-	b.observeLatency(elapsed)
-	if b.onResult != nil {
-		b.onResult(firstFailure)
-	}
-
-	for k := range shards {
-		sr := &shards[k]
-		err := sr.err
-		done := sr.hi - sr.lo
-		if err != nil {
-			done = 0
-			var be *core.BatchError
-			if errors.As(err, &be) {
-				// A cancelled shard still completed its first items; those
-				// clients get real results, the rest the error.
-				done = be.Completed
-			}
-			if b.baseCtx.Err() != nil && errors.Is(err, context.Canceled) {
-				// The cancellation came from shutdown, not from the clients:
-				// live callers should see "server closed", not a bare ctx
-				// error.
-				err = ErrClosed
-			}
-		}
-		for i := sr.lo; i < sr.hi; i++ {
-			r := live[i]
-			if i-sr.lo < done {
-				r.resp <- response{outs: sr.results[i-sr.lo], batchID: batchID}
-			} else {
-				r.resp <- response{err: perRequestError(r.ctx, err), batchID: batchID}
-			}
-		}
-	}
-}
-
-// perRequestError specializes a batch-wide failure for one member request:
-// a member whose own deadline expired reports ErrDeadline regardless of why
-// the batch as a whole stopped.
-func perRequestError(ctx context.Context, batchErr error) error {
+// perRequestError specializes a failure for the request: one whose own
+// deadline expired reports ErrDeadline regardless of which step noticed.
+func perRequestError(ctx context.Context, err error) error {
 	if errors.Is(ctx.Err(), context.DeadlineExceeded) {
 		return ErrDeadline
 	}
-	return batchErr
+	return err
 }
 
-// execFailure classifies a batch result for the circuit breaker: only
+// execFailure classifies a run's result for the circuit breaker: only
 // genuine execution failures count, not client-caused aborts or shutdown.
 func execFailure(err error) error {
 	switch {
@@ -590,7 +301,7 @@ func execFailure(err error) error {
 	return err
 }
 
-// observeLatency folds one batch execution time into the EWMA (α = 0.2)
+// observeLatency folds one request's execution time into the EWMA (α = 0.2)
 // that backs deadline admission and Retry-After.
 func (b *Batcher) observeLatency(d time.Duration) {
 	old := b.ewmaNanos.Load()
@@ -599,27 +310,4 @@ func (b *Batcher) observeLatency(d time.Duration) {
 		return
 	}
 	b.ewmaNanos.Store(old + (int64(d)-old)/5)
-}
-
-// batchContext derives the execution context for one micro-batch: it cancels
-// when the batcher shuts down, or once every member request's own ctx is
-// done — one abandoned client must not cancel its batch-mates' work, but a
-// fully abandoned batch stops mid-run instead of computing for nobody.
-func (b *Batcher) batchContext(reqs []*request) (context.Context, func()) {
-	ctx, cancel := context.WithCancel(b.baseCtx)
-	remaining := int64(len(reqs))
-	stops := make([]func() bool, len(reqs))
-	for i, r := range reqs {
-		stops[i] = context.AfterFunc(r.ctx, func() {
-			if atomic.AddInt64(&remaining, -1) == 0 {
-				cancel()
-			}
-		})
-	}
-	return ctx, func() {
-		for _, s := range stops {
-			s()
-		}
-		cancel()
-	}
 }

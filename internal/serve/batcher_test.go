@@ -16,13 +16,14 @@ var (
 )
 
 // TestRetryAfterTracksQueueAndLatency: the Retry-After estimate must be
-// derived from live state — queue depth times observed batch latency — not a
-// hardcoded constant, with a 1-second floor before any batch has been
-// measured.
+// derived from live state — waiters per session times one request's
+// observed execution latency — not a hardcoded constant, with a 1-second
+// floor before any request has been measured.
 func TestRetryAfterTracksQueueAndLatency(t *testing.T) {
-	b := &Batcher{maxBatch: 4, queue: make(chan *request, 32)}
+	p := &SessionPool{max: 4}
+	b := &Batcher{pool: p}
 
-	// Cold: no batch measured yet, estimate is unknown, floor applies.
+	// Cold: no request measured yet, estimate is unknown, floor applies.
 	if w := b.EstimatedWait(); w != 0 {
 		t.Fatalf("cold EstimatedWait = %v, want 0", w)
 	}
@@ -30,7 +31,7 @@ func TestRetryAfterTracksQueueAndLatency(t *testing.T) {
 		t.Fatalf("cold RetryAfterSeconds = %d, want floor 1", got)
 	}
 
-	// One observed 3s batch, empty queue: one batch ahead of a new arrival.
+	// One observed 3s run, nobody waiting: a new arrival's own run.
 	b.observeLatency(3 * time.Second)
 	if w := b.EstimatedWait(); w != 3*time.Second {
 		t.Fatalf("EstimatedWait = %v, want 3s", w)
@@ -39,15 +40,16 @@ func TestRetryAfterTracksQueueAndLatency(t *testing.T) {
 		t.Fatalf("RetryAfterSeconds = %d, want 3", got)
 	}
 
-	// Eight queued requests at maxBatch 4: two more full batches ahead.
-	for i := 0; i < 8; i++ {
-		b.queue <- &request{}
-	}
+	// Eight waiters on four sessions: two more rounds of runs ahead.
+	p.waiting = 8
 	if w := b.EstimatedWait(); w != 9*time.Second {
-		t.Fatalf("EstimatedWait with depth 8 = %v, want 9s", w)
+		t.Fatalf("EstimatedWait with 8 waiters = %v, want 9s", w)
 	}
 	if got := b.RetryAfterSeconds(); got != 9 {
-		t.Fatalf("RetryAfterSeconds with depth 8 = %d, want 9", got)
+		t.Fatalf("RetryAfterSeconds with 8 waiters = %d, want 9", got)
+	}
+	if st := b.Stats(); st.EstimatedWaitNS != int64(9*time.Second) {
+		t.Fatalf("Stats().EstimatedWaitNS = %d, want 9s", st.EstimatedWaitNS)
 	}
 
 	// The latency estimate is an EWMA (α = 1/5), not last-observation-wins:
@@ -58,7 +60,7 @@ func TestRetryAfterTracksQueueAndLatency(t *testing.T) {
 	}
 
 	// Sub-second estimates still floor at 1.
-	b2 := &Batcher{maxBatch: 4, queue: make(chan *request, 4)}
+	b2 := &Batcher{pool: &SessionPool{max: 4}}
 	b2.observeLatency(5 * time.Millisecond)
 	if got := b2.RetryAfterSeconds(); got != 1 {
 		t.Fatalf("sub-second RetryAfterSeconds = %d, want floor 1", got)

@@ -100,7 +100,7 @@ func chaosInput() *tensor.Tensor {
 }
 
 // TestChaosPanicIsolationAcrossModels is the headline robustness invariant:
-// while one co-hosted model's kernels panic on every batch, (1) the process
+// while one co-hosted model's kernels panic on every run, (1) the process
 // never exits, (2) the panicking model's clients get clean 500s, (3) the
 // healthy model's responses stay bit-identical to the engine's own output,
 // and (4) healing the fault restores the panicked model (its quarantined
@@ -110,7 +110,7 @@ func TestChaosPanicIsolationAcrossModels(t *testing.T) {
 	dir := t.TempDir()
 	writeBundles(t, dir, "tiny-cnn", "tiny-resnet")
 	cfg := serve.RegistryConfig{Defaults: serve.Config{
-		MaxBatch: 2, MaxLatency: serve.NoLatency, QueueDepth: 64,
+		QueueDepth:       64,
 		BreakerThreshold: -1, // isolate panic handling from circuit breaking
 		DrainTimeout:     time.Second,
 	}}
@@ -156,7 +156,7 @@ func TestChaosPanicIsolationAcrossModels(t *testing.T) {
 		t.Fatalf("faulted model answered 500 for %d/%d requests", faulted500.Load(), clients)
 	}
 
-	// Each panicked batch quarantined its session out of the pool.
+	// Each panicked run quarantined its session out of the pool.
 	st, err := reg.ModelStatsFor("tiny-cnn")
 	if err != nil {
 		t.Fatal(err)
@@ -187,7 +187,7 @@ func TestChaosBreakerDegradedHalfOpenReady(t *testing.T) {
 	writeBundles(t, dir, "tiny-cnn")
 	const cooldown = 100 * time.Millisecond
 	cfg := serve.RegistryConfig{Defaults: serve.Config{
-		MaxBatch: 1, MaxLatency: serve.NoLatency, QueueDepth: 16,
+		QueueDepth:       16,
 		BreakerThreshold: 2, BreakerWindow: 10 * time.Second, BreakerCooldown: cooldown,
 		DrainTimeout: time.Second,
 	}}
@@ -214,7 +214,7 @@ func TestChaosBreakerDegradedHalfOpenReady(t *testing.T) {
 		t.Fatalf("initial health %q", got)
 	}
 
-	// Two failing batches cross the threshold.
+	// Two failing runs cross the threshold.
 	faults.Inject(faults.SiteBatcherDispatch,
 		faults.OnLabel("tiny-cnn", faults.Error(errors.New("chaos: executor failure"))))
 	for i := 0; i < 2; i++ {
@@ -267,7 +267,7 @@ func TestChaosBreakerDegradedHalfOpenReady(t *testing.T) {
 }
 
 // TestChaosDeadlineAgainstSaturatedQueue is the acceptance scenario: 50ms
-// deadline budgets against a queue saturated by 80ms batches must resolve
+// deadline budgets against a queue saturated by 80ms runs must resolve
 // promptly as 504 (or 429 backpressure) — never hang until some transport
 // timeout.
 func TestChaosDeadlineAgainstSaturatedQueue(t *testing.T) {
@@ -275,7 +275,7 @@ func TestChaosDeadlineAgainstSaturatedQueue(t *testing.T) {
 	dir := t.TempDir()
 	writeBundles(t, dir, "tiny-cnn")
 	cfg := serve.RegistryConfig{Defaults: serve.Config{
-		MaxBatch: 1, MaxLatency: serve.NoLatency, QueueDepth: 4,
+		QueueDepth:   4,
 		DrainTimeout: time.Second,
 	}}
 	_, ts := chaosServer(t, dir, cfg, "tiny-cnn")
@@ -310,7 +310,7 @@ func TestChaosDeadlineAgainstSaturatedQueue(t *testing.T) {
 	}
 	for s := range counts {
 		if s != http.StatusGatewayTimeout && s != http.StatusTooManyRequests {
-			t.Fatalf("unexpected status %d under 50ms budget vs 80ms batches (counts %v)", s, counts)
+			t.Fatalf("unexpected status %d under 50ms budget vs 80ms runs (counts %v)", s, counts)
 		}
 	}
 	if counts[http.StatusGatewayTimeout] == 0 {
@@ -320,11 +320,11 @@ func TestChaosDeadlineAgainstSaturatedQueue(t *testing.T) {
 
 // TestChaosCloseDuringTraffic is the close-during-traffic regression: Close
 // racing live requests must resolve every request (success or a clean 5xx),
-// drain in-flight batches, and never deadlock or leak a panic.
+// drain in-flight requests, and never deadlock or leak a panic.
 func TestChaosCloseDuringTraffic(t *testing.T) {
 	mod := newModule(t)
 	s, err := serve.New(mod, "", serve.Config{
-		MaxBatch: 2, MaxLatency: serve.NoLatency, QueueDepth: 32,
+		QueueDepth:   32,
 		DrainTimeout: 2 * time.Second,
 	})
 	if err != nil {
@@ -389,7 +389,7 @@ func TestChaosTransientLoadRetry(t *testing.T) {
 	dir := t.TempDir()
 	writeBundles(t, dir, "tiny-cnn")
 	reg := newRepoRegistry(t, dir, serve.RegistryConfig{Defaults: serve.Config{
-		MaxBatch: 1, MaxLatency: serve.NoLatency, DrainTimeout: time.Second,
+		DrainTimeout: time.Second,
 	}})
 
 	// One torn read, then healed: the retry loop must absorb it.
@@ -434,7 +434,7 @@ func TestChaosTornBundleRead(t *testing.T) {
 	dir := t.TempDir()
 	writeBundles(t, dir, "tiny-cnn")
 	reg := newRepoRegistry(t, dir, serve.RegistryConfig{Defaults: serve.Config{
-		MaxBatch: 1, MaxLatency: serve.NoLatency, DrainTimeout: time.Second,
+		DrainTimeout: time.Second,
 	}})
 
 	faults.InjectReader(faults.SiteBundleRead, faults.TornReader(64))
@@ -474,7 +474,7 @@ func TestChaosDrainRefusesNewAdmitsInflight(t *testing.T) {
 	dir := t.TempDir()
 	writeBundles(t, dir, "tiny-cnn")
 	cfg := serve.RegistryConfig{Defaults: serve.Config{
-		MaxBatch: 1, MaxLatency: serve.NoLatency, QueueDepth: 16,
+		QueueDepth:   16,
 		DrainTimeout: 2 * time.Second,
 	}}
 	reg, ts := chaosServer(t, dir, cfg, "tiny-cnn")
@@ -482,7 +482,7 @@ func TestChaosDrainRefusesNewAdmitsInflight(t *testing.T) {
 	body := inferBody(t, in)
 	want := refOutput(t, "tiny-cnn", in)
 
-	// Slow batches so a request is reliably in flight when Drain lands.
+	// Slow runs so a request is reliably in flight when Drain lands.
 	faults.Inject(faults.SiteBatcherDispatch, faults.Delay(50*time.Millisecond))
 	dispatched := faults.Count(faults.SiteBatcherDispatch)
 
@@ -494,11 +494,11 @@ func TestChaosDrainRefusesNewAdmitsInflight(t *testing.T) {
 		}
 		inflight <- struct{ status int }{status}
 	}()
-	// Drain only once the request has passed admission and sits in its
-	// batch: a fixed sleep loses that race on a slow or -race build.
+	// Drain only once the request has passed admission and holds its
+	// session: a fixed sleep loses that race on a slow or -race build.
 	for deadline := time.Now().Add(10 * time.Second); faults.Count(faults.SiteBatcherDispatch) == dispatched; {
 		if time.Now().After(deadline) {
-			t.Fatal("request never reached batch dispatch")
+			t.Fatal("request never reached its session")
 		}
 		time.Sleep(time.Millisecond)
 	}

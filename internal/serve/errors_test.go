@@ -23,7 +23,7 @@ func TestErrorResponsesAreKserveJSON(t *testing.T) {
 	defer faults.Reset()
 	mod := newModule(t)
 	_, ts := newServer(t, mod, serve.Config{
-		MaxBatch: 1, MaxLatency: serve.NoLatency, QueueDepth: 4,
+		QueueDepth:   4,
 		DrainTimeout: time.Second,
 	})
 	goodBody := inferBody(t, testInput(1))
@@ -78,8 +78,8 @@ func TestErrorResponsesAreKserveJSON(t *testing.T) {
 		},
 		{
 			name: "oversized body is 413", method: "POST",
-			path: "/v2/models/tiny-resnet/infer",
-			body: append(goodBody[:len(goodBody)-1], []byte(`,"id":"`+strings.Repeat("x", 512<<10)+`"}`)...),
+			path:       "/v2/models/tiny-resnet/infer",
+			body:       append(goodBody[:len(goodBody)-1], []byte(`,"id":"`+strings.Repeat("x", 512<<10)+`"}`)...),
 			wantStatus: http.StatusRequestEntityTooLarge,
 		},
 		{
@@ -145,7 +145,7 @@ func TestErrorResponsesAreKserveJSON(t *testing.T) {
 func TestMaxBodyBytesConfigurable(t *testing.T) {
 	mod := newModule(t)
 	s, err := serve.New(mod, "", serve.Config{
-		MaxBatch: 1, MaxLatency: serve.NoLatency, MaxBodyBytes: 256,
+		MaxBodyBytes: 256,
 		DrainTimeout: time.Second,
 	})
 	if err != nil {

@@ -1,8 +1,8 @@
 // Branchy-model serving tests: Inception, DenseNet and SSD plans with
 // multi-node dependency levels, driven concurrently through the serving
-// layer's micro-batcher. Run under -race (CI does), this exercises every
-// layer of the concurrency stack at once — HTTP handlers, batch coalescing,
-// pooled sessions racing for one module's kernel thread pool.
+// layer. Run under -race (CI does), this exercises every layer of the
+// concurrency stack at once — HTTP handlers, bounded admission, pooled
+// sessions racing for one module's kernel thread pool.
 package serve_test
 
 import (
@@ -24,7 +24,7 @@ import (
 )
 
 // TestServeInterOpModels hammers Inception, DenseNet and SSD compiled onto a
-// 2-thread pool through the micro-batcher from many goroutines and checks
+// 2-thread pool through the server from many goroutines and checks
 // every response bit for bit against a single-session reference run of the
 // same input.
 func TestServeInterOpModels(t *testing.T) {
@@ -49,7 +49,7 @@ func TestServeInterOpModels(t *testing.T) {
 			}
 			t.Cleanup(mod.Close)
 
-			_, ts := newServer(t, mod, serve.Config{PoolSize: 3, MaxBatch: 4})
+			_, ts := newServer(t, mod, serve.Config{PoolSize: 3})
 
 			// Reference outputs from a private session per distinct input.
 			ref, err := mod.NewSession()
@@ -118,7 +118,7 @@ func TestServeInterOpModels(t *testing.T) {
 							}
 							for k := range o.Data {
 								if math.Float32bits(o.Data[k]) != math.Float32bits(want[which][j][k]) {
-									errCh <- fmt.Errorf("output %d[%d] = %#x, want %#x (batched result diverged)", j, k, math.Float32bits(o.Data[k]), math.Float32bits(want[which][j][k]))
+									errCh <- fmt.Errorf("output %d[%d] = %#x, want %#x (pooled result diverged)", j, k, math.Float32bits(o.Data[k]), math.Float32bits(want[which][j][k]))
 									return
 								}
 							}

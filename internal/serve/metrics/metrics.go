@@ -1,6 +1,6 @@
 // Package metrics is the serving tier's observability registry: a
 // stdlib-only, lock-cheap collection of counters, histograms and gauges that
-// the session pool, micro-batcher, model registry, circuit breaker and
+// the session pool, admission front, model registry, circuit breaker and
 // health machine all feed, exposed in the Prometheus text format on
 // /metrics.
 //
@@ -32,17 +32,13 @@ import (
 )
 
 // DurationBuckets are the histogram bounds (seconds) shared by the request
-// latency, queue wait and batch latency families: exponential-ish from 100µs
-// to 10s, matching the µs-to-ms regime of CPU CNN inference with headroom
-// for saturated queues.
+// latency, queue wait and execution latency families: exponential-ish from
+// 100µs to 10s, matching the µs-to-ms regime of CPU CNN inference with
+// headroom for saturated queues.
 var DurationBuckets = []float64{
 	0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01,
 	0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 10,
 }
-
-// SizeBuckets are the batch-size histogram bounds (requests per dispatched
-// micro-batch).
-var SizeBuckets = []float64{1, 2, 4, 8, 16, 32, 64}
 
 // trackedCodes are the HTTP statuses the serving stack deliberately answers
 // (see docs/SERVING.md's status matrix); anything else lands in the
@@ -144,7 +140,7 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 // Gauges is one model's scrape-time gauge snapshot, produced by the
 // callback registered with Model.SetGaugeFunc.
 type Gauges struct {
-	// QueueDepth is the number of requests sitting in the admission queue.
+	// QueueDepth is the number of requests waiting for a session.
 	QueueDepth int
 	// PoolSessions / PoolInUse / PoolMax describe the session pool: created
 	// sessions, sessions currently checked out, and the bound.
@@ -162,28 +158,23 @@ type Model struct {
 	name string
 
 	requests    [len(trackedCodes) + 1]atomic.Uint64
-	batches     atomic.Uint64
-	sharded     atomic.Uint64
-	shards      atomic.Uint64
 	discards    atomic.Uint64
 	panics      atomic.Uint64
 	transitions [len(breakerStates)]atomic.Uint64
 
-	latency      *Histogram
-	queueWait    *Histogram
-	batchLatency *Histogram
-	batchSize    *Histogram
+	latency     *Histogram
+	queueWait   *Histogram
+	execLatency *Histogram
 
 	gauges atomic.Value // func() Gauges; a typed nil func means "cleared"
 }
 
 func newModel(name string) *Model {
 	return &Model{
-		name:         name,
-		latency:      newHistogram(DurationBuckets),
-		queueWait:    newHistogram(DurationBuckets),
-		batchLatency: newHistogram(DurationBuckets),
-		batchSize:    newHistogram(SizeBuckets),
+		name:        name,
+		latency:     newHistogram(DurationBuckets),
+		queueWait:   newHistogram(DurationBuckets),
+		execLatency: newHistogram(DurationBuckets),
 	}
 }
 
@@ -197,8 +188,8 @@ func (m *Model) ObserveRequest(code int, d time.Duration) {
 	m.latency.Observe(d.Seconds())
 }
 
-// ObserveQueueWait records how long one admitted request sat queued before
-// its batch dispatched.
+// ObserveQueueWait records how long one admitted request took from
+// admission to holding a session.
 func (m *Model) ObserveQueueWait(d time.Duration) {
 	if m == nil {
 		return
@@ -206,20 +197,12 @@ func (m *Model) ObserveQueueWait(d time.Duration) {
 	m.queueWait.Observe(d.Seconds())
 }
 
-// ObserveBatch records one dispatched micro-batch: its size (live requests),
-// how many session lanes ran it (>1 means it was sharded), and its execution
-// latency.
-func (m *Model) ObserveBatch(size, lanes int, d time.Duration) {
+// ObserveExec records one request's execution latency on its session.
+func (m *Model) ObserveExec(d time.Duration) {
 	if m == nil {
 		return
 	}
-	m.batches.Add(1)
-	m.batchSize.Observe(float64(size))
-	m.batchLatency.Observe(d.Seconds())
-	if lanes > 1 {
-		m.sharded.Add(1)
-		m.shards.Add(uint64(lanes))
-	}
+	m.execLatency.Observe(d.Seconds())
 }
 
 // IncDiscard counts one session quarantined out of the pool.
@@ -230,8 +213,7 @@ func (m *Model) IncDiscard() {
 	m.discards.Add(1)
 }
 
-// IncPanic counts one batch (or shard) that failed with a recovered
-// execution panic.
+// IncPanic counts one run that failed with a recovered execution panic.
 func (m *Model) IncPanic() {
 	if m == nil {
 		return
@@ -401,27 +383,13 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		"Inference requests addressed to model names the repository has never registered.")
 	b.sample("neocpu_unknown_model_requests_total", r.unknown.Load())
 
-	b.family("neocpu_batches_total", "counter", "Micro-batches dispatched.")
-	for _, m := range models {
-		b.sample("neocpu_batches_total", m.batches.Load(), "model", m.name)
-	}
-	b.family("neocpu_sharded_batches_total", "counter",
-		"Dispatched batches split across more than one pooled session.")
-	for _, m := range models {
-		b.sample("neocpu_sharded_batches_total", m.sharded.Load(), "model", m.name)
-	}
-	b.family("neocpu_batch_shards_total", "counter",
-		"Total session lanes used by sharded batches.")
-	for _, m := range models {
-		b.sample("neocpu_batch_shards_total", m.shards.Load(), "model", m.name)
-	}
 	b.family("neocpu_session_discards_total", "counter",
 		"Sessions quarantined out of the pool after an execution panic.")
 	for _, m := range models {
 		b.sample("neocpu_session_discards_total", m.discards.Load(), "model", m.name)
 	}
 	b.family("neocpu_exec_panics_total", "counter",
-		"Batches or shards that failed with a recovered execution panic.")
+		"Runs that failed with a recovered execution panic.")
 	for _, m := range models {
 		b.sample("neocpu_exec_panics_total", m.panics.Load(), "model", m.name)
 	}
@@ -444,19 +412,14 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		b.histogram("neocpu_request_duration_seconds", m.name, m.latency.Snapshot())
 	}
 	b.family("neocpu_queue_wait_seconds", "histogram",
-		"Time admitted requests sat queued before their batch dispatched.")
+		"Time from admission until the request held a session.")
 	for _, m := range models {
 		b.histogram("neocpu_queue_wait_seconds", m.name, m.queueWait.Snapshot())
 	}
 	b.family("neocpu_batch_duration_seconds", "histogram",
-		"Micro-batch execution latency.")
+		"Execution latency of one request on its session.")
 	for _, m := range models {
-		b.histogram("neocpu_batch_duration_seconds", m.name, m.batchLatency.Snapshot())
-	}
-	b.family("neocpu_batch_size", "histogram",
-		"Live requests per dispatched micro-batch.")
-	for _, m := range models {
-		b.histogram("neocpu_batch_size", m.name, m.batchSize.Snapshot())
+		b.histogram("neocpu_batch_duration_seconds", m.name, m.execLatency.Snapshot())
 	}
 
 	// Gauges: only models with a live callback (i.e. currently loaded)
@@ -473,7 +436,7 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		}
 		rows = append(rows, gaugeRow{m.name, fn()})
 	}
-	b.family("neocpu_queue_depth", "gauge", "Requests sitting in the admission queue.")
+	b.family("neocpu_queue_depth", "gauge", "Requests waiting for a session.")
 	for _, r := range rows {
 		b.sample("neocpu_queue_depth", uint64(r.g.QueueDepth), "model", r.name)
 	}

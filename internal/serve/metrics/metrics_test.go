@@ -67,7 +67,7 @@ func TestNilModelIsSafe(t *testing.T) {
 	var m *Model
 	m.ObserveRequest(200, time.Millisecond)
 	m.ObserveQueueWait(time.Millisecond)
-	m.ObserveBatch(4, 2, time.Millisecond)
+	m.ObserveExec(time.Millisecond)
 	m.IncDiscard()
 	m.IncPanic()
 	m.BreakerTransition(BreakerOpen)

@@ -40,9 +40,9 @@ func scrapeMetrics(t *testing.T, ts *httptest.Server) *promDoc {
 	return parseProm(t, string(body))
 }
 
-// awaitBatcherQuiet polls a model's batch counters until two consecutive
-// snapshots agree — delayed in-flight batches from a prior phase have
-// finished, so the next phase's counter deltas are exact.
+// awaitBatcherQuiet polls a model's run counters until two consecutive
+// snapshots agree — in-flight runs from a prior phase have finished, so the
+// next phase's counter deltas are exact.
 func awaitBatcherQuiet(t *testing.T, reg *serve.Registry, model string) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
@@ -56,13 +56,13 @@ func awaitBatcherQuiet(t *testing.T, reg *serve.Registry, model string) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if cur.Batch.Batches == prev.Batch.Batches && cur.Batch.Items == prev.Batch.Items &&
+		if cur.Pool.Runs == prev.Pool.Runs && cur.Pool.Items == prev.Pool.Items &&
 			cur.Batch.Panics == prev.Batch.Panics {
 			return
 		}
 		prev = cur
 	}
-	t.Fatal("batcher never went quiet")
+	t.Fatal("runs never went quiet")
 }
 
 func TestMetricsContract(t *testing.T) {
@@ -70,7 +70,7 @@ func TestMetricsContract(t *testing.T) {
 	dir := t.TempDir()
 	writeBundles(t, dir, "tiny-cnn", "tiny-resnet")
 	cfg := serve.RegistryConfig{Defaults: serve.Config{
-		MaxBatch: 1, MaxLatency: serve.NoLatency, QueueDepth: 4,
+		QueueDepth:       4,
 		BreakerThreshold: -1, // keep 500s/panics out of breaker state
 		DrainTimeout:     time.Second,
 	}}
@@ -122,7 +122,7 @@ func TestMetricsContract(t *testing.T) {
 		}
 	}
 
-	// Phase 3 — saturation: 80ms batches against 50ms budgets on a 4-deep
+	// Phase 3 — saturation: 80ms runs against 50ms budgets on a 4-deep
 	// queue. Every request resolves as 504 (budget expiry) or 429
 	// (backpressure); tally what the clients saw for the exact-delta check.
 	removeDelay := faults.Inject(faults.SiteBatcherDispatch,
@@ -155,16 +155,15 @@ func TestMetricsContract(t *testing.T) {
 	if clientCodes[http.StatusGatewayTimeout] == 0 {
 		t.Fatalf("no 504 under saturation (counts %v)", clientCodes)
 	}
-	// Delayed batches may still be in flight after their clients got 504;
-	// let them finish so the panic phase's deltas are exact.
+	// Let every delayed run finish so the panic phase's deltas are exact.
 	awaitBatcherQuiet(t, reg, "tiny-cnn")
 	preStats, err := reg.ModelStatsFor("tiny-cnn")
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	// Phase 4 — panics: each request is its own batch (MaxBatch 1), panics,
-	// quarantines its session, answers 500.
+	// Phase 4 — panics: each request panics, quarantines its session and
+	// answers 500.
 	removePanic := faults.Inject(faults.SiteSessionRun,
 		faults.OnLabel("tiny-cnn", faults.Panic("metrics contract: injected panic")))
 	const panics = 2
@@ -211,27 +210,27 @@ func TestMetricsContract(t *testing.T) {
 	}
 
 	// Histograms: well-formed for both models; tiny-resnet's counts are
-	// exact (5 sequential requests through MaxBatch-1 = 5 single-item
-	// batches, all admitted instantly).
+	// exact (5 sequential requests, each admitted and run once).
 	for _, fam := range []string{
 		"neocpu_request_duration_seconds",
 		"neocpu_queue_wait_seconds",
 		"neocpu_batch_duration_seconds",
-		"neocpu_batch_size",
 	} {
 		if n := checkHistogram(t, doc, fam, "tiny-resnet"); n != okReqs {
 			t.Fatalf("%s{tiny-resnet} count = %g, want %d", fam, n, okReqs)
 		}
 		checkHistogram(t, doc, fam, "tiny-cnn")
 	}
-	if v := doc.value(t, "neocpu_batch_size_sum", labels("model", "tiny-resnet")); v != okReqs {
-		t.Fatalf("batch_size_sum{tiny-resnet} = %g, want %d", v, okReqs)
-	}
-	if v := doc.value(t, "neocpu_batches_total", labels("model", "tiny-resnet")); v != okReqs {
-		t.Fatalf("batches_total{tiny-resnet} = %g, want %d", v, okReqs)
-	}
-	if v := doc.value(t, "neocpu_sharded_batches_total", labels("model", "tiny-resnet")); v != 0 {
-		t.Fatalf("sharded_batches_total{tiny-resnet} = %g, want 0 (pool of 1-item batches)", v)
+	// Nothing coalesces requests, so no family describes coalescing.
+	for _, fam := range []string{
+		"neocpu_batches_total",
+		"neocpu_sharded_batches_total",
+		"neocpu_batch_shards_total",
+		"neocpu_batch_size",
+	} {
+		if _, ok := doc.families[fam]; ok {
+			t.Fatalf("family %s is exposed", fam)
+		}
 	}
 
 	// Gauges settle with no traffic in flight.
@@ -252,7 +251,7 @@ func TestMetricsContract(t *testing.T) {
 func TestMetricsDisabled(t *testing.T) {
 	mod := newModule(t)
 	_, ts := newServer(t, mod, serve.Config{
-		PoolSize: 1, MaxLatency: serve.NoLatency, DisableMetrics: true,
+		PoolSize: 1, DisableMetrics: true,
 	})
 	resp, err := ts.Client().Get(ts.URL + "/metrics")
 	if err != nil {
@@ -267,13 +266,11 @@ func TestMetricsDisabled(t *testing.T) {
 
 // TestStatsConsistentUnderLoad is the /v2/stats tearing regression: Stats
 // snapshots racing live traffic must each be internally consistent —
-// Waits <= Acquires, Idle <= Size <= MaxSize, Items >= Batches — and the
-// counters monotonic across snapshots. Run under -race in CI.
+// Waits <= Acquires, Idle <= Size <= MaxSize — and the counters monotonic
+// across snapshots. Run under -race in CI.
 func TestStatsConsistentUnderLoad(t *testing.T) {
 	mod := newModule(t)
-	srv, _ := newServer(t, mod, serve.Config{
-		PoolSize: 2, MaxBatch: 4, MaxLatency: time.Millisecond, QueueDepth: 64,
-	})
+	srv, _ := newServer(t, mod, serve.Config{PoolSize: 2, QueueDepth: 64})
 	h := srv.Handler()
 	body := inferBody(t, testInput(5))
 
@@ -313,10 +310,7 @@ func TestStatsConsistentUnderLoad(t *testing.T) {
 		if p.Idle > p.Size || p.Size > p.MaxSize {
 			t.Fatalf("torn snapshot: idle %d size %d max %d", p.Idle, p.Size, p.MaxSize)
 		}
-		if st.Batch.Items < st.Batch.Batches {
-			t.Fatalf("torn snapshot: %d items < %d batches", st.Batch.Items, st.Batch.Batches)
-		}
-		if p.Acquires < prev.Pool.Acquires || st.Batch.Items < prev.Batch.Items {
+		if p.Acquires < prev.Pool.Acquires || p.Items < prev.Pool.Items || st.Batch.Rejected < prev.Batch.Rejected {
 			t.Fatalf("counters went backwards between snapshots: %+v then %+v", prev, st)
 		}
 		prev = st
@@ -327,4 +321,28 @@ func TestStatsConsistentUnderLoad(t *testing.T) {
 		t.Fatalf("only %d snapshots taken", snapshots)
 	}
 	t.Logf("%d consistent snapshots against live traffic", snapshots)
+}
+
+// TestIdleServerRunsWithoutQueueWait: on an idle server a request runs as
+// soon as it is admitted. Twenty sequential requests must spend under 20ms
+// in total between admission and holding a session; a server that lingers
+// for companions (2ms per request) fails this.
+func TestIdleServerRunsWithoutQueueWait(t *testing.T) {
+	mod := newModule(t)
+	_, ts := newServer(t, mod, serve.Config{})
+	body := inferBody(t, testInput(4))
+	const n = 20
+	for i := 0; i < n; i++ {
+		if _, code := postInfer(t, ts.Client(), ts.URL, body); code != http.StatusOK {
+			t.Fatalf("request %d: status %d", i, code)
+		}
+	}
+	doc := scrapeMetrics(t, ts)
+	model := map[string]string{"model": "tiny-resnet"}
+	if c := doc.value(t, "neocpu_queue_wait_seconds_count", model); c != n {
+		t.Fatalf("queue_wait_seconds_count = %g, want %d", c, n)
+	}
+	if sum := doc.value(t, "neocpu_queue_wait_seconds_sum", model); sum >= 0.020 {
+		t.Fatalf("%d requests on an idle server waited %.1fms in total, want < 20ms", n, sum*1000)
+	}
 }

@@ -1,8 +1,7 @@
 // Depthwise serving test: TinyMobileNet — depthwise-separable blocks, the
-// shared-block depthwise kernel — driven through the micro-batcher by many
+// shared-block depthwise kernel — served from one pooled session to many
 // concurrent clients under -race (CI runs the race detector), with every
-// response checked bit-for-bit against the module's own single-lane output
-// and the batcher required to demonstrably coalesce.
+// response checked bit-for-bit against the module's own single-lane output.
 package serve_test
 
 import (
@@ -12,7 +11,6 @@ import (
 	"net/http"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/machine"
@@ -29,12 +27,8 @@ func TestServeTinyMobileNetCoalesces(t *testing.T) {
 	}
 	t.Cleanup(mod.Close)
 
-	srv, ts := newServer(t, mod, serve.Config{
-		PoolSize:   1, // one lane: concurrent requests must queue and coalesce
-		MaxBatch:   8,
-		MaxLatency: 5 * time.Millisecond,
-		QueueDepth: 256,
-	})
+	// One session: concurrent requests must wait for it in turn.
+	srv, ts := newServer(t, mod, serve.Config{PoolSize: 1, QueueDepth: 256})
 
 	const clients = 24
 	const runsEach = 2
@@ -77,7 +71,7 @@ func TestServeTinyMobileNetCoalesces(t *testing.T) {
 				}
 				for i, v := range ir.Outputs[0].Data {
 					if v != wants[c][i] {
-						errs <- fmt.Errorf("client %d run %d: output[%d] = %v, want %v (batched depthwise result diverged)", c, r, i, v, wants[c][i])
+						errs <- fmt.Errorf("client %d run %d: output[%d] = %v, want %v (pooled depthwise result diverged)", c, r, i, v, wants[c][i])
 						return
 					}
 				}
@@ -91,11 +85,11 @@ func TestServeTinyMobileNetCoalesces(t *testing.T) {
 	}
 
 	st := srv.Stats()
-	if st.Batch.Items != clients*runsEach {
-		t.Fatalf("batcher carried %d items, want %d", st.Batch.Items, clients*runsEach)
+	if st.Pool.Items != clients*runsEach {
+		t.Fatalf("sessions completed %d items, want %d", st.Pool.Items, clients*runsEach)
 	}
-	if st.Batch.MaxObserved <= 1 {
-		t.Fatalf("max observed batch size %d: micro-batcher never coalesced %d concurrent mobilenet clients", st.Batch.MaxObserved, clients)
+	if st.Pool.Size != 1 {
+		t.Fatalf("pool grew to %d sessions, bound is 1", st.Pool.Size)
 	}
-	t.Logf("batches=%d items=%d max=%d", st.Batch.Batches, st.Batch.Items, st.Batch.MaxObserved)
+	t.Logf("items=%d pool_waits=%d", st.Pool.Items, st.Pool.Waits)
 }

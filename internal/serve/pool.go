@@ -1,9 +1,9 @@
 // Package serve turns a compiled core.Module into an inference service: a
-// bounded pool of arena-reusing Sessions, a dynamic micro-batcher that
-// coalesces concurrent requests, and an HTTP server speaking a
+// bounded pool of arena-reusing Sessions, an admission front that runs each
+// request on an idle session at once, and an HTTP server speaking a
 // kserve-v2-style JSON protocol. It is the paper's end goal — CNN inference
 // serving on commodity CPUs — layered on the execution engine: the module's
-// weights and threading runtime are shared read-only, each in-flight batch
+// weights and threading runtime are shared read-only, each in-flight request
 // runs on one pooled session, and steady-state request handling allocates
 // far less than one session arena per request.
 package serve
@@ -21,12 +21,14 @@ import (
 // SessionPool is a bounded, lazily grown pool of core.Sessions over one
 // compiled module. Sessions are expensive (one preallocated tensor arena
 // each), so the pool creates them on demand up to Max and then recycles:
-// Acquire hands out an idle session or blocks until one is released. One
-// session is created eagerly so construction fails fast on modules that
-// cannot execute (predict-only) and readiness probes reflect a warm arena.
+// Acquire hands out an idle session or blocks until one is released, and at
+// most a fixed number of callers block at once. One session is created
+// eagerly so construction fails fast on modules that cannot execute
+// (predict-only) and readiness probes reflect a warm arena.
 type SessionPool struct {
-	mod *core.Module
-	max int
+	mod   *core.Module
+	max   int
+	queue int // bound on callers blocked in Acquire
 
 	idle chan *core.Session
 
@@ -37,6 +39,7 @@ type SessionPool struct {
 	// (an Acquire's acquires++ then waits++ landing between two loads).
 	mu       sync.Mutex
 	sessions []*core.Session // every live session, for stats
+	waiting  int             // callers blocked in Acquire right now
 	acquires uint64
 	waits    uint64
 	discards uint64
@@ -62,15 +65,20 @@ func defaultPoolSize(mod *core.Module, budget int) int {
 	return n
 }
 
-// NewSessionPool creates a pool bounded at max sessions.
-func NewSessionPool(mod *core.Module, max int) (*SessionPool, error) {
+// NewSessionPool creates a pool bounded at max sessions, of which at most
+// queue callers may wait for one at a time.
+func NewSessionPool(mod *core.Module, max, queue int) (*SessionPool, error) {
 	if max <= 0 {
 		return nil, fmt.Errorf("serve: pool size must be positive, got %d", max)
 	}
+	if queue <= 0 {
+		return nil, fmt.Errorf("serve: queue depth must be positive, got %d", queue)
+	}
 	p := &SessionPool{
-		mod:  mod,
-		max:  max,
-		idle: make(chan *core.Session, max),
+		mod:   mod,
+		max:   max,
+		queue: queue,
+		idle:  make(chan *core.Session, max),
 	}
 	s, err := mod.NewSession()
 	if err != nil {
@@ -83,8 +91,10 @@ func NewSessionPool(mod *core.Module, max int) (*SessionPool, error) {
 
 // Acquire returns a session for exclusive use. It prefers an idle session,
 // grows the pool if it is still under its bound, and otherwise blocks until
-// a session is released or ctx is done. Every acquired session must be
-// handed back with Release.
+// a session is released or ctx is done; waiters are served FIFO. When the
+// queue bound's worth of callers already wait, it fails at once with
+// ErrQueueFull. Every acquired session must be handed back with Release or
+// Discard.
 func (p *SessionPool) Acquire(ctx context.Context) (*core.Session, error) {
 	p.mu.Lock()
 	p.acquires++
@@ -108,8 +118,18 @@ func (p *SessionPool) Acquire(ctx context.Context) (*core.Session, error) {
 		p.mu.Unlock()
 		return s, nil
 	}
+	if p.waiting >= p.queue {
+		p.mu.Unlock()
+		return nil, ErrQueueFull
+	}
+	p.waiting++
 	p.waits++
 	p.mu.Unlock()
+	defer func() {
+		p.mu.Lock()
+		p.waiting--
+		p.mu.Unlock()
+	}()
 	select {
 	case s := <-p.idle:
 		return s, nil
@@ -118,32 +138,11 @@ func (p *SessionPool) Acquire(ctx context.Context) (*core.Session, error) {
 	}
 }
 
-// TryAcquire returns a session without ever blocking: an idle one if
-// available, a freshly grown one if the pool is under its bound, and nil
-// when the pool is exhausted (or growth failed). It is the sharding path's
-// acquisition primitive — the batcher uses it to pick up extra lanes for a
-// large batch, and a nil result simply means the batch runs unsharded.
-func (p *SessionPool) TryAcquire() *core.Session {
-	select {
-	case s := <-p.idle:
-		p.mu.Lock()
-		p.acquires++
-		p.mu.Unlock()
-		return s
-	default:
-	}
+// Waiting reports how many callers are blocked in Acquire.
+func (p *SessionPool) Waiting() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if len(p.sessions) < p.max {
-		s, err := p.mod.NewSession()
-		if err != nil {
-			return nil
-		}
-		p.sessions = append(p.sessions, s)
-		p.acquires++
-		return s
-	}
-	return nil
+	return p.waiting
 }
 
 // Release returns an acquired session to the pool.
@@ -162,19 +161,16 @@ func (p *SessionPool) Release(s *core.Session) {
 
 // Discard removes an acquired session from the pool instead of recycling it
 // — the quarantine path for sessions whose execution panicked and whose
-// arena may hold partial writes. The slot it occupied frees up: the next
-// Acquire or TryAcquire that misses the idle list grows a fresh replacement
-// under the same bound. Callers that block in Acquire while the pool is
-// exhausted are not woken by Discard; that is fine here because the
-// batcher's single dispatcher goroutine is the only blocking-Acquire caller
-// (shard runners only ever TryAcquire, which never waits), and a sharded
-// batch that discards one lane still Releases its other lanes, which wakes
-// any blocked dispatcher.
+// arena may hold partial writes. The slot it occupied frees up. A caller
+// blocked in Acquire waits for a Release this slot will never make, so
+// while anyone waits, Discard grows the replacement into the idle list at
+// once; otherwise the next Acquire that misses the idle list grows it.
 func (p *SessionPool) Discard(s *core.Session) {
 	if s == nil {
 		return
 	}
 	p.mu.Lock()
+	defer p.mu.Unlock()
 	p.discards++
 	for i, have := range p.sessions {
 		if have == s {
@@ -182,7 +178,13 @@ func (p *SessionPool) Discard(s *core.Session) {
 			break
 		}
 	}
-	p.mu.Unlock()
+	if p.waiting == 0 || len(p.sessions) >= p.max {
+		return
+	}
+	if r, err := p.mod.NewSession(); err == nil {
+		p.sessions = append(p.sessions, r)
+		p.idle <- r // room: idle holds at most len(sessions)-1 others
+	}
 }
 
 // PoolStats is a snapshot of the pool and of the work its sessions have

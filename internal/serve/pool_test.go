@@ -25,7 +25,7 @@ func testModule(t *testing.T) *core.Module {
 }
 
 func TestPoolGrowsLazilyAndReuses(t *testing.T) {
-	p, err := NewSessionPool(testModule(t), 3)
+	p, err := NewSessionPool(testModule(t), 3, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +66,7 @@ func TestPoolGrowsLazilyAndReuses(t *testing.T) {
 }
 
 func TestPoolBlocksAtBound(t *testing.T) {
-	p, err := NewSessionPool(testModule(t), 1)
+	p, err := NewSessionPool(testModule(t), 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,8 +91,11 @@ func TestPoolBlocksAtBound(t *testing.T) {
 }
 
 func TestPoolRejectsBadConfigurations(t *testing.T) {
-	if _, err := NewSessionPool(testModule(t), 0); err == nil {
+	if _, err := NewSessionPool(testModule(t), 0, 1); err == nil {
 		t.Fatal("pool size 0 must fail")
+	}
+	if _, err := NewSessionPool(testModule(t), 1, 0); err == nil {
+		t.Fatal("queue depth 0 must fail")
 	}
 	pred, err := core.Compile(models.TinyCNN(1), machine.IntelSkylakeC5(), core.Options{
 		Level: core.OptTransformElim, NoPrepack: true,
@@ -100,14 +103,14 @@ func TestPoolRejectsBadConfigurations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewSessionPool(pred, 2); err == nil {
+	if _, err := NewSessionPool(pred, 2, 1); err == nil {
 		t.Fatal("predict-only module must fail pool construction eagerly")
 	}
 }
 
 func TestPoolSessionStatsAggregate(t *testing.T) {
 	mod := testModule(t)
-	p, err := NewSessionPool(mod, 1)
+	p, err := NewSessionPool(mod, 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,11 +137,11 @@ func TestPoolSessionStatsAggregate(t *testing.T) {
 }
 
 func TestBatcherClosedRejects(t *testing.T) {
-	p, err := NewSessionPool(testModule(t), 1)
+	p, err := NewSessionPool(testModule(t), 1, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := NewBatcher("test", p, Config{MaxBatch: 4, MaxLatency: NoLatency, QueueDepth: 4})
+	b := NewBatcher("test", p, 0)
 	b.Close()
 	in := tensor.New(tensor.NCHW(), 1, 3, 32, 32)
 	if _, err := b.Do(context.Background(), in); !errors.Is(err, ErrClosed) {
@@ -148,16 +151,12 @@ func TestBatcherClosedRejects(t *testing.T) {
 
 func TestConfigDefaultsAndValidation(t *testing.T) {
 	c := Config{}.withDefaults()
-	if c.PoolSize != 0 || c.MaxBatch != 8 || c.MaxLatency != 2*time.Millisecond || c.QueueDepth != 32 || c.ArenaBudget != 64<<20 {
+	if c.PoolSize != 0 || c.QueueDepth != 32 || c.ArenaBudget != 64<<20 {
 		t.Fatalf("defaults: %+v", c)
-	}
-	if c := (Config{MaxLatency: NoLatency}).withDefaults(); c.MaxLatency != 0 {
-		t.Fatalf("NoLatency must resolve to 0, got %v", c.MaxLatency)
 	}
 	mod := testModule(t)
 	for _, bad := range []Config{
 		{PoolSize: -1},
-		{MaxBatch: -2},
 		{QueueDepth: -3},
 	} {
 		if _, err := New(mod, "", bad); err == nil {

@@ -44,7 +44,7 @@ const (
 	StateLoading ModelState = "loading"
 	// StateReady: serving.
 	StateReady ModelState = "ready"
-	// StateUnloading: draining in-flight batches before teardown.
+	// StateUnloading: draining in-flight requests before teardown.
 	StateUnloading ModelState = "unloading"
 	// StateUnloaded: was loaded, then unloaded or evicted.
 	StateUnloaded ModelState = "unloaded"
@@ -85,7 +85,7 @@ type ModelSource interface {
 }
 
 // ConfigSource is an optional ModelSource extension providing per-model
-// serving configuration (pool bound, batcher shape).
+// serving configuration (pool bound, queue depth, timeouts).
 type ConfigSource interface {
 	// Config returns the model's serving config and whether one was found.
 	Config(name string) (Config, bool, error)
@@ -310,19 +310,19 @@ func (r *Registry) Load(name string) error {
 		r.failLoad(e, mod, owns, err)
 		return err
 	}
-	pool, err := NewSessionPool(mod, poolSize)
+	pool, err := NewSessionPool(mod, poolSize, cfg.QueueDepth)
 	if err != nil {
 		r.unreserve(need)
 		r.failLoad(e, mod, owns, err)
 		return err
 	}
-	batcher := NewBatcher(name, pool, cfg)
+	batcher := NewBatcher(name, pool, cfg.DrainTimeout)
 	mm := r.metrics.Model(name)
 	batcher.SetMetrics(mm)
 	var breaker *Breaker
 	if cfg.BreakerThreshold > 0 {
 		breaker = newBreaker(cfg.BreakerThreshold, cfg.BreakerWindow, cfg.BreakerCooldown)
-		// The batcher reports each batch's execution outcome; panics and
+		// The batcher reports each request's execution outcome; panics and
 		// executor errors count toward tripping, client aborts do not.
 		batcher.OnBatchDone(breaker.Record)
 		breaker.OnTransition(mm.BreakerTransition)
@@ -434,7 +434,7 @@ func (r *Registry) unreserve(n int) {
 }
 
 // teardown drains and releases a model previously marked StateUnloading.
-// Batcher.Close waits for in-flight batches, so every pooled session is back
+// Batcher.Close waits for in-flight requests, so every pooled session is back
 // on the idle list before the module (and with it the arenas) is dropped.
 func (r *Registry) teardown(e *entry, evicted bool) {
 	e.batcher.Close()
@@ -463,7 +463,7 @@ func (r *Registry) teardown(e *entry, evicted bool) {
 	}
 }
 
-// Unload takes a ready model out of service, draining in-flight batches
+// Unload takes a ready model out of service, draining in-flight requests
 // first. Unloading a model that is not loaded is a no-op; unloading one
 // mid-transition fails with ErrModelBusy.
 func (r *Registry) Unload(name string) error {
@@ -505,7 +505,7 @@ func (r *Registry) Module(name string) (*core.Module, error) {
 	return e.mod, nil
 }
 
-// Infer routes one input through the named model's micro-batcher. The entry
+// Infer runs one input on one of the named model's pooled sessions. The entry
 // is pinned with an in-flight count for the duration, which is what makes
 // LRU eviction safe: eviction only ever selects models with zero in-flight
 // requests, atomically with marking them unloading.
@@ -514,8 +514,8 @@ func (r *Registry) Infer(ctx context.Context, name string, in *tensor.Tensor) ([
 	return outs, err
 }
 
-// InferTraced is Infer plus the ID of the micro-batch that carried the
-// request (0 when it never reached one) — the access log's batch_id field.
+// InferTraced is Infer plus the request's execution ID (0 when it never
+// ran) — the access log's batch_id field.
 func (r *Registry) InferTraced(ctx context.Context, name string, in *tensor.Tensor) ([]*tensor.Tensor, uint64, error) {
 	r.mu.Lock()
 	if r.draining || r.closed {
@@ -538,17 +538,17 @@ func (r *Registry) InferTraced(ctx context.Context, name string, in *tensor.Tens
 	b, br := e.batcher, e.breaker
 	r.mu.Unlock()
 	var outs []*tensor.Tensor
-	var batchID uint64
+	var execID uint64
 	var err error
 	if br != nil && !br.Allow() {
 		err = fmt.Errorf("%w: %q (circuit breaker open)", ErrModelDegraded, name)
 	} else {
-		outs, batchID, err = b.DoTraced(ctx, in)
+		outs, execID, err = b.DoTraced(ctx, in)
 	}
 	r.mu.Lock()
 	e.inflight--
 	r.mu.Unlock()
-	return outs, batchID, err
+	return outs, execID, err
 }
 
 // Drain stops admission registry-wide: Infer refuses new requests while
@@ -596,7 +596,7 @@ func (r *Registry) StateOf(name string) (ModelState, error) {
 }
 
 // RetryAfterSeconds derives a Retry-After value for one model's 429/503
-// responses: the larger of the batcher's queue-based wait estimate and the
+// responses: the larger of the batcher's waiter-based wait estimate and the
 // breaker's remaining cooldown, floored at 1 second.
 func (r *Registry) RetryAfterSeconds(name string) int {
 	r.mu.Lock()

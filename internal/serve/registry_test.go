@@ -21,6 +21,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/faults"
 	"repro/internal/machine"
 	"repro/internal/models"
 	"repro/internal/serve"
@@ -109,7 +110,7 @@ func TestRegistryLifecycleAndEviction(t *testing.T) {
 	total := arenas["tiny-cnn"] + arenas["tiny-resnet"] + arenas["tiny-vgg"]
 	over := map[string]serve.Config{}
 	for name := range arenas {
-		over[name] = serve.Config{PoolSize: 1, MaxLatency: serve.NoLatency}
+		over[name] = serve.Config{PoolSize: 1}
 	}
 	// One session each; all three at once is exactly one byte over budget.
 	reg := newRepoRegistry(t, dir, serve.RegistryConfig{
@@ -200,17 +201,15 @@ func TestRegistryLifecycleAndEviction(t *testing.T) {
 // load fails with ErrArenaBudget instead, and the in-flight request
 // completes on its intact session.
 func TestEvictionSkipsBusyModel(t *testing.T) {
+	defer faults.Reset()
 	dir := t.TempDir()
 	arenas := writeBundles(t, dir, "tiny-cnn", "tiny-resnet")
 	reg := newRepoRegistry(t, dir, serve.RegistryConfig{
 		// Either model fits alone; both together never do.
 		ArenaBudget: arenas["tiny-cnn"] + arenas["tiny-resnet"] - 1,
 		Overrides: map[string]serve.Config{
-			// A long straggler window holds tiny-cnn requests (and the
-			// model's in-flight count) open until a second request arrives
-			// or the window lapses.
-			"tiny-cnn":    {PoolSize: 1, MaxBatch: 2, MaxLatency: 2 * time.Second},
-			"tiny-resnet": {PoolSize: 1, MaxLatency: serve.NoLatency},
+			"tiny-cnn":    {PoolSize: 1},
+			"tiny-resnet": {PoolSize: 1},
 		},
 		LoadOptions: core.Options{Threads: 1, Backend: machine.BackendSerial},
 	})
@@ -225,14 +224,21 @@ func TestEvictionSkipsBusyModel(t *testing.T) {
 		outs []*tensor.Tensor
 		err  error
 	}
+	// Hold the tiny-cnn run on its session (and the model's in-flight count
+	// above zero) until the refused load has been checked.
+	release := make(chan struct{})
+	faults.Inject(faults.SiteBatcherDispatch, faults.OnLabel("tiny-cnn", func(string) error {
+		<-release
+		return nil
+	}))
 	done := make(chan result, 1)
 	go func() {
 		outs, err := reg.Infer(context.Background(), "tiny-cnn", in)
 		done <- result{outs, err}
 	}()
 
-	// Wait until the request is demonstrably in flight (sitting in the
-	// coalescing window), then try to load the second model.
+	// Wait until the request is demonstrably in flight, then try to load the
+	// second model.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		inflight := 0
@@ -245,7 +251,7 @@ func TestEvictionSkipsBusyModel(t *testing.T) {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatal("request never entered the batcher")
+			t.Fatal("request never went in flight")
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -256,6 +262,7 @@ func TestEvictionSkipsBusyModel(t *testing.T) {
 		t.Fatalf("busy model state %q after refused eviction, want ready", got)
 	}
 
+	close(release)
 	r := <-done
 	if r.err != nil {
 		t.Fatalf("in-flight request failed: %v", r.err)
@@ -287,7 +294,7 @@ func TestRegistryConcurrentChaos(t *testing.T) {
 	over := map[string]serve.Config{}
 	for name, a := range arenas {
 		total += a
-		over[name] = serve.Config{PoolSize: 1, MaxLatency: serve.NoLatency, QueueDepth: 64}
+		over[name] = serve.Config{PoolSize: 1, QueueDepth: 64}
 	}
 	reg := newRepoRegistry(t, dir, serve.RegistryConfig{
 		ArenaBudget: total - 1, // any two fit, all three never do
@@ -406,7 +413,7 @@ func TestRepositoryServerHTTP(t *testing.T) {
 	dir := t.TempDir()
 	writeBundles(t, dir, "tiny-cnn", "tiny-resnet")
 	reg := newRepoRegistry(t, dir, serve.RegistryConfig{
-		Defaults:    serve.Config{PoolSize: 2, MaxLatency: serve.NoLatency},
+		Defaults:    serve.Config{PoolSize: 2},
 		LoadOptions: core.Options{Threads: 1, Backend: machine.BackendSerial},
 	})
 	srv, err := serve.NewRepository(reg)
@@ -491,7 +498,7 @@ func TestRepositoryServerHTTP(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		single, err := serve.New(mod, "", serve.Config{PoolSize: 1, MaxLatency: serve.NoLatency})
+		single, err := serve.New(mod, "", serve.Config{PoolSize: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -544,7 +551,7 @@ func TestRepositoryServerHTTP(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if st.Batch.Items == 0 || st.Pool.ArenaBytesPerSession == 0 {
+	if st.Pool.Items == 0 || st.Pool.ArenaBytesPerSession == 0 {
 		t.Fatalf("per-model stats look empty: %+v", st)
 	}
 	resp, err = client.Get(ts.URL + "/v2/models/missing/stats")
@@ -590,19 +597,26 @@ func TestRepositoryServerHTTP(t *testing.T) {
 }
 
 // TestSidecarConfig: a <name>.config.json next to the bundle tunes that
-// model's pool and batcher without touching the others.
+// model's pool and admission without touching the others. A sidecar written
+// for older servers, still carrying max_batch and max_latency_ms, loads with
+// both keys ignored.
 func TestSidecarConfig(t *testing.T) {
 	dir := t.TempDir()
-	writeBundles(t, dir, "tiny-cnn", "tiny-resnet")
-	sidecar := `{"pool_size": 1, "max_batch": 3, "max_latency_ms": -1, "queue_depth": 5}`
-	if err := os.WriteFile(filepath.Join(dir, "tiny-cnn.config.json"), []byte(sidecar), 0o644); err != nil {
-		t.Fatal(err)
+	writeBundles(t, dir, "tiny-cnn", "tiny-resnet", "tiny-vgg")
+	sidecars := map[string]string{
+		"tiny-cnn": `{"pool_size": 1, "queue_depth": 5}`,
+		"tiny-vgg": `{"pool_size": 2, "max_batch": 8, "max_latency_ms": 2, "queue_depth": 3}`,
+	}
+	for name, sc := range sidecars {
+		if err := os.WriteFile(filepath.Join(dir, name+".config.json"), []byte(sc), 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
 	reg := newRepoRegistry(t, dir, serve.RegistryConfig{
-		Defaults:    serve.Config{PoolSize: 4, MaxLatency: serve.NoLatency},
+		Defaults:    serve.Config{PoolSize: 4},
 		LoadOptions: core.Options{Threads: 1, Backend: machine.BackendSerial},
 	})
-	for _, name := range []string{"tiny-cnn", "tiny-resnet"} {
+	for _, name := range []string{"tiny-cnn", "tiny-resnet", "tiny-vgg"} {
 		if err := reg.Load(name); err != nil {
 			t.Fatal(err)
 		}
@@ -620,5 +634,19 @@ func TestSidecarConfig(t *testing.T) {
 	}
 	if resnet.Pool.MaxSize != 4 {
 		t.Fatalf("default pool size not applied: max %d, want 4", resnet.Pool.MaxSize)
+	}
+	vgg, err := reg.ModelStatsFor("tiny-vgg")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if vgg.Pool.MaxSize != 2 {
+		t.Fatalf("older sidecar's pool_size ignored: max %d, want 2", vgg.Pool.MaxSize)
+	}
+	got, found, err := (&serve.DirSource{Dir: dir}).Config("tiny-vgg")
+	if err != nil || !found {
+		t.Fatalf("older sidecar: found %v, err %v", found, err)
+	}
+	if want := (serve.Config{PoolSize: 2, QueueDepth: 3}); got != want {
+		t.Fatalf("older sidecar resolved to %+v, want %+v", got, want)
 	}
 }

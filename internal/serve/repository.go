@@ -73,12 +73,12 @@ func (d *DirSource) Load(name string, opts core.Options) (*core.Module, error) {
 
 // sidecarConfig is the on-disk shape of a <name>.config.json sidecar. All
 // fields are optional; absent ones fall back to the registry default.
+// Unknown keys are ignored, so sidecars that still carry the max_batch and
+// max_latency_ms keys of older servers load unchanged.
 type sidecarConfig struct {
-	PoolSize     *int     `json:"pool_size"`
-	ArenaBudget  *int     `json:"arena_budget"`
-	MaxBatch     *int     `json:"max_batch"`
-	MaxLatencyMS *float64 `json:"max_latency_ms"` // negative disables the straggler window
-	QueueDepth   *int     `json:"queue_depth"`
+	PoolSize    *int `json:"pool_size"`
+	ArenaBudget *int `json:"arena_budget"`
+	QueueDepth  *int `json:"queue_depth"`
 	// RequestTimeoutMS is the model's default per-request deadline budget;
 	// negative disables the server-side budget.
 	RequestTimeoutMS *float64 `json:"request_timeout_ms"`
@@ -110,16 +110,6 @@ func (d *DirSource) Config(name string) (Config, bool, error) {
 	}
 	if sc.ArenaBudget != nil {
 		c.ArenaBudget = *sc.ArenaBudget
-	}
-	if sc.MaxBatch != nil {
-		c.MaxBatch = *sc.MaxBatch
-	}
-	if sc.MaxLatencyMS != nil {
-		if *sc.MaxLatencyMS < 0 {
-			c.MaxLatency = NoLatency
-		} else {
-			c.MaxLatency = time.Duration(*sc.MaxLatencyMS * float64(time.Millisecond))
-		}
 	}
 	if sc.QueueDepth != nil {
 		c.QueueDepth = *sc.QueueDepth

@@ -30,14 +30,8 @@ type Config struct {
 	// arenas, in bytes (default 64 MiB). Ignored when PoolSize is set
 	// explicitly.
 	ArenaBudget int
-	// MaxBatch caps how many requests one dispatch coalesces (default 8).
-	MaxBatch int
-	// MaxLatency is the longest the batcher lingers for stragglers once a
-	// session is free and at least one request is waiting. The default is
-	// 2ms; pass NoLatency to dispatch immediately with whatever is queued.
-	MaxLatency time.Duration
-	// QueueDepth bounds admission; a full queue answers 429 (default
-	// 4*MaxBatch).
+	// QueueDepth bounds how many requests may wait at once for a session
+	// while every session is busy; the next one answers 429 (default 32).
 	QueueDepth int
 	// RequestTimeout is the per-request deadline budget applied when the
 	// client sends no X-Request-Timeout header (default 30s; NoTimeout
@@ -48,11 +42,11 @@ type Config struct {
 	// cap from the model's input signature (~32 bytes of JSON per float32
 	// plus fixed headroom); oversized bodies answer 413.
 	MaxBodyBytes int64
-	// DrainTimeout bounds how long Close/Unload lets queued requests and
-	// in-flight batches finish before cancelling them (default 5s;
-	// negative drops the grace period entirely).
+	// DrainTimeout bounds how long Close/Unload lets admitted requests
+	// finish before cancelling them (default 5s; negative drops the grace
+	// period entirely).
 	DrainTimeout time.Duration
-	// BreakerThreshold is how many batch-execution failures inside
+	// BreakerThreshold is how many execution failures inside
 	// BreakerWindow trip the model's circuit breaker into the degraded
 	// state (default 3; negative disables the breaker). A degraded model
 	// answers 503 until a half-open probe succeeds.
@@ -64,8 +58,8 @@ type Config struct {
 	// admitting a half-open probe (default 5s).
 	BreakerCooldown time.Duration
 	// AccessLog, when set, receives one JSON line per inference request
-	// (model, status code, latency, batch id, deadline budget, client id) —
-	// including rejected requests (4xx/429/504). The writer is serialized
+	// (model, status code, latency, execution id, deadline budget, client
+	// id) — including rejected requests (4xx/429/504). The writer is serialized
 	// behind a mutex; hand it os.Stdout or a buffered file writer.
 	AccessLog io.Writer
 	// DisableMetrics removes the GET /metrics endpoint. Collection itself
@@ -73,10 +67,6 @@ type Config struct {
 	// unexposes it.
 	DisableMetrics bool
 }
-
-// NoLatency disables the straggler window: batches dispatch with whatever is
-// already queued.
-const NoLatency = time.Duration(-1)
 
 // NoTimeout disables the server-side default request deadline; requests then
 // carry a budget only when the client sets X-Request-Timeout.
@@ -89,17 +79,8 @@ func (c Config) withDefaults() Config {
 	if c.ArenaBudget == 0 {
 		c.ArenaBudget = 64 << 20
 	}
-	if c.MaxBatch == 0 {
-		c.MaxBatch = 8
-	}
-	if c.MaxLatency == 0 {
-		c.MaxLatency = 2 * time.Millisecond
-	}
-	if c.MaxLatency < 0 {
-		c.MaxLatency = 0
-	}
 	if c.QueueDepth == 0 {
-		c.QueueDepth = 4 * c.MaxBatch
+		c.QueueDepth = 32
 	}
 	if c.RequestTimeout == 0 {
 		c.RequestTimeout = 30 * time.Second
@@ -131,9 +112,6 @@ func (c Config) validate() error {
 	if c.PoolSize < 0 {
 		return fmt.Errorf("serve: pool size must be positive, got %d", c.PoolSize)
 	}
-	if c.MaxBatch < 0 {
-		return fmt.Errorf("serve: max batch must be positive, got %d", c.MaxBatch)
-	}
 	if c.QueueDepth < 0 {
 		return fmt.Errorf("serve: queue depth must be positive, got %d", c.QueueDepth)
 	}
@@ -159,8 +137,8 @@ func (c Config) validate() error {
 //	POST /v2/repository/models/<name>/unload     take a model down
 //	GET  /metrics                                Prometheus metrics (unless disabled)
 //
-// Requests are admitted into the addressed model's micro-batcher; the
-// Handler is safe for arbitrary concurrent use, including concurrently with
+// Each admitted request runs on one of the addressed model's pooled
+// sessions, on its own handler goroutine; the Handler is safe for arbitrary concurrent use, including concurrently with
 // repository load/unload transitions.
 //
 // A server is either single-model (New: one caller-owned compiled module,
@@ -245,7 +223,7 @@ func (s *Server) Model() string { return s.primary }
 // Registry returns the underlying model registry.
 func (s *Server) Registry() *Registry { return s.reg }
 
-// Stats snapshots the primary model's pool and batcher counters
+// Stats snapshots the primary model's pool and admission counters
 // (single-model mode; zero for repository servers — use Registry().Stats()).
 func (s *Server) Stats() Stats {
 	if s.primary == "" {
@@ -265,8 +243,8 @@ func (s *Server) Stats() Stats {
 // in-flight handlers), then Close.
 func (s *Server) Drain() { s.reg.Drain() }
 
-// Close drains every loaded model's batcher (bounded by each model's
-// DrainTimeout), closes the registry and marks the server unready. Modules
+// Close drains every loaded model's admitted requests (bounded by each
+// model's DrainTimeout), closes the registry and marks the server unready. Modules
 // registered via New remain open (the caller owns them); repository-loaded
 // modules are closed.
 func (s *Server) Close() {
@@ -521,20 +499,20 @@ func (s *Server) requestDeadline(r *http.Request) (time.Duration, error) {
 func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("model")
 	start := time.Now()
-	code, batchID, budget, reqID := s.serveInfer(w, r, name)
+	code, execID, budget, reqID := s.serveInfer(w, r, name)
 	elapsed := time.Since(start)
 	if mm := s.reg.metrics.Lookup(name); mm != nil {
 		mm.ObserveRequest(code, elapsed)
 	} else {
 		s.reg.metrics.IncUnknown()
 	}
-	s.accessLog.log(name, code, elapsed, batchID, budget, reqID)
+	s.accessLog.log(name, code, elapsed, execID, budget, reqID)
 }
 
 // serveInfer runs one inference request end to end and reports its terminal
-// HTTP status, the micro-batch that carried it (0 if none), its resolved
-// deadline budget, and the client-supplied request id.
-func (s *Server) serveInfer(w http.ResponseWriter, r *http.Request, name string) (code int, batchID uint64, budget time.Duration, reqID string) {
+// HTTP status, its execution ID (0 if it never ran), its resolved deadline
+// budget, and the client-supplied request id.
+func (s *Server) serveInfer(w http.ResponseWriter, r *http.Request, name string) (code int, execID uint64, budget time.Duration, reqID string) {
 	mod, err := s.reg.Module(name)
 	if err != nil {
 		st := registryStatus(err)
@@ -567,7 +545,7 @@ func (s *Server) serveInfer(w http.ResponseWriter, r *http.Request, name string)
 	}
 
 	// The deadline budget covers the request's whole remaining lifetime:
-	// admission, queueing and execution all charge against it.
+	// admission, waiting for a session and execution all charge against it.
 	budget, err = s.requestDeadline(r)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
@@ -580,12 +558,12 @@ func (s *Server) serveInfer(w http.ResponseWriter, r *http.Request, name string)
 		defer cancel()
 	}
 
-	outs, batchID, err := s.reg.InferTraced(ctx, name, in)
+	outs, execID, err := s.reg.InferTraced(ctx, name, in)
 	if err != nil {
 		switch {
 		case errors.Is(err, ErrDeadline), errors.Is(err, context.DeadlineExceeded):
 			// The budget ran out — at admission (the queue was predicted to
-			// outlast it), in the queue, or mid-execution.
+			// outlast it), waiting for a session, or mid-execution.
 			code = http.StatusGatewayTimeout
 			writeError(w, code, "request deadline exceeded (budget %v): %v", budget, err)
 		case errors.Is(err, ErrQueueFull):
@@ -610,12 +588,12 @@ func (s *Server) serveInfer(w http.ResponseWriter, r *http.Request, name string)
 			writeError(w, code, "request cancelled: %v", err)
 		default:
 			// Includes recovered execution panics (*core.ExecPanicError):
-			// this request's batch failed, the session was quarantined, and
+			// this request's run failed, the session was quarantined, and
 			// the model keeps serving (until its breaker says otherwise).
 			code = http.StatusInternalServerError
 			writeError(w, code, "inference failed: %v", err)
 		}
-		return code, batchID, budget, reqID
+		return code, execID, budget, reqID
 	}
 
 	resp := InferResponse{ModelName: name, ID: req.ID}
@@ -633,12 +611,12 @@ func (s *Server) serveInfer(w http.ResponseWriter, r *http.Request, name string)
 	payload, err := json.Marshal(resp)
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, "encoding response: %v", err)
-		return http.StatusInternalServerError, batchID, budget, reqID
+		return http.StatusInternalServerError, execID, budget, reqID
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusOK)
 	w.Write(payload)
-	return http.StatusOK, batchID, budget, reqID
+	return http.StatusOK, execID, budget, reqID
 }
 
 // requestTensor validates the request against the compiled input geometry

@@ -2,7 +2,7 @@
 // the server exclusively through its HTTP surface (httptest + the v2 JSON
 // protocol), the way a real client would. This suite is the template for
 // testing future serving features: correctness is asserted against the
-// engine's own outputs, concurrency runs under -race, coalescing and
+// engine's own outputs, concurrency runs under -race, pool use and
 // backpressure are asserted from observable behaviour (stats endpoint,
 // status codes), never from package internals.
 package serve_test
@@ -21,6 +21,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/faults"
 	"repro/internal/machine"
 	"repro/internal/models"
 	"repro/internal/serve"
@@ -126,7 +127,7 @@ func checkInferResponse(t *testing.T, ir *serve.InferResponse, want *tensor.Tens
 
 func TestInferMatchesEngine(t *testing.T) {
 	mod := newModule(t)
-	_, ts := newServer(t, mod, serve.Config{PoolSize: 1, MaxLatency: serve.NoLatency})
+	_, ts := newServer(t, mod, serve.Config{PoolSize: 1})
 	in := testInput(7)
 	ir, code := postInfer(t, ts.Client(), ts.URL, inferBody(t, in))
 	if code != http.StatusOK {
@@ -207,23 +208,18 @@ func TestProtocolEndpoints(t *testing.T) {
 }
 
 // TestConcurrentClientsCoalesce is the acceptance-criteria test: 64
-// concurrent clients under -race, every response bit-identical to the
-// engine's own output for that client's distinct input, and the micro-batcher
-// must demonstrably coalesce (observed batch sizes > 1) while requests
-// contend for a pool smaller than the client count.
+// concurrent clients under -race contend for a pool smaller than the client
+// count, every response stays bit-identical to the engine's own output for
+// that client's distinct input, the pool stays within its bound, and the
+// sessions complete exactly one inference per request.
 func TestConcurrentClientsCoalesce(t *testing.T) {
 	mod := newModule(t)
-	srv, ts := newServer(t, mod, serve.Config{
-		PoolSize:   2,
-		MaxBatch:   8,
-		MaxLatency: 5 * time.Millisecond,
-		QueueDepth: 256,
-	})
+	srv, ts := newServer(t, mod, serve.Config{PoolSize: 2, QueueDepth: 256})
 
 	const clients = 64
 	const runsEach = 2
 	// Precompute per-client reference outputs (distinct inputs, so a
-	// misrouted batch response cannot go unnoticed).
+	// misrouted response cannot go unnoticed).
 	bodies := make([][]byte, clients)
 	wants := make([]*tensor.Tensor, clients)
 	for c := 0; c < clients; c++ {
@@ -262,7 +258,7 @@ func TestConcurrentClientsCoalesce(t *testing.T) {
 				}
 				for i, v := range ir.Outputs[0].Data {
 					if v != wants[c].Data[i] {
-						errs <- fmt.Errorf("client %d run %d: output[%d] = %v, want %v (batching must be deterministic)", c, r, i, v, wants[c].Data[i])
+						errs <- fmt.Errorf("client %d run %d: output[%d] = %v, want %v (pooled execution must be deterministic)", c, r, i, v, wants[c].Data[i])
 						return
 					}
 				}
@@ -276,18 +272,13 @@ func TestConcurrentClientsCoalesce(t *testing.T) {
 	}
 
 	st := srv.Stats()
-	if st.Batch.Items != clients*runsEach {
-		t.Fatalf("batcher carried %d items, want %d", st.Batch.Items, clients*runsEach)
-	}
-	if st.Batch.MaxObserved <= 1 {
-		t.Fatalf("max observed batch size %d: micro-batcher never coalesced under %d concurrent clients", st.Batch.MaxObserved, clients)
+	if st.Pool.Items != clients*runsEach {
+		t.Fatalf("sessions completed %d items, want %d", st.Pool.Items, clients*runsEach)
 	}
 	if st.Pool.Size > 2 {
 		t.Fatalf("pool grew to %d sessions, bound is 2", st.Pool.Size)
 	}
-	t.Logf("batches=%d items=%d mean=%.2f max=%d pool_waits=%d",
-		st.Batch.Batches, st.Batch.Items,
-		float64(st.Batch.Items)/float64(st.Batch.Batches), st.Batch.MaxObserved, st.Pool.Waits)
+	t.Logf("items=%d pool_waits=%d", st.Pool.Items, st.Pool.Waits)
 }
 
 // TestBackpressure asserts the bounded queue: a burst far beyond
@@ -306,9 +297,8 @@ func TestBackpressure(t *testing.T) {
 	}
 	t.Cleanup(mod.Close)
 	srv, ts := newServer(t, mod, serve.Config{
-		PoolSize:   1,
-		MaxBatch:   1,
-		MaxLatency: serve.NoLatency,
+		PoolSize: 1,
+
 		QueueDepth: 1,
 	})
 	in := testInput(3)
@@ -368,10 +358,10 @@ func TestBackpressure(t *testing.T) {
 		t.Fatalf("no request was rejected: %d-deep queue absorbed a %d-request burst", 1, burst)
 	}
 	// The server's accounting matches what the clients saw, exactly: every
-	// 200 was carried through a batch, every 429 counted as a rejection.
+	// 200 ran on a session, every 429 counted as a rejection.
 	st := srv.Stats()
-	if st.Batch.Items != uint64(ok) {
-		t.Fatalf("batcher carried %d items, clients saw %d OK", st.Batch.Items, ok)
+	if st.Pool.Items != uint64(ok) {
+		t.Fatalf("sessions completed %d items, clients saw %d OK", st.Pool.Items, ok)
 	}
 	if st.Batch.Rejected != uint64(rejected) {
 		t.Fatalf("stats counted %d rejections, clients saw %d 429s", st.Batch.Rejected, rejected)
@@ -379,23 +369,89 @@ func TestBackpressure(t *testing.T) {
 	t.Logf("burst=%d ok=%d rejected=%d", burst, ok, rejected)
 }
 
-// TestCancellationMidBatch: clients that abandon requests while they sit in
-// the coalescing window must not poison the batch or wedge the server.
-func TestCancellationMidBatch(t *testing.T) {
+// TestDiscardHandsSlotToWaiter: with a single session, a run that panics
+// while a second request waits for that session must not strand the
+// waiter. The quarantined session's replacement reaches it, and it answers
+// 200 well inside its budget.
+func TestDiscardHandsSlotToWaiter(t *testing.T) {
+	defer faults.Reset()
 	mod := newModule(t)
-	_, ts := newServer(t, mod, serve.Config{
-		PoolSize:   1,
-		MaxBatch:   4,
-		MaxLatency: 300 * time.Millisecond,
-		QueueDepth: 8,
-	})
+	srv, ts := newServer(t, mod, serve.Config{PoolSize: 1})
+	in := testInput(13)
+	body := inferBody(t, in)
+	want := wantOutput(t, mod, in)
+
+	// Whichever request runs first panics, but only once the other waits.
+	faults.Inject(faults.SiteSessionRun, faults.Times(1, func(string) error {
+		for deadline := time.Now().Add(5 * time.Second); srv.Stats().Pool.Waits == 0 && time.Now().Before(deadline); {
+			time.Sleep(time.Millisecond)
+		}
+		panic("chaos: run blown while a request waits")
+	}))
+
+	type result struct {
+		code    int
+		elapsed time.Duration
+		ir      serve.InferResponse
+	}
+	results := make(chan result, 2)
+	for i := 0; i < 2; i++ {
+		go func() {
+			req, err := http.NewRequest(http.MethodPost, ts.URL+"/v2/models/tiny-resnet/infer", bytes.NewReader(body))
+			if err != nil {
+				results <- result{}
+				return
+			}
+			req.Header.Set("X-Request-Timeout", "10s")
+			start := time.Now()
+			resp, err := ts.Client().Do(req)
+			if err != nil {
+				results <- result{}
+				return
+			}
+			defer resp.Body.Close()
+			r := result{code: resp.StatusCode}
+			json.NewDecoder(resp.Body).Decode(&r.ir)
+			r.elapsed = time.Since(start)
+			results <- r
+		}()
+	}
+	codes := map[int]int{}
+	for i := 0; i < 2; i++ {
+		r := <-results
+		codes[r.code]++
+		if r.code != http.StatusOK {
+			continue
+		}
+		if r.elapsed > 2*time.Second {
+			t.Fatalf("the waiter answered after %v: the discarded slot never reached it", r.elapsed)
+		}
+		checkInferResponse(t, &r.ir, want)
+	}
+	if codes[http.StatusOK] != 1 || codes[http.StatusInternalServerError] != 1 {
+		t.Fatalf("statuses %v, want one 200 and one 500", codes)
+	}
+	if st := srv.Stats(); st.Pool.Discards != 1 || st.Pool.Waits == 0 || st.Pool.Size != 1 {
+		t.Fatalf("pool %+v, want 1 discard, a wait, and its replacement in place", st.Pool)
+	}
+}
+
+// TestCancellationMidBatch: clients that abandon requests while one runs and
+// the others wait for its session must not wedge the server: the waiters
+// leave through their own contexts, and a live client is answered promptly
+// and correctly afterwards.
+func TestCancellationMidBatch(t *testing.T) {
+	defer faults.Reset()
+	mod := newModule(t)
+	srv, ts := newServer(t, mod, serve.Config{PoolSize: 1, QueueDepth: 8})
 	body := inferBody(t, testInput(9))
 
-	// Two requests enter the 300ms coalescing window, then both clients
-	// hang up mid-batch.
+	// The first run holds the only session for 300ms; two more requests
+	// wait behind it, then all three clients hang up.
+	faults.Inject(faults.SiteBatcherDispatch, faults.Times(1, faults.Delay(300*time.Millisecond)))
 	ctx, cancel := context.WithCancel(context.Background())
 	var wg sync.WaitGroup
-	for i := 0; i < 2; i++ {
+	for i := 0; i < 3; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -415,7 +471,12 @@ func TestCancellationMidBatch(t *testing.T) {
 			}
 		}()
 	}
-	time.Sleep(50 * time.Millisecond) // let both enter the window
+	for deadline := time.Now().Add(5 * time.Second); srv.Stats().Pool.Waits < 2; {
+		if time.Now().After(deadline) {
+			t.Fatalf("requests never queued behind the held session: %+v", srv.Stats().Pool)
+		}
+		time.Sleep(time.Millisecond)
+	}
 	cancel()
 	wg.Wait()
 
@@ -467,7 +528,7 @@ func TestCloseUnreadies(t *testing.T) {
 // (or allocating its tensors) per request by construction.
 func TestInferAllocBudget(t *testing.T) {
 	mod := newModule(t)
-	srv, _ := newServer(t, mod, serve.Config{PoolSize: 1, MaxLatency: serve.NoLatency})
+	srv, _ := newServer(t, mod, serve.Config{PoolSize: 1})
 	h := srv.Handler()
 	body := inferBody(t, testInput(5))
 	do := func() {
@@ -502,11 +563,11 @@ func TestInferAllocBudget(t *testing.T) {
 }
 
 // BenchmarkServeInfer measures the full HTTP handler path per request
-// (decode, batch, execute, encode) on a pooled session. Run with -benchmem:
+// (decode, execute, encode) on a pooled session. Run with -benchmem:
 // B/op must sit well below the reported arena_bytes/session.
 func BenchmarkServeInfer(b *testing.B) {
 	mod := newModule(b)
-	srv, _ := newServer(b, mod, serve.Config{PoolSize: 1, MaxLatency: serve.NoLatency})
+	srv, _ := newServer(b, mod, serve.Config{PoolSize: 1})
 	h := srv.Handler()
 	body := inferBody(b, testInput(5))
 	rec := httptest.NewRecorder()

@@ -3,7 +3,9 @@ package serve
 import (
 	"context"
 	"errors"
+	"math"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -12,49 +14,77 @@ import (
 	"repro/internal/tensor"
 )
 
-// TestTryAcquireNeverBlocks: the sharding path's acquisition primitive must
-// hand out idle sessions, grow under the bound, and report exhaustion as nil
-// instead of waiting.
+// TestTryAcquireNeverBlocks: a request must never wait while a session is
+// idle or the pool can still grow — Acquire on an already-cancelled context
+// proves it, since any wait would return the context's error — and once the
+// pool is exhausted only the queue bound's worth of callers may wait: the
+// next one is refused at once.
 func TestTryAcquireNeverBlocks(t *testing.T) {
-	p, err := NewSessionPool(testModule(t), 2)
+	p, err := NewSessionPool(testModule(t), 2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := p.TryAcquire() // the eagerly created warm session
-	if a == nil {
-		t.Fatal("TryAcquire missed the warm idle session")
+	done, cancel := context.WithCancel(context.Background())
+	cancel()
+	a, err := p.Acquire(done) // the eagerly created warm session
+	if err != nil {
+		t.Fatalf("Acquire waited although a session was idle: %v", err)
 	}
-	b := p.TryAcquire() // under the bound: grows
-	if b == nil || b == a {
-		t.Fatalf("TryAcquire under the bound must grow a fresh session, got %p vs %p", b, a)
-	}
-	if c := p.TryAcquire(); c != nil {
-		t.Fatal("exhausted pool must yield nil, not a session")
+	b, err := p.Acquire(done) // under the bound: grows
+	if err != nil || b == a {
+		t.Fatalf("Acquire under the bound must grow a fresh session, got %p vs %p (%v)", b, a, err)
 	}
 	if st := p.Stats(); st.Size != 2 || st.Waits != 0 {
-		t.Fatalf("pool after TryAcquire exhaustion: %+v, want size 2 and no waits", st)
+		t.Fatalf("pool after two acquisitions: %+v, want size 2 and no waits", st)
+	}
+	// Exhausted: this caller would wait, so it leaves through its context.
+	if _, err := p.Acquire(done); !errors.Is(err, context.Canceled) {
+		t.Fatalf("exhausted pool, cancelled caller: got %v, want context.Canceled", err)
+	}
+
+	// One waiter fills the queue of 1; the next caller is refused at once.
+	got := make(chan *core.Session, 1)
+	go func() {
+		s, _ := p.Acquire(context.Background())
+		got <- s
+	}()
+	for deadline := time.Now().Add(5 * time.Second); p.Waiting() != 1; {
+		if time.Now().After(deadline) {
+			t.Fatal("waiter never blocked in Acquire")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	late, cancelLate := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancelLate()
+	if _, err := p.Acquire(late); !errors.Is(err, ErrQueueFull) {
+		t.Fatalf("full queue: got %v, want ErrQueueFull", err)
 	}
 	p.Release(a)
-	if d := p.TryAcquire(); d != a {
-		t.Fatal("TryAcquire did not reuse the released session")
+	if s := <-got; s != a {
+		t.Fatal("the waiter did not receive the released session")
+	}
+	if n := p.Waiting(); n != 0 {
+		t.Fatalf("%d waiters left after the hand-off", n)
 	}
 	p.Release(a)
 	p.Release(b)
 }
 
-// TestBatcherShardsAcrossIdleSessions: a coalesced multi-item batch must be
-// split across spare pool sessions and rejoined in input order with outputs
-// bit-identical to unsharded execution.
+// TestBatcherShardsAcrossIdleSessions: concurrent requests must run on
+// distinct sessions at the same time, with outputs bit-identical to direct
+// execution. Every run is held at the dispatch site until all of them have
+// arrived there, which only completes if each holds its own session.
 func TestBatcherShardsAcrossIdleSessions(t *testing.T) {
+	defer faults.Reset()
 	mod := testModule(t)
-	p, err := NewSessionPool(mod, 4)
+	const n = 4
+	p, err := NewSessionPool(mod, n, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := NewBatcher("test", p, Config{MaxBatch: 8, MaxLatency: 100 * time.Millisecond, QueueDepth: 16})
+	b := NewBatcher("test", p, 0)
 	defer b.Close()
 
-	const n = 6
 	inputs := make([]*tensor.Tensor, n)
 	want := make([]*tensor.Tensor, n)
 	for i := range inputs {
@@ -66,6 +96,18 @@ func TestBatcherShardsAcrossIdleSessions(t *testing.T) {
 		}
 		want[i] = outs[0]
 	}
+
+	var arrived atomic.Int64
+	faults.Inject(faults.SiteBatcherDispatch, func(string) error {
+		arrived.Add(1)
+		for deadline := time.Now().Add(5 * time.Second); arrived.Load() < n; {
+			if time.Now().After(deadline) {
+				return errors.New("runs did not overlap: requests share sessions")
+			}
+			time.Sleep(time.Millisecond)
+		}
+		return nil
+	})
 
 	got := make([][]*tensor.Tensor, n)
 	errs := make([]error, n)
@@ -80,36 +122,82 @@ func TestBatcherShardsAcrossIdleSessions(t *testing.T) {
 	wg.Wait()
 	for i := 0; i < n; i++ {
 		if errs[i] != nil {
-			t.Fatalf("request %d: %v", i, errs[i])
+			t.Fatalf("request %d: %v (pool %+v)", i, errs[i], p.Stats())
 		}
-		if d := tensor.MaxAbsDiff(want[i], got[i][0]); d != 0 {
-			t.Fatalf("request %d: sharded output diverges from direct run by %g", i, d)
+		if d := bitDiff(want[i], got[i][0]); d != 0 {
+			t.Fatalf("request %d: %d output bits differ from a direct run", i, d)
 		}
 	}
-	st := b.Stats()
-	if st.ShardedBatches == 0 || st.Shards < 2 {
-		t.Fatalf("no sharding observed: %+v (pool %+v)", st, p.Stats())
-	}
-	if st.Shards < st.ShardedBatches*2 {
-		t.Fatalf("sharded batches must use at least two lanes each: %+v", st)
+	if st := p.Stats(); st.Size != n || st.Items != n || st.Waits != 0 {
+		t.Fatalf("pool %+v, want %d sessions, %d items and no waits", st, n, n)
 	}
 }
 
-// TestShardPanicIsolatesSingleLane: a panic inside one shard must fail only
-// that shard's requests and quarantine only that shard's session — sibling
-// lanes deliver results, and the pool replaces the discarded session so the
-// batcher keeps serving.
-func TestShardPanicIsolatesSingleLane(t *testing.T) {
-	defer faults.Reset()
+// TestResultsOutliveTheirSession: Session.Run answers with views into the
+// session's arena, so a result must be copied out before the session is
+// released. On a one-session pool the second request reuses the arena, and
+// the first request's outputs must not change.
+func TestResultsOutliveTheirSession(t *testing.T) {
 	mod := testModule(t)
-	p, err := NewSessionPool(mod, 4)
+	p, err := NewSessionPool(mod, 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := NewBatcher("test", p, Config{MaxBatch: 8, MaxLatency: 100 * time.Millisecond, QueueDepth: 16})
+	b := NewBatcher("test", p, 0)
+	defer b.Close()
+	var first []*tensor.Tensor
+	for seed := uint64(1); seed <= 2; seed++ {
+		in := tensor.New(tensor.NCHW(), 1, 3, 32, 32)
+		in.FillRandom(seed, 1)
+		outs, err := b.Do(context.Background(), in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if first == nil {
+			first = outs
+		}
+	}
+	in := tensor.New(tensor.NCHW(), 1, 3, 32, 32)
+	in.FillRandom(1, 1)
+	want, err := mod.Run(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := bitDiff(want[0], first[0]); d != 0 {
+		t.Fatalf("the first result changed when its session ran again: %d bits differ", d)
+	}
+}
+
+// bitDiff counts the elements whose float32 bits differ (NaN-aware, unlike a
+// max-abs-difference check).
+func bitDiff(a, b *tensor.Tensor) int {
+	if len(a.Data) != len(b.Data) {
+		return len(a.Data) + len(b.Data)
+	}
+	n := 0
+	for i := range a.Data {
+		if math.Float32bits(a.Data[i]) != math.Float32bits(b.Data[i]) {
+			n++
+		}
+	}
+	return n
+}
+
+// TestShardPanicIsolatesSingleLane: a panic inside one of several concurrent
+// requests must fail that request alone and quarantine only its session —
+// the others deliver results, and the pool replaces the discarded session so
+// the batcher keeps serving.
+func TestShardPanicIsolatesSingleLane(t *testing.T) {
+	defer faults.Reset()
+	mod := testModule(t)
+	p, err := NewSessionPool(mod, 4, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := NewBatcher("test", p, 0)
 	defer b.Close()
 
-	faults.Inject(faults.SiteSessionRun, faults.Times(1, faults.Panic("chaos: shard lane blown")))
+	faults.Inject(faults.SiteSessionRun, faults.Times(1, faults.Panic("chaos: one run blown")))
 
 	const n = 4
 	in := tensor.New(tensor.NCHW(), 1, 3, 32, 32)
@@ -137,14 +225,11 @@ func TestShardPanicIsolatesSingleLane(t *testing.T) {
 			t.Fatalf("request %d: unexpected error %v", i, errs[i])
 		}
 	}
-	if panicked == 0 {
-		t.Fatal("injected panic surfaced on no request")
-	}
-	if succeeded == 0 {
-		t.Fatalf("panic was not isolated to one lane: all %d requests failed (stats %+v)", n, b.Stats())
+	if panicked != 1 || succeeded != n-1 {
+		t.Fatalf("%d panicked and %d succeeded, want exactly 1 and %d (stats %+v)", panicked, succeeded, n-1, b.Stats())
 	}
 	if st := p.Stats(); st.Discards != 1 {
-		t.Fatalf("exactly the panicked lane's session must be discarded, got %+v", st)
+		t.Fatalf("exactly the panicked request's session must be discarded, got %+v", st)
 	}
 	if st := b.Stats(); st.Panics != 1 {
 		t.Fatalf("panic counter: %+v, want 1", st)
@@ -153,13 +238,13 @@ func TestShardPanicIsolatesSingleLane(t *testing.T) {
 	// The pool regrows on demand: the batcher must still serve.
 	outs, err := b.Do(context.Background(), in)
 	if err != nil {
-		t.Fatalf("batcher did not recover after shard discard: %v", err)
+		t.Fatalf("batcher did not recover after the discard: %v", err)
 	}
 	ref, err := mod.Run(in)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d := tensor.MaxAbsDiff(ref[0], outs[0]); d != 0 {
-		t.Fatalf("post-recovery output diverges by %g", d)
+	if d := bitDiff(ref[0], outs[0]); d != 0 {
+		t.Fatalf("post-recovery output: %d bits differ", d)
 	}
 }

@@ -76,8 +76,8 @@ func ExampleEngine_NewSession() {
 	// arena is bounded: true
 }
 
-// ExampleNewServer embeds the serving stack — pooled sessions, dynamic
-// micro-batching, the kserve-v2-style protocol — into an existing HTTP
+// ExampleNewServer embeds the serving stack — pooled sessions, bounded
+// admission, the kserve-v2-style protocol — into an existing HTTP
 // server. neocpu.Serve does the same plus listening and graceful shutdown.
 func ExampleNewServer() {
 	engine, err := neocpu.CompileGraph(models.TinyMobileNet(42),
@@ -90,7 +90,7 @@ func ExampleNewServer() {
 
 	srv, err := neocpu.NewServer(engine, "tiny-mobilenet",
 		neocpu.WithPoolSize(2),
-		neocpu.WithMaxBatch(4),
+		neocpu.WithQueueDepth(8),
 	)
 	if err != nil {
 		log.Fatal(err)

@@ -10,27 +10,27 @@ import (
 	"repro/internal/serve"
 )
 
-// Server exposes a compiled Engine over HTTP with pooled sessions and
-// dynamic micro-batching, speaking a kserve-v2-style JSON protocol:
+// Server exposes a compiled Engine over HTTP with pooled sessions,
+// speaking a kserve-v2-style JSON protocol:
 //
 //	GET  /v2/health/live, /v2/health/ready     probes
 //	GET  /v2/models/<name>[/ready]             metadata, per-model readiness
 //	POST /v2/models/<name>/infer               inference
-//	GET  /v2/stats                             pool + batcher counters
+//	GET  /v2/stats                             pool + admission counters
 //	GET  /metrics                              Prometheus metrics (WithMetrics)
 //
-// Concurrent requests are coalesced into micro-batches (bounded by
-// WithMaxBatch, lingering at most WithMaxLatency for stragglers) and
-// executed on a bounded pool of arena-reusing sessions; a full admission
-// queue answers 429. Construct with NewServer for embedding (Handler), or
-// call Serve to listen directly.
+// Each request runs at once on an idle session of a bounded pool of
+// arena-reusing sessions, on its own handler goroutine. While every session
+// is busy, up to WithQueueDepth requests wait for one, first come first
+// served; beyond that a request answers 429. Construct with NewServer for
+// embedding (Handler), or call Serve to listen directly.
 type Server struct {
 	inner *serve.Server
 }
 
 // ServerStats reports the serving counters: pool occupancy and aggregated
-// session work, plus the batcher's observed coalescing (Items/Batches is the
-// mean batch size) and rejections.
+// session work (Pool.Items counts completed inferences), plus admission
+// rejections, deadline sheds and recovered panics.
 type ServerStats = serve.Stats
 
 // ServeOption configures NewServer / Serve.
@@ -58,36 +58,6 @@ func WithPoolSize(n int) ServeOption {
 	}
 }
 
-// WithMaxBatch caps how many concurrent requests one dispatch coalesces
-// into a Session.RunBatch call (default 8).
-func WithMaxBatch(n int) ServeOption {
-	return func(c *serveConfig) {
-		if n <= 0 {
-			c.err = fmt.Errorf("%w: max batch %d (must be >= 1)", ErrBadOption, n)
-			return
-		}
-		c.cfg.MaxBatch = n
-	}
-}
-
-// WithMaxLatency sets how long the batcher lingers for stragglers once a
-// session is free and a request is waiting (default 2ms). It trades
-// single-request latency for larger batches under load; 0 dispatches
-// immediately with whatever has already queued.
-func WithMaxLatency(d time.Duration) ServeOption {
-	return func(c *serveConfig) {
-		if d < 0 {
-			c.err = fmt.Errorf("%w: negative max latency %v", ErrBadOption, d)
-			return
-		}
-		if d == 0 {
-			c.cfg.MaxLatency = serve.NoLatency
-			return
-		}
-		c.cfg.MaxLatency = d
-	}
-}
-
 // WithArenaBudget caps the memory the default pool sizing spends on session
 // arenas, in bytes (default 64 MiB): the pool bound becomes as many session
 // arenas as fit the budget, clamped to [2, 16]. Ignored when WithPoolSize
@@ -102,9 +72,9 @@ func WithArenaBudget(n int) ServeOption {
 	}
 }
 
-// WithQueueDepth bounds the admission queue (default 4x the max batch).
-// Requests beyond it are rejected with 429 instead of queueing unbounded
-// work.
+// WithQueueDepth bounds how many requests may wait for a session while
+// every session is busy (default 32). Requests beyond it are rejected with
+// 429 instead of queueing unbounded work.
 func WithQueueDepth(n int) ServeOption {
 	return func(c *serveConfig) {
 		if n <= 0 {
@@ -118,9 +88,9 @@ func WithQueueDepth(n int) ServeOption {
 // WithRequestTimeout sets the default per-request deadline budget applied
 // when the client sends no X-Request-Timeout header (default 30s; 0 disables
 // the server-side budget). The budget covers the request's whole lifetime —
-// admission, queueing and execution — and expiry answers 504: a request the
-// queue is predicted to outlast is refused immediately rather than admitted
-// to time out.
+// admission, waiting for a session and execution — and expiry answers 504:
+// a request the queue is predicted to outlast is refused immediately rather
+// than admitted to time out.
 func WithRequestTimeout(d time.Duration) ServeOption {
 	return func(c *serveConfig) {
 		if d < 0 {
@@ -135,9 +105,8 @@ func WithRequestTimeout(d time.Duration) ServeOption {
 	}
 }
 
-// WithDrainTimeout bounds how long Close lets queued requests and in-flight
-// batches finish before cancelling them (default 5s; 0 drops the grace
-// period).
+// WithDrainTimeout bounds how long Close lets admitted requests finish
+// before cancelling them (default 5s; 0 drops the grace period).
 func WithDrainTimeout(d time.Duration) ServeOption {
 	return func(c *serveConfig) {
 		if d < 0 {
@@ -166,7 +135,7 @@ func WithMaxBodyBytes(n int64) ServeOption {
 
 // WithMetrics toggles the Prometheus-text-format GET /metrics endpoint
 // (default on): request counters by status code, latency / queue-wait /
-// batch-size histograms, pool and queue gauges, breaker transitions.
+// execution histograms, pool and queue gauges, breaker transitions.
 // Collection itself always runs (a handful of atomic adds per request);
 // WithMetrics(false) only removes the endpoint.
 func WithMetrics(enabled bool) ServeOption {
@@ -176,8 +145,8 @@ func WithMetrics(enabled bool) ServeOption {
 }
 
 // WithAccessLog streams one JSON line per inference request to w — model,
-// status code, latency, carrying batch id, deadline budget, client request
-// id — including rejected requests (413/429/504). Writes are serialized
+// status code, latency, execution id, deadline budget, client request id —
+// including rejected requests (413/429/504). Writes are serialized
 // behind a mutex; hand it os.Stdout or a buffered writer the caller flushes.
 func WithAccessLog(w io.Writer) ServeOption {
 	return func(c *serveConfig) {
@@ -220,8 +189,8 @@ func (s *Server) Handler() http.Handler { return s.inner.Handler() }
 // Model returns the served model name.
 func (s *Server) Model() string { return s.inner.Model() }
 
-// Stats snapshots the pool and batcher counters. Safe to call concurrently
-// with request handling.
+// Stats snapshots the pool and admission counters. Safe to call
+// concurrently with request handling.
 func (s *Server) Stats() ServerStats { return s.inner.Stats() }
 
 // Drain flips the server into the draining health state: readiness goes
@@ -229,8 +198,8 @@ func (s *Server) Stats() ServerStats { return s.inner.Stats() }
 // to completion. Call it ahead of Close for a graceful handoff.
 func (s *Server) Drain() { s.inner.Drain() }
 
-// Close drains in-flight batches (bounded by WithDrainTimeout) and marks the
-// server unready. Idempotent.
+// Close drains in-flight requests (bounded by WithDrainTimeout) and marks
+// the server unready. Idempotent.
 func (s *Server) Close() { s.inner.Close() }
 
 // Serve runs an inference server for the engine on addr until ctx is done,

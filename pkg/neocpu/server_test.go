@@ -27,7 +27,7 @@ func serveEngine(t *testing.T) *Engine {
 
 func TestServerFacade(t *testing.T) {
 	e := serveEngine(t)
-	srv, err := NewServer(e, "", WithPoolSize(1), WithMaxBatch(4), WithMaxLatency(0))
+	srv, err := NewServer(e, "", WithPoolSize(1), WithQueueDepth(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestServerFacade(t *testing.T) {
 			t.Fatalf("served output[%d] = %v, want %v", i, v, want[0].Data[i])
 		}
 	}
-	if st := srv.Stats(); st.Batch.Items != 1 || st.Pool.Size != 1 {
+	if st := srv.Stats(); st.Pool.Items != 1 || st.Pool.Size != 1 {
 		t.Fatalf("stats %+v", st)
 	}
 }
@@ -108,12 +108,6 @@ func TestServeOptionErrorPaths(t *testing.T) {
 		{"pool-zero", WithPoolSize(0), false},
 		{"pool-negative", WithPoolSize(-3), false},
 		{"pool-valid", WithPoolSize(1), true},
-		{"batch-zero", WithMaxBatch(0), false},
-		{"batch-negative", WithMaxBatch(-1), false},
-		{"batch-valid", WithMaxBatch(16), true},
-		{"latency-negative", WithMaxLatency(-time.Millisecond), false},
-		{"latency-zero", WithMaxLatency(0), true},
-		{"latency-valid", WithMaxLatency(5 * time.Millisecond), true},
 		{"queue-zero", WithQueueDepth(0), false},
 		{"queue-negative", WithQueueDepth(-8), false},
 		{"queue-valid", WithQueueDepth(64), true},
