@@ -83,6 +83,20 @@ func TestErrorResponsesAreKserveJSON(t *testing.T) {
 			wantStatus: http.StatusRequestEntityTooLarge,
 		},
 		{
+			// The derived cap (~160 KiB here) counts the whole body, not
+			// just the first JSON value in it.
+			name: "valid object padded past the cap is 413", method: "POST",
+			path:       "/v2/models/tiny-resnet/infer",
+			body:       append(bytes.Clone(goodBody), bytes.Repeat([]byte(" "), 512<<10)...),
+			wantStatus: http.StatusRequestEntityTooLarge,
+		},
+		{
+			name: "trailing garbage after the object is 400", method: "POST",
+			path:       "/v2/models/tiny-resnet/infer",
+			body:       append(bytes.Clone(goodBody), "garbage"...),
+			wantStatus: http.StatusBadRequest,
+		},
+		{
 			name: "expired deadline budget is 504", method: "POST",
 			path: "/v2/models/tiny-resnet/infer", body: goodBody,
 			headers:    map[string]string{"X-Request-Timeout": "15ms"},

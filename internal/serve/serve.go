@@ -519,21 +519,27 @@ func (s *Server) serveInfer(w http.ResponseWriter, r *http.Request, name string)
 		writeError(w, st, "%v", err)
 		return st, 0, 0, ""
 	}
-	var req InferRequest
 	// Bound request bodies: the input tensor is fixed-size, and JSON spends
 	// at most ~32 bytes per float32; headroom covers ids and whitespace. An
-	// explicit MaxBodyBytes overrides the derived cap.
+	// explicit MaxBodyBytes overrides the derived cap, which counts the
+	// whole body, trailing bytes included.
+	volume := mod.Graph.Input.OutShape.Volume()
 	maxBody := s.maxBody
 	if maxBody == 0 {
-		maxBody = int64(32*mod.Graph.Input.OutShape.Volume() + 64*1024)
+		maxBody = int64(32*volume + 64*1024)
 	}
-	body := http.MaxBytesReader(w, r.Body, maxBody)
-	if err := json.NewDecoder(body).Decode(&req); err != nil {
+	body, err := readBody(http.MaxBytesReader(w, r.Body, maxBody), r.ContentLength, maxBody)
+	if err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
 			writeError(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", tooBig.Limit)
 			return http.StatusRequestEntityTooLarge, 0, 0, ""
 		}
+		writeError(w, http.StatusBadRequest, "reading request body: %v", err)
+		return http.StatusBadRequest, 0, 0, ""
+	}
+	req, err := decodeInfer(body, volume)
+	if err != nil {
 		writeError(w, http.StatusBadRequest, "malformed request body: %v", err)
 		return http.StatusBadRequest, 0, 0, ""
 	}
