@@ -283,11 +283,12 @@ func Conv2DNCHWcInto(dst, padScratch *tensor.Tensor, in, weight *tensor.Tensor, 
 	// OFMAP chunks of Algorithm 1 line 8 — each thread taking one contiguous
 	// run of units.
 	pf(n*ocOuter*rows*tiles, func(lo, hi int) {
-		// Accumulator tile: reg_n positions × oc_bn sub-channels. In the
-		// AVX-512 realization each row is one ZMM register; the fixed-size
-		// backing array keeps the tile on the goroutine stack, set up once
-		// per thread, so the hot loop performs no per-tile heap allocation
-		// (a schedule outside the searched space allocates once per range).
+		// Accumulator tile: reg_n positions × oc_bn sub-channels. rankK's
+		// ZMM body holds each 16 sub-channels of a position in one ZMM
+		// register (the AVX2 body 8 in a YMM one); the fixed-size backing
+		// array keeps the tile on the goroutine stack, set up once per
+		// thread, so the hot loop performs no per-tile heap allocation (a
+		// schedule outside the searched space allocates once per range).
 		var accArr [MaxAccTile]float32
 		var acc []float32
 		if regN*ocb <= len(accArr) {

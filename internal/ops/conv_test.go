@@ -59,52 +59,62 @@ func TestConv2DNCHWIdentityKernel(t *testing.T) {
 	}
 }
 
-// TestConvNCHWcMatchesReference checks the direct template, serially and
-// over ragged parallel ranges, against the NCHW reference. The -unroll rows
+// convNCHWcCase is one direct-template geometry and blocking.
+type convNCHWcCase struct {
+	name                string
+	c, h, w, oc, kh, kw int
+	sh, sw, ph, pw      int
+	icb, ocb, regN      int
+	groups              int
+}
+
+// convNCHWcCases are TestConvNCHWcMatchesReference's rows. The -unroll rows
 // once ran the unroll_ker=true body; the template now has one body, so they
 // repeat their plain twins under the names they have always had.
+var convNCHWcCases = []convNCHWcCase{
+	{"3x3-pad1", 16, 14, 14, 32, 3, 3, 1, 1, 1, 1, 8, 16, 4, 1},
+	{"3x3-pad1-unroll", 16, 14, 14, 32, 3, 3, 1, 1, 1, 1, 8, 16, 4, 1},
+	{"3x3-ocb4", 16, 14, 14, 32, 3, 3, 1, 1, 1, 1, 8, 4, 4, 1},
+	{"3x3-ocb8", 16, 14, 14, 32, 3, 3, 1, 1, 1, 1, 8, 8, 4, 1},
+	{"3x3-generic-ocb", 12, 11, 11, 24, 3, 3, 1, 1, 1, 1, 6, 12, 4, 1},
+	{"3x3-grouped", 16, 9, 9, 32, 3, 3, 1, 1, 1, 1, 4, 8, 8, 2},
+	{"1x1", 32, 7, 7, 64, 1, 1, 1, 1, 0, 0, 16, 16, 2, 1},
+	{"1x1-unroll", 32, 7, 7, 64, 1, 1, 1, 1, 0, 0, 16, 16, 2, 1},
+	{"1x1-ocb4", 32, 7, 7, 64, 1, 1, 1, 1, 0, 0, 16, 4, 2, 1},
+	{"1x1-ocb8", 32, 7, 7, 64, 1, 1, 1, 1, 0, 0, 16, 8, 2, 1},
+	{"1x1-ocb48", 48, 7, 7, 96, 1, 1, 1, 1, 0, 0, 16, 48, 8, 1},
+	{"1x1-plane-tiles-cross-rows", 16, 7, 9, 80, 1, 1, 1, 1, 0, 0, 8, 40, 8, 1},
+	{"1x1-stride2-rows", 48, 9, 9, 48, 1, 1, 2, 2, 0, 0, 16, 24, 4, 1},
+	{"1x1-pad1-rows", 8, 6, 6, 16, 1, 1, 1, 1, 1, 1, 8, 16, 8, 1},
+	{"stride2", 16, 15, 15, 16, 3, 3, 2, 2, 1, 1, 4, 8, 8, 1},
+	{"stride2-unroll", 16, 15, 15, 16, 3, 3, 2, 2, 1, 1, 4, 8, 8, 1},
+	{"5x5", 8, 12, 12, 16, 5, 5, 1, 1, 2, 2, 8, 8, 4, 1},
+	{"5x5-unroll-generic", 8, 12, 12, 16, 5, 5, 1, 1, 2, 2, 8, 8, 4, 1},
+	{"3x3-stride2-regn8", 64, 15, 15, 32, 3, 3, 2, 2, 1, 1, 32, 16, 8, 1},
+	{"3x3-stride2-regn16", 64, 15, 15, 32, 3, 3, 2, 2, 1, 1, 32, 16, 16, 1},
+	{"7x7-stride2", 4, 23, 23, 16, 7, 7, 2, 2, 3, 3, 4, 16, 4, 1},
+	{"7x7-stride2-icb1", 3, 23, 23, 32, 7, 7, 2, 2, 3, 3, 1, 32, 16, 1},
+	{"7x7-stride2-icb3", 3, 23, 23, 32, 7, 7, 2, 2, 3, 3, 3, 32, 8, 1},
+	{"tail-regn", 16, 10, 10, 16, 3, 3, 1, 1, 1, 1, 16, 16, 4, 1},
+	{"regn-bigger-than-ow", 16, 5, 5, 16, 3, 3, 1, 1, 1, 1, 16, 16, 32, 1},
+	{"block1", 6, 9, 9, 10, 3, 3, 1, 1, 1, 1, 1, 1, 4, 1},
+	{"asym-stride", 8, 16, 12, 8, 3, 3, 2, 1, 1, 1, 8, 8, 2, 1},
+}
+
+// run returns the NCHW reference and the direct template's output under pf.
+func (tc convNCHWcCase) run(pf ParallelFor) (ref, got *tensor.Tensor) {
+	in, wt := groupedCase(99, tc.c, tc.h, tc.w, tc.oc, tc.kh, tc.kw, tc.groups)
+	attrs := Conv2DAttrs{OutC: tc.oc, KH: tc.kh, KW: tc.kw, StrideH: tc.sh, StrideW: tc.sw, PadH: tc.ph, PadW: tc.pw, Groups: tc.groups}
+	return Conv2DNCHW(in, wt, attrs, Epilogue{}, nil), runBlocked(in, wt, attrs, tc.icb, tc.ocb, tc.regN, Epilogue{}, pf)
+}
+
+// TestConvNCHWcMatchesReference checks the direct template, serially and
+// over ragged parallel ranges, against the NCHW reference.
 func TestConvNCHWcMatchesReference(t *testing.T) {
-	cases := []struct {
-		name                string
-		c, h, w, oc, kh, kw int
-		sh, sw, ph, pw      int
-		icb, ocb, regN      int
-		groups              int
-	}{
-		{"3x3-pad1", 16, 14, 14, 32, 3, 3, 1, 1, 1, 1, 8, 16, 4, 1},
-		{"3x3-pad1-unroll", 16, 14, 14, 32, 3, 3, 1, 1, 1, 1, 8, 16, 4, 1},
-		{"3x3-ocb4", 16, 14, 14, 32, 3, 3, 1, 1, 1, 1, 8, 4, 4, 1},
-		{"3x3-ocb8", 16, 14, 14, 32, 3, 3, 1, 1, 1, 1, 8, 8, 4, 1},
-		{"3x3-generic-ocb", 12, 11, 11, 24, 3, 3, 1, 1, 1, 1, 6, 12, 4, 1},
-		{"3x3-grouped", 16, 9, 9, 32, 3, 3, 1, 1, 1, 1, 4, 8, 8, 2},
-		{"1x1", 32, 7, 7, 64, 1, 1, 1, 1, 0, 0, 16, 16, 2, 1},
-		{"1x1-unroll", 32, 7, 7, 64, 1, 1, 1, 1, 0, 0, 16, 16, 2, 1},
-		{"1x1-ocb4", 32, 7, 7, 64, 1, 1, 1, 1, 0, 0, 16, 4, 2, 1},
-		{"1x1-ocb8", 32, 7, 7, 64, 1, 1, 1, 1, 0, 0, 16, 8, 2, 1},
-		{"1x1-plane-tiles-cross-rows", 16, 7, 9, 80, 1, 1, 1, 1, 0, 0, 8, 40, 8, 1},
-		{"1x1-stride2-rows", 48, 9, 9, 48, 1, 1, 2, 2, 0, 0, 16, 24, 4, 1},
-		{"1x1-pad1-rows", 8, 6, 6, 16, 1, 1, 1, 1, 1, 1, 8, 16, 8, 1},
-		{"stride2", 16, 15, 15, 16, 3, 3, 2, 2, 1, 1, 4, 8, 8, 1},
-		{"stride2-unroll", 16, 15, 15, 16, 3, 3, 2, 2, 1, 1, 4, 8, 8, 1},
-		{"5x5", 8, 12, 12, 16, 5, 5, 1, 1, 2, 2, 8, 8, 4, 1},
-		{"5x5-unroll-generic", 8, 12, 12, 16, 5, 5, 1, 1, 2, 2, 8, 8, 4, 1},
-		{"3x3-stride2-regn8", 64, 15, 15, 32, 3, 3, 2, 2, 1, 1, 32, 16, 8, 1},
-		{"3x3-stride2-regn16", 64, 15, 15, 32, 3, 3, 2, 2, 1, 1, 32, 16, 16, 1},
-		{"7x7-stride2", 4, 23, 23, 16, 7, 7, 2, 2, 3, 3, 4, 16, 4, 1},
-		{"7x7-stride2-icb1", 3, 23, 23, 32, 7, 7, 2, 2, 3, 3, 1, 32, 16, 1},
-		{"7x7-stride2-icb3", 3, 23, 23, 32, 7, 7, 2, 2, 3, 3, 3, 32, 8, 1},
-		{"tail-regn", 16, 10, 10, 16, 3, 3, 1, 1, 1, 1, 16, 16, 4, 1},
-		{"regn-bigger-than-ow", 16, 5, 5, 16, 3, 3, 1, 1, 1, 1, 16, 16, 32, 1},
-		{"block1", 6, 9, 9, 10, 3, 3, 1, 1, 1, 1, 1, 1, 4, 1},
-		{"asym-stride", 8, 16, 12, 8, 3, 3, 2, 1, 1, 1, 8, 8, 2, 1},
-	}
-	for _, tc := range cases {
+	for _, tc := range convNCHWcCases {
 		t.Run(tc.name, func(t *testing.T) {
-			in, wt := groupedCase(99, tc.c, tc.h, tc.w, tc.oc, tc.kh, tc.kw, tc.groups)
-			attrs := Conv2DAttrs{OutC: tc.oc, KH: tc.kh, KW: tc.kw, StrideH: tc.sh, StrideW: tc.sw, PadH: tc.ph, PadW: tc.pw, Groups: tc.groups}
-			ref := Conv2DNCHW(in, wt, attrs, Epilogue{}, nil)
 			for i, pf := range []ParallelFor{Serial, goPar(3)} {
-				got := runBlocked(in, wt, attrs, tc.icb, tc.ocb, tc.regN, Epilogue{}, pf)
+				ref, got := tc.run(pf)
 				if !tensor.AllClose(ref, got, 1e-4) {
 					t.Fatalf("blocked conv under %s diverges from reference: max diff %g",
 						[]string{"Serial", "goPar(3)"}[i], tensor.MaxAbsDiff(ref, got))

@@ -11,17 +11,19 @@ import "fmt"
 // the register tile of the paper's Algorithm 1 (Figure 1): per reduction step
 // one broadcast input value per row times one ocb-wide weight vector.
 //
-// Numeric contract: every element accumulates in ascending kk order. On
-// amd64 CPUs with AVX2 and FMA enabled by the OS (hasFMA, checked once at
-// start-up with CPUID and XGETBV), ocb values that are a multiple of 8 run
-// the assembly body, whose every step is one fused multiply-add,
-// acc = fma(in, wt, acc) rounded once. Every other CPU, ocb and the purego
-// build tag run rankKGo, which rounds each product before adding it. The two
-// bodies are not bit-identical: per element they differ by at most
-// 2·γ(k+1)·(|acc| + Σ_kk |in·wt|), with γ(n) = n·u/(1 − n·u) and u = 2⁻²⁴,
-// the sum of the two bodies' forward error bounds. One process always runs
-// the same body for the same ocb, so results stay bit-identical across
-// threads, pool widths and repeated runs.
+// Numeric contract: every element accumulates in ascending kk order. The
+// dispatch, decided once at start-up with CPUID and XGETBV, tries ZMM, then
+// AVX2+FMA, then Go: on amd64 CPUs with AVX-512F and the OS saving the
+// opmask and ZMM state (hasAVX512), ocb values that are a multiple of 16 run
+// the ZMM body; with AVX2 and FMA (hasFMA), the other multiples of 8 run the
+// AVX2 body. Every step of both is one fused multiply-add,
+// acc = fma(in, wt, acc) rounded once, so the two are bit-identical. Every
+// other CPU, ocb and the purego build tag run rankKGo, which rounds each
+// product before adding it. The fused and Go bodies are not bit-identical:
+// per element they differ by at most 2·γ(k+1)·(|acc| + Σ_kk |in·wt|), with
+// γ(n) = n·u/(1 − n·u) and u = 2⁻²⁴, the sum of the two bodies' forward error
+// bounds. One process always runs the same body for the same ocb, so results
+// stay bit-identical across threads, pool widths and repeated runs.
 //
 // The call panics, before any body runs, unless the last acc, in and wt
 // element the update touches is in range.
@@ -37,6 +39,10 @@ func rankK(acc, in, wt []float32, rows, k, inStride, ocb int) {
 	_ = acc[rows*ocb-1]
 	_ = in[(rows-1)*inStride+k-1]
 	_ = wt[k*ocb-1]
+	if hasAVX512 && ocb%16 == 0 {
+		rankKAVX512(&acc[0], &in[0], &wt[0], rows, k, inStride, ocb)
+		return
+	}
 	if hasFMA && ocb%8 == 0 {
 		rankKAVX2(&acc[0], &in[0], &wt[0], rows, k, inStride, ocb)
 		return
@@ -315,14 +321,18 @@ const (
 	cpuidOSXSAVE = 1 << 27 // leaf 1, ECX: XGETBV is usable
 	cpuidAVX     = 1 << 28 // leaf 1, ECX
 	cpuidAVX2    = 1 << 5  // leaf 7, EBX
-	xcr0YMM      = 6       // the OS saves the XMM and YMM state
+	cpuidAVX512F = 1 << 16 // leaf 7, EBX
+	xcr0YMM      = 0x06    // the OS saves the XMM and YMM state
+	xcr0ZMM      = 0xe6    // ... and the opmask, upper ZMM0-15 and ZMM16-31 state
 )
 
 // detect decides the dispatch flags from CPUID leaf 1's ECX, leaf 7's EBX and
 // XCR0: avx2 needs AVX, AVX2, OSXSAVE and the OS saving the YMM state; fma
-// needs avx2 and the FMA extension. It is pure, so the gate is tested on
+// needs avx2 and the FMA extension; avx512 needs fma, AVX-512F and the OS
+// saving the opmask and full ZMM state. It is pure, so the gate is tested on
 // every build.
-func detect(ecx1, ebx7, xcr0 uint32) (avx2, fma bool) {
+func detect(ecx1, ebx7, xcr0 uint32) (avx2, fma, avx512 bool) {
 	avx2 = ecx1&cpuidOSXSAVE != 0 && ecx1&cpuidAVX != 0 && xcr0&xcr0YMM == xcr0YMM && ebx7&cpuidAVX2 != 0
-	return avx2, avx2 && ecx1&cpuidFMA != 0
+	fma = avx2 && ecx1&cpuidFMA != 0
+	return avx2, fma, fma && ebx7&cpuidAVX512F != 0 && xcr0&xcr0ZMM == xcr0ZMM
 }

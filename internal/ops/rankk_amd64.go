@@ -4,9 +4,11 @@ package ops
 
 // hasAVX2 reports whether the CPU implements AVX2 and the OS saves the YMM
 // register state across context switches, the gate of every assembly body
-// but rankK's; hasFMA, rankK's gate, that it also implements FMA. Both are
-// computed once at start-up.
-var hasAVX2, hasFMA = detect(cpuFeatures())
+// but rankK's; hasFMA, the gate of rankK's AVX2 body, that it also
+// implements FMA; hasAVX512, the gate of rankK's ZMM body, that on top of
+// that it implements AVX-512F and the OS saves the opmask and full ZMM state.
+// All three are computed once at start-up.
+var hasAVX2, hasFMA, hasAVX512 = detect(cpuFeatures())
 
 // cpuFeatures reads the words detect decides from: CPUID leaf 1's ECX, leaf
 // 7's EBX (0 on a CPU without leaf 7) and XCR0 (0 unless OSXSAVE is set,
@@ -31,6 +33,16 @@ func cpuFeatures() (ecx1, ebx7, xcr0 uint32) {
 //
 //go:noescape
 func rankKAVX2(acc, in, wt *float32, rows, k, inStride, ocb int)
+
+// rankKAVX512 is rankK's AVX-512 body for ocb%16 == 0, rows >= 1 and k >= 1:
+// 8 rows × 32 lanes of accumulators in ZMM registers (16 FMA chains), then a
+// 16-lane column tail; a 4-row and a 2-row block with the same column paths,
+// then a last row with 64-, 32- and 16-lane paths. Each step is the
+// VFMADD231PS of rankKAVX2 on 16 lanes, so the two bodies are bit-identical.
+// It does no bounds checking: rankK checks the slices first.
+//
+//go:noescape
+func rankKAVX512(acc, in, wt *float32, rows, k, inStride, ocb int)
 
 // laneMACAVX2 is laneMAC's AVX2 body for bn%8 == 0, rows >= 1 and taps >= 1:
 // per row, 32-lane blocks of tap sums in four YMM registers, then an 8-lane
@@ -68,13 +80,16 @@ func winogradOutAVX2(y, m *float32, mStride, bn int)
 //go:noescape
 func laneMaxAVX2(d, v *float32, bn int)
 
-// peakMulAddAVX2 and peakFMAAVX2 are BenchmarkPeak's probes of the
-// single-core arithmetic ceiling: n iterations of 12 independent YMM
-// multiply-add chains, 192 FLOPs each, as VMULPS+VADDPS pairs and as
-// VFMADD231PS.
+// peakMulAddAVX2, peakFMAAVX2 and peakFMAAVX512 are BenchmarkPeak's probes of
+// the single-core arithmetic ceiling: n iterations of 12 independent
+// multiply-add chains, as VMULPS+VADDPS pairs and as VFMADD231PS on YMM
+// registers (192 FLOPs per iteration), and as VFMADD231PS on ZMM registers
+// (384).
 func peakMulAddAVX2(n int)
 
 func peakFMAAVX2(n int)
+
+func peakFMAAVX512(n int)
 
 func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 

@@ -278,6 +278,432 @@ done:
 	VZEROUPPER
 	RET
 
+// func rankKAVX512(acc, in, wt *float32, rows, k, inStride, ocb int)
+//
+// rankKAVX2's update on ZMM registers, each step the same VFMADD231PS in
+// ascending kk order per element, so the two bodies are bit-identical.
+// Requires AVX-512F, ocb%16 == 0, rows >= 1, k >= 1.
+//
+// Registers: as in rankKAVX2, except that in the 8-row loop R12 holds in at
+// row 4 of the block. Z16-Z31 accumulate (row r of a block in Z16+2r and
+// Z17+2r, the row's lanes 0-15 and 16-31); Z0-Z3 hold weights and Z4 the
+// broadcast input. BP, R14, R15 and Z15 are not touched.
+TEXT ·rankKAVX512(SB), NOSPLIT, $0-56
+	MOVQ acc+0(FP), AX
+	MOVQ in+8(FP), BX
+	MOVQ wt+16(FP), R10
+	MOVQ rows+24(FP), R11
+	MOVQ inStride+40(FP), R8
+	SHLQ $2, R8
+	LEAQ (R8)(R8*2), R9
+	MOVQ ocb+48(FP), DX
+	SHLQ $2, DX
+
+	// 8 rows × 32 lanes: 16 chains, two weight loads and eight broadcasts
+	// per step.
+zrows8:
+	CMPQ R11, $8
+	JLT  zrows4
+	XORQ R13, R13
+
+zrows8cols32:
+	LEAQ 128(R13), CX
+	CMPQ CX, DX
+	JGT  zrows8cols16
+	LEAQ (AX)(R13*1), R12
+	LEAQ (R12)(DX*2), SI
+	LEAQ (R12)(DX*4), DI
+	LEAQ (DI)(DX*2), CX
+	VMOVUPS (R12), Z16
+	VMOVUPS 64(R12), Z17
+	VMOVUPS (R12)(DX*1), Z18
+	VMOVUPS 64(R12)(DX*1), Z19
+	VMOVUPS (SI), Z20
+	VMOVUPS 64(SI), Z21
+	VMOVUPS (SI)(DX*1), Z22
+	VMOVUPS 64(SI)(DX*1), Z23
+	VMOVUPS (DI), Z24
+	VMOVUPS 64(DI), Z25
+	VMOVUPS (DI)(DX*1), Z26
+	VMOVUPS 64(DI)(DX*1), Z27
+	VMOVUPS (CX), Z28
+	VMOVUPS 64(CX), Z29
+	VMOVUPS (CX)(DX*1), Z30
+	VMOVUPS 64(CX)(DX*1), Z31
+	MOVQ BX, SI
+	LEAQ (BX)(R8*4), R12
+	LEAQ (R10)(R13*1), DI
+	MOVQ k+32(FP), CX
+
+zloop8x32:
+	VMOVUPS      (DI), Z0
+	VMOVUPS      64(DI), Z1
+	VBROADCASTSS (SI), Z4
+	VFMADD231PS  Z0, Z4, Z16
+	VFMADD231PS  Z1, Z4, Z17
+	VBROADCASTSS (SI)(R8*1), Z4
+	VFMADD231PS  Z0, Z4, Z18
+	VFMADD231PS  Z1, Z4, Z19
+	VBROADCASTSS (SI)(R8*2), Z4
+	VFMADD231PS  Z0, Z4, Z20
+	VFMADD231PS  Z1, Z4, Z21
+	VBROADCASTSS (SI)(R9*1), Z4
+	VFMADD231PS  Z0, Z4, Z22
+	VFMADD231PS  Z1, Z4, Z23
+	VBROADCASTSS (R12), Z4
+	VFMADD231PS  Z0, Z4, Z24
+	VFMADD231PS  Z1, Z4, Z25
+	VBROADCASTSS (R12)(R8*1), Z4
+	VFMADD231PS  Z0, Z4, Z26
+	VFMADD231PS  Z1, Z4, Z27
+	VBROADCASTSS (R12)(R8*2), Z4
+	VFMADD231PS  Z0, Z4, Z28
+	VFMADD231PS  Z1, Z4, Z29
+	VBROADCASTSS (R12)(R9*1), Z4
+	VFMADD231PS  Z0, Z4, Z30
+	VFMADD231PS  Z1, Z4, Z31
+	ADDQ         $4, SI
+	ADDQ         $4, R12
+	ADDQ         DX, DI
+	DECQ         CX
+	JNZ          zloop8x32
+
+	LEAQ    (AX)(R13*1), R12
+	LEAQ    (R12)(DX*2), SI
+	LEAQ    (R12)(DX*4), DI
+	LEAQ    (DI)(DX*2), CX
+	VMOVUPS Z16, (R12)
+	VMOVUPS Z17, 64(R12)
+	VMOVUPS Z18, (R12)(DX*1)
+	VMOVUPS Z19, 64(R12)(DX*1)
+	VMOVUPS Z20, (SI)
+	VMOVUPS Z21, 64(SI)
+	VMOVUPS Z22, (SI)(DX*1)
+	VMOVUPS Z23, 64(SI)(DX*1)
+	VMOVUPS Z24, (DI)
+	VMOVUPS Z25, 64(DI)
+	VMOVUPS Z26, (DI)(DX*1)
+	VMOVUPS Z27, 64(DI)(DX*1)
+	VMOVUPS Z28, (CX)
+	VMOVUPS Z29, 64(CX)
+	VMOVUPS Z30, (CX)(DX*1)
+	VMOVUPS Z31, 64(CX)(DX*1)
+	ADDQ    $128, R13
+	JMP     zrows8cols32
+
+	// ocb%32 == 16 leaves one 16-lane column: 8 chains.
+zrows8cols16:
+	CMPQ R13, DX
+	JGE  zrows8next
+	LEAQ (AX)(R13*1), R12
+	LEAQ (R12)(DX*2), SI
+	LEAQ (R12)(DX*4), DI
+	LEAQ (DI)(DX*2), CX
+	VMOVUPS (R12), Z16
+	VMOVUPS (R12)(DX*1), Z18
+	VMOVUPS (SI), Z20
+	VMOVUPS (SI)(DX*1), Z22
+	VMOVUPS (DI), Z24
+	VMOVUPS (DI)(DX*1), Z26
+	VMOVUPS (CX), Z28
+	VMOVUPS (CX)(DX*1), Z30
+	MOVQ BX, SI
+	LEAQ (BX)(R8*4), R12
+	LEAQ (R10)(R13*1), DI
+	MOVQ k+32(FP), CX
+
+zloop8x16:
+	VMOVUPS      (DI), Z0
+	VBROADCASTSS (SI), Z4
+	VFMADD231PS  Z0, Z4, Z16
+	VBROADCASTSS (SI)(R8*1), Z4
+	VFMADD231PS  Z0, Z4, Z18
+	VBROADCASTSS (SI)(R8*2), Z4
+	VFMADD231PS  Z0, Z4, Z20
+	VBROADCASTSS (SI)(R9*1), Z4
+	VFMADD231PS  Z0, Z4, Z22
+	VBROADCASTSS (R12), Z4
+	VFMADD231PS  Z0, Z4, Z24
+	VBROADCASTSS (R12)(R8*1), Z4
+	VFMADD231PS  Z0, Z4, Z26
+	VBROADCASTSS (R12)(R8*2), Z4
+	VFMADD231PS  Z0, Z4, Z28
+	VBROADCASTSS (R12)(R9*1), Z4
+	VFMADD231PS  Z0, Z4, Z30
+	ADDQ         $4, SI
+	ADDQ         $4, R12
+	ADDQ         DX, DI
+	DECQ         CX
+	JNZ          zloop8x16
+
+	LEAQ    (AX)(R13*1), R12
+	LEAQ    (R12)(DX*2), SI
+	LEAQ    (R12)(DX*4), DI
+	LEAQ    (DI)(DX*2), CX
+	VMOVUPS Z16, (R12)
+	VMOVUPS Z18, (R12)(DX*1)
+	VMOVUPS Z20, (SI)
+	VMOVUPS Z22, (SI)(DX*1)
+	VMOVUPS Z24, (DI)
+	VMOVUPS Z26, (DI)(DX*1)
+	VMOVUPS Z28, (CX)
+	VMOVUPS Z30, (CX)(DX*1)
+
+zrows8next:
+	LEAQ (AX)(DX*8), AX
+	LEAQ (BX)(R8*8), BX
+	SUBQ $8, R11
+	JMP  zrows8
+
+	// At most 7 rows are left: a 4-row, a 2-row and a 1-row block take
+	// them, each at most once.
+zrows4:
+	CMPQ R11, $4
+	JLT  zrows2
+	XORQ R13, R13
+
+zrows4cols32:
+	LEAQ 128(R13), CX
+	CMPQ CX, DX
+	JGT  zrows4cols16
+	LEAQ (AX)(R13*1), R12
+	LEAQ (R12)(DX*2), CX
+	VMOVUPS (R12), Z16
+	VMOVUPS 64(R12), Z17
+	VMOVUPS (R12)(DX*1), Z18
+	VMOVUPS 64(R12)(DX*1), Z19
+	VMOVUPS (CX), Z20
+	VMOVUPS 64(CX), Z21
+	VMOVUPS (CX)(DX*1), Z22
+	VMOVUPS 64(CX)(DX*1), Z23
+	MOVQ BX, SI
+	LEAQ (R10)(R13*1), DI
+	MOVQ k+32(FP), CX
+
+zloop4x32:
+	VMOVUPS      (DI), Z0
+	VMOVUPS      64(DI), Z1
+	VBROADCASTSS (SI), Z4
+	VFMADD231PS  Z0, Z4, Z16
+	VFMADD231PS  Z1, Z4, Z17
+	VBROADCASTSS (SI)(R8*1), Z4
+	VFMADD231PS  Z0, Z4, Z18
+	VFMADD231PS  Z1, Z4, Z19
+	VBROADCASTSS (SI)(R8*2), Z4
+	VFMADD231PS  Z0, Z4, Z20
+	VFMADD231PS  Z1, Z4, Z21
+	VBROADCASTSS (SI)(R9*1), Z4
+	VFMADD231PS  Z0, Z4, Z22
+	VFMADD231PS  Z1, Z4, Z23
+	ADDQ         $4, SI
+	ADDQ         DX, DI
+	DECQ         CX
+	JNZ          zloop4x32
+
+	LEAQ    (R12)(DX*2), CX
+	VMOVUPS Z16, (R12)
+	VMOVUPS Z17, 64(R12)
+	VMOVUPS Z18, (R12)(DX*1)
+	VMOVUPS Z19, 64(R12)(DX*1)
+	VMOVUPS Z20, (CX)
+	VMOVUPS Z21, 64(CX)
+	VMOVUPS Z22, (CX)(DX*1)
+	VMOVUPS Z23, 64(CX)(DX*1)
+	ADDQ    $128, R13
+	JMP     zrows4cols32
+
+zrows4cols16:
+	CMPQ R13, DX
+	JGE  zrows4next
+	LEAQ (AX)(R13*1), R12
+	LEAQ (R12)(DX*2), CX
+	VMOVUPS (R12), Z16
+	VMOVUPS (R12)(DX*1), Z18
+	VMOVUPS (CX), Z20
+	VMOVUPS (CX)(DX*1), Z22
+	MOVQ BX, SI
+	LEAQ (R10)(R13*1), DI
+	MOVQ k+32(FP), CX
+
+zloop4x16:
+	VMOVUPS      (DI), Z0
+	VBROADCASTSS (SI), Z4
+	VFMADD231PS  Z0, Z4, Z16
+	VBROADCASTSS (SI)(R8*1), Z4
+	VFMADD231PS  Z0, Z4, Z18
+	VBROADCASTSS (SI)(R8*2), Z4
+	VFMADD231PS  Z0, Z4, Z20
+	VBROADCASTSS (SI)(R9*1), Z4
+	VFMADD231PS  Z0, Z4, Z22
+	ADDQ         $4, SI
+	ADDQ         DX, DI
+	DECQ         CX
+	JNZ          zloop4x16
+
+	LEAQ    (R12)(DX*2), CX
+	VMOVUPS Z16, (R12)
+	VMOVUPS Z18, (R12)(DX*1)
+	VMOVUPS Z20, (CX)
+	VMOVUPS Z22, (CX)(DX*1)
+
+zrows4next:
+	LEAQ (AX)(DX*4), AX
+	LEAQ (BX)(R8*4), BX
+	SUBQ $4, R11
+
+	// Two rows as one block, so each weight load feeds two rows.
+zrows2:
+	CMPQ R11, $2
+	JLT  zrow1
+	XORQ R13, R13
+
+zrows2cols32:
+	LEAQ 128(R13), CX
+	CMPQ CX, DX
+	JGT  zrows2cols16
+	LEAQ (AX)(R13*1), R12
+	VMOVUPS (R12), Z16
+	VMOVUPS 64(R12), Z17
+	VMOVUPS (R12)(DX*1), Z18
+	VMOVUPS 64(R12)(DX*1), Z19
+	MOVQ BX, SI
+	LEAQ (R10)(R13*1), DI
+	MOVQ k+32(FP), CX
+
+zloop2x32:
+	VMOVUPS      (DI), Z0
+	VMOVUPS      64(DI), Z1
+	VBROADCASTSS (SI), Z4
+	VFMADD231PS  Z0, Z4, Z16
+	VFMADD231PS  Z1, Z4, Z17
+	VBROADCASTSS (SI)(R8*1), Z4
+	VFMADD231PS  Z0, Z4, Z18
+	VFMADD231PS  Z1, Z4, Z19
+	ADDQ         $4, SI
+	ADDQ         DX, DI
+	DECQ         CX
+	JNZ          zloop2x32
+
+	VMOVUPS Z16, (R12)
+	VMOVUPS Z17, 64(R12)
+	VMOVUPS Z18, (R12)(DX*1)
+	VMOVUPS Z19, 64(R12)(DX*1)
+	ADDQ    $128, R13
+	JMP     zrows2cols32
+
+zrows2cols16:
+	CMPQ R13, DX
+	JGE  zrows2next
+	LEAQ (AX)(R13*1), R12
+	VMOVUPS (R12), Z16
+	VMOVUPS (R12)(DX*1), Z18
+	MOVQ BX, SI
+	LEAQ (R10)(R13*1), DI
+	MOVQ k+32(FP), CX
+
+zloop2x16:
+	VMOVUPS      (DI), Z0
+	VBROADCASTSS (SI), Z4
+	VFMADD231PS  Z0, Z4, Z16
+	VBROADCASTSS (SI)(R8*1), Z4
+	VFMADD231PS  Z0, Z4, Z18
+	ADDQ         $4, SI
+	ADDQ         DX, DI
+	DECQ         CX
+	JNZ          zloop2x16
+
+	VMOVUPS Z16, (R12)
+	VMOVUPS Z18, (R12)(DX*1)
+
+zrows2next:
+	LEAQ (AX)(DX*2), AX
+	LEAQ (BX)(R8*2), BX
+	SUBQ $2, R11
+
+	// The last row, if one is left.
+zrow1:
+	TESTQ R11, R11
+	JZ    zdone
+	XORQ  R13, R13
+
+zrow1cols64:
+	LEAQ 256(R13), CX
+	CMPQ CX, DX
+	JGT  zrow1cols32
+	LEAQ (AX)(R13*1), R12
+	VMOVUPS (R12), Z16
+	VMOVUPS 64(R12), Z17
+	VMOVUPS 128(R12), Z18
+	VMOVUPS 192(R12), Z19
+	MOVQ BX, SI
+	LEAQ (R10)(R13*1), DI
+	MOVQ k+32(FP), CX
+
+zloop1x64:
+	VBROADCASTSS (SI), Z4
+	VFMADD231PS  (DI), Z4, Z16
+	VFMADD231PS  64(DI), Z4, Z17
+	VFMADD231PS  128(DI), Z4, Z18
+	VFMADD231PS  192(DI), Z4, Z19
+	ADDQ         $4, SI
+	ADDQ         DX, DI
+	DECQ         CX
+	JNZ          zloop1x64
+
+	VMOVUPS Z16, (R12)
+	VMOVUPS Z17, 64(R12)
+	VMOVUPS Z18, 128(R12)
+	VMOVUPS Z19, 192(R12)
+	ADDQ    $256, R13
+	JMP     zrow1cols64
+
+zrow1cols32:
+	LEAQ 128(R13), CX
+	CMPQ CX, DX
+	JGT  zrow1cols16
+	LEAQ (AX)(R13*1), R12
+	VMOVUPS (R12), Z16
+	VMOVUPS 64(R12), Z17
+	MOVQ BX, SI
+	LEAQ (R10)(R13*1), DI
+	MOVQ k+32(FP), CX
+
+zloop1x32:
+	VBROADCASTSS (SI), Z4
+	VFMADD231PS  (DI), Z4, Z16
+	VFMADD231PS  64(DI), Z4, Z17
+	ADDQ         $4, SI
+	ADDQ         DX, DI
+	DECQ         CX
+	JNZ          zloop1x32
+
+	VMOVUPS Z16, (R12)
+	VMOVUPS Z17, 64(R12)
+	ADDQ    $128, R13
+
+zrow1cols16:
+	CMPQ R13, DX
+	JGE  zdone
+	LEAQ (AX)(R13*1), R12
+	VMOVUPS (R12), Z16
+	MOVQ BX, SI
+	LEAQ (R10)(R13*1), DI
+	MOVQ k+32(FP), CX
+
+zloop1x16:
+	VBROADCASTSS (SI), Z4
+	VFMADD231PS  (DI), Z4, Z16
+	ADDQ         $4, SI
+	ADDQ         DX, DI
+	DECQ         CX
+	JNZ          zloop1x16
+
+	VMOVUPS Z16, (R12)
+
+zdone:
+	VZEROUPPER
+	RET
+
 // func laneMACAVX2(acc, x, w *float32, rows, taps, xStride, bn int)
 //
 // acc[i*bn+v] += Σ_s x[i*xStride+s*bn+v] · w[s*bn+v]: per element the tap
@@ -817,6 +1243,45 @@ pfLoop:
 	VFMADD231PS Y12, Y13, Y11
 	DECQ        CX
 	JNZ         pfLoop
+	VZEROUPPER
+	RET
+
+// func peakFMAAVX512(n int)
+//
+// BenchmarkPeak's ZMM probe: peakFMAAVX2's 12 chains on ZMM registers, 384
+// FLOPs per iteration. Requires AVX-512F and n >= 1.
+TEXT ·peakFMAAVX512(SB), NOSPLIT, $0-8
+	MOVQ n+0(FP), CX
+	VPXORD Z0, Z0, Z0
+	VPXORD Z1, Z1, Z1
+	VPXORD Z2, Z2, Z2
+	VPXORD Z3, Z3, Z3
+	VPXORD Z4, Z4, Z4
+	VPXORD Z5, Z5, Z5
+	VPXORD Z6, Z6, Z6
+	VPXORD Z7, Z7, Z7
+	VPXORD Z8, Z8, Z8
+	VPXORD Z9, Z9, Z9
+	VPXORD Z10, Z10, Z10
+	VPXORD Z11, Z11, Z11
+	VPXORD Z12, Z12, Z12
+	VPXORD Z13, Z13, Z13
+
+zpfLoop:
+	VFMADD231PS Z12, Z13, Z0
+	VFMADD231PS Z12, Z13, Z1
+	VFMADD231PS Z12, Z13, Z2
+	VFMADD231PS Z12, Z13, Z3
+	VFMADD231PS Z12, Z13, Z4
+	VFMADD231PS Z12, Z13, Z5
+	VFMADD231PS Z12, Z13, Z6
+	VFMADD231PS Z12, Z13, Z7
+	VFMADD231PS Z12, Z13, Z8
+	VFMADD231PS Z12, Z13, Z9
+	VFMADD231PS Z12, Z13, Z10
+	VFMADD231PS Z12, Z13, Z11
+	DECQ        CX
+	JNZ         zpfLoop
 	VZEROUPPER
 	RET
 

@@ -2,12 +2,16 @@
 
 package ops
 
-// hasAVX2 and hasFMA are false where the assembly bodies are not built: every
-// microkernel in rankk.go always runs its Go body.
-const hasAVX2, hasFMA = false, false
+// hasAVX2, hasFMA and hasAVX512 are false where the assembly bodies are not
+// built: every microkernel in rankk.go always runs its Go body.
+const hasAVX2, hasFMA, hasAVX512 = false, false, false
 
 func rankKAVX2(acc, in, wt *float32, rows, k, inStride, ocb int) {
 	panic("ops: rankKAVX2 is not built for this architecture or with the purego tag")
+}
+
+func rankKAVX512(acc, in, wt *float32, rows, k, inStride, ocb int) {
+	panic("ops: rankKAVX512 is not built for this architecture or with the purego tag")
 }
 
 func laneMACAVX2(acc, x, w *float32, rows, taps, xStride, bn int) {
@@ -36,4 +40,8 @@ func peakMulAddAVX2(n int) {
 
 func peakFMAAVX2(n int) {
 	panic("ops: peakFMAAVX2 is not built for this architecture or with the purego tag")
+}
+
+func peakFMAAVX512(n int) {
+	panic("ops: peakFMAAVX512 is not built for this architecture or with the purego tag")
 }

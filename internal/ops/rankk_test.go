@@ -134,104 +134,136 @@ func rankKFused(acc, in, wt []float32, rows, k, inStride, ocb int) {
 }
 
 // TestRankKAsmMatchesGoBody is the differential test of rankK's numeric
-// contract: the assembly body must equal rankKFused, the once-rounded fused
-// specification, on every element — not within a tolerance — across row
-// tails (the 4-row, 2-row and 1-row blocks), every oc_bn the assembly accepts
-// up to 64, short and long reductions, and the stride-1 and stride-2 input
-// pitches the direct template passes. rankKGo, the non-fused portable body,
-// must stay within 2·γ(k+1)·(|acc| + Σ|in·wt|) of it per element.
+// contract: each assembly body, called directly, must equal rankKFused, the
+// once-rounded fused specification, on every element — not within a
+// tolerance — across row tails (every row block of both bodies), every oc_bn
+// the body accepts up to 64, short and long reductions, and the stride-1 and
+// stride-2 input pitches the direct template passes. rankKGo, the non-fused
+// portable body, must stay within 2·γ(k+1)·(|acc| + Σ|in·wt|) of it per
+// element. On a CPU that offers both bodies rankK reaches only the ZMM one
+// for oc_bn%16 == 0, so the test calls them by name.
 func TestRankKAsmMatchesGoBody(t *testing.T) {
-	if !hasFMA {
-		t.Skip("assembly body not in use: the CPU lacks AVX2 or FMA (or OS YMM support), or the build is not amd64 or has the purego tag")
-	}
-	rng := rand.New(rand.NewSource(1))
-	fill := func(n int) []float32 {
-		s := make([]float32, n)
-		for i := range s {
-			s[i] = rng.Float32()*2 - 1
-		}
-		return s
-	}
-	const u = 1.0 / (1 << 24)
-	gamma := func(n int) float64 { return float64(n) * u / (1 - float64(n)*u) }
-	ks := []int{1, 3, 16, 64, 512}
-	if testing.Short() {
-		ks = []int{1, 3, 64}
-	}
-	for ocb := 8; ocb <= 64; ocb += 8 {
-		for _, k := range ks {
-			for _, strideW := range []int{1, 2} {
-				inStride := strideW * k
-				for rows := 1; rows <= 32; rows++ {
-					in := fill((rows-1)*inStride + k)
-					wt := fill(k * ocb)
-					acc0 := fill(rows * ocb)
-					want := append([]float32(nil), acc0...)
-					rankKFused(want, in, wt, rows, k, inStride, ocb)
-					got := append([]float32(nil), acc0...)
-					rankK(got, in, wt, rows, k, inStride, ocb)
-					goBody := append([]float32(nil), acc0...)
-					rankKGo(goBody, in, wt, rows, k, inStride, ocb)
-					for i := range want {
-						if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
-							t.Fatalf("ocb=%d k=%d inStride=%d rows=%d: acc[%d] = %v, fused specification %v",
-								ocb, k, inStride, rows, i, got[i], want[i])
-						}
-						r, o := i/ocb, i%ocb
-						mag := math.Abs(float64(acc0[i]))
-						for kk := 0; kk < k; kk++ {
-							mag += math.Abs(float64(in[r*inStride+kk]) * float64(wt[kk*ocb+o]))
-						}
-						if d, bound := math.Abs(float64(goBody[i])-float64(got[i])), 2*gamma(k+1)*mag; d > bound {
-							t.Fatalf("ocb=%d k=%d inStride=%d rows=%d: acc[%d] Go body %v is %g from the assembly's %v, bound %g",
-								ocb, k, inStride, rows, i, goBody[i], d, got[i], bound)
+	for _, body := range []struct {
+		name    string
+		ok      bool
+		skip    string
+		ocbStep int
+		run     func(acc, in, wt *float32, rows, k, inStride, ocb int)
+	}{
+		{"avx2", hasFMA, "rankKAVX2 not in use: the CPU lacks AVX2 or FMA (or OS YMM support), or the build is not amd64 or has the purego tag",
+			8, rankKAVX2},
+		{"avx512", hasAVX512, "rankKAVX512 not in use: the CPU lacks AVX-512F (or OS opmask and ZMM support), or the build is not amd64 or has the purego tag",
+			16, rankKAVX512},
+	} {
+		t.Run(body.name, func(t *testing.T) {
+			if !body.ok {
+				t.Skip(body.skip)
+			}
+			rng := rand.New(rand.NewSource(1))
+			fill := func(n int) []float32 {
+				s := make([]float32, n)
+				for i := range s {
+					s[i] = rng.Float32()*2 - 1
+				}
+				return s
+			}
+			const u = 1.0 / (1 << 24)
+			gamma := func(n int) float64 { return float64(n) * u / (1 - float64(n)*u) }
+			ks := []int{1, 3, 16, 64, 512}
+			if testing.Short() {
+				ks = []int{1, 3, 64}
+			}
+			for ocb := body.ocbStep; ocb <= 64; ocb += body.ocbStep {
+				for _, k := range ks {
+					for _, strideW := range []int{1, 2} {
+						inStride := strideW * k
+						for rows := 1; rows <= 32; rows++ {
+							in := fill((rows-1)*inStride + k)
+							wt := fill(k * ocb)
+							acc0 := fill(rows * ocb)
+							want := append([]float32(nil), acc0...)
+							rankKFused(want, in, wt, rows, k, inStride, ocb)
+							got := append([]float32(nil), acc0...)
+							body.run(&got[0], &in[0], &wt[0], rows, k, inStride, ocb)
+							goBody := append([]float32(nil), acc0...)
+							rankKGo(goBody, in, wt, rows, k, inStride, ocb)
+							for i := range want {
+								if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+									t.Fatalf("ocb=%d k=%d inStride=%d rows=%d: acc[%d] = %v, fused specification %v",
+										ocb, k, inStride, rows, i, got[i], want[i])
+								}
+								r, o := i/ocb, i%ocb
+								mag := math.Abs(float64(acc0[i]))
+								for kk := 0; kk < k; kk++ {
+									mag += math.Abs(float64(in[r*inStride+kk]) * float64(wt[kk*ocb+o]))
+								}
+								if d, bound := math.Abs(float64(goBody[i])-float64(got[i])), 2*gamma(k+1)*mag; d > bound {
+									t.Fatalf("ocb=%d k=%d inStride=%d rows=%d: acc[%d] Go body %v is %g from the assembly's %v, bound %g",
+										ocb, k, inStride, rows, i, goBody[i], d, got[i], bound)
+								}
+							}
 						}
 					}
 				}
 			}
-		}
+		})
 	}
 }
 
 // TestDetectRequiresAVX2AndFMA pins the dispatch gates: every assembly body
-// needs AVX, AVX2, OSXSAVE and XCR0's XMM and YMM bits; rankK's also needs
-// FMA, and FMA alone enables nothing.
+// needs AVX, AVX2, OSXSAVE and XCR0's XMM and YMM bits; rankK's AVX2 body
+// also needs FMA, and FMA alone enables nothing; rankK's ZMM body needs all
+// of that, AVX-512F and XCR0's opmask and ZMM bits, and AVX-512F or the ZMM
+// state alone enables it nowhere.
 func TestDetectRequiresAVX2AndFMA(t *testing.T) {
 	const ecx = cpuidOSXSAVE | cpuidAVX | cpuidFMA
+	const ebx = cpuidAVX2 | cpuidAVX512F
 	for _, c := range []struct {
-		name             string
-		ecx1, ebx7, xcr0 uint32
-		avx2, fma        bool
+		name              string
+		ecx1, ebx7, xcr0  uint32
+		avx2, fma, avx512 bool
 	}{
-		{"avx2+fma", ecx, cpuidAVX2, xcr0YMM, true, true},
-		{"avx2+fma, zmm state too", ecx, cpuidAVX2, 0xe7, true, true},
-		{"avx2 without fma", ecx &^ cpuidFMA, cpuidAVX2, xcr0YMM, true, false},
-		{"fma without avx2", ecx, 0, xcr0YMM, false, false},
-		{"no avx", ecx &^ cpuidAVX, cpuidAVX2, xcr0YMM, false, false},
-		{"no osxsave", ecx &^ cpuidOSXSAVE, cpuidAVX2, xcr0YMM, false, false},
-		{"os saves xmm only", ecx, cpuidAVX2, 2, false, false},
-		{"os saves ymm only", ecx, cpuidAVX2, 4, false, false},
-		{"nothing", 0, 0, 0, false, false},
+		{"avx2+fma", ecx, cpuidAVX2, xcr0YMM, true, true, false},
+		{"avx2+fma, zmm state too", ecx, cpuidAVX2, 0xe7, true, true, false},
+		{"avx2 without fma", ecx &^ cpuidFMA, cpuidAVX2, xcr0YMM, true, false, false},
+		{"fma without avx2", ecx, 0, xcr0YMM, false, false, false},
+		{"no avx", ecx &^ cpuidAVX, cpuidAVX2, xcr0YMM, false, false, false},
+		{"no osxsave", ecx &^ cpuidOSXSAVE, cpuidAVX2, xcr0YMM, false, false, false},
+		{"os saves xmm only", ecx, cpuidAVX2, 2, false, false, false},
+		{"os saves ymm only", ecx, cpuidAVX2, 4, false, false, false},
+		{"avx512f", ecx, ebx, 0xe7, true, true, true},
+		{"avx512f, exactly the zmm bits", ecx, ebx, xcr0ZMM, true, true, true},
+		{"avx512f, os saves ymm only", ecx, ebx, xcr0YMM, true, true, false},
+		{"avx512f, os saves no opmask", ecx, ebx, 0xe7 &^ 0x20, true, true, false},
+		{"avx512f, os saves no upper zmm0-15", ecx, ebx, 0xe7 &^ 0x40, true, true, false},
+		{"avx512f, os saves no zmm16-31", ecx, ebx, 0xe7 &^ 0x80, true, true, false},
+		{"avx512f without fma", ecx &^ cpuidFMA, ebx, 0xe7, true, false, false},
+		{"avx512f without avx2", ecx, cpuidAVX512F, 0xe7, false, false, false},
+		{"avx512f without osxsave", ecx &^ cpuidOSXSAVE, ebx, 0xe7, false, false, false},
+		{"nothing", 0, 0, 0, false, false, false},
 	} {
-		if avx2, fma := detect(c.ecx1, c.ebx7, c.xcr0); avx2 != c.avx2 || fma != c.fma {
-			t.Errorf("%s: detect = (avx2 %v, fma %v), want (%v, %v)", c.name, avx2, fma, c.avx2, c.fma)
+		if avx2, fma, avx512 := detect(c.ecx1, c.ebx7, c.xcr0); avx2 != c.avx2 || fma != c.fma || avx512 != c.avx512 {
+			t.Errorf("%s: detect = (avx2 %v, fma %v, avx512 %v), want (%v, %v, %v)", c.name, avx2, fma, avx512, c.avx2, c.fma, c.avx512)
 		}
 	}
 }
 
 // BenchmarkPeak measures the single-core arithmetic ceiling that the kernel
-// benchmarks' GFLOP/s are read against: 12 independent YMM multiply-add
-// chains as VMULPS+VADDPS pairs (laneMAC's instructions) and as VFMADD231PS
-// (rankK's).
+// benchmarks' GFLOP/s are read against: 12 independent multiply-add chains
+// as YMM VMULPS+VADDPS pairs (laneMAC's instructions), as YMM VFMADD231PS
+// (rankK's AVX2 body) and as ZMM VFMADD231PS (its AVX-512 body). zmm-fma
+// against ymm-fma shows whether 512-bit work downclocks the core.
 func BenchmarkPeak(b *testing.B) {
-	const iters = 1 << 16 // of 192 FLOPs each
+	const iters = 1 << 16
 	for _, c := range []struct {
-		name string
-		ok   bool
-		run  func(n int)
+		name  string
+		ok    bool
+		run   func(n int)
+		flops float64 // per iteration
 	}{
-		{"ymm-mul+add", hasAVX2, peakMulAddAVX2},
-		{"ymm-fma", hasFMA, peakFMAAVX2},
+		{"ymm-mul+add", hasAVX2, peakMulAddAVX2, 192},
+		{"ymm-fma", hasFMA, peakFMAAVX2, 192},
+		{"zmm-fma", hasAVX512, peakFMAAVX512, 384},
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			if !c.ok {
@@ -240,18 +272,19 @@ func BenchmarkPeak(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				c.run(iters)
 			}
-			b.ReportMetric(192*iters*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
+			b.ReportMetric(c.flops*iters*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
 		})
 	}
 }
 
 // TestRankKRejectsShortSlices pins the safety check in front of the assembly
-// body: a call whose last acc, in or wt index is out of range panics in Go
-// before any body runs, for an ocb the assembly would take and one it would
-// not.
+// bodies: a call whose last acc, in or wt index is out of range panics in Go
+// before any body runs, for ocb values the ZMM body would take (16 and 32,
+// its 16- and 32-lane columns), one only the AVX2 body would take (8) and one
+// neither would (12).
 func TestRankKRejectsShortSlices(t *testing.T) {
 	const rows, k = 5, 7
-	for _, ocb := range []int{16, 12} {
+	for _, ocb := range []int{16, 32, 8, 12} {
 		inStride := 2 * k
 		acc := make([]float32, rows*ocb)
 		in := make([]float32, (rows-1)*inStride+k)

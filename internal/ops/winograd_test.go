@@ -94,27 +94,37 @@ func runWinogradBlocked(in, wt *tensor.Tensor, attrs Conv2DAttrs, icb, ocb int, 
 	return tensor.FromNCHWc(out)
 }
 
+// winogradNCHWcCase is one Winograd-template geometry and blocking.
+type winogradNCHWcCase struct {
+	name          string
+	c, h, w, ocnt int
+	pad           int
+	icb, ocb      int
+}
+
+// winogradNCHWcCases are TestWinogradNCHWcMatchesReference's rows.
+var winogradNCHWcCases = []winogradNCHWcCase{
+	{"even-pad1-8x8", 8, 8, 8, 16, 1, 8, 8},
+	{"even-pad1-16c", 16, 14, 14, 32, 1, 16, 16},
+	{"odd-output", 4, 7, 9, 8, 1, 4, 4},
+	{"pad0", 8, 10, 10, 8, 0, 4, 8},
+	{"block1", 3, 6, 6, 5, 1, 1, 1},
+	{"mixed-blocks", 6, 9, 11, 12, 1, 3, 4},
+	{"generic-ocb", 10, 8, 8, 10, 1, 5, 10},        // oc_bn not a multiple of 8: rankK's Go body on every CPU
+	{"weight-walk-ocb32", 32, 6, 6, 64, 1, 16, 32}, // 64 output channels > 9 tiles: rankK rows are all 9 tiles
+}
+
+// run returns the NCHW reference and the Winograd template's output.
+func (tc winogradNCHWcCase) run() (ref, got *tensor.Tensor) {
+	in, wt := convCase(83, tc.c, tc.h, tc.w, tc.ocnt, 3, 3)
+	attrs := Conv2DAttrs{OutC: tc.ocnt, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: tc.pad, PadW: tc.pad}
+	return Conv2DNCHW(in, wt, attrs, Epilogue{}, nil), runWinogradBlocked(in, wt, attrs, tc.icb, tc.ocb, Epilogue{}, nil)
+}
+
 func TestWinogradNCHWcMatchesReference(t *testing.T) {
-	cases := []struct {
-		name          string
-		c, h, w, ocnt int
-		pad           int
-		icb, ocb      int
-	}{
-		{"even-pad1-8x8", 8, 8, 8, 16, 1, 8, 8},
-		{"even-pad1-16c", 16, 14, 14, 32, 1, 16, 16},
-		{"odd-output", 4, 7, 9, 8, 1, 4, 4},
-		{"pad0", 8, 10, 10, 8, 0, 4, 8},
-		{"block1", 3, 6, 6, 5, 1, 1, 1},
-		{"mixed-blocks", 6, 9, 11, 12, 1, 3, 4},
-		{"generic-ocb", 10, 8, 8, 10, 1, 5, 10}, // oc_bn not a multiple of 8: rankK's Go body on every CPU
-	}
-	for _, tc := range cases {
+	for _, tc := range winogradNCHWcCases {
 		t.Run(tc.name, func(t *testing.T) {
-			in, wt := convCase(83, tc.c, tc.h, tc.w, tc.ocnt, 3, 3)
-			attrs := Conv2DAttrs{OutC: tc.ocnt, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: tc.pad, PadW: tc.pad}
-			ref := Conv2DNCHW(in, wt, attrs, Epilogue{}, nil)
-			got := runWinogradBlocked(in, wt, attrs, tc.icb, tc.ocb, Epilogue{}, nil)
+			ref, got := tc.run()
 			if !tensor.AllClose(ref, got, 1e-3) {
 				t.Fatalf("blocked winograd diverges from direct: max diff %g", tensor.MaxAbsDiff(ref, got))
 			}
