@@ -265,13 +265,15 @@ func BenchmarkConv1x1(b *testing.B) {
 	}
 }
 
-// BenchmarkConvDepthwise measures the depthwise template on five of
-// MobileNet-V1's 3x3 depthwise layers, single-threaded at the schedules the
-// search plans for them (bn = 32, reg_n = 16 on the first; bn = 64 after),
-// with the bias + ReLU epilogue the plan fuses into each.
+// BenchmarkConvDepthwise measures the depthwise template on eight of
+// MobileNet-V1's thirteen 3x3 depthwise layers, every stride-2 one among
+// them, single-threaded at the schedules the search plans for them (bn = 32
+// on the first, bn = 64 after; the planned reg_n), with the bias + ReLU
+// epilogue the plan fuses into each.
 func BenchmarkConvDepthwise(b *testing.B) {
 	for _, g := range []struct{ c, hw, stride, bn, regN int }{
-		{32, 112, 1, 32, 16}, {64, 112, 2, 64, 16}, {128, 56, 1, 64, 8}, {512, 14, 1, 64, 8}, {1024, 7, 1, 64, 8},
+		{32, 112, 1, 32, 16}, {64, 112, 2, 64, 16}, {128, 56, 1, 64, 8}, {128, 56, 2, 64, 16},
+		{256, 28, 2, 64, 8}, {512, 14, 1, 64, 8}, {512, 14, 2, 64, 4}, {1024, 7, 1, 64, 8},
 	} {
 		name := itoa(g.c) + "@" + itoa(g.hw)
 		if g.stride == 2 {
@@ -285,7 +287,6 @@ func BenchmarkConvDepthwise(b *testing.B) {
 			attrs := ops.Conv2DAttrs{OutC: g.c, KH: 3, KW: 3, StrideH: g.stride, StrideW: g.stride, PadH: 1, PadW: 1, Groups: g.c}
 			bi := tensor.ToNCHWc(in, g.bn)
 			bw := tensor.PackWeights(wt, 1, g.bn)
-			pad := tensor.New(tensor.NCHWc(g.bn), ops.PaddedShapeNCHWc(bi.Shape, attrs)...)
 			ohw, _ := attrs.OutSize(g.hw, g.hw)
 			dst := tensor.New(tensor.NCHWc(g.bn), 1, g.c/g.bn, ohw, ohw, g.bn)
 			bias := make([]float32, g.c)
@@ -296,7 +297,7 @@ func BenchmarkConvDepthwise(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				ops.Conv2DDepthwiseNCHWcInto(dst, pad, bi, bw, attrs, g.bn, g.regN, epi, ops.Serial)
+				ops.Conv2DDepthwiseNCHWcInto(dst, bi, bw, attrs, g.bn, g.regN, epi, ops.Serial)
 			}
 			flops := 2 * float64(g.c) * 9 * float64(ohw*ohw)
 			b.ReportMetric(flops*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")

@@ -264,8 +264,8 @@ type Header struct {
 	InputShape   []int   `json:"input_shape"`
 	OutputShapes [][]int `json:"output_shapes"`
 	// ArenaBytes is the planned per-session arena footprint recorded at save
-	// time; loaders cross-check it against the rebuilt execution plan to
-	// catch compiler drift that silently changes execution memory.
+	// time; loaders reject a bundle whose rebuilt execution plan needs more,
+	// compiler drift that silently grows execution memory.
 	ArenaBytes int `json:"arena_bytes,omitempty"`
 	// Params describes the payload blobs, in payload order.
 	Params []ParamEntry `json:"params"`

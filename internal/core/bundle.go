@@ -248,7 +248,9 @@ func LoadBundle(r io.Reader, resolve GraphResolver, opts Options) (*Module, erro
 		return nil, err
 	}
 	m.finishRuntime(lopts)
-	if h.ArenaBytes != 0 && m.plan.stats.ArenaBytes != h.ArenaBytes {
+	// The recorded footprint is an upper bound: a rebuilt plan may need less
+	// (a later planner can drop buffers), never more.
+	if h.ArenaBytes != 0 && m.plan.stats.ArenaBytes > h.ArenaBytes {
 		return nil, fmt.Errorf("%w: rebuilt execution plan needs a %d-byte arena, bundle recorded %d (compiler drift — recompile the bundle)",
 			artifact.ErrInvalidArtifact, m.plan.stats.ArenaBytes, h.ArenaBytes)
 	}

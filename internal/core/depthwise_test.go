@@ -82,7 +82,9 @@ func randomMobileGraph(seed uint64) *graph.Graph {
 // property test: for random MobileNet-shaped graphs under fp32 and int8,
 // serial and pooled execution, the planned arena-reusing session must be
 // bit-identical to the sequential fresh-buffer reference (the same invariant
-// the dense property test pins), and the plan must stay alias-free.
+// the dense property test pins), and the plan must stay alias-free and plan
+// no padding scratch for a depthwise convolution, whose template reads its
+// input unpadded.
 func TestDepthwisePlannedExecutionMatchesReference(t *testing.T) {
 	for id := 0; id < 6; id++ {
 		for _, cfg := range planConfigs {
@@ -94,6 +96,11 @@ func TestDepthwisePlannedExecutionMatchesReference(t *testing.T) {
 			}
 			if err := m.plan.validate(m.Graph, m.program); err != nil {
 				t.Fatalf("%s: %v", name, err)
+			}
+			for i, n := range m.program {
+				if n.Op == graph.OpConv2D && n.Conv.Depthwise(n.Inputs[0].OutShape.Dims[1]) && m.plan.steps[i].pad.slot >= 0 {
+					t.Fatalf("%s: depthwise %s was planned a padding slot", name, n.Name)
+				}
 			}
 
 			in := tensor.New(tensor.NCHW(), 1, 3, 24, 24)

@@ -68,11 +68,11 @@ const (
 	// slotGeneric slots hold buffers that every user fully overwrites before
 	// reading (node outputs, winograd V scratch, transform intermediates).
 	slotGeneric slotClass = iota
-	// slotPad slots back explicit-padding scratch: kernels write only the
-	// interior and rely on the border staying zero from allocation, so a pad
-	// slot is shared exclusively between pad buffers of identical geometry
-	// (same padded dims and pad amounts — identical interior, identical
-	// untouched border).
+	// slotPad slots back the direct template's explicit-padding scratch:
+	// the kernel writes only the interior and relies on the border staying
+	// zero from allocation, so a pad slot is shared exclusively between pad
+	// buffers of identical geometry (same padded dims and pad amounts —
+	// identical interior, identical untouched border).
 	slotPad
 	// slotPinned slots hold graph outputs. They are never recycled: the
 	// views Run returns must stay valid until the next run.
@@ -136,6 +136,9 @@ func stepBuffers(n *graph.Node, int8 bool) planStep {
 				// Winograd pads implicitly in its data transform; its scratch
 				// is the transform-domain buffer of its walk instead.
 				st.wino = mk(tensor.Flat(), ops.WinogradScratchShape(physIn, n.Conv))
+			} else if n.Conv.Depthwise(in.OutShape.Dims[1]) {
+				// The depthwise template clips its windows at the border
+				// and needs no pad scratch; exec picks it by this test.
 			} else if pad := ops.PaddedShapeNCHWc(physIn, n.Conv); pad != nil {
 				st.pad = mk(in.OutLayout, pad)
 			}

@@ -232,7 +232,7 @@ func (m *Module) exec(n *graph.Node, vals []*tensor.Tensor, input *tensor.Tensor
 					n.Sched.ICBlock, n.Sched.OCBlock, epi, pf), nil
 			}
 			if depthwise {
-				return ops.Conv2DDepthwiseNCHWcInto(buf.outT(), buf.padT(), arg(0), m.packed[n], n.Conv,
+				return ops.Conv2DDepthwiseNCHWcInto(buf.outT(), arg(0), m.packed[n], n.Conv,
 					n.Sched.OCBlock, n.Sched.RegN, epi, pf), nil
 			}
 			return ops.Conv2DNCHWcInto(buf.outT(), buf.padT(), arg(0), m.packed[n], n.Conv,

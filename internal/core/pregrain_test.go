@@ -3,9 +3,11 @@ package core
 import (
 	"bytes"
 	"context"
+	"errors"
 	"os"
 	"testing"
 
+	"repro/internal/artifact"
 	"repro/internal/machine"
 	"repro/internal/models"
 	"repro/internal/tensor"
@@ -124,5 +126,81 @@ func TestOlderBundleCompat(t *testing.T) {
 				t.Fatalf("bundle- and plan-loaded older modules diverge by %g", d)
 			}
 		})
+	}
+}
+
+// TestPadSlotBundleCompat loads padslot_tiny-mobilenet.bundle, saved by the
+// last build whose depthwise template copied its input into a planned pad
+// slot (see gen_padslot.go). The current planner builds a smaller arena for
+// the same schedules, and a bundle recording more arena than its rebuilt plan
+// needs must keep loading and run with the bits of a fresh compile of the
+// same model; one recording less than the rebuilt plan needs must still fail
+// with ErrInvalidArtifact.
+func TestPadSlotBundleCompat(t *testing.T) {
+	raw, err := os.ReadFile("testdata/padslot_tiny-mobilenet.bundle")
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := artifact.Read(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := Options{Threads: 2, Backend: machine.BackendPool}
+	bm, err := LoadBundle(bytes.NewReader(raw), models.ResolveGraph, opts)
+	if err != nil {
+		t.Fatalf("bundle saved with a depthwise pad slot must keep loading: %v", err)
+	}
+	defer bm.Close()
+	rebuilt := bm.PlanStats().ArenaBytes
+	if rebuilt >= b.Header.ArenaBytes {
+		t.Fatalf("rebuilt arena %d bytes, recorded %d: the fixture no longer covers a plan that shrank", rebuilt, b.Header.ArenaBytes)
+	}
+
+	g, err := models.BuildAny("tiny-mobilenet", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := Compile(g, skylake(), Options{Level: OptGlobalSearch, Threads: 2, Backend: machine.BackendPool})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fresh.Close()
+	in := tensor.New(tensor.NCHW(), g.Input.OutShape.Dims...)
+	in.FillRandom(23, 1)
+	got, err := bm.Run(in)
+	if err != nil {
+		t.Fatalf("bundle saved with a depthwise pad slot must execute: %v", err)
+	}
+	want, err := fresh.Run(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !tensor.BitEqual(want[0], got[0]) {
+		t.Fatalf("bundle output differs in its bits from a fresh compile's (max abs diff %g)", tensor.MaxAbsDiff(want[0], got[0]))
+	}
+
+	for _, c := range []struct {
+		name     string
+		recorded int
+		ok       bool
+	}{
+		{"equal", rebuilt, true},
+		{"smaller", rebuilt - 4, false},
+	} {
+		h := b.Header
+		h.ArenaBytes = c.recorded
+		var buf bytes.Buffer
+		if err := artifact.Write(&buf, h, b.Params); err != nil {
+			t.Fatalf("%s: rewrite: %v", c.name, err)
+		}
+		m, err := LoadBundle(bytes.NewReader(buf.Bytes()), models.ResolveGraph, opts)
+		if c.ok {
+			if err != nil {
+				t.Fatalf("recorded arena equal to the rebuilt one: %v", err)
+			}
+			m.Close()
+		} else if !errors.Is(err, artifact.ErrInvalidArtifact) {
+			t.Fatalf("recorded arena %d below the rebuilt %d: err = %v, want ErrInvalidArtifact", c.recorded, rebuilt, err)
+		}
 	}
 }

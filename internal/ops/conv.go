@@ -208,9 +208,12 @@ func Conv2DNCHWc(in, weight *tensor.Tensor, attrs Conv2DAttrs, icb, ocb, regN in
 	return Conv2DNCHWcInto(nil, nil, in, weight, attrs, icb, ocb, regN, epi, pf)
 }
 
-// PaddedShapeNCHWc returns the buffer shape Conv2DNCHWcInto needs for its
-// padding scratch given the blocked input shape, or nil when the convolution
-// needs no explicit padding. Sessions use it to size arenas once.
+// PaddedShapeNCHWc returns the buffer shape the direct template,
+// Conv2DNCHWcInto, needs for its padding scratch given the blocked input
+// shape, or nil when the convolution needs no explicit padding. Sessions use
+// it to size arenas once. Only the direct template pads: the depthwise
+// template clips its windows at the border and Winograd pads in its input
+// transform.
 func PaddedShapeNCHWc(inShape []int, attrs Conv2DAttrs) []int {
 	if attrs.PadH == 0 && attrs.PadW == 0 {
 		return nil
@@ -327,7 +330,7 @@ func Conv2DNCHWcInto(dst, padScratch *tensor.Tensor, in, weight *tensor.Tensor, 
 	return out
 }
 
-// storeTile stores a finished accumulator tile of the direct or depthwise
+// storeTile stores a finished accumulator tile of the direct or Winograd
 // template at out[off:] through the fused epilogue. The residual shares the
 // output's layout and is read at the same offset; co selects the output
 // block's bias. An empty epilogue is a plain copy, which is faster than any

@@ -276,11 +276,10 @@ func TestDirectConvNoPerRowAllocation(t *testing.T) {
 	packed := tensor.PackWeights(dwWt, 1, bn)
 	dwRun := func(h int) float64 {
 		dwIn := tensor.New(tensor.NCHWc(bn), 1, c/bn, h, 14, bn)
-		dwPad := tensor.New(tensor.NCHWc(bn), PaddedShapeNCHWc(dwIn.Shape, dwAttrs)...)
 		dst := tensor.New(tensor.NCHWc(bn), 1, c/bn, h, 14, bn)
 		epi := Epilogue{Bias: make([]float32, c), ReLU: true}
 		return testing.AllocsPerRun(5, func() {
-			Conv2DDepthwiseNCHWcInto(dst, dwPad, dwIn, packed, dwAttrs, bn, regN, epi, Serial)
+			Conv2DDepthwiseNCHWcInto(dst, dwIn, packed, dwAttrs, bn, regN, epi, Serial)
 		})
 	}
 	if short, tall := dwRun(10), dwRun(40); tall != short {

@@ -13,8 +13,9 @@ import (
 // block co straight to lane v of the same output block. That forces the
 // schedule to share one channel block factor (ic_bn == oc_bn), and turns the
 // inner loop into an element-wise multiply-accumulate across the block's
-// lanes — no channel reduction, no broadcast: the laneMAC microkernel, one
-// vector multiply and add per lane vector and tap.
+// lanes — no channel reduction, no broadcast: the laneWindow microkernel,
+// which keeps a run of output positions in registers across the whole
+// kernel window and stores each once, through the fused epilogue.
 //
 // Weights are packed at compile time with tensor.PackWeights(w, 1, bn): the
 // logical OIHW weight is (C, 1, KH, KW), and OIHW[1]i[bn]o degenerates to a
@@ -23,17 +24,15 @@ import (
 
 // Conv2DDepthwiseNCHWc computes a depthwise convolution over an NCHW[bn]c
 // input with OIHW[1]i[bn]o weights, register-blocking reg_n output positions
-// exactly like the dense direct template. Every kernel shape runs one laneMAC
-// per kernel row.
+// like the dense direct template. It reads the unpadded input: a window that
+// overlaps the padding is clipped to the taps inside the image.
 func Conv2DDepthwiseNCHWc(in, weight *tensor.Tensor, attrs Conv2DAttrs, bn, regN int, epi Epilogue, pf ParallelFor) *tensor.Tensor {
-	return Conv2DDepthwiseNCHWcInto(nil, nil, in, weight, attrs, bn, regN, epi, pf)
+	return Conv2DDepthwiseNCHWcInto(nil, in, weight, attrs, bn, regN, epi, pf)
 }
 
-// Conv2DDepthwiseNCHWcInto is Conv2DDepthwiseNCHWc writing into
-// caller-provided buffers: dst receives the output and padScratch (sized per
-// PaddedShapeNCHWc, zero-filled at allocation) holds the explicitly padded
-// input. Either may be nil, in which case it is allocated.
-func Conv2DDepthwiseNCHWcInto(dst, padScratch *tensor.Tensor, in, weight *tensor.Tensor, attrs Conv2DAttrs, bn, regN int, epi Epilogue, pf ParallelFor) *tensor.Tensor {
+// Conv2DDepthwiseNCHWcInto is Conv2DDepthwiseNCHWc writing into a
+// caller-provided destination (nil dst allocates).
+func Conv2DDepthwiseNCHWcInto(dst *tensor.Tensor, in, weight *tensor.Tensor, attrs Conv2DAttrs, bn, regN int, epi Epilogue, pf ParallelFor) *tensor.Tensor {
 	if in.Layout.Kind != tensor.LayoutNCHWc || in.Layout.BlockC != bn {
 		panic(fmt.Sprintf("ops: Conv2DDepthwiseNCHWc expects NCHW%dc input, got %v", bn, in.Layout))
 	}
@@ -53,50 +52,53 @@ func Conv2DDepthwiseNCHWcInto(dst, padScratch *tensor.Tensor, in, weight *tensor
 	if pf == nil {
 		pf = Serial
 	}
-
-	padded := padNCHWc(in, attrs.PadH, attrs.PadW, padScratch)
-	ph, pw := padded.Shape[2], padded.Shape[3]
-	// Like the dense template, the kernel indexes the padded buffer without
-	// per-access bounds checks; a geometry that cannot cover the output must
-	// fail loudly here.
-	if need := (oh-1)*attrs.StrideH + kh; ph < need {
-		panic(fmt.Sprintf("ops: padded input height %d cannot cover output height %d (need %d rows for stride %d, kernel %d)",
-			ph, oh, need, attrs.StrideH, kh))
-	}
-	if need := (ow-1)*attrs.StrideW + kw; pw < need {
-		panic(fmt.Sprintf("ops: padded input width %d cannot cover output width %d (need %d cols for stride %d, kernel %d)",
-			pw, ow, need, attrs.StrideW, kw))
+	sh, sw, padH, padW := attrs.StrideH, attrs.StrideW, attrs.PadH, attrs.PadW
+	// Output columns [xa, xb) see their whole window inside the image; every
+	// other column is clipped on at least one side.
+	xa := (padW + sw - 1) / sw
+	xb := 0
+	if w+padW >= kw {
+		xb = (w+padW-kw)/sw + 1
 	}
 
-	// One parallel unit per (batch, channel-block, out-row) band; the
-	// accumulator tile lives on the stack, set up once per thread range.
+	// One parallel unit per (batch, channel-block, out-row) band.
 	pf(n*cOuter*oh, func(lo, hi int) {
-		var accArr [MaxAccTile]float32
-		var acc []float32
-		if regN*bn <= len(accArr) {
-			acc = accArr[:regN*bn]
-		} else {
-			acc = make([]float32, regN*bn)
-		}
 		for unit := lo; unit < hi; unit++ {
 			y := unit % oh
 			rest := unit / oh
 			co := rest % cOuter
 			b := rest / cOuter
-			wCO := weight.Data[co*kh*kw*bn:]
-			inRow := ((b*cOuter+co)*ph + y*attrs.StrideH) * pw
+			// The kernel rows [r0, r1) of this output row inside the image.
+			iy := y*sh - padH
+			r0, r1 := max(0, -iy), min(kh, h-iy)
+			plane := in.Data[(b*cOuter+co)*h*w*bn : (b*cOuter+co+1)*h*w*bn]
+			wCO := weight.Data[co*kh*kw*bn : (co+1)*kh*kw*bn]
 			outRow := ((b*cOuter+co)*oh + y) * ow
-			for x0 := 0; x0 < ow; x0 += regN {
-				tile := min(regN, ow-x0)
-				a := acc[:tile*bn]
-				clear(a)
-				// One kernel row is one laneMAC over its kw taps, which are
-				// contiguous in NCHW[x]c and in the packed weight.
-				for r := 0; r < kh; r++ {
-					laneMAC(a, padded.Data[(inRow+r*pw+x0*attrs.StrideW)*bn:], wCO[r*kw*bn:],
-						tile, kw, attrs.StrideW*bn, bn)
+			var bias []float32
+			if epi.Bias != nil {
+				bias = epi.Bias[co*bn : co*bn+bn]
+			}
+			for x := 0; x < ow; {
+				// An unclipped run of up to reg_n columns, or one clipped
+				// column with its taps [s0, s1).
+				cols := 1
+				if x >= xa && x < xb {
+					cols = min(regN, xb-x)
 				}
-				storeTile(out.Data, a, epi, (outRow+x0)*bn, co, bn)
+				ix := x*sw - padW
+				s0, s1 := max(0, -ix), min(kw, w-ix)
+				rows, taps := r1-r0, s1-s0
+				var xs, ws, res []float32
+				if rows > 0 && taps > 0 {
+					xs = plane[((iy+r0)*w+ix+s0)*bn:]
+					ws = wCO[(r0*kw+s0)*bn:]
+				}
+				if epi.Residual != nil {
+					res = epi.Residual.Data[(outRow+x)*bn:]
+				}
+				laneWindow(out.Data[(outRow+x)*bn:], xs, ws, bias, res,
+					cols, rows, taps, sw*bn, w*bn, kw*bn, bn, epi.ReLU)
+				x += cols
 			}
 		}
 	})

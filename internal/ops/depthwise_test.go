@@ -101,58 +101,144 @@ func TestConv2DNCHWcGrouped(t *testing.T) {
 	}
 }
 
-// TestConv2DDepthwiseNCHWc checks the depthwise template — every block size,
-// including the 32- and 64-lane blocks the search plans for MobileNet, every
-// reg_n shape with full and partial last tiles, strides and the full bias +
-// residual + ReLU epilogue, serially and over ragged parallel ranges —
-// against the NCHW reference.
-func TestConv2DDepthwiseNCHWc(t *testing.T) {
-	for _, tc := range []struct {
-		c, h, k, stride, pad int
-	}{
-		{16, 12, 3, 1, 1},
-		{16, 12, 3, 2, 1},
-		{16, 9, 3, 1, 1},
-		{32, 9, 3, 1, 1},
-		{8, 7, 5, 1, 2},
-		{8, 9, 5, 1, 2},
-		{48, 8, 3, 1, 1},  // c=48 exercises bn=16 and generic bn via divisors
-		{64, 13, 3, 2, 1}, // searched blocks, stride 2, 7 output columns
-		{128, 9, 3, 1, 1}, // searched blocks, 9 output columns
-	} {
-		attrs := Conv2DAttrs{OutC: tc.c, KH: tc.k, KW: tc.k, StrideH: tc.stride, StrideW: tc.stride, PadH: tc.pad, PadW: tc.pad, Groups: tc.c}
-		in, wt := groupedCase(uint64(tc.c), tc.c, tc.h, tc.h, tc.c, tc.k, tc.k, tc.c)
-		bias := make([]float32, tc.c)
-		for i := range bias {
-			bias[i] = float32(i%5) * 0.1
-		}
-		oh, ow := attrs.OutSize(tc.h, tc.h)
-		res := tensor.New(tensor.NCHW(), 1, tc.c, oh, ow)
-		res.FillRandom(uint64(tc.c)+2, 1)
-		want := Conv2DNCHW(in, wt, attrs, Epilogue{Bias: bias, Residual: res, ReLU: true}, nil)
-		for _, bn := range []int{4, 8, 16, 3, 32, 64} {
-			if tc.c%bn != 0 {
-				continue
+// depthwiseCase is one geometry of TestConv2DDepthwiseNCHWc: c channels over
+// an h × w input, a k × k kernel.
+type depthwiseCase struct {
+	name                           string
+	c, h, w, k, stride, padH, padW int
+}
+
+// depthwiseNCHWcCases are TestConv2DDepthwiseNCHWc's rows: every block size
+// dividing c, including the 32- and 64-lane blocks the search plans for
+// MobileNet, full and partial reg_n runs, strides, and windows clipped by the
+// padding on one side, on both sides (1×1 and 2×2 inputs, a 5×5 kernel over
+// a 3×3 input), with PadH ≠ PadW, and not at all (a 1×1 kernel with pad 1,
+// whose border outputs read no input).
+var depthwiseNCHWcCases = []depthwiseCase{
+	{"c16-12x12-k3-s1", 16, 12, 12, 3, 1, 1, 1},
+	{"c16-12x12-k3-s2", 16, 12, 12, 3, 2, 1, 1},
+	{"c16-9x9-k3-s1", 16, 9, 9, 3, 1, 1, 1},
+	{"c32-9x9-k3-s1", 32, 9, 9, 3, 1, 1, 1},
+	{"c8-7x7-k5-s1", 8, 7, 7, 5, 1, 2, 2},
+	{"c8-9x9-k5-s1", 8, 9, 9, 5, 1, 2, 2},
+	{"c48-8x8-k3-s1", 48, 8, 8, 3, 1, 1, 1},     // bn=16 and generic bn via divisors
+	{"c64-13x13-k3-s2", 64, 13, 13, 3, 2, 1, 1}, // searched blocks, stride 2, 7 output columns
+	{"c128-9x9-k3-s1", 128, 9, 9, 3, 1, 1, 1},   // searched blocks, 9 output columns
+	{"c64-1x1-k3-s1", 64, 1, 1, 3, 1, 1, 1},     // the one column clipped on both sides
+	{"c64-2x2-k3-s1", 64, 2, 2, 3, 1, 1, 1},
+	{"c64-2x2-k3-s2", 64, 2, 2, 3, 2, 1, 1},
+	{"c32-3x3-k5-s1", 32, 3, 3, 5, 1, 2, 2}, // the middle column clipped on both sides
+	{"c32-9x7-k3-padH1-padW0", 32, 9, 7, 3, 1, 1, 0},
+	{"c32-7x9-k3-padH0-padW1-s2", 32, 7, 9, 3, 2, 0, 1},
+	{"c16-8x11-k5-padH1-padW2", 16, 8, 11, 5, 1, 1, 2},
+	{"c16-4x4-k1-pad1", 16, 4, 4, 1, 1, 1, 1},
+}
+
+// laneMACGo is the depthwise microkernel the template ran before it clipped
+// its windows, kept here as depthwiseOracle's: one kernel row of taps applied
+// lane-wise to a rows × bn accumulator tile, each element's tap sum formed
+// in ascending s from rounded products, then added to acc once.
+func laneMACGo(acc, x, w []float32, rows, taps, xStride, bn int) {
+	for i := 0; i < rows; i++ {
+		a := acc[i*bn : i*bn+bn]
+		xi := x[i*xStride:]
+		for v := range a {
+			sum := float32(xi[v] * w[v])
+			for s := 1; s < taps; s++ {
+				sum += float32(xi[s*bn+v] * w[s*bn+v])
 			}
-			blockedIn := tensor.ToNCHWc(in, bn)
-			packed := tensor.PackWeights(wt, 1, bn)
-			epi := Epilogue{Bias: bias, Residual: tensor.ToNCHWc(res, bn), ReLU: true}
-			for _, regN := range []int{1, 4, 16} {
-				for i, pf := range []ParallelFor{Serial, goPar(3)} {
-					name := fmt.Sprintf("c=%d k=%d s=%d bn=%d regN=%d %s", tc.c, tc.k, tc.stride, bn, regN, []string{"Serial", "goPar(3)"}[i])
-					out := Conv2DDepthwiseNCHWc(blockedIn, packed, attrs, bn, regN, epi, pf)
-					if d := tensor.MaxAbsDiff(want, tensor.FromNCHWc(out)); d > 1e-5 {
-						t.Fatalf("%s: depthwise diverges by %g", name, d)
+			a[v] += sum
+		}
+	}
+}
+
+// depthwiseOracle is the depthwise template as it was before it clipped its
+// windows: the input explicitly padded by padNCHWc, per output position an
+// accumulator cleared to +0 and one laneMACGo per kernel row over the padded
+// rows, then epilogueGo. The template must equal it bit for bit.
+func depthwiseOracle(in, weight *tensor.Tensor, attrs Conv2DAttrs, bn int, epi Epilogue) *tensor.Tensor {
+	n, cOuter, h, w := in.Shape[0], in.Shape[1], in.Shape[2], in.Shape[3]
+	kh, kw := weight.Shape[2], weight.Shape[3]
+	oh, ow := attrs.OutSize(h, w)
+	padded := padNCHWc(in, attrs.PadH, attrs.PadW, nil)
+	ph, pw := padded.Shape[2], padded.Shape[3]
+	out := tensor.New(tensor.NCHWc(bn), n, cOuter, oh, ow, bn)
+	acc := make([]float32, bn)
+	for b := 0; b < n; b++ {
+		for co := 0; co < cOuter; co++ {
+			var bias []float32
+			if epi.Bias != nil {
+				bias = epi.Bias[co*bn : co*bn+bn]
+			}
+			for y := 0; y < oh; y++ {
+				for x := 0; x < ow; x++ {
+					clear(acc)
+					for r := 0; r < kh; r++ {
+						laneMACGo(acc, padded.Data[(((b*cOuter+co)*ph+y*attrs.StrideH+r)*pw+x*attrs.StrideW)*bn:],
+							weight.Data[(co*kh+r)*kw*bn:], 1, kw, attrs.StrideW*bn, bn)
 					}
+					off := (((b*cOuter+co)*oh+y)*ow + x) * bn
+					var res []float32
+					if epi.Residual != nil {
+						res = epi.Residual.Data[off : off+bn]
+					}
+					epilogueGo(out.Data[off:off+bn], acc, bias, res, 1, bn, epi.ReLU)
+				}
+			}
+		}
+	}
+	return out
+}
+
+// run checks the template on tc's geometry — every block size dividing c,
+// every reg_n shape, serially and over ragged parallel ranges, with the full
+// bias + residual + ReLU epilogue — against the NCHW reference, and bit for
+// bit against depthwiseOracle.
+func (tc depthwiseCase) run(t *testing.T) {
+	t.Helper()
+	attrs := Conv2DAttrs{OutC: tc.c, KH: tc.k, KW: tc.k, StrideH: tc.stride, StrideW: tc.stride, PadH: tc.padH, PadW: tc.padW, Groups: tc.c}
+	in, wt := groupedCase(uint64(tc.c), tc.c, tc.h, tc.w, tc.c, tc.k, tc.k, tc.c)
+	bias := make([]float32, tc.c)
+	for i := range bias {
+		bias[i] = float32(i%5) * 0.1
+	}
+	oh, ow := attrs.OutSize(tc.h, tc.w)
+	res := tensor.New(tensor.NCHW(), 1, tc.c, oh, ow)
+	res.FillRandom(uint64(tc.c)+2, 1)
+	want := Conv2DNCHW(in, wt, attrs, Epilogue{Bias: bias, Residual: res, ReLU: true}, nil)
+	for _, bn := range []int{4, 8, 16, 3, 32, 64} {
+		if tc.c%bn != 0 {
+			continue
+		}
+		blockedIn := tensor.ToNCHWc(in, bn)
+		packed := tensor.PackWeights(wt, 1, bn)
+		epi := Epilogue{Bias: bias, Residual: tensor.ToNCHWc(res, bn), ReLU: true}
+		oracle := depthwiseOracle(blockedIn, packed, attrs, bn, epi)
+		for _, regN := range []int{1, 4, 16} {
+			for i, pf := range []ParallelFor{Serial, goPar(3)} {
+				name := fmt.Sprintf("bn=%d regN=%d %s", bn, regN, []string{"Serial", "goPar(3)"}[i])
+				out := Conv2DDepthwiseNCHWc(blockedIn, packed, attrs, bn, regN, epi, pf)
+				if d := tensor.MaxAbsDiff(want, tensor.FromNCHWc(out)); d > 1e-5 {
+					t.Fatalf("%s: depthwise diverges from the reference by %g", name, d)
+				}
+				if !tensor.BitEqual(oracle, out) {
+					t.Fatalf("%s: depthwise output differs in its bits from the explicitly padded oracle", name)
 				}
 			}
 		}
 	}
 }
 
+// TestConv2DDepthwiseNCHWc runs depthwiseNCHWcCases.
+func TestConv2DDepthwiseNCHWc(t *testing.T) {
+	for _, tc := range depthwiseNCHWcCases {
+		t.Run(tc.name, tc.run)
+	}
+}
+
 // TestConv2DDepthwiseNCHWcResidual checks the fused residual path and the
-// destination-buffer variant with a reused pad scratch (the session arena
-// contract: the zero border must survive between calls).
+// destination-buffer variant, the session arena contract: a destination
+// reused across calls gets the same output each time.
 func TestConv2DDepthwiseNCHWcResidual(t *testing.T) {
 	const c, h, bn = 16, 10, 8
 	attrs := Conv2DAttrs{OutC: c, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1, Groups: c}
@@ -165,9 +251,8 @@ func TestConv2DDepthwiseNCHWcResidual(t *testing.T) {
 	packed := tensor.PackWeights(wt, 1, bn)
 	blockedRes := tensor.ToNCHWc(res, bn)
 	dst := tensor.New(tensor.NCHWc(bn), 1, c/bn, h, h, bn)
-	pad := tensor.New(tensor.NCHWc(bn), PaddedShapeNCHWc(blockedIn.Shape, attrs)...)
-	for pass := 0; pass < 2; pass++ { // second pass reuses the pad scratch
-		out := Conv2DDepthwiseNCHWcInto(dst, pad, blockedIn, packed, attrs, bn, 4,
+	for pass := 0; pass < 2; pass++ { // second pass reuses the destination
+		out := Conv2DDepthwiseNCHWcInto(dst, blockedIn, packed, attrs, bn, 4,
 			Epilogue{Residual: blockedRes, ReLU: true}, Serial)
 		if d := tensor.MaxAbsDiff(want, tensor.FromNCHWc(out)); d > 1e-5 {
 			t.Fatalf("pass %d: depthwise residual diverges by %g", pass, d)

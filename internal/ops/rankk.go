@@ -66,55 +66,94 @@ func rankKGo(acc, in, wt []float32, rows, k, inStride, ocb int) {
 	}
 }
 
-// laneMAC is the microkernel under the depthwise template: one kernel row of
-// taps applied lane-wise to a rows × bn accumulator tile,
+// laneWindow is the microkernel under the depthwise template: cols output
+// positions of one output row of one channel block, each over its whole
+// rows × taps window of the unpadded input, with the fused epilogue applied
+// before the only store,
 //
-//	acc[i*bn+v] += Σ_s x[i*xStride+s*bn+v] · w[s*bn+v]   for i < rows, v < bn,
+//	acc = Σ_r (Σ_s x[i*xStride + r*xPitch + s*bn + v] · w[r*wPitch + s*bn + v])
+//	dst[i*bn+v] = relu((acc + bias[v]) + res[i*bn+v])   for i < cols, v < bn,
 //
 // where lane v of the input meets lane v of the weight: no channel reduction
-// and no broadcast.
+// and no broadcast. x and w start at the first tap inside the image, so a
+// window clipped by the padding passes fewer rows or taps and shifted
+// slices; a nil bias or res skips its addition and relu false skips the
+// clamp.
 //
-// Numeric contract: each element's tap sum is formed first, in ascending s
-// with every product rounded and no fused multiply-add, and is then added to
-// acc once, so every body is bit-identical to laneMACGo, the specification.
-// bn values that are a multiple of 8 run the AVX2 body where hasAVX2 holds,
-// everything else runs laneMACGo.
+// Numeric contract: each kernel row's tap sum is formed first, in ascending s
+// with every product rounded and no fused multiply-add, and is added once, in
+// ascending r, to an accumulator that starts at +0; the epilogue follows
+// epilogueGo's order and clamp. A skipped padding tap, whose product with a
+// finite weight is ±0, can change a row's tap sum only in the sign of a zero;
+// the accumulator is never -0, and adding a zero of either sign to it leaves
+// it unchanged, so clipping the window changes no output bit against the
+// explicitly padded input. The AVX2 body is bit-identical to laneWindowGo,
+// the specification: bn values that are a multiple of 8 run it where hasAVX2
+// holds, everything else laneWindowGo.
 //
-// The call panics, before any body runs, unless the last acc, x and w element
-// the update touches is in range.
-func laneMAC(acc, x, w []float32, rows, taps, xStride, bn int) {
+// The call panics, before any body runs, unless the last dst, x, w, bias and
+// res element it touches is in range; with rows or taps 0 it reads no x or w
+// element and stores the epilogue of +0.
+func laneWindow(dst, x, w, bias, res []float32, cols, rows, taps, xStride, xPitch, wPitch, bn int, relu bool) {
+	if cols <= 0 {
+		return
+	}
+	if xStride < 0 || xPitch < 0 || wPitch < 0 {
+		panic(fmt.Sprintf("ops: laneWindow with negative pitch (xStride %d, xPitch %d, wPitch %d)", xStride, xPitch, wPitch))
+	}
+	_ = dst[cols*bn-1]
+	var xp, wp, bp, rp *float32
 	if rows <= 0 || taps <= 0 {
-		return
+		rows, taps = 0, 0
+	} else {
+		_ = x[(rows-1)*xPitch+(cols-1)*xStride+taps*bn-1]
+		_ = w[(rows-1)*wPitch+taps*bn-1]
+		xp, wp = &x[0], &w[0]
 	}
-	if xStride < 0 {
-		panic(fmt.Sprintf("ops: laneMAC with negative xStride %d", xStride))
+	if bias != nil {
+		_ = bias[bn-1]
+		bp = &bias[0]
 	}
-	_ = acc[rows*bn-1]
-	_ = x[(rows-1)*xStride+taps*bn-1]
-	_ = w[taps*bn-1]
+	if res != nil {
+		_ = res[cols*bn-1]
+		rp = &res[0]
+	}
 	if hasAVX2 && bn%8 == 0 {
-		laneMACAVX2(&acc[0], &x[0], &w[0], rows, taps, xStride, bn)
+		laneWindowAVX2(&dst[0], xp, wp, bp, rp, cols, rows, taps, xStride, xPitch, wPitch, bn, relu)
 		return
 	}
-	laneMACGo(acc, x, w, rows, taps, xStride, bn)
+	laneWindowGo(dst, x, w, bias, res, cols, rows, taps, xStride, xPitch, wPitch, bn, relu)
 }
 
-// laneMACGo is the portable body and the specification of laneMAC.
-func laneMACGo(acc, x, w []float32, rows, taps, xStride, bn int) {
-	for i := 0; i < rows; i++ {
-		a := acc[i*bn : i*bn+bn]
-		xi := x[i*xStride:]
-		for v := range a {
-			sum := float32(xi[v] * w[v])
-			for s := 1; s < taps; s++ {
-				sum += float32(xi[s*bn+v] * w[s*bn+v])
+// laneWindowGo is the portable body and the specification of laneWindow.
+func laneWindowGo(dst, x, w, bias, res []float32, cols, rows, taps, xStride, xPitch, wPitch, bn int, relu bool) {
+	for i := 0; i < cols; i++ {
+		d := dst[i*bn : i*bn+bn]
+		for v := range d {
+			var acc float32
+			for r := 0; r < rows; r++ {
+				xr, wr := x[i*xStride+r*xPitch+v:], w[r*wPitch+v:]
+				sum := float32(xr[0] * wr[0])
+				for s := 1; s < taps; s++ {
+					sum += float32(xr[s*bn] * wr[s*bn])
+				}
+				acc += sum
 			}
-			a[v] += sum
+			if bias != nil {
+				acc += bias[v]
+			}
+			if res != nil {
+				acc += res[i*bn+v]
+			}
+			if relu {
+				acc = relu32(acc)
+			}
+			d[v] = acc
 		}
 	}
 }
 
-// epilogue is the fused store under the direct and depthwise templates —
+// epilogue is the fused store under the direct and Winograd templates —
 // bias, residual, ReLU, in that order (Algorithm 1 lines 21-23) — from a
 // rows × ocb accumulator tile to dst:
 //
@@ -123,7 +162,7 @@ func laneMACGo(acc, x, w []float32, rows, taps, xStride, bn int) {
 // where a nil bias or res skips its addition and relu false skips the clamp.
 //
 // Numeric contract: the clamp is relu32, which passes NaN and -0 through
-// unchanged; the AVX2 body (ocb%8 == 0, laneMAC's dispatch) clamps
+// unchanged; the AVX2 body (ocb%8 == 0, where hasAVX2 holds) clamps
 // with VMAXPS taking the zero vector as its first source, which returns the
 // second source — the value — for a NaN or a pair of zeros, so every body is
 // bit-identical to epilogueGo, the specification.
@@ -184,7 +223,7 @@ func epilogueGo(dst, acc, bias, res []float32, rows, ocb int, relu bool) {
 //
 // Numeric contract: each V component is those two rounded adds or
 // subtracts, operands in the order written, so every body is bit-identical
-// to winogradInGo, the specification. The dispatch is laneMAC's: bn values
+// to winogradInGo, the specification. The dispatch is epilogue's: bn values
 // that are a multiple of 8 run the AVX2 body where hasAVX2 holds, everything
 // else runs winogradInGo.
 //
@@ -240,7 +279,7 @@ func winogradInGo(v, d []float32, dStride, vStride, bn int) {
 //
 // each evaluated left to right. Numeric contract: winogradIn's — every add
 // and subtract rounded, operands in the order written — so every body is
-// bit-identical to winogradOutGo; the dispatch is laneMAC's.
+// bit-identical to winogradOutGo; the dispatch is epilogue's.
 //
 // The call panics, before any body runs, unless the last y and m element the
 // transform touches is in range.
@@ -286,7 +325,7 @@ func winogradOutGo(y, m []float32, mStride, bn int) {
 // and of +0 and -0 the one already in d stays — poolWindow's `v > best`,
 // element by element.
 //
-// Numeric contract: the AVX2 body (bn%8 == 0, laneMAC's dispatch) is VMAXPS
+// Numeric contract: the AVX2 body (bn%8 == 0, epilogue's dispatch) is VMAXPS
 // with v as the first source and d as the second, which returns the second
 // source when either is NaN or both are zeros of either sign; so every body
 // is bit-identical to laneMaxGo, the specification.

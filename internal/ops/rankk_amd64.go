@@ -44,13 +44,14 @@ func rankKAVX2(acc, in, wt *float32, rows, k, inStride, ocb int)
 //go:noescape
 func rankKAVX512(acc, in, wt *float32, rows, k, inStride, ocb int)
 
-// laneMACAVX2 is laneMAC's AVX2 body for bn%8 == 0, rows >= 1 and taps >= 1:
-// per row, 32-lane blocks of tap sums in four YMM registers, then an 8-lane
-// tail, each sum added to acc once after its last tap. VMULPS and VADDPS
-// only, bit-identical to laneMACGo; no bounds checking.
+// laneWindowAVX2 is laneWindow's AVX2 body for bn%8 == 0, cols >= 1 and
+// taps >= 1 wherever rows >= 1: per 8-lane column, blocks of 4 and 1
+// positions with their accumulators and row sums in YMM registers across the
+// whole window, the epilogue applied in registers before the only store.
+// VMULPS and VADDPS only, bit-identical to laneWindowGo; no bounds checking.
 //
 //go:noescape
-func laneMACAVX2(acc, x, w *float32, rows, taps, xStride, bn int)
+func laneWindowAVX2(dst, x, w, bias, res *float32, cols, rows, taps, xStride, xPitch, wPitch, bn int, relu bool)
 
 // epilogueAVX2 is epilogue's AVX2 body for ocb%8 == 0 and rows >= 1, 32
 // lanes at a time with an 8-lane tail; a nil bias or res skips that

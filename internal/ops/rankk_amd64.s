@@ -704,119 +704,213 @@ zdone:
 	VZEROUPPER
 	RET
 
-// func laneMACAVX2(acc, x, w *float32, rows, taps, xStride, bn int)
+// func laneWindowAVX2(dst, x, w, bias, res *float32, cols, rows, taps, xStride, xPitch, wPitch, bn int, relu bool)
 //
-// acc[i*bn+v] += Σ_s x[i*xStride+s*bn+v] · w[s*bn+v]: per element the tap
-// sum starts at the first rounded product (VMULPS), adds the others in
-// ascending s (VMULPS, VADDPS), and is added to acc once. Requires bn%8 == 0,
-// rows >= 1, taps >= 1.
+// Per position i and lane v: each kernel row's tap sum starts at the first
+// rounded product (VMULPS) and adds the others in ascending s (VMULPS,
+// VADDPS); the accumulator starts at +0 and adds each row's sum once, in
+// ascending r; then (acc + bias) + res, the clamp VMAXPS with the zero vector
+// as first source (as epilogueAVX2), and the only store. A nil bias or res
+// skips its VADDPS, relu false the clamp; rows 0 reads no x or w. Requires
+// bn%8 == 0, cols >= 1, taps >= 1 when rows >= 1.
 //
-// Registers: AX acc and BX x at the current row, R10 w, R11 rows left, R9
-// taps, R8 xStride in bytes, DX bn in bytes (the tap pitch of x and w and the
-// row pitch of acc), R13 lane offset in bytes, SI x and DI w at the current
-// tap, CX the tap count (and scratch), R12 acc at the current lanes. Y0-Y3
-// hold tap sums, Y4-Y7 products and acc. BP, R14, R15 and Y15 are not
-// touched.
-TEXT ·laneMACAVX2(SB), NOSPLIT, $0-56
-	MOVQ acc+0(FP), AX
+// Per 8-lane column of the channel block, blocks of 4, then 1 positions.
+// Registers: AX dst and BX x at the current block (BX advances a row at a
+// time and steps back after the last), R10 w at the current row, SI x and DI
+// w at the current tap, CX the tap count (and scratch), R11 rows left, R8
+// xStride in bytes, R9 3*xStride in bytes, DX bn in bytes (the tap pitch of x
+// and w, the position pitch of dst and res), R13 lane offset in bytes. The
+// frame holds the positions left (cl), xPitch and wPitch in bytes (xp, wp)
+// and rows*xPitch in bytes (rx). Y4-Y7 accumulate, Y8-Y11 hold row sums, Y0
+// a weight (or bias) vector, Y1 a product, Y2 zero. BP (saved by the frame),
+// R14, R15 and Y15 are not touched.
+TEXT ·laneWindowAVX2(SB), NOSPLIT, $32-97
+	MOVQ  bn+88(FP), DX
+	SHLQ  $2, DX
+	MOVQ  xStride+64(FP), R8
+	SHLQ  $2, R8
+	LEAQ  (R8)(R8*2), R9
+	MOVQ  xPitch+72(FP), AX
+	SHLQ  $2, AX
+	MOVQ  AX, xp-16(SP)
+	IMULQ rows+48(FP), AX
+	MOVQ  AX, rx-32(SP)
+	MOVQ  wPitch+80(FP), AX
+	SHLQ  $2, AX
+	MOVQ  AX, wp-24(SP)
+	VXORPS Y2, Y2, Y2
+	XORQ  R13, R13
+
+	// One 8-lane column of the channel block at a time.
+wyLanes:
+	MOVQ dst+0(FP), AX
+	ADDQ R13, AX
 	MOVQ x+8(FP), BX
-	MOVQ w+16(FP), R10
-	MOVQ rows+24(FP), R11
-	MOVQ taps+32(FP), R9
-	MOVQ xStride+40(FP), R8
-	SHLQ $2, R8
-	MOVQ bn+48(FP), DX
-	SHLQ $2, DX
+	ADDQ R13, BX
+	MOVQ cols+40(FP), CX
+	MOVQ CX, cl-8(SP)
 
-lmRow:
-	XORQ R13, R13
+wyBlock4:
+	CMPQ cl-8(SP), $4
+	JLT  wyBlock1
+	VXORPS Y4, Y4, Y4
+	VXORPS Y5, Y5, Y5
+	VXORPS Y6, Y6, Y6
+	VXORPS Y7, Y7, Y7
+	MOVQ  rows+48(FP), R11
+	TESTQ R11, R11
+	JZ    wyEpi4
+	MOVQ  w+16(FP), R10
+	ADDQ  R13, R10
 
-lmCols32:
-	LEAQ 128(R13), CX
-	CMPQ CX, DX
-	JGT  lmCols8
-	LEAQ (BX)(R13*1), SI
-	LEAQ (R10)(R13*1), DI
-	VMOVUPS (SI), Y0
-	VMOVUPS 32(SI), Y1
-	VMOVUPS 64(SI), Y2
-	VMOVUPS 96(SI), Y3
-	VMULPS  (DI), Y0, Y0
-	VMULPS  32(DI), Y1, Y1
-	VMULPS  64(DI), Y2, Y2
-	VMULPS  96(DI), Y3, Y3
-	MOVQ    R9, CX
+wyRow4:
+	MOVQ    BX, SI
+	MOVQ    R10, DI
+	VMOVUPS (DI), Y0
+	VMULPS  (SI), Y0, Y8
+	VMULPS  (SI)(R8*1), Y0, Y9
+	VMULPS  (SI)(R8*2), Y0, Y10
+	VMULPS  (SI)(R9*1), Y0, Y11
+	MOVQ    taps+56(FP), CX
 	DECQ    CX
-	JZ      lmStore32
+	JZ      wyRowSum4
 
-lmTaps32:
+wyTap4:
 	ADDQ    DX, SI
 	ADDQ    DX, DI
-	VMOVUPS (SI), Y4
-	VMOVUPS 32(SI), Y5
-	VMOVUPS 64(SI), Y6
-	VMOVUPS 96(SI), Y7
-	VMULPS  (DI), Y4, Y4
-	VMULPS  32(DI), Y5, Y5
-	VMULPS  64(DI), Y6, Y6
-	VMULPS  96(DI), Y7, Y7
-	VADDPS  Y4, Y0, Y0
-	VADDPS  Y5, Y1, Y1
-	VADDPS  Y6, Y2, Y2
-	VADDPS  Y7, Y3, Y3
+	VMOVUPS (DI), Y0
+	VMULPS  (SI), Y0, Y1
+	VADDPS  Y1, Y8, Y8
+	VMULPS  (SI)(R8*1), Y0, Y1
+	VADDPS  Y1, Y9, Y9
+	VMULPS  (SI)(R8*2), Y0, Y1
+	VADDPS  Y1, Y10, Y10
+	VMULPS  (SI)(R9*1), Y0, Y1
+	VADDPS  Y1, Y11, Y11
 	DECQ    CX
-	JNZ     lmTaps32
+	JNZ     wyTap4
 
-lmStore32:
-	LEAQ    (AX)(R13*1), R12
-	VMOVUPS (R12), Y4
-	VMOVUPS 32(R12), Y5
-	VMOVUPS 64(R12), Y6
-	VMOVUPS 96(R12), Y7
+wyRowSum4:
+	VADDPS Y8, Y4, Y4
+	VADDPS Y9, Y5, Y5
+	VADDPS Y10, Y6, Y6
+	VADDPS Y11, Y7, Y7
+	ADDQ   xp-16(SP), BX
+	ADDQ   wp-24(SP), R10
+	DECQ   R11
+	JNZ    wyRow4
+	SUBQ   rx-32(SP), BX
+
+wyEpi4:
+	MOVQ    bias+24(FP), CX
+	TESTQ   CX, CX
+	JZ      wyRes4
+	VMOVUPS (CX)(R13*1), Y0
 	VADDPS  Y0, Y4, Y4
-	VADDPS  Y1, Y5, Y5
-	VADDPS  Y2, Y6, Y6
-	VADDPS  Y3, Y7, Y7
-	VMOVUPS Y4, (R12)
-	VMOVUPS Y5, 32(R12)
-	VMOVUPS Y6, 64(R12)
-	VMOVUPS Y7, 96(R12)
-	ADDQ    $128, R13
-	JMP     lmCols32
+	VADDPS  Y0, Y5, Y5
+	VADDPS  Y0, Y6, Y6
+	VADDPS  Y0, Y7, Y7
 
-lmCols8:
-	CMPQ    R13, DX
-	JGE     lmNext
-	LEAQ    (BX)(R13*1), SI
-	LEAQ    (R10)(R13*1), DI
-	VMOVUPS (SI), Y0
-	VMULPS  (DI), Y0, Y0
-	MOVQ    R9, CX
+wyRes4:
+	MOVQ  res+32(FP), SI
+	TESTQ SI, SI
+	JZ    wyReLU4
+	SUBQ  dst+0(FP), SI
+	ADDQ  AX, SI
+	LEAQ  (DX)(DX*2), CX
+	VADDPS (SI), Y4, Y4
+	VADDPS (SI)(DX*1), Y5, Y5
+	VADDPS (SI)(DX*2), Y6, Y6
+	VADDPS (SI)(CX*1), Y7, Y7
+
+wyReLU4:
+	MOVBQZX relu+96(FP), CX
+	TESTQ   CX, CX
+	JZ      wyStore4
+	VMAXPS  Y4, Y2, Y4
+	VMAXPS  Y5, Y2, Y5
+	VMAXPS  Y6, Y2, Y6
+	VMAXPS  Y7, Y2, Y7
+
+wyStore4:
+	LEAQ    (DX)(DX*2), CX
+	VMOVUPS Y4, (AX)
+	VMOVUPS Y5, (AX)(DX*1)
+	VMOVUPS Y6, (AX)(DX*2)
+	VMOVUPS Y7, (AX)(CX*1)
+	LEAQ    (AX)(DX*4), AX
+	LEAQ    (BX)(R8*4), BX
+	SUBQ    $4, cl-8(SP)
+	JMP     wyBlock4
+
+wyBlock1:
+	CMPQ cl-8(SP), $0
+	JEQ  wyLanesNext
+	VXORPS Y4, Y4, Y4
+	MOVQ  rows+48(FP), R11
+	TESTQ R11, R11
+	JZ    wyEpi1
+	MOVQ  w+16(FP), R10
+	ADDQ  R13, R10
+
+wyRow1:
+	MOVQ    BX, SI
+	MOVQ    R10, DI
+	VMOVUPS (DI), Y0
+	VMULPS  (SI), Y0, Y8
+	MOVQ    taps+56(FP), CX
 	DECQ    CX
-	JZ      lmStore8
+	JZ      wyRowSum1
 
-lmTaps8:
+wyTap1:
 	ADDQ    DX, SI
 	ADDQ    DX, DI
-	VMOVUPS (SI), Y4
-	VMULPS  (DI), Y4, Y4
-	VADDPS  Y4, Y0, Y0
+	VMOVUPS (DI), Y0
+	VMULPS  (SI), Y0, Y1
+	VADDPS  Y1, Y8, Y8
 	DECQ    CX
-	JNZ     lmTaps8
+	JNZ     wyTap1
 
-lmStore8:
-	LEAQ    (AX)(R13*1), R12
-	VMOVUPS (R12), Y4
+wyRowSum1:
+	VADDPS Y8, Y4, Y4
+	ADDQ   xp-16(SP), BX
+	ADDQ   wp-24(SP), R10
+	DECQ   R11
+	JNZ    wyRow1
+	SUBQ   rx-32(SP), BX
+
+wyEpi1:
+	MOVQ    bias+24(FP), CX
+	TESTQ   CX, CX
+	JZ      wyRes1
+	VMOVUPS (CX)(R13*1), Y0
 	VADDPS  Y0, Y4, Y4
-	VMOVUPS Y4, (R12)
-	ADDQ    $32, R13
-	JMP     lmCols8
 
-lmNext:
-	ADDQ DX, AX
-	ADDQ R8, BX
-	DECQ R11
-	JNZ  lmRow
+wyRes1:
+	MOVQ  res+32(FP), SI
+	TESTQ SI, SI
+	JZ    wyReLU1
+	SUBQ  dst+0(FP), SI
+	ADDQ  AX, SI
+	VADDPS (SI), Y4, Y4
+
+wyReLU1:
+	MOVBQZX relu+96(FP), CX
+	TESTQ   CX, CX
+	JZ      wyStore1
+	VMAXPS  Y4, Y2, Y4
+
+wyStore1:
+	VMOVUPS Y4, (AX)
+	ADDQ    DX, AX
+	ADDQ    R8, BX
+	DECQ    cl-8(SP)
+	JMP     wyBlock1
+
+wyLanesNext:
+	ADDQ $32, R13
+	CMPQ R13, DX
+	JLT  wyLanes
 	VZEROUPPER
 	RET
 

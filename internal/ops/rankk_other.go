@@ -14,8 +14,8 @@ func rankKAVX512(acc, in, wt *float32, rows, k, inStride, ocb int) {
 	panic("ops: rankKAVX512 is not built for this architecture or with the purego tag")
 }
 
-func laneMACAVX2(acc, x, w *float32, rows, taps, xStride, bn int) {
-	panic("ops: laneMACAVX2 is not built for this architecture or with the purego tag")
+func laneWindowAVX2(dst, x, w, bias, res *float32, cols, rows, taps, xStride, xPitch, wPitch, bn int, relu bool) {
+	panic("ops: laneWindowAVX2 is not built for this architecture or with the purego tag")
 }
 
 func epilogueAVX2(dst, acc, bias, res *float32, rows, ocb int, relu bool) {

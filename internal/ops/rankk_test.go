@@ -250,9 +250,9 @@ func TestDetectRequiresAVX2AndFMA(t *testing.T) {
 
 // BenchmarkPeak measures the single-core arithmetic ceiling that the kernel
 // benchmarks' GFLOP/s are read against: 12 independent multiply-add chains
-// as YMM VMULPS+VADDPS pairs (laneMAC's instructions), as YMM VFMADD231PS
-// (rankK's AVX2 body) and as ZMM VFMADD231PS (its AVX-512 body). zmm-fma
-// against ymm-fma shows whether 512-bit work downclocks the core.
+// as YMM VMULPS+VADDPS pairs (laneWindow's AVX2 instructions), as YMM
+// VFMADD231PS (rankK's AVX2 body) and as ZMM VFMADD231PS (its AVX-512 body).
+// zmm-fma against ymm-fma shows whether 512-bit work downclocks the core.
 func BenchmarkPeak(b *testing.B) {
 	const iters = 1 << 16
 	for _, c := range []struct {
@@ -304,39 +304,74 @@ func TestRankKRejectsShortSlices(t *testing.T) {
 	}
 }
 
-// TestLaneMACAsmMatchesGoBody is laneMAC's differential test: the assembly
-// body must equal the Go body on every element across row counts up to a
-// full reg_n tile plus one, every bn the assembly accepts up to 72 (24, 40,
-// 56 and 72 run a 32-lane block and an 8-lane tail), the kernel widths the
-// depthwise template passes as taps, and the stride-1 and stride-2 pitches.
-func TestLaneMACAsmMatchesGoBody(t *testing.T) {
+// TestLaneWindowAsmMatchesGoBody is laneWindow's differential test: the
+// assembly body must store laneWindowGo's bits on every element across run
+// lengths through both position blocks (cols 1..17), kernel rows 0..5 (0 for
+// a window wholly in the padding), taps 1..5, the stride-1 and stride-2 input
+// pitches, every bn the body accepts up to 64 and all eight
+// bias/residual/ReLU combinations, on inputs seeded with NaN, ±0, ±Inf and
+// subnormals, and leave dst beyond the run untouched.
+func TestLaneWindowAsmMatchesGoBody(t *testing.T) {
 	if !hasAVX2 {
 		t.Skip("assembly body not in use: the CPU lacks AVX2 (or OS YMM support), or the build is not amd64 or has the purego tag")
 	}
+	// One NaN bit pattern, x86's default NaN (which Inf·0 and
+	// Inf - Inf also produce), so no result's payload depends on
+	// operand order.
+	nan := math.Float32frombits(0xffc00000)
+	specials := []float32{nan, 0, float32(math.Copysign(0, -1)), float32(math.Inf(1)), float32(math.Inf(-1)),
+		math.Float32frombits(1), -math.Float32frombits(0x007fffff)}
 	rng := rand.New(rand.NewSource(2))
 	fill := func(n int) []float32 {
 		s := make([]float32, n)
 		for i := range s {
-			s[i] = rng.Float32()*2 - 1
+			if rng.Intn(64) == 0 {
+				s[i] = specials[rng.Intn(len(specials))]
+			} else {
+				s[i] = rng.Float32()*2 - 1
+			}
 		}
 		return s
 	}
-	for bn := 8; bn <= 72; bn += 8 {
-		for _, taps := range []int{1, 3, 5, 7} {
-			for _, strideW := range []int{1, 2} {
-				xStride := strideW * bn
-				for rows := 1; rows <= 17; rows++ {
-					x := fill((rows-1)*xStride + taps*bn)
-					w := fill(taps * bn)
-					acc0 := fill(rows * bn)
-					want := append([]float32(nil), acc0...)
-					laneMACGo(want, x, w, rows, taps, xStride, bn)
-					got := append([]float32(nil), acc0...)
-					laneMAC(got, x, w, rows, taps, xStride, bn)
-					for i := range want {
-						if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
-							t.Fatalf("bn=%d taps=%d xStride=%d rows=%d: acc[%d] = %v, Go body %v",
-								bn, taps, xStride, rows, i, got[i], want[i])
+	call := 0
+	for bn := 8; bn <= 64; bn += 8 {
+		for taps := 1; taps <= 5; taps++ {
+			for rows := 0; rows <= 5; rows++ {
+				for _, strideW := range []int{1, 2} {
+					for cols := 1; cols <= 17; cols++ {
+						xStride := strideW * bn
+						// An image row wider than the run and a kernel
+						// row wider than the taps, as clipping leaves.
+						xPitch, wPitch := (cols-1)*xStride+(taps+2)*bn, (taps+1)*bn
+						x := fill(max(rows, 1) * xPitch)
+						w := fill(max(rows, 1) * wPitch)
+						var bias, res []float32
+						mask := call % 8
+						call++
+						if mask&1 != 0 {
+							bias = fill(bn)
+						}
+						if mask&2 != 0 {
+							res = fill(cols * bn)
+						}
+						relu := mask&4 != 0
+						want := fill((cols + 1) * bn)
+						got := append([]float32(nil), want...)
+						laneWindowGo(want, x, w, bias, res, cols, rows, taps, xStride, xPitch, wPitch, bn, relu)
+						var bp, rp *float32
+						if bias != nil {
+							bp = &bias[0]
+						}
+						if res != nil {
+							rp = &res[0]
+						}
+						laneWindowAVX2(&got[0], &x[0], &w[0], bp, rp, cols, rows, taps, xStride, xPitch, wPitch, bn, relu)
+						for i := range want {
+							if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+								t.Fatalf("bn=%d taps=%d rows=%d stride=%d cols=%d bias=%v res=%v relu=%v: dst[%d] = %#x, Go body %#x",
+									bn, taps, rows, strideW, cols, bias != nil, res != nil, relu, i,
+									math.Float32bits(got[i]), math.Float32bits(want[i]))
+							}
 						}
 					}
 				}
@@ -400,17 +435,18 @@ func TestEpilogueAsmMatchesGoBody(t *testing.T) {
 }
 
 // TestLaneMACAndEpilogueRejectShortSlices pins the safety check in front of
-// the other two assembly bodies: a call whose last index into any slice is
-// out of range panics before any body has written its output, for a block
-// size the assembly would take and one it would not.
+// the laneWindow and epilogue assembly bodies: a call whose last index into
+// any slice is out of range, or whose pitch is negative, panics before any
+// body has written its output, for a block size the assembly bodies would
+// take (16) and one they would not (12).
 func TestLaneMACAndEpilogueRejectShortSlices(t *testing.T) {
-	const rows, taps = 5, 3
+	const cols, rows, taps = 5, 3, 2
 	for _, bn := range []int{16, 12} {
-		xStride := 2 * bn
-		acc := make([]float32, rows*bn)
-		x := make([]float32, (rows-1)*xStride+taps*bn)
-		w := make([]float32, taps*bn)
-		dst := make([]float32, rows*bn)
+		xStride, xPitch, wPitch := 2*bn, 12*bn, 3*bn
+		dst := make([]float32, cols*bn)
+		x := make([]float32, (rows-1)*xPitch+(cols-1)*xStride+taps*bn)
+		w := make([]float32, (rows-1)*wPitch+taps*bn)
+		acc := make([]float32, cols*bn)
 		bias := make([]float32, bn)
 		for i := range x {
 			x[i] = 1
@@ -419,21 +455,38 @@ func TestLaneMACAndEpilogueRejectShortSlices(t *testing.T) {
 			w[i] = 1
 		}
 		// Exact lengths are fine.
-		laneMAC(acc, x, w, rows, taps, xStride, bn)
-		epilogue(dst, acc, bias, acc, rows, bn, true)
+		laneWindow(dst, x, w, bias, acc, cols, rows, taps, xStride, xPitch, wPitch, bn, true)
+		epilogue(dst, acc, bias, acc, cols, bn, true)
 		for _, c := range []struct {
 			name string
 			out  []float32
 			call func()
 		}{
-			{"laneMAC/acc", acc, func() { laneMAC(acc[:len(acc)-1], x, w, rows, taps, xStride, bn) }},
-			{"laneMAC/x", acc, func() { laneMAC(acc, x[:len(x)-1], w, rows, taps, xStride, bn) }},
-			{"laneMAC/w", acc, func() { laneMAC(acc, x, w[:len(w)-1], rows, taps, xStride, bn) }},
-			{"laneMAC/negative-stride", acc, func() { laneMAC(acc, x, w, rows, taps, -1, bn) }},
-			{"epilogue/dst", dst, func() { epilogue(dst[:len(dst)-1], acc, bias, nil, rows, bn, true) }},
-			{"epilogue/acc", dst, func() { epilogue(dst, acc[:len(acc)-1], nil, nil, rows, bn, true) }},
-			{"epilogue/bias", dst, func() { epilogue(dst, acc, bias[:bn-1], nil, rows, bn, true) }},
-			{"epilogue/res", dst, func() { epilogue(dst, acc, nil, acc[:len(acc)-1], rows, bn, false) }},
+			{"laneWindow/dst", dst, func() {
+				laneWindow(dst[:len(dst)-1], x, w, bias, nil, cols, rows, taps, xStride, xPitch, wPitch, bn, true)
+			}},
+			{"laneWindow/x", dst, func() {
+				laneWindow(dst, x[:len(x)-1], w, nil, nil, cols, rows, taps, xStride, xPitch, wPitch, bn, true)
+			}},
+			{"laneWindow/w", dst, func() {
+				laneWindow(dst, x, w[:len(w)-1], nil, nil, cols, rows, taps, xStride, xPitch, wPitch, bn, true)
+			}},
+			{"laneWindow/bias", dst, func() {
+				laneWindow(dst, x, w, bias[:bn-1], nil, cols, rows, taps, xStride, xPitch, wPitch, bn, true)
+			}},
+			{"laneWindow/res", dst, func() {
+				laneWindow(dst, x, w, nil, acc[:len(acc)-1], cols, rows, taps, xStride, xPitch, wPitch, bn, true)
+			}},
+			{"laneWindow/negative-stride", dst, func() {
+				laneWindow(dst, x, w, nil, nil, cols, rows, taps, -1, xPitch, wPitch, bn, true)
+			}},
+			{"laneWindow/negative-pitch", dst, func() {
+				laneWindow(dst, x, w, nil, nil, cols, rows, taps, xStride, xPitch, -1, bn, true)
+			}},
+			{"epilogue/dst", dst, func() { epilogue(dst[:len(dst)-1], acc, bias, nil, cols, bn, true) }},
+			{"epilogue/acc", dst, func() { epilogue(dst, acc[:len(acc)-1], nil, nil, cols, bn, true) }},
+			{"epilogue/bias", dst, func() { epilogue(dst, acc, bias[:bn-1], nil, cols, bn, true) }},
+			{"epilogue/res", dst, func() { epilogue(dst, acc, nil, acc[:len(acc)-1], cols, bn, false) }},
 		} {
 			t.Run(fmt.Sprintf("bn%d/%s", bn, c.name), func(t *testing.T) {
 				for i := range c.out {

@@ -9,6 +9,7 @@ package tensor
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Tensor is a dense float32 tensor. Data is stored contiguously in row-major
@@ -153,6 +154,22 @@ func MaxAbsDiff(a, b *Tensor) float64 {
 		}
 	}
 	return m
+}
+
+// BitEqual reports whether a and b have the same shape and every element of
+// a has the bits (math.Float32bits) of the one of b at its index. Unlike a
+// zero MaxAbsDiff, which a NaN passes against any value, a NaN equals only a
+// NaN of the same bits, and +0 differs from -0.
+func BitEqual(a, b *Tensor) bool {
+	if !slices.Equal(a.Shape, b.Shape) {
+		return false
+	}
+	for i, v := range a.Data {
+		if math.Float32bits(v) != math.Float32bits(b.Data[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 // AllClose reports whether all elements of a and b are within tol of each

@@ -82,6 +82,34 @@ func TestReshapeVolumeMismatchPanics(t *testing.T) {
 	New(NCHW(), 1, 4, 2, 2).Reshape(Flat(), 1, 15)
 }
 
+// TestBitEqualSeesNaNAndSignedZero pins what BitEqual adds over a zero
+// MaxAbsDiff: a NaN against a number and +0 against -0 differ, while equal
+// bits, a NaN's included, are equal.
+func TestBitEqualSeesNaNAndSignedZero(t *testing.T) {
+	nan := float32(math.NaN())
+	a := New(Flat(), 4)
+	b := New(Flat(), 4)
+	copy(a.Data, []float32{1, nan, 0, 2})
+	copy(b.Data, []float32{1, 3, 0, 2})
+	if d := MaxAbsDiff(a, b); d != 0 {
+		t.Fatalf("MaxAbsDiff over a NaN pair = %g, expected the 0 that hides it", d)
+	}
+	if BitEqual(a, b) {
+		t.Fatal("BitEqual reports a NaN equal to 3")
+	}
+	b.Data[1] = nan
+	if !BitEqual(a, b) {
+		t.Fatal("BitEqual reports two NaNs of the same bits unequal")
+	}
+	b.Data[2] = float32(math.Copysign(0, -1))
+	if MaxAbsDiff(a, b) != 0 || BitEqual(a, b) {
+		t.Fatal("BitEqual must tell +0 from -0, which MaxAbsDiff cannot")
+	}
+	if BitEqual(a, New(Flat(), 2, 2)) {
+		t.Fatal("BitEqual reports tensors of different shapes equal")
+	}
+}
+
 func TestFillRandomDeterministic(t *testing.T) {
 	a := New(NCHW(), 1, 3, 8, 8)
 	b := New(NCHW(), 1, 3, 8, 8)
