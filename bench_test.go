@@ -25,7 +25,6 @@ import (
 	"repro/internal/machine"
 	"repro/internal/models"
 	"repro/internal/ops"
-	"repro/internal/quant"
 	"repro/internal/report"
 	"repro/internal/schedule"
 	"repro/internal/search"
@@ -473,29 +472,6 @@ func BenchmarkConvAlgorithm(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			ops.Conv2DWinograd(in, u, attrs, ops.Epilogue{}, nil)
-		}
-	})
-}
-
-// BenchmarkConvInt8 compares fp32 and int8 blocked convolutions (Section 6
-// INT8 extension). On the scalar Go host the int8 path pays conversion
-// costs; the simulated ISA factors are reported by examples/quantized.
-func BenchmarkConvInt8(b *testing.B) {
-	in, wt, attrs := benchConvTensors()
-	b.Run("fp32", func(b *testing.B) {
-		bi := tensor.ToNCHWc(in, 8)
-		bw := tensor.PackWeights(wt, 8, 8)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			ops.Conv2DNCHWc(bi, bw, attrs, 8, 8, 8, ops.Epilogue{}, nil)
-		}
-	})
-	b.Run("int8", func(b *testing.B) {
-		qi := quant.PackActivationNCHWc(quant.Quantize(in), 8)
-		qw := quant.PackWeightsOIHWio(quant.QuantizeWeightsPerChannel(wt), 8, 8)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			quant.Conv2DInt8NCHWc(qi, qw, attrs, 8, 8, 8, ops.Epilogue{}, nil)
 		}
 	})
 }

@@ -39,7 +39,6 @@ func main() {
 	showSchemes := flag.Bool("schemes", false, "print the chosen scheme per convolution")
 	savePlan := flag.String("saveplan", "", "write the chosen schemes to this JSON file (re-apply with core.CompileWithPlan)")
 	saveBundle := flag.String("o", "", "write a deployable artifact bundle (plan + packed weights) to this file; compiles executably instead of predict-only")
-	int8Mode := flag.Bool("int8", false, "compile quantized INT8 inference (with -o, the bundle carries the quantized packed weights)")
 	seed := flag.Uint64("seed", 42, "synthetic-weight seed (bundles record it for graph rebuilding)")
 	flag.Parse()
 
@@ -62,9 +61,6 @@ func main() {
 		// even VGG-19 compiles in a few MB. Bundles need the real packed
 		// weights, so -o compiles executably.
 		copts = append(copts, neocpu.WithPredictOnly())
-	}
-	if *int8Mode {
-		copts = append(copts, neocpu.WithInt8())
 	}
 	var engine *neocpu.Engine
 	if slices.Contains(models.TinyNames(), *model) {

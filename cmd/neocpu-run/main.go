@@ -31,7 +31,6 @@ func main() {
 	levelName := flag.String("level", "global-search", "baseline-nchw|layout-opt|transform-elim|global-search")
 	seed := flag.Uint64("seed", 42, "input seed")
 	profile := flag.Bool("profile", false, "print a per-operator timing breakdown")
-	int8Mode := flag.Bool("int8", false, "run quantized INT8 inference")
 	flag.Parse()
 
 	level, err := neocpu.ParseLevel(*levelName)
@@ -41,9 +40,6 @@ func main() {
 	opts := []neocpu.Option{
 		neocpu.WithOptLevel(level),
 		neocpu.WithThreads(*threads),
-	}
-	if *int8Mode {
-		opts = append(opts, neocpu.WithInt8())
 	}
 
 	// Compilation targets the Skylake descriptor by default: the schedule

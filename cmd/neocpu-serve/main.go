@@ -75,9 +75,8 @@ func main() {
 	queueDepth := flag.Int("queue", 0, "how many requests may wait for a busy pool (0 = 32); beyond it requests get 429")
 	requestTimeout := flag.Duration("request-timeout", 30*time.Second, "default per-request deadline budget when the client sends no X-Request-Timeout; expiry answers 504 (0 = no server-side budget)")
 	drainTimeout := flag.Duration("drain-timeout", 5*time.Second, "how long shutdown/unload lets in-flight requests finish before cancelling them")
-	int8Mode := flag.Bool("int8", false, "serve quantized INT8 inference")
 	seed := flag.Uint64("seed", 42, "synthetic-weight seed")
-	repoDir := flag.String("repo", "", "serve a model repository: directory of .neob bundles (neocpu-compile -o); ignores -model/-level/-int8/-seed")
+	repoDir := flag.String("repo", "", "serve a model repository: directory of .neob bundles (neocpu-compile -o); ignores -model/-level/-seed")
 	arenaBudget := flag.Int("arena-budget", 0, "repository mode: total session-arena bytes across loaded models, LRU-evicting idle models past it (0 = unlimited)")
 	accessLog := flag.String("access-log", "", "write one JSON line per inference request to this file (\"-\" = stdout)")
 	flag.Parse()
@@ -108,9 +107,6 @@ func main() {
 		copts = append(copts, neocpu.WithBackend(neocpu.BackendSerial))
 	} else {
 		copts = append(copts, neocpu.WithThreads(*threads))
-	}
-	if *int8Mode {
-		copts = append(copts, neocpu.WithInt8())
 	}
 
 	fmt.Printf("compiling %s at %v...\n", *model, level)

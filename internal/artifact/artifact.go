@@ -3,10 +3,10 @@
 // serving nodes. One bundle file packages everything a process needs to
 // execute a model without ever repeating schedule search or weight packing:
 // the per-convolution optimization schemes (the plan), every runtime
-// parameter in its packed executable form (blocked fp32 weights, quantized
-// int8 weights with their scales, folded biases, surviving batch-norm
-// statistics), the graph/IO metadata needed to validate a rebuild, and the
-// signature of the CPU target the schedules were chosen for.
+// parameter in its packed executable form (blocked fp32 weights, folded
+// biases, surviving batch-norm statistics), the graph/IO metadata needed to
+// validate a rebuild, and the signature of the CPU target the schedules were
+// chosen for.
 //
 // This package is the dumb format layer: it encodes and decodes bundles and
 // enforces their structural invariants, but knows nothing about graphs or
@@ -22,11 +22,9 @@
 //	12      H     header, JSON (Header)
 //	12+H    ...   payload: each Params entry's blob, in order
 //
-// Float32 data is stored as little-endian IEEE-754 bits; int8 data as raw
-// bytes. A quantized entry's blob is its per-output-channel scales (float32)
-// followed by its int8 data. The header records the payload's total length
-// and CRC-32 (IEEE), so truncation and corruption are detected before any
-// tensor is handed to the execution engine.
+// Float32 data is stored as little-endian IEEE-754 bits. The header records
+// the payload's total length and CRC-32 (IEEE), so truncation and corruption
+// are detected before any tensor is handed to the execution engine.
 //
 // Every malformed-input failure — bad magic, version skew, truncated files,
 // inconsistent lengths, oversized claims — is reported as an error wrapping
@@ -67,6 +65,13 @@ var ErrInvalidArtifact = errors.New("artifact: invalid bundle")
 // truncated paths wrap both sentinels.
 var ErrTruncated = errors.New("artifact: truncated bundle")
 
+// ErrInt8Bundle marks a quantized bundle saved by an earlier build that had
+// an int8 path (its header sets "int8": true). This build executes fp32
+// only, and such a bundle's NCHW-planned convolutions were stored in fp32,
+// so loading it as fp32 could look like it works; it is rejected instead. It wraps ErrInvalidArtifact, so it is never retried: recompile
+// the model without int8.
+var ErrInt8Bundle = fmt.Errorf("%w: int8 bundle (this build runs fp32 only; recompile)", ErrInvalidArtifact)
+
 // Retryable classifies a model-load failure for retry loops: transient
 // failures (torn reads, interrupted I/O) return true; deterministic ones —
 // a missing bundle, a permission error, a bundle that is simply corrupt —
@@ -86,11 +91,11 @@ func Retryable(err error) bool {
 // Decoding limits. They bound what a hostile header can make the reader
 // allocate or loop over; real bundles sit far below all of them.
 const (
-	maxHeaderLen  = 8 << 20  // 8 MiB of JSON metadata
-	maxShapeRank  = 8        // packed weights are rank 6, winograd rank 5
-	maxParamElems = 1 << 28  // 256M elements (1 GiB fp32) per parameter
-	maxParams     = 1 << 16  // distinct parameter entries
-	maxPlanConvs  = 1 << 16  // plan entries
+	maxHeaderLen  = 8 << 20 // 8 MiB of JSON metadata
+	maxShapeRank  = 8       // packed weights are rank 6, winograd rank 5
+	maxParamElems = 1 << 28 // 256M elements (1 GiB fp32) per parameter
+	maxParams     = 1 << 16 // distinct parameter entries
+	maxPlanConvs  = 1 << 16 // plan entries
 )
 
 // Param roles. Each role determines how internal/core applies the blob to
@@ -100,9 +105,6 @@ const (
 	// OIHW[x]i[y]o packing for the direct algorithm, or the transformed
 	// winograd kernel U = G g Gᵀ in its blocked form.
 	RolePacked = "packed"
-	// RoleQPacked is a convolution's quantized packed weight: int8 data in
-	// OIHW[x]i[y]o plus per-output-channel float32 scales.
-	RoleQPacked = "qpacked"
 	// RoleWeight is an unpacked fp32 node weight: convolutions scheduled in
 	// plain NCHW/NHWC, and dense layers.
 	RoleWeight = "weight"
@@ -178,8 +180,8 @@ func (r LayoutRef) Layout() (tensor.Layout, error) {
 }
 
 // ParamEntry describes one runtime parameter blob in the payload. The blob's
-// byte length is derived from Role, Shape and Scales — it is never trusted
-// from a separate length field.
+// byte length is derived from Role and Shape — it is never trusted from a
+// separate length field.
 type ParamEntry struct {
 	// Node is the graph node the parameter belongs to (builder-assigned layer
 	// name, stable across rebuilds).
@@ -190,20 +192,8 @@ type ParamEntry struct {
 	Layout LayoutRef `json:"layout"`
 	// Shape is the blob's tensor shape ((4, C) for RoleBN, (N) for RoleBias).
 	Shape []int `json:"shape"`
-	// Scales counts the per-output-channel float32 scales preceding a
-	// RoleQPacked entry's int8 data.
-	Scales int `json:"scales,omitempty"`
 	// Eps is the batch-norm epsilon for RoleBN entries.
 	Eps float32 `json:"eps,omitempty"`
-}
-
-// Elems returns the entry's shape volume.
-func (e *ParamEntry) Elems() int {
-	n := 1
-	for _, d := range e.Shape {
-		n *= d
-	}
-	return n
 }
 
 // payloadBytes returns the entry's exact blob size, or an error for
@@ -222,20 +212,9 @@ func (e *ParamEntry) payloadBytes() (int, error) {
 			return 0, fmt.Errorf("%w: param %q/%s volume exceeds %d elements", ErrInvalidArtifact, e.Node, e.Role, maxParamElems)
 		}
 	}
-	if e.Scales < 0 || e.Scales > maxParamElems {
-		return 0, fmt.Errorf("%w: param %q/%s claims %d scales", ErrInvalidArtifact, e.Node, e.Role, e.Scales)
-	}
 	switch e.Role {
 	case RolePacked, RoleWeight, RoleBias, RoleBN:
-		if e.Scales != 0 {
-			return 0, fmt.Errorf("%w: param %q/%s carries scales", ErrInvalidArtifact, e.Node, e.Role)
-		}
 		return 4 * elems, nil
-	case RoleQPacked:
-		if e.Scales == 0 {
-			return 0, fmt.Errorf("%w: quantized param %q has no scales", ErrInvalidArtifact, e.Node)
-		}
-		return 4*e.Scales + elems, nil
 	}
 	return 0, fmt.Errorf("%w: param %q has unknown role %q", ErrInvalidArtifact, e.Node, e.Role)
 }
@@ -251,7 +230,9 @@ type Header struct {
 	Target TargetSig `json:"target"`
 	// Level is the optimization level's canonical name.
 	Level string `json:"level"`
-	// Int8 marks quantized modules.
+	// Int8 is read only to reject: earlier builds set it on quantized
+	// bundles, and ReadHeader fails those with ErrInt8Bundle. No writer
+	// sets it.
 	Int8 bool `json:"int8,omitempty"`
 	// NoFusion/NoBNFold record pipeline ablations, so the loader rebuilds
 	// the exact node set the parameters were saved against.
@@ -274,13 +255,10 @@ type Header struct {
 	PayloadCRC uint32 `json:"payload_crc"`
 }
 
-// Param is one decoded parameter: its entry plus the typed data. Tensor
-// roles fill F32; RoleQPacked fills I8 and Scales.
+// Param is one decoded parameter: its entry plus its fp32 data.
 type Param struct {
-	Entry  ParamEntry
-	F32    []float32
-	I8     []int8
-	Scales []float32
+	Entry ParamEntry
+	F32   []float32
 }
 
 // Bundle is a fully decoded artifact.
@@ -292,36 +270,22 @@ type Bundle struct {
 // encodeBlob writes one parameter's payload bytes.
 func encodeBlob(w io.Writer, p *Param) error {
 	var scratch [4]byte
-	writeF32 := func(xs []float32) error {
-		buf := make([]byte, 0, 4096)
-		for _, x := range xs {
-			binary.LittleEndian.PutUint32(scratch[:], math.Float32bits(x))
-			buf = append(buf, scratch[:]...)
-			if len(buf) >= 4096-4 {
-				if _, err := w.Write(buf); err != nil {
-					return err
-				}
-				buf = buf[:0]
+	buf := make([]byte, 0, 4096)
+	for _, x := range p.F32 {
+		binary.LittleEndian.PutUint32(scratch[:], math.Float32bits(x))
+		buf = append(buf, scratch[:]...)
+		if len(buf) >= 4096-4 {
+			if _, err := w.Write(buf); err != nil {
+				return err
 			}
+			buf = buf[:0]
 		}
-		if len(buf) > 0 {
-			_, err := w.Write(buf)
-			return err
-		}
-		return nil
 	}
-	if p.Entry.Role == RoleQPacked {
-		if err := writeF32(p.Scales); err != nil {
-			return err
-		}
-		buf := make([]byte, len(p.I8))
-		for i, v := range p.I8 {
-			buf[i] = byte(v)
-		}
+	if len(buf) > 0 {
 		_, err := w.Write(buf)
 		return err
 	}
-	return writeF32(p.F32)
+	return nil
 }
 
 // validateParam checks a parameter's data lengths against its entry.
@@ -330,20 +294,8 @@ func validateParam(p *Param) error {
 	if err != nil {
 		return err
 	}
-	var got int
-	if p.Entry.Role == RoleQPacked {
-		got = 4*len(p.Scales) + len(p.I8)
-		if len(p.Scales) != p.Entry.Scales || len(p.I8) != p.Entry.Elems() {
-			return fmt.Errorf("%w: param %q/%s data does not match its entry", ErrInvalidArtifact, p.Entry.Node, p.Entry.Role)
-		}
-	} else {
-		got = 4 * len(p.F32)
-		if len(p.F32) != p.Entry.Elems() {
-			return fmt.Errorf("%w: param %q/%s has %d values for shape %v", ErrInvalidArtifact, p.Entry.Node, p.Entry.Role, len(p.F32), p.Entry.Shape)
-		}
-	}
-	if got != want {
-		return fmt.Errorf("%w: param %q/%s payload is %d bytes, want %d", ErrInvalidArtifact, p.Entry.Node, p.Entry.Role, got, want)
+	if got := 4 * len(p.F32); got != want {
+		return fmt.Errorf("%w: param %q/%s has %d values for shape %v", ErrInvalidArtifact, p.Entry.Node, p.Entry.Role, len(p.F32), p.Entry.Shape)
 	}
 	return nil
 }
@@ -454,6 +406,11 @@ func ReadHeader(r io.Reader) (*Header, error) {
 	if err := json.Unmarshal(hj, &h); err != nil {
 		return nil, fmt.Errorf("%w: header: %v", ErrInvalidArtifact, err)
 	}
+	// Checked before validate, which would report an int8 bundle's
+	// quantized params as an unknown role.
+	if h.Int8 {
+		return nil, fmt.Errorf("%w: model %q", ErrInt8Bundle, h.Model)
+	}
 	if err := h.validate(); err != nil {
 		return nil, err
 	}
@@ -513,18 +470,7 @@ func Read(r io.Reader) (*Bundle, error) {
 			return nil, fmt.Errorf("param %q/%s: %w", e.Node, e.Role, err)
 		}
 		crc.Write(blob)
-		p := Param{Entry: e}
-		if e.Role == RoleQPacked {
-			p.Scales = decodeF32(blob[:4*e.Scales])
-			raw := blob[4*e.Scales:]
-			p.I8 = make([]int8, len(raw))
-			for j, v := range raw {
-				p.I8[j] = int8(v)
-			}
-		} else {
-			p.F32 = decodeF32(blob)
-		}
-		b.Params[i] = p
+		b.Params[i] = Param{Entry: e, F32: decodeF32(blob)}
 	}
 	if got := crc.Sum32(); got != h.PayloadCRC {
 		return nil, fmt.Errorf("%w: payload CRC %08x, header claims %08x", ErrInvalidArtifact, got, h.PayloadCRC)

@@ -31,10 +31,6 @@ func testParams() []Param {
 		f[i] = float32(i) * 0.25
 	}
 	bias := []float32{1, 2, 3, -4}
-	q := make([]int8, 16)
-	for i := range q {
-		q[i] = int8(i - 8)
-	}
 	return []Param{
 		{
 			Entry: ParamEntry{Node: "conv0", Role: RolePacked, Layout: RefOf(tensor.OIHWio(4, 8)), Shape: []int{2, 1, 3, 3, 4, 8}},
@@ -45,9 +41,8 @@ func testParams() []Param {
 			F32:   bias,
 		},
 		{
-			Entry:  ParamEntry{Node: "conv1", Role: RoleQPacked, Layout: RefOf(tensor.OIHWio(4, 4)), Shape: []int{1, 1, 1, 1, 4, 4}, Scales: 4},
-			I8:     q,
-			Scales: []float32{0.5, 0.25, 0.125, 1},
+			Entry: ParamEntry{Node: "conv1", Role: RoleWeight, Layout: RefOf(tensor.OIHW()), Shape: []int{4, 2, 1, 1}},
+			F32:   []float32{0.5, 0.25, 0.125, 1, -1, -0.5, 2, 0},
 		},
 		{
 			Entry: ParamEntry{Node: "bn2", Role: RoleBN, Layout: RefOf(tensor.Flat()), Shape: []int{4, 2}, Eps: 1e-5},
@@ -85,16 +80,6 @@ func TestRoundTrip(t *testing.T) {
 		for j, v := range want[i].F32 {
 			if p.F32[j] != v {
 				t.Fatalf("param %d f32[%d] = %v, want %v", i, j, p.F32[j], v)
-			}
-		}
-		for j, v := range want[i].I8 {
-			if p.I8[j] != v {
-				t.Fatalf("param %d i8[%d] = %v, want %v", i, j, p.I8[j], v)
-			}
-		}
-		for j, v := range want[i].Scales {
-			if p.Scales[j] != v {
-				t.Fatalf("param %d scale[%d] = %v, want %v", i, j, p.Scales[j], v)
 			}
 		}
 	}
@@ -150,8 +135,8 @@ func TestHostileHeaderClaims(t *testing.T) {
 		{Node: "x", Role: RoleWeight, Shape: []int{0}},
 		{Node: "x", Role: RoleWeight, Shape: []int{-3}},
 		{Node: "x", Role: RoleWeight, Shape: []int{1, 1, 1, 1, 1, 1, 1, 1, 1}},
-		{Node: "x", Role: RoleWeight, Shape: []int{2}, Scales: 3},
-		{Node: "x", Role: RoleQPacked, Shape: []int{2}},
+		// The quantized role of earlier int8 builds is now unknown.
+		{Node: "x", Role: "qpacked", Shape: []int{2}},
 	}
 	for _, e := range cases {
 		if _, err := e.payloadBytes(); !errors.Is(err, ErrInvalidArtifact) {
@@ -184,5 +169,53 @@ func TestHeaderValidation(t *testing.T) {
 		if err := h.validate(); !errors.Is(err, ErrInvalidArtifact) {
 			t.Fatalf("mutation %d: err = %v, want ErrInvalidArtifact", i, err)
 		}
+	}
+}
+
+// rawBundle frames a hand-written header JSON with the fixed prelude and no
+// payload, for headers Write cannot produce.
+func rawBundle(header string) []byte {
+	raw := make([]byte, 12, 12+len(header))
+	copy(raw, Magic)
+	binary.LittleEndian.PutUint32(raw[4:8], Version)
+	binary.LittleEndian.PutUint32(raw[8:12], uint32(len(header)))
+	return append(raw, header...)
+}
+
+func TestInt8HeaderRejected(t *testing.T) {
+	// The header of a quantized bundle as earlier int8-capable builds wrote
+	// it: the int8 marker and a "qpacked" entry with per-channel scales.
+	const qpacked = `{"node":"conv1","role":"qpacked","layout":{"kind":"oihwio","block_c":3,"block_k":16},"shape":[1,1,3,3,3,16],"scales":16}`
+	header := func(int8 string) string {
+		return `{"model":"tiny-cnn","target":{"name":"intel-skylake","vector_lanes":16,"num_vec_regs":32},"level":"transform-elim",` +
+			int8 + `"plan":[],"input_shape":[1,3,32,32],"output_shapes":[[1,10]],"params":[` + qpacked + `],"payload_len":496,"payload_crc":0}`
+	}
+	for _, read := range []func([]byte) error{
+		func(b []byte) error { _, err := ReadHeader(bytes.NewReader(b)); return err },
+		func(b []byte) error { _, err := Read(bytes.NewReader(b)); return err },
+	} {
+		err := read(rawBundle(header(`"int8":true,`)))
+		if !errors.Is(err, ErrInt8Bundle) || !errors.Is(err, ErrInvalidArtifact) {
+			t.Fatalf("int8 header: err = %v, want ErrInt8Bundle wrapping ErrInvalidArtifact", err)
+		}
+		if Retryable(err) {
+			t.Fatalf("int8 header: %v classified retryable", err)
+		}
+		// Without the marker the quantized entry is simply an unknown role.
+		err = read(rawBundle(header("")))
+		if !errors.Is(err, ErrInvalidArtifact) || errors.Is(err, ErrInt8Bundle) || !strings.Contains(err.Error(), "unknown role") {
+			t.Fatalf("qpacked entry without int8 marker: err = %v, want unknown-role ErrInvalidArtifact", err)
+		}
+	}
+
+	// The marker alone is enough, whatever the params.
+	h := testHeader()
+	h.Int8 = true
+	var buf bytes.Buffer
+	if err := Write(&buf, h, testParams()); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Read(bytes.NewReader(buf.Bytes())); !errors.Is(err, ErrInt8Bundle) {
+		t.Fatalf("fp32 params under int8 marker: err = %v, want ErrInt8Bundle", err)
 	}
 }

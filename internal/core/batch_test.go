@@ -10,8 +10,7 @@ import (
 )
 
 // TestRunBatchMatchesSequentialRuns is the batching property test: for
-// randomly shaped graphs and for both convolution algorithms, in fp32 and
-// int8, RunBatch over N inputs must be bit-identical to N sequential
+// randomly shaped graphs and for both convolution algorithms, RunBatch over N inputs must be bit-identical to N sequential
 // Session.Run calls: batching inputs must never change anyone's answer.
 func TestRunBatchMatchesSequentialRuns(t *testing.T) {
 	tgt := skylake()
@@ -24,7 +23,6 @@ func TestRunBatchMatchesSequentialRuns(t *testing.T) {
 		// and winograd convolutions (seeds with 3x3 stride-1 convs).
 		{"fp32-searched", Options{Level: OptGlobalSearch, Threads: 1, Backend: machine.BackendSerial}},
 		{"fp32-direct-only", Options{Level: OptGlobalSearch, Threads: 1, Backend: machine.BackendSerial, DisableWinograd: true}},
-		{"int8", Options{Level: OptTransformElim, Threads: 1, Backend: machine.BackendSerial, Int8: true}},
 	}
 	const batchN = 3
 	sawWinograd := false

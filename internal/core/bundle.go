@@ -9,7 +9,6 @@ import (
 	"repro/internal/graph"
 	"repro/internal/machine"
 	"repro/internal/ops"
-	"repro/internal/quant"
 	"repro/internal/tensor"
 )
 
@@ -19,10 +18,10 @@ import (
 // from a bundle without repeating schedule search or weight packing. The
 // graph *structure* is rebuilt deterministically from the model name (node
 // names are builder-assigned and stable), while every runtime parameter —
-// packed fp32 weights, quantized weights with scales, raw NCHW/NHWC and
-// dense weights, folded biases, surviving batch-norm statistics — is
-// installed from the bundle, never regenerated: a structural rebuild does
-// not replay the original parameter RNG sequence.
+// packed fp32 weights, raw NCHW/NHWC and dense weights, folded biases,
+// surviving batch-norm statistics — is installed from the bundle, never
+// regenerated: a structural rebuild does not replay the original parameter
+// RNG sequence.
 
 // ErrBundleTarget is the typed cause for loading a bundle on a target whose
 // schedule-validity signature (vector lanes, vector registers) differs from
@@ -65,7 +64,6 @@ func (m *Module) SaveBundle(w io.Writer) error {
 			Cores:       m.Target.Cores,
 		},
 		Level:      m.Level.String(),
-		Int8:       m.Int8,
 		NoFusion:   m.disableFusion,
 		NoBNFold:   m.disableBNFold,
 		InputShape: append([]int(nil), g.Input.OutShape.Dims...),
@@ -102,21 +100,9 @@ func (m *Module) SaveBundle(w io.Writer) error {
 	for _, n := range g.Topo() {
 		switch n.Op {
 		case graph.OpConv2D:
-			switch {
-			case m.qpacked[n] != nil:
-				q := m.qpacked[n]
-				params = append(params, artifact.Param{
-					Entry: artifact.ParamEntry{
-						Node: n.Name, Role: artifact.RoleQPacked,
-						Layout: artifact.RefOf(q.Layout),
-						Shape:  append([]int(nil), q.Shape...),
-						Scales: len(q.Scales),
-					},
-					I8: q.Data, Scales: q.Scales,
-				})
-			case m.packed[n] != nil:
+			if m.packed[n] != nil {
 				tensorParam(n, artifact.RolePacked, m.packed[n])
-			default:
+			} else {
 				// NCHW/NHWC-scheduled convolutions execute from the raw weight.
 				tensorParam(n, artifact.RoleWeight, n.Weight)
 			}
@@ -158,11 +144,12 @@ func (m *Module) SaveBundle(w io.Writer) error {
 //
 // The honored fields of opts are the runtime choices a bundle does not pin:
 // Threads, Backend and SharedPool. Everything the schedules depend on
-// (level, int8, pipeline ablations) comes from the bundle.
+// (level, pipeline ablations) comes from the bundle.
 //
-// Malformed bundle content fails with artifact.ErrInvalidArtifact; a target
-// whose vector signature disagrees with the bundle fails with
-// ErrBundleTarget.
+// Malformed bundle content fails with artifact.ErrInvalidArtifact, and a
+// quantized bundle saved by an earlier int8-capable build with
+// artifact.ErrInt8Bundle (which wraps it); a target whose vector signature
+// disagrees with the bundle fails with ErrBundleTarget.
 func LoadBundle(r io.Reader, resolve GraphResolver, opts Options) (*Module, error) {
 	b, err := artifact.Read(r)
 	if err != nil {
@@ -238,7 +225,6 @@ func LoadBundle(r io.Reader, resolve GraphResolver, opts Options) (*Module, erro
 		Level:         level,
 		Threads:       opts.Threads,
 		Backend:       opts.Backend,
-		Int8:          h.Int8,
 		DisableFusion: h.NoFusion,
 		DisableBNFold: h.NoBNFold,
 		SharedPool:    opts.SharedPool,
@@ -272,11 +258,7 @@ func (m *Module) installParams(b *artifact.Bundle) error {
 		switch n.Op {
 		case graph.OpConv2D:
 			if n.Sched.Layout.Kind == tensor.LayoutNCHWc {
-				if m.Int8 {
-					needed[paramKey{n.Name, artifact.RoleQPacked}] = true
-				} else {
-					needed[paramKey{n.Name, artifact.RolePacked}] = true
-				}
+				needed[paramKey{n.Name, artifact.RolePacked}] = true
 			} else {
 				needed[paramKey{n.Name, artifact.RoleWeight}] = true
 			}
@@ -320,18 +302,6 @@ func (m *Module) installParams(b *artifact.Bundle) error {
 				return fmt.Errorf("%w: param %q/%s is %v %v, schedule needs %v %v", artifact.ErrInvalidArtifact, e.Node, e.Role, layout, e.Shape, wantLayout, shape)
 			}
 			m.packed[n] = &tensor.Tensor{Shape: e.Shape, Data: p.F32, Layout: layout}
-		case artifact.RoleQPacked:
-			if n.Sched.Algorithm == machine.AlgoWinograd {
-				return fmt.Errorf("%w: %q schedules winograd in an int8 bundle (no quantized winograd kernel)", artifact.ErrInvalidArtifact, e.Node)
-			}
-			shape, wantLayout, err := packedGeometry(n)
-			if err != nil {
-				return err
-			}
-			if !layout.Equal(wantLayout) || !equalDims(e.Shape, shape) || len(p.Scales) != n.Weight.Shape[0] {
-				return fmt.Errorf("%w: param %q/%s does not match the schedule's packing", artifact.ErrInvalidArtifact, e.Node, e.Role)
-			}
-			m.qpacked[n] = &quant.QTensor{Shape: e.Shape, Data: p.I8, Layout: layout, Scales: p.Scales}
 		case artifact.RoleWeight:
 			if n.Weight == nil || !equalDims(e.Shape, n.Weight.Shape) || layout.Kind != n.Weight.Layout.Kind {
 				return fmt.Errorf("%w: param %q/%s is %v %v, graph declares %v", artifact.ErrInvalidArtifact, e.Node, e.Role, layout, e.Shape, n.Weight)

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"errors"
+	"os"
 	"testing"
 
 	"repro/internal/artifact"
@@ -33,8 +34,8 @@ func saveBundleBytes(t testing.TB, model string, opts Options) (*Module, []byte)
 
 // TestBundleRoundTrip is the core contract: a module loaded from a bundle —
 // no search, no packing — computes bit-identical results to the module that
-// produced the bundle, across algorithms (direct, winograd, depthwise),
-// precisions (fp32, int8) and pass-pipeline ablations.
+// produced the bundle, across algorithms (direct, winograd, depthwise) and
+// pass-pipeline ablations.
 func TestBundleRoundTrip(t *testing.T) {
 	cases := []struct {
 		model string
@@ -42,7 +43,6 @@ func TestBundleRoundTrip(t *testing.T) {
 	}{
 		{"tiny-resnet", Options{Level: OptGlobalSearch, Threads: 2, Backend: machine.BackendPool}},
 		{"tiny-mobilenet", Options{Level: OptTransformElim, Threads: 1, Backend: machine.BackendSerial}},
-		{"tiny-cnn", Options{Level: OptGlobalSearch, Int8: true, Threads: 1, Backend: machine.BackendSerial}},
 		{"tiny-cnn", Options{Level: OptNone, Threads: 1, Backend: machine.BackendSerial}},
 		{"tiny-vgg", Options{Level: OptLayout, Threads: 1, Backend: machine.BackendSerial}},
 		{"tiny-resnet", Options{Level: OptTransformElim, Threads: 1, Backend: machine.BackendSerial, DisableBNFold: true, DisableFusion: true}},
@@ -56,8 +56,8 @@ func TestBundleRoundTrip(t *testing.T) {
 		if loaded.PlanStats().ArenaBytes != orig.PlanStats().ArenaBytes {
 			t.Fatalf("%s: loaded arena %d, original %d", tc.model, loaded.PlanStats().ArenaBytes, orig.PlanStats().ArenaBytes)
 		}
-		if loaded.Int8 != orig.Int8 || loaded.Level != orig.Level {
-			t.Fatalf("%s: loaded int8=%v level=%v, original int8=%v level=%v", tc.model, loaded.Int8, loaded.Level, orig.Int8, orig.Level)
+		if loaded.Level != orig.Level {
+			t.Fatalf("%s: loaded level=%v, original level=%v", tc.model, loaded.Level, orig.Level)
 		}
 
 		in := tensor.New(tensor.NCHW(), orig.Graph.Input.OutShape.Dims...)
@@ -236,6 +236,12 @@ func FuzzLoadBundle(f *testing.F) {
 	pay := append([]byte(nil), valid...)
 	pay[len(pay)-5] ^= 0x01
 	f.Add(pay)
+	// A quantized bundle of an earlier int8-capable build.
+	int8Bundle, err := os.ReadFile("testdata/int8_tiny-cnn.bundle")
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(int8Bundle)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := LoadBundle(bytes.NewReader(data), models.ResolveGraph, Options{Threads: 1, Backend: machine.BackendSerial})

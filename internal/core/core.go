@@ -22,7 +22,6 @@ import (
 	"repro/internal/graph"
 	"repro/internal/machine"
 	"repro/internal/ops"
-	"repro/internal/quant"
 	"repro/internal/schedule"
 	"repro/internal/search"
 	"repro/internal/tensor"
@@ -82,14 +81,6 @@ type Options struct {
 	// only PredictLatency, not Run; latency-simulation harnesses use this to
 	// avoid materializing hundreds of megabytes of packed VGG weights.
 	NoPrepack bool
-	// Int8 enables quantized inference (the paper's Section 6 INT8
-	// extension): convolution weights are quantized per-output-channel at
-	// compile time, activations are quantized dynamically at each blocked
-	// convolution, accumulation is int32, and outputs are rescaled to
-	// float32 so the rest of the graph is unchanged. Convolutions scheduled
-	// in plain NCHW (the un-optimized baseline) stay in fp32. Int8 implies
-	// DisableWinograd: there is no quantized Winograd kernel.
-	Int8 bool
 	// DisableWinograd removes the Winograd algorithm from the global
 	// search's candidate space, pinning every convolution to the direct
 	// template. Winograd's fp32 transforms accumulate slightly different
@@ -156,7 +147,7 @@ func Compile(g *graph.Graph, t *machine.Target, opts Options) (*Module, error) {
 		plan = graph.UniformPlan(g, block, defaultRegN)
 	case OptGlobalSearch:
 		sOpts := opts.Search
-		if opts.DisableWinograd || opts.Int8 {
+		if opts.DisableWinograd {
 			sOpts.DisableWinograd = true
 		}
 		if sOpts.Threads <= 0 {
@@ -185,7 +176,7 @@ func Compile(g *graph.Graph, t *machine.Target, opts Options) (*Module, error) {
 		return nil, fmt.Errorf("core: alter op layout: %w", err)
 	}
 
-	return finalizeModule(g, t, opts.Level, searchOutcome, opts)
+	return finalizeModule(g, t, opts.Level, searchOutcome, opts), nil
 }
 
 // sharedDBs memoizes local-search results across compilations in one
@@ -221,13 +212,11 @@ func newModule(g *graph.Graph, t *machine.Target, level OptLevel, searchOutcome 
 		Target:        t,
 		Level:         level,
 		Search:        searchOutcome,
-		Int8:          opts.Int8,
 		disableFusion: opts.DisableFusion,
 		disableBNFold: opts.DisableBNFold,
 		threads:       opts.Threads,
 		backend:       opts.Backend,
 		packed:        map[*graph.Node]*tensor.Tensor{},
-		qpacked:       map[*graph.Node]*quant.QTensor{},
 		anchors:       map[*graph.Node]*tensor.Tensor{},
 	}
 	if m.threads <= 0 {
@@ -259,7 +248,7 @@ func (m *Module) finishRuntime(opts Options) {
 	}
 	// Compile the execution plan: liveness-packed arena slots over the
 	// program's dependency levels.
-	m.plan = buildExecPlan(m.Graph, m.program, m.Int8)
+	m.plan = buildExecPlan(m.Graph, m.program)
 	// Construct the threading runtime now rather than lazily on first Run:
 	// concurrent Sessions share one module, and a lazy first-use init would
 	// race.
@@ -278,8 +267,8 @@ func (m *Module) finishRuntime(opts Options) {
 
 // finalizeModule performs the compilation tail shared by Compile and
 // CompileWithPlan: module construction, execution-width defaults, weight
-// pre-packing (fp32 or int8) and SSD anchor pre-computation.
-func finalizeModule(g *graph.Graph, t *machine.Target, level OptLevel, searchOutcome *search.Outcome, opts Options) (*Module, error) {
+// pre-packing and SSD anchor pre-computation.
+func finalizeModule(g *graph.Graph, t *machine.Target, level OptLevel, searchOutcome *search.Outcome, opts Options) *Module {
 	m := newModule(g, t, level, searchOutcome, opts)
 
 	// Pre-transform convolution weights at compile time (Figure 2: the
@@ -307,22 +296,15 @@ func finalizeModule(g *graph.Graph, t *machine.Target, level OptLevel, searchOut
 			if graph.ConvWorkload(n).Depthwise() {
 				wIC = 1
 			}
-			switch {
-			case opts.Int8:
-				if n.Sched.Algorithm == machine.AlgoWinograd {
-					return nil, fmt.Errorf("core: %v is scheduled as winograd but the module is int8 (no quantized winograd kernel); compile with DisableWinograd or a direct plan", n)
-				}
-				qw := quant.QuantizeWeightsPerChannel(n.Weight)
-				m.qpacked[n] = quant.PackWeightsOIHWio(qw, wIC, n.Sched.OCBlock)
-			case n.Sched.Algorithm == machine.AlgoWinograd:
+			if n.Sched.Algorithm == machine.AlgoWinograd {
 				// U = G g Gᵀ, packed for the blocked kernel — the winograd
 				// analog of the compile-time weight pre-packing.
 				m.packed[n] = ops.WinogradWeightTransformNCHWc(n.Weight, n.Sched.ICBlock, n.Sched.OCBlock)
-			default:
+			} else {
 				m.packed[n] = tensor.PackWeights(n.Weight, wIC, n.Sched.OCBlock)
 			}
 		}
 	}
 	m.finishRuntime(opts)
-	return m, nil
+	return m
 }

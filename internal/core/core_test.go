@@ -275,63 +275,6 @@ func TestGlobalSearchDBReuse(t *testing.T) {
 	}
 }
 
-func TestInt8ModuleCloseToFP32(t *testing.T) {
-	// The Section 6 INT8 extension: quantized inference must track the fp32
-	// module within quantization noise while using the same graph plan.
-	tgt := skylake()
-	for _, mk := range []func(uint64) *graph.Graph{models.TinyCNN, models.TinyResNet, models.TinyDenseNet} {
-		in := tensor.New(tensor.NCHW(), 1, 3, 32, 32)
-		in.FillRandom(31, 1)
-
-		f32, err := Compile(mk(9), tgt, Options{Level: OptTransformElim, Threads: 1, Backend: machine.BackendSerial})
-		if err != nil {
-			t.Fatal(err)
-		}
-		i8, err := Compile(mk(9), tgt, Options{Level: OptTransformElim, Threads: 1, Backend: machine.BackendSerial, Int8: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !i8.Int8 {
-			t.Fatal("module must be marked Int8")
-		}
-		a, err := f32.Run(in)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := i8.Run(in)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Outputs are post-softmax probabilities: compare absolutely.
-		if d := tensor.MaxAbsDiff(a[0], b[0]); d > 0.05 {
-			t.Fatalf("int8 output diverges from fp32 by %g", d)
-		}
-	}
-}
-
-func TestInt8PredictsFaster(t *testing.T) {
-	tgt := skylake()
-	g1 := models.MustBuild("resnet-18", 2)
-	f32, err := Compile(g1, tgt, Options{Level: OptTransformElim, NoPrepack: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	g2 := models.MustBuild("resnet-18", 2)
-	i8, err := Compile(g2, tgt, Options{Level: OptTransformElim, NoPrepack: true, Int8: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tf := f32.PredictLatency(PredictConfig{})
-	ti := i8.PredictLatency(PredictConfig{})
-	if ti >= tf {
-		t.Fatalf("int8 predicted %v, must beat fp32 %v", ti, tf)
-	}
-	// Bounded by the ISA factor (2x on modeled Skylake) plus memory effects.
-	if tf/ti > 2.2 {
-		t.Fatalf("int8 speedup %.2f implausibly high", tf/ti)
-	}
-}
-
 func TestBatchedInference(t *testing.T) {
 	// Batch-N execution must equal N independent batch-1 runs ("we just
 	// need to add the N value to our configuration tuple", Section 4).
@@ -611,12 +554,6 @@ func TestWinogradPlanValidation(t *testing.T) {
 	if _, err := CompileWithPlan(models.TinyResNet(3), tgt, pf, Options{}); err == nil {
 		t.Fatal("expected error for unknown algorithm")
 	}
-
-	// Winograd plans cannot drive an int8 module (no quantized kernel).
-	pf = load()
-	if _, err := CompileWithPlan(models.TinyResNet(3), tgt, pf, Options{Int8: true}); err == nil {
-		t.Fatal("expected error applying a winograd plan to an int8 module")
-	}
 }
 
 func TestDisableWinogradPinsDirect(t *testing.T) {
@@ -630,23 +567,6 @@ func TestDisableWinogradPinsDirect(t *testing.T) {
 		if n.Sched.Algorithm != machine.AlgoDirect {
 			t.Fatalf("conv %q scheduled %v with winograd disabled", n.Name, n.Sched.Algorithm)
 		}
-	}
-	// Int8 implies the same restriction (and must compile + run).
-	q, err := Compile(models.TinyResNet(3), skylake(),
-		Options{Level: OptGlobalSearch, Threads: 1, Backend: machine.BackendSerial, Int8: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer q.Close()
-	for _, n := range q.Graph.Convs() {
-		if n.Sched.Algorithm != machine.AlgoDirect {
-			t.Fatalf("int8 conv %q scheduled %v", n.Name, n.Sched.Algorithm)
-		}
-	}
-	in := tensor.New(tensor.NCHW(), 1, 3, 32, 32)
-	in.FillRandom(2, 1)
-	if _, err := q.Run(in); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -79,12 +79,11 @@ func randomMobileGraph(seed uint64) *graph.Graph {
 }
 
 // TestDepthwisePlannedExecutionMatchesReference is the depthwise/grouped
-// property test: for random MobileNet-shaped graphs under fp32 and int8,
-// serial and pooled execution, the planned arena-reusing session must be
-// bit-identical to the sequential fresh-buffer reference (the same invariant
-// the dense property test pins), and the plan must stay alias-free and plan
-// no padding scratch for a depthwise convolution, whose template reads its
-// input unpadded.
+// property test: for random MobileNet-shaped graphs under serial and pooled
+// execution, the planned arena-reusing session must be bit-identical to the
+// sequential fresh-buffer reference (the same invariant the dense property
+// test pins), and the plan must stay alias-free and plan no padding scratch
+// for a depthwise convolution, whose template reads its input unpadded.
 func TestDepthwisePlannedExecutionMatchesReference(t *testing.T) {
 	for id := 0; id < 6; id++ {
 		for _, cfg := range planConfigs {

@@ -112,7 +112,7 @@ func physicalDims(shape graph.Shape, l tensor.Layout) []int {
 // stepBuffers derives the buffer requirements of one node from its compiled
 // schedule — the same geometry the per-node arena used to allocate, now
 // expressed as slot requests.
-func stepBuffers(n *graph.Node, int8 bool) planStep {
+func stepBuffers(n *graph.Node) planStep {
 	st := planStep{out: noBuf(), pad: noBuf(), wino: noBuf(), scratch: noBuf()}
 	mk := func(layout tensor.Layout, dims []int) planBuf {
 		elems := 1
@@ -129,7 +129,7 @@ func stepBuffers(n *graph.Node, int8 bool) planStep {
 	case graph.OpConcat:
 		st.concat = len(n.Inputs)
 	case graph.OpConv2D:
-		if n.Sched.Layout.Kind == tensor.LayoutNCHWc && !int8 {
+		if n.Sched.Layout.Kind == tensor.LayoutNCHWc {
 			in := n.Inputs[0]
 			physIn := physicalDims(in.OutShape, in.OutLayout)
 			if n.Sched.Algorithm == machine.AlgoWinograd {
@@ -220,7 +220,7 @@ func (p *slotPool) release(id int) {
 
 // buildExecPlan compiles the execution plan for a finalized module: liveness
 // intervals at level granularity and greedy shared-slot assignment.
-func buildExecPlan(g *graph.Graph, program []*graph.Node, int8 bool) *execPlan {
+func buildExecPlan(g *graph.Graph, program []*graph.Node) *execPlan {
 	lv := graph.AnalyzeLiveness(g, program)
 	levels := lv.Levels()
 
@@ -248,7 +248,7 @@ func buildExecPlan(g *graph.Graph, program []*graph.Node, int8 bool) *execPlan {
 	for li, level := range levels {
 		for _, i := range level {
 			n := program[i]
-			st := stepBuffers(n, int8)
+			st := stepBuffers(n)
 			if st.out.dims != nil {
 				p.stats.Values++
 				naive += st.out.elems

@@ -48,8 +48,8 @@ func bitDiff(want, got *tensor.Tensor) string {
 }
 
 // planConfigs are the compilation configurations the property tests sweep:
-// direct fp32, winograd-enabled global search, and int8 — under a serial lane
-// and a 3-thread pool. The "-interop" rows are named for the level policy the
+// direct and winograd-enabled global search, under a serial lane and a
+// 3-thread pool. The "-interop" rows are named for the level policy the
 // executor once applied at that width; they now run every level intra-op.
 var planConfigs = []struct {
 	name string
@@ -58,7 +58,6 @@ var planConfigs = []struct {
 	{"direct-serial", Options{Level: OptTransformElim, DisableWinograd: true, Threads: 1, Backend: machine.BackendSerial}},
 	{"direct-interop", Options{Level: OptTransformElim, DisableWinograd: true, Threads: 3, Backend: machine.BackendPool}},
 	{"winograd-interop", Options{Level: OptGlobalSearch, Threads: 3, Backend: machine.BackendPool}},
-	{"int8-interop", Options{Level: OptTransformElim, Int8: true, Threads: 3, Backend: machine.BackendPool}},
 }
 
 // TestPlannedExecutionMatchesReference is the end-to-end property: for random

@@ -8,7 +8,6 @@ import (
 	"repro/internal/graph"
 	"repro/internal/machine"
 	"repro/internal/ops"
-	"repro/internal/quant"
 	"repro/internal/search"
 	"repro/internal/tensor"
 	"repro/internal/threadpool"
@@ -30,8 +29,6 @@ type Module struct {
 	// Search carries the global-search diagnostics when Level is
 	// OptGlobalSearch (nil otherwise).
 	Search *search.Outcome
-	// Int8 marks quantized modules (blocked convolutions run in int8).
-	Int8 bool
 	// noPrepack marks prediction-only modules (weights were released).
 	noPrepack bool
 	// disableFusion/disableBNFold record the pass-pipeline ablations the
@@ -51,8 +48,6 @@ type Module struct {
 	plan *execPlan
 	// packed holds the compile-time pre-transformed OIHW[x]i[y]o weights.
 	packed map[*graph.Node]*tensor.Tensor
-	// qpacked holds the quantized pre-transformed weights (Int8 modules).
-	qpacked map[*graph.Node]*quant.QTensor
 	// anchors holds the pre-computed SSD anchor boxes per head node.
 	anchors map[*graph.Node]*tensor.Tensor
 
@@ -215,18 +210,6 @@ func (m *Module) exec(n *graph.Node, vals []*tensor.Tensor, input *tensor.Tensor
 		switch n.Sched.Layout.Kind {
 		case tensor.LayoutNCHWc:
 			depthwise := n.Conv.Depthwise(n.Inputs[0].OutShape.Dims[1])
-			if m.Int8 {
-				// Dynamic activation quantization: symmetric per-tensor
-				// scale from this activation's max-abs, then the int32-
-				// accumulating blocked kernel with fused rescale.
-				qin := quant.Quantize(arg(0))
-				if depthwise {
-					return quant.Conv2DInt8DepthwiseNCHWcInto(buf.outT(), qin, m.qpacked[n], n.Conv,
-						n.Sched.OCBlock, n.Sched.RegN, epi, pf), nil
-				}
-				return quant.Conv2DInt8NCHWcInto(buf.outT(), qin, m.qpacked[n], n.Conv,
-					n.Sched.ICBlock, n.Sched.OCBlock, n.Sched.RegN, epi, pf), nil
-			}
 			if n.Sched.Algorithm == machine.AlgoWinograd {
 				return ops.Conv2DWinogradNCHWcInto(buf.outT(), buf.winoT(), arg(0), m.packed[n], n.Conv,
 					n.Sched.ICBlock, n.Sched.OCBlock, epi, pf), nil

@@ -196,5 +196,5 @@ func CompileWithPlan(g *graph.Graph, t *machine.Target, pf *PlanFile, opts Optio
 	if err := graph.AlterOpLayout(g, plan, true); err != nil {
 		return nil, fmt.Errorf("core: alter op layout: %w", err)
 	}
-	return finalizeModule(g, t, OptGlobalSearch, nil, opts)
+	return finalizeModule(g, t, OptGlobalSearch, nil, opts), nil
 }

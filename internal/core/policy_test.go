@@ -14,7 +14,7 @@ import (
 
 // TestKernelFamiliesBitIdenticalAcrossPolicies is the cross-product property
 // of this package's threading story: for every kernel family (blocked
-// direct, winograd, depthwise, int8, plus a branchy graph) executed under a
+// direct, winograd, depthwise, plus a branchy graph) executed under a
 // serial lane and pools of 4, 3 and 16 threads, the session output must be
 // bit-identical to the strictly sequential fresh-buffer reference — and must
 // stay bit-identical when the same compiled plan is re-dispatched over pools
@@ -43,7 +43,6 @@ func TestKernelFamiliesBitIdenticalAcrossPolicies(t *testing.T) {
 		{"direct", models.TinyResNet(4), Options{Level: OptTransformElim, DisableWinograd: true}},
 		{"winograd", models.TinyResNet(4), Options{Level: OptGlobalSearch}},
 		{"depthwise", models.TinyMobileNet(4), Options{Level: OptTransformElim}},
-		{"int8", models.TinyResNet(4), Options{Level: OptTransformElim, Int8: true}},
 		{"branchy", models.TinyInception(4), Options{Level: OptTransformElim}},
 	}
 	for _, fam := range families {

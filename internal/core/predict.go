@@ -50,15 +50,7 @@ func (m *Module) PredictLatency(cfg PredictConfig) float64 {
 		total += cfg.DispatchOverhead
 		switch n.Op {
 		case graph.OpConv2D:
-			wl := graph.ConvWorkload(n)
-			if m.Int8 && n.Sched.Layout.Kind == tensor.LayoutNCHWc {
-				total += t.Int8ConvTime(wl, n.Sched, threads, backend, quality)
-				// Dynamic activation quantization is one extra streaming
-				// pass over the input.
-				total += t.EltwiseTime(float64(n.Inputs[0].OutShape.Volume())*5, threads, backend)
-			} else {
-				total += t.ConvTime(wl, n.Sched, threads, backend, quality)
-			}
+			total += t.ConvTime(graph.ConvWorkload(n), n.Sched, threads, backend, quality)
 			// The fused epilogue (bias/residual/ReLU) rides along with the
 			// output store: that is the point of fusion.
 

@@ -204,3 +204,24 @@ func TestPadSlotBundleCompat(t *testing.T) {
 		}
 	}
 }
+
+// TestInt8BundleRejected loads int8_tiny-cnn.bundle, a quantized bundle
+// saved by the last build that had an int8 path (see gen_int8.go). This build
+// runs fp32 only, and the bundle's NCHW-planned convolutions were stored in
+// fp32, so it must fail with the typed artifact.ErrInt8Bundle rather than
+// load as an fp32 module.
+func TestInt8BundleRejected(t *testing.T) {
+	raw, err := os.ReadFile("testdata/int8_tiny-cnn.bundle")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, key := range []string{`"int8":true`, `"role":"qpacked"`} {
+		if !bytes.Contains(raw, []byte(key)) {
+			t.Fatalf("fixture carries no %s: it no longer covers an int8 bundle", key)
+		}
+	}
+	_, err = LoadBundle(bytes.NewReader(raw), models.ResolveGraph, Options{Threads: 1, Backend: machine.BackendSerial})
+	if !errors.Is(err, artifact.ErrInt8Bundle) {
+		t.Fatalf("int8 bundle: err = %v, want artifact.ErrInt8Bundle", err)
+	}
+}

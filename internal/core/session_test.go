@@ -454,32 +454,6 @@ func TestSessionAcrossLevelsAndModels(t *testing.T) {
 	}
 }
 
-func TestSessionInt8(t *testing.T) {
-	m, err := Compile(models.TinyCNN(9), skylake(), Options{
-		Level: OptTransformElim, Threads: 1, Backend: machine.BackendSerial, Int8: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	in := tensor.New(tensor.NCHW(), 1, 3, 32, 32)
-	in.FillRandom(31, 1)
-	want, err := m.Run(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := m.NewSession()
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := s.Run(context.Background(), in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tensor.MaxAbsDiff(want[0], got[0]) != 0 {
-		t.Fatal("int8 session diverges from int8 Module.Run")
-	}
-}
-
 func TestSessionSSD(t *testing.T) {
 	// The SSD head's output size is data-dependent, so its arena slot stays
 	// dynamic; the session must still execute it (and everything upstream)

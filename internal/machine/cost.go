@@ -588,55 +588,6 @@ func (t *Target) PoolTime(inBytes, outBytes float64, window int, threads int, ba
 	return t.EltwiseTime(inBytes*float64(window)/2+outBytes, threads, backend)
 }
 
-// Int8Factor returns the throughput multiplier of int8 convolution kernels
-// over fp32 on this ISA: AVX-512BW chains vpmaddubsw/vpmaddwd for roughly 2x
-// MAC throughput (pre-VNNI Skylake), AVX2 similarly via pmaddubsw, while the
-// Cortex-A72 lacks the sdot instruction and gains less from widening int8
-// arithmetic.
-func (t *Target) Int8Factor() float64 {
-	if t.Int8Throughput > 0 {
-		return t.Int8Throughput
-	}
-	switch t.ISA {
-	case AVX512:
-		return 2.0
-	case AVX2:
-		return 1.8
-	default: // NEON on A72: no sdot
-		return 1.4
-	}
-}
-
-// Int8ConvTime predicts the seconds of a quantized int8 convolution under
-// the given schedule: the fp32 prediction divided by the ISA's int8
-// throughput factor, with the memory floor shrunk by the 4x smaller
-// operands.
-func (t *Target) Int8ConvTime(wl ConvWorkload, s ConvSchedule, threads int, backend ThreadBackend, kernelQuality float64) float64 {
-	// Quantized convolution has no winograd kernel (the transform-domain
-	// products would need widening well past int32); int8 modules always
-	// execute the direct template, so price that.
-	s.Algorithm = AlgoDirect
-	if threads < 1 {
-		threads = 1
-	}
-	if threads > t.Cores {
-		threads = t.Cores
-	}
-	eff := t.ConvEfficiency(wl, s) * kernelQuality * t.Int8Factor()
-	if eff <= 0 {
-		eff = 1e-4
-	}
-	compute := wl.FLOPs() / (t.PeakCoreGFLOPS() * 1e9 * eff)
-	units := parallelUnits(wl, s)
-	pe := t.ParallelEfficiency(units, threads)
-	par := compute / (float64(threads) * pe)
-	floor := (wl.Bytes() / 4) / (t.MemBWGBs * 1e9 * bwEfficiency)
-	if par < floor {
-		par = floor
-	}
-	return par + RegionOverhead(backend, threads)
-}
-
 // DenseTime predicts the seconds for a fully-connected layer mapping `in`
 // features to `out` features at batch 1. A batch-1 GEMV is memory-bound on
 // the weight matrix.

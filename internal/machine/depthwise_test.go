@@ -72,9 +72,4 @@ func TestDepthwiseConvTime(t *testing.T) {
 	if tw < floor {
 		t.Fatalf("depthwise time %g below raw bandwidth floor %g", tw, floor)
 	}
-	// Int8 pricing must also flow through the grouped accounting.
-	ti := tgt.Int8ConvTime(dw, s, 1, BackendSerial, 1)
-	if ti <= 0 || ti >= td {
-		t.Fatalf("int8 depthwise time %g out of range (dense fp32 %g)", ti, td)
-	}
 }

@@ -188,25 +188,6 @@ func TestWinogradTransformOverheadGrowsWithChannels(t *testing.T) {
 	}
 }
 
-func TestInt8IgnoresWinograd(t *testing.T) {
-	// There is no quantized winograd kernel: the int8 predictor prices the
-	// direct template regardless of the schedule's algorithm field.
-	tgt := IntelSkylakeC5()
-	d := tgt.Int8ConvTime(resnetConv, goodSchedule(tgt), 1, BackendSerial, 1)
-	w := tgt.Int8ConvTime(resnetConv, winogradSchedule(tgt), 1, BackendSerial, 1)
-	// reg_n differs between the two schedules, so compare with algorithm
-	// normalized out.
-	s := winogradSchedule(tgt)
-	s.Algorithm = AlgoDirect
-	wNorm := tgt.Int8ConvTime(resnetConv, s, 1, BackendSerial, 1)
-	if w != wNorm {
-		t.Fatalf("int8 time must ignore the algorithm field: %v vs %v", w, wNorm)
-	}
-	if d <= 0 || w <= 0 {
-		t.Fatal("int8 times must be positive")
-	}
-}
-
 func TestEfficiencyRewardsLatencyHiding(t *testing.T) {
 	tgt := IntelSkylakeC5()
 	s := goodSchedule(tgt)
@@ -392,25 +373,6 @@ func TestConvTimeKernelQuality(t *testing.T) {
 	}
 }
 
-func TestInt8ConvTime(t *testing.T) {
-	for _, tgt := range AllTargets() {
-		s := goodSchedule(tgt)
-		f32 := tgt.ConvTime(resnetConv, s, tgt.Cores, BackendPool, 1)
-		i8 := tgt.Int8ConvTime(resnetConv, s, tgt.Cores, BackendPool, 1)
-		if i8 >= f32 {
-			t.Errorf("%s: int8 conv (%v) must beat fp32 (%v)", tgt.Name, i8, f32)
-		}
-		if f32/i8 > tgt.Int8Factor()*1.01 {
-			t.Errorf("%s: int8 speedup %.2f exceeds ISA factor %.2f", tgt.Name, f32/i8, tgt.Int8Factor())
-		}
-	}
-	// The paper's targets: Skylake (AVX-512BW) gains the most, the A72
-	// (no sdot) the least.
-	if !(IntelSkylakeC5().Int8Factor() > ARMCortexA72().Int8Factor()) {
-		t.Fatal("int8 factor ordering wrong")
-	}
-}
-
 func TestExtendedTargets(t *testing.T) {
 	if len(ExtendedTargets()) != 5 {
 		t.Fatalf("extended targets = %d, want 5", len(ExtendedTargets()))
@@ -419,25 +381,9 @@ func TestExtendedTargets(t *testing.T) {
 	if len(AllTargets()) != 3 {
 		t.Fatal("paper target set must remain 3")
 	}
-	cl := IntelCascadeLakeC5()
-	if cl.Int8Factor() != 4 {
-		t.Fatalf("cascade lake VNNI factor = %v, want 4", cl.Int8Factor())
-	}
-	g2 := ARMGraviton2()
-	if g2.Int8Factor() != 3 {
-		t.Fatalf("graviton2 sdot factor = %v, want 3", g2.Int8Factor())
-	}
-	// Graviton2 is a faster fp32 machine than the A72, too.
-	if g2.PeakGFLOPS() <= ARMCortexA72().PeakGFLOPS() {
+	// Graviton2 is a faster fp32 machine than the A72.
+	if ARMGraviton2().PeakGFLOPS() <= ARMCortexA72().PeakGFLOPS() {
 		t.Fatal("graviton2 must out-peak the A72")
-	}
-	// Int8 speedup on VNNI hardware exceeds the pre-VNNI chain.
-	s := goodSchedule(cl)
-	sky := IntelSkylakeC5()
-	clGain := cl.ConvTime(resnetConv, s, 1, BackendSerial, 1) / cl.Int8ConvTime(resnetConv, s, 1, BackendSerial, 1)
-	skyGain := sky.ConvTime(resnetConv, goodSchedule(sky), 1, BackendSerial, 1) / sky.Int8ConvTime(resnetConv, goodSchedule(sky), 1, BackendSerial, 1)
-	if clGain <= skyGain {
-		t.Fatalf("VNNI gain %.2f must exceed pre-VNNI %.2f", clGain, skyGain)
 	}
 	if _, err := TargetByName("arm-graviton2"); err != nil {
 		t.Fatal(err)

@@ -99,9 +99,6 @@ type Target struct {
 	MemBWGBs float64
 	// CacheLineB is the cache line size in bytes.
 	CacheLineB int
-	// Int8Throughput overrides the ISA-default int8 MAC throughput factor
-	// (VNNI/sdot-capable extension targets); 0 means the ISA default.
-	Int8Throughput float64
 }
 
 // IntelSkylakeC5 models the EC2 C5.9xlarge used in Table 2a: an 18-core
@@ -172,22 +169,20 @@ func AllTargets() []*Target {
 	return []*Target{IntelSkylakeC5(), AMDEpycM5a(), ARMCortexA72()}
 }
 
-// IntelCascadeLakeC5 models a VNNI-capable successor to the paper's Skylake
-// instance (extension target: vpdpbusd fuses the int8 multiply-accumulate
-// chain, quadrupling int8 MAC throughput). Not part of the paper's tables.
+// IntelCascadeLakeC5 models a 24-core successor to the paper's Skylake
+// instance (extension target). Not part of the paper's tables.
 func IntelCascadeLakeC5() *Target {
 	t := IntelSkylakeC5()
 	t.Name = "intel-cascadelake"
 	t.CPU = "Intel Xeon Platinum 8275CL (C5.12xlarge class)"
 	t.Cores = 24
 	t.FreqGHz = 3.1
-	t.Int8Throughput = 4.0 // AVX-512 VNNI
 	return t
 }
 
 // ARMGraviton2 models the Neoverse-N1 successor to the paper's A1 instance
-// (extension target: the sdot instruction gives NEON a 4-way int8 dot
-// product). Not part of the paper's tables.
+// (extension target: two FMA pipes, a shorter FMA latency and more memory
+// bandwidth). Not part of the paper's tables.
 func ARMGraviton2() *Target {
 	t := ARMCortexA72()
 	t.Name = "arm-graviton2"
@@ -197,12 +192,11 @@ func ARMGraviton2() *Target {
 	t.FMAPerCycle = 2
 	t.FMALatency = 4
 	t.MemBWGBs = 80
-	t.Int8Throughput = 3.0 // NEON sdot
 	return t
 }
 
-// ExtendedTargets returns the paper's targets plus the extension platforms
-// used by the INT8 analysis.
+// ExtendedTargets returns the paper's targets plus the two extension
+// platforms, so ParseTarget and bundle loading accept them by name.
 func ExtendedTargets() []*Target {
 	return append(AllTargets(), IntelCascadeLakeC5(), ARMGraviton2())
 }

@@ -292,7 +292,7 @@ func Conv2DNCHWcInto(dst, padScratch *tensor.Tensor, in, weight *tensor.Tensor, 
 		// array keeps the tile on the goroutine stack, set up once per
 		// thread, so the hot loop performs no per-tile heap allocation (a
 		// schedule outside the searched space allocates once per range).
-		var accArr [MaxAccTile]float32
+		var accArr [maxAccTile]float32
 		var acc []float32
 		if regN*ocb <= len(accArr) {
 			acc = accArr[:regN*ocb]

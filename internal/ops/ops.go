@@ -34,10 +34,10 @@ func Serial(n int, body func(lo, hi int)) {
 	}
 }
 
-// MaxAccTile is the element count of the kernels' stack-resident accumulator
+// maxAccTile is the element count of the kernels' stack-resident accumulator
 // tile: the widest reg_n (32) times the widest channel block (64) the
 // schedule search emits, so no searched schedule heap-allocates its tile.
-const MaxAccTile = 32 * 64
+const maxAccTile = 32 * 64
 
 // Conv2DAttrs carries the geometry attributes of a convolution node.
 type Conv2DAttrs struct {

@@ -119,11 +119,11 @@ type BuildOptions struct {
 	Threads int
 	Backend machine.ThreadBackend
 	// DisableWinograd drops Winograd candidates from every variable's
-	// domain, restricting the algorithm dimension to the direct template.
-	// Int8 compilation sets it (there is no int8 Winograd kernel); users who
-	// need bit-compatibility with direct convolution can too. The filter is
-	// applied to the memoized local-search results, so a shared schedule DB
-	// stays consistent across compilations that differ on this flag.
+	// domain, restricting the algorithm dimension to the direct template,
+	// for users who need bit-compatibility with direct convolution. The
+	// filter is applied to the memoized local-search results, so a shared
+	// schedule DB stays consistent across compilations that differ on this
+	// flag.
 	DisableWinograd bool
 }
 

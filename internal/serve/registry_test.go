@@ -16,10 +16,12 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/artifact"
 	"repro/internal/core"
 	"repro/internal/faults"
 	"repro/internal/machine"
@@ -193,6 +195,60 @@ func TestRegistryLifecycleAndEviction(t *testing.T) {
 	}
 	if err := reg.Unload("nope"); !errors.Is(err, serve.ErrModelNotFound) {
 		t.Fatalf("unloading unknown model: %v, want ErrModelNotFound", err)
+	}
+}
+
+// TestRegistryRejectsInt8Bundle: a quantized bundle saved by an earlier
+// int8-capable build, dropped into a repository beside fp32 bundles, fails
+// its load after exactly one attempt (ErrInt8Bundle is not retryable) and
+// shows as failed with that reason, while the fp32 models beside it load and
+// serve their engine's bits.
+func TestRegistryRejectsInt8Bundle(t *testing.T) {
+	defer faults.Reset()
+	dir := t.TempDir()
+	writeBundles(t, dir, "tiny-cnn", "tiny-resnet")
+	raw, err := os.ReadFile("../core/testdata/int8_tiny-cnn.bundle")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "old-int8"+serve.BundleExt), raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	reg := newRepoRegistry(t, dir, serve.RegistryConfig{
+		LoadOptions: core.Options{Threads: 1, Backend: machine.BackendSerial},
+	})
+
+	// A pass-through hook, only to count load attempts.
+	faults.Inject(faults.SiteRegistryLoad, func(string) error { return nil })
+	if err := reg.Load("old-int8"); !errors.Is(err, artifact.ErrInt8Bundle) {
+		t.Fatalf("loading an int8 bundle: %v, want artifact.ErrInt8Bundle", err)
+	}
+	if n := faults.Count(faults.SiteRegistryLoad); n != 1 {
+		t.Fatalf("int8 bundle load took %d attempts, want 1", n)
+	}
+	var st serve.ModelStatus
+	for _, m := range reg.Index() {
+		if m.Name == "old-int8" {
+			st = m
+		}
+	}
+	if st.State != string(serve.StateFailed) || !strings.Contains(st.Reason, artifact.ErrInt8Bundle.Error()) {
+		t.Fatalf("int8 bundle status %+v, want failed with the ErrInt8Bundle reason", st)
+	}
+
+	in := tensor.New(tensor.NCHW(), 1, 3, 32, 32)
+	in.FillRandom(43, 1)
+	for _, name := range []string{"tiny-cnn", "tiny-resnet"} {
+		if err := reg.Load(name); err != nil {
+			t.Fatalf("%s beside an int8 bundle: %v", name, err)
+		}
+		outs, err := reg.Infer(context.Background(), name, in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !tensor.BitEqual(outs[0], refOutput(t, name, in)) {
+			t.Fatalf("%s: repository output differs from the engine's", name)
+		}
 	}
 }
 

@@ -126,7 +126,6 @@ func compile(g *graph.Graph, cfg *config) (*Engine, error) {
 		Level:           cfg.level.core(),
 		Threads:         cfg.threads,
 		Backend:         cfg.backend.machine(),
-		Int8:            cfg.int8,
 		DisableWinograd: cfg.noWinograd,
 		NoPrepack:       cfg.predictOnly,
 	}
@@ -227,9 +226,6 @@ func (e *Engine) Target() *Target { return e.mod.Target }
 // Threads returns the configured execution width.
 func (e *Engine) Threads() int { return e.mod.Threads() }
 
-// Int8 reports whether the engine runs quantized inference.
-func (e *Engine) Int8() bool { return e.mod.Int8 }
-
 // PredictOnly reports whether the engine was compiled WithPredictOnly.
 func (e *Engine) PredictOnly() bool { return e.mod.PredictOnly() }
 
@@ -296,11 +292,12 @@ func (e *Engine) SaveBundle(w io.Writer) error {
 // bit-identical results to the engine that produced the bundle.
 //
 // Only runtime options apply (WithThreads, WithBackend); the model,
-// optimization level, precision and target are recorded in the bundle itself,
-// so compile-time options (WithOptLevel, WithInt8, WithTarget, WithSeed,
+// optimization level and target are recorded in the bundle itself,
+// so compile-time options (WithOptLevel, WithTarget, WithSeed,
 // WithSearch) have no effect. A bundle produced for a different
 // target signature fails with core.ErrBundleTarget; a corrupted or stale
-// bundle fails with artifact.ErrInvalidArtifact.
+// bundle fails with artifact.ErrInvalidArtifact, and a quantized bundle
+// saved by an earlier int8-capable build with artifact.ErrInt8Bundle.
 func LoadBundle(r io.Reader, opts ...Option) (*Engine, error) {
 	cfg := newConfig(opts)
 	if cfg.err != nil {

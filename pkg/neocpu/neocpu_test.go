@@ -5,9 +5,11 @@ import (
 	"context"
 	"errors"
 	"math"
+	"os"
 	"strings"
 	"testing"
 
+	"repro/internal/artifact"
 	"repro/internal/graph"
 	"repro/internal/models"
 	"repro/internal/tensor"
@@ -199,33 +201,6 @@ func TestLevelsAgreeThroughFacade(t *testing.T) {
 	}
 }
 
-func TestInt8ThroughFacade(t *testing.T) {
-	in := tensor.New(tensor.NCHW(), 1, 3, 32, 32)
-	in.FillRandom(13, 1)
-	f32, err := CompileGraph(smallCNN(11), WithOptLevel(LevelTransformElim), WithThreads(1), WithBackend(BackendSerial))
-	if err != nil {
-		t.Fatal(err)
-	}
-	i8, err := CompileGraph(smallCNN(11), WithOptLevel(LevelTransformElim), WithThreads(1), WithBackend(BackendSerial), WithInt8())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !i8.Int8() {
-		t.Fatal("engine must report Int8")
-	}
-	a, err := f32.Run(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := i8.Run(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := tensor.MaxAbsDiff(a[0], b[0]); d > 0.05 {
-		t.Fatalf("int8 output diverges from fp32 by %g", d)
-	}
-}
-
 func TestWithWinogradThroughFacade(t *testing.T) {
 	// Default: the global search may schedule winograd; the plan records it.
 	on, err := CompileGraph(smallCNN(7),
@@ -390,9 +365,8 @@ func TestBundleThroughFacade(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer loaded.Close()
-	if loaded.Level() != orig.Level() || loaded.Int8() != orig.Int8() {
-		t.Fatalf("loaded level=%v int8=%v, original level=%v int8=%v",
-			loaded.Level(), loaded.Int8(), orig.Level(), orig.Int8())
+	if loaded.Level() != orig.Level() {
+		t.Fatalf("loaded level=%v, original level=%v", loaded.Level(), orig.Level())
 	}
 
 	in := orig.NewInput()
@@ -423,6 +397,18 @@ func TestBundleThroughFacade(t *testing.T) {
 	// Garbage is rejected with the artifact layer's typed error, not a panic.
 	if _, err := LoadBundle(strings.NewReader("not a bundle")); err == nil {
 		t.Fatal("garbage bundle loaded")
+	}
+}
+
+// TestInt8BundleRejectedThroughFacade: a quantized bundle saved by an
+// earlier int8-capable build fails to load with artifact.ErrInt8Bundle.
+func TestInt8BundleRejectedThroughFacade(t *testing.T) {
+	raw, err := os.ReadFile("../../internal/core/testdata/int8_tiny-cnn.bundle")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadBundle(bytes.NewReader(raw), WithThreads(1), WithBackend(BackendSerial)); !errors.Is(err, artifact.ErrInt8Bundle) {
+		t.Fatalf("int8 bundle: err = %v, want artifact.ErrInt8Bundle", err)
 	}
 }
 

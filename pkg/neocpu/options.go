@@ -27,7 +27,7 @@ var (
 
 // Target describes a CPU platform (cores, SIMD width, cache hierarchy). It is
 // the machine descriptor the schedule search optimizes for; presets for the
-// paper's three evaluation platforms and the two INT8 extension platforms are
+// paper's three evaluation platforms and two extension platforms are
 // available by name through ParseTarget.
 type Target = machine.Target
 
@@ -151,7 +151,6 @@ type config struct {
 	level       Level
 	threads     int
 	backend     Backend
-	int8        bool
 	noWinograd  bool
 	search      *SearchOptions
 	predictOnly bool
@@ -223,12 +222,6 @@ func WithBackend(b Backend) Option {
 	return func(c *config) { c.backend = b }
 }
 
-// WithInt8 enables quantized INT8 inference: weights are quantized
-// per-output-channel at compile time, activations dynamically per inference.
-func WithInt8() Option {
-	return func(c *config) { c.int8 = true }
-}
-
 // WithWinograd toggles the Winograd convolution algorithm as a searched
 // dimension of the optimization scheme (enabled by default). At
 // LevelGlobalSearch the search may then schedule 3x3 stride-1 convolutions
@@ -238,8 +231,7 @@ func WithInt8() Option {
 // Winograd computes in a transform domain, so fp32 results differ from the
 // direct template in the last bits (typically within 1e-3 relative error for
 // normalized CNN activations). Pass false for bit-compatibility with direct
-// convolution. INT8 engines always run direct — there is no quantized
-// Winograd kernel — so this option is a no-op when combined with WithInt8.
+// convolution.
 func WithWinograd(enabled bool) Option {
 	return func(c *config) { c.noWinograd = !enabled }
 }

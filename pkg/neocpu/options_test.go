@@ -92,7 +92,6 @@ func TestCompileOptionErrorPaths(t *testing.T) {
 		// Options with no invalid inputs: every value must configure cleanly.
 		{"level", WithOptLevel(LevelBaseline), nil},
 		{"backend", WithBackend(BackendOMP), nil},
-		{"int8", WithInt8(), nil},
 		{"winograd-off", WithWinograd(false), nil},
 		{"search", WithSearch(SearchOptions{MaxCands: 1}), nil},
 		{"predict-only", WithPredictOnly(), nil},
