@@ -224,7 +224,7 @@ func BenchmarkConv3x3(b *testing.B) {
 			wt.FillRandom(2, 0.5)
 			attrs := ops.Conv2DAttrs{OutC: g.c, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}
 			bi := tensor.ToNCHWc(in, g.icb)
-			u := ops.WinogradWeightTransformNCHWc(wt, g.icb, g.ocb)
+			u := ops.WinogradWeightTransformNCHWc(wt, g.icb, g.ocb, nil)
 			scratch := tensor.New(tensor.Flat(), ops.WinogradScratchShape(bi.Shape, attrs)...)
 			dst := tensor.New(tensor.NCHWc(g.ocb), 1, g.c/g.ocb, g.hw, g.hw, g.ocb)
 			b.ReportAllocs()
@@ -373,6 +373,65 @@ func BenchmarkLayoutTransform(b *testing.B) {
 	})
 }
 
+// BenchmarkWinogradWeightTransform measures the compile-time U = G g Gᵀ
+// transform into the packed layout for ResNet-18's four Winograd layers, at
+// the (ic_bn, oc_bn) the resnet-18 global search picks on intel-skylake at 2
+// threads, serial and on a 2-wide pool.
+func BenchmarkWinogradWeightTransform(b *testing.B) {
+	pool := threadpool.NewPool(2)
+	defer pool.Close()
+	for _, g := range []struct{ c, icb, ocb int }{{64, 32, 64}, {128, 16, 32}, {256, 16, 32}, {512, 16, 16}} {
+		wt := tensor.New(tensor.OIHW(), g.c, g.c, 3, 3)
+		wt.FillRandom(2, 0.5)
+		for _, threads := range []int{1, 2} {
+			name, pf := itoa(g.c)+"x"+itoa(g.c), ops.ParallelFor(ops.Serial)
+			if threads == 2 {
+				name, pf = name+"-2t", pool.ParallelRange
+			}
+			b.Run(name, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					ops.WinogradWeightTransformNCHWc(wt, g.icb, g.ocb, pf)
+				}
+			})
+		}
+	}
+}
+
+// BenchmarkCompile measures a cold executable compile of ResNet-18 at 2
+// threads: a fresh schedule database (every local search runs), global
+// search, weight packing and the execution plan. It reports the compile's
+// milliseconds and the heap in use after it, with the module still alive
+// (what a compiled model keeps resident).
+func BenchmarkCompile(b *testing.B) {
+	b.Run("resnet-18", func(b *testing.B) {
+		t := machine.IntelSkylakeC5()
+		var heap uint64
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			g := models.MustBuild("resnet-18", 1)
+			opts := core.Options{
+				Level: core.OptGlobalSearch, Threads: 2, Backend: machine.BackendPool,
+				Search: search.Options{DB: schedule.NewDB()},
+			}
+			b.StartTimer()
+			m, err := core.Compile(g, t, opts)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.StopTimer()
+			runtime.GC()
+			var ms runtime.MemStats
+			runtime.ReadMemStats(&ms)
+			heap = ms.HeapInuse
+			m.Close()
+			b.StartTimer()
+		}
+		b.ReportMetric(float64(b.Elapsed().Microseconds())/1e3/float64(b.N), "compile-ms")
+		b.ReportMetric(float64(heap)/(1<<20), "heap-MiB")
+	})
+}
+
 // BenchmarkThreadPool compares the parallel runtimes over a real convolution
 // and over many tiny regions (the real-kernel counterpart of Figure 4; on a
 // single-core host the curves flatten but the per-region overhead remains
@@ -455,7 +514,7 @@ func BenchmarkConvAlgorithm(b *testing.B) {
 		b.Run("winograd-NCHW"+itoa(blk)+"c", func(b *testing.B) {
 			in, wt, attrs := benchConvTensors()
 			bi := tensor.ToNCHWc(in, blk)
-			u := ops.WinogradWeightTransformNCHWc(wt, blk, blk)
+			u := ops.WinogradWeightTransformNCHWc(wt, blk, blk, nil)
 			scratch := tensor.New(tensor.Flat(), ops.WinogradScratchShape(bi.Shape, attrs)...)
 			dst := tensor.New(tensor.NCHWc(blk), 1, attrs.OutC/blk, 28, 28, blk)
 			b.ReportAllocs()

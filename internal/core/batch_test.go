@@ -66,7 +66,7 @@ func TestRunBatchMatchesSequentialRuns(t *testing.T) {
 					t.Fatalf("seed %d %s input %d: output arity mismatch", seed, v.name, i)
 				}
 				for j := range want {
-					if tensor.MaxAbsDiff(want[j], batch[i][j]) != 0 {
+					if !tensor.BitEqual(want[j], batch[i][j]) {
 						t.Fatalf("seed %d %s input %d output %d: RunBatch diverges from sequential Run by %g",
 							seed, v.name, i, j, tensor.MaxAbsDiff(want[j], batch[i][j]))
 					}
@@ -107,7 +107,7 @@ func TestRunBatchMatchesSequentialWinograd(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if tensor.MaxAbsDiff(want[0], batch[i][0]) != 0 {
+		if !tensor.BitEqual(want[0], batch[i][0]) {
 			t.Fatalf("input %d: winograd RunBatch diverges from sequential Run", i)
 		}
 	}
@@ -167,7 +167,7 @@ func TestRunBatchPartialCancellation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tensor.MaxAbsDiff(want[0], results[0][0]) != 0 {
+	if !tensor.BitEqual(want[0], results[0][0]) {
 		t.Fatal("partial result diverges from an independent run of the same input")
 	}
 

@@ -16,6 +16,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 
@@ -97,12 +98,38 @@ type Options struct {
 	Search search.Options
 }
 
+// ErrNoWeights is the typed cause for an executable compile (one without
+// NoPrepack) of a graph whose convolution or dense weights are shape-only:
+// a graph built with shape-only parameters, or a graph already compiled
+// once, whose packed convolutions kept only their weights' shapes.
+var ErrNoWeights = errors.New("core: graph has no weights to execute")
+
+// checkWeights fails with ErrNoWeights, naming the first such node, unless
+// every convolution and dense node of g carries its whole weight payload.
+// Compile and CompileWithPlan call it before any pass rewrites the graph.
+func checkWeights(g *graph.Graph) error {
+	for _, n := range g.Nodes() {
+		if (n.IsConv() || n.Op == graph.OpDense) && n.Weight != nil && len(n.Weight.Data) != n.Weight.NumElements() {
+			return fmt.Errorf("%w: node %q has a shape-only %v weight (compile a freshly built graph, or set NoPrepack)", ErrNoWeights, n.Name, n.Weight.Shape)
+		}
+	}
+	return nil
+}
+
 // Compile lowers the graph for the target. It takes ownership of g: passes
-// rewrite it in place. Executable modules (without NoPrepack) construct
-// their thread pool here, so they must be Closed when no longer needed.
+// rewrite it in place, and an executable compile keeps only the packed copy
+// of each NCHW[x]c convolution's weight, so g is compiled once. Executable
+// modules (without NoPrepack) construct their thread pool here, so they must
+// be Closed when no longer needed. An executable compile of a graph without
+// weights fails with ErrNoWeights.
 func Compile(g *graph.Graph, t *machine.Target, opts Options) (*Module, error) {
 	if err := g.Validate(); err != nil {
 		return nil, fmt.Errorf("core: %w", err)
+	}
+	if !opts.NoPrepack {
+		if err := checkWeights(g); err != nil {
+			return nil, err
+		}
 	}
 	if err := graph.RemoveDropout(g); err != nil {
 		return nil, fmt.Errorf("core: simplify: %w", err)
@@ -266,28 +293,44 @@ func (m *Module) finishRuntime(opts Options) {
 }
 
 // finalizeModule performs the compilation tail shared by Compile and
-// CompileWithPlan: module construction, execution-width defaults, weight
-// pre-packing and SSD anchor pre-computation.
+// CompileWithPlan: module construction, execution-width defaults, the
+// runtime (finishRuntime), then weight pre-packing on that runtime.
 func finalizeModule(g *graph.Graph, t *machine.Target, level OptLevel, searchOutcome *search.Outcome, opts Options) *Module {
 	m := newModule(g, t, level, searchOutcome, opts)
-
-	// Pre-transform convolution weights at compile time (Figure 2: the
-	// kernel layout is invariant, so the transform is paid once here, never
-	// at inference).
 	if opts.NoPrepack {
 		m.noPrepack = true
 		// Prediction-only module: release the weight payloads (shapes are
 		// all the cost model reads) so cached modules stay small.
 		for _, n := range g.Nodes() {
 			if n.Weight != nil {
-				n.Weight = &tensor.Tensor{Shape: n.Weight.Shape, Layout: n.Weight.Layout}
+				n.Weight = shapeOnly(n.Weight)
 			}
 		}
-	} else {
-		for _, n := range g.Convs() {
-			if n.Sched.Layout.Kind != tensor.LayoutNCHWc {
-				continue
-			}
+	}
+	m.finishRuntime(opts)
+	if !opts.NoPrepack {
+		m.packWeights()
+	}
+	return m
+}
+
+// packWeights pre-transforms every NCHW[x]c convolution's weight (Figure 2:
+// the kernel layout is invariant, so the transform is paid once here, never
+// at inference), each transform running on the module's own pool. It then
+// releases the raw weight: the kernels read only the packed copy, so the
+// node keeps its weight's shape and layout without the payload. Dense nodes
+// and NCHW/NHWC-scheduled convolutions execute from n.Weight and keep it.
+func (m *Module) packWeights() {
+	pf := m.parallelFor()
+	for _, n := range m.Graph.Convs() {
+		if n.Sched.Layout.Kind != tensor.LayoutNCHWc {
+			continue
+		}
+		if n.Sched.Algorithm == machine.AlgoWinograd {
+			// U = G g Gᵀ, packed for the blocked kernel — the winograd
+			// analog of the compile-time weight pre-packing.
+			m.packed[n] = ops.WinogradWeightTransformNCHWc(n.Weight, n.Sched.ICBlock, n.Sched.OCBlock, pf)
+		} else {
 			// Depthwise weights are logically (C, 1, KH, KW): their packed
 			// form splits only the output channels, so the input-channel
 			// block of the packing is 1 regardless of the schedule's shared
@@ -296,15 +339,13 @@ func finalizeModule(g *graph.Graph, t *machine.Target, level OptLevel, searchOut
 			if graph.ConvWorkload(n).Depthwise() {
 				wIC = 1
 			}
-			if n.Sched.Algorithm == machine.AlgoWinograd {
-				// U = G g Gᵀ, packed for the blocked kernel — the winograd
-				// analog of the compile-time weight pre-packing.
-				m.packed[n] = ops.WinogradWeightTransformNCHWc(n.Weight, n.Sched.ICBlock, n.Sched.OCBlock)
-			} else {
-				m.packed[n] = tensor.PackWeights(n.Weight, wIC, n.Sched.OCBlock)
-			}
+			m.packed[n] = tensor.PackWeights(n.Weight, wIC, n.Sched.OCBlock)
 		}
+		n.Weight = shapeOnly(n.Weight)
 	}
-	m.finishRuntime(opts)
-	return m
+}
+
+// shapeOnly returns a payload-free tensor with w's shape and layout.
+func shapeOnly(w *tensor.Tensor) *tensor.Tensor {
+	return &tensor.Tensor{Shape: w.Shape, Layout: w.Layout}
 }

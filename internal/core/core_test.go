@@ -2,6 +2,8 @@ package core
 
 import (
 	"bytes"
+	"errors"
+	"slices"
 	"strings"
 	"testing"
 
@@ -62,10 +64,10 @@ func TestThreadedExecutionMatchesSerial(t *testing.T) {
 	ref := runModel(t, models.TinyResNet(8), OptTransformElim, 1, machine.BackendSerial)[0]
 	pool := runModel(t, models.TinyResNet(8), OptTransformElim, 4, machine.BackendPool)[0]
 	omp := runModel(t, models.TinyResNet(8), OptTransformElim, 4, machine.BackendOMP)[0]
-	if tensor.MaxAbsDiff(ref, pool) != 0 {
+	if !tensor.BitEqual(ref, pool) {
 		t.Fatal("thread pool execution must be bit-identical to serial")
 	}
-	if tensor.MaxAbsDiff(ref, omp) != 0 {
+	if !tensor.BitEqual(ref, omp) {
 		t.Fatal("OMP-style execution must be bit-identical to serial")
 	}
 }
@@ -341,7 +343,7 @@ func TestRunProfiled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tensor.MaxAbsDiff(outsRef[0], outs[0]) != 0 {
+	if !tensor.BitEqual(outsRef[0], outs[0]) {
 		t.Fatal("profiled run changed the output")
 	}
 	if prof.Total <= 0 || len(prof.Timings) == 0 {
@@ -374,6 +376,111 @@ func TestNoPrepackModuleCannotRun(t *testing.T) {
 	}
 	if m.PredictLatency(PredictConfig{}) <= 0 {
 		t.Fatal("prediction must still work")
+	}
+}
+
+// TestCompileReleasesPackedWeights pins the one-copy rule: after an
+// executable compile every packed convolution's node weight keeps its shape
+// and layout without a payload, while dense nodes and NCHW-scheduled
+// convolutions, which execute from it, keep theirs. The parameter count is
+// read from shapes, so the release leaves it unchanged.
+func TestCompileReleasesPackedWeights(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		build func(uint64) *graph.Graph
+		level OptLevel
+	}{
+		{"nchw", models.TinyResNet, OptNone},
+		{"direct", models.TinyResNet, OptTransformElim},
+		{"winograd", models.TinyResNet, OptGlobalSearch},
+		{"depthwise", models.TinyMobileNet, OptTransformElim},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			fresh := tc.build(2)
+			want := map[string]*tensor.Tensor{}
+			for _, n := range fresh.Nodes() {
+				if n.Weight != nil {
+					want[n.Name] = n.Weight
+				}
+			}
+			m, err := Compile(tc.build(2), skylake(), Options{Level: tc.level, Threads: 2, Backend: machine.BackendPool})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer m.Close()
+			packed := 0
+			for _, n := range m.Graph.Nodes() {
+				w := want[n.Name]
+				if w == nil {
+					continue
+				}
+				if !slices.Equal(n.Weight.Shape, w.Shape) || !n.Weight.Layout.Equal(w.Layout) {
+					t.Fatalf("%s: weight is %v %v after compile, %v %v before", n.Name, n.Weight.Layout, n.Weight.Shape, w.Layout, w.Shape)
+				}
+				switch {
+				case m.packed[n] != nil:
+					packed++
+					if n.Weight.Data != nil {
+						t.Fatalf("%s: packed conv keeps a %d-value raw weight", n.Name, len(n.Weight.Data))
+					}
+				case len(n.Weight.Data) != n.Weight.NumElements():
+					t.Fatalf("%s: unpacked %v node has %d of %d weight values", n.Name, n.Op, len(n.Weight.Data), n.Weight.NumElements())
+				}
+			}
+			if (tc.level == OptNone) != (packed == 0) {
+				t.Fatalf("%d packed convs at %v", packed, tc.level)
+			}
+			// The prediction-only compile runs the same passes and keeps
+			// shapes only, so its count is the release-independent one.
+			ref, err := Compile(tc.build(2), skylake(), Options{Level: tc.level, NoPrepack: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, want := m.Graph.ComputeStats().Params, ref.Graph.ComputeStats().Params; got != want {
+				t.Fatalf("params %d after an executable compile, %d after a prediction-only one", got, want)
+			}
+		})
+	}
+}
+
+// TestExecutableCompileRejectsWeightlessGraph: an executable compile of a
+// shape-only graph, or of a graph already compiled once, fails with
+// ErrNoWeights naming the node, before any pass rewrites the graph.
+func TestExecutableCompileRejectsWeightlessGraph(t *testing.T) {
+	shapeOnly, err := models.ResolveGraph("resnet-18", 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	compiled := models.TinyResNet(1)
+	m, err := Compile(compiled, skylake(), Options{Level: OptTransformElim, Threads: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.Close()
+	for name, g := range map[string]*graph.Graph{"shape-only": shapeOnly, "compiled-once": compiled} {
+		nodes, transforms := g.NumNodes(), g.CountTransforms()
+		for entry, compile := range map[string]func() error{
+			"Compile": func() error {
+				_, err := Compile(g, skylake(), Options{Level: OptGlobalSearch})
+				return err
+			},
+			"CompileWithPlan": func() error {
+				_, err := CompileWithPlan(g, skylake(), &PlanFile{}, Options{})
+				return err
+			},
+		} {
+			err := compile()
+			if !errors.Is(err, ErrNoWeights) || !strings.Contains(err.Error(), `"conv`) {
+				t.Fatalf("%s graph, %s: got %v, want ErrNoWeights naming a conv", name, entry, err)
+			}
+			if g.NumNodes() != nodes || g.CountTransforms() != transforms {
+				t.Fatalf("%s graph, %s: the rejected compile rewrote the graph", name, entry)
+			}
+		}
+	}
+	// A prediction-only compile reads shapes only and still succeeds.
+	if _, err := Compile(shapeOnly, skylake(), Options{Level: OptTransformElim, NoPrepack: true}); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -422,7 +529,7 @@ func TestPlanSaveLoadRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tensor.MaxAbsDiff(wantOut[0], gotOut[0]) != 0 {
+	if !tensor.BitEqual(wantOut[0], gotOut[0]) {
 		t.Fatal("replayed module computes different outputs")
 	}
 	orig.Close()
@@ -482,7 +589,7 @@ func TestWinogradPlanRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tensor.MaxAbsDiff(want[0], got[0]) != 0 {
+	if !tensor.BitEqual(want[0], got[0]) {
 		t.Fatal("replayed winograd module computes different outputs")
 	}
 

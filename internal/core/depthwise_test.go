@@ -211,7 +211,7 @@ func TestDepthwiseGlobalSearchAgreesWithBaseline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d := tensor.MaxAbsDiff(got[0], got2[0]); d != 0 {
-		t.Fatalf("replayed plan diverges from searched module by %g", d)
+	if !tensor.BitEqual(got[0], got2[0]) {
+		t.Fatalf("replayed plan diverges from searched module by %g (max abs)", tensor.MaxAbsDiff(got[0], got2[0]))
 	}
 }

@@ -205,7 +205,7 @@ func TestPlanArenaSharing(t *testing.T) {
 	if _, err := s.Run(context.Background(), in2); err != nil {
 		t.Fatal(err)
 	}
-	if tensor.MaxAbsDiff(first, outs[0]) == 0 {
+	if tensor.BitEqual(first, outs[0]) {
 		t.Fatal("second run did not write the pinned output slot")
 	}
 }

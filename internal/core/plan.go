@@ -168,13 +168,20 @@ func (pf *PlanFile) Apply(g *graph.Graph) (graph.LayoutPlan, error) {
 }
 
 // CompileWithPlan compiles a graph using a previously saved plan instead of
-// running any search. The target must match the plan's.
+// running any search. The target must match the plan's. Like Compile, it
+// takes ownership of g, and an executable compile of a graph without weights
+// fails with ErrNoWeights.
 func CompileWithPlan(g *graph.Graph, t *machine.Target, pf *PlanFile, opts Options) (*Module, error) {
 	if pf.Target != "" && pf.Target != t.Name {
 		return nil, fmt.Errorf("%w: plan was produced for target %q, compiling for %q", ErrInvalidPlan, pf.Target, t.Name)
 	}
 	if err := g.Validate(); err != nil {
 		return nil, fmt.Errorf("core: %w", err)
+	}
+	if !opts.NoPrepack {
+		if err := checkWeights(g); err != nil {
+			return nil, err
+		}
 	}
 	if err := graph.RemoveDropout(g); err != nil {
 		return nil, err

@@ -35,15 +35,16 @@ func TestKernelFamiliesBitIdenticalAcrossPolicies(t *testing.T) {
 		{"inter", 3, machine.BackendPool},
 		{"hybrid", 16, machine.BackendPool},
 	}
+	// A graph is compiled once, so each subtest builds its own.
 	families := []struct {
 		name  string
-		graph *graph.Graph
+		build func(seed uint64) *graph.Graph
 		opts  Options
 	}{
-		{"direct", models.TinyResNet(4), Options{Level: OptTransformElim, DisableWinograd: true}},
-		{"winograd", models.TinyResNet(4), Options{Level: OptGlobalSearch}},
-		{"depthwise", models.TinyMobileNet(4), Options{Level: OptTransformElim}},
-		{"branchy", models.TinyInception(4), Options{Level: OptTransformElim}},
+		{"direct", models.TinyResNet, Options{Level: OptTransformElim, DisableWinograd: true}},
+		{"winograd", models.TinyResNet, Options{Level: OptGlobalSearch}},
+		{"depthwise", models.TinyMobileNet, Options{Level: OptTransformElim}},
+		{"branchy", models.TinyInception, Options{Level: OptTransformElim}},
 	}
 	for _, fam := range families {
 		for _, cfg := range execConfigs {
@@ -51,7 +52,7 @@ func TestKernelFamiliesBitIdenticalAcrossPolicies(t *testing.T) {
 				opts := fam.opts
 				opts.Threads = cfg.threads
 				opts.Backend = cfg.backend
-				m, err := Compile(fam.graph, skylake(), opts)
+				m, err := Compile(fam.build(4), skylake(), opts)
 				if err != nil {
 					t.Fatal(err)
 				}

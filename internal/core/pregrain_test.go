@@ -84,8 +84,8 @@ func TestOlderPlanCompat(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if d := tensor.MaxAbsDiff(want[0], got[0]); d != 0 {
-				t.Fatalf("older plan execution diverges from reference by %g", d)
+			if !tensor.BitEqual(want[0], got[0]) {
+				t.Fatalf("older plan execution diverges from reference by %g (max abs)", tensor.MaxAbsDiff(want[0], got[0]))
 			}
 		})
 	}
@@ -115,15 +115,15 @@ func TestOlderBundleCompat(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if d := tensor.MaxAbsDiff(want[0], fromBundle[0]); d != 0 {
-				t.Fatalf("older bundle execution diverges from reference by %g", d)
+			if !tensor.BitEqual(want[0], fromBundle[0]) {
+				t.Fatalf("older bundle execution diverges from reference by %g (max abs)", tensor.MaxAbsDiff(want[0], fromBundle[0]))
 			}
 			fromPlan, err := pm.Run(in)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if d := tensor.MaxAbsDiff(fromPlan[0], fromBundle[0]); d != 0 {
-				t.Fatalf("bundle- and plan-loaded older modules diverge by %g", d)
+			if !tensor.BitEqual(fromPlan[0], fromBundle[0]) {
+				t.Fatalf("bundle- and plan-loaded older modules diverge by %g (max abs)", tensor.MaxAbsDiff(fromPlan[0], fromBundle[0]))
 			}
 		})
 	}

@@ -44,7 +44,7 @@ func TestSessionMatchesRun(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if tensor.MaxAbsDiff(want[0], got[0]) != 0 {
+		if !tensor.BitEqual(want[0], got[0]) {
 			t.Fatalf("run %d: session output diverges from Module.Run", i)
 		}
 	}
@@ -134,7 +134,7 @@ func TestConcurrentSessionsShareModule(t *testing.T) {
 					errs <- err
 					return
 				}
-				if tensor.MaxAbsDiff(want[0], outs[0]) != 0 {
+				if !tensor.BitEqual(want[0], outs[0]) {
 					errs <- errors.New("concurrent session output diverged")
 					return
 				}
@@ -203,7 +203,7 @@ func TestConcurrentWinogradSessions(t *testing.T) {
 					errs <- err
 					return
 				}
-				if tensor.MaxAbsDiff(want[0], outs[0]) != 0 {
+				if !tensor.BitEqual(want[0], outs[0]) {
 					errs <- errors.New("concurrent winograd session output diverged")
 					return
 				}
@@ -296,7 +296,7 @@ func TestWeightStationaryWinogradSession(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if tensor.MaxAbsDiff(want[0], got[0]) != 0 {
+		if !tensor.BitEqual(want[0], got[0]) {
 			t.Fatalf("run %d: session output diverges from Module.Run", i)
 		}
 	}
@@ -349,7 +349,7 @@ func TestSessionContextCancellation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tensor.MaxAbsDiff(want[0], outs[0]) != 0 {
+	if !tensor.BitEqual(want[0], outs[0]) {
 		t.Fatal("post-cancellation run diverged")
 	}
 }
@@ -380,7 +380,7 @@ func TestSessionRunBatch(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if tensor.MaxAbsDiff(want[0], batch[i][0]) != 0 {
+		if !tensor.BitEqual(want[0], batch[i][0]) {
 			t.Fatalf("batch item %d diverges from independent run", i)
 		}
 	}
@@ -447,7 +447,7 @@ func TestSessionAcrossLevelsAndModels(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s/%v: %v", name, level, err)
 			}
-			if tensor.MaxAbsDiff(want[0], got[0]) != 0 {
+			if !tensor.BitEqual(want[0], got[0]) {
 				t.Fatalf("%s/%v: session output diverges from Module.Run", name, level)
 			}
 		}
@@ -495,7 +495,7 @@ func TestSessionSSD(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if tensor.MaxAbsDiff(want[0], got[0]) != 0 {
+		if !tensor.BitEqual(want[0], got[0]) {
 			t.Fatalf("run %d: SSD session diverges from Module.Run", i)
 		}
 	}

@@ -39,7 +39,8 @@ func RemoveDropout(g *Graph) error {
 }
 
 // FoldBatchNorms folds each BatchNorm whose sole producer is an
-// exclusively-consumed convolution into that convolution's weight and bias.
+// exclusively-consumed convolution into that convolution's weight (scaled in
+// place) and bias.
 // Engine simulators skip this pass to model frameworks that execute
 // BatchNorm as a standalone operator.
 func FoldBatchNorms(g *Graph) error {
@@ -53,8 +54,7 @@ func FoldBatchNorms(g *Graph) error {
 		if !conv.IsConv() || len(cons[conv]) != 1 {
 			continue
 		}
-		w, b := ops.FoldBatchNorm(conv.Weight, conv.Bias, n.BN)
-		conv.Weight, conv.Bias = w, b
+		conv.Bias = ops.FoldBatchNorm(conv.Weight, conv.Bias, n.BN)
 		g.replaceInput(n, conv)
 		dead[n] = true
 	}

@@ -98,9 +98,10 @@ func BatchNormInferenceInto(dst, in *tensor.Tensor, p BatchNormParams, pf Parall
 // FoldBatchNorm folds an inference BatchNorm into the preceding convolution's
 // weight and bias: W'[o,...] = W[o,...]*scale[o], b'[o] = b[o]*scale[o] +
 // shift[o]. This is one of the "simplifying inference" graph optimizations
-// inherited from the TVM stack (Section 3). The weight must be OIHW; a new
-// weight and bias are returned.
-func FoldBatchNorm(weight *tensor.Tensor, bias []float32, p BatchNormParams) (*tensor.Tensor, []float32) {
+// inherited from the TVM stack (Section 3). The weight must be OIHW and is
+// scaled in place, so the caller must hold no other use of the pre-fold
+// values; the folded bias is returned in a new slice.
+func FoldBatchNorm(weight *tensor.Tensor, bias []float32, p BatchNormParams) []float32 {
 	if weight.Layout.Kind != tensor.LayoutOIHW {
 		panic(fmt.Sprintf("ops: FoldBatchNorm expects OIHW weight, got %v", weight.Layout))
 	}
@@ -109,20 +110,18 @@ func FoldBatchNorm(weight *tensor.Tensor, bias []float32, p BatchNormParams) (*t
 		panic(fmt.Sprintf("ops: FoldBatchNorm channel mismatch %d vs %d", o, p.Channels()))
 	}
 	scale, shift := p.scaleShift()
-	newW := weight
+	// Shape-only weights (prediction-only graphs) keep their empty payload;
+	// the folded bias below is still produced so graph structure matches.
 	if len(weight.Data) > 0 {
 		perOut := weight.NumElements() / o
-		newW = weight.Clone()
 		for k := 0; k < o; k++ {
 			s := scale[k]
-			seg := newW.Data[k*perOut : (k+1)*perOut]
+			seg := weight.Data[k*perOut : (k+1)*perOut]
 			for i := range seg {
 				seg[i] *= s
 			}
 		}
 	}
-	// Shape-only weights (prediction-only graphs) keep their empty payload;
-	// the folded bias below is still produced so graph structure matches.
 	newB := make([]float32, o)
 	for k := 0; k < o; k++ {
 		var b float32
@@ -131,5 +130,5 @@ func FoldBatchNorm(weight *tensor.Tensor, bias []float32, p BatchNormParams) (*t
 		}
 		newB[k] = b*scale[k] + shift[k]
 	}
-	return newW, newB
+	return newB
 }

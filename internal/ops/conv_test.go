@@ -54,7 +54,7 @@ func TestConv2DNCHWIdentityKernel(t *testing.T) {
 		wt.Set(1, k, k, 1, 1)
 	}
 	out := Conv2DNCHW(in, wt, Conv2DAttrs{OutC: 4, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}, Epilogue{}, nil)
-	if tensor.MaxAbsDiff(in, out) != 0 {
+	if !tensor.BitEqual(in, out) {
 		t.Fatal("identity convolution must reproduce input")
 	}
 }
@@ -175,7 +175,7 @@ func TestConvParallelMatchesSerial(t *testing.T) {
 	blockedWt := tensor.PackWeights(wt, 8, 16)
 	serial := Conv2DNCHWc(blockedIn, blockedWt, attrs, 8, 16, 4, Epilogue{}, Serial)
 	par := Conv2DNCHWc(blockedIn, blockedWt, attrs, 8, 16, 4, Epilogue{}, goPar(5))
-	if tensor.MaxAbsDiff(serial, par) != 0 {
+	if !tensor.BitEqual(serial, par) {
 		t.Fatal("parallel conv must be bit-identical to serial")
 	}
 }
@@ -215,7 +215,7 @@ func TestConvUnrollKerSelectsNothing(t *testing.T) {
 				return Conv2DNCHWc(bi, tensor.PackWeights(wt, tc.icb, tc.ocb), attrs, tc.icb, tc.ocb, tc.regN, Epilogue{}, pf)
 			}
 			serial, par := conv(Serial), conv(goPar(3))
-			if tensor.MaxAbsDiff(serial, par) != 0 {
+			if !tensor.BitEqual(serial, par) {
 				t.Fatalf("goPar(3) changes the output by %g", tensor.MaxAbsDiff(serial, par))
 			}
 			if d := tensor.MaxAbsDiff(Conv2DNCHW(in, wt, attrs, Epilogue{}, nil), tensor.FromNCHWc(serial)); d > 1e-4 {
@@ -365,7 +365,7 @@ func TestConvBatchedMatchesPerImage(t *testing.T) {
 		one := tensor.FromData(tensor.NCHW(), in.Data[img*per:(img+1)*per], 1, 8, 9, 9)
 		want := Conv2DNCHW(one, wt, attrs, Epilogue{}, nil)
 		got := tensor.FromData(tensor.NCHW(), batched.Data[img*perOut:(img+1)*perOut], 1, 8, 9, 9)
-		if tensor.MaxAbsDiff(want, got) != 0 {
+		if !tensor.BitEqual(want, got) {
 			t.Fatalf("image %d batched reference conv differs", img)
 		}
 	}

@@ -30,7 +30,7 @@ func TestReLULayoutOblivious(t *testing.T) {
 	blocked := tensor.ToNCHWc(in, 4)
 	a := tensor.FromNCHWc(ReLU(blocked, nil))
 	b := ReLU(in, nil)
-	if tensor.MaxAbsDiff(a, b) != 0 {
+	if !tensor.BitEqual(a, b) {
 		t.Fatal("ReLU must commute with layout transforms")
 	}
 }
@@ -138,7 +138,7 @@ func TestPoolLayoutTolerant(t *testing.T) {
 	if blocked.Layout.BlockC != 8 {
 		t.Fatal("blocked pooling must preserve block size")
 	}
-	if tensor.MaxAbsDiff(ref, tensor.FromNCHWc(blocked)) != 0 {
+	if !tensor.BitEqual(ref, tensor.FromNCHWc(blocked)) {
 		t.Fatal("blocked pooling diverges from NCHW pooling")
 	}
 	// Same for average pooling.
@@ -235,7 +235,8 @@ func TestFoldBatchNormEquivalence(t *testing.T) {
 	convOut := Conv2DNCHW(in, wt, attrs, Epilogue{}, nil)
 	want := BatchNormInference(convOut, p, nil)
 
-	foldedW, foldedB := FoldBatchNorm(wt, nil, p)
+	foldedW := wt.Clone()
+	foldedB := FoldBatchNorm(foldedW, nil, p)
 	got := Conv2DNCHW(in, foldedW, attrs, Epilogue{Bias: foldedB}, nil)
 	if !tensor.AllClose(want, got, 1e-4) {
 		t.Fatalf("folded BN diverges: %g", tensor.MaxAbsDiff(want, got))
@@ -248,7 +249,8 @@ func TestFoldBatchNormEquivalence(t *testing.T) {
 	}
 	convOut = Conv2DNCHW(in, wt, attrs, Epilogue{Bias: bias}, nil)
 	want = BatchNormInference(convOut, p, nil)
-	foldedW, foldedB = FoldBatchNorm(wt, bias, p)
+	foldedW = wt.Clone()
+	foldedB = FoldBatchNorm(foldedW, bias, p)
 	got = Conv2DNCHW(in, foldedW, attrs, Epilogue{Bias: foldedB}, nil)
 	if !tensor.AllClose(want, got, 1e-4) {
 		t.Fatalf("folded BN with bias diverges: %g", tensor.MaxAbsDiff(want, got))
@@ -261,8 +263,8 @@ func TestQuickFoldBatchNorm(t *testing.T) {
 		attrs := Conv2DAttrs{OutC: 8, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}
 		p := randomBN(8, seed+100)
 		want := BatchNormInference(Conv2DNCHW(in, wt, attrs, Epilogue{}, nil), p, nil)
-		fw, fb := FoldBatchNorm(wt, nil, p)
-		got := Conv2DNCHW(in, fw, attrs, Epilogue{Bias: fb}, nil)
+		fb := FoldBatchNorm(wt, nil, p) // scales wt in place
+		got := Conv2DNCHW(in, wt, attrs, Epilogue{Bias: fb}, nil)
 		return tensor.AllClose(want, got, 1e-3)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
@@ -333,7 +335,7 @@ func TestConcatBlockedMatchesNCHW(t *testing.T) {
 	b.FillRandom(2, 1)
 	ref := Concat([]*tensor.Tensor{a, b}, nil)
 	blocked := Concat([]*tensor.Tensor{tensor.ToNCHWc(a, 8), tensor.ToNCHWc(b, 8)}, nil)
-	if tensor.MaxAbsDiff(ref, tensor.FromNCHWc(blocked)) != 0 {
+	if !tensor.BitEqual(ref, tensor.FromNCHWc(blocked)) {
 		t.Fatal("blocked concat diverges from NCHW concat")
 	}
 	mustPanic(t, func() {

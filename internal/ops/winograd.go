@@ -23,37 +23,16 @@ import (
 // WinogradWeightTransform computes U = G g Gᵀ for every (out, in) channel
 // pair of a 3x3 OIHW weight. The result is stored as a flat tensor of shape
 // (16, O, I): component-major so the inner accumulation over input channels
-// is contiguous.
+// is contiguous. It feeds the NCHW reference kernel Conv2DWinograd.
 func WinogradWeightTransform(weight *tensor.Tensor) *tensor.Tensor {
-	if weight.Layout.Kind != tensor.LayoutOIHW {
-		panic(fmt.Sprintf("ops: WinogradWeightTransform expects OIHW, got %v", weight.Layout))
-	}
-	o, i, kh, kw := weight.Shape[0], weight.Shape[1], weight.Shape[2], weight.Shape[3]
-	if kh != 3 || kw != 3 {
-		panic(fmt.Sprintf("ops: Winograd F(2,3) requires 3x3 kernels, got %dx%d", kh, kw))
-	}
+	o, i := winogradWeightDims(weight, "WinogradWeightTransform")
 	out := tensor.New(tensor.Flat(), 16, o, i)
 	for oc := 0; oc < o; oc++ {
 		for ic := 0; ic < i; ic++ {
-			g := weight.Data[(oc*i+ic)*9 : (oc*i+ic)*9+9]
-			// t = G g  (4x3), with G = [1 0 0; ½ ½ ½; ½ -½ ½; 0 0 1].
-			var t [4][3]float32
-			for c := 0; c < 3; c++ {
-				g0, g1, g2 := g[c], g[3+c], g[6+c]
-				t[0][c] = g0
-				t[1][c] = 0.5 * (g0 + g1 + g2)
-				t[2][c] = 0.5 * (g0 - g1 + g2)
-				t[3][c] = g2
-			}
-			// u = t Gᵀ (4x4).
-			for r := 0; r < 4; r++ {
-				u0 := t[r][0]
-				u1 := 0.5 * (t[r][0] + t[r][1] + t[r][2])
-				u2 := 0.5 * (t[r][0] - t[r][1] + t[r][2])
-				u3 := t[r][2]
-				for c, v := range [4]float32{u0, u1, u2, u3} {
-					out.Data[((r*4+c)*o+oc)*i+ic] = v
-				}
+			var u [16]float32
+			winogradKernelTile(&u, weight.Data[(oc*i+ic)*9:])
+			for xi, v := range u {
+				out.Data[(xi*o+oc)*i+ic] = v
 			}
 		}
 	}
@@ -67,27 +46,89 @@ func WinogradWeightTransform(weight *tensor.Tensor) *tensor.Tensor {
 // so the transform-domain reduction's inner fmadd runs over a dense ocb-wide
 // vector, exactly like the direct template's weight slab. Like PackWeights,
 // this runs once at compile time.
-func WinogradWeightTransformNCHWc(weight *tensor.Tensor, icb, ocb int) *tensor.Tensor {
-	u := WinogradWeightTransform(weight) // (16, O, I)
-	o, i := u.Shape[1], u.Shape[2]
+//
+// It is one pass: each (out, in) channel pair's 16 components are computed
+// and stored straight into their packed places, with no (16, O, I)
+// intermediate. The pass runs in parallel over output blocks on pf (nil
+// means serial); each range writes only its own blocks' slabs, so U's bits
+// are the same under every pf and equal WinogradWeightTransform's, packed.
+func WinogradWeightTransformNCHWc(weight *tensor.Tensor, icb, ocb int, pf ParallelFor) *tensor.Tensor {
+	o, i := winogradWeightDims(weight, "WinogradWeightTransformNCHWc")
 	if icb <= 0 || i%icb != 0 {
 		panic(fmt.Sprintf("ops: in-channels %d not divisible by block %d", i, icb))
 	}
 	if ocb <= 0 || o%ocb != 0 {
 		panic(fmt.Sprintf("ops: out-channels %d not divisible by block %d", o, ocb))
 	}
-	oOuter, iOuter := o/ocb, i/icb
-	out := tensor.New(tensor.Flat(), 16, oOuter, iOuter, icb, ocb)
-	for xi := 0; xi < 16; xi++ {
-		for oc := 0; oc < o; oc++ {
-			for ic := 0; ic < i; ic++ {
-				v := u.Data[(xi*o+oc)*i+ic]
-				dst := ((((xi*oOuter+oc/ocb)*iOuter+ic/icb)*icb + ic%icb) * ocb) + oc%ocb
-				out.Data[dst] = v
+	if pf == nil {
+		pf = Serial
+	}
+	oOuter := o / ocb
+	out := tensor.New(tensor.Flat(), 16, oOuter, i/icb, icb, ocb)
+	// Component xi of channel pair (oc, ic) lands at xi·O·I + (oc/ocb)·I·ocb +
+	// ic·ocb + oc%ocb: within one output block the input channels run
+	// contiguously, each an ocb-wide row of sub-channels.
+	pf(oOuter, func(lo, hi int) {
+		// One input block's tiles for the whole output block are computed
+		// into tiles first, then stored as 16 contiguous icb·ocb slabs, one
+		// per component: the slabs lie O·I floats apart, often a power of
+		// two, and storing them one value at a time would thrash the cache
+		// sets they share.
+		slab := icb * ocb
+		tiles := make([][16]float32, slab)
+		for co := lo; co < hi; co++ {
+			for ib := 0; ib < i/icb; ib++ {
+				for ii := 0; ii < icb; ii++ {
+					ic := ib*icb + ii
+					for os := 0; os < ocb; os++ {
+						winogradKernelTile(&tiles[ii*ocb+os], weight.Data[((co*ocb+os)*i+ic)*9:])
+					}
+				}
+				dst := (co*i + ib*icb) * ocb
+				for xi := 0; xi < 16; xi++ {
+					row := out.Data[xi*o*i+dst:][:slab]
+					for k := range row {
+						row[k] = tiles[k][xi]
+					}
+				}
 			}
 		}
-	}
+	})
 	return out
+}
+
+// winogradWeightDims checks that weight is a 3x3 OIHW kernel and returns its
+// output and input channel counts.
+func winogradWeightDims(weight *tensor.Tensor, fn string) (o, i int) {
+	if weight.Layout.Kind != tensor.LayoutOIHW {
+		panic(fmt.Sprintf("ops: %s expects OIHW, got %v", fn, weight.Layout))
+	}
+	if kh, kw := weight.Shape[2], weight.Shape[3]; kh != 3 || kw != 3 {
+		panic(fmt.Sprintf("ops: Winograd F(2,3) requires 3x3 kernels, got %dx%d", kh, kw))
+	}
+	return weight.Shape[0], weight.Shape[1]
+}
+
+// winogradKernelTile stores u = G g Gᵀ for one 3x3 kernel g (row-major, the
+// first 9 values of g) in u, row-major over the 4x4 components. With
+// G = [1 0 0; ½ ½ ½; ½ -½ ½; 0 0 1], row r of t = G g is g's first row, the
+// half-sum and half-alternating-sum of its rows, and its last row; row r of
+// u is then the same combination of row r of t's three values.
+func winogradKernelTile(u *[16]float32, g []float32) {
+	g = g[:9]
+	winogradKernelRow(u[0:4], g[0], g[1], g[2])
+	winogradKernelRow(u[4:8], 0.5*(g[0]+g[3]+g[6]), 0.5*(g[1]+g[4]+g[7]), 0.5*(g[2]+g[5]+g[8]))
+	winogradKernelRow(u[8:12], 0.5*(g[0]-g[3]+g[6]), 0.5*(g[1]-g[4]+g[7]), 0.5*(g[2]-g[5]+g[8]))
+	winogradKernelRow(u[12:16], g[6], g[7], g[8])
+}
+
+// winogradKernelRow stores one row of u = t Gᵀ from the row (t0, t1, t2) of t.
+func winogradKernelRow(u []float32, t0, t1, t2 float32) {
+	u = u[:4]
+	u[0] = t0
+	u[1] = 0.5 * (t0 + t1 + t2)
+	u[2] = 0.5 * (t0 - t1 + t2)
+	u[3] = t2
 }
 
 // WinogradScratchShape returns the buffer shape Conv2DWinogradNCHWcInto needs

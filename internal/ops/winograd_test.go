@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/tensor"
+	"repro/internal/threadpool"
 )
 
 func runWinograd(in, wt *tensor.Tensor, attrs Conv2DAttrs, epi Epilogue) *tensor.Tensor {
@@ -63,7 +64,7 @@ func TestWinogradParallelMatchesSerial(t *testing.T) {
 	u := WinogradWeightTransform(wt)
 	serial := Conv2DWinograd(in, u, attrs, Epilogue{}, Serial)
 	par := Conv2DWinograd(in, u, attrs, Epilogue{}, goPar(4))
-	if tensor.MaxAbsDiff(serial, par) != 0 {
+	if !tensor.BitEqual(serial, par) {
 		t.Fatal("parallel winograd must be bit-identical to serial")
 	}
 }
@@ -81,9 +82,104 @@ func TestWinogradRejectsUnsupported(t *testing.T) {
 	})
 }
 
+// twoPassScatter and twoPassGather are the oracle for
+// WinogradWeightTransformNCHWc: the two serial passes it replaced, with their
+// own copy of the arithmetic. The scatter stores each kernel's U = G g Gᵀ in
+// a (16, O, I) intermediate; the gather packs that into the
+// (16, O/ocb, I/icb, icb, ocb) layout.
+func twoPassScatter(weight *tensor.Tensor) *tensor.Tensor {
+	o, i := weight.Shape[0], weight.Shape[1]
+	u := tensor.New(tensor.Flat(), 16, o, i)
+	for oc := 0; oc < o; oc++ {
+		for ic := 0; ic < i; ic++ {
+			g := weight.Data[(oc*i+ic)*9 : (oc*i+ic)*9+9]
+			// t = G g  (4x3), with G = [1 0 0; ½ ½ ½; ½ -½ ½; 0 0 1].
+			var t [4][3]float32
+			for c := 0; c < 3; c++ {
+				g0, g1, g2 := g[c], g[3+c], g[6+c]
+				t[0][c] = g0
+				t[1][c] = 0.5 * (g0 + g1 + g2)
+				t[2][c] = 0.5 * (g0 - g1 + g2)
+				t[3][c] = g2
+			}
+			// u = t Gᵀ (4x4).
+			for r := 0; r < 4; r++ {
+				u0 := t[r][0]
+				u1 := 0.5 * (t[r][0] + t[r][1] + t[r][2])
+				u2 := 0.5 * (t[r][0] - t[r][1] + t[r][2])
+				u3 := t[r][2]
+				for c, v := range [4]float32{u0, u1, u2, u3} {
+					u.Data[((r*4+c)*o+oc)*i+ic] = v
+				}
+			}
+		}
+	}
+	return u
+}
+
+func twoPassGather(u *tensor.Tensor, icb, ocb int) *tensor.Tensor {
+	o, i := u.Shape[1], u.Shape[2]
+	oOuter, iOuter := o/ocb, i/icb
+	out := tensor.New(tensor.Flat(), 16, oOuter, iOuter, icb, ocb)
+	for xi := 0; xi < 16; xi++ {
+		for oc := 0; oc < o; oc++ {
+			for ic := 0; ic < i; ic++ {
+				v := u.Data[(xi*o+oc)*i+ic]
+				dst := ((((xi*oOuter+oc/ocb)*iOuter+ic/icb)*icb + ic%icb) * ocb) + oc%ocb
+				out.Data[dst] = v
+			}
+		}
+	}
+	return out
+}
+
+// TestWinogradWeightTransformMatchesTwoPass pins the one-pass transform to
+// the two-pass oracle bit for bit: resnet-18's four Winograd layers (64 to
+// 512 channels) at every (ic_bn, oc_bn) in {8, 16, 32, 64}², plus small
+// shapes whose block counts are odd, serial and on pools of width 1, 2 and 3
+// (whose ranges split the output blocks raggedly).
+func TestWinogradWeightTransformMatchesTwoPass(t *testing.T) {
+	type geometry struct {
+		o, i   int
+		blocks [][2]int // (ic_bn, oc_bn)
+	}
+	var resnet [][2]int
+	for _, icb := range []int{8, 16, 32, 64} {
+		for _, ocb := range []int{8, 16, 32, 64} {
+			resnet = append(resnet, [2]int{icb, ocb})
+		}
+	}
+	geometries := []geometry{
+		{64, 64, resnet}, {128, 128, resnet}, {256, 256, resnet}, {512, 512, resnet},
+		{24, 40, [][2]int{{8, 8}}}, {9, 15, [][2]int{{5, 3}}}, {7, 5, [][2]int{{1, 7}}},
+	}
+	pfs := map[string]ParallelFor{"serial": nil}
+	for _, width := range []int{1, 2, 3} {
+		pool := threadpool.NewPool(width)
+		defer pool.Close()
+		pfs[fmt.Sprintf("pool%d", width)] = pool.ParallelRange
+	}
+	for _, g := range geometries {
+		wt := tensor.New(tensor.OIHW(), g.o, g.i, 3, 3)
+		wt.FillRandom(uint64(g.o+g.i), 1)
+		u := twoPassScatter(wt)
+		if !tensor.BitEqual(u, WinogradWeightTransform(wt)) {
+			t.Fatalf("%dx%d weight: the (16, O, I) transform differs from the oracle", g.o, g.i)
+		}
+		for _, b := range g.blocks {
+			want := twoPassGather(u, b[0], b[1])
+			for name, pf := range pfs {
+				if got := WinogradWeightTransformNCHWc(wt, b[0], b[1], pf); !tensor.BitEqual(want, got) {
+					t.Fatalf("%dx%d weight at (ic_bn %d, oc_bn %d), %s: U differs from the two-pass oracle", g.o, g.i, b[0], b[1], name)
+				}
+			}
+		}
+	}
+}
+
 func runWinogradBlocked(in, wt *tensor.Tensor, attrs Conv2DAttrs, icb, ocb int, epi Epilogue, scratch *tensor.Tensor) *tensor.Tensor {
 	blockedIn := tensor.ToNCHWc(in, icb)
-	u := WinogradWeightTransformNCHWc(wt, icb, ocb)
+	u := WinogradWeightTransformNCHWc(wt, icb, ocb, nil)
 	var blockedEpi Epilogue
 	blockedEpi.Bias = epi.Bias
 	blockedEpi.ReLU = epi.ReLU
@@ -136,7 +232,7 @@ func TestWinogradNCHWcScratchReuse(t *testing.T) {
 	in, wt := convCase(84, 8, 12, 12, 16, 3, 3)
 	attrs := Conv2DAttrs{OutC: 16, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}
 	blockedIn := tensor.ToNCHWc(in, 8)
-	u := WinogradWeightTransformNCHWc(wt, 8, 8)
+	u := WinogradWeightTransformNCHWc(wt, 8, 8, nil)
 	scratch := tensor.New(tensor.Flat(), WinogradScratchShape(blockedIn.Shape, attrs)...)
 	dst := tensor.New(tensor.NCHWc(8), 1, 2, 12, 12, 8)
 	want := Conv2DWinogradNCHWc(blockedIn, u, attrs, 8, 8, Epilogue{}, nil)
@@ -147,7 +243,7 @@ func TestWinogradNCHWcScratchReuse(t *testing.T) {
 		if got != dst {
 			t.Fatal("Into variant must write the provided destination")
 		}
-		if tensor.MaxAbsDiff(want, got) != 0 {
+		if !tensor.BitEqual(want, got) {
 			t.Fatalf("run %d: scratch reuse changed the result", i)
 		}
 	}
@@ -201,7 +297,7 @@ func TestWinogradNCHWcTileBlocks(t *testing.T) {
 				ref := Conv2DNCHW(in, wt, attrs, Epilogue{Bias: bias, Residual: res, ReLU: true}, nil)
 
 				blockedIn := tensor.ToNCHWc(in, tc.icb)
-				u := WinogradWeightTransformNCHWc(wt, tc.icb, tc.ocb)
+				u := WinogradWeightTransformNCHWc(wt, tc.icb, tc.ocb, nil)
 				epi := Epilogue{Bias: bias, Residual: tensor.ToNCHWc(res, tc.ocb), ReLU: true}
 				var first *tensor.Tensor
 				for _, p := range []int{1, 2, 3, 5} {
@@ -211,7 +307,7 @@ func TestWinogradNCHWcTileBlocks(t *testing.T) {
 						if d := tensor.MaxAbsDiff(ref, tensor.FromNCHWc(got)); d > 1e-3 {
 							t.Fatalf("diverges from the reference by %g", d)
 						}
-					} else if tensor.MaxAbsDiff(first, got) != 0 {
+					} else if !tensor.BitEqual(first, got) {
 						t.Fatalf("pool width %d is not bit-identical to width 1", p)
 					}
 				}
@@ -238,7 +334,7 @@ func TestWinogradNCHWcNoPerTileAllocation(t *testing.T) {
 		if got := winogradWeightStationary(blockedIn.Shape, attrs); got != weightStationary {
 			t.Fatalf("%dx%d image with 64 output channels: weight-stationary %v, want %v", hw, hw, got, weightStationary)
 		}
-		u := WinogradWeightTransformNCHWc(wt, bn, bn)
+		u := WinogradWeightTransformNCHWc(wt, bn, bn, nil)
 		scratch := tensor.New(tensor.Flat(), WinogradScratchShape(blockedIn.Shape, attrs)...)
 		dst := tensor.New(tensor.NCHWc(bn), 1, 64/bn, hw, hw, bn)
 		return testing.AllocsPerRun(5, func() {
@@ -306,7 +402,7 @@ func TestWinogradWalksAgree(t *testing.T) {
 			if got := winogradWeightStationary(blockedIn.Shape, attrs); got != tc.weightStationary {
 				t.Fatalf("walk rule: weight-stationary %v, want %v", got, tc.weightStationary)
 			}
-			u := WinogradWeightTransformNCHWc(wt, tc.icb, tc.ocb)
+			u := WinogradWeightTransformNCHWc(wt, tc.icb, tc.ocb, nil)
 			epi := Epilogue{Bias: bias, Residual: tensor.ToNCHWc(res, tc.ocb), ReLU: true}
 			want := Conv2DWinogradNCHWc(blockedIn, u, attrs, tc.icb, tc.ocb, epi, nil)
 			if d := tensor.MaxAbsDiff(ref, tensor.FromNCHWc(want)); d > 1e-3 {
@@ -340,7 +436,7 @@ func TestWinogradWalksAgree(t *testing.T) {
 func TestWinogradNCHWcRejectsBadShapes(t *testing.T) {
 	in, wt := convCase(85, 8, 8, 8, 16, 3, 3)
 	blockedIn := tensor.ToNCHWc(in, 8)
-	u := WinogradWeightTransformNCHWc(wt, 8, 8)
+	u := WinogradWeightTransformNCHWc(wt, 8, 8, nil)
 	attrs := Conv2DAttrs{OutC: 16, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}
 	// Strided attrs.
 	mustPanic(t, func() {
@@ -357,8 +453,10 @@ func TestWinogradNCHWcRejectsBadShapes(t *testing.T) {
 		Conv2DWinogradNCHWc(blockedIn, u, attrs, 8, 16, Epilogue{}, nil)
 	})
 	// Non-dividing weight blocks.
-	mustPanic(t, func() { WinogradWeightTransformNCHWc(wt, 3, 8) })
-	mustPanic(t, func() { WinogradWeightTransformNCHWc(wt, 8, 3) })
+	mustPanic(t, func() { WinogradWeightTransformNCHWc(wt, 3, 8, nil) })
+	mustPanic(t, func() { WinogradWeightTransformNCHWc(wt, 8, 3, nil) })
+	_, wt5 := convCase(86, 8, 8, 8, 16, 5, 5)
+	mustPanic(t, func() { WinogradWeightTransformNCHWc(wt5, 8, 8, nil) })
 }
 
 // TestQuickWinogradBlockedEquivalence is the property test of the blocked

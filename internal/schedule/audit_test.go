@@ -110,7 +110,7 @@ func auditCandidate(t *testing.T, where string, wl machine.ConvWorkload, s machi
 	var run func(pf ops.ParallelFor) *tensor.Tensor
 	switch {
 	case s.Algorithm == machine.AlgoWinograd:
-		u := ops.WinogradWeightTransformNCHWc(wt, s.ICBlock, s.OCBlock)
+		u := ops.WinogradWeightTransformNCHWc(wt, s.ICBlock, s.OCBlock, nil)
 		run = func(pf ops.ParallelFor) *tensor.Tensor {
 			return ops.Conv2DWinogradNCHWc(blockedIn, u, attrs, s.ICBlock, s.OCBlock, epi, pf)
 		}
@@ -134,9 +134,9 @@ func auditCandidate(t *testing.T, where string, wl machine.ConvWorkload, s machi
 				t.Fatalf("%s as %v (shrunk to %s): max diff %g from the NCHW reference",
 					where, s, wl.Key(), tensor.MaxAbsDiff(ref, plain))
 			}
-		} else if d := tensor.MaxAbsDiff(first, got); d != 0 {
-			t.Fatalf("%s as %v (shrunk to %s): pool width %d differs from serial by %g",
-				where, s, wl.Key(), width+1, d)
+		} else if !tensor.BitEqual(first, got) {
+			t.Fatalf("%s as %v (shrunk to %s): pool width %d differs from serial by %g (max abs)",
+				where, s, wl.Key(), width+1, tensor.MaxAbsDiff(first, got))
 		}
 	}
 }

@@ -159,7 +159,7 @@ func MeasuredEvaluator(trials int) Evaluator {
 		run := func() {}
 		switch {
 		case s.Algorithm == machine.AlgoWinograd:
-			u := ops.WinogradWeightTransformNCHWc(wt, s.ICBlock, s.OCBlock)
+			u := ops.WinogradWeightTransformNCHWc(wt, s.ICBlock, s.OCBlock, nil)
 			run = func() {
 				ops.Conv2DWinogradNCHWc(blockedIn, u, attrs, s.ICBlock, s.OCBlock, ops.Epilogue{}, nil)
 			}

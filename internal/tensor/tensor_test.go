@@ -115,11 +115,11 @@ func TestFillRandomDeterministic(t *testing.T) {
 	b := New(NCHW(), 1, 3, 8, 8)
 	a.FillRandom(7, 1)
 	b.FillRandom(7, 1)
-	if MaxAbsDiff(a, b) != 0 {
+	if !BitEqual(a, b) {
 		t.Fatal("FillRandom with same seed must be deterministic")
 	}
 	b.FillRandom(8, 1)
-	if MaxAbsDiff(a, b) == 0 {
+	if BitEqual(a, b) {
 		t.Fatal("FillRandom with different seed should differ")
 	}
 	for i, v := range a.Data {
@@ -203,7 +203,7 @@ func TestToFromNCHWcRoundTrip(t *testing.T) {
 			t.Fatalf("block %d: shape %v, want %v", x, packed.Shape, wantShape)
 		}
 		back := FromNCHWc(packed)
-		if MaxAbsDiff(in, back) != 0 {
+		if !BitEqual(in, back) {
 			t.Fatalf("block %d: round trip not exact", x)
 		}
 	}
@@ -239,7 +239,7 @@ func TestNHWCRoundTrip(t *testing.T) {
 		t.Fatalf("NHWC shape = %v", nhwc.Shape)
 	}
 	back := NHWCToNCHW(nhwc)
-	if MaxAbsDiff(in, back) != 0 {
+	if !BitEqual(in, back) {
 		t.Fatal("NHWC round trip not exact")
 	}
 	// Spot-check semantics.
@@ -254,7 +254,7 @@ func TestPackUnpackWeightsRoundTrip(t *testing.T) {
 	for _, xy := range [][2]int{{1, 1}, {4, 8}, {16, 16}, {8, 32}, {16, 4}} {
 		p := PackWeights(in, xy[0], xy[1])
 		back := UnpackWeights(p)
-		if MaxAbsDiff(in, back) != 0 {
+		if !BitEqual(in, back) {
 			t.Fatalf("x=%d y=%d: weight round trip not exact", xy[0], xy[1])
 		}
 	}
@@ -289,11 +289,11 @@ func TestRechunk(t *testing.T) {
 	if b.Layout.BlockC != 8 {
 		t.Fatalf("rechunk block = %d, want 8", b.Layout.BlockC)
 	}
-	if MaxAbsDiff(FromNCHWc(b), in) != 0 {
+	if !BitEqual(FromNCHWc(b), in) {
 		t.Fatal("rechunk changed values")
 	}
 	same := RechunkNCHWc(a, 4)
-	if MaxAbsDiff(same, a) != 0 {
+	if !BitEqual(same, a) {
 		t.Fatal("identity rechunk changed values")
 	}
 }
@@ -312,29 +312,29 @@ func TestTransformGeneric(t *testing.T) {
 			t.Fatalf("Transform layout = %v, want %v", mid.Layout, p.via)
 		}
 		back := Transform(mid, NCHW())
-		if MaxAbsDiff(in, back) != 0 {
+		if !BitEqual(in, back) {
 			t.Fatalf("Transform via %v not lossless", p.via)
 		}
 	}
 	// NCHWc -> NCHWc direct.
 	a := Transform(in, NCHWc(2))
 	b := Transform(a, NCHWc(4))
-	if MaxAbsDiff(FromNCHWc(b), in) != 0 {
+	if !BitEqual(FromNCHWc(b), in) {
 		t.Fatal("NCHWc rechunk via Transform not lossless")
 	}
 	// NHWC -> NCHWc and back.
 	nh := Transform(in, NHWC())
 	bl := Transform(nh, NCHWc(4))
-	if MaxAbsDiff(FromNCHWc(bl), in) != 0 {
+	if !BitEqual(FromNCHWc(bl), in) {
 		t.Fatal("NHWC->NCHWc not lossless")
 	}
 	n2 := Transform(bl, NHWC())
-	if MaxAbsDiff(NHWCToNCHW(n2), in) != 0 {
+	if !BitEqual(NHWCToNCHW(n2), in) {
 		t.Fatal("NCHWc->NHWC not lossless")
 	}
 	// Identity.
 	id := Transform(in, NCHW())
-	if MaxAbsDiff(id, in) != 0 {
+	if !BitEqual(id, in) {
 		t.Fatal("identity transform changed values")
 	}
 }
@@ -350,7 +350,7 @@ func TestQuickNCHWcRoundTrip(t *testing.T) {
 		w := 1 + int(wRaw)%6
 		in := New(NCHW(), 1, c, h, w)
 		in.FillRandom(seed, 2)
-		return MaxAbsDiff(FromNCHWc(ToNCHWc(in, x)), in) == 0
+		return BitEqual(FromNCHWc(ToNCHWc(in, x)), in)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -366,7 +366,7 @@ func TestQuickWeightRoundTrip(t *testing.T) {
 		i := x * (1 + int(iRaw)%3)
 		in := New(OIHW(), o, i, 3, 3)
 		in.FillRandom(seed, 2)
-		return MaxAbsDiff(UnpackWeights(PackWeights(in, x, y)), in) == 0
+		return BitEqual(UnpackWeights(PackWeights(in, x, y)), in)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -384,7 +384,7 @@ func TestQuickTransformComposition(t *testing.T) {
 		in.FillRandom(seed, 2)
 		via := Transform(Transform(in, l1), l2)
 		direct := Transform(in, l2)
-		return MaxAbsDiff(via, direct) == 0
+		return BitEqual(via, direct)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)

@@ -49,6 +49,11 @@ func ToNCHWcInto(dst, in *Tensor, x int) *Tensor {
 	}
 	cOuter := c / x
 	out := EnsureDst(dst, NCHWc(x), n, cOuter, h, w, x)
+	if x == 1 {
+		// NCHW1c has NCHW's memory order: nothing moves.
+		copy(out.Data, in.Data)
+		return out
+	}
 	hw := h * w
 	for b := 0; b < n; b++ {
 		for co := 0; co < cOuter; co++ {
@@ -80,6 +85,10 @@ func FromNCHWcInto(dst, in *Tensor) *Tensor {
 	n, cOuter, h, w, x := in.Shape[0], in.Shape[1], in.Shape[2], in.Shape[3], in.Shape[4]
 	c := cOuter * x
 	out := EnsureDst(dst, NCHW(), n, c, h, w)
+	if x == 1 {
+		copy(out.Data, in.Data) // the same memory order, as in ToNCHWcInto
+		return out
+	}
 	hw := h * w
 	for b := 0; b < n; b++ {
 		for co := 0; co < cOuter; co++ {
@@ -178,15 +187,22 @@ func PackWeights(in *Tensor, x, y int) *Tensor {
 	}
 	oOuter, iOuter := o/y, i/x
 	out := New(OIHWio(x, y), oOuter, iOuter, kh, kw, x, y)
-	for oc := 0; oc < o; oc++ {
-		oo, oi := oc/y, oc%y
-		for ic := 0; ic < i; ic++ {
-			io, ii := ic/x, ic%x
-			for r := 0; r < kh; r++ {
-				for s := 0; s < kw; s++ {
-					v := in.Data[((oc*i+ic)*kh+r)*kw+s]
-					dst := ((((oo*iOuter+io)*kh+r)*kw+s)*x + ii) * y
-					out.Data[dst+oi] = v
+	// Walk the destination in order; element (oc, ic, r, s) of the source
+	// sits at (oc·I + ic)·KH·KW + r·KW + s, so consecutive sub-channels oi
+	// are I·KH·KW apart.
+	khw := kh * kw
+	d := 0
+	for oo := 0; oo < oOuter; oo++ {
+		for io := 0; io < iOuter; io++ {
+			for rs := 0; rs < khw; rs++ {
+				for ii := 0; ii < x; ii++ {
+					src := (oo*y*i+io*x+ii)*khw + rs
+					row := out.Data[d : d+y]
+					for oi := range row {
+						row[oi] = in.Data[src]
+						src += i * khw
+					}
+					d += y
 				}
 			}
 		}

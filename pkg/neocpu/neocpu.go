@@ -111,7 +111,11 @@ func Compile(model string, opts ...Option) (*Engine, error) {
 
 // CompileGraph compiles a custom computation graph built with
 // internal/graph. The graph is rewritten in place by the optimization
-// passes; the caller must not reuse it.
+// passes, so a graph is compiled once: after an executable compile its
+// packed convolutions' weights are shape-only (the engine keeps only the
+// packed copy). Compiling a graph whose weights are shape-only — built
+// shape-only, or already compiled — fails with core.ErrNoWeights unless
+// WithPredictOnly is set.
 func CompileGraph(g *graph.Graph, opts ...Option) (*Engine, error) {
 	cfg := newConfig(opts)
 	if cfg.err != nil {
@@ -239,7 +243,10 @@ func (e *Engine) NewInput() *tensor.Tensor {
 	return tensor.New(tensor.NCHW(), e.InputShape()...)
 }
 
-// Graph returns the compiled (pass-rewritten) computation graph.
+// Graph returns the compiled (pass-rewritten) computation graph. Its packed
+// convolutions' weights are shape-only after an executable compile (the
+// engine executes from the packed copy), so it serves for inspection, not
+// for another compile.
 func (e *Engine) Graph() *graph.Graph { return e.mod.Graph }
 
 // Stats returns the graph statistics before and after the optimization

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/artifact"
+	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/models"
 	"repro/internal/tensor"
@@ -116,6 +117,31 @@ func TestPredictOnlyEngine(t *testing.T) {
 	}
 }
 
+// TestCompileGraphWithoutWeights: CompileGraph of a shape-only graph, or of
+// a graph an earlier CompileGraph already compiled, returns core.ErrNoWeights
+// instead of panicking; a prediction-only compile of it still works.
+func TestCompileGraphWithoutWeights(t *testing.T) {
+	g, err := models.ResolveGraph("resnet-18", 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := CompileGraph(g); !errors.Is(err, core.ErrNoWeights) {
+		t.Fatalf("shape-only graph: got %v, want core.ErrNoWeights", err)
+	}
+	if _, err := CompileGraph(g, WithPredictOnly()); err != nil {
+		t.Fatal(err)
+	}
+	small := smallCNN(3)
+	e, err := CompileGraph(small, WithThreads(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.Close()
+	if _, err := CompileGraph(small, WithThreads(1)); !errors.Is(err, core.ErrNoWeights) {
+		t.Fatalf("graph compiled twice: got %v, want core.ErrNoWeights", err)
+	}
+}
+
 func TestCompileGraphRunAndSession(t *testing.T) {
 	e, err := CompileGraph(smallCNN(3),
 		WithOptLevel(LevelGlobalSearch),
@@ -136,6 +162,12 @@ func TestCompileGraphRunAndSession(t *testing.T) {
 	if pre.Nodes <= post.Nodes || post.Convs != 2 {
 		t.Fatalf("stats before %+v after %+v", pre, post)
 	}
+	// Packed convolutions keep only their weights' shapes, which is all the
+	// parameter count reads: 16·3·3·3 + 32·16·3·3 + 32·10 weights, plus the
+	// two folded conv biases (16 + 32) and the dense bias (10).
+	if want := 432 + 4608 + 320 + 16 + 32 + 10; post.Params != want {
+		t.Fatalf("%d params after compile, want %d", post.Params, want)
+	}
 
 	in := e.NewInput()
 	in.FillRandom(5, 1)
@@ -151,7 +183,7 @@ func TestCompileGraphRunAndSession(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tensor.MaxAbsDiff(want[0], got[0]) != 0 {
+	if !tensor.BitEqual(want[0], got[0]) {
 		t.Fatal("session diverges from Run")
 	}
 
@@ -159,7 +191,7 @@ func TestCompileGraphRunAndSession(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(batch) != 2 || tensor.MaxAbsDiff(want[0], batch[1][0]) != 0 {
+	if len(batch) != 2 || !tensor.BitEqual(want[0], batch[1][0]) {
 		t.Fatal("batch diverges from Run")
 	}
 
