@@ -411,7 +411,7 @@ func BenchmarkCompile(b *testing.B) {
 			b.StopTimer()
 			g := models.MustBuild("resnet-18", 1)
 			opts := core.Options{
-				Level: core.OptGlobalSearch, Threads: 2, Backend: machine.BackendPool,
+				Level: core.OptGlobalSearch, Threads: 2,
 				Search: search.Options{DB: schedule.NewDB()},
 			}
 			b.StartTimer()
@@ -621,7 +621,7 @@ func BenchmarkEndToEnd(b *testing.B) {
 func benchRunModule(b *testing.B) *core.Module {
 	b.Helper()
 	m, err := core.Compile(models.TinyResNet(1), machine.IntelSkylakeC5(),
-		core.Options{Level: core.OptTransformElim, Threads: 1, Backend: machine.BackendSerial})
+		core.Options{Level: core.OptTransformElim, Threads: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -673,7 +673,7 @@ func BenchmarkSessionRun(b *testing.B) {
 // as allocation-free as the direct path.
 func BenchmarkSessionRunWinograd(b *testing.B) {
 	m, err := core.Compile(models.TinyResNet(1), machine.IntelSkylakeC5(),
-		core.Options{Level: core.OptGlobalSearch, Threads: 1, Backend: machine.BackendSerial})
+		core.Options{Level: core.OptGlobalSearch, Threads: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -719,11 +719,7 @@ func BenchmarkSessionRunScaling(b *testing.B) {
 	for _, th := range counts {
 		th := th
 		b.Run("threads-"+itoa(th), func(b *testing.B) {
-			opts := core.Options{Level: core.OptGlobalSearch, Threads: th, Backend: machine.BackendPool}
-			if th == 1 {
-				opts.Backend = machine.BackendSerial
-			}
-			m, err := core.Compile(models.TinyResNet(1), machine.IntelSkylakeC5(), opts)
+			m, err := core.Compile(models.TinyResNet(1), machine.IntelSkylakeC5(), core.Options{Level: core.OptGlobalSearch, Threads: th})
 			if err != nil {
 				b.Fatal(err)
 			}

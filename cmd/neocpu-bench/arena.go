@@ -40,7 +40,7 @@ var arenaGuardModels = []struct {
 // with a 4-wide pool over the planner's level-granular slot lifetimes.
 func arenaGuardCompile(mk func(uint64) *graph.Graph) (*core.Module, error) {
 	return core.Compile(mk(1), machine.IntelSkylakeC5(), core.Options{
-		Level: core.OptGlobalSearch, Threads: 4, Backend: machine.BackendPool,
+		Level: core.OptGlobalSearch, Threads: 4,
 	})
 }
 

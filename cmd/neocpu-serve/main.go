@@ -48,7 +48,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/graph"
-	"repro/internal/machine"
 	"repro/internal/models"
 	"repro/internal/serve"
 	"repro/internal/threadpool"
@@ -97,16 +96,13 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
+	// At one thread the sessions are serial: each in-flight request
+	// occupies exactly one core, so PoolSize sessions genuinely scale to
+	// PoolSize cores.
 	copts := []neocpu.Option{
 		neocpu.WithOptLevel(level),
 		neocpu.WithSeed(*seed),
-	}
-	if *threads <= 1 {
-		// Serial sessions: each in-flight request occupies exactly one core,
-		// so PoolSize sessions genuinely scale to PoolSize cores.
-		copts = append(copts, neocpu.WithBackend(neocpu.BackendSerial))
-	} else {
-		copts = append(copts, neocpu.WithThreads(*threads))
+		neocpu.WithThreads(max(*threads, 1)),
 	}
 
 	fmt.Printf("compiling %s at %v...\n", *model, level)
@@ -169,13 +165,13 @@ func serveRepository(dir, addr string, arenaBudget, threads, poolSize, queueDept
 	if queueDepth > 0 {
 		defaults.QueueDepth = queueDepth
 	}
-	loadOpts := core.Options{Threads: 1, Backend: machine.BackendSerial}
+	loadOpts := core.Options{Threads: 1}
 	if threads > 1 {
 		// All loaded models borrow one kernel pool, so N models do not stack
 		// N×threads worker goroutines.
 		shared := threadpool.NewPool(threads)
 		defer shared.Close()
-		loadOpts = core.Options{Threads: threads, Backend: machine.BackendPool, SharedPool: shared}
+		loadOpts = core.Options{Threads: threads, SharedPool: shared}
 	}
 	reg, err := serve.NewRegistry(
 		&serve.DirSource{Dir: dir, Resolve: models.ResolveGraph},

@@ -42,7 +42,7 @@ func main() {
 			log.Fatal(err)
 		}
 		m, err := core.Compile(g, machine.IntelSkylakeC5(), core.Options{
-			Level: core.OptTransformElim, Threads: 1, Backend: machine.BackendSerial,
+			Level: core.OptTransformElim, Threads: 1,
 		})
 		if err != nil {
 			log.Fatal(err)
@@ -73,7 +73,7 @@ func main() {
 		serve.RegistryConfig{
 			ArenaBudget: budget,
 			Overrides:   overrides,
-			LoadOptions: core.Options{Threads: 1, Backend: machine.BackendSerial},
+			LoadOptions: core.Options{Threads: 1},
 		},
 	)
 	if err != nil {

@@ -100,7 +100,7 @@ func servingDemo() {
 	fmt.Println("\nserving: 32 concurrent clients on pooled sessions:")
 	engine, err := neocpu.CompileGraph(models.TinyResNet(42),
 		neocpu.WithOptLevel(neocpu.LevelTransformElim),
-		neocpu.WithBackend(neocpu.BackendSerial),
+		neocpu.WithThreads(1),
 	)
 	if err != nil {
 		panic(err)

@@ -223,9 +223,9 @@ func Predict(e Engine, modelName string, t *machine.Target, threads int) (Predic
 	return predict(e, modelName, t, threads, enginePolicy(e, t).backend)
 }
 
-// PredictWithBackend overrides the threading runtime; Figure 4 uses it to
+// PredictOnBackend overrides the threading runtime; Figure 4 uses it to
 // plot NeoCPU with OpenMP against NeoCPU with its own thread pool.
-func PredictWithBackend(e Engine, modelName string, t *machine.Target, threads int, backend machine.ThreadBackend) (Prediction, error) {
+func PredictOnBackend(e Engine, modelName string, t *machine.Target, threads int, backend machine.ThreadBackend) (Prediction, error) {
 	return predict(e, modelName, t, threads, backend)
 }
 
@@ -245,7 +245,6 @@ func module(e Engine, modelName string, t *machine.Target, backend machine.Threa
 	opts := core.Options{
 		Level:         pol.level,
 		Threads:       t.Cores,
-		Backend:       backend,
 		NoPrepack:     true,
 		DisableFusion: pol.noFusion,
 		DisableBNFold: pol.noBNFold,

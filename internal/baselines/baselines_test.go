@@ -215,7 +215,7 @@ func TestThreadScalingShape(t *testing.T) {
 	model := "resnet-50"
 	poolPrev := 0.0
 	for _, n := range []int{1, 4, 9, 18} {
-		pool, err := PredictWithBackend(EngineNeoCPU, model, tgt, n, machine.BackendPool)
+		pool, err := PredictOnBackend(EngineNeoCPU, model, tgt, n, machine.BackendPool)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -225,8 +225,8 @@ func TestThreadScalingShape(t *testing.T) {
 		}
 		poolPrev = ips
 	}
-	pool, _ := PredictWithBackend(EngineNeoCPU, model, tgt, 18, machine.BackendPool)
-	omp, _ := PredictWithBackend(EngineNeoCPU, model, tgt, 18, machine.BackendOMP)
+	pool, _ := PredictOnBackend(EngineNeoCPU, model, tgt, 18, machine.BackendPool)
+	omp, _ := PredictOnBackend(EngineNeoCPU, model, tgt, 18, machine.BackendOMP)
 	mx, _ := Predict(EngineMXNet, model, tgt, 18)
 	if !(pool.Seconds < omp.Seconds && omp.Seconds < mx.Seconds) {
 		t.Fatalf("expected pool < omp < mxnet at 18 threads: %v %v %v",

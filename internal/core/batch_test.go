@@ -21,8 +21,8 @@ func TestRunBatchMatchesSequentialRuns(t *testing.T) {
 	variants := []variant{
 		// Global search over random graphs: the searched plans mix direct
 		// and winograd convolutions (seeds with 3x3 stride-1 convs).
-		{"fp32-searched", Options{Level: OptGlobalSearch, Threads: 1, Backend: machine.BackendSerial}},
-		{"fp32-direct-only", Options{Level: OptGlobalSearch, Threads: 1, Backend: machine.BackendSerial, DisableWinograd: true}},
+		{"fp32-searched", Options{Level: OptGlobalSearch, Threads: 1}},
+		{"fp32-direct-only", Options{Level: OptGlobalSearch, Threads: 1, DisableWinograd: true}},
 	}
 	const batchN = 3
 	sawWinograd := false
@@ -84,7 +84,7 @@ func TestRunBatchMatchesSequentialRuns(t *testing.T) {
 // (the random sweep above covers it opportunistically): a module the search
 // provably scheduled winograd on must hold the same batching property.
 func TestRunBatchMatchesSequentialWinograd(t *testing.T) {
-	m := winogradModule(t, 1, machine.BackendSerial)
+	m := winogradModule(t, 1)
 	inputs := make([]*tensor.Tensor, 4)
 	for i := range inputs {
 		inputs[i] = tensor.New(tensor.NCHW(), 1, 3, 32, 32)
@@ -134,7 +134,7 @@ func (c *stepCtx) Err() error {
 // items must stop the batch AND hand back the completed prefix through
 // BatchError instead of discarding finished work or running to completion.
 func TestRunBatchPartialCancellation(t *testing.T) {
-	m := sessionModule(t, 1, machine.BackendSerial)
+	m := sessionModule(t, 1)
 	inputs := make([]*tensor.Tensor, 3)
 	for i := range inputs {
 		inputs[i] = tensor.New(tensor.NCHW(), 1, 3, 32, 32)
@@ -184,7 +184,7 @@ func TestRunBatchPartialCancellation(t *testing.T) {
 // TestRunBatchMidItemCancellation: a cancellation landing inside an item
 // reports only the fully completed prefix.
 func TestRunBatchMidItemCancellation(t *testing.T) {
-	m := sessionModule(t, 1, machine.BackendSerial)
+	m := sessionModule(t, 1)
 	inputs := []*tensor.Tensor{
 		tensor.New(tensor.NCHW(), 1, 3, 32, 32),
 		tensor.New(tensor.NCHW(), 1, 3, 32, 32),
@@ -211,7 +211,7 @@ func TestRunBatchMidItemCancellation(t *testing.T) {
 
 // TestSessionStatsCount covers the serving pool's per-session counters.
 func TestSessionStatsCount(t *testing.T) {
-	m := sessionModule(t, 1, machine.BackendSerial)
+	m := sessionModule(t, 1)
 	s, err := m.NewSession()
 	if err != nil {
 		t.Fatal(err)

@@ -143,7 +143,7 @@ func (m *Module) SaveBundle(w io.Writer) error {
 // the bundle; all runtime parameters are installed from the bundle payload.
 //
 // The honored fields of opts are the runtime choices a bundle does not pin:
-// Threads, Backend and SharedPool. Everything the schedules depend on
+// Threads and SharedPool, which pick the runtime as they do for Compile. Everything the schedules depend on
 // (level, pipeline ablations) comes from the bundle.
 //
 // Malformed bundle content fails with artifact.ErrInvalidArtifact, and a
@@ -224,7 +224,6 @@ func LoadBundle(r io.Reader, resolve GraphResolver, opts Options) (*Module, erro
 	lopts := Options{
 		Level:         level,
 		Threads:       opts.Threads,
-		Backend:       opts.Backend,
 		DisableFusion: h.NoFusion,
 		DisableBNFold: h.NoBNFold,
 		SharedPool:    opts.SharedPool,

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"repro/internal/artifact"
-	"repro/internal/machine"
 	"repro/internal/models"
 	"repro/internal/tensor"
 	"repro/internal/threadpool"
@@ -41,15 +40,15 @@ func TestBundleRoundTrip(t *testing.T) {
 		model string
 		opts  Options
 	}{
-		{"tiny-resnet", Options{Level: OptGlobalSearch, Threads: 2, Backend: machine.BackendPool}},
-		{"tiny-mobilenet", Options{Level: OptTransformElim, Threads: 1, Backend: machine.BackendSerial}},
-		{"tiny-cnn", Options{Level: OptNone, Threads: 1, Backend: machine.BackendSerial}},
-		{"tiny-vgg", Options{Level: OptLayout, Threads: 1, Backend: machine.BackendSerial}},
-		{"tiny-resnet", Options{Level: OptTransformElim, Threads: 1, Backend: machine.BackendSerial, DisableBNFold: true, DisableFusion: true}},
+		{"tiny-resnet", Options{Level: OptGlobalSearch, Threads: 2}},
+		{"tiny-mobilenet", Options{Level: OptTransformElim, Threads: 1}},
+		{"tiny-cnn", Options{Level: OptNone, Threads: 1}},
+		{"tiny-vgg", Options{Level: OptLayout, Threads: 1}},
+		{"tiny-resnet", Options{Level: OptTransformElim, Threads: 1, DisableBNFold: true, DisableFusion: true}},
 	}
 	for _, tc := range cases {
 		orig, raw := saveBundleBytes(t, tc.model, tc.opts)
-		loaded, err := LoadBundle(bytes.NewReader(raw), models.ResolveGraph, Options{Threads: tc.opts.Threads, Backend: tc.opts.Backend})
+		loaded, err := LoadBundle(bytes.NewReader(raw), models.ResolveGraph, Options{Threads: tc.opts.Threads})
 		if err != nil {
 			t.Fatalf("%s %+v: load bundle: %v", tc.model, tc.opts, err)
 		}
@@ -92,16 +91,16 @@ func TestBundleRoundTrip(t *testing.T) {
 // TestBundleSharedPool verifies a loaded module can borrow a caller-owned
 // thread pool and that Close leaves the pool running for its owner.
 func TestBundleSharedPool(t *testing.T) {
-	orig, raw := saveBundleBytes(t, "tiny-resnet", Options{Level: OptTransformElim, Threads: 2, Backend: machine.BackendPool})
+	orig, raw := saveBundleBytes(t, "tiny-resnet", Options{Level: OptTransformElim, Threads: 2})
 	defer orig.Close()
 
 	shared := threadpool.NewPool(2)
 	defer shared.Close()
-	a, err := LoadBundle(bytes.NewReader(raw), models.ResolveGraph, Options{Threads: 2, Backend: machine.BackendPool, SharedPool: shared})
+	a, err := LoadBundle(bytes.NewReader(raw), models.ResolveGraph, Options{Threads: 2, SharedPool: shared})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := LoadBundle(bytes.NewReader(raw), models.ResolveGraph, Options{Threads: 2, Backend: machine.BackendPool, SharedPool: shared})
+	b, err := LoadBundle(bytes.NewReader(raw), models.ResolveGraph, Options{Threads: 2, SharedPool: shared})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +130,7 @@ func TestBundleSharedPool(t *testing.T) {
 // TestBundleTargetMismatch: a bundle whose target signature disagrees with
 // what this build resolves must be rejected with ErrBundleTarget.
 func TestBundleTargetMismatch(t *testing.T) {
-	_, raw := saveBundleBytes(t, "tiny-cnn", Options{Level: OptTransformElim, Threads: 1, Backend: machine.BackendSerial})
+	_, raw := saveBundleBytes(t, "tiny-cnn", Options{Level: OptTransformElim, Threads: 1})
 	rewrite := func(mut func(h *artifact.Header)) []byte {
 		b, err := artifact.Read(bytes.NewReader(raw))
 		if err != nil {
@@ -155,7 +154,7 @@ func TestBundleTargetMismatch(t *testing.T) {
 	}
 	// Cores is provenance only: a different core count must still load.
 	cores := rewrite(func(h *artifact.Header) { h.Target.Cores = 99 })
-	m, err := LoadBundle(bytes.NewReader(cores), models.ResolveGraph, Options{Threads: 1, Backend: machine.BackendSerial})
+	m, err := LoadBundle(bytes.NewReader(cores), models.ResolveGraph, Options{Threads: 1})
 	if err != nil {
 		t.Fatalf("different cores: %v", err)
 	}
@@ -166,7 +165,7 @@ func TestBundleTargetMismatch(t *testing.T) {
 // the rebuilt graph (wrong model, missing or surplus params, a rebuilt arena
 // larger than recorded) fail with ErrInvalidArtifact.
 func TestBundleStaleContent(t *testing.T) {
-	_, raw := saveBundleBytes(t, "tiny-cnn", Options{Level: OptTransformElim, Threads: 1, Backend: machine.BackendSerial})
+	_, raw := saveBundleBytes(t, "tiny-cnn", Options{Level: OptTransformElim, Threads: 1})
 	b, err := artifact.Read(bytes.NewReader(raw))
 	if err != nil {
 		t.Fatal(err)
@@ -217,7 +216,7 @@ func TestBundleStaleContent(t *testing.T) {
 // proportionally to attacker-claimed sizes — the fuzz engine's memory limit
 // enforces that side.
 func FuzzLoadBundle(f *testing.F) {
-	_, valid := saveBundleBytes(f, "tiny-cnn", Options{Level: OptTransformElim, Threads: 1, Backend: machine.BackendSerial})
+	_, valid := saveBundleBytes(f, "tiny-cnn", Options{Level: OptTransformElim, Threads: 1})
 	f.Add(valid)
 	f.Add(valid[:len(valid)/2])
 	f.Add(valid[:11])
@@ -244,7 +243,7 @@ func FuzzLoadBundle(f *testing.F) {
 	f.Add(int8Bundle)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		m, err := LoadBundle(bytes.NewReader(data), models.ResolveGraph, Options{Threads: 1, Backend: machine.BackendSerial})
+		m, err := LoadBundle(bytes.NewReader(data), models.ResolveGraph, Options{Threads: 1})
 		if err != nil {
 			if !errors.Is(err, artifact.ErrInvalidArtifact) && !errors.Is(err, ErrBundleTarget) {
 				t.Fatalf("LoadBundle returned an untyped error: %v", err)

@@ -62,10 +62,12 @@ type Options struct {
 	// Level is the optimization level; the default (zero value) is OptNone.
 	Level OptLevel
 	// Threads is the execution width; 0 means the target's core count
-	// (capped by the host when actually running).
+	// (capped by the host when actually running). It alone picks the
+	// runtime: at 1 every parallel region runs serially on the caller, and
+	// above 1 on a thread pool of that width (SharedPool, when set, is
+	// borrowed instead of building one).
 	Threads int
-	// Backend selects the threading runtime; the default is the custom
-	// thread pool.
+	// Deprecated: ignored; Threads and SharedPool pick the runtime.
 	Backend machine.ThreadBackend
 	// UniformBlock is the shared split factor x for OptLayout and
 	// OptTransformElim; 0 means the target's vector width (the paper's
@@ -88,10 +90,10 @@ type Options struct {
 	// rounding than direct summation; callers needing bit-compatible direct
 	// results can opt out here.
 	DisableWinograd bool
-	// SharedPool, when non-nil and the backend is the custom thread pool,
-	// makes the module execute on the caller's pool instead of constructing
-	// its own. Multi-model serving uses this so N loaded models contend for
-	// one set of worker goroutines rather than N×threads of them. The pool is
+	// SharedPool, when non-nil, makes the module execute on the caller's
+	// pool instead of constructing its own, whatever Threads says.
+	// Multi-model serving uses this so N loaded models contend for one set
+	// of worker goroutines rather than N×threads of them. The pool is
 	// borrowed: Module.Close leaves it running for its owner.
 	SharedPool *threadpool.Pool
 	// Search configures the global search at OptGlobalSearch.
@@ -182,10 +184,7 @@ func Compile(g *graph.Graph, t *machine.Target, opts Options) (*Module, error) {
 			if sOpts.Threads <= 0 {
 				sOpts.Threads = t.Cores
 			}
-			sOpts.Backend = opts.Backend
-			if sOpts.Backend == machine.BackendSerial && sOpts.Threads > 1 {
-				sOpts.Backend = machine.BackendPool
-			}
+			sOpts.Backend = runtimeBackend(sOpts.Threads)
 		}
 		if sOpts.DB == nil {
 			sOpts.DB = SharedScheduleDB(t, sOpts.Threads, sOpts.Backend)
@@ -242,18 +241,22 @@ func newModule(g *graph.Graph, t *machine.Target, level OptLevel, searchOutcome 
 		disableFusion: opts.DisableFusion,
 		disableBNFold: opts.DisableBNFold,
 		threads:       opts.Threads,
-		backend:       opts.Backend,
 		packed:        map[*graph.Node]*tensor.Tensor{},
 		anchors:       map[*graph.Node]*tensor.Tensor{},
 	}
 	if m.threads <= 0 {
 		m.threads = t.Cores
 	}
-	if opts.Backend == machine.BackendSerial && m.threads > 1 {
-		// Zero value means "unspecified": default to the custom pool.
-		m.backend = machine.BackendPool
-	}
 	return m
+}
+
+// runtimeBackend names, for the cost model, the runtime a module of the
+// given width executes on: the thread pool above one thread, else serial.
+func runtimeBackend(threads int) machine.ThreadBackend {
+	if threads > 1 {
+		return machine.BackendPool
+	}
+	return machine.BackendSerial
 }
 
 // finishRuntime performs the execution tail shared by compilation and bundle
@@ -279,16 +282,12 @@ func (m *Module) finishRuntime(opts Options) {
 	// Construct the threading runtime now rather than lazily on first Run:
 	// concurrent Sessions share one module, and a lazy first-use init would
 	// race.
-	switch m.backend {
-	case machine.BackendPool:
-		if opts.SharedPool != nil {
-			m.pool = opts.SharedPool
-			m.sharedPool = true
-		} else {
-			m.pool = threadpool.NewPool(m.threads)
-		}
-	case machine.BackendOMP:
-		m.omp = threadpool.NewOMPPool(m.threads)
+	switch {
+	case opts.SharedPool != nil:
+		m.pool = opts.SharedPool
+		m.sharedPool = true
+	case m.threads > 1:
+		m.pool = threadpool.NewPool(m.threads)
 	}
 }
 

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"slices"
 	"strings"
 	"testing"
@@ -13,14 +14,15 @@ import (
 	"repro/internal/schedule"
 	"repro/internal/search"
 	"repro/internal/tensor"
+	"repro/internal/threadpool"
 )
 
 func skylake() *machine.Target { return machine.IntelSkylakeC5() }
 
-func runModel(t *testing.T, g *graph.Graph, level OptLevel, threads int, backend machine.ThreadBackend) []*tensor.Tensor {
+func runModel(t *testing.T, g *graph.Graph, level OptLevel, threads int) []*tensor.Tensor {
 	t.Helper()
 	tgt := skylake()
-	m, err := Compile(g, tgt, Options{Level: level, Threads: threads, Backend: backend})
+	m, err := Compile(g, tgt, Options{Level: level, Threads: threads})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,9 +50,9 @@ func TestOptLevelsAgree(t *testing.T) {
 	for name, mk := range builders {
 		name, mk := name, mk
 		t.Run(name, func(t *testing.T) {
-			ref := runModel(t, mk(4), OptNone, 1, machine.BackendSerial)[0]
+			ref := runModel(t, mk(4), OptNone, 1)[0]
 			for _, level := range []OptLevel{OptLayout, OptTransformElim, OptGlobalSearch} {
-				got := runModel(t, mk(4), level, 1, machine.BackendSerial)[0]
+				got := runModel(t, mk(4), level, 1)[0]
 				if !tensor.AllClose(ref, got, 1e-4) {
 					t.Fatalf("%v output diverges from baseline: max diff %g",
 						level, tensor.MaxAbsDiff(ref, got))
@@ -61,14 +63,84 @@ func TestOptLevelsAgree(t *testing.T) {
 }
 
 func TestThreadedExecutionMatchesSerial(t *testing.T) {
-	ref := runModel(t, models.TinyResNet(8), OptTransformElim, 1, machine.BackendSerial)[0]
-	pool := runModel(t, models.TinyResNet(8), OptTransformElim, 4, machine.BackendPool)[0]
-	omp := runModel(t, models.TinyResNet(8), OptTransformElim, 4, machine.BackendOMP)[0]
+	ref := runModel(t, models.TinyResNet(8), OptTransformElim, 1)[0]
+	pool := runModel(t, models.TinyResNet(8), OptTransformElim, 4)[0]
 	if !tensor.BitEqual(ref, pool) {
 		t.Fatal("thread pool execution must be bit-identical to serial")
 	}
-	if !tensor.BitEqual(ref, omp) {
-		t.Fatal("OMP-style execution must be bit-identical to serial")
+}
+
+// TestThreadsPickTheRuntime pins the one runtime rule on both ways a module
+// is built: a SharedPool is borrowed whatever the width, Threads > 1 builds a
+// pool of that width, and Threads == 1 holds no pool and runs serially. The
+// deprecated Options.Backend is ignored, so every value of it gives the same
+// module and the same bits.
+func TestThreadsPickTheRuntime(t *testing.T) {
+	ref, raw := saveBundleBytes(t, "tiny-resnet", Options{Level: OptTransformElim, Threads: 1})
+	in := tensor.New(tensor.NCHW(), ref.Graph.Input.OutShape.Dims...)
+	in.FillRandom(3, 1)
+	want, err := ref.Run(in)
+	ref.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	shared := threadpool.NewPool(3)
+	defer shared.Close()
+	build := map[string]func(Options) (*Module, error){
+		"compile": func(o Options) (*Module, error) {
+			bg, err := models.BuildAny("tiny-resnet", 1)
+			if err != nil {
+				return nil, err
+			}
+			o.Level = OptTransformElim
+			return Compile(bg, skylake(), o)
+		},
+		"load": func(o Options) (*Module, error) {
+			return LoadBundle(bytes.NewReader(raw), models.ResolveGraph, o)
+		},
+	}
+	for _, path := range []string{"compile", "load"} {
+		for _, threads := range []int{1, 2, 4} {
+			for _, borrow := range []bool{false, true} {
+				for _, backend := range []machine.ThreadBackend{machine.BackendSerial, machine.BackendPool, machine.BackendOMP} {
+					name := fmt.Sprintf("%s/threads-%d/shared-%v/%v", path, threads, borrow, backend)
+					t.Run(name, func(t *testing.T) {
+						o := Options{Threads: threads, Backend: backend}
+						if borrow {
+							o.SharedPool = shared
+						}
+						m, err := build[path](o)
+						if err != nil {
+							t.Fatal(err)
+						}
+						switch {
+						case borrow && m.pool != shared:
+							t.Fatal("module must borrow the shared pool")
+						case !borrow && threads == 1 && m.pool != nil:
+							t.Fatalf("one thread must hold no pool, got a %d-wide one", m.pool.Threads())
+						case !borrow && threads > 1 && (m.pool == nil || m.pool.Threads() != threads):
+							t.Fatalf("%d threads must hold a %d-wide pool, got %v", threads, threads, m.pool)
+						}
+						got, err := m.Run(in)
+						if err != nil {
+							t.Fatal(err)
+						}
+						m.Close()
+						if !tensor.BitEqual(want[0], got[0]) {
+							t.Fatal("output must be bit-identical to the one-thread module")
+						}
+						if borrow {
+							ran := false
+							shared.ParallelRange(1, func(lo, hi int) { ran = true })
+							if !ran {
+								t.Fatal("the shared pool must still run after Module.Close")
+							}
+						}
+					})
+				}
+			}
+		}
 	}
 }
 
@@ -78,7 +150,7 @@ func TestFusionPreservesSemantics(t *testing.T) {
 		g := models.TinyResNet(12)
 		m, err := Compile(g, tgt, Options{
 			Level: OptTransformElim, Threads: 1,
-			Backend: machine.BackendSerial, DisableFusion: disableFusion,
+			DisableFusion: disableFusion,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -112,7 +184,7 @@ func TestRunRejectsBadInput(t *testing.T) {
 }
 
 func TestSoftmaxOutputIsDistribution(t *testing.T) {
-	out := runModel(t, models.TinyCNN(3), OptTransformElim, 2, machine.BackendPool)[0]
+	out := runModel(t, models.TinyCNN(3), OptTransformElim, 2)[0]
 	var sum float64
 	for _, v := range out.Data {
 		if v < 0 || v > 1 {
@@ -292,7 +364,7 @@ func TestBatchedInference(t *testing.T) {
 		return b.Finish(b.Softmax(b.Dense(x, 4)))
 	}
 
-	single, err := Compile(mkBatched(1), tgt, Options{Level: OptTransformElim, Threads: 1, Backend: machine.BackendSerial})
+	single, err := Compile(mkBatched(1), tgt, Options{Level: OptTransformElim, Threads: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -329,7 +401,7 @@ func TestBatchedInference(t *testing.T) {
 
 func TestRunProfiled(t *testing.T) {
 	g := models.TinyResNet(2)
-	m, err := Compile(g, skylake(), Options{Level: OptTransformElim, Threads: 1, Backend: machine.BackendSerial})
+	m, err := Compile(g, skylake(), Options{Level: OptTransformElim, Threads: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -403,7 +475,7 @@ func TestCompileReleasesPackedWeights(t *testing.T) {
 					want[n.Name] = n.Weight
 				}
 			}
-			m, err := Compile(tc.build(2), skylake(), Options{Level: tc.level, Threads: 2, Backend: machine.BackendPool})
+			m, err := Compile(tc.build(2), skylake(), Options{Level: tc.level, Threads: 2})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -539,7 +611,7 @@ func TestPlanSaveLoadRoundTrip(t *testing.T) {
 func TestWinogradPlanRoundTrip(t *testing.T) {
 	tgt := skylake()
 	orig, err := Compile(models.TinyResNet(3), tgt,
-		Options{Level: OptGlobalSearch, Threads: 1, Backend: machine.BackendSerial})
+		Options{Level: OptGlobalSearch, Threads: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -556,7 +628,7 @@ func TestWinogradPlanRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	replayed, err := CompileWithPlan(models.TinyResNet(3), tgt, pf, Options{Threads: 1, Backend: machine.BackendSerial})
+	replayed, err := CompileWithPlan(models.TinyResNet(3), tgt, pf, Options{Threads: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -598,7 +670,7 @@ func TestWinogradPlanRoundTrip(t *testing.T) {
 	for i := range pf.Entries {
 		pf.Entries[i].Algorithm = ""
 	}
-	direct, err := CompileWithPlan(models.TinyResNet(3), tgt, pf, Options{Threads: 1, Backend: machine.BackendSerial})
+	direct, err := CompileWithPlan(models.TinyResNet(3), tgt, pf, Options{Threads: 1})
 	if err != nil {
 		t.Fatalf("plan without algorithm fields must load: %v", err)
 	}
@@ -616,7 +688,7 @@ func TestWinogradPlanRoundTrip(t *testing.T) {
 func TestWinogradPlanValidation(t *testing.T) {
 	tgt := skylake()
 	m, err := Compile(models.TinyResNet(3), tgt,
-		Options{Level: OptGlobalSearch, Threads: 1, Backend: machine.BackendSerial})
+		Options{Level: OptGlobalSearch, Threads: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -665,7 +737,7 @@ func TestWinogradPlanValidation(t *testing.T) {
 
 func TestDisableWinogradPinsDirect(t *testing.T) {
 	m, err := Compile(models.TinyResNet(3), skylake(),
-		Options{Level: OptGlobalSearch, Threads: 1, Backend: machine.BackendSerial, DisableWinograd: true})
+		Options{Level: OptGlobalSearch, Threads: 1, DisableWinograd: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -149,7 +149,7 @@ func TestDepthwiseGlobalSearchAgreesWithBaseline(t *testing.T) {
 	in := tensor.New(tensor.NCHW(), 1, 3, 32, 32)
 	in.FillRandom(3, 1)
 
-	base, err := Compile(models.TinyMobileNet(2), skylake(), Options{Level: OptNone, Threads: 1, Backend: machine.BackendSerial})
+	base, err := Compile(models.TinyMobileNet(2), skylake(), Options{Level: OptNone, Threads: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +159,7 @@ func TestDepthwiseGlobalSearchAgreesWithBaseline(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	m, err := Compile(models.TinyMobileNet(2), skylake(), Options{Level: OptGlobalSearch, Threads: 2, Backend: machine.BackendPool})
+	m, err := Compile(models.TinyMobileNet(2), skylake(), Options{Level: OptGlobalSearch, Threads: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,7 +6,6 @@ import (
 	"math"
 	"testing"
 
-	"repro/internal/machine"
 	"repro/internal/models"
 	"repro/internal/ops"
 	"repro/internal/tensor"
@@ -55,9 +54,9 @@ var planConfigs = []struct {
 	name string
 	opts Options
 }{
-	{"direct-serial", Options{Level: OptTransformElim, DisableWinograd: true, Threads: 1, Backend: machine.BackendSerial}},
-	{"direct-interop", Options{Level: OptTransformElim, DisableWinograd: true, Threads: 3, Backend: machine.BackendPool}},
-	{"winograd-interop", Options{Level: OptGlobalSearch, Threads: 3, Backend: machine.BackendPool}},
+	{"direct-serial", Options{Level: OptTransformElim, DisableWinograd: true, Threads: 1}},
+	{"direct-interop", Options{Level: OptTransformElim, DisableWinograd: true, Threads: 3}},
+	{"winograd-interop", Options{Level: OptGlobalSearch, Threads: 3}},
 }
 
 // TestPlannedExecutionMatchesReference is the end-to-end property: for random
@@ -137,16 +136,8 @@ func TestPlannedExecutionMatchesReference(t *testing.T) {
 // executor walks every level one node at a time, and a single serial lane
 // plans the same.
 func TestPlanInterOpActivates(t *testing.T) {
-	for _, cfg := range []struct {
-		threads int
-		backend machine.ThreadBackend
-	}{
-		{1, machine.BackendSerial},
-		{3, machine.BackendPool},
-		{4, machine.BackendPool},
-		{16, machine.BackendPool},
-	} {
-		m, err := Compile(models.TinyInception(1), skylake(), Options{Level: OptTransformElim, Threads: cfg.threads, Backend: cfg.backend})
+	for _, threads := range []int{1, 3, 4, 16} {
+		m, err := Compile(models.TinyInception(1), skylake(), Options{Level: OptTransformElim, Threads: threads})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -156,10 +147,10 @@ func TestPlanInterOpActivates(t *testing.T) {
 		}
 		m.Close()
 		if widest < 4 {
-			t.Fatalf("%d threads: tiny-inception's towers must share a level, widest has %d nodes", cfg.threads, widest)
+			t.Fatalf("%d threads: tiny-inception's towers must share a level, widest has %d nodes", threads, widest)
 		}
 		if st.InterOpLevels != 0 || st.HybridLevels != 0 {
-			t.Fatalf("%d threads: every level must run intra-op, got %+v", cfg.threads, st)
+			t.Fatalf("%d threads: every level must run intra-op, got %+v", threads, st)
 		}
 	}
 }
@@ -168,7 +159,7 @@ func TestPlanInterOpActivates(t *testing.T) {
 // must be at least half the naive per-node arena (the acceptance bar for the
 // planner), and model outputs must sit in dedicated pinned slots.
 func TestPlanArenaSharing(t *testing.T) {
-	m, err := Compile(models.TinyResNet(1), skylake(), Options{Level: OptTransformElim, Threads: 1, Backend: machine.BackendSerial})
+	m, err := Compile(models.TinyResNet(1), skylake(), Options{Level: OptTransformElim, Threads: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

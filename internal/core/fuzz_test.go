@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/graph"
-	"repro/internal/machine"
 	"repro/internal/models"
 	"repro/internal/tensor"
 )
@@ -83,7 +82,7 @@ func TestFuzzOptLevelsAgree(t *testing.T) {
 		in := tensor.New(tensor.NCHW(), 1, 3, 32, 32)
 		in.FillRandom(seed*31, 1)
 
-		base, err := Compile(randomGraph(seed), tgt, Options{Level: OptNone, Threads: 1, Backend: machine.BackendSerial})
+		base, err := Compile(randomGraph(seed), tgt, Options{Level: OptNone, Threads: 1})
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -93,11 +92,11 @@ func TestFuzzOptLevelsAgree(t *testing.T) {
 		}
 
 		cases := []Options{
-			{Level: OptLayout, Threads: 1, Backend: machine.BackendSerial},
-			{Level: OptTransformElim, Threads: 3, Backend: machine.BackendPool},
-			{Level: OptGlobalSearch, Threads: 2, Backend: machine.BackendOMP},
-			{Level: OptTransformElim, Threads: 2, Backend: machine.BackendPool, DisableFusion: true},
-			{Level: OptTransformElim, Threads: 1, Backend: machine.BackendSerial, DisableBNFold: true},
+			{Level: OptLayout, Threads: 1},
+			{Level: OptTransformElim, Threads: 3},
+			{Level: OptGlobalSearch, Threads: 2},
+			{Level: OptTransformElim, Threads: 2, DisableFusion: true},
+			{Level: OptTransformElim, Threads: 1, DisableBNFold: true},
 		}
 		for ci, opts := range cases {
 			m, err := Compile(randomGraph(seed), tgt, opts)

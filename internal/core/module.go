@@ -38,7 +38,6 @@ type Module struct {
 	disableBNFold bool
 
 	threads int
-	backend machine.ThreadBackend
 	program []*graph.Node
 	// slot maps every program node to its index in per-run value tables.
 	slot map[*graph.Node]int
@@ -51,8 +50,9 @@ type Module struct {
 	// anchors holds the pre-computed SSD anchor boxes per head node.
 	anchors map[*graph.Node]*tensor.Tensor
 
+	// pool runs the module's parallel regions; nil at one thread, where
+	// every region runs serially on the caller.
 	pool *threadpool.Pool
-	omp  *threadpool.OMPPool
 	// sharedPool marks a borrowed pool (Options.SharedPool): Close leaves it
 	// running for its owner.
 	sharedPool bool
@@ -61,43 +61,29 @@ type Module struct {
 // Threads returns the configured execution width.
 func (m *Module) Threads() int { return m.threads }
 
-// Backend returns the configured threading runtime.
-func (m *Module) Backend() machine.ThreadBackend { return m.backend }
-
 // PredictOnly reports whether the module was compiled with NoPrepack and can
 // only PredictLatency, not execute.
 func (m *Module) PredictOnly() bool { return m.noPrepack }
 
 // parallelFor returns the threading runtime constructed at compile time.
-// After Close (or on prediction-only modules) it degrades to serial
-// execution.
+// At one thread, after Close, and on prediction-only modules it is serial
+// execution on the caller.
 func (m *Module) parallelFor() ops.ParallelFor {
-	switch {
-	case m.pool != nil:
+	if m.pool != nil {
 		return m.pool.ParallelRange
-	case m.omp != nil:
-		return m.omp.ParallelRange
-	default:
-		return ops.Serial
 	}
+	return ops.Serial
 }
 
-// Close releases the threading runtime (both the custom pool and the
-// OMP-style runtime). A pool borrowed via Options.SharedPool is dropped, not
-// closed — its owner decides its lifetime. The module remains usable;
-// subsequent runs execute serially. Close must not race with in-flight
-// Run/Session.Run calls.
+// Close releases the module's thread pool. A pool borrowed via
+// Options.SharedPool is dropped, not closed — its owner decides its
+// lifetime. The module remains usable; subsequent runs execute serially.
+// Close must not race with in-flight Run/Session.Run calls.
 func (m *Module) Close() {
-	if m.pool != nil {
-		if !m.sharedPool {
-			m.pool.Close()
-		}
-		m.pool = nil
+	if m.pool != nil && !m.sharedPool {
+		m.pool.Close()
 	}
-	if m.omp != nil {
-		m.omp.Close()
-		m.omp = nil
-	}
+	m.pool = nil
 }
 
 // checkInput validates a batch input against the compiled graph.

@@ -16,7 +16,7 @@ import (
 func panicTestModule(t *testing.T) *core.Module {
 	t.Helper()
 	m, err := core.Compile(models.TinyCNN(1), machine.IntelSkylakeC5(), core.Options{
-		Level: core.OptTransformElim, Threads: 1, Backend: machine.BackendSerial,
+		Level: core.OptTransformElim, Threads: 1,
 	})
 	if err != nil {
 		t.Fatal(err)

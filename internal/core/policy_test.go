@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/graph"
-	"repro/internal/machine"
 	"repro/internal/models"
 	"repro/internal/tensor"
 	"repro/internal/threadpool"
@@ -28,12 +27,11 @@ func TestKernelFamiliesBitIdenticalAcrossPolicies(t *testing.T) {
 	execConfigs := []struct {
 		name    string
 		threads int
-		backend machine.ThreadBackend
 	}{
-		{"serial", 1, machine.BackendSerial},
-		{"intra", 4, machine.BackendPool},
-		{"inter", 3, machine.BackendPool},
-		{"hybrid", 16, machine.BackendPool},
+		{"serial", 1},
+		{"intra", 4},
+		{"inter", 3},
+		{"hybrid", 16},
 	}
 	// A graph is compiled once, so each subtest builds its own.
 	families := []struct {
@@ -51,7 +49,6 @@ func TestKernelFamiliesBitIdenticalAcrossPolicies(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/%s", fam.name, cfg.name), func(t *testing.T) {
 				opts := fam.opts
 				opts.Threads = cfg.threads
-				opts.Backend = cfg.backend
 				m, err := Compile(fam.build(4), skylake(), opts)
 				if err != nil {
 					t.Fatal(err)
@@ -102,7 +99,7 @@ func TestKernelFamiliesBitIdenticalAcrossPolicies(t *testing.T) {
 // whole pool.
 func TestPolicyActivation(t *testing.T) {
 	for _, threads := range []int{3, 4, 16} {
-		m, err := Compile(models.TinyInception(1), skylake(), Options{Level: OptTransformElim, Threads: threads, Backend: machine.BackendPool})
+		m, err := Compile(models.TinyInception(1), skylake(), Options{Level: OptTransformElim, Threads: threads})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -12,8 +12,8 @@ import (
 type PredictConfig struct {
 	// Threads is the execution width; 0 uses the module's configuration.
 	Threads int
-	// Backend is the threading runtime; 0 (serial) with Threads>1 is
-	// overridden by the module's configured backend.
+	// Backend is the threading runtime; 0 (serial) with Threads>1 means
+	// the thread pool, the runtime such a module executes on.
 	Backend machine.ThreadBackend
 	// KernelQuality scales convolution efficiency; 1.0 is a fully tuned
 	// kernel for this target, lower models vendor libraries running on
@@ -25,20 +25,28 @@ type PredictConfig struct {
 	DispatchOverhead float64
 }
 
+// predictRuntime resolves the width and runtime a prediction prices: the
+// module's width when cfg.Threads is 0, and the runtime that width executes
+// on when cfg.Backend is 0.
+func (m *Module) predictRuntime(cfg PredictConfig) (int, machine.ThreadBackend) {
+	threads := cfg.Threads
+	if threads <= 0 {
+		threads = m.threads
+	}
+	backend := cfg.Backend
+	if backend == machine.BackendSerial {
+		backend = runtimeBackend(threads)
+	}
+	return threads, backend
+}
+
 // PredictLatency walks the compiled program through the machine cost model
 // and returns the predicted end-to-end seconds for one batch-1 inference on
 // the module's target. This is the simulated measurement used to regenerate
 // the paper's tables: the target hardware (AVX-512/AVX2/NEON) is modeled,
 // not the host this binary runs on.
 func (m *Module) PredictLatency(cfg PredictConfig) float64 {
-	threads := cfg.Threads
-	if threads <= 0 {
-		threads = m.threads
-	}
-	backend := cfg.Backend
-	if backend == machine.BackendSerial && threads > 1 {
-		backend = m.backend
-	}
+	threads, backend := m.predictRuntime(cfg)
 	quality := cfg.KernelQuality
 	if quality <= 0 {
 		quality = 1
@@ -124,14 +132,7 @@ func (m *Module) predictSSDHead(n *graph.Node, threads int, backend machine.Thre
 // alone. The OpenVINO simulator subtracts it, reproducing the sample that
 // "does not measure the entire SSD execution time" (Table 2 asterisk).
 func (m *Module) PredictSSDHeadOnly(cfg PredictConfig) float64 {
-	threads := cfg.Threads
-	if threads <= 0 {
-		threads = m.threads
-	}
-	backend := cfg.Backend
-	if backend == machine.BackendSerial && threads > 1 {
-		backend = m.backend
-	}
+	threads, backend := m.predictRuntime(cfg)
 	total := 0.0
 	for _, n := range m.program {
 		if n.Op == graph.OpSSDHead {

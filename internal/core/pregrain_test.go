@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"repro/internal/artifact"
-	"repro/internal/machine"
 	"repro/internal/models"
 	"repro/internal/tensor"
 )
@@ -58,7 +57,7 @@ func compileFixturePlan(t *testing.T, raw []byte) *Module {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := CompileWithPlan(g, skylake(), pf, Options{Threads: 2, Backend: machine.BackendPool})
+	m, err := CompileWithPlan(g, skylake(), pf, Options{Threads: 2})
 	if err != nil {
 		t.Fatalf("older plan must keep compiling: %v", err)
 	}
@@ -95,7 +94,7 @@ func TestOlderBundleCompat(t *testing.T) {
 	for _, gen := range fixtureGenerations {
 		t.Run(gen.name, func(t *testing.T) {
 			raw := loadFixture(t, gen.name, gen.hasGrain, "bundle")
-			bm, err := LoadBundle(bytes.NewReader(raw), models.ResolveGraph, Options{Threads: 2, Backend: machine.BackendPool})
+			bm, err := LoadBundle(bytes.NewReader(raw), models.ResolveGraph, Options{Threads: 2})
 			if err != nil {
 				t.Fatalf("older bundle must keep loading: %v", err)
 			}
@@ -145,7 +144,7 @@ func TestPadSlotBundleCompat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := Options{Threads: 2, Backend: machine.BackendPool}
+	opts := Options{Threads: 2}
 	bm, err := LoadBundle(bytes.NewReader(raw), models.ResolveGraph, opts)
 	if err != nil {
 		t.Fatalf("bundle saved with a depthwise pad slot must keep loading: %v", err)
@@ -160,7 +159,7 @@ func TestPadSlotBundleCompat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fresh, err := Compile(g, skylake(), Options{Level: OptGlobalSearch, Threads: 2, Backend: machine.BackendPool})
+	fresh, err := Compile(g, skylake(), Options{Level: OptGlobalSearch, Threads: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +219,7 @@ func TestInt8BundleRejected(t *testing.T) {
 			t.Fatalf("fixture carries no %s: it no longer covers an int8 bundle", key)
 		}
 	}
-	_, err = LoadBundle(bytes.NewReader(raw), models.ResolveGraph, Options{Threads: 1, Backend: machine.BackendSerial})
+	_, err = LoadBundle(bytes.NewReader(raw), models.ResolveGraph, Options{Threads: 1})
 	if !errors.Is(err, artifact.ErrInt8Bundle) {
 		t.Fatalf("int8 bundle: err = %v, want artifact.ErrInt8Bundle", err)
 	}

@@ -36,16 +36,16 @@ import (
 //	}
 //
 // Threading note: a session runs its nodes one at a time, and each kernel
-// splits its outermost loop across the module's pool. With BackendPool (or
-// BackendOMP) that pool is shared by every session of the module (and, with
+// splits its outermost loop across the module's pool. Above one thread that
+// pool is shared by every session of the module (and, with
 // Options.SharedPool, by every module given the same pool). The pool runs
 // one region at a time, but a submitter that finds the pool busy is never
 // blocked: threadpool.Pool's re-entrant ParallelRange degrades it to an
 // inline serial loop on its own goroutine. A wide pool therefore minimizes
 // single-request latency while concurrent sessions still make serial
 // progress; throughput-oriented servers should still compile with
-// Threads=1/BackendSerial so N sessions genuinely occupy N cores with no
-// contention for the pool at all.
+// Threads=1, which holds no pool, so N sessions genuinely occupy N cores
+// with no contention for a pool at all.
 type Session struct {
 	m *Module
 	// slotData holds one backing array per plan slot; bufs holds the

@@ -13,10 +13,10 @@ import (
 	"repro/internal/tensor"
 )
 
-func sessionModule(t *testing.T, threads int, backend machine.ThreadBackend) *Module {
+func sessionModule(t *testing.T, threads int) *Module {
 	t.Helper()
 	m, err := Compile(models.TinyResNet(4), skylake(), Options{
-		Level: OptTransformElim, Threads: threads, Backend: backend,
+		Level: OptTransformElim, Threads: threads,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -26,7 +26,7 @@ func sessionModule(t *testing.T, threads int, backend machine.ThreadBackend) *Mo
 }
 
 func TestSessionMatchesRun(t *testing.T) {
-	m := sessionModule(t, 1, machine.BackendSerial)
+	m := sessionModule(t, 1)
 	in := tensor.New(tensor.NCHW(), 1, 3, 32, 32)
 	in.FillRandom(11, 1)
 	want, err := m.Run(in)
@@ -51,7 +51,7 @@ func TestSessionMatchesRun(t *testing.T) {
 }
 
 func TestSessionArenaReuse(t *testing.T) {
-	m := sessionModule(t, 1, machine.BackendSerial)
+	m := sessionModule(t, 1)
 	in := tensor.New(tensor.NCHW(), 1, 3, 32, 32)
 	in.FillRandom(11, 1)
 	s, err := m.NewSession()
@@ -107,7 +107,7 @@ func TestConcurrentSessionsShareModule(t *testing.T) {
 	// >= 4 goroutines, one session each, over one shared module with the
 	// custom thread pool — the scenario the compile-time pool construction
 	// and read-only weight sharing exist for. Run under -race in CI.
-	m := sessionModule(t, 4, machine.BackendPool)
+	m := sessionModule(t, 4)
 	in := tensor.New(tensor.NCHW(), 1, 3, 32, 32)
 	in.FillRandom(7, 1)
 	want, err := m.Run(in)
@@ -151,10 +151,10 @@ func TestConcurrentSessionsShareModule(t *testing.T) {
 // winogradModule compiles TinyResNet at OptGlobalSearch and asserts the
 // search actually scheduled winograd convolutions (otherwise the tests built
 // on it would silently stop covering the winograd execution path).
-func winogradModule(t *testing.T, threads int, backend machine.ThreadBackend) *Module {
+func winogradModule(t *testing.T, threads int) *Module {
 	t.Helper()
 	m, err := Compile(models.TinyResNet(4), skylake(), Options{
-		Level: OptGlobalSearch, Threads: threads, Backend: backend,
+		Level: OptGlobalSearch, Threads: threads,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -176,7 +176,7 @@ func TestConcurrentWinogradSessions(t *testing.T) {
 	// Concurrent sessions over one winograd-planned module, run under -race
 	// in CI: the shared pre-transformed U weights are read-only, and each
 	// session owns its transform scratch, so nothing may race.
-	m := winogradModule(t, 4, machine.BackendPool)
+	m := winogradModule(t, 4)
 	in := tensor.New(tensor.NCHW(), 1, 3, 32, 32)
 	in.FillRandom(23, 1)
 	want, err := m.Run(in)
@@ -220,7 +220,7 @@ func TestConcurrentWinogradSessions(t *testing.T) {
 func TestWinogradSessionArenaReuse(t *testing.T) {
 	// The winograd scratch comes from the session arena, so steady-state
 	// execution must allocate no more than the direct path's closure change.
-	m := winogradModule(t, 1, machine.BackendSerial)
+	m := winogradModule(t, 1)
 	in := tensor.New(tensor.NCHW(), 1, 3, 32, 32)
 	in.FillRandom(5, 1)
 	s, err := m.NewSession()
@@ -260,7 +260,7 @@ func TestWeightStationaryWinogradSession(t *testing.T) {
 			Conv: n.Name, Layout: "nchwc", ICBlock: 16, OCBlock: 16, RegN: 8, Algorithm: machine.AlgoWinograd.String(),
 		})
 	}
-	m, err := CompileWithPlan(g, skylake(), pf, Options{Threads: 2, Backend: machine.BackendPool})
+	m, err := CompileWithPlan(g, skylake(), pf, Options{Threads: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -324,7 +324,7 @@ func TestWeightStationaryWinogradSession(t *testing.T) {
 }
 
 func TestSessionContextCancellation(t *testing.T) {
-	m := sessionModule(t, 1, machine.BackendSerial)
+	m := sessionModule(t, 1)
 	in := tensor.New(tensor.NCHW(), 1, 3, 32, 32)
 	in.FillRandom(3, 1)
 	s, err := m.NewSession()
@@ -355,7 +355,7 @@ func TestSessionContextCancellation(t *testing.T) {
 }
 
 func TestSessionRunBatch(t *testing.T) {
-	m := sessionModule(t, 2, machine.BackendPool)
+	m := sessionModule(t, 2)
 	s, err := m.NewSession()
 	if err != nil {
 		t.Fatal(err)
@@ -387,7 +387,7 @@ func TestSessionRunBatch(t *testing.T) {
 }
 
 func TestSessionRejectsBadInput(t *testing.T) {
-	m := sessionModule(t, 1, machine.BackendSerial)
+	m := sessionModule(t, 1)
 	s, err := m.NewSession()
 	if err != nil {
 		t.Fatal(err)
@@ -431,7 +431,7 @@ func TestSessionAcrossLevelsAndModels(t *testing.T) {
 	in.FillRandom(17, 1)
 	for name, mk := range builders {
 		for _, level := range levels {
-			m, err := Compile(mk(4), skylake(), Options{Level: level, Threads: 1, Backend: machine.BackendSerial})
+			m, err := Compile(mk(4), skylake(), Options{Level: level, Threads: 1})
 			if err != nil {
 				t.Fatalf("%s/%v: %v", name, level, err)
 			}
@@ -476,7 +476,7 @@ func TestSessionSSD(t *testing.T) {
 	loc := b.Conv(s0, per*4, 3, 1, 1)
 	g := b.Finish(b.SSDHead(attrs, cls, loc))
 
-	m, err := Compile(g, skylake(), Options{Level: OptTransformElim, Threads: 1, Backend: machine.BackendSerial})
+	m, err := Compile(g, skylake(), Options{Level: OptTransformElim, Threads: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -34,7 +34,7 @@ func main() {
 		panic(err)
 	}
 	m, err := core.Compile(g, machine.IntelSkylakeC5(), core.Options{
-		Level: core.OptGlobalSearch, Threads: 2, Backend: machine.BackendPool,
+		Level: core.OptGlobalSearch, Threads: 2,
 	})
 	if err != nil {
 		panic(err)

@@ -40,12 +40,8 @@ func main() {
 	if err != nil {
 		panic(err)
 	}
-	backend := machine.BackendPool
-	if threads == 1 {
-		backend = machine.BackendSerial
-	}
 	m, err := core.Compile(g, machine.IntelSkylakeC5(), core.Options{
-		Level: core.OptGlobalSearch, Threads: threads, Backend: backend,
+		Level: core.OptGlobalSearch, Threads: threads,
 	})
 	if err != nil {
 		panic(err)

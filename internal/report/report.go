@@ -264,7 +264,7 @@ func Figure4(spec Figure4Spec) ([]Figure4Series, error) {
 			if v.useEng {
 				p, err = baselines.Predict(v.engine, spec.Model, t, n)
 			} else {
-				p, err = baselines.PredictWithBackend(v.engine, spec.Model, t, n, v.backend)
+				p, err = baselines.PredictOnBackend(v.engine, spec.Model, t, n, v.backend)
 			}
 			if err != nil {
 				return nil, err

@@ -22,7 +22,7 @@ import (
 // `go test -fuzz FuzzInferDecode ./internal/serve` locally to explore.
 func FuzzInferDecode(f *testing.F) {
 	mod, err := core.Compile(models.TinyCNN(1), machine.IntelSkylakeC5(), core.Options{
-		Level: core.OptTransformElim, Threads: 1, Backend: machine.BackendSerial,
+		Level: core.OptTransformElim, Threads: 1,
 	})
 	if err != nil {
 		f.Fatal(err)

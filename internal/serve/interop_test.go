@@ -42,7 +42,7 @@ func TestServeInterOpModels(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
 			mod, err := core.Compile(tc.mk(11), machine.IntelSkylakeC5(), core.Options{
-				Level: core.OptTransformElim, Threads: 2, Backend: machine.BackendPool,
+				Level: core.OptTransformElim, Threads: 2,
 			})
 			if err != nil {
 				t.Fatal(err)

@@ -20,7 +20,7 @@ import (
 
 func TestServeTinyMobileNetCoalesces(t *testing.T) {
 	mod, err := core.Compile(models.TinyMobileNet(21), machine.IntelSkylakeC5(), core.Options{
-		Level: core.OptGlobalSearch, Threads: 1, Backend: machine.BackendSerial,
+		Level: core.OptGlobalSearch, Threads: 1,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -104,9 +104,9 @@ type RegistryConfig struct {
 	// Overrides maps model names to serving configs, taking precedence over
 	// source-provided and default configs.
 	Overrides map[string]Config
-	// LoadOptions are the runtime knobs passed to bundle loading: Threads,
-	// Backend and SharedPool. Pass a SharedPool so N loaded models contend
-	// for one set of worker goroutines.
+	// LoadOptions are the runtime knobs passed to bundle loading: Threads
+	// and SharedPool. Threads=1 loads serial models; pass a SharedPool so N
+	// loaded models contend for one set of worker goroutines.
 	LoadOptions core.Options
 }
 

@@ -30,7 +30,7 @@ import (
 	"repro/internal/tensor"
 )
 
-var repoOpts = core.Options{Level: core.OptTransformElim, Threads: 1, Backend: machine.BackendSerial}
+var repoOpts = core.Options{Level: core.OptTransformElim, Threads: 1}
 
 // writeBundles compiles the named tiny models, serializes each to
 // dir/<name>.neob, and returns each model's per-session arena bytes (the
@@ -118,7 +118,7 @@ func TestRegistryLifecycleAndEviction(t *testing.T) {
 	reg := newRepoRegistry(t, dir, serve.RegistryConfig{
 		ArenaBudget: total - 1,
 		Overrides:   over,
-		LoadOptions: core.Options{Threads: 1, Backend: machine.BackendSerial},
+		LoadOptions: core.Options{Threads: 1},
 	})
 
 	for _, m := range reg.Index() {
@@ -215,7 +215,7 @@ func TestRegistryRejectsInt8Bundle(t *testing.T) {
 		t.Fatal(err)
 	}
 	reg := newRepoRegistry(t, dir, serve.RegistryConfig{
-		LoadOptions: core.Options{Threads: 1, Backend: machine.BackendSerial},
+		LoadOptions: core.Options{Threads: 1},
 	})
 
 	// A pass-through hook, only to count load attempts.
@@ -267,7 +267,7 @@ func TestEvictionSkipsBusyModel(t *testing.T) {
 			"tiny-cnn":    {PoolSize: 1},
 			"tiny-resnet": {PoolSize: 1},
 		},
-		LoadOptions: core.Options{Threads: 1, Backend: machine.BackendSerial},
+		LoadOptions: core.Options{Threads: 1},
 	})
 	if err := reg.Load("tiny-cnn"); err != nil {
 		t.Fatal(err)
@@ -355,7 +355,7 @@ func TestRegistryConcurrentChaos(t *testing.T) {
 	reg := newRepoRegistry(t, dir, serve.RegistryConfig{
 		ArenaBudget: total - 1, // any two fit, all three never do
 		Overrides:   over,
-		LoadOptions: core.Options{Threads: 1, Backend: machine.BackendSerial},
+		LoadOptions: core.Options{Threads: 1},
 	})
 
 	in := tensor.New(tensor.NCHW(), 1, 3, 32, 32)
@@ -470,7 +470,7 @@ func TestRepositoryServerHTTP(t *testing.T) {
 	writeBundles(t, dir, "tiny-cnn", "tiny-resnet")
 	reg := newRepoRegistry(t, dir, serve.RegistryConfig{
 		Defaults:    serve.Config{PoolSize: 2},
-		LoadOptions: core.Options{Threads: 1, Backend: machine.BackendSerial},
+		LoadOptions: core.Options{Threads: 1},
 	})
 	srv, err := serve.NewRepository(reg)
 	if err != nil {
@@ -670,7 +670,7 @@ func TestSidecarConfig(t *testing.T) {
 	}
 	reg := newRepoRegistry(t, dir, serve.RegistryConfig{
 		Defaults:    serve.Config{PoolSize: 4},
-		LoadOptions: core.Options{Threads: 1, Backend: machine.BackendSerial},
+		LoadOptions: core.Options{Threads: 1},
 	})
 	for _, name := range []string{"tiny-cnn", "tiny-resnet", "tiny-vgg"} {
 		if err := reg.Load(name); err != nil {

@@ -20,7 +20,8 @@ import (
 type Config struct {
 	// PoolSize bounds the session pool. Each session is one execution lane
 	// with its own arena; for throughput, compile the module with
-	// Threads=1/BackendSerial and size the pool to the core count. The
+	// Threads=1 (serial, no kernel pool) and size the pool to the core
+	// count. The
 	// default (0) derives the bound from the module's planned arena bytes:
 	// as many sessions as fit ArenaBudget, clamped to [2, 16]. Sessions are
 	// still created lazily, so a generous bound costs nothing until load

@@ -34,7 +34,7 @@ import (
 func newModule(t testing.TB) *core.Module {
 	t.Helper()
 	m, err := core.Compile(models.TinyResNet(4), machine.IntelSkylakeC5(), core.Options{
-		Level: core.OptTransformElim, Threads: 1, Backend: machine.BackendSerial,
+		Level: core.OptTransformElim, Threads: 1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -290,7 +290,7 @@ func TestBackpressure(t *testing.T) {
 	// on a single-CPU machine, the burst's client goroutines get scheduled
 	// against an occupied session and pile into the bounded queue.
 	mod, err := core.Compile(models.TinyResNet(4), machine.IntelSkylakeC5(), core.Options{
-		Level: core.OptNone, Threads: 1, Backend: machine.BackendSerial,
+		Level: core.OptNone, Threads: 1,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -46,7 +46,6 @@ func ExampleEngine_NewSession() {
 	engine, err := neocpu.CompileGraph(models.TinyMobileNet(42),
 		neocpu.WithTarget("intel-skylake"),
 		neocpu.WithThreads(1),
-		neocpu.WithBackend(neocpu.BackendSerial),
 	)
 	if err != nil {
 		log.Fatal(err)
@@ -81,7 +80,7 @@ func ExampleEngine_NewSession() {
 // server. neocpu.Serve does the same plus listening and graceful shutdown.
 func ExampleNewServer() {
 	engine, err := neocpu.CompileGraph(models.TinyMobileNet(42),
-		neocpu.WithBackend(neocpu.BackendSerial),
+		neocpu.WithThreads(1),
 	)
 	if err != nil {
 		log.Fatal(err)

@@ -129,15 +129,8 @@ func compile(g *graph.Graph, cfg *config) (*Engine, error) {
 	copts := core.Options{
 		Level:           cfg.level.core(),
 		Threads:         cfg.threads,
-		Backend:         cfg.backend.machine(),
 		DisableWinograd: cfg.noWinograd,
 		NoPrepack:       cfg.predictOnly,
-	}
-	if cfg.backend == BackendSerial {
-		// The core treats serial+threads>1 as "unspecified backend" and
-		// upgrades it to the pool; an explicit BackendSerial (the facade
-		// default is BackendPool) must genuinely mean one execution lane.
-		copts.Threads = 1
 	}
 	// One search default for both entry points: Compile and CompileGraph
 	// explore the same candidate space for identical graphs.
@@ -178,11 +171,11 @@ func (e *Engine) RunProfiled(input *tensor.Tensor) ([]*tensor.Tensor, *Profile, 
 // safe for concurrent use themselves; the Engine is — create one Session per
 // goroutine.
 //
-// Pick the threading configuration for the workload: WithThreads(N) +
-// BackendPool minimizes the latency of each request, but the shared pool
-// runs one kernel region at a time, so concurrent sessions do not add
-// throughput. For throughput-oriented serving compile with WithThreads(1)
-// and WithBackend(BackendSerial) — each session then occupies exactly one
+// Pick the threading configuration for the workload: WithThreads(N) with
+// N > 1 minimizes the latency of each request, but the engine's pool runs
+// one kernel region at a time, so concurrent sessions do not add
+// throughput. For throughput-oriented serving compile with WithThreads(1),
+// which runs serially with no pool — each session then occupies exactly one
 // core and N sessions scale to N cores.
 func (e *Engine) NewSession() (*Session, error) {
 	if e.mod.PredictOnly() {
@@ -298,7 +291,7 @@ func (e *Engine) SaveBundle(w io.Writer) error {
 // installed directly, so loading is fast and the loaded engine computes
 // bit-identical results to the engine that produced the bundle.
 //
-// Only runtime options apply (WithThreads, WithBackend); the model,
+// Only the runtime option applies (WithThreads); the model,
 // optimization level and target are recorded in the bundle itself,
 // so compile-time options (WithOptLevel, WithTarget, WithSeed,
 // WithSearch) have no effect. A bundle produced for a different
@@ -310,15 +303,7 @@ func LoadBundle(r io.Reader, opts ...Option) (*Engine, error) {
 	if cfg.err != nil {
 		return nil, cfg.err
 	}
-	copts := core.Options{
-		Threads: cfg.threads,
-		Backend: cfg.backend.machine(),
-	}
-	if cfg.backend == BackendSerial {
-		// Same rule as compile(): explicit serial means one execution lane.
-		copts.Threads = 1
-	}
-	mod, err := core.LoadBundle(r, models.ResolveGraph, copts)
+	mod, err := core.LoadBundle(r, models.ResolveGraph, core.Options{Threads: cfg.threads})
 	if err != nil {
 		return nil, err
 	}

@@ -72,16 +72,29 @@ func TestTypedOptionErrors(t *testing.T) {
 	}
 }
 
-func TestSerialBackendMeansSerial(t *testing.T) {
-	// An explicit BackendSerial must not be silently upgraded to the pool by
-	// the core's zero-value defaulting: serial means one execution lane.
-	e, err := CompileGraph(smallCNN(2), WithOptLevel(LevelTransformElim), WithBackend(BackendSerial), WithThreads(8))
+// TestThreadsOneMeansSerial pins the facade's side of the runtime rule:
+// WithThreads(1) is one execution lane, both for a compiled engine and for
+// one loaded from a bundle.
+func TestThreadsOneMeansSerial(t *testing.T) {
+	e, err := CompileGraph(models.TinyCNN(2), WithOptLevel(LevelTransformElim), WithThreads(1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer e.Close()
 	if e.Threads() != 1 {
-		t.Fatalf("serial engine reports %d threads, want 1", e.Threads())
+		t.Fatalf("WithThreads(1) engine reports %d threads, want 1", e.Threads())
+	}
+	var buf bytes.Buffer
+	if err := e.SaveBundle(&buf); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := LoadBundle(&buf, WithThreads(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer loaded.Close()
+	if loaded.Threads() != 1 {
+		t.Fatalf("WithThreads(1) loaded engine reports %d threads, want 1", loaded.Threads())
 	}
 }
 
@@ -215,7 +228,7 @@ func TestLevelsAgreeThroughFacade(t *testing.T) {
 	in.FillRandom(9, 1)
 	var ref *tensor.Tensor
 	for _, level := range Levels() {
-		e, err := CompileGraph(smallCNN(7), WithOptLevel(level), WithThreads(1), WithBackend(BackendSerial))
+		e, err := CompileGraph(smallCNN(7), WithOptLevel(level), WithThreads(1))
 		if err != nil {
 			t.Fatalf("%v: %v", level, err)
 		}
@@ -236,7 +249,7 @@ func TestLevelsAgreeThroughFacade(t *testing.T) {
 func TestWithWinogradThroughFacade(t *testing.T) {
 	// Default: the global search may schedule winograd; the plan records it.
 	on, err := CompileGraph(smallCNN(7),
-		WithOptLevel(LevelGlobalSearch), WithThreads(1), WithBackend(BackendSerial))
+		WithOptLevel(LevelGlobalSearch), WithThreads(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,7 +264,7 @@ func TestWithWinogradThroughFacade(t *testing.T) {
 
 	// WithWinograd(false) pins the direct template.
 	off, err := CompileGraph(smallCNN(7),
-		WithOptLevel(LevelGlobalSearch), WithThreads(1), WithBackend(BackendSerial), WithWinograd(false))
+		WithOptLevel(LevelGlobalSearch), WithThreads(1), WithWinograd(false))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,7 +320,7 @@ func TestInterOpAndPlanStatsThroughFacade(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer pooled.Close()
-	serial, err := CompileGraph(branchy(3), append(opts, WithBackend(BackendSerial))...)
+	serial, err := CompileGraph(branchy(3), append(opts, WithThreads(1))...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -382,7 +395,7 @@ func TestRegistryCompileExecutes(t *testing.T) {
 
 func TestBundleThroughFacade(t *testing.T) {
 	orig, err := CompileGraph(models.TinyCNN(1),
-		WithOptLevel(LevelTransformElim), WithThreads(1), WithBackend(BackendSerial))
+		WithOptLevel(LevelTransformElim), WithThreads(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -392,7 +405,7 @@ func TestBundleThroughFacade(t *testing.T) {
 	if err := orig.SaveBundle(&buf); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := LoadBundle(bytes.NewReader(buf.Bytes()), WithThreads(1), WithBackend(BackendSerial))
+	loaded, err := LoadBundle(bytes.NewReader(buf.Bytes()), WithThreads(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -439,14 +452,14 @@ func TestInt8BundleRejectedThroughFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadBundle(bytes.NewReader(raw), WithThreads(1), WithBackend(BackendSerial)); !errors.Is(err, artifact.ErrInt8Bundle) {
+	if _, err := LoadBundle(bytes.NewReader(raw), WithThreads(1)); !errors.Is(err, artifact.ErrInt8Bundle) {
 		t.Fatalf("int8 bundle: err = %v, want artifact.ErrInt8Bundle", err)
 	}
 }
 
 func TestWithArenaBudgetOption(t *testing.T) {
 	e, err := CompileGraph(models.TinyCNN(2),
-		WithOptLevel(LevelTransformElim), WithThreads(1), WithBackend(BackendSerial))
+		WithOptLevel(LevelTransformElim), WithThreads(1))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -106,35 +106,6 @@ func ParseLevel(s string) (Level, error) {
 	return 0, fmt.Errorf("%w: %q (known: %s)", ErrUnknownLevel, s, strings.Join(names, ", "))
 }
 
-// Backend selects the threading runtime for parallel kernel regions.
-type Backend int
-
-const (
-	// BackendPool is NeoCPU's custom thread pool (long-lived workers, static
-	// partitioning, spin join). The default.
-	BackendPool Backend = iota
-	// BackendOMP models an OpenMP-style fork/join runtime.
-	BackendOMP
-	// BackendSerial runs every kernel on the calling goroutine. Selecting it
-	// forces the execution width to 1 — serial means one lane, regardless of
-	// WithThreads.
-	BackendSerial
-)
-
-func (b Backend) machine() machine.ThreadBackend {
-	switch b {
-	case BackendOMP:
-		return machine.BackendOMP
-	case BackendSerial:
-		return machine.BackendSerial
-	default:
-		return machine.BackendPool
-	}
-}
-
-// String returns the backend's name ("pool", "omp" or "serial").
-func (b Backend) String() string { return b.machine().String() }
-
 // SearchOptions tunes the global optimization-scheme search used at
 // LevelGlobalSearch.
 type SearchOptions struct {
@@ -150,7 +121,6 @@ type config struct {
 	target      *Target
 	level       Level
 	threads     int
-	backend     Backend
 	noWinograd  bool
 	search      *SearchOptions
 	predictOnly bool
@@ -163,10 +133,9 @@ type Option func(*config)
 
 func newConfig(opts []Option) *config {
 	cfg := &config{
-		target:  machine.IntelSkylakeC5(),
-		level:   LevelGlobalSearch,
-		backend: BackendPool,
-		seed:    42,
+		target: machine.IntelSkylakeC5(),
+		level:  LevelGlobalSearch,
+		seed:   42,
 	}
 	for _, o := range opts {
 		o(cfg)
@@ -206,7 +175,9 @@ func WithOptLevel(l Level) Option {
 }
 
 // WithThreads sets the execution width. 0 (the default) uses the target's
-// core count.
+// core count. The width alone picks the runtime: at 1 every kernel runs
+// serially on the calling goroutine, and above 1 on NeoCPU's thread pool
+// (long-lived workers, static partitioning, spin join) of that width.
 func WithThreads(n int) Option {
 	return func(c *config) {
 		if n < 0 {
@@ -215,11 +186,6 @@ func WithThreads(n int) Option {
 		}
 		c.threads = n
 	}
-}
-
-// WithBackend selects the threading runtime. The default is BackendPool.
-func WithBackend(b Backend) Option {
-	return func(c *config) { c.backend = b }
 }
 
 // WithWinograd toggles the Winograd convolution algorithm as a searched

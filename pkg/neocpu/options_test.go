@@ -91,7 +91,6 @@ func TestCompileOptionErrorPaths(t *testing.T) {
 		{"threads-valid", WithThreads(8), nil},
 		// Options with no invalid inputs: every value must configure cleanly.
 		{"level", WithOptLevel(LevelBaseline), nil},
-		{"backend", WithBackend(BackendOMP), nil},
 		{"winograd-off", WithWinograd(false), nil},
 		{"search", WithSearch(SearchOptions{MaxCands: 1}), nil},
 		{"predict-only", WithPredictOnly(), nil},

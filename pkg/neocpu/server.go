@@ -46,8 +46,8 @@ type serveConfig struct {
 // its own preallocated arena. When the option is omitted the bound derives
 // from the engine's planned arena bytes: as many session arenas as fit a
 // 64 MiB budget, clamped to [2, 16]. For throughput, compile the engine with
-// WithThreads(1) and WithBackend(BackendSerial), and size the pool to the
-// machine's core count.
+// WithThreads(1), which runs each session serially with no kernel pool, and
+// size the pool to the machine's core count.
 func WithPoolSize(n int) ServeOption {
 	return func(c *serveConfig) {
 		if n <= 0 {

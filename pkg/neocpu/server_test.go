@@ -17,7 +17,7 @@ import (
 func serveEngine(t *testing.T) *Engine {
 	t.Helper()
 	e, err := CompileGraph(smallCNN(5),
-		WithOptLevel(LevelTransformElim), WithThreads(1), WithBackend(BackendSerial))
+		WithOptLevel(LevelTransformElim), WithThreads(1))
 	if err != nil {
 		t.Fatal(err)
 	}
