@@ -703,8 +703,8 @@ func BenchmarkSessionRunWinograd(b *testing.B) {
 
 // BenchmarkSessionRunScaling measures intra-op thread scaling of
 // whole-model session execution: tiny-resnet recompiled at each thread count
-// (so the schedule search re-picks block sizes for that width; the serial
-// backend at 1) and timed on the host, one threads-<n> sub-benchmark per
+// (so the schedule search re-picks block sizes for that width; serial at 1,
+// the pool above) and timed on the host, one threads-<n> sub-benchmark per
 // count. The thread axis is the powers of two up to the host's CPU count,
 // plus the CPU count itself when it is not one. CI's scaling job reads the
 // ns/op of this series.

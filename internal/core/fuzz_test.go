@@ -73,7 +73,7 @@ func randomGraph(seed uint64) *graph.Graph {
 
 // TestFuzzOptLevelsAgree is the differential property test: for randomly
 // generated graphs, every optimization level, precision aside, and every
-// threading backend must compute the same function as the unoptimized
+// thread count must compute the same function as the unoptimized
 // serial NCHW baseline.
 func TestFuzzOptLevelsAgree(t *testing.T) {
 	tgt := skylake()

@@ -29,8 +29,8 @@ import (
 )
 
 // newModule compiles the serving test model: small enough for -race
-// concurrency tests, structurally rich (residual blocks), serial backend so
-// pooled sessions genuinely parallelize.
+// concurrency tests, structurally rich (residual blocks), one thread (no
+// kernel pool) so pooled sessions genuinely parallelize.
 func newModule(t testing.TB) *core.Module {
 	t.Helper()
 	m, err := core.Compile(models.TinyResNet(4), machine.IntelSkylakeC5(), core.Options{
