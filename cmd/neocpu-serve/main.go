@@ -25,6 +25,10 @@
 //	GET  /v2/repository/index        every model's lifecycle state
 //	POST /v2/repository/models/<model>/load
 //	POST /v2/repository/models/<model>/unload
+//	GET  /metrics                    Prometheus text format
+//
+// /v2/stats and /metrics read the same counters; both are cumulative across
+// session discards and model unload/reload.
 //
 // By default each pooled session runs serially (one core per in-flight
 // request) so the pool scales throughput across cores; pass -threads N > 1 to

@@ -208,39 +208,3 @@ func TestRunBatchMidItemCancellation(t *testing.T) {
 		t.Fatalf("cause not preserved: %v", err)
 	}
 }
-
-// TestSessionStatsCount covers the serving pool's per-session counters.
-func TestSessionStatsCount(t *testing.T) {
-	m := sessionModule(t, 1)
-	s, err := m.NewSession()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.ArenaBytes() == 0 {
-		t.Fatal("session arena reported as empty")
-	}
-	in := tensor.New(tensor.NCHW(), 1, 3, 32, 32)
-	in.FillRandom(1, 1)
-	if _, err := s.Run(context.Background(), in); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.RunBatch(context.Background(), []*tensor.Tensor{in, in, in}); err != nil {
-		t.Fatal(err)
-	}
-	st := s.Stats()
-	if st.Runs != 2 || st.Items != 4 {
-		t.Fatalf("stats %+v, want Runs=2 Items=4", st)
-	}
-	if st.Busy <= 0 {
-		t.Fatal("busy time not accumulated")
-	}
-	// A cancelled batch counts only its completed items.
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := s.RunBatch(ctx, []*tensor.Tensor{in}); err == nil {
-		t.Fatal("expected cancellation")
-	}
-	if st := s.Stats(); st.Items != 4 {
-		t.Fatalf("cancelled batch leaked items into stats: %+v", st)
-	}
-}

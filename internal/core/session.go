@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/faults"
 	"repro/internal/ops"
@@ -55,37 +54,9 @@ type Session struct {
 	bufs     []nodeBuffers
 	outs     []*tensor.Tensor
 
-	// Work counters. The session itself is a single execution lane, but a
-	// serving pool reads these concurrently with runs (stats endpoints,
-	// sizing heuristics), so they are atomics.
-	runs      atomic.Uint64
-	items     atomic.Uint64
-	busyNanos atomic.Int64
-
 	// corrupt marks a session whose execution panicked: the arena may hold
 	// partial writes, so the session refuses further runs (see Corrupted).
 	corrupt atomic.Bool
-}
-
-// SessionStats counts the work one session has executed. Runs counts Run
-// and RunBatch calls, including failed or cancelled ones; Items counts only
-// completed inference items (a successful Run is one item, a RunBatch adds
-// one per completed input); Busy is the cumulative wall-clock spent inside
-// Run/RunBatch, the pool's utilization signal.
-type SessionStats struct {
-	Runs  uint64
-	Items uint64
-	Busy  time.Duration
-}
-
-// Stats returns the session's work counters. Safe to call concurrently with
-// runs on the session's own goroutine.
-func (s *Session) Stats() SessionStats {
-	return SessionStats{
-		Runs:  s.runs.Load(),
-		Items: s.items.Load(),
-		Busy:  time.Duration(s.busyNanos.Load()),
-	}
 }
 
 // ArenaBytes reports the total size of the session's preallocated arena —
@@ -218,18 +189,12 @@ func (s *Session) Run(ctx context.Context, input *tensor.Tensor) ([]*tensor.Tens
 	if err := s.m.checkInput(input); err != nil {
 		return nil, err
 	}
-	start := time.Now()
-	defer func() {
-		s.busyNanos.Add(int64(time.Since(start)))
-		s.runs.Add(1)
-	}()
 	if err := s.safeRun(ctx, input, s.m.parallelFor()); err != nil {
 		return nil, err
 	}
 	for i, o := range s.m.Graph.Outputs {
 		s.outs[i] = s.vals[s.m.slot[o]]
 	}
-	s.items.Add(1)
 	return s.outs, nil
 }
 
@@ -251,11 +216,6 @@ func (s *Session) RunBatch(ctx context.Context, inputs []*tensor.Tensor) ([][]*t
 		}
 	}
 	pf := s.m.parallelFor()
-	start := time.Now()
-	defer func() {
-		s.busyNanos.Add(int64(time.Since(start)))
-		s.runs.Add(1)
-	}()
 	results := make([][]*tensor.Tensor, 0, len(inputs))
 	for i, in := range inputs {
 		// The between-items check: a cancellation that lands after item i-1
@@ -273,7 +233,6 @@ func (s *Session) RunBatch(ctx context.Context, inputs []*tensor.Tensor) ([][]*t
 			outs[j] = s.vals[s.m.slot[o]].Clone()
 		}
 		results = append(results, outs)
-		s.items.Add(1)
 	}
 	return results, nil
 }

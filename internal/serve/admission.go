@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"math"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -16,9 +15,9 @@ import (
 
 // Typed serving errors.
 var (
-	// ErrQueueFull is returned by Batcher.Do when every session is busy and
-	// QueueDepth requests already wait for one — the HTTP layer maps it to
-	// 429 (backpressure).
+	// ErrQueueFull is returned by Admission.DoTraced when every session is
+	// busy and QueueDepth requests already wait for one — the HTTP layer
+	// maps it to 429 (backpressure).
 	ErrQueueFull = errors.New("serve: request queue is full")
 	// ErrClosed is returned for requests that arrive during or after
 	// shutdown.
@@ -35,22 +34,26 @@ var (
 	ErrModelDegraded = errors.New("serve: model is degraded")
 )
 
-// Batcher admits one model's inference requests and runs each on a pooled
-// session, on the caller's goroutine. Batch-1 latency is the serving goal,
-// so a request that finds an idle session runs at once.
+// Admission is one model's admission front: it admits inference requests
+// and runs each on a pooled session, on the caller's goroutine. Batch-1
+// latency is the serving goal, so a request that finds an idle session runs
+// at once.
 //
-// Do takes an idle session or grows the pool. When every session is busy it
-// waits in SessionPool.Acquire, FIFO behind the other waiters; at most
-// QueueDepth requests wait at once, and the next one is refused with
+// DoTraced takes an idle session or grows the pool. When every session is
+// busy it waits in SessionPool.Acquire, FIFO behind the other waiters; at
+// most QueueDepth requests wait at once, and the next one is refused with
 // ErrQueueFull. A request whose deadline the live queue cannot meet is
 // refused with ErrDeadline rather than admitted to time out, and a waiter
 // whose deadline passes leaves through its own context.
 //
-// The batcher is also the panic-isolation boundary of the serving stack: a
-// run that fails with *core.ExecPanicError fails only its own request, and
-// the (possibly arena-corrupted) session that panicked is discarded from the
-// pool instead of recycled.
-type Batcher struct {
+// The admission front is also the panic-isolation boundary of the serving
+// stack: a run that fails with *core.ExecPanicError fails only its own
+// request, and the (possibly arena-corrupted) session that panicked is
+// discarded from the pool instead of recycled.
+//
+// Its counters (rejected, shed, panics, items, and the execution and
+// queue-wait histograms) go to the pool's metric set.
+type Admission struct {
 	model string // fault-site label and error context
 	pool  *SessionPool
 	drain time.Duration
@@ -72,25 +75,15 @@ type Batcher struct {
 
 	// onResult, when set, is called once per executed request with its
 	// execution failure (nil for success or client-caused aborts) — the
-	// registry hangs the model's circuit breaker on it. Set before the
-	// batcher receives traffic.
+	// registry hangs the model's circuit breaker on it.
 	onResult func(error)
-
-	// metrics, when set, receives queue-wait/execution/discard/panic
-	// observations (nil-safe methods; set before traffic, like onResult).
-	metrics *metrics.Model
 
 	// nextExec mints execution IDs (1-based; 0 means "never ran").
 	nextExec atomic.Uint64
-
-	mu       sync.Mutex
-	rejected uint64
-	shed     uint64
-	panics   uint64
 }
 
-// BatchStats is a snapshot of the batcher's admission counters.
-type BatchStats struct {
+// AdmissionStats is a snapshot of the admission front's counters.
+type AdmissionStats struct {
 	// Rejected counts requests refused with ErrQueueFull.
 	Rejected uint64 `json:"rejected"`
 	// Shed counts requests refused or dropped for deadline reasons: budgets
@@ -105,78 +98,75 @@ type BatchStats struct {
 	EstimatedWaitNS int64 `json:"estimated_wait_ns"`
 }
 
-// NewBatcher builds the admission front of one model over its session pool.
-// drain bounds how long Close lets admitted requests finish.
-func NewBatcher(model string, pool *SessionPool, drain time.Duration) *Batcher {
-	ctx, cancel := context.WithCancel(context.Background())
-	return &Batcher{model: model, pool: pool, drain: drain, baseCtx: ctx, cancel: cancel}
+// admissionCounters reads the cumulative half of AdmissionStats from a
+// model's metric set.
+func admissionCounters(m *metrics.Model) AdmissionStats {
+	return AdmissionStats{
+		Rejected: m.Count(metrics.Rejected),
+		Shed:     m.Count(metrics.Shed),
+		Panics:   m.Count(metrics.Panics),
+	}
 }
 
-// OnBatchDone installs the per-request completion callback (nil error means
-// the request executed; a non-nil error is an execution failure,
-// client-caused aborts excluded). It must be installed before the batcher
-// receives traffic.
-func (b *Batcher) OnBatchDone(fn func(error)) { b.onResult = fn }
-
-// SetMetrics installs the model's metric set (nil runs unmetered). It must
-// be installed before the batcher receives traffic.
-func (b *Batcher) SetMetrics(m *metrics.Model) { b.metrics = m }
+// NewAdmission builds the admission front of one model over its session
+// pool. drain bounds how long Close lets admitted requests finish. onResult,
+// if not nil, is called once per executed request with its execution failure
+// (nil for a success; client-caused aborts are not failures).
+func NewAdmission(model string, pool *SessionPool, drain time.Duration, onResult func(error)) *Admission {
+	ctx, cancel := context.WithCancel(context.Background())
+	return &Admission{model: model, pool: pool, drain: drain, baseCtx: ctx, cancel: cancel, onResult: onResult}
+}
 
 // QueueDepth reports the number of requests currently waiting for a session
 // (the queue-depth gauge).
-func (b *Batcher) QueueDepth() int { return b.pool.Waiting() }
+func (a *Admission) QueueDepth() int { return a.pool.Waiting() }
 
-// Do runs one input and blocks until it completes, the caller's ctx is done,
-// or the batcher shuts down. A ctx deadline is the request's whole-lifetime
-// budget: admission refuses it outright (ErrDeadline) when the live queue is
-// predicted to outlast it.
-func (b *Batcher) Do(ctx context.Context, in *tensor.Tensor) ([]*tensor.Tensor, error) {
-	outs, _, err := b.DoTraced(ctx, in)
-	return outs, err
-}
-
-// DoTraced is Do plus the request's execution ID (0 when it never ran) — the
-// access log's batch_id field.
-func (b *Batcher) DoTraced(ctx context.Context, in *tensor.Tensor) ([]*tensor.Tensor, uint64, error) {
+// DoTraced runs one input and blocks until it completes, the caller's ctx is
+// done, or the admission front shuts down. A ctx deadline is the request's
+// whole-lifetime budget: admission refuses it outright (ErrDeadline) when the
+// live queue is predicted to outlast it. It also returns the request's
+// execution ID (0 when it never ran) — the access log's batch_id field.
+func (a *Admission) DoTraced(ctx context.Context, in *tensor.Tensor) ([]*tensor.Tensor, uint64, error) {
 	// Count the request before looking at draining: Close sets draining and
 	// then waits for active to reach zero, so either Close waits for this
 	// request or this request sees draining.
-	b.active.Add(1)
-	defer b.active.Add(-1)
-	if b.draining.Load() || b.baseCtx.Err() != nil {
+	a.active.Add(1)
+	defer a.active.Add(-1)
+	if a.draining.Load() || a.baseCtx.Err() != nil {
 		return nil, 0, ErrClosed
 	}
+	m := a.pool.metrics
 	if dl, ok := ctx.Deadline(); ok {
-		if wait := b.EstimatedWait(); wait > 0 && time.Until(dl) < wait {
-			b.count(&b.shed)
+		if wait := a.EstimatedWait(); wait > 0 && time.Until(dl) < wait {
+			m.Inc(metrics.Shed)
 			return nil, 0, ErrDeadline
 		}
 	}
 	// The wait and the run also stop when Close gives up on draining.
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	defer context.AfterFunc(b.baseCtx, cancel)()
+	defer context.AfterFunc(a.baseCtx, cancel)()
 
 	enq := time.Now()
-	sess, err := b.pool.Acquire(runCtx)
+	sess, err := a.pool.Acquire(runCtx)
 	if err != nil {
 		switch {
 		case errors.Is(err, ErrQueueFull):
-			b.count(&b.rejected)
-		case b.baseCtx.Err() != nil:
+			m.Inc(metrics.Rejected)
+		case a.baseCtx.Err() != nil:
 			err = ErrClosed
 		case ctx.Err() != nil:
-			b.count(&b.shed)
+			m.Inc(metrics.Shed)
 			err = perRequestError(ctx, err)
 		}
 		return nil, 0, err
 	}
 	start := time.Now()
-	b.metrics.ObserveQueueWait(start.Sub(enq))
-	id := b.nextExec.Add(1)
+	m.ObserveQueueWait(start.Sub(enq))
+	id := a.nextExec.Add(1)
 
 	var outs []*tensor.Tensor
-	if err = faults.Fire(faults.SiteBatcherDispatch, b.model); err == nil {
+	if err = faults.Fire(faults.SiteBatcherDispatch, a.model); err == nil {
 		outs, err = sess.Run(runCtx, in)
 	}
 	if err == nil {
@@ -185,25 +175,26 @@ func (b *Batcher) DoTraced(ctx context.Context, in *tensor.Tensor) ([]*tensor.Te
 		outs = cloneAll(outs)
 	}
 	elapsed := time.Since(start)
-	b.metrics.ObserveExec(elapsed)
+	m.ObserveExec(elapsed)
+	if err == nil {
+		m.Inc(metrics.Items)
+	}
 
 	// Panic isolation: a panicked session's arena may hold partial writes —
 	// quarantine it out of the pool instead of recycling it.
 	var pe *core.ExecPanicError
 	if errors.As(err, &pe) || sess.Corrupted() {
-		b.pool.Discard(sess)
-		b.count(&b.panics)
-		b.metrics.IncDiscard()
-		b.metrics.IncPanic()
+		a.pool.Discard(sess)
+		m.Inc(metrics.Panics)
 	} else {
-		b.pool.Release(sess)
+		a.pool.Release(sess)
 	}
-	b.observeLatency(elapsed)
-	if b.onResult != nil {
-		b.onResult(execFailure(err))
+	a.observeLatency(elapsed)
+	if a.onResult != nil {
+		a.onResult(execFailure(err))
 	}
 	if err != nil {
-		if b.baseCtx.Err() != nil && errors.Is(err, context.Canceled) {
+		if a.baseCtx.Err() != nil && errors.Is(err, context.Canceled) {
 			// The cancellation came from shutdown, not from the client: a
 			// live caller should see "server closed", not a bare ctx error.
 			err = ErrClosed
@@ -224,59 +215,48 @@ func cloneAll(ts []*tensor.Tensor) []*tensor.Tensor {
 // Close stops admission, lets admitted requests finish for up to the
 // configured drain timeout, then cancels the runs and waits still going,
 // which stop at their next node. Idempotent.
-func (b *Batcher) Close() {
-	b.draining.Store(true)
-	for deadline := time.Now().Add(b.drain); b.active.Load() > 0 && time.Now().Before(deadline); {
+func (a *Admission) Close() {
+	a.draining.Store(true)
+	for deadline := time.Now().Add(a.drain); a.active.Load() > 0 && time.Now().Before(deadline); {
 		time.Sleep(time.Millisecond)
 	}
-	b.cancel()
-	for b.active.Load() > 0 {
+	a.cancel()
+	for a.active.Load() > 0 {
 		time.Sleep(time.Millisecond)
 	}
 }
 
-// Stats snapshots the admission counters.
-func (b *Batcher) Stats() BatchStats {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return BatchStats{
-		Rejected:        b.rejected,
-		Shed:            b.shed,
-		Panics:          b.panics,
-		EstimatedWaitNS: int64(b.EstimatedWait()),
-	}
+// Stats snapshots the admission counters and the live wait estimate.
+func (a *Admission) Stats() AdmissionStats {
+	st := admissionCounters(a.pool.metrics)
+	st.EstimatedWaitNS = int64(a.EstimatedWait())
+	return st
 }
 
 // EstimatedWait predicts how long a newly admitted request would take to
 // finish: the rounds of pool-wide execution ahead of it (live waiters per
 // session, plus its own run) times one request's observed execution
 // latency. Zero until a first request has been measured.
-func (b *Batcher) EstimatedWait() time.Duration {
-	return b.estimatedWait(b.pool.Waiting())
+func (a *Admission) EstimatedWait() time.Duration {
+	return a.estimatedWait(a.pool.Waiting())
 }
 
-func (b *Batcher) estimatedWait(waiters int) time.Duration {
-	ewma := time.Duration(b.ewmaNanos.Load())
+func (a *Admission) estimatedWait(waiters int) time.Duration {
+	ewma := time.Duration(a.ewmaNanos.Load())
 	if ewma <= 0 {
 		return 0
 	}
-	return time.Duration(waiters/b.pool.max+1) * ewma
+	return time.Duration(waiters/a.pool.max+1) * ewma
 }
 
 // RetryAfterSeconds derives a Retry-After header value from the live
 // waiters and the observed execution latency, floored at 1 second.
-func (b *Batcher) RetryAfterSeconds() int {
-	secs := int(math.Ceil(b.EstimatedWait().Seconds()))
+func (a *Admission) RetryAfterSeconds() int {
+	secs := int(math.Ceil(a.EstimatedWait().Seconds()))
 	if secs < 1 {
 		return 1
 	}
 	return secs
-}
-
-func (b *Batcher) count(n *uint64) {
-	b.mu.Lock()
-	*n++
-	b.mu.Unlock()
 }
 
 // perRequestError specializes a failure for the request: one whose own
@@ -303,11 +283,11 @@ func execFailure(err error) error {
 
 // observeLatency folds one request's execution time into the EWMA (α = 0.2)
 // that backs deadline admission and Retry-After.
-func (b *Batcher) observeLatency(d time.Duration) {
-	old := b.ewmaNanos.Load()
+func (a *Admission) observeLatency(d time.Duration) {
+	old := a.ewmaNanos.Load()
 	if old == 0 {
-		b.ewmaNanos.Store(int64(d))
+		a.ewmaNanos.Store(int64(d))
 		return
 	}
-	b.ewmaNanos.Store(old + (int64(d)-old)/5)
+	a.ewmaNanos.Store(old + (int64(d)-old)/5)
 }

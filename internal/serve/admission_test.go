@@ -21,7 +21,7 @@ var (
 // floor before any request has been measured.
 func TestRetryAfterTracksQueueAndLatency(t *testing.T) {
 	p := &SessionPool{max: 4}
-	b := &Batcher{pool: p}
+	b := &Admission{pool: p}
 
 	// Cold: no request measured yet, estimate is unknown, floor applies.
 	if w := b.EstimatedWait(); w != 0 {
@@ -60,7 +60,7 @@ func TestRetryAfterTracksQueueAndLatency(t *testing.T) {
 	}
 
 	// Sub-second estimates still floor at 1.
-	b2 := &Batcher{pool: &SessionPool{max: 4}}
+	b2 := &Admission{pool: &SessionPool{max: 4}}
 	b2.observeLatency(5 * time.Millisecond)
 	if got := b2.RetryAfterSeconds(); got != 1 {
 		t.Fatalf("sub-second RetryAfterSeconds = %d, want floor 1", got)

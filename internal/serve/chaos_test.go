@@ -161,8 +161,8 @@ func TestChaosPanicIsolationAcrossModels(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Pool.Discards == 0 || st.Batch.Panics == 0 {
-		t.Fatalf("no quarantine recorded: discards=%d panics=%d", st.Pool.Discards, st.Batch.Panics)
+	if st.Pool.Discards == 0 || st.Admission.Panics == 0 {
+		t.Fatalf("no quarantine recorded: discards=%d panics=%d", st.Pool.Discards, st.Admission.Panics)
 	}
 
 	// Heal the fault: the module (weights, plan) survived untouched, and the

@@ -1,8 +1,9 @@
 // Package metrics is the serving tier's observability registry: a
 // stdlib-only, lock-cheap collection of counters, histograms and gauges that
 // the session pool, admission front, model registry, circuit breaker and
-// health machine all feed, exposed in the Prometheus text format on
-// /metrics.
+// health machine all feed. It is the one store of every serving counter:
+// /metrics renders it in the Prometheus text format, and /v2/stats reads
+// the same atomics.
 //
 // The hot path is allocation-free by construction: every per-model metric
 // set is resolved once (at model load, or one RLock'd map lookup per HTTP
@@ -151,15 +152,40 @@ type Gauges struct {
 	ArenaBytes int
 }
 
+// Counter names one of a model's cumulative serving counters. Each has one
+// increment site; Discards and Panics are also exposed on /metrics, the
+// others only through /v2/stats.
+type Counter int
+
+const (
+	// Acquires counts SessionPool.Acquire calls.
+	Acquires Counter = iota
+	// Waits counts acquires that found the pool exhausted and blocked.
+	Waits
+	// Discards counts sessions quarantined out of the pool after a panic
+	// (neocpu_session_discards_total).
+	Discards
+	// Rejected counts requests refused because the wait queue was full.
+	Rejected
+	// Shed counts requests refused or dropped for deadline reasons.
+	Shed
+	// Panics counts runs that failed with a recovered execution panic
+	// (neocpu_exec_panics_total).
+	Panics
+	// Items counts runs that completed successfully.
+	Items
+	numCounters
+)
+
 // Model is one served model's metric set. All counter and histogram methods
 // are safe for concurrent use and allocation-free; all are no-ops on a nil
-// receiver.
+// receiver. Its counters live as long as the Registry that made it, so they
+// survive session discards and model unload/reload.
 type Model struct {
 	name string
 
 	requests    [len(trackedCodes) + 1]atomic.Uint64
-	discards    atomic.Uint64
-	panics      atomic.Uint64
+	counts      [numCounters]atomic.Uint64
 	transitions [len(breakerStates)]atomic.Uint64
 
 	latency     *Histogram
@@ -205,20 +231,30 @@ func (m *Model) ObserveExec(d time.Duration) {
 	m.execLatency.Observe(d.Seconds())
 }
 
-// IncDiscard counts one session quarantined out of the pool.
-func (m *Model) IncDiscard() {
+// ExecTotals reports the execution histogram's count and sum: how many runs
+// executed and the wall-clock they spent on their sessions.
+func (m *Model) ExecTotals() (runs uint64, busy time.Duration) {
 	if m == nil {
-		return
+		return 0, 0
 	}
-	m.discards.Add(1)
+	h := m.execLatency
+	return h.count.Load(), time.Duration(math.Round(math.Float64frombits(h.sumBits.Load()) * 1e9))
 }
 
-// IncPanic counts one run that failed with a recovered execution panic.
-func (m *Model) IncPanic() {
+// Inc adds one to counter c.
+func (m *Model) Inc(c Counter) {
 	if m == nil {
 		return
 	}
-	m.panics.Add(1)
+	m.counts[c].Add(1)
+}
+
+// Count reads counter c.
+func (m *Model) Count(c Counter) uint64 {
+	if m == nil {
+		return 0
+	}
+	return m.counts[c].Load()
 }
 
 // BreakerTransition counts one circuit-breaker state change, labeled by the
@@ -310,6 +346,14 @@ func (r *Registry) IncEviction() {
 	r.evictions.Add(1)
 }
 
+// Evictions reads the eviction counter.
+func (r *Registry) Evictions() uint64 {
+	if r == nil {
+		return 0
+	}
+	return r.evictions.Load()
+}
+
 // IncUnknown counts one inference request addressed to a model name the
 // repository has never registered. Deliberately unlabeled: labeling it with
 // the requested name would let clients mint unbounded label series.
@@ -386,12 +430,12 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	b.family("neocpu_session_discards_total", "counter",
 		"Sessions quarantined out of the pool after an execution panic.")
 	for _, m := range models {
-		b.sample("neocpu_session_discards_total", m.discards.Load(), "model", m.name)
+		b.sample("neocpu_session_discards_total", m.Count(Discards), "model", m.name)
 	}
 	b.family("neocpu_exec_panics_total", "counter",
 		"Runs that failed with a recovered execution panic.")
 	for _, m := range models {
-		b.sample("neocpu_exec_panics_total", m.panics.Load(), "model", m.name)
+		b.sample("neocpu_exec_panics_total", m.Count(Panics), "model", m.name)
 	}
 	b.family("neocpu_breaker_transitions_total", "counter",
 		"Circuit breaker state transitions, by state entered.")

@@ -68,8 +68,8 @@ func TestNilModelIsSafe(t *testing.T) {
 	m.ObserveRequest(200, time.Millisecond)
 	m.ObserveQueueWait(time.Millisecond)
 	m.ObserveExec(time.Millisecond)
-	m.IncDiscard()
-	m.IncPanic()
+	m.Inc(Discards)
+	m.Inc(Panics)
 	m.BreakerTransition(BreakerOpen)
 	m.SetGaugeFunc(nil)
 	if m.RequestLatency() != nil {
@@ -166,7 +166,7 @@ func TestGaugeLifecycle(t *testing.T) {
 	}
 	// Teardown clears the callback: the unloaded model stops exporting
 	// gauges (counters survive for cross-load continuity).
-	m.IncDiscard()
+	m.Inc(Discards)
 	m.SetGaugeFunc(nil)
 	out = exposition(t, r)
 	if strings.Contains(out, `neocpu_model_arena_bytes{model="m"}`) {

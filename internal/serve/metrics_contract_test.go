@@ -2,11 +2,13 @@
 // known outcomes (successes, backpressure, deadline expiries, panics,
 // unknown models), then the exposition is parsed with the strict test-only
 // parser and every counter delta checked exactly against what the clients
-// observed. A second scrape locks in counter monotonicity.
+// observed. /v2/stats must read the same counters, across a reload too, and
+// a second scrape locks in counter monotonicity.
 package serve_test
 
 import (
 	"bytes"
+	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -40,10 +42,10 @@ func scrapeMetrics(t *testing.T, ts *httptest.Server) *promDoc {
 	return parseProm(t, string(body))
 }
 
-// awaitBatcherQuiet polls a model's run counters until two consecutive
+// awaitRunsQuiet polls a model's run counters until two consecutive
 // snapshots agree — in-flight runs from a prior phase have finished, so the
 // next phase's counter deltas are exact.
-func awaitBatcherQuiet(t *testing.T, reg *serve.Registry, model string) {
+func awaitRunsQuiet(t *testing.T, reg *serve.Registry, model string) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	prev, err := reg.ModelStatsFor(model)
@@ -57,7 +59,7 @@ func awaitBatcherQuiet(t *testing.T, reg *serve.Registry, model string) {
 			t.Fatal(err)
 		}
 		if cur.Pool.Runs == prev.Pool.Runs && cur.Pool.Items == prev.Pool.Items &&
-			cur.Batch.Panics == prev.Batch.Panics {
+			cur.Admission.Panics == prev.Admission.Panics {
 			return
 		}
 		prev = cur
@@ -156,7 +158,7 @@ func TestMetricsContract(t *testing.T) {
 		t.Fatalf("no 504 under saturation (counts %v)", clientCodes)
 	}
 	// Let every delayed run finish so the panic phase's deltas are exact.
-	awaitBatcherQuiet(t, reg, "tiny-cnn")
+	awaitRunsQuiet(t, reg, "tiny-cnn")
 	preStats, err := reg.ModelStatsFor("tiny-cnn")
 	if err != nil {
 		t.Fatal(err)
@@ -196,8 +198,8 @@ func TestMetricsContract(t *testing.T) {
 	if v := doc.value(t, "neocpu_session_discards_total", labels("model", "tiny-cnn")); v != float64(preStats.Pool.Discards)+panics {
 		t.Fatalf("session_discards_total{tiny-cnn} = %g, want %d", v, preStats.Pool.Discards+panics)
 	}
-	if v := doc.value(t, "neocpu_exec_panics_total", labels("model", "tiny-cnn")); v != float64(preStats.Batch.Panics)+panics {
-		t.Fatalf("exec_panics_total{tiny-cnn} = %g, want %d", v, preStats.Batch.Panics+panics)
+	if v := doc.value(t, "neocpu_exec_panics_total", labels("model", "tiny-cnn")); v != float64(preStats.Admission.Panics)+panics {
+		t.Fatalf("exec_panics_total{tiny-cnn} = %g, want %d", v, preStats.Admission.Panics+panics)
 	}
 
 	// A hostile model name never becomes a series.
@@ -241,33 +243,94 @@ func TestMetricsContract(t *testing.T) {
 		t.Fatalf("health_state{ready} = %g after traffic (breaker disabled)", v)
 	}
 
+	// Both surfaces read one store: /v2/stats equals /metrics exactly.
+	stats := getRepoStats(t, ts)
+	checkSurfacesAgree(t, reg, stats, doc)
+
 	// Second scrape: no counter goes backwards, scraping is side-effect-free
 	// on the counters themselves.
 	checkMonotonic(t, doc, scrapeMetrics(t, ts))
+
+	// A reload rebuilds tiny-resnet's pool and admission front; no counter
+	// may reset with them.
+	if err := reg.Unload("tiny-resnet"); err != nil {
+		t.Fatal(err)
+	}
+	if err := reg.Load("tiny-resnet"); err != nil {
+		t.Fatal(err)
+	}
+	reloaded := getRepoStats(t, ts)
+	for i, ms := range stats.Models {
+		if got, want := cumulative(reloaded.Models[i]), cumulative(ms); got != want {
+			t.Fatalf("%s counters changed across a reload: %+v, then %+v", ms.Model, want, got)
+		}
+	}
+	after := scrapeMetrics(t, ts)
+	checkMonotonic(t, doc, after)
+	checkSurfacesAgree(t, reg, reloaded, after)
 }
 
-// TestMetricsDisabled: WithMetrics(false)-equivalent config unexposes the
-// endpoint (collection itself stays on, so flipping it back needs no restart).
-func TestMetricsDisabled(t *testing.T) {
-	mod := newModule(t)
-	_, ts := newServer(t, mod, serve.Config{
-		PoolSize: 1, DisableMetrics: true,
-	})
-	resp, err := ts.Client().Get(ts.URL + "/metrics")
+// getRepoStats GETs a repository server's /v2/stats.
+func getRepoStats(t *testing.T, ts *httptest.Server) serve.RegistryStats {
+	t.Helper()
+	resp, err := ts.Client().Get(ts.URL + "/v2/stats")
 	if err != nil {
 		t.Fatal(err)
 	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("disabled /metrics: %d, want 404", resp.StatusCode)
+	defer resp.Body.Close()
+	var st serve.RegistryStats
+	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
+
+// cumulative keeps a stats row's counters and drops its live values, which a
+// reload legitimately resets.
+func cumulative(ms serve.ModelStats) serve.ModelStats {
+	return serve.ModelStats{
+		Model: ms.Model,
+		Pool: serve.PoolStats{
+			Acquires: ms.Pool.Acquires, Waits: ms.Pool.Waits, Discards: ms.Pool.Discards,
+			Runs: ms.Pool.Runs, Items: ms.Pool.Items, Busy: ms.Pool.Busy,
+		},
+		Admission: serve.AdmissionStats{
+			Rejected: ms.Admission.Rejected, Shed: ms.Admission.Shed, Panics: ms.Admission.Panics,
+		},
+	}
+}
+
+// checkSurfacesAgree: every counter /v2/stats shares with /metrics reads
+// the same on both, for every model (the server must be quiet).
+func checkSurfacesAgree(t *testing.T, reg *serve.Registry, st serve.RegistryStats, doc *promDoc) {
+	t.Helper()
+	for _, ms := range st.Models {
+		model := map[string]string{"model": ms.Model}
+		for _, c := range []struct {
+			stat   string
+			v      uint64
+			family string
+		}{
+			{"pool.discards", ms.Pool.Discards, "neocpu_session_discards_total"},
+			{"admission.panics", ms.Admission.Panics, "neocpu_exec_panics_total"},
+			{"pool.runs", ms.Pool.Runs, "neocpu_batch_duration_seconds_count"},
+		} {
+			if got := doc.value(t, c.family, model); got != float64(c.v) {
+				t.Fatalf("%s: /v2/stats %s = %d, /metrics %s = %g", ms.Model, c.stat, c.v, c.family, got)
+			}
+		}
+	}
+	ev := doc.value(t, "neocpu_model_evictions_total", nil)
+	if ev != float64(reg.Evictions()) || ev != float64(st.Evictions) {
+		t.Fatalf("evictions: /metrics %g, Evictions() %d, /v2/stats %d", ev, reg.Evictions(), st.Evictions)
 	}
 }
 
 // TestStatsConsistentUnderLoad is the /v2/stats tearing regression: Stats
 // snapshots racing live traffic must each be internally consistent —
-// Waits <= Acquires, Idle <= Size <= MaxSize — and the counters monotonic
-// across snapshots. Run under -race in CI.
+// Waits <= Acquires and Items <= Runs (each pair is incremented in one
+// order and loaded in the other), Idle <= Size <= MaxSize — and the
+// counters monotonic across snapshots. Run under -race in CI.
 func TestStatsConsistentUnderLoad(t *testing.T) {
 	mod := newModule(t)
 	srv, _ := newServer(t, mod, serve.Config{PoolSize: 2, QueueDepth: 64})
@@ -298,19 +361,19 @@ func TestStatsConsistentUnderLoad(t *testing.T) {
 	}
 
 	deadline := time.Now().Add(300 * time.Millisecond)
-	var prev serve.Stats
+	var prev serve.ModelStats
 	snapshots := 0
 	for time.Now().Before(deadline) {
 		st := srv.Stats()
 		snapshots++
 		p := st.Pool
-		if p.Waits > p.Acquires {
-			t.Fatalf("torn snapshot: waits %d > acquires %d", p.Waits, p.Acquires)
+		if p.Waits > p.Acquires || p.Items > p.Runs {
+			t.Fatalf("torn snapshot: waits %d, acquires %d, items %d, runs %d", p.Waits, p.Acquires, p.Items, p.Runs)
 		}
 		if p.Idle > p.Size || p.Size > p.MaxSize {
 			t.Fatalf("torn snapshot: idle %d size %d max %d", p.Idle, p.Size, p.MaxSize)
 		}
-		if p.Acquires < prev.Pool.Acquires || p.Items < prev.Pool.Items || st.Batch.Rejected < prev.Batch.Rejected {
+		if p.Acquires < prev.Pool.Acquires || p.Items < prev.Pool.Items || st.Admission.Rejected < prev.Admission.Rejected {
 			t.Fatalf("counters went backwards between snapshots: %+v then %+v", prev, st)
 		}
 		prev = st

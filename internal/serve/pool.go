@@ -16,6 +16,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/faults"
+	"repro/internal/serve/metrics"
 )
 
 // SessionPool is a bounded, lazily grown pool of core.Sessions over one
@@ -30,19 +31,17 @@ type SessionPool struct {
 	max   int
 	queue int // bound on callers blocked in Acquire
 
+	// metrics is the model's metric set; the pool counts acquires, waits
+	// and discards there.
+	metrics *metrics.Model
+
 	idle chan *core.Session
 
-	// mu guards the session list AND the counters: Stats snapshots
-	// everything under one lock, so its invariants (Waits <= Acquires,
-	// Idle <= Size <= MaxSize) hold per-snapshot even mid-traffic —
-	// independent atomics could be read torn across concurrent updates
-	// (an Acquire's acquires++ then waits++ landing between two loads).
+	// mu guards the session list and the waiter count, so Stats sees
+	// Idle <= Size <= MaxSize even mid-traffic.
 	mu       sync.Mutex
 	sessions []*core.Session // every live session, for stats
 	waiting  int             // callers blocked in Acquire right now
-	acquires uint64
-	waits    uint64
-	discards uint64
 }
 
 // defaultPoolSize derives the session-pool bound from the module's
@@ -66,8 +65,9 @@ func defaultPoolSize(mod *core.Module, budget int) int {
 }
 
 // NewSessionPool creates a pool bounded at max sessions, of which at most
-// queue callers may wait for one at a time.
-func NewSessionPool(mod *core.Module, max, queue int) (*SessionPool, error) {
+// queue callers may wait for one at a time. The pool's counters go to m, the
+// model's metric set.
+func NewSessionPool(mod *core.Module, max, queue int, m *metrics.Model) (*SessionPool, error) {
 	if max <= 0 {
 		return nil, fmt.Errorf("serve: pool size must be positive, got %d", max)
 	}
@@ -75,10 +75,11 @@ func NewSessionPool(mod *core.Module, max, queue int) (*SessionPool, error) {
 		return nil, fmt.Errorf("serve: queue depth must be positive, got %d", queue)
 	}
 	p := &SessionPool{
-		mod:   mod,
-		max:   max,
-		queue: queue,
-		idle:  make(chan *core.Session, max),
+		mod:     mod,
+		max:     max,
+		queue:   queue,
+		metrics: m,
+		idle:    make(chan *core.Session, max),
 	}
 	s, err := mod.NewSession()
 	if err != nil {
@@ -96,9 +97,7 @@ func NewSessionPool(mod *core.Module, max, queue int) (*SessionPool, error) {
 // ErrQueueFull. Every acquired session must be handed back with Release or
 // Discard.
 func (p *SessionPool) Acquire(ctx context.Context) (*core.Session, error) {
-	p.mu.Lock()
-	p.acquires++
-	p.mu.Unlock()
+	p.metrics.Inc(metrics.Acquires)
 	if err := faults.Fire(faults.SitePoolAcquire, p.mod.Graph.Name); err != nil {
 		return nil, err
 	}
@@ -123,7 +122,7 @@ func (p *SessionPool) Acquire(ctx context.Context) (*core.Session, error) {
 		return nil, ErrQueueFull
 	}
 	p.waiting++
-	p.waits++
+	p.metrics.Inc(metrics.Waits) // after Acquires: see poolCounters
 	p.mu.Unlock()
 	defer func() {
 		p.mu.Lock()
@@ -169,9 +168,9 @@ func (p *SessionPool) Discard(s *core.Session) {
 	if s == nil {
 		return
 	}
+	p.metrics.Inc(metrics.Discards)
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.discards++
 	for i, have := range p.sessions {
 		if have == s {
 			p.sessions = append(p.sessions[:i], p.sessions[i+1:]...)
@@ -187,8 +186,8 @@ func (p *SessionPool) Discard(s *core.Session) {
 	}
 }
 
-// PoolStats is a snapshot of the pool and of the work its sessions have
-// executed (aggregated core.SessionStats).
+// PoolStats is a snapshot of the pool's live occupancy and of the model's
+// cumulative pool and execution counters.
 type PoolStats struct {
 	// Size is the number of sessions created so far; MaxSize the bound;
 	// Idle how many currently sit in the free list.
@@ -202,7 +201,8 @@ type PoolStats struct {
 	Waits    uint64 `json:"waits"`
 	// Discards counts sessions quarantined out of the pool after a panic.
 	Discards uint64 `json:"discards"`
-	// Runs/Items/Busy aggregate the per-session work counters.
+	// Runs counts executions, failed ones included; Items the successful
+	// ones; Busy the wall-clock they spent on their sessions.
 	Runs  uint64        `json:"runs"`
 	Items uint64        `json:"items"`
 	Busy  time.Duration `json:"busy_ns"`
@@ -212,27 +212,37 @@ type PoolStats struct {
 	ArenaBytesPerSession int `json:"arena_bytes_per_session"`
 }
 
-// Stats snapshots the pool under one lock, so a snapshot is internally
-// consistent: Waits <= Acquires, Idle <= Size <= MaxSize always hold within
-// one PoolStats even while Acquire/Release/Discard run concurrently.
-// Per-session work counters are atomics read under the same lock; they can
-// tick mid-run, but never below a previous snapshot.
+// poolCounters reads the cumulative half of PoolStats from a model's metric
+// set. The counters outlive any one pool, so they survive discards and
+// unload/reload, as /metrics does.
+func poolCounters(m *metrics.Model) PoolStats {
+	// Load each counter before the one its increment site bumps first:
+	// Acquire counts its acquire before its wait, and a run its execution
+	// before its item, so no snapshot shows Waits > Acquires or
+	// Items > Runs.
+	waits, items := m.Count(metrics.Waits), m.Count(metrics.Items)
+	runs, busy := m.ExecTotals()
+	return PoolStats{
+		Acquires: m.Count(metrics.Acquires),
+		Waits:    waits,
+		Discards: m.Count(metrics.Discards),
+		Runs:     runs,
+		Items:    items,
+		Busy:     busy,
+	}
+}
+
+// Stats snapshots the pool: the model's counters, then the live occupancy
+// under one lock, so Idle <= Size <= MaxSize holds within one PoolStats even
+// while Acquire/Release/Discard run concurrently.
 func (p *SessionPool) Stats() PoolStats {
+	st := poolCounters(p.metrics)
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	st := PoolStats{
-		Size:     len(p.sessions),
-		MaxSize:  p.max,
-		Idle:     len(p.idle),
-		Acquires: p.acquires,
-		Waits:    p.waits,
-		Discards: p.discards,
-	}
+	st.Size = len(p.sessions)
+	st.MaxSize = p.max
+	st.Idle = len(p.idle)
 	for _, s := range p.sessions {
-		ss := s.Stats()
-		st.Runs += ss.Runs
-		st.Items += ss.Items
-		st.Busy += ss.Busy
 		st.ArenaBytes += s.ArenaBytes()
 	}
 	if len(p.sessions) > 0 {

@@ -9,8 +9,12 @@ import (
 	"repro/internal/core"
 	"repro/internal/machine"
 	"repro/internal/models"
+	"repro/internal/serve/metrics"
 	"repro/internal/tensor"
 )
+
+// testMetrics is a fresh metric set for a pool built outside a registry.
+func testMetrics() *metrics.Model { return metrics.NewRegistry().Model("test") }
 
 func testModule(t *testing.T) *core.Module {
 	t.Helper()
@@ -25,7 +29,7 @@ func testModule(t *testing.T) *core.Module {
 }
 
 func TestPoolGrowsLazilyAndReuses(t *testing.T) {
-	p, err := NewSessionPool(testModule(t), 3, 1)
+	p, err := NewSessionPool(testModule(t), 3, 1, testMetrics())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +70,7 @@ func TestPoolGrowsLazilyAndReuses(t *testing.T) {
 }
 
 func TestPoolBlocksAtBound(t *testing.T) {
-	p, err := NewSessionPool(testModule(t), 1, 1)
+	p, err := NewSessionPool(testModule(t), 1, 1, testMetrics())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,10 +95,10 @@ func TestPoolBlocksAtBound(t *testing.T) {
 }
 
 func TestPoolRejectsBadConfigurations(t *testing.T) {
-	if _, err := NewSessionPool(testModule(t), 0, 1); err == nil {
+	if _, err := NewSessionPool(testModule(t), 0, 1, testMetrics()); err == nil {
 		t.Fatal("pool size 0 must fail")
 	}
-	if _, err := NewSessionPool(testModule(t), 1, 0); err == nil {
+	if _, err := NewSessionPool(testModule(t), 1, 0, testMetrics()); err == nil {
 		t.Fatal("queue depth 0 must fail")
 	}
 	pred, err := core.Compile(models.TinyCNN(1), machine.IntelSkylakeC5(), core.Options{
@@ -103,49 +107,21 @@ func TestPoolRejectsBadConfigurations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewSessionPool(pred, 2, 1); err == nil {
+	if _, err := NewSessionPool(pred, 2, 1, testMetrics()); err == nil {
 		t.Fatal("predict-only module must fail pool construction eagerly")
 	}
 }
 
-func TestPoolSessionStatsAggregate(t *testing.T) {
-	mod := testModule(t)
-	p, err := NewSessionPool(mod, 1, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := p.Acquire(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	in := tensor.New(tensor.NCHW(), 1, 3, 32, 32)
-	in.FillRandom(2, 1)
-	if _, err := s.Run(context.Background(), in); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.RunBatch(context.Background(), []*tensor.Tensor{in, in}); err != nil {
-		t.Fatal(err)
-	}
-	p.Release(s)
-	st := p.Stats()
-	if st.Runs != 2 || st.Items != 3 {
-		t.Fatalf("aggregated runs=%d items=%d, want 2/3", st.Runs, st.Items)
-	}
-	if st.Busy <= 0 {
-		t.Fatal("busy time not accumulated")
-	}
-}
-
 func TestBatcherClosedRejects(t *testing.T) {
-	p, err := NewSessionPool(testModule(t), 1, 4)
+	p, err := NewSessionPool(testModule(t), 1, 4, testMetrics())
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := NewBatcher("test", p, 0)
-	b.Close()
+	a := NewAdmission("test", p, 0, nil)
+	a.Close()
 	in := tensor.New(tensor.NCHW(), 1, 3, 32, 32)
-	if _, err := b.Do(context.Background(), in); !errors.Is(err, ErrClosed) {
-		t.Fatalf("closed batcher: got %v, want ErrClosed", err)
+	if _, _, err := a.DoTraced(context.Background(), in); !errors.Is(err, ErrClosed) {
+		t.Fatalf("closed admission front: got %v, want ErrClosed", err)
 	}
 }
 

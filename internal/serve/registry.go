@@ -113,17 +113,18 @@ type RegistryConfig struct {
 // entry is one model's registry slot. The state field is the concurrency
 // contract: every transition happens under Registry.mu, and teardown only
 // begins after the entry is marked StateUnloading with zero in-flight
-// requests (eviction) or with the batcher's own drain protocol (unload).
+// requests (eviction) or with the admission front's own drain protocol
+// (unload).
 type entry struct {
 	name  string
 	state ModelState
 	// mod is the executable module. Static entries (AddStatic) retain a
 	// caller-owned module across unload/reload and never Close it; source
 	// entries own theirs and Close it on teardown.
-	mod     *core.Module
-	ownsMod bool
-	pool    *SessionPool
-	batcher *Batcher
+	mod       *core.Module
+	ownsMod   bool
+	pool      *SessionPool
+	admission *Admission
 	// breaker is the model's circuit breaker (nil when disabled). Set while
 	// loading and immutable until teardown, so it may be used without
 	// holding Registry.mu once read under it.
@@ -131,7 +132,7 @@ type entry struct {
 	cfg     Config
 	// lastUsed is the registry clock value of the most recent request —
 	// the LRU eviction key. inflight counts requests currently inside
-	// Batcher.Do; eviction skips entries with inflight > 0.
+	// Admission.DoTraced; eviction skips entries with inflight > 0.
 	lastUsed uint64
 	inflight int
 	// reserved is this entry's charge against the arena budget while ready.
@@ -140,28 +141,27 @@ type entry struct {
 	failure error
 }
 
-// Registry owns N models' serving state — session pools, batchers, lifecycle
-// — under one global arena budget. All methods are safe for concurrent use;
-// loads, unloads and evictions can overlap with inference traffic on other
-// models and with rejected traffic on the transitioning one.
+// Registry owns N models' serving state — session pools, admission fronts,
+// lifecycle — under one global arena budget. All methods are safe for
+// concurrent use; loads, unloads and evictions can overlap with inference
+// traffic on other models and with rejected traffic on the transitioning one.
 type Registry struct {
 	source ModelSource
 	cfg    RegistryConfig
 
-	// metrics is the registry's observability root: every known model gets
-	// a metric set the moment it is registered (source listing or
-	// AddStatic), so counters survive unload/reload and client-supplied
-	// names can never mint label series (serve's handlers use Lookup, which
-	// never creates).
+	// metrics is the registry's observability root and the one store of its
+	// counters: every known model gets a metric set the moment it is
+	// registered (source listing or AddStatic), so counters survive
+	// unload/reload and client-supplied names can never mint label series
+	// (serve's handlers use Lookup, which never creates).
 	metrics *metrics.Registry
 
-	mu        sync.Mutex
-	models    map[string]*entry
-	clock     uint64
-	reserved  int
-	evictions uint64
-	draining  bool
-	closed    bool
+	mu       sync.Mutex
+	models   map[string]*entry
+	clock    uint64
+	reserved int
+	draining bool
+	closed   bool
 }
 
 // NewRegistry builds a registry over a model source. Every model the source
@@ -246,8 +246,8 @@ func (r *Registry) AddStatic(name string, mod *core.Module, cfg Config) error {
 
 // Load brings a model to StateReady: resolves its module (retained static
 // module, or the source), reserves arena budget — evicting LRU idle models
-// if needed — and builds the session pool and batcher. Loading an already
-// ready model is a no-op; loading one mid-transition fails with
+// if needed — and builds the session pool and admission front. Loading an
+// already ready model is a no-op; loading one mid-transition fails with
 // ErrModelBusy.
 func (r *Registry) Load(name string) error {
 	r.mu.Lock()
@@ -310,30 +310,31 @@ func (r *Registry) Load(name string) error {
 		r.failLoad(e, mod, owns, err)
 		return err
 	}
-	pool, err := NewSessionPool(mod, poolSize, cfg.QueueDepth)
+	mm := r.metrics.Model(name)
+	pool, err := NewSessionPool(mod, poolSize, cfg.QueueDepth, mm)
 	if err != nil {
 		r.unreserve(need)
 		r.failLoad(e, mod, owns, err)
 		return err
 	}
-	batcher := NewBatcher(name, pool, cfg.DrainTimeout)
-	mm := r.metrics.Model(name)
-	batcher.SetMetrics(mm)
 	var breaker *Breaker
+	var onResult func(error)
 	if cfg.BreakerThreshold > 0 {
 		breaker = newBreaker(cfg.BreakerThreshold, cfg.BreakerWindow, cfg.BreakerCooldown)
-		// The batcher reports each request's execution outcome; panics and
-		// executor errors count toward tripping, client aborts do not.
-		batcher.OnBatchDone(breaker.Record)
 		breaker.OnTransition(mm.BreakerTransition)
+		// The admission front reports each request's execution outcome;
+		// panics and executor errors count toward tripping, client aborts
+		// do not.
+		onResult = breaker.Record
 	}
+	admission := NewAdmission(name, pool, cfg.DrainTimeout, onResult)
 	// Gauges are scrape-time callbacks over the live pool and queue; the
 	// teardown path clears this before the pool is dropped, so a scrape
 	// never touches a torn-down model.
 	mm.SetGaugeFunc(func() metrics.Gauges {
 		ps := pool.Stats()
 		return metrics.Gauges{
-			QueueDepth:   batcher.QueueDepth(),
+			QueueDepth:   admission.QueueDepth(),
 			PoolSessions: ps.Size,
 			PoolInUse:    ps.Size - ps.Idle,
 			PoolMax:      ps.MaxSize,
@@ -345,7 +346,7 @@ func (r *Registry) Load(name string) error {
 	e.mod = mod
 	e.ownsMod = e.ownsMod || owns
 	e.pool = pool
-	e.batcher = batcher
+	e.admission = admission
 	e.breaker = breaker
 	e.reserved = need
 	e.state = StateReady
@@ -396,8 +397,8 @@ func (r *Registry) failLoad(e *entry, mod *core.Module, owns bool, err error) {
 
 // reserve charges need bytes against the arena budget, evicting
 // least-recently-used idle models until the charge fits. An eviction fully
-// drains the victim's batcher before its pool is torn down, so no session is
-// ever destroyed while checked out.
+// drains the victim's admission front before its pool is torn down, so no
+// session is ever destroyed while checked out.
 func (r *Registry) reserve(self *entry, need int) error {
 	for {
 		r.mu.Lock()
@@ -434,10 +435,11 @@ func (r *Registry) unreserve(n int) {
 }
 
 // teardown drains and releases a model previously marked StateUnloading.
-// Batcher.Close waits for in-flight requests, so every pooled session is back
-// on the idle list before the module (and with it the arenas) is dropped.
+// Admission.Close waits for in-flight requests, so every pooled session is
+// back on the idle list before the module (and with it the arenas) is
+// dropped.
 func (r *Registry) teardown(e *entry, evicted bool) {
-	e.batcher.Close()
+	e.admission.Close()
 	r.metrics.Lookup(e.name).SetGaugeFunc(nil)
 	if evicted {
 		r.metrics.IncEviction()
@@ -447,16 +449,13 @@ func (r *Registry) teardown(e *entry, evicted bool) {
 	r.reserved -= e.reserved
 	e.reserved = 0
 	e.pool = nil
-	e.batcher = nil
+	e.admission = nil
 	e.breaker = nil
 	if owns {
 		e.mod = nil
 		e.ownsMod = false
 	}
 	e.state = StateUnloaded
-	if evicted {
-		r.evictions++
-	}
 	r.mu.Unlock()
 	if owns {
 		mod.Close()
@@ -535,7 +534,7 @@ func (r *Registry) InferTraced(ctx context.Context, name string, in *tensor.Tens
 	e.inflight++
 	r.clock++
 	e.lastUsed = r.clock
-	b, br := e.batcher, e.breaker
+	a, br := e.admission, e.breaker
 	r.mu.Unlock()
 	var outs []*tensor.Tensor
 	var execID uint64
@@ -543,7 +542,7 @@ func (r *Registry) InferTraced(ctx context.Context, name string, in *tensor.Tens
 	if br != nil && !br.Allow() {
 		err = fmt.Errorf("%w: %q (circuit breaker open)", ErrModelDegraded, name)
 	} else {
-		outs, execID, err = b.DoTraced(ctx, in)
+		outs, execID, err = a.DoTraced(ctx, in)
 	}
 	r.mu.Lock()
 	e.inflight--
@@ -596,19 +595,19 @@ func (r *Registry) StateOf(name string) (ModelState, error) {
 }
 
 // RetryAfterSeconds derives a Retry-After value for one model's 429/503
-// responses: the larger of the batcher's waiter-based wait estimate and the
-// breaker's remaining cooldown, floored at 1 second.
+// responses: the larger of the admission front's waiter-based wait estimate
+// and the breaker's remaining cooldown, floored at 1 second.
 func (r *Registry) RetryAfterSeconds(name string) int {
 	r.mu.Lock()
-	var b *Batcher
+	var a *Admission
 	var br *Breaker
 	if e, ok := r.models[name]; ok {
-		b, br = e.batcher, e.breaker
+		a, br = e.admission, e.breaker
 	}
 	r.mu.Unlock()
 	secs := 1
-	if b != nil {
-		secs = b.RetryAfterSeconds()
+	if a != nil {
+		secs = a.RetryAfterSeconds()
 	}
 	if br != nil {
 		if c := int(math.Ceil(br.RetryAfter().Seconds())); c > secs {
@@ -627,7 +626,7 @@ type ModelStatus struct {
 	Reason string `json:"reason,omitempty"`
 	// ArenaReservedBytes is the model's current charge against the budget.
 	ArenaReservedBytes int `json:"arena_reserved_bytes,omitempty"`
-	// Inflight counts requests currently inside the model's batcher.
+	// Inflight counts requests currently inside the model's admission front.
 	Inflight int `json:"inflight,omitempty"`
 }
 
@@ -664,12 +663,15 @@ func (r *Registry) Index() []ModelStatus {
 	return idx
 }
 
-// ModelStats is one model's serving counters plus its lifecycle state.
+// ModelStats is one model's /v2/stats row: its lifecycle state, its
+// cumulative counters (read from the model's metric set, so they survive
+// session discards and unload/reload), and the live pool and queue values
+// while it is loaded.
 type ModelStats struct {
-	Model string     `json:"model"`
-	State string     `json:"state"`
-	Pool  PoolStats  `json:"pool"`
-	Batch BatchStats `json:"batch"`
+	Model     string         `json:"model"`
+	State     string         `json:"state"`
+	Pool      PoolStats      `json:"pool"`
+	Admission AdmissionStats `json:"admission"`
 }
 
 // RegistryStats aggregates the registry's per-model serving counters.
@@ -680,67 +682,65 @@ type RegistryStats struct {
 	Evictions          uint64       `json:"evictions"`
 }
 
-// Stats snapshots every model's pool and batcher counters. Models that are
-// not ready report zeroed counters with their state.
+// modelStats builds one model's row. Called without r.mu: pool and
+// admission are the entry's values read under it (nil unless loaded).
+func (r *Registry) modelStats(name string, state ModelState, pool *SessionPool, admission *Admission) ModelStats {
+	ms := ModelStats{Model: name, State: string(state)}
+	if pool != nil {
+		ms.Pool = pool.Stats()
+	} else {
+		ms.Pool = poolCounters(r.metrics.Lookup(name))
+	}
+	if admission != nil {
+		ms.Admission = admission.Stats()
+	} else {
+		ms.Admission = admissionCounters(r.metrics.Lookup(name))
+	}
+	return ms
+}
+
+// Stats snapshots every known model's row, sorted by name.
 func (r *Registry) Stats() RegistryStats {
 	r.mu.Lock()
 	type snap struct {
-		name    string
-		state   ModelState
-		pool    *SessionPool
-		batcher *Batcher
+		name      string
+		state     ModelState
+		pool      *SessionPool
+		admission *Admission
 	}
 	snaps := make([]snap, 0, len(r.models))
 	for _, e := range r.models {
-		snaps = append(snaps, snap{e.name, e.state, e.pool, e.batcher})
+		snaps = append(snaps, snap{e.name, e.state, e.pool, e.admission})
 	}
 	st := RegistryStats{
 		ArenaReservedBytes: r.reserved,
 		ArenaBudgetBytes:   r.cfg.ArenaBudget,
-		Evictions:          r.evictions,
 	}
 	r.mu.Unlock()
+	st.Evictions = r.Evictions()
 	sort.Slice(snaps, func(i, j int) bool { return snaps[i].name < snaps[j].name })
 	for _, s := range snaps {
-		ms := ModelStats{Model: s.name, State: string(s.state)}
-		if s.pool != nil {
-			ms.Pool = s.pool.Stats()
-		}
-		if s.batcher != nil {
-			ms.Batch = s.batcher.Stats()
-		}
-		st.Models = append(st.Models, ms)
+		st.Models = append(st.Models, r.modelStats(s.name, s.state, s.pool, s.admission))
 	}
 	return st
 }
 
-// ModelStatsFor returns one ready model's serving counters (the single-model
-// Server.Stats compatibility path).
-func (r *Registry) ModelStatsFor(name string) (Stats, error) {
+// ModelStatsFor returns one model's row (the per-model stats endpoint and
+// the single-model Server.Stats).
+func (r *Registry) ModelStatsFor(name string) (ModelStats, error) {
 	r.mu.Lock()
 	e, ok := r.models[name]
 	if !ok {
 		r.mu.Unlock()
-		return Stats{}, fmt.Errorf("%w: %q", ErrModelNotFound, name)
+		return ModelStats{}, fmt.Errorf("%w: %q", ErrModelNotFound, name)
 	}
-	pool, batcher := e.pool, e.batcher
+	state, pool, admission := e.state, e.pool, e.admission
 	r.mu.Unlock()
-	st := Stats{Model: name}
-	if pool != nil {
-		st.Pool = pool.Stats()
-	}
-	if batcher != nil {
-		st.Batch = batcher.Stats()
-	}
-	return st, nil
+	return r.modelStats(name, state, pool, admission), nil
 }
 
 // Evictions returns how many models the budget has evicted so far.
-func (r *Registry) Evictions() uint64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.evictions
-}
+func (r *Registry) Evictions() uint64 { return r.metrics.Evictions() }
 
 // Close drains and unloads every ready model and refuses further loads.
 // Static modules are left open for their owners. Idempotent.

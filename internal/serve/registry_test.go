@@ -602,7 +602,7 @@ func TestRepositoryServerHTTP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var st serve.Stats
+	var st serve.ModelStats
 	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
 		t.Fatal(err)
 	}

@@ -63,10 +63,6 @@ type Config struct {
 	// id) — including rejected requests (4xx/429/504). The writer is serialized
 	// behind a mutex; hand it os.Stdout or a buffered file writer.
 	AccessLog io.Writer
-	// DisableMetrics removes the GET /metrics endpoint. Collection itself
-	// stays on (it is a handful of atomic adds per request); this only
-	// unexposes it.
-	DisableMetrics bool
 }
 
 // NoTimeout disables the server-side default request deadline; requests then
@@ -130,13 +126,13 @@ func (c Config) validate() error {
 //	GET  /v2/models/<name>                       model metadata
 //	GET  /v2/models/<name>/ready                 per-model readiness
 //	POST /v2/models/<name>/infer                 inference
-//	GET  /v2/models/<name>/stats                 per-model statistics (extension)
-//	GET  /v2/stats                               statistics (extension)
+//	GET  /v2/models/<name>/stats                 per-model pool + admission counters (extension)
+//	GET  /v2/stats                               the same counters (extension)
 //	GET  /v2/repository/index                    repository index
 //	POST /v2/repository/index                    repository index (kserve form)
 //	POST /v2/repository/models/<name>/load       bring a model up
 //	POST /v2/repository/models/<name>/unload     take a model down
-//	GET  /metrics                                Prometheus metrics (unless disabled)
+//	GET  /metrics                                Prometheus metrics
 //
 // Each admitted request runs on one of the addressed model's pooled
 // sessions, on its own handler goroutine; the Handler is safe for arbitrary concurrent use, including concurrently with
@@ -159,17 +155,8 @@ type Server struct {
 	timeout time.Duration
 	maxBody int64
 
-	// accessLog is the structured request log (nil disables); metricsOn
-	// exposes GET /metrics.
+	// accessLog is the structured request log (nil disables).
 	accessLog *accessLogger
-	metricsOn bool
-}
-
-// Stats aggregates one model's serving-side counters.
-type Stats struct {
-	Model string     `json:"model"`
-	Pool  PoolStats  `json:"pool"`
-	Batch BatchStats `json:"batch"`
 }
 
 // New builds a single-model server over a compiled module. The model name is
@@ -190,7 +177,7 @@ func New(mod *core.Module, model string, cfg Config) (*Server, error) {
 		return nil, err
 	}
 	rc := cfg.withDefaults()
-	s := &Server{reg: reg, primary: model, timeout: rc.RequestTimeout, maxBody: rc.MaxBodyBytes, metricsOn: !rc.DisableMetrics}
+	s := &Server{reg: reg, primary: model, timeout: rc.RequestTimeout, maxBody: rc.MaxBodyBytes}
 	if rc.AccessLog != nil {
 		s.accessLog = newAccessLogger(rc.AccessLog)
 	}
@@ -206,7 +193,7 @@ func NewRepository(reg *Registry) (*Server, error) {
 		return nil, errors.New("serve: nil registry")
 	}
 	rc := reg.cfg.Defaults.withDefaults()
-	s := &Server{reg: reg, repo: true, timeout: rc.RequestTimeout, maxBody: rc.MaxBodyBytes, metricsOn: !rc.DisableMetrics}
+	s := &Server{reg: reg, repo: true, timeout: rc.RequestTimeout, maxBody: rc.MaxBodyBytes}
 	if rc.AccessLog != nil {
 		s.accessLog = newAccessLogger(rc.AccessLog)
 	}
@@ -226,13 +213,13 @@ func (s *Server) Registry() *Registry { return s.reg }
 
 // Stats snapshots the primary model's pool and admission counters
 // (single-model mode; zero for repository servers — use Registry().Stats()).
-func (s *Server) Stats() Stats {
+func (s *Server) Stats() ModelStats {
 	if s.primary == "" {
-		return Stats{}
+		return ModelStats{}
 	}
 	st, err := s.reg.ModelStatsFor(s.primary)
 	if err != nil {
-		return Stats{Model: s.primary}
+		return ModelStats{Model: s.primary}
 	}
 	return st
 }
@@ -269,9 +256,7 @@ func (s *Server) routes() {
 	s.mux.HandleFunc("POST /v2/repository/index", s.handleRepositoryIndex)
 	s.mux.HandleFunc("POST /v2/repository/models/{model}/load", s.handleRepositoryLoad)
 	s.mux.HandleFunc("POST /v2/repository/models/{model}/unload", s.handleRepositoryUnload)
-	if s.metricsOn {
-		s.mux.Handle("GET /metrics", s.reg.Metrics().Handler())
-	}
+	s.mux.Handle("GET /metrics", s.reg.Metrics().Handler())
 }
 
 // Wire format (the kserve v2 inference protocol's JSON shapes, restricted to

@@ -363,8 +363,8 @@ func TestBackpressure(t *testing.T) {
 	if st.Pool.Items != uint64(ok) {
 		t.Fatalf("sessions completed %d items, clients saw %d OK", st.Pool.Items, ok)
 	}
-	if st.Batch.Rejected != uint64(rejected) {
-		t.Fatalf("stats counted %d rejections, clients saw %d 429s", st.Batch.Rejected, rejected)
+	if st.Admission.Rejected != uint64(rejected) {
+		t.Fatalf("stats counted %d rejections, clients saw %d 429s", st.Admission.Rejected, rejected)
 	}
 	t.Logf("burst=%d ok=%d rejected=%d", burst, ok, rejected)
 }

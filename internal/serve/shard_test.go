@@ -20,7 +20,7 @@ import (
 // pool is exhausted only the queue bound's worth of callers may wait: the
 // next one is refused at once.
 func TestTryAcquireNeverBlocks(t *testing.T) {
-	p, err := NewSessionPool(testModule(t), 2, 1)
+	p, err := NewSessionPool(testModule(t), 2, 1, testMetrics())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,12 +78,12 @@ func TestBatcherShardsAcrossIdleSessions(t *testing.T) {
 	defer faults.Reset()
 	mod := testModule(t)
 	const n = 4
-	p, err := NewSessionPool(mod, n, 16)
+	p, err := NewSessionPool(mod, n, 16, testMetrics())
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := NewBatcher("test", p, 0)
-	defer b.Close()
+	a := NewAdmission("test", p, 0, nil)
+	defer a.Close()
 
 	inputs := make([]*tensor.Tensor, n)
 	want := make([]*tensor.Tensor, n)
@@ -116,7 +116,7 @@ func TestBatcherShardsAcrossIdleSessions(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			got[i], errs[i] = b.Do(context.Background(), inputs[i])
+			got[i], _, errs[i] = a.DoTraced(context.Background(), inputs[i])
 		}(i)
 	}
 	wg.Wait()
@@ -139,17 +139,17 @@ func TestBatcherShardsAcrossIdleSessions(t *testing.T) {
 // the first request's outputs must not change.
 func TestResultsOutliveTheirSession(t *testing.T) {
 	mod := testModule(t)
-	p, err := NewSessionPool(mod, 1, 1)
+	p, err := NewSessionPool(mod, 1, 1, testMetrics())
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := NewBatcher("test", p, 0)
-	defer b.Close()
+	a := NewAdmission("test", p, 0, nil)
+	defer a.Close()
 	var first []*tensor.Tensor
 	for seed := uint64(1); seed <= 2; seed++ {
 		in := tensor.New(tensor.NCHW(), 1, 3, 32, 32)
 		in.FillRandom(seed, 1)
-		outs, err := b.Do(context.Background(), in)
+		outs, _, err := a.DoTraced(context.Background(), in)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -186,29 +186,38 @@ func bitDiff(a, b *tensor.Tensor) int {
 // TestShardPanicIsolatesSingleLane: a panic inside one of several concurrent
 // requests must fail that request alone and quarantine only its session —
 // the others deliver results, and the pool replaces the discarded session so
-// the batcher keeps serving.
+// the admission front keeps serving. The pool's work counters must survive
+// the discard: the panicked run counts, and nothing the discarded session
+// ran before is lost.
 func TestShardPanicIsolatesSingleLane(t *testing.T) {
 	defer faults.Reset()
 	mod := testModule(t)
-	p, err := NewSessionPool(mod, 4, 16)
+	p, err := NewSessionPool(mod, 4, 16, testMetrics())
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := NewBatcher("test", p, 0)
-	defer b.Close()
+	a := NewAdmission("test", p, 0, nil)
+	defer a.Close()
+
+	in := tensor.New(tensor.NCHW(), 1, 3, 32, 32)
+	in.FillRandom(3, 1)
+	for i := 0; i < 2; i++ {
+		if _, _, err := a.DoTraced(context.Background(), in); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := p.Stats()
 
 	faults.Inject(faults.SiteSessionRun, faults.Times(1, faults.Panic("chaos: one run blown")))
 
 	const n = 4
-	in := tensor.New(tensor.NCHW(), 1, 3, 32, 32)
-	in.FillRandom(3, 1)
 	errs := make([]error, n)
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			_, errs[i] = b.Do(context.Background(), in)
+			_, _, errs[i] = a.DoTraced(context.Background(), in)
 		}(i)
 	}
 	wg.Wait()
@@ -226,19 +235,24 @@ func TestShardPanicIsolatesSingleLane(t *testing.T) {
 		}
 	}
 	if panicked != 1 || succeeded != n-1 {
-		t.Fatalf("%d panicked and %d succeeded, want exactly 1 and %d (stats %+v)", panicked, succeeded, n-1, b.Stats())
+		t.Fatalf("%d panicked and %d succeeded, want exactly 1 and %d (stats %+v)", panicked, succeeded, n-1, a.Stats())
 	}
-	if st := p.Stats(); st.Discards != 1 {
-		t.Fatalf("exactly the panicked request's session must be discarded, got %+v", st)
+	after := p.Stats()
+	if after.Discards != 1 {
+		t.Fatalf("exactly the panicked request's session must be discarded, got %+v", after)
 	}
-	if st := b.Stats(); st.Panics != 1 {
+	if st := a.Stats(); st.Panics != 1 {
 		t.Fatalf("panic counter: %+v, want 1", st)
 	}
+	if after.Runs != before.Runs+n || after.Items != before.Items+n-1 || after.Busy < before.Busy {
+		t.Fatalf("work counters lost the discarded session: before %+v, after %+v; want runs +%d (the panicked run included), items +%d, busy not lower",
+			before, after, n, n-1)
+	}
 
-	// The pool regrows on demand: the batcher must still serve.
-	outs, err := b.Do(context.Background(), in)
+	// The pool regrows on demand: the admission front must still serve.
+	outs, _, err := a.DoTraced(context.Background(), in)
 	if err != nil {
-		t.Fatalf("batcher did not recover after the discard: %v", err)
+		t.Fatalf("admission front did not recover after the discard: %v", err)
 	}
 	ref, err := mod.Run(in)
 	if err != nil {

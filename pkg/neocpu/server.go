@@ -17,7 +17,7 @@ import (
 //	GET  /v2/models/<name>[/ready]             metadata, per-model readiness
 //	POST /v2/models/<name>/infer               inference
 //	GET  /v2/stats                             pool + admission counters
-//	GET  /metrics                              Prometheus metrics (WithMetrics)
+//	GET  /metrics                              Prometheus metrics
 //
 // Each request runs at once on an idle session of a bounded pool of
 // arena-reusing sessions, on its own handler goroutine. While every session
@@ -28,10 +28,11 @@ type Server struct {
 	inner *serve.Server
 }
 
-// ServerStats reports the serving counters: pool occupancy and aggregated
-// session work (Pool.Items counts completed inferences), plus admission
-// rejections, deadline sheds and recovered panics.
-type ServerStats = serve.Stats
+// ServerStats reports the serving counters: pool occupancy and the model's
+// execution counters (Pool.Items counts completed inferences), plus
+// admission rejections, deadline sheds and recovered panics. The counters
+// are the same atomics GET /metrics renders.
+type ServerStats = serve.ModelStats
 
 // ServeOption configures NewServer / Serve.
 type ServeOption func(*serveConfig)
@@ -130,17 +131,6 @@ func WithMaxBodyBytes(n int64) ServeOption {
 			return
 		}
 		c.cfg.MaxBodyBytes = n
-	}
-}
-
-// WithMetrics toggles the Prometheus-text-format GET /metrics endpoint
-// (default on): request counters by status code, latency / queue-wait /
-// execution histograms, pool and queue gauges, breaker transitions.
-// Collection itself always runs (a handful of atomic adds per request);
-// WithMetrics(false) only removes the endpoint.
-func WithMetrics(enabled bool) ServeOption {
-	return func(c *serveConfig) {
-		c.cfg.DisableMetrics = !enabled
 	}
 }
 
