@@ -16,8 +16,9 @@ import (
 // This file implements the arena regression guard: CI compiles a fixed set
 // of models under a pinned configuration and fails when the memory planner's
 // arena footprint grows more than arenaGuardSlack over the committed
-// baseline. The planner's savings are a load-bearing property (serving pools
-// size themselves from arena bytes), so regressions must be explicit —
+// baseline. The planner's savings are a load-bearing property (every serving
+// session holds one arena, and the repository's arena budget charges them),
+// so regressions must be explicit —
 // a legitimate growth updates the baseline file with -write-arena-baseline.
 
 // arenaGuardSlack is the tolerated growth over the baseline (10%).

@@ -4,7 +4,7 @@
 //
 // Single-model: compile a named model in-process and serve it.
 //
-//	neocpu-serve -model resnet-18 -addr :8000 -pool 4 -queue 32
+//	neocpu-serve -model resnet-18 -addr :8000 -queue 32
 //
 // Repository: serve a directory of precompiled artifact bundles
 // (neocpu-compile -o). Nothing is searched or packed at boot — bundles
@@ -31,8 +31,9 @@
 // session discards and model unload/reload.
 //
 // By default each pooled session runs serially (one core per in-flight
-// request) so the pool scales throughput across cores; pass -threads N > 1 to
-// instead parallelize each single inference over the shared kernel pool.
+// request) and the pool holds one session per core, so it scales throughput
+// across cores; pass -threads N > 1 to instead parallelize each single
+// inference over a kernel pool, with GOMAXPROCS/N sessions.
 //
 // Besides the registry models (the paper's 15 plus mobilenet-v1), the tiny-*
 // test models (tiny-cnn, tiny-resnet, tiny-densenet, tiny-inception,
@@ -74,7 +75,7 @@ func main() {
 	addr := flag.String("addr", ":8000", "listen address")
 	levelName := flag.String("level", "global-search", "baseline-nchw|layout-opt|transform-elim|global-search")
 	threads := flag.Int("threads", 1, "kernel threads per inference (1 = serial sessions, pool scales across cores)")
-	poolSize := flag.Int("pool", 0, "max pooled sessions, one arena each (0 = auto from planned arena bytes)")
+	poolSize := flag.Int("pool", 0, "max pooled sessions, one arena each (0 = GOMAXPROCS / -threads)")
 	queueDepth := flag.Int("queue", 0, "how many requests may wait for a busy pool (0 = 32); beyond it requests get 429")
 	requestTimeout := flag.Duration("request-timeout", 30*time.Second, "default per-request deadline budget when the client sends no X-Request-Timeout; expiry answers 504 (0 = no server-side budget)")
 	drainTimeout := flag.Duration("drain-timeout", 5*time.Second, "how long shutdown/unload lets in-flight requests finish before cancelling them")
@@ -101,8 +102,8 @@ func main() {
 		fatal(err)
 	}
 	// At one thread the sessions are serial: each in-flight request
-	// occupies exactly one core, so PoolSize sessions genuinely scale to
-	// PoolSize cores.
+	// occupies exactly one core, and the default pool holds one session
+	// per core.
 	copts := []neocpu.Option{
 		neocpu.WithOptLevel(level),
 		neocpu.WithSeed(*seed),
@@ -130,26 +131,24 @@ func main() {
 	if logW != nil {
 		sopts = append(sopts, neocpu.WithAccessLog(logW))
 	}
-	poolLabel := "auto"
 	if *poolSize > 0 {
 		sopts = append(sopts, neocpu.WithPoolSize(*poolSize))
-		poolLabel = fmt.Sprint(*poolSize)
 	}
 	if *queueDepth > 0 {
 		sopts = append(sopts, neocpu.WithQueueDepth(*queueDepth))
 	}
+	srv, err := neocpu.NewServer(engine, *model, sopts...)
+	if err != nil {
+		fatal(err)
+	}
+	defer srv.Close()
 
 	ps := engine.PlanStats()
 	fmt.Printf("plan: %d values in %d slots, %d KiB arena/session (%.1fx vs unplanned), %d levels\n",
 		ps.Values, ps.Slots, ps.ArenaBytes/1024,
 		float64(ps.NaiveArenaBytes)/float64(ps.ArenaBytes), ps.Levels)
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	fmt.Printf("serving %s on %s (pool=%s)\n", *model, *addr, poolLabel)
-	if err := neocpu.Serve(ctx, *addr, engine, *model, sopts...); err != nil {
-		fatal(err)
-	}
-	fmt.Println("shut down")
+	fmt.Printf("serving %s on %s (pool<=%d)\n", *model, *addr, srv.Stats().Pool.MaxSize)
+	listenAndServe(*addr, srv.Handler(), srv.Drain)
 }
 
 // serveRepository boots the repository mode: every bundle in dir is loaded
@@ -211,23 +210,28 @@ func serveRepository(dir, addr string, arenaBudget, threads, poolSize, queueDept
 		fatal(err)
 	}
 	defer srv.Close()
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
 	budgetLabel := "unlimited"
 	if arenaBudget > 0 {
 		budgetLabel = fmt.Sprintf("%d KiB", arenaBudget/1024)
 	}
 	fmt.Printf("serving repository on %s (arena budget %s)\n", addr, budgetLabel)
-	hs := &http.Server{Addr: addr, Handler: srv.Handler()}
+	listenAndServe(addr, srv.Handler(), srv.Drain)
+}
+
+// listenAndServe serves h on addr until SIGINT/SIGTERM, then hands off
+// gracefully: drain stops admission (readiness goes false so load balancers
+// route away), in-flight requests finish under the HTTP shutdown grace, and
+// the caller's deferred Close tears the serving stack down.
+func listenAndServe(addr string, h http.Handler, drain func()) {
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	hs := &http.Server{Addr: addr, Handler: h}
 	errc := make(chan error, 1)
 	go func() { errc <- hs.ListenAndServe() }()
 	select {
 	case <-ctx.Done():
-		// Graceful handoff: stop admission (readiness goes false so load
-		// balancers route away), let in-flight requests finish under the
-		// HTTP shutdown grace, then tear the registry down.
 		fmt.Println("draining...")
-		srv.Drain()
+		drain()
 		shutdownCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		defer cancel()
 		if err := hs.Shutdown(shutdownCtx); err != nil {

@@ -112,10 +112,8 @@ func servingDemo() {
 	fmt.Printf("  plan: %d values in %d shared slots, %s arena (vs %s unplanned, %.1fx), %d levels\n",
 		ps.Values, ps.Slots, byteSize(ps.ArenaBytes), byteSize(ps.NaiveArenaBytes),
 		float64(ps.NaiveArenaBytes)/float64(ps.ArenaBytes), ps.Levels)
-	srv, err := neocpu.NewServer(engine, "tiny-resnet",
-		neocpu.WithPoolSize(runtime.GOMAXPROCS(0)),
-		neocpu.WithQueueDepth(128),
-	)
+	// At one thread the default pool holds one session per core.
+	srv, err := neocpu.NewServer(engine, "tiny-resnet", neocpu.WithQueueDepth(128))
 	if err != nil {
 		panic(err)
 	}

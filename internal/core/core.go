@@ -62,10 +62,11 @@ type Options struct {
 	// Level is the optimization level; the default (zero value) is OptNone.
 	Level OptLevel
 	// Threads is the execution width; 0 means the target's core count
-	// (capped by the host when actually running). It alone picks the
-	// runtime: at 1 every parallel region runs serially on the caller, and
-	// above 1 on a thread pool of that width (SharedPool, when set, is
-	// borrowed instead of building one).
+	// (Target.Cores, 18 for intel-skylake), which is used as is: the host's
+	// cores and GOMAXPROCS do not cap it. It alone picks the runtime: at 1
+	// every parallel region runs serially on the caller, and above 1 on a
+	// thread pool of that width (SharedPool, when set, is borrowed instead
+	// of building one).
 	Threads int
 	// Deprecated: ignored; Threads and SharedPool pick the runtime.
 	Backend machine.ThreadBackend

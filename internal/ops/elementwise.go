@@ -95,21 +95,6 @@ func SoftmaxInto(dst, in *tensor.Tensor) *tensor.Tensor {
 	return out
 }
 
-// Sigmoid applies 1/(1+exp(-x)) element-wise.
-func Sigmoid(in *tensor.Tensor, pf ParallelFor) *tensor.Tensor {
-	out := tensor.New(in.Layout, in.Shape...)
-	if pf == nil {
-		pf = Serial
-	}
-	pf(len(in.Data), func(lo, hi int) {
-		src, dst := in.Data[lo:hi], out.Data[lo:hi]
-		for i, v := range src {
-			dst[i] = float32(1 / (1 + math.Exp(-float64(v))))
-		}
-	})
-	return out
-}
-
 // Flatten reshapes an NCHW activation to (batch, C*H*W). It is the canonical
 // layout-dependent operation (Section 3.2 category 3): blocked inputs must be
 // transformed back to NCHW before flattening, which is why the optimized

@@ -11,6 +11,7 @@ package serve
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"sync"
 	"time"
 
@@ -44,24 +45,13 @@ type SessionPool struct {
 	waiting  int             // callers blocked in Acquire right now
 }
 
-// defaultPoolSize derives the session-pool bound from the module's
-// compile-time execution plan: as many arenas as fit the byte budget,
-// clamped to [2, 16]. The memory planner's slot sharing is what makes this
-// meaningful — sessions are several-fold cheaper than one buffer per node,
-// so the same budget admits correspondingly more concurrent lanes.
-func defaultPoolSize(mod *core.Module, budget int) int {
-	per := mod.PlanStats().ArenaBytes
-	if per <= 0 {
-		return 2
-	}
-	n := budget / per
-	if n < 2 {
-		return 2
-	}
-	if n > 16 {
-		return 16
-	}
-	return n
+// defaultPoolSize is the session-pool bound when none is set: the process's
+// cores divided among the module's kernel threads, so sessions × threads
+// fills the cores rather than oversubscribing them, as the paper's runtime
+// sizes its thread pool. A module at one thread gets one session per core; a
+// module at least as wide as the process gets one session.
+func defaultPoolSize(mod *core.Module) int {
+	return max(1, runtime.GOMAXPROCS(0)/mod.Threads())
 }
 
 // NewSessionPool creates a pool bounded at max sessions, of which at most

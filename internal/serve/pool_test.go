@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"errors"
+	"runtime"
 	"testing"
 	"time"
 
@@ -127,7 +128,7 @@ func TestBatcherClosedRejects(t *testing.T) {
 
 func TestConfigDefaultsAndValidation(t *testing.T) {
 	c := Config{}.withDefaults()
-	if c.PoolSize != 0 || c.QueueDepth != 32 || c.ArenaBudget != 64<<20 {
+	if c.PoolSize != 0 || c.QueueDepth != 32 {
 		t.Fatalf("defaults: %+v", c)
 	}
 	mod := testModule(t)
@@ -141,29 +142,34 @@ func TestConfigDefaultsAndValidation(t *testing.T) {
 	}
 }
 
-// TestDefaultPoolSizeFromPlan: the auto pool bound follows the planned arena
-// footprint — budget/arena sessions, clamped to [2, 16].
-func TestDefaultPoolSizeFromPlan(t *testing.T) {
-	mod := testModule(t)
-	arena := mod.PlanStats().ArenaBytes
-	if arena <= 0 {
-		t.Fatal("module has no planned arena")
+// TestDefaultPoolSizeFromCores: the auto pool bound divides GOMAXPROCS among
+// the module's kernel threads — one session per core at one thread, one
+// session once a module is as wide as the process — and a server at
+// defaults reports it.
+func TestDefaultPoolSizeFromCores(t *testing.T) {
+	procs := runtime.GOMAXPROCS(0)
+	for _, tc := range []struct{ threads, want int }{
+		{1, procs},
+		{procs, 1},
+		{procs + 1, 1},
+	} {
+		mod, err := core.Compile(models.TinyCNN(1), machine.IntelSkylakeC5(), core.Options{
+			Level: core.OptTransformElim, Threads: tc.threads,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := defaultPoolSize(mod); got != tc.want {
+			t.Errorf("threads %d on GOMAXPROCS %d: pool bound %d, want %d", tc.threads, procs, got, tc.want)
+		}
+		mod.Close()
 	}
-	if got := defaultPoolSize(mod, 64<<20); got != 16 {
-		t.Fatalf("tiny arenas under a 64MiB budget must clamp to 16, got %d", got)
-	}
-	if got := defaultPoolSize(mod, arena*5); got != 5 {
-		t.Fatalf("budget of 5 arenas must size the pool at 5, got %d", got)
-	}
-	if got := defaultPoolSize(mod, 1); got != 2 {
-		t.Fatalf("a starvation budget must still allow 2 lanes, got %d", got)
-	}
-	s, err := New(mod, "", Config{})
+	s, err := New(testModule(t), "", Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	if st := s.Stats(); st.Pool.MaxSize != 16 {
-		t.Fatalf("server with auto sizing: MaxSize = %d, want 16", st.Pool.MaxSize)
+	if st := s.Stats(); st.Pool.MaxSize != procs {
+		t.Fatalf("server at defaults over a 1-thread module: MaxSize = %d, want GOMAXPROCS %d", st.Pool.MaxSize, procs)
 	}
 }

@@ -303,7 +303,7 @@ func (r *Registry) Load(name string) error {
 	cfg := e.cfg.withDefaults()
 	poolSize := cfg.PoolSize
 	if poolSize == 0 {
-		poolSize = defaultPoolSize(mod, cfg.ArenaBudget)
+		poolSize = defaultPoolSize(mod)
 	}
 	need := poolSize * mod.PlanStats().ArenaBytes
 	if err := r.reserve(e, need); err != nil {

@@ -16,6 +16,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -654,14 +655,14 @@ func TestRepositoryServerHTTP(t *testing.T) {
 
 // TestSidecarConfig: a <name>.config.json next to the bundle tunes that
 // model's pool and admission without touching the others. A sidecar written
-// for older servers, still carrying max_batch and max_latency_ms, loads with
-// both keys ignored.
+// for older servers, still carrying max_batch, max_latency_ms and
+// arena_budget, loads with those keys ignored.
 func TestSidecarConfig(t *testing.T) {
 	dir := t.TempDir()
 	writeBundles(t, dir, "tiny-cnn", "tiny-resnet", "tiny-vgg")
 	sidecars := map[string]string{
 		"tiny-cnn": `{"pool_size": 1, "queue_depth": 5}`,
-		"tiny-vgg": `{"pool_size": 2, "max_batch": 8, "max_latency_ms": 2, "queue_depth": 3}`,
+		"tiny-vgg": `{"pool_size": 2, "max_batch": 8, "max_latency_ms": 2, "arena_budget": 1, "queue_depth": 3}`,
 	}
 	for name, sc := range sidecars {
 		if err := os.WriteFile(filepath.Join(dir, name+".config.json"), []byte(sc), 0o644); err != nil {
@@ -704,5 +705,40 @@ func TestSidecarConfig(t *testing.T) {
 	}
 	if want := (serve.Config{PoolSize: 2, QueueDepth: 3}); got != want {
 		t.Fatalf("older sidecar resolved to %+v, want %+v", got, want)
+	}
+}
+
+// TestRegistryChargesCoreBound: with PoolSize 0 each loaded model is charged
+// its default pool bound, max(1, GOMAXPROCS / load threads), times its arena
+// against the registry budget, and the index reports that charge.
+func TestRegistryChargesCoreBound(t *testing.T) {
+	dir := t.TempDir()
+	arenas := writeBundles(t, dir, "tiny-cnn", "tiny-resnet")
+	procs := runtime.GOMAXPROCS(0)
+	for _, threads := range []int{1, 2} {
+		reg := newRepoRegistry(t, dir, serve.RegistryConfig{LoadOptions: core.Options{Threads: threads}})
+		for name, arena := range arenas {
+			if err := reg.Load(name); err != nil {
+				t.Fatal(err)
+			}
+			st, err := reg.ModelStatsFor(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			bound := max(1, procs/threads)
+			if st.Pool.MaxSize != bound || st.Pool.ArenaBytesPerSession != arena {
+				t.Fatalf("threads %d, %s: pool bound %d of %d B arenas, want %d of %d B",
+					threads, name, st.Pool.MaxSize, st.Pool.ArenaBytesPerSession, bound, arena)
+			}
+			var charged int
+			for _, m := range reg.Index() {
+				if m.Name == name {
+					charged = m.ArenaReservedBytes
+				}
+			}
+			if charged != bound*arena {
+				t.Fatalf("threads %d, %s: index charges %d B, want %d × %d B", threads, name, charged, bound, arena)
+			}
+		}
 	}
 }

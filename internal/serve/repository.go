@@ -73,12 +73,11 @@ func (d *DirSource) Load(name string, opts core.Options) (*core.Module, error) {
 
 // sidecarConfig is the on-disk shape of a <name>.config.json sidecar. All
 // fields are optional; absent ones fall back to the registry default.
-// Unknown keys are ignored, so sidecars that still carry the max_batch and
-// max_latency_ms keys of older servers load unchanged.
+// Unknown keys are ignored, so sidecars that still carry the max_batch,
+// max_latency_ms and arena_budget keys of older servers load unchanged.
 type sidecarConfig struct {
-	PoolSize    *int `json:"pool_size"`
-	ArenaBudget *int `json:"arena_budget"`
-	QueueDepth  *int `json:"queue_depth"`
+	PoolSize   *int `json:"pool_size"`
+	QueueDepth *int `json:"queue_depth"`
 	// RequestTimeoutMS is the model's default per-request deadline budget;
 	// negative disables the server-side budget.
 	RequestTimeoutMS *float64 `json:"request_timeout_ms"`
@@ -107,9 +106,6 @@ func (d *DirSource) Config(name string) (Config, bool, error) {
 	var c Config
 	if sc.PoolSize != nil {
 		c.PoolSize = *sc.PoolSize
-	}
-	if sc.ArenaBudget != nil {
-		c.ArenaBudget = *sc.ArenaBudget
 	}
 	if sc.QueueDepth != nil {
 		c.QueueDepth = *sc.QueueDepth

@@ -18,19 +18,13 @@ import (
 // Config tunes the serving stack. The zero value of each field selects the
 // default noted on it.
 type Config struct {
-	// PoolSize bounds the session pool. Each session is one execution lane
-	// with its own arena; for throughput, compile the module with
-	// Threads=1 (serial, no kernel pool) and size the pool to the core
-	// count. The
-	// default (0) derives the bound from the module's planned arena bytes:
-	// as many sessions as fit ArenaBudget, clamped to [2, 16]. Sessions are
-	// still created lazily, so a generous bound costs nothing until load
-	// actually needs it.
+	// PoolSize caps the session pool. Each session is one execution lane
+	// with its own arena. The default (0) is max(1, GOMAXPROCS / the
+	// module's kernel threads), so sessions × threads fills the process's
+	// cores: a module compiled with Threads=1 gets one serial session per
+	// core. Sessions are created lazily, so a bound costs nothing until
+	// load needs it.
 	PoolSize int
-	// ArenaBudget caps the memory the default pool sizing spends on session
-	// arenas, in bytes (default 64 MiB). Ignored when PoolSize is set
-	// explicitly.
-	ArenaBudget int
 	// QueueDepth bounds how many requests may wait at once for a session
 	// while every session is busy; the next one answers 429 (default 32).
 	QueueDepth int
@@ -71,11 +65,8 @@ const NoTimeout = time.Duration(-1)
 
 // withDefaults resolves zero fields; it does not validate (New does), and it
 // leaves PoolSize 0 ("auto") for pool construction to resolve against the
-// module's planned arena footprint.
+// module's thread count.
 func (c Config) withDefaults() Config {
-	if c.ArenaBudget == 0 {
-		c.ArenaBudget = 64 << 20
-	}
 	if c.QueueDepth == 0 {
 		c.QueueDepth = 32
 	}

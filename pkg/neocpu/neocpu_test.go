@@ -456,25 +456,3 @@ func TestInt8BundleRejectedThroughFacade(t *testing.T) {
 		t.Fatalf("int8 bundle: err = %v, want artifact.ErrInt8Bundle", err)
 	}
 }
-
-func TestWithArenaBudgetOption(t *testing.T) {
-	e, err := CompileGraph(models.TinyCNN(2),
-		WithOptLevel(LevelTransformElim), WithThreads(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
-	if _, err := NewServer(e, "", WithArenaBudget(-1)); !errors.Is(err, ErrBadOption) {
-		t.Fatalf("negative arena budget: %v, want ErrBadOption", err)
-	}
-	// A budget that fits exactly one arena clamps the default pool bound to
-	// the minimum of 2.
-	srv, err := NewServer(e, "", WithArenaBudget(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	if max := srv.Stats().Pool.MaxSize; max != 2 {
-		t.Fatalf("pool bound %d under 1-byte budget, want the clamp minimum 2", max)
-	}
-}

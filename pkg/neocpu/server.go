@@ -42,13 +42,12 @@ type serveConfig struct {
 	err error
 }
 
-// WithPoolSize bounds the session pool. Sessions are created lazily up to
-// the bound and recycled across requests; each is one execution lane with
-// its own preallocated arena. When the option is omitted the bound derives
-// from the engine's planned arena bytes: as many session arenas as fit a
-// 64 MiB budget, clamped to [2, 16]. For throughput, compile the engine with
-// WithThreads(1), which runs each session serially with no kernel pool, and
-// size the pool to the machine's core count.
+// WithPoolSize caps the session pool. Sessions are created lazily up to the
+// cap and recycled across requests; each is one execution lane with its own
+// preallocated arena. When the option is omitted the cap is GOMAXPROCS
+// divided by the engine's threads (at least 1), so sessions × threads fills
+// the cores: an engine compiled WithThreads(1), which runs each session
+// serially with no kernel pool, gets one session per core.
 func WithPoolSize(n int) ServeOption {
 	return func(c *serveConfig) {
 		if n <= 0 {
@@ -56,20 +55,6 @@ func WithPoolSize(n int) ServeOption {
 			return
 		}
 		c.cfg.PoolSize = n
-	}
-}
-
-// WithArenaBudget caps the memory the default pool sizing spends on session
-// arenas, in bytes (default 64 MiB): the pool bound becomes as many session
-// arenas as fit the budget, clamped to [2, 16]. Ignored when WithPoolSize
-// sets the bound explicitly.
-func WithArenaBudget(n int) ServeOption {
-	return func(c *serveConfig) {
-		if n <= 0 {
-			c.err = fmt.Errorf("%w: arena budget %d (must be >= 1)", ErrBadOption, n)
-			return
-		}
-		c.cfg.ArenaBudget = n
 	}
 }
 
