@@ -140,13 +140,6 @@ func BenchmarkConvLayout(b *testing.B) {
 			ops.Conv2DNCHW(in, wt, attrs, ops.Epilogue{}, nil)
 		}
 	})
-	b.Run("NHWC", func(b *testing.B) {
-		nhwc := tensor.NCHWToNHWC(in)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			ops.Conv2DNHWC(nhwc, wt, attrs, ops.Epilogue{}, nil)
-		}
-	})
 	for _, blk := range []int{4, 8, 16} {
 		blk := blk
 		b.Run(tensor.NCHWc(blk).String(), func(b *testing.B) {
@@ -488,11 +481,11 @@ func BenchmarkThreadPool(b *testing.B) {
 }
 
 // BenchmarkConvAlgorithm compares the direct template against the Winograd
-// F(2x2,3x3) kernels (the paper's Section 6 extension) on real Go code, in
-// both the unblocked and the NCHW[x]c layouts. The blocked pair is the
-// matchup the optimization-scheme search decides per layer: on ResNet-style
-// 3x3 stride-1 workloads the winograd scheme's 2.25x multiply reduction
-// should beat the direct template.
+// F(2x2,3x3) kernel (the paper's Section 6 extension) on real Go code, both
+// in the NCHW[x]c layout at two block factors. Each pair is the matchup the
+// optimization-scheme search decides per layer: on ResNet-style 3x3 stride-1
+// workloads the winograd scheme's 2.25x multiply reduction should beat the
+// direct template.
 func BenchmarkConvAlgorithm(b *testing.B) {
 	for _, blk := range []int{8, 16} {
 		blk := blk
@@ -524,15 +517,6 @@ func BenchmarkConvAlgorithm(b *testing.B) {
 			}
 		})
 	}
-	b.Run("winograd-f2x3-NCHW", func(b *testing.B) {
-		in, wt, attrs := benchConvTensors()
-		u := ops.WinogradWeightTransform(wt)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			ops.Conv2DWinograd(in, u, attrs, ops.Epilogue{}, nil)
-		}
-	})
 }
 
 // BenchmarkLocalSearch measures the Section 3.3.1 exhaustive schedule search

@@ -106,7 +106,7 @@ const (
 	// winograd kernel U = G g Gᵀ in its blocked form.
 	RolePacked = "packed"
 	// RoleWeight is an unpacked fp32 node weight: convolutions scheduled in
-	// plain NCHW/NHWC, and dense layers.
+	// plain NCHW, and dense layers.
 	RoleWeight = "weight"
 	// RoleBias is a per-output-channel fp32 bias vector (possibly produced by
 	// compile-time batch-norm folding).
@@ -135,7 +135,7 @@ type TargetSig struct {
 // core.PlanEntry — the two convert by direct struct conversion.
 type SchedEntry struct {
 	Conv      string `json:"conv"`
-	Layout    string `json:"layout"` // "nchw", "nhwc" or "nchwc"
+	Layout    string `json:"layout"` // "nchw" or "nchwc"
 	ICBlock   int    `json:"ic_bn,omitempty"`
 	OCBlock   int    `json:"oc_bn,omitempty"`
 	RegN      int    `json:"reg_n,omitempty"`
@@ -152,7 +152,6 @@ type LayoutRef struct {
 // layoutKinds maps the wire names onto tensor layout families.
 var layoutKinds = map[string]tensor.LayoutKind{
 	"nchw":   tensor.LayoutNCHW,
-	"nhwc":   tensor.LayoutNHWC,
 	"nchwc":  tensor.LayoutNCHWc,
 	"oihw":   tensor.LayoutOIHW,
 	"oihwio": tensor.LayoutOIHWio,

@@ -18,7 +18,7 @@ import (
 // from a bundle without repeating schedule search or weight packing. The
 // graph *structure* is rebuilt deterministically from the model name (node
 // names are builder-assigned and stable), while every runtime parameter —
-// packed fp32 weights, raw NCHW/NHWC and dense weights, folded biases,
+// packed fp32 weights, raw NCHW and dense weights, folded biases,
 // surviving batch-norm statistics — is installed from the bundle, never
 // regenerated: a structural rebuild does not replay the original parameter
 // RNG sequence.
@@ -103,7 +103,7 @@ func (m *Module) SaveBundle(w io.Writer) error {
 			if m.packed[n] != nil {
 				tensorParam(n, artifact.RolePacked, m.packed[n])
 			} else {
-				// NCHW/NHWC-scheduled convolutions execute from the raw weight.
+				// NCHW-scheduled convolutions execute from the raw weight.
 				tensorParam(n, artifact.RoleWeight, n.Weight)
 			}
 			if n.Bias != nil {

@@ -162,8 +162,9 @@ func TestBundleTargetMismatch(t *testing.T) {
 }
 
 // TestBundleStaleContent: bundles that decode structurally but disagree with
-// the rebuilt graph (wrong model, missing or surplus params, a rebuilt arena
-// larger than recorded) fail with ErrInvalidArtifact.
+// the rebuilt graph (wrong model, missing or surplus params, a param in an
+// unknown layout, a rebuilt arena larger than recorded) fail with
+// ErrInvalidArtifact.
 func TestBundleStaleContent(t *testing.T) {
 	_, raw := saveBundleBytes(t, "tiny-cnn", Options{Level: OptTransformElim, Threads: 1})
 	b, err := artifact.Read(bytes.NewReader(raw))
@@ -184,6 +185,10 @@ func TestBundleStaleContent(t *testing.T) {
 		},
 		func(h *artifact.Header, params []artifact.Param) []artifact.Param {
 			return append(params, params[len(params)-1]) // duplicate param
+		},
+		func(h *artifact.Header, params []artifact.Param) []artifact.Param {
+			params[0].Entry.Layout = artifact.LayoutRef{Kind: "nhwc"} // not a layout kind
+			return params
 		},
 		func(h *artifact.Header, params []artifact.Param) []artifact.Param {
 			h.ArenaBytes -= 4096 // the rebuilt plan needs more arena than recorded

@@ -319,7 +319,7 @@ func finalizeModule(g *graph.Graph, t *machine.Target, level OptLevel, searchOut
 // at inference), each transform running on the module's own pool. It then
 // releases the raw weight: the kernels read only the packed copy, so the
 // node keeps its weight's shape and layout without the payload. Dense nodes
-// and NCHW/NHWC-scheduled convolutions execute from n.Weight and keep it.
+// and NCHW-scheduled convolutions execute from n.Weight and keep it.
 func (m *Module) packWeights() {
 	pf := m.parallelFor()
 	for _, n := range m.Graph.Convs() {

@@ -178,7 +178,8 @@ func TestRunRejectsBadInput(t *testing.T) {
 	if _, err := m.Run(tensor.New(tensor.NCHW(), 1, 3, 16, 16)); err == nil {
 		t.Fatal("expected shape error")
 	}
-	if _, err := m.Run(tensor.New(tensor.NHWC(), 1, 32, 32, 3)); err == nil {
+	// The input's 3072 values, blocked: right volume, wrong layout.
+	if _, err := m.Run(tensor.New(tensor.NCHWc(4), 1, 1, 32, 24, 4)); err == nil {
 		t.Fatal("expected layout error")
 	}
 }
@@ -774,6 +775,11 @@ func TestPlanMismatchesFail(t *testing.T) {
 	// Corrupt JSON.
 	if _, err := LoadPlan(bytes.NewBufferString("{nope")); err == nil {
 		t.Fatal("expected decode error")
+	}
+	// A layout the compiler does not have.
+	pf.Entries[0].Layout = "nhwc"
+	if _, err := CompileWithPlan(models.TinyCNN(1), tgt, pf, Options{}); !errors.Is(err, ErrInvalidPlan) {
+		t.Fatalf("nhwc entry: err = %v, want ErrInvalidPlan", err)
 	}
 	// Corrupt blocks.
 	pf.Entries[0].ICBlock = 7 // does not divide 3 input channels

@@ -100,7 +100,7 @@ type execPlan struct {
 // layout into concrete buffer dimensions.
 func physicalDims(shape graph.Shape, l tensor.Layout) []int {
 	switch l.Kind {
-	case tensor.LayoutNCHW, tensor.LayoutNHWC, tensor.LayoutNCHWc:
+	case tensor.LayoutNCHW, tensor.LayoutNCHWc:
 		as := tensor.ActivationShape{N: shape.Dims[0], C: shape.Dims[1], H: shape.Dims[2], W: shape.Dims[3]}
 		return as.PhysicalShape(l)
 	default:

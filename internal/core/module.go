@@ -206,8 +206,6 @@ func (m *Module) exec(n *graph.Node, vals []*tensor.Tensor, input *tensor.Tensor
 			}
 			return ops.Conv2DNCHWcInto(buf.outT(), buf.padT(), arg(0), m.packed[n], n.Conv,
 				n.Sched.ICBlock, n.Sched.OCBlock, n.Sched.RegN, epi, pf), nil
-		case tensor.LayoutNHWC:
-			return ops.Conv2DNHWCInto(buf.outT(), arg(0), n.Weight, n.Conv, epi, pf), nil
 		default:
 			return ops.Conv2DNCHWInto(buf.outT(), arg(0), n.Weight, n.Conv, epi, pf), nil
 		}

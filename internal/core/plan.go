@@ -29,7 +29,7 @@ var ErrInvalidPlan = errors.New("core: invalid plan")
 // for a given model builder.
 type PlanEntry struct {
 	Conv    string `json:"conv"`
-	Layout  string `json:"layout"` // "nchw", "nhwc" or "nchwc"
+	Layout  string `json:"layout"` // "nchw" or "nchwc"
 	ICBlock int    `json:"ic_bn,omitempty"`
 	OCBlock int    `json:"oc_bn,omitempty"`
 	RegN    int    `json:"reg_n,omitempty"`
@@ -60,8 +60,6 @@ func (m *Module) planEntries() []PlanEntry {
 			if n.Sched.Algorithm == machine.AlgoWinograd {
 				e.Algorithm = machine.AlgoWinograd.String()
 			}
-		case tensor.LayoutNHWC:
-			e.Layout = "nhwc"
 		default:
 			e.Layout = "nchw"
 		}
@@ -145,15 +143,11 @@ func (pf *PlanFile) Apply(g *graph.Graph) (graph.LayoutPlan, error) {
 				return nil, fmt.Errorf("%w: entry %q schedules winograd for a %dx%d stride-%dx%d convolution with %d group(s) (dense 3x3 stride-1 only)",
 					ErrInvalidPlan, e.Conv, wl.KH, wl.KW, wl.StrideH, wl.StrideW, wl.GroupCount())
 			}
-		case "nhwc", "nchw":
+		case "nchw":
 			if algo == machine.AlgoWinograd {
 				return nil, fmt.Errorf("%w: entry %q schedules winograd in layout %q (NCHW[x]c only)", ErrInvalidPlan, e.Conv, e.Layout)
 			}
-			if e.Layout == "nhwc" {
-				s = machine.ConvSchedule{Layout: tensor.NHWC()}
-			} else {
-				s = machine.ConvSchedule{Layout: tensor.NCHW()}
-			}
+			s = machine.ConvSchedule{Layout: tensor.NCHW()}
 		default:
 			return nil, fmt.Errorf("%w: entry %q has unknown layout %q", ErrInvalidPlan, e.Conv, e.Layout)
 		}

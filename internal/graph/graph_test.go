@@ -552,48 +552,3 @@ func TestConcatBlockFallback(t *testing.T) {
 		}
 	}
 }
-
-func TestNHWCPlanEndToEnd(t *testing.T) {
-	g := tinyCNN()
-	if err := Optimize(g); err != nil {
-		t.Fatal(err)
-	}
-	plan := NHWCPlan(g)
-	if err := AlterOpLayout(g, plan, true); err != nil {
-		t.Fatal(err)
-	}
-	// Every conv runs channels-last; transforms appear around each conv
-	// because the tolerant neighbours run in NCHW.
-	for _, n := range g.Topo() {
-		if n.IsConv() && n.OutLayout.Kind != tensor.LayoutNHWC {
-			t.Fatalf("conv %v layout %v, want NHWC", n, n.OutLayout)
-		}
-	}
-	if got := g.CountTransforms(); got < 2 {
-		t.Fatalf("NHWC plan transforms = %d, want >= 2", got)
-	}
-}
-
-func TestEliminateDeadNodes(t *testing.T) {
-	g := tinyCNN()
-	// Attach a dangling branch that no output reaches.
-	orphan := &Node{Name: "orphan", Op: OpReLU, Inputs: []*Node{g.Input}}
-	g.AddNode(orphan)
-	orphan2 := &Node{Name: "orphan2", Op: OpReLU, Inputs: []*Node{orphan}}
-	g.AddNode(orphan2)
-	before := g.NumNodes()
-	removed := EliminateDeadNodes(g)
-	if removed != 2 {
-		t.Fatalf("removed = %d, want 2", removed)
-	}
-	if g.NumNodes() != before-2 {
-		t.Fatalf("node count %d, want %d", g.NumNodes(), before-2)
-	}
-	if err := g.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	// Idempotent on a clean graph.
-	if removed := EliminateDeadNodes(g); removed != 0 {
-		t.Fatalf("second pass removed %d nodes", removed)
-	}
-}

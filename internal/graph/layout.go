@@ -22,19 +22,6 @@ func NCHWPlan(g *Graph) LayoutPlan {
 	return p
 }
 
-// NHWCPlan schedules every convolution channels-last, the TensorFlow default
-// (Section 3.2 lists NHWC among the layouts CONV tolerates). Surrounding
-// layout-tolerant operators run in NCHW, so each convolution pays transforms
-// on both sides — the structural behaviour of a framework whose default
-// layout disagrees with its kernels'.
-func NHWCPlan(g *Graph) LayoutPlan {
-	p := LayoutPlan{}
-	for _, n := range g.Convs() {
-		p[n] = machine.ConvSchedule{Layout: tensor.NHWC()}
-	}
-	return p
-}
-
 // UniformPlan schedules every convolution in NCHW[x]c with one shared split
 // factor (Section 3.2: "we make x a constant number across all CONVs"),
 // clamping the block to each workload's channel divisors. Grouped
@@ -158,7 +145,7 @@ func AlterOpLayout(g *Graph, plan LayoutPlan, eliminate bool) error {
 			}
 			n.Sched = sched
 			switch sched.Layout.Kind {
-			case tensor.LayoutNCHW, tensor.LayoutNHWC:
+			case tensor.LayoutNCHW:
 				n.Inputs[0] = ensure(n.Inputs[0], sched.Layout)
 				n.OutLayout = sched.Layout
 			case tensor.LayoutNCHWc:
@@ -212,27 +199,13 @@ func AlterOpLayout(g *Graph, plan LayoutPlan, eliminate bool) error {
 				n.Inputs[1] = res
 			}
 
-		case OpBatchNorm, OpPool:
-			// Layout-tolerant: handle NCHW and NCHWc; keep whatever arrives,
-			// normalizing NHWC back to NCHW.
-			in := n.Inputs[0]
-			if in.OutLayout.Kind == tensor.LayoutNHWC {
-				in = ensure(in, tensor.NCHW())
-				n.Inputs[0] = in
-			}
-			n.OutLayout = in.OutLayout
+		case OpBatchNorm, OpPool, OpReLU, OpDropout:
+			// Layout-tolerant (NCHW and NCHWc): keep whatever arrives.
+			n.OutLayout = n.Inputs[0].OutLayout
 
 		case OpGlobalAvgPool:
 			// Tolerant on input; always emits NCHW (N,C,1,1).
-			in := n.Inputs[0]
-			if in.OutLayout.Kind == tensor.LayoutNHWC {
-				in = ensure(in, tensor.NCHW())
-				n.Inputs[0] = in
-			}
 			n.OutLayout = tensor.NCHW()
-
-		case OpReLU, OpDropout:
-			n.OutLayout = n.Inputs[0].OutLayout
 
 		case OpAdd:
 			// Oblivious, but operands must agree: fix the first input's
@@ -280,7 +253,7 @@ func AlterOpLayout(g *Graph, plan LayoutPlan, eliminate bool) error {
 
 	// The network's outputs stay in the default layout (Figure 2).
 	for i, out := range g.Outputs {
-		if out.OutLayout.Kind == tensor.LayoutNCHWc || out.OutLayout.Kind == tensor.LayoutNHWC {
+		if out.OutLayout.Kind == tensor.LayoutNCHWc {
 			g.Outputs[i] = ensure(out, tensor.NCHW())
 		}
 	}

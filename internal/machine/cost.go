@@ -138,11 +138,11 @@ func (w ConvWorkload) WinogradViable() bool {
 // (ic_bn, oc_bn, reg_n), plus the data layout the convolution executes in
 // and the convolution algorithm (direct or winograd). The paper's fourth
 // knob, whether to unroll the kernel loop, is absent: each template has one
-// kernel path with a fixed register tile. For NCHW/NHWC layouts the blocking
+// kernel path with a fixed register tile. For the NCHW layout the blocking
 // fields are ignored; for winograd schedules reg_n is ignored (the kernel's
 // tiling is fixed at 2x2).
 type ConvSchedule struct {
-	Layout    tensor.Layout // activation layout (NCHW, NHWC or NCHWc)
+	Layout    tensor.Layout // activation layout (NCHW or NCHWc)
 	ICBlock   int           // ic_bn: input-channel split factor x
 	OCBlock   int           // oc_bn: output-channel split factor y
 	RegN      int           // reg_n: register-blocking width along out_width
@@ -172,10 +172,6 @@ const (
 	// accumulating across in-channels walks large strides, defeating both
 	// the FMA pipeline and the cache (Section 4.2.1 measures 4-8x).
 	layoutFactorNCHW = 0.135
-	// layoutFactorNHWC is the relative efficiency of channels-last direct
-	// convolution: unit-stride channel access vectorizes, but per-pixel
-	// weight reuse is poor without blocking.
-	layoutFactorNHWC = 0.24
 	// bwEfficiency is the achievable fraction of peak memory bandwidth for
 	// streaming layout transforms and element-wise operators.
 	bwEfficiency = 0.65
@@ -294,8 +290,6 @@ func (t *Target) ConvEfficiency(wl ConvWorkload, s ConvSchedule) float64 {
 	switch s.Layout.Kind {
 	case tensor.LayoutNCHW:
 		return peakFractionDirect * layoutFactorNCHW
-	case tensor.LayoutNHWC:
-		return peakFractionDirect * layoutFactorNHWC
 	case tensor.LayoutNCHWc:
 		if s.Algorithm == AlgoWinograd {
 			return t.winogradEfficiency(wl, s)

@@ -86,81 +86,6 @@ func Conv2DNCHWInto(dst *tensor.Tensor, in, weight *tensor.Tensor, attrs Conv2DA
 	return out
 }
 
-// Conv2DNHWC is the channels-last direct convolution (TensorFlow's default
-// layout). Weights remain OIHW.
-func Conv2DNHWC(in, weight *tensor.Tensor, attrs Conv2DAttrs, epi Epilogue, pf ParallelFor) *tensor.Tensor {
-	return Conv2DNHWCInto(nil, in, weight, attrs, epi, pf)
-}
-
-// Conv2DNHWCInto is Conv2DNHWC writing into a caller-provided destination
-// (nil dst allocates).
-func Conv2DNHWCInto(dst *tensor.Tensor, in, weight *tensor.Tensor, attrs Conv2DAttrs, epi Epilogue, pf ParallelFor) *tensor.Tensor {
-	if in.Layout.Kind != tensor.LayoutNHWC {
-		panic(fmt.Sprintf("ops: Conv2DNHWC expects NHWC input, got %v", in.Layout))
-	}
-	n, h, w, c := in.Shape[0], in.Shape[1], in.Shape[2], in.Shape[3]
-	oc, kh, kw := weight.Shape[0], weight.Shape[2], weight.Shape[3]
-	groups := attrs.GroupCount()
-	if c%groups != 0 || attrs.OutC%groups != 0 {
-		panic(fmt.Sprintf("ops: groups %d must divide channels %d and %d", groups, c, attrs.OutC))
-	}
-	icPerG := c / groups
-	if weight.Shape[1] != icPerG || oc != attrs.OutC {
-		panic(fmt.Sprintf("ops: weight shape %v inconsistent with attrs %+v and input channels %d", weight.Shape, attrs, c))
-	}
-	ocPerG := oc / groups
-	oh, ow := attrs.OutSize(h, w)
-	out := tensor.EnsureDst(dst, tensor.NHWC(), n, oh, ow, oc)
-	if pf == nil {
-		pf = Serial
-	}
-
-	pf(n*oh, func(lo, hi int) {
-		for unit := lo; unit < hi; unit++ {
-			b := unit / oh
-			y := unit % oh
-			for x := 0; x < ow; x++ {
-				outPix := out.Data[((b*oh+y)*ow+x)*oc:]
-				for k := 0; k < oc; k++ {
-					icBase := (k / ocPerG) * icPerG
-					var acc float32
-					if epi.Bias != nil {
-						acc = epi.Bias[k]
-					}
-					for r := 0; r < kh; r++ {
-						iy := y*attrs.StrideH + r - attrs.PadH
-						if iy < 0 || iy >= h {
-							continue
-						}
-						for s := 0; s < kw; s++ {
-							ix := x*attrs.StrideW + s - attrs.PadW
-							if ix < 0 || ix >= w {
-								continue
-							}
-							inPix := in.Data[((b*h+iy)*w+ix)*c+icBase:]
-							wRow := weight.Data[((k*icPerG)*kh+r)*kw+s:]
-							// Weight stride between consecutive in-channels at a
-							// fixed (r,s) is kh*kw.
-							for ci := 0; ci < icPerG; ci++ {
-								acc += inPix[ci] * wRow[ci*kh*kw]
-							}
-						}
-					}
-					idx := ((b*oh+y)*ow+x)*oc + k
-					if epi.Residual != nil {
-						acc += epi.Residual.Data[idx]
-					}
-					if epi.ReLU {
-						acc = relu32(acc)
-					}
-					outPix[k] = acc
-				}
-			}
-		}
-	})
-	return out
-}
-
 // padNCHWc returns the input with explicit zero padding applied on H and W,
 // or the input itself when no padding is needed. scratch, if non-nil, is the
 // reused padded buffer: its border was zeroed when it was first allocated and

@@ -124,17 +124,6 @@ func TestConvNCHWcMatchesReference(t *testing.T) {
 	}
 }
 
-func TestConvNHWCMatchesReference(t *testing.T) {
-	in, wt := convCase(5, 8, 10, 10, 12, 3, 3)
-	attrs := Conv2DAttrs{OutC: 12, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}
-	ref := Conv2DNCHW(in, wt, attrs, Epilogue{}, nil)
-	nhwcOut := Conv2DNHWC(tensor.NCHWToNHWC(in), wt, attrs, Epilogue{}, nil)
-	got := tensor.NHWCToNCHW(nhwcOut)
-	if !tensor.AllClose(ref, got, 1e-4) {
-		t.Fatalf("NHWC conv diverges: max diff %g", tensor.MaxAbsDiff(ref, got))
-	}
-}
-
 func TestConvEpilogueFusion(t *testing.T) {
 	in, wt := convCase(7, 16, 8, 8, 16, 3, 3)
 	attrs := Conv2DAttrs{OutC: 16, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}
@@ -351,7 +340,7 @@ func mustPanic(t *testing.T, f func()) {
 
 func TestConvBatchedMatchesPerImage(t *testing.T) {
 	// Batch-2 convolution must equal two independent batch-1 convolutions
-	// in every kernel (reference, NHWC and blocked).
+	// in every kernel (reference and blocked).
 	in := tensor.New(tensor.NCHW(), 2, 8, 9, 9)
 	in.FillRandom(90, 1)
 	wt := tensor.New(tensor.OIHW(), 8, 8, 3, 3)
@@ -376,12 +365,6 @@ func TestConvBatchedMatchesPerImage(t *testing.T) {
 	blocked := tensor.FromNCHWc(Conv2DNCHWc(bi, bw, attrs, 4, 8, 4, Epilogue{}, nil))
 	if !tensor.AllClose(batched, blocked, 1e-4) {
 		t.Fatalf("batched blocked conv diverges: %g", tensor.MaxAbsDiff(batched, blocked))
-	}
-
-	// NHWC kernel on the same batch.
-	nhwc := tensor.NHWCToNCHW(Conv2DNHWC(tensor.NCHWToNHWC(in), wt, attrs, Epilogue{}, nil))
-	if !tensor.AllClose(batched, nhwc, 1e-4) {
-		t.Fatalf("batched NHWC conv diverges: %g", tensor.MaxAbsDiff(batched, nhwc))
 	}
 }
 

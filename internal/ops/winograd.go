@@ -11,7 +11,7 @@ import (
 // (Section 6) and notes NeoCPU is compatible with such kernels (Section 1).
 // This implementation slots in beside the direct template: same OIHW weights
 // (transformed once at compile time, like the layout pre-packing), same
-// epilogue fusion, NCHW activations, 3x3 stride-1 convolutions only.
+// epilogue fusion, NCHW[x]c activations, 3x3 stride-1 convolutions only.
 //
 // Per 2x2 output tile the algorithm computes
 //
@@ -19,25 +19,6 @@ import (
 //
 // with the canonical F(2,3) matrices, replacing 36 multiplies by 16 per
 // channel pair (a 2.25x multiply reduction).
-
-// WinogradWeightTransform computes U = G g Gᵀ for every (out, in) channel
-// pair of a 3x3 OIHW weight. The result is stored as a flat tensor of shape
-// (16, O, I): component-major so the inner accumulation over input channels
-// is contiguous. It feeds the NCHW reference kernel Conv2DWinograd.
-func WinogradWeightTransform(weight *tensor.Tensor) *tensor.Tensor {
-	o, i := winogradWeightDims(weight, "WinogradWeightTransform")
-	out := tensor.New(tensor.Flat(), 16, o, i)
-	for oc := 0; oc < o; oc++ {
-		for ic := 0; ic < i; ic++ {
-			var u [16]float32
-			winogradKernelTile(&u, weight.Data[(oc*i+ic)*9:])
-			for xi, v := range u {
-				out.Data[(xi*o+oc)*i+ic] = v
-			}
-		}
-	}
-	return out
-}
 
 // WinogradWeightTransformNCHWc computes U = G g Gᵀ for a 3x3 OIHW weight and
 // packs it for the blocked kernel as a flat tensor of shape
@@ -51,7 +32,7 @@ func WinogradWeightTransform(weight *tensor.Tensor) *tensor.Tensor {
 // and stored straight into their packed places, with no (16, O, I)
 // intermediate. The pass runs in parallel over output blocks on pf (nil
 // means serial); each range writes only its own blocks' slabs, so U's bits
-// are the same under every pf and equal WinogradWeightTransform's, packed.
+// are the same under every pf.
 func WinogradWeightTransformNCHWc(weight *tensor.Tensor, icb, ocb int, pf ParallelFor) *tensor.Tensor {
 	o, i := winogradWeightDims(weight, "WinogradWeightTransformNCHWc")
 	if icb <= 0 || i%icb != 0 {
@@ -378,141 +359,4 @@ func winogradStoreTile(out *tensor.Tensor, y []float32, epi Epilogue, b, co, oy,
 	for dy := 0; dy < 2 && oy+dy < oh; dy++ {
 		storeTile(out.Data, y[dy*2*ocb:][:cols], epi, (((b*ocOuter+co)*oh+oy+dy)*ow+ox)*ocb, co, ocb)
 	}
-}
-
-// Conv2DWinograd performs a 3x3 stride-1 convolution over an NCHW input
-// using the F(2x2, 3x3) Winograd algorithm with pre-transformed weights from
-// WinogradWeightTransform. Odd output dimensions are handled by computing
-// the final partial tile and discarding the out-of-range half.
-func Conv2DWinograd(in, transformed *tensor.Tensor, attrs Conv2DAttrs, epi Epilogue, pf ParallelFor) *tensor.Tensor {
-	if in.Layout.Kind != tensor.LayoutNCHW {
-		panic(fmt.Sprintf("ops: Conv2DWinograd expects NCHW input, got %v", in.Layout))
-	}
-	if attrs.KH != 3 || attrs.KW != 3 || attrs.StrideH != 1 || attrs.StrideW != 1 {
-		panic("ops: Conv2DWinograd supports 3x3 stride-1 convolutions only")
-	}
-	n, c, h, w := in.Shape[0], in.Shape[1], in.Shape[2], in.Shape[3]
-	oc := transformed.Shape[1]
-	if transformed.Shape[0] != 16 || transformed.Shape[2] != c {
-		panic(fmt.Sprintf("ops: transformed weight shape %v inconsistent with input channels %d", transformed.Shape, c))
-	}
-	oh, ow := attrs.OutSize(h, w)
-	out := tensor.New(tensor.NCHW(), n, oc, oh, ow)
-	if pf == nil {
-		pf = Serial
-	}
-
-	tilesH := (oh + 1) / 2
-	tilesW := (ow + 1) / 2
-	ocIn := oc * c
-
-	pf(n*tilesH, func(lo, hi int) {
-		// Per-thread scratch, fully rewritten by every tile: V tiles for all
-		// channels, M accumulators.
-		v := make([]float32, 16*c)
-		m := make([]float32, 16*oc)
-		for unit := lo; unit < hi; unit++ {
-			b := unit / tilesH
-			th := unit % tilesH
-			for tw := 0; tw < tilesW; tw++ {
-				oy := th * 2
-				ox := tw * 2
-				// Input tile origin (top-left of the 4x4 patch).
-				iy0 := oy - attrs.PadH
-				ix0 := ox - attrs.PadW
-
-				// V = Bᵀ d B per input channel.
-				for ch := 0; ch < c; ch++ {
-					var d [4][4]float32
-					base := (b*c + ch) * h * w
-					for r := 0; r < 4; r++ {
-						iy := iy0 + r
-						if iy < 0 || iy >= h {
-							continue
-						}
-						row := in.Data[base+iy*w:]
-						for cc := 0; cc < 4; cc++ {
-							ix := ix0 + cc
-							if ix >= 0 && ix < w {
-								d[r][cc] = row[ix]
-							}
-						}
-					}
-					// t = Bᵀ d, with Bᵀ = [1 0 -1 0; 0 1 1 0; 0 -1 1 0; 0 1 0 -1].
-					var t [4][4]float32
-					for cc := 0; cc < 4; cc++ {
-						t[0][cc] = d[0][cc] - d[2][cc]
-						t[1][cc] = d[1][cc] + d[2][cc]
-						t[2][cc] = d[2][cc] - d[1][cc]
-						t[3][cc] = d[1][cc] - d[3][cc]
-					}
-					// V = t B.
-					for r := 0; r < 4; r++ {
-						v[(r*4+0)*c+ch] = t[r][0] - t[r][2]
-						v[(r*4+1)*c+ch] = t[r][1] + t[r][2]
-						v[(r*4+2)*c+ch] = t[r][2] - t[r][1]
-						v[(r*4+3)*c+ch] = t[r][1] - t[r][3]
-					}
-				}
-
-				// M[xi][k] = Σ_ch U[xi][k][ch] * V[xi][ch]: the element-wise
-				// product in the transform domain, reduced over input channels.
-				for xi := 0; xi < 16; xi++ {
-					uBase := xi * ocIn
-					vSeg := v[xi*c : xi*c+c]
-					mSeg := m[xi*oc : xi*oc+oc]
-					for k := 0; k < oc; k++ {
-						uSeg := transformed.Data[uBase+k*c : uBase+k*c+c]
-						var acc float32
-						for ch := range vSeg {
-							acc += uSeg[ch] * vSeg[ch]
-						}
-						mSeg[k] = acc
-					}
-				}
-
-				// Y = Aᵀ M A per output channel, with Aᵀ = [1 1 1 0; 0 1 -1 -1].
-				for k := 0; k < oc; k++ {
-					var mm [4][4]float32
-					for r := 0; r < 4; r++ {
-						for cc := 0; cc < 4; cc++ {
-							mm[r][cc] = m[(r*4+cc)*oc+k]
-						}
-					}
-					var t0, t1 [4]float32
-					for cc := 0; cc < 4; cc++ {
-						t0[cc] = mm[0][cc] + mm[1][cc] + mm[2][cc]
-						t1[cc] = mm[1][cc] - mm[2][cc] - mm[3][cc]
-					}
-					y00 := t0[0] + t0[1] + t0[2]
-					y01 := t0[1] - t0[2] - t0[3]
-					y10 := t1[0] + t1[1] + t1[2]
-					y11 := t1[1] - t1[2] - t1[3]
-
-					store := func(dy, dx int, val float32) {
-						yy, xx := oy+dy, ox+dx
-						if yy >= oh || xx >= ow {
-							return
-						}
-						idx := ((b*oc+k)*oh+yy)*ow + xx
-						if epi.Bias != nil {
-							val += epi.Bias[k]
-						}
-						if epi.Residual != nil {
-							val += epi.Residual.Data[idx]
-						}
-						if epi.ReLU {
-							val = relu32(val)
-						}
-						out.Data[idx] = val
-					}
-					store(0, 0, y00)
-					store(0, 1, y01)
-					store(1, 0, y10)
-					store(1, 1, y11)
-				}
-			}
-		}
-	})
-	return out
 }

@@ -41,7 +41,6 @@ type Breaker struct {
 	failures []time.Time // failure timestamps inside the sliding window
 	openedAt time.Time
 	probing  bool // half-open: a probe is in flight
-	trips    uint64
 }
 
 // OnTransition installs the state-change callback. It must be installed
@@ -112,7 +111,6 @@ func (b *Breaker) Record(err error) {
 		b.state = breakerOpen
 		b.openedAt = now
 		b.probing = false
-		b.trips++
 		b.transitioned("open")
 		return
 	}
@@ -131,7 +129,6 @@ func (b *Breaker) Record(err error) {
 		b.state = breakerOpen
 		b.openedAt = now
 		b.failures = b.failures[:0]
-		b.trips++
 		b.transitioned("open")
 	}
 }
@@ -150,13 +147,6 @@ func (b *Breaker) Degraded() bool {
 	default:
 		return true
 	}
-}
-
-// Trips returns how many times the breaker has opened.
-func (b *Breaker) Trips() uint64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.trips
 }
 
 // RetryAfter reports how long until the breaker would next admit a request:

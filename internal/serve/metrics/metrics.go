@@ -279,15 +279,6 @@ func (m *Model) SetGaugeFunc(fn func() Gauges) {
 	m.gauges.Store(fn)
 }
 
-// RequestLatency exposes the request-latency histogram (tests and adaptive
-// policies; the hot path uses ObserveRequest).
-func (m *Model) RequestLatency() *Histogram {
-	if m == nil {
-		return nil
-	}
-	return m.latency
-}
-
 // Registry is the scrape root: the per-model metric sets plus the few
 // registry-level series (evictions, unknown-model requests, health state).
 // One Registry belongs to one serve.Registry / serve.Server.

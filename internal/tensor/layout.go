@@ -27,8 +27,6 @@ const (
 	// LayoutNCHW is the default activation layout: batch, channel, height,
 	// width.
 	LayoutNCHW
-	// LayoutNHWC is the channels-last activation layout used by TensorFlow.
-	LayoutNHWC
 	// LayoutNCHWc is the blocked activation layout NCHW[x]c with the channel
 	// dimension split into C/x super-channels of x sub-channels each.
 	LayoutNCHWc
@@ -47,9 +45,6 @@ const (
 
 // NCHW is the default activation layout.
 func NCHW() Layout { return Layout{Kind: LayoutNCHW} }
-
-// NHWC is the channels-last activation layout.
-func NHWC() Layout { return Layout{Kind: LayoutNHWC} }
 
 // NCHWc returns the blocked activation layout NCHW[x]c.
 func NCHWc(x int) Layout { return Layout{Kind: LayoutNCHWc, BlockC: x} }
@@ -72,8 +67,6 @@ func (l Layout) String() string {
 		return "any"
 	case LayoutNCHW:
 		return "NCHW"
-	case LayoutNHWC:
-		return "NHWC"
 	case LayoutNCHWc:
 		return fmt.Sprintf("NCHW%dc", l.BlockC)
 	case LayoutOIHW:
@@ -109,8 +102,6 @@ func (s ActivationShape) PhysicalShape(l Layout) []int {
 	switch l.Kind {
 	case LayoutNCHW:
 		return []int{s.N, s.C, s.H, s.W}
-	case LayoutNHWC:
-		return []int{s.N, s.H, s.W, s.C}
 	case LayoutNCHWc:
 		if l.BlockC <= 0 || s.C%l.BlockC != 0 {
 			panic(fmt.Sprintf("tensor: channel %d not divisible by block %d", s.C, l.BlockC))

@@ -1,5 +1,5 @@
 // Package tensor provides dense float32 tensors and the data layouts used
-// throughout NeoCPU-Go: the default NCHW/NHWC activation layouts, the blocked
+// throughout NeoCPU-Go: the default NCHW activation layout, the blocked
 // NCHW[x]c activation layout, and the OIHW / OIHW[x]i[y]o weight layouts
 // (called KCRS / KCRS[x]c[y]k in the paper). It also implements the layout
 // transformation kernels whose elimination is the subject of Section 3.2 of
@@ -58,9 +58,6 @@ func (t *Tensor) NumElements() int {
 	}
 	return n
 }
-
-// Dim returns the size of dimension i.
-func (t *Tensor) Dim(i int) int { return t.Shape[i] }
 
 // Rank returns the number of dimensions.
 func (t *Tensor) Rank() int { return len(t.Shape) }

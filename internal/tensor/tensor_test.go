@@ -144,7 +144,6 @@ func TestAllClose(t *testing.T) {
 func TestLayoutStrings(t *testing.T) {
 	cases := map[string]Layout{
 		"NCHW":      NCHW(),
-		"NHWC":      NHWC(),
 		"NCHW16c":   NCHWc(16),
 		"OIHW":      OIHW(),
 		"OIHW8i16o": OIHWio(8, 16),
@@ -162,9 +161,6 @@ func TestActivationPhysicalShape(t *testing.T) {
 	s := ActivationShape{N: 1, C: 64, H: 56, W: 56}
 	if got := s.PhysicalShape(NCHW()); !equalInts(got, []int{1, 64, 56, 56}) {
 		t.Errorf("NCHW shape = %v", got)
-	}
-	if got := s.PhysicalShape(NHWC()); !equalInts(got, []int{1, 56, 56, 64}) {
-		t.Errorf("NHWC shape = %v", got)
 	}
 	if got := s.PhysicalShape(NCHWc(16)); !equalInts(got, []int{1, 4, 56, 56, 16}) {
 		t.Errorf("NCHW16c shape = %v", got)
@@ -231,23 +227,6 @@ func TestToNCHWcValues(t *testing.T) {
 	}
 }
 
-func TestNHWCRoundTrip(t *testing.T) {
-	in := New(NCHW(), 2, 3, 5, 7)
-	in.FillRandom(2, 1)
-	nhwc := NCHWToNHWC(in)
-	if !equalInts(nhwc.Shape, []int{2, 5, 7, 3}) {
-		t.Fatalf("NHWC shape = %v", nhwc.Shape)
-	}
-	back := NHWCToNCHW(nhwc)
-	if !BitEqual(in, back) {
-		t.Fatal("NHWC round trip not exact")
-	}
-	// Spot-check semantics.
-	if in.At(1, 2, 3, 4) != nhwc.At(1, 3, 4, 2) {
-		t.Fatal("NHWC transpose semantics wrong")
-	}
-}
-
 func TestPackUnpackWeightsRoundTrip(t *testing.T) {
 	in := New(OIHW(), 32, 16, 3, 3)
 	in.FillRandom(3, 1)
@@ -304,7 +283,7 @@ func TestTransformGeneric(t *testing.T) {
 	paths := []struct {
 		via Layout
 	}{
-		{NCHWc(2)}, {NCHWc(4)}, {NCHWc(8)}, {NHWC()},
+		{NCHWc(2)}, {NCHWc(4)}, {NCHWc(8)},
 	}
 	for _, p := range paths {
 		mid := Transform(in, p.via)
@@ -321,16 +300,6 @@ func TestTransformGeneric(t *testing.T) {
 	b := Transform(a, NCHWc(4))
 	if !BitEqual(FromNCHWc(b), in) {
 		t.Fatal("NCHWc rechunk via Transform not lossless")
-	}
-	// NHWC -> NCHWc and back.
-	nh := Transform(in, NHWC())
-	bl := Transform(nh, NCHWc(4))
-	if !BitEqual(FromNCHWc(bl), in) {
-		t.Fatal("NHWC->NCHWc not lossless")
-	}
-	n2 := Transform(bl, NHWC())
-	if !BitEqual(NHWCToNCHW(n2), in) {
-		t.Fatal("NCHWc->NHWC not lossless")
 	}
 	// Identity.
 	id := Transform(in, NCHW())
@@ -377,7 +346,7 @@ func TestQuickTransformComposition(t *testing.T) {
 	// Transform(Transform(t, L1), L2) must equal Transform(t, L2) for any
 	// activation layouts: layout transforms are pure re-orderings.
 	f := func(seed uint64, l1Raw, l2Raw uint8) bool {
-		layouts := []Layout{NCHW(), NHWC(), NCHWc(2), NCHWc(4), NCHWc(8)}
+		layouts := []Layout{NCHW(), NCHWc(2), NCHWc(4), NCHWc(8)}
 		l1 := layouts[int(l1Raw)%len(layouts)]
 		l2 := layouts[int(l2Raw)%len(layouts)]
 		in := New(NCHW(), 1, 8, 3, 3)

@@ -117,59 +117,6 @@ func RechunkNCHWc(in *Tensor, y int) *Tensor {
 	return ToNCHWc(FromNCHWc(in), y)
 }
 
-// NCHWToNHWC converts the default layout to channels-last.
-func NCHWToNHWC(in *Tensor) *Tensor {
-	return NCHWToNHWCInto(nil, in)
-}
-
-// NCHWToNHWCInto is NCHWToNHWC writing into a caller-provided destination
-// (nil dst allocates).
-func NCHWToNHWCInto(dst, in *Tensor) *Tensor {
-	if in.Layout.Kind != LayoutNCHW {
-		panic(fmt.Sprintf("tensor: NCHWToNHWC expects NCHW input, got %v", in.Layout))
-	}
-	n, c, h, w := in.Shape[0], in.Shape[1], in.Shape[2], in.Shape[3]
-	out := EnsureDst(dst, NHWC(), n, h, w, c)
-	for b := 0; b < n; b++ {
-		for ch := 0; ch < c; ch++ {
-			for y := 0; y < h; y++ {
-				srcRow := in.Data[(((b*c+ch)*h)+y)*w:]
-				dstBase := ((b*h+y)*w)*c + ch
-				for x := 0; x < w; x++ {
-					out.Data[dstBase+x*c] = srcRow[x]
-				}
-			}
-		}
-	}
-	return out
-}
-
-// NHWCToNCHW converts channels-last back to the default layout.
-func NHWCToNCHW(in *Tensor) *Tensor {
-	return NHWCToNCHWInto(nil, in)
-}
-
-// NHWCToNCHWInto is NHWCToNCHW writing into a caller-provided destination
-// (nil dst allocates).
-func NHWCToNCHWInto(dst, in *Tensor) *Tensor {
-	if in.Layout.Kind != LayoutNHWC {
-		panic(fmt.Sprintf("tensor: NHWCToNCHW expects NHWC input, got %v", in.Layout))
-	}
-	n, h, w, c := in.Shape[0], in.Shape[1], in.Shape[2], in.Shape[3]
-	out := EnsureDst(dst, NCHW(), n, c, h, w)
-	for b := 0; b < n; b++ {
-		for y := 0; y < h; y++ {
-			for x := 0; x < w; x++ {
-				src := in.Data[(((b*h+y)*w)+x)*c:]
-				for ch := 0; ch < c; ch++ {
-					out.Data[(((b*c+ch)*h)+y)*w+x] = src[ch]
-				}
-			}
-		}
-	}
-	return out
-}
-
 // PackWeights converts an OIHW (KCRS) weight tensor into the blocked
 // OIHW[x]i[y]o (KCRS[x]c[y]k) layout expected by the blocked convolution
 // template. I must be divisible by x and O by y. In NeoCPU this is done once
@@ -246,22 +193,11 @@ func Transform(in *Tensor, to Layout) *Tensor {
 }
 
 // NeedsTransformScratch reports whether TransformInto routes from→to through
-// an intermediate NCHW buffer (two-hop transforms between non-default
-// layouts). Sessions use it to decide which transform nodes get a scratch
+// an intermediate NCHW buffer (a re-chunk between two NCHW[x]c block
+// factors). Sessions use it to decide which transform nodes get a scratch
 // buffer in their arena.
 func NeedsTransformScratch(from, to Layout) bool {
-	if from.Equal(to) || to.Kind == LayoutAny {
-		return false
-	}
-	switch {
-	case from.Kind == LayoutNCHWc && to.Kind == LayoutNCHWc:
-		return true
-	case from.Kind == LayoutNHWC && to.Kind == LayoutNCHWc:
-		return true
-	case from.Kind == LayoutNCHWc && to.Kind == LayoutNHWC:
-		return true
-	}
-	return false
+	return !from.Equal(to) && from.Kind == LayoutNCHWc && to.Kind == LayoutNCHWc
 }
 
 // TransformInto is Transform writing into a caller-provided destination.
@@ -287,14 +223,6 @@ func TransformInto(dst, scratch *Tensor, in *Tensor, to Layout) *Tensor {
 		// Equal block factors were already handled by the from.Equal(to)
 		// copy path above, so this is always a genuine re-chunk.
 		return ToNCHWcInto(dst, FromNCHWcInto(scratch, in), to.BlockC)
-	case from.Kind == LayoutNCHW && to.Kind == LayoutNHWC:
-		return NCHWToNHWCInto(dst, in)
-	case from.Kind == LayoutNHWC && to.Kind == LayoutNCHW:
-		return NHWCToNCHWInto(dst, in)
-	case from.Kind == LayoutNHWC && to.Kind == LayoutNCHWc:
-		return ToNCHWcInto(dst, NHWCToNCHWInto(scratch, in), to.BlockC)
-	case from.Kind == LayoutNCHWc && to.Kind == LayoutNHWC:
-		return NCHWToNHWCInto(dst, FromNCHWcInto(scratch, in))
 	}
 	panic(fmt.Sprintf("tensor: unsupported transform %v -> %v", from, to))
 }
