@@ -726,31 +726,6 @@ func BenchmarkSessionRunScaling(b *testing.B) {
 	}
 }
 
-// BenchmarkSessionRunBatch measures the amortized per-image cost of batched
-// session execution (dispatch setup paid once per batch).
-func BenchmarkSessionRunBatch(b *testing.B) {
-	m := benchRunModule(b)
-	defer m.Close()
-	s, err := m.NewSession()
-	if err != nil {
-		b.Fatal(err)
-	}
-	const batch = 8
-	ins := make([]*tensor.Tensor, batch)
-	for i := range ins {
-		ins[i] = tensor.New(tensor.NCHW(), 1, 3, 32, 32)
-		ins[i].FillRandom(uint64(i+1), 1)
-	}
-	ctx := context.Background()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := s.RunBatch(ctx, ins); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func itoa(n int) string {
 	if n == 0 {
 		return "0"

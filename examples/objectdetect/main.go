@@ -93,20 +93,19 @@ func main() {
 			row[0], row[1], row[2], row[3], row[4], row[5])
 	}
 
-	// Batched detection over a short "clip": RunBatch amortizes dispatch and
-	// reuses the arena across frames, returning deep copies per frame.
-	frames := make([]*tensor.Tensor, 4)
-	for i := range frames {
-		frames[i] = tensor.New(tensor.NCHW(), 1, 3, 128, 128)
-		frames[i].FillRandom(uint64(100+i), 1)
-	}
+	// Detection over a short "clip": one Run per frame on the same session,
+	// which reuses its arena. Each frame's detections are read before the
+	// next Run overwrites them.
+	const frames = 4
+	fmt.Printf("\nclip of %d frames:\n", frames)
 	start = time.Now()
-	batch, err := sess.RunBatch(context.Background(), frames)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("\nbatch of %d frames in %v:\n", len(frames), time.Since(start).Round(time.Millisecond))
-	for i, outs := range batch {
+	for i := 0; i < frames; i++ {
+		img.FillRandom(uint64(100+i), 1)
+		outs, err := sess.Run(context.Background(), img)
+		if err != nil {
+			log.Fatal(err)
+		}
 		fmt.Printf("  frame %d: %d detections\n", i, outs[0].Shape[1])
 	}
+	fmt.Printf("%d frames in %v\n", frames, time.Since(start).Round(time.Millisecond))
 }

@@ -70,10 +70,6 @@ type Options struct {
 	Threads int
 	// Deprecated: ignored; Threads and SharedPool pick the runtime.
 	Backend machine.ThreadBackend
-	// UniformBlock is the shared split factor x for OptLayout and
-	// OptTransformElim; 0 means the target's vector width (the paper's
-	// "constant number (e.g. 16)").
-	UniformBlock int
 	// DisableFusion keeps ReLU/add as standalone operators (ablation).
 	DisableFusion bool
 	// DisableBNFold keeps BatchNorm as a standalone runtime operator
@@ -148,10 +144,6 @@ func Compile(g *graph.Graph, t *machine.Target, opts Options) (*Module, error) {
 		}
 	}
 
-	block := opts.UniformBlock
-	if block <= 0 {
-		block = t.VectorLanes
-	}
 	// The hand-picked schedule of Table 3 rows 2-3: a 16-wide register tile
 	// everywhere (clamped so the accumulators plus the kernel and broadcast
 	// registers fit the architectural register file), mirroring the paper's
@@ -171,10 +163,10 @@ func Compile(g *graph.Graph, t *machine.Target, opts Options) (*Module, error) {
 	case OptNone:
 		plan = graph.NCHWPlan(g)
 	case OptLayout:
-		plan = graph.UniformPlan(g, block, defaultRegN)
+		plan = graph.UniformPlan(g, t.VectorLanes, defaultRegN)
 		eliminate = false
 	case OptTransformElim:
-		plan = graph.UniformPlan(g, block, defaultRegN)
+		plan = graph.UniformPlan(g, t.VectorLanes, defaultRegN)
 	case OptGlobalSearch:
 		sOpts := opts.Search
 		if opts.DisableWinograd {

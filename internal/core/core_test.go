@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"slices"
@@ -400,38 +401,61 @@ func TestBatchedInference(t *testing.T) {
 	}
 }
 
+// TestRunProfiled: at one thread and on the pool, a profiled run's outputs
+// are bit-identical to Session.Run's, and its profile holds one timing per
+// program step, in execution-walk order, each naming its node.
 func TestRunProfiled(t *testing.T) {
-	g := models.TinyResNet(2)
-	m, err := Compile(g, skylake(), Options{Level: OptTransformElim, Threads: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	in := tensor.New(tensor.NCHW(), 1, 3, 32, 32)
-	in.FillRandom(1, 1)
-	outsRef, err := m.Run(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	outs, prof, err := m.RunProfiled(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !tensor.BitEqual(outsRef[0], outs[0]) {
-		t.Fatal("profiled run changed the output")
-	}
-	if prof.Total <= 0 || len(prof.Timings) == 0 {
-		t.Fatalf("empty profile: %+v", prof)
-	}
-	byKind := prof.ByKind()
-	if len(byKind) == 0 || byKind[0].Kind != graph.OpConv2D {
-		t.Fatalf("convolution must dominate the profile, got %v", byKind)
-	}
-	if s := prof.String(); !strings.Contains(s, "conv2d") {
-		t.Fatalf("profile rendering incomplete: %s", s)
-	}
-	// Profiled shape errors mirror Run's.
-	if _, _, err := m.RunProfiled(tensor.New(tensor.NCHW(), 1, 3, 8, 8)); err == nil {
-		t.Fatal("expected shape error")
+	for _, threads := range []int{1, 2} {
+		m, err := Compile(models.TinyResNet(2), skylake(), Options{Level: OptTransformElim, Threads: threads})
+		if err != nil {
+			t.Fatal(err)
+		}
+		in := tensor.New(tensor.NCHW(), 1, 3, 32, 32)
+		in.FillRandom(1, 1)
+		s, err := m.NewSession()
+		if err != nil {
+			t.Fatal(err)
+		}
+		outsRef, err := s.Run(context.Background(), in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		outs, prof, err := m.RunProfiled(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(outs) != len(outsRef) {
+			t.Fatalf("threads %d: %d profiled outputs, want %d", threads, len(outs), len(outsRef))
+		}
+		for i := range outs {
+			if !tensor.BitEqual(outsRef[i], outs[i]) {
+				t.Fatalf("threads %d: profiled output %d diverges from Session.Run", threads, i)
+			}
+		}
+		if prof.Total <= 0 || len(prof.Timings) != len(m.program) {
+			t.Fatalf("threads %d: %d timings over %d steps (total %v)", threads, len(prof.Timings), len(m.program), prof.Total)
+		}
+		k := 0
+		for _, level := range m.plan.levels {
+			for _, i := range level {
+				if n := prof.Timings[k].Node; n == nil || n != m.program[i] {
+					t.Fatalf("threads %d: timing %d is for %v, want step %d (%v) in walk order", threads, k, n, i, m.program[i])
+				}
+				k++
+			}
+		}
+		byKind := prof.ByKind()
+		if len(byKind) == 0 || byKind[0].Kind != graph.OpConv2D {
+			t.Fatalf("threads %d: convolution must dominate the profile, got %v", threads, byKind)
+		}
+		if s := prof.String(); !strings.Contains(s, "conv2d") {
+			t.Fatalf("threads %d: profile rendering incomplete: %s", threads, s)
+		}
+		// Profiled shape errors mirror Run's.
+		if _, _, err := m.RunProfiled(tensor.New(tensor.NCHW(), 1, 3, 8, 8)); err == nil {
+			t.Fatalf("threads %d: expected shape error", threads)
+		}
+		m.Close()
 	}
 }
 

@@ -79,39 +79,21 @@ func TestRunRecoversPanicIntoTypedError(t *testing.T) {
 	}
 }
 
-// TestRunBatchPanicReportsCompletedPrefix: a panic on item k must deliver
-// items [0,k) and a BatchError wrapping the ExecPanicError.
-func TestRunBatchPanicReportsCompletedPrefix(t *testing.T) {
+// TestRunProfiledRecoversPanic: a profiled run crosses the same panic
+// boundary as Session.Run, so a kernel panic returns *core.ExecPanicError
+// instead of reaching the caller.
+func TestRunProfiledRecoversPanic(t *testing.T) {
 	defer faults.Reset()
 	m := panicTestModule(t)
-	s, err := m.NewSession()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Panic on the second run only.
-	calls := 0
 	faults.Inject(faults.SiteSessionRun, func(label string) error {
-		calls++
-		if calls == 2 {
-			panic("batch item panic")
-		}
-		return nil
+		panic("profiled kernel panic")
 	})
-
-	inputs := []*tensor.Tensor{panicTestInput(), panicTestInput(), panicTestInput()}
-	results, err := s.RunBatch(context.Background(), inputs)
-	var be *core.BatchError
-	if !errors.As(err, &be) {
-		t.Fatalf("got %v, want *BatchError", err)
-	}
-	if be.Completed != 1 || len(results) != 1 {
-		t.Fatalf("completed %d with %d results, want 1/1", be.Completed, len(results))
-	}
+	_, prof, err := m.RunProfiled(panicTestInput())
 	var pe *core.ExecPanicError
 	if !errors.As(err, &pe) {
-		t.Fatalf("BatchError does not wrap ExecPanicError: %v", err)
+		t.Fatalf("got %v, want *ExecPanicError", err)
 	}
-	if !s.Corrupted() {
-		t.Fatal("session not quarantined after batch panic")
+	if prof != nil {
+		t.Fatalf("a panicked run returned a profile: %+v", prof)
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -73,9 +74,10 @@ func (p *Profile) String() string {
 }
 
 // RunProfiled executes one inference like Run while timing every operator.
-// It returns the outputs and the profile. Profiled runs walk the plan's
-// levels in order like Run, and instrumentation adds one clock read per
-// node — profiled latency slightly exceeds Run latency.
+// It returns the outputs and the profile, whose timings follow the execution
+// walk. A profiled run goes through the same executor, fault site and panic
+// boundary as Session.Run on a fresh session; timing adds one clock read per
+// step, so profiled latency slightly exceeds Run latency.
 func (m *Module) RunProfiled(input *tensor.Tensor) ([]*tensor.Tensor, *Profile, error) {
 	if err := m.checkInput(input); err != nil {
 		return nil, nil, err
@@ -84,19 +86,17 @@ func (m *Module) RunProfiled(input *tensor.Tensor) ([]*tensor.Tensor, *Profile, 
 	if err != nil {
 		return nil, nil, err
 	}
-	pf := m.parallelFor()
-	prof := &Profile{Timings: make([]OpTiming, 0, len(m.program))}
+	elapsed := make([]time.Duration, len(m.program))
 	start := time.Now()
+	if err := s.safeRun(context.Background(), input, elapsed); err != nil {
+		return nil, nil, err
+	}
+	prof := &Profile{Total: time.Since(start), Timings: make([]OpTiming, 0, len(m.program))}
 	for _, level := range m.plan.levels {
 		for _, i := range level {
-			opStart := time.Now()
-			if err := s.execStep(i, input, pf); err != nil {
-				return nil, nil, err
-			}
-			prof.Timings = append(prof.Timings, OpTiming{Node: m.program[i], Elapsed: time.Since(opStart)})
+			prof.Timings = append(prof.Timings, OpTiming{Node: m.program[i], Elapsed: elapsed[i]})
 		}
 	}
-	prof.Total = time.Since(start)
 	outs := make([]*tensor.Tensor, len(m.Graph.Outputs))
 	for i, o := range m.Graph.Outputs {
 		outs[i] = s.vals[m.slot[o]]

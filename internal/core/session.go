@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/faults"
 	"repro/internal/ops"
@@ -72,22 +73,6 @@ func (s *Session) ArenaBytes() int {
 // materializes: slot packing, arena footprint and dependency levels.
 func (s *Session) PlanStats() PlanStats { return s.m.PlanStats() }
 
-// BatchError reports that a RunBatch stopped before executing every input.
-// Completed counts the items that finished: the batch results returned
-// alongside the error hold exactly those entries, in input order. Err is the
-// cause (a ctx error for cancellation, or the failing item's execution
-// error) and is exposed through Unwrap for errors.Is/As.
-type BatchError struct {
-	Completed int
-	Err       error
-}
-
-func (e *BatchError) Error() string {
-	return fmt.Sprintf("core: batch stopped after %d item(s): %v", e.Completed, e.Err)
-}
-
-func (e *BatchError) Unwrap() error { return e.Err }
-
 // NewSession materializes the module's execution plan into a freshly
 // allocated arena. Prediction-only (NoPrepack) modules cannot execute and
 // return an error.
@@ -145,10 +130,17 @@ func (s *Session) execStep(i int, input *tensor.Tensor, pf ops.ParallelFor) erro
 }
 
 // run executes one inference: the plan's nodes in level order, one at a
-// time, each kernel handed pf and so the whole pool. Level order is required,
+// time, each kernel handed the module's runtime and so the whole pool. Level order is required,
 // not program order: the planner's slot lifetimes are level-granular. Ctx is
 // polled before every node, so cancellation takes effect mid-inference.
-func (s *Session) run(ctx context.Context, input *tensor.Tensor, pf ops.ParallelFor) error {
+// A non-nil elapsed (one entry per program step, indexed like m.program)
+// receives each step's wall time at the cost of one clock read per step.
+func (s *Session) run(ctx context.Context, input *tensor.Tensor, elapsed []time.Duration) error {
+	pf := s.m.parallelFor()
+	var last time.Time
+	if elapsed != nil {
+		last = time.Now()
+	}
 	for _, level := range s.m.plan.levels {
 		for _, i := range level {
 			if ctx != nil {
@@ -159,6 +151,11 @@ func (s *Session) run(ctx context.Context, input *tensor.Tensor, pf ops.Parallel
 			if err := s.execStep(i, input, pf); err != nil {
 				return err
 			}
+			if elapsed != nil {
+				now := time.Now()
+				elapsed[i] = now.Sub(last)
+				last = now
+			}
 		}
 	}
 	return nil
@@ -167,10 +164,10 @@ func (s *Session) run(ctx context.Context, input *tensor.Tensor, pf ops.Parallel
 // safeRun is the session-run boundary: a quarantined session refuses to
 // execute, the fault-injection site fires (no-op unless a test armed it),
 // and a panic anywhere in the kernels or executor is recovered into a typed
-// *ExecPanicError instead of crashing the process. Both threading runtimes
-// re-raise worker panics on the submitting goroutine, so this boundary
-// catches parallel-region panics too.
-func (s *Session) safeRun(ctx context.Context, input *tensor.Tensor, pf ops.ParallelFor) (err error) {
+// *ExecPanicError instead of crashing the process. The thread pool re-raises
+// worker panics on the submitting goroutine (and a serial module runs every
+// region on it), so this boundary catches parallel-region panics too.
+func (s *Session) safeRun(ctx context.Context, input *tensor.Tensor, elapsed []time.Duration) (err error) {
 	if s.corrupt.Load() {
 		return fmt.Errorf("core: session for %q is quarantined after a panic; create a new session", s.m.Graph.Name)
 	}
@@ -178,63 +175,24 @@ func (s *Session) safeRun(ctx context.Context, input *tensor.Tensor, pf ops.Para
 	if err := faults.Fire(faults.SiteSessionRun, s.m.Graph.Name); err != nil {
 		return err
 	}
-	return s.run(ctx, input, pf)
+	return s.run(ctx, input, elapsed)
 }
 
 // Run executes the model on one NCHW input, reusing the session arena. The
 // returned tensors are views into the arena's pinned output slots: they are
-// valid until the next Run/RunBatch on this session, and must be Clone()d to
-// outlive it.
+// valid until the next Run on this session, and must be Clone()d to outlive
+// it.
 func (s *Session) Run(ctx context.Context, input *tensor.Tensor) ([]*tensor.Tensor, error) {
 	if err := s.m.checkInput(input); err != nil {
 		return nil, err
 	}
-	if err := s.safeRun(ctx, input, s.m.parallelFor()); err != nil {
+	if err := s.safeRun(ctx, input, nil); err != nil {
 		return nil, err
 	}
 	for i, o := range s.m.Graph.Outputs {
 		s.outs[i] = s.vals[s.m.slot[o]]
 	}
 	return s.outs, nil
-}
-
-// RunBatch executes the model once per input, amortizing validation and
-// dispatch setup across the batch. Unlike Run, the returned tensors are
-// deep copies (the arena is reused between batch items), so they remain
-// valid indefinitely.
-//
-// Ctx is checked between batch items as well as between graph nodes. When a
-// batch stops early — cancellation, or one item failing — RunBatch returns
-// the results of the items that completed together with a *BatchError whose
-// Completed field counts them: results[:Completed] are valid, fully
-// executed outputs. errors.Is still matches the underlying cause (e.g.
-// context.Canceled) through BatchError.Unwrap.
-func (s *Session) RunBatch(ctx context.Context, inputs []*tensor.Tensor) ([][]*tensor.Tensor, error) {
-	for i, in := range inputs {
-		if err := s.m.checkInput(in); err != nil {
-			return nil, fmt.Errorf("core: batch input %d: %w", i, err)
-		}
-	}
-	pf := s.m.parallelFor()
-	results := make([][]*tensor.Tensor, 0, len(inputs))
-	for i, in := range inputs {
-		// The between-items check: a cancellation that lands after item i-1
-		// finished must not run item i to completion.
-		if ctx != nil {
-			if err := ctx.Err(); err != nil {
-				return results, &BatchError{Completed: i, Err: err}
-			}
-		}
-		if err := s.safeRun(ctx, in, pf); err != nil {
-			return results, &BatchError{Completed: i, Err: fmt.Errorf("core: batch input %d: %w", i, err)}
-		}
-		outs := make([]*tensor.Tensor, len(s.m.Graph.Outputs))
-		for j, o := range s.m.Graph.Outputs {
-			outs[j] = s.vals[s.m.slot[o]].Clone()
-		}
-		results = append(results, outs)
-	}
-	return results, nil
 }
 
 // Module returns the compiled module this session executes.

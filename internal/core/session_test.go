@@ -337,9 +337,6 @@ func TestSessionContextCancellation(t *testing.T) {
 	if _, err := s.Run(ctx, in); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled ctx: got %v, want context.Canceled", err)
 	}
-	if _, err := s.RunBatch(ctx, []*tensor.Tensor{in}); !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancelled batch: got %v, want context.Canceled", err)
-	}
 	// The session must recover cleanly after a cancelled run.
 	outs, err := s.Run(context.Background(), in)
 	if err != nil {
@@ -354,35 +351,54 @@ func TestSessionContextCancellation(t *testing.T) {
 	}
 }
 
-func TestSessionRunBatch(t *testing.T) {
-	m := sessionModule(t, 2)
+// stepCtx cancels after a fixed number of Err polls. The session polls
+// ctx.Err once per program step, so a budget below the step count makes the
+// cancellation land deterministically in the middle of an inference.
+type stepCtx struct {
+	context.Context
+	remaining int
+}
+
+func (c *stepCtx) Err() error {
+	if c.remaining <= 0 {
+		return context.Canceled
+	}
+	c.remaining--
+	return nil
+}
+
+// TestSessionRunMidInferenceCancellation: a cancellation landing after half
+// the program's steps stops the run with the ctx cause, and the session's
+// next Run is bit-identical to a fresh Module.Run: the steps that did run
+// leave nothing behind that changes a later answer.
+func TestSessionRunMidInferenceCancellation(t *testing.T) {
+	m := sessionModule(t, 1)
 	s, err := m.NewSession()
 	if err != nil {
 		t.Fatal(err)
 	}
-	var inputs []*tensor.Tensor
-	for i := 0; i < 3; i++ {
-		in := tensor.New(tensor.NCHW(), 1, 3, 32, 32)
-		in.FillRandom(uint64(100+i), 1)
-		inputs = append(inputs, in)
+	first := tensor.New(tensor.NCHW(), 1, 3, 32, 32)
+	first.FillRandom(80, 1)
+	ctx := &stepCtx{Context: context.Background(), remaining: len(m.program) / 2}
+	if _, err := s.Run(ctx, first); !errors.Is(err, context.Canceled) {
+		t.Fatalf("got %v, want context.Canceled", err)
 	}
-	batch, err := s.RunBatch(context.Background(), inputs)
+	if ctx.remaining != 0 {
+		t.Fatalf("run stopped with %d polls of budget left, want 0 (mid-inference)", ctx.remaining)
+	}
+
+	in := tensor.New(tensor.NCHW(), 1, 3, 32, 32)
+	in.FillRandom(81, 1)
+	got, err := s.Run(context.Background(), in)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(batch) != len(inputs) {
-		t.Fatalf("got %d results for %d inputs", len(batch), len(inputs))
+	want, err := m.Run(in)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Batch results are deep copies: each must match its independent run even
-	// though the arena was reused in between.
-	for i, in := range inputs {
-		want, err := m.Run(in)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !tensor.BitEqual(want[0], batch[i][0]) {
-			t.Fatalf("batch item %d diverges from independent run", i)
-		}
+	if !tensor.BitEqual(want[0], got[0]) {
+		t.Fatal("run after a mid-inference cancellation diverges from Module.Run")
 	}
 }
 
@@ -394,12 +410,6 @@ func TestSessionRejectsBadInput(t *testing.T) {
 	}
 	if _, err := s.Run(context.Background(), tensor.New(tensor.NCHW(), 1, 3, 8, 8)); err == nil {
 		t.Fatal("expected shape error")
-	}
-	if _, err := s.RunBatch(context.Background(), []*tensor.Tensor{
-		tensor.New(tensor.NCHW(), 1, 3, 32, 32),
-		tensor.New(tensor.NCHW(), 1, 3, 8, 8),
-	}); err == nil {
-		t.Fatal("expected batch shape error")
 	}
 }
 

@@ -236,11 +236,7 @@ func AlterOpLayout(g *Graph, plan LayoutPlan, eliminate bool) error {
 			for i := range n.Inputs {
 				n.Inputs[i] = ensure(n.Inputs[i], tensor.NCHW())
 			}
-			if n.Op == OpFlatten {
-				n.OutLayout = tensor.Flat()
-			} else {
-				n.OutLayout = tensor.Flat()
-			}
+			n.OutLayout = tensor.Flat()
 
 		case OpDense, OpSoftmax:
 			// Flat-only operators; producers already emit flat tensors.

@@ -139,14 +139,7 @@ func (b *Breaker) Record(err error) {
 func (b *Breaker) Degraded() bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	switch b.state {
-	case breakerClosed:
-		return false
-	case breakerHalfOpen:
-		return true
-	default:
-		return true
-	}
+	return b.state != breakerClosed
 }
 
 // RetryAfter reports how long until the breaker would next admit a request:

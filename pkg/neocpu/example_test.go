@@ -77,7 +77,8 @@ func ExampleEngine_NewSession() {
 
 // ExampleNewServer embeds the serving stack — pooled sessions, bounded
 // admission, the kserve-v2-style protocol — into an existing HTTP
-// server. neocpu.Serve does the same plus listening and graceful shutdown.
+// server. cmd/neocpu-serve wraps the same handler with listening and
+// graceful shutdown.
 func ExampleNewServer() {
 	engine, err := neocpu.CompileGraph(models.TinyMobileNet(42),
 		neocpu.WithThreads(1),

@@ -319,8 +319,8 @@ type Session struct {
 }
 
 // Run executes one inference. The returned tensors alias the session arena:
-// they are valid until the next Run/RunBatch on this session and must be
-// Clone()d to outlive it. Ctx is checked as execution proceeds through the
+// they are valid until the next Run on this session and must be Clone()d to
+// outlive it. Ctx is checked as execution proceeds through the
 // graph, so cancellation takes effect mid-inference.
 func (s *Session) Run(ctx context.Context, input *tensor.Tensor) ([]*tensor.Tensor, error) {
 	return s.s.Run(ctx, input)
@@ -333,9 +333,3 @@ func (s *Session) PlanStats() PlanStats { return s.s.PlanStats() }
 // ArenaBytes reports the session's preallocated arena footprint — the
 // planned shared slots, each counted once.
 func (s *Session) ArenaBytes() int { return s.s.ArenaBytes() }
-
-// RunBatch executes one inference per input, amortizing dispatch setup. The
-// results are deep copies and remain valid indefinitely.
-func (s *Session) RunBatch(ctx context.Context, inputs []*tensor.Tensor) ([][]*tensor.Tensor, error) {
-	return s.s.RunBatch(ctx, inputs)
-}

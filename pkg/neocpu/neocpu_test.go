@@ -200,14 +200,6 @@ func TestCompileGraphRunAndSession(t *testing.T) {
 		t.Fatal("session diverges from Run")
 	}
 
-	batch, err := sess.RunBatch(context.Background(), []*tensor.Tensor{in, in})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(batch) != 2 || !tensor.BitEqual(want[0], batch[1][0]) {
-		t.Fatal("batch diverges from Run")
-	}
-
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if _, err := sess.Run(ctx, in); !errors.Is(err, context.Canceled) {

@@ -1,7 +1,6 @@
 package neocpu
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"net/http"
@@ -22,8 +21,8 @@ import (
 // Each request runs at once on an idle session of a bounded pool of
 // arena-reusing sessions, on its own handler goroutine. While every session
 // is busy, up to WithQueueDepth requests wait for one, first come first
-// served; beyond that a request answers 429. Construct with NewServer for
-// embedding (Handler), or call Serve to listen directly.
+// served; beyond that a request answers 429. Construct with NewServer and
+// mount Handler on an HTTP server.
 type Server struct {
 	inner *serve.Server
 }
@@ -34,7 +33,7 @@ type Server struct {
 // are the same atomics GET /metrics renders.
 type ServerStats = serve.ModelStats
 
-// ServeOption configures NewServer / Serve.
+// ServeOption configures NewServer.
 type ServeOption func(*serveConfig)
 
 type serveConfig struct {
@@ -176,28 +175,3 @@ func (s *Server) Drain() { s.inner.Drain() }
 // Close drains in-flight requests (bounded by WithDrainTimeout) and marks
 // the server unready. Idempotent.
 func (s *Server) Close() { s.inner.Close() }
-
-// Serve runs an inference server for the engine on addr until ctx is done,
-// then shuts down gracefully: admission stops (readiness goes false, new
-// requests get 503), in-flight requests finish under the HTTP server's
-// shutdown grace, then the serving stack closes. It returns nil after a
-// ctx-triggered shutdown, and the listener error otherwise.
-func Serve(ctx context.Context, addr string, e *Engine, model string, opts ...ServeOption) error {
-	srv, err := NewServer(e, model, opts...)
-	if err != nil {
-		return err
-	}
-	defer srv.Close()
-	hs := &http.Server{Addr: addr, Handler: srv.Handler()}
-	errc := make(chan error, 1)
-	go func() { errc <- hs.ListenAndServe() }()
-	select {
-	case <-ctx.Done():
-		srv.Drain()
-		shutdownCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		return hs.Shutdown(shutdownCtx)
-	case err := <-errc:
-		return err
-	}
-}

@@ -2,16 +2,12 @@ package neocpu
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"io"
-	"net"
 	"net/http"
 	"net/http/httptest"
 	"testing"
-	"time"
 )
 
 func serveEngine(t *testing.T) *Engine {
@@ -126,47 +122,5 @@ func TestServeOptionErrorPaths(t *testing.T) {
 				t.Fatalf("got %v, want ErrBadOption", err)
 			}
 		})
-	}
-}
-
-func TestServeRunsUntilContextDone(t *testing.T) {
-	e := serveEngine(t)
-	// Grab a free port, release it, and let Serve bind it: races are
-	// possible but fine for a test that only needs one round-trip.
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr := l.Addr().String()
-	l.Close()
-
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan error, 1)
-	go func() { done <- Serve(ctx, addr, e, "small-cnn", WithPoolSize(1)) }()
-
-	url := fmt.Sprintf("http://%s/v2/health/ready", addr)
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		resp, err := http.Get(url)
-		if err == nil {
-			io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
-			if resp.StatusCode == http.StatusOK {
-				break
-			}
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("server never became ready")
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-	cancel()
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatalf("Serve returned %v after graceful shutdown, want nil", err)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("Serve did not return after ctx cancellation")
 	}
 }
